@@ -6,8 +6,9 @@ The wall conditions reduce to a symmetric negative definite linear system
 
 where T is the scaled boundary matrix, E the even eigenvector block and L
 the positive decay rates.  Assembly works entirely in normalized form so
-that orders in the thousands never touch a raw factorial; the raw matrices
-are additionally exposed inside the double-precision window for tests.
+that orders in the thousands never touch a raw factorial.  The raw
+matrices have their own builders, valid inside the double-precision
+window, as the reference for tests and the definiteness checks.
 """
 
 from __future__ import annotations
@@ -115,14 +116,12 @@ def assemble_temperature_T(order: int, table: HalfSpaceTable) -> np.ndarray:
     if table.max_order < order + 1:
         raise ValueError(f"table of order {table.max_order} too small for order {order}")
     sn = table.s_normalized
-    half = size // 2
     n = np.zeros((size, size))
-    for k in range(1, half + 1):
-        for ell in range(1, half + 1):
-            n[2 * k - 1, 2 * ell - 1] = sn[2 * k - 2, 2 * ell - 2]
-            n[2 * k - 2, 2 * ell - 2] = (
-                sn[2 * k, 2 * ell] - sn[2 * k, 0] * sn[0, 2 * ell] / sn[0, 0]
-            )
+    n[1::2, 1::2] = sn[0:size:2, 0:size:2]
+    n[0::2, 0::2] = (
+        sn[2:size + 1:2, 2:size + 1:2]
+        - np.outer(sn[2:size + 1:2, 0], sn[0, 2:size + 1:2]) / sn[0, 0]
+    )
     w = np.array(
         [
             [0.5 * math.sqrt(2.0), 1.0],
@@ -160,13 +159,10 @@ def assemble_kramers_T(order: int, table: HalfSpaceTable, prandtl: float) -> np.
     size = m_even + 1
     if table.max_order < 2 * size - 2:
         raise ValueError(f"table of order {table.max_order} too small for order {order}")
-    sn = table.s_normalized
-    idx = 2 * np.arange(size)
-    out = sn[np.ix_(idx, idx)].copy()
     w = np.ones(size)
     if size >= 2:
         w[1] = math.sqrt(5.0 / (4.0 + prandtl))
-    return out * np.outer(w, w)
+    return table.s_normalized[0:2 * size:2, 0:2 * size:2] * np.outer(w, w)
 
 
 def temperature_c_vector(order: int) -> np.ndarray:
@@ -193,35 +189,27 @@ def kramers_c_vector(order: int, prandtl: float) -> np.ndarray:
 class WallBoundarySystem:
     """Assembled wall system for one (kind, order, chi) combination.
 
-    ``raw_matrix`` is the unscaled boundary matrix when it fits in doubles
-    (None otherwise); ``scaled_matrix`` is the overflow-safe form actually
-    used by the solver.
+    ``scaled_matrix`` is the overflow-safe boundary matrix T the solver uses.
     """
 
     kind: SystemKind
     order: int
     chi: float
     b_chi: float
-    raw_matrix: np.ndarray | None
     scaled_matrix: np.ndarray
     c_vec: np.ndarray
 
     def __post_init__(self):
         self.scaled_matrix.flags.writeable = False
         self.c_vec.flags.writeable = False
-        if self.raw_matrix is not None:
-            self.raw_matrix.flags.writeable = False
 
 
 def temperature_boundary_system(order: int, chi: float, table: HalfSpaceTable) -> WallBoundarySystem:
-    b_chi = accommodation_factor(chi)
-    raw = assemble_temperature_Tb(order, table) if order + 1 <= RAW_ORDER_LIMIT else None
     return WallBoundarySystem(
         kind=SystemKind.TEMPERATURE_JUMP,
         order=order,
         chi=chi,
-        b_chi=b_chi,
-        raw_matrix=raw,
+        b_chi=accommodation_factor(chi),
         scaled_matrix=assemble_temperature_T(order, table),
         c_vec=temperature_c_vector(order),
     )
@@ -230,15 +218,11 @@ def temperature_boundary_system(order: int, chi: float, table: HalfSpaceTable) -
 def kramers_boundary_system(
     order: int, chi: float, prandtl: float, table: HalfSpaceTable
 ) -> WallBoundarySystem:
-    b_chi = accommodation_factor(chi)
-    m_even = _check_kramers_order(order)
-    raw = assemble_kramers_Sk(order, table) if 2 * m_even <= RAW_ORDER_LIMIT else None
     return WallBoundarySystem(
         kind=SystemKind.KRAMERS,
         order=order,
         chi=chi,
-        b_chi=b_chi,
-        raw_matrix=raw,
+        b_chi=accommodation_factor(chi),
         scaled_matrix=assemble_kramers_T(order, table, prandtl),
         c_vec=kramers_c_vector(order, prandtl),
     )
@@ -252,9 +236,8 @@ def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
             "eigendecomposition does not match the boundary system "
             f"(matrix size {size}, even block {eigen.m_even}, odd block {eigen.m_odd})"
         )
-    k = system.b_chi * system.scaled_matrix.copy()
-    e = eigen.even_vectors
-    k[1:, 1:] -= 2.0 * (e * eigen.rates) @ e.T
+    k = system.b_chi * system.scaled_matrix
+    k[1:, 1:] -= eigen.rate_block
     return k
 
 

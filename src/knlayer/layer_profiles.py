@@ -122,11 +122,14 @@ def _kramers_parts(order: int, pr: float) -> tuple[ReducedSystem, HalfSpaceTable
     return system, table, decompose(system)
 
 
-def _validate_common(kn: float, pr: float) -> None:
-    if kn <= 0.0:
-        raise ValueError(f"Knudsen number must be positive, got {kn}")
-    if pr <= 0.0:
-        raise ValueError(f"Prandtl number must be positive, got {pr}")
+def _validate_common(kn: float, pr: float, flux: float, wall_value: float) -> None:
+    """Reject non-finite inputs; NaN would otherwise pass every sign test."""
+    for name, value in (("Knudsen number", kn), ("Prandtl number", pr)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    for name, value in (("driving flux", flux), ("wall value", wall_value)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _temperature_from_parts(
@@ -168,7 +171,7 @@ def temperature_solution(
     theta_wall: float = 0.0,
 ) -> TemperatureLayerSolution:
     """Solve the temperature-jump problem at the given odd moment order."""
-    _validate_common(kn, pr)
+    _validate_common(kn, pr, q2, theta_wall)
     if q2 == 0.0:
         raise ValueError("the prescribed heat flux must be nonzero")
     system, table, eigen = _temperature_parts(order)
@@ -185,7 +188,7 @@ def velocity_solution(
     u1_wall: float = 0.0,
 ) -> VelocityLayerSolution:
     """Solve the shear-driven (Kramers) problem at the given even moment order."""
-    _validate_common(kn, pr)
+    _validate_common(kn, pr, sigma12, u1_wall)
     if sigma12 == 0.0:
         raise ValueError("the prescribed shear stress must be nonzero")
     system, table, eigen = _kramers_parts(order, pr)

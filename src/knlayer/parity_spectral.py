@@ -1,14 +1,14 @@
 """Structured eigendecomposition of the block anti-diagonal parity matrix.
 
-For M = [[0, B], [B^T, 0]] the spectrum is {+s_i} u {-s_i} u {0} where s_i
-are the singular values of B, and the eigenvectors assemble from the left
-and right singular vectors.  A one-sided Jacobi SVD keeps the whole path
-dependency-free and bit-reproducible.
+For M = [[0, B], [B^T, 0]] with square B the spectrum is {+s_i} u {-s_i},
+where s_i are the singular values of B, and the eigenvectors assemble from
+the left and right singular vectors.  The SVD is LAPACK's divide-and-conquer
+routine (gesdd via numpy); a fixed sign convention pins its output.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +17,6 @@ from .system_builder import ReducedSystem
 
 __all__ = ["ParityEigen", "decompose", "assemble_full_R", "RankDeficiencyError"]
 
-JACOBI_REL_TOL = 1e-14
-JACOBI_PAIR_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 60
 RANK_TOL = 1e-12
 
 
@@ -31,18 +28,17 @@ class RankDeficiencyError(RuntimeError):
 class ParityEigen:
     """Positive branch of the parity spectrum plus the orthogonal blocks.
 
-    ``rates`` are the m_odd positive eigenvalues, descending.  The assembled
-    eigenvector matrix is [[E, N, E], [O, 0, -O]] with E = even_vectors,
-    O = odd_vectors, N = null_vectors; E^T E = I/2 and O^T O = I/2.
+    ``rates`` are the positive eigenvalues, descending.  The assembled
+    eigenvector matrix is [[E, E], [O, -O]] with E = even_vectors and
+    O = odd_vectors; E^T E = I/2 and O^T O = I/2.
     """
 
     rates: np.ndarray
     even_vectors: np.ndarray
     odd_vectors: np.ndarray
-    null_vectors: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.rates, self.even_vectors, self.odd_vectors, self.null_vectors):
+        for arr in (self.rates, self.even_vectors, self.odd_vectors):
             arr.flags.writeable = False
 
     @property
@@ -53,122 +49,13 @@ class ParityEigen:
     def m_odd(self) -> int:
         return self.odd_vectors.shape[0]
 
-
-def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fixed tournament schedule: n-1 rounds of disjoint index pairs."""
-    players = list(range(n)) if n % 2 == 0 else list(range(n)) + [-1]
-    m = len(players)
-    rounds = []
-    order = players[:]
-    for _ in range(m - 1):
-        left = order[: m // 2]
-        right = order[m // 2:][::-1]
-        pairs = sorted(
-            (min(a, b), max(a, b)) for a, b in zip(left, right) if a >= 0 and b >= 0
-        )
-        rounds.append(
-            (np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
-        )
-        order = [order[0]] + [order[-1]] + order[1:-1]
-    return rounds
-
-
-def _onesided_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of a (m x n, m >= n): returns (u, sigma, v).
-
-    Columns of the working copy are orthogonalized by plane rotations over a
-    fixed round-robin schedule; pairs inside one round are disjoint, so the
-    batched update equals the sequential one.  A per-sweep Gram screen skips
-    pairs that are already orthogonal relative to their column norms.
-    Converged once no pair exceeds the relative threshold and the
-    off-diagonal Frobenius mass of the Gram matrix is below JACOBI_REL_TOL
-    times its natural scale |A|_F^2.
-    """
-    m, n = a.shape
-    cols = np.array(a, dtype=float).T.copy()  # row k holds column k, contiguous
-    vt = np.eye(n)
-    if n == 0:
-        return np.zeros((m, 0)), np.zeros(0), vt
-    gram_scale = float(np.sum(cols * cols))
-    if gram_scale == 0.0:
-        return np.eye(m, n), np.zeros(n), vt
-    conv_tol = JACOBI_REL_TOL * gram_scale
-    schedule = _round_robin_schedule(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        gram = cols @ cols.T
-        upper = np.triu(gram, 1)
-        off_mass = math.sqrt(2.0 * float(np.sum(upper * upper)))
-        norms = np.sqrt(np.diag(gram))
-        rel = np.abs(upper) > JACOBI_PAIR_TOL * np.outer(norms, norms)
-        if off_mass < conv_tol and not rel.any():
-            break
-        for ps, qs in schedule:
-            sel = rel[ps, qs]
-            if not sel.any():
-                continue
-            p_sel = ps[sel]
-            q_sel = qs[sel]
-            p_cols = cols[p_sel]
-            q_cols = cols[q_sel]
-            dots = np.einsum("ij,ij->i", p_cols, q_cols)
-            app = np.einsum("ij,ij->i", p_cols, p_cols)
-            aqq = np.einsum("ij,ij->i", q_cols, q_cols)
-            live = np.abs(dots) > JACOBI_PAIR_TOL * np.sqrt(app * aqq)
-            if not live.any():
-                continue
-            tau = np.zeros_like(dots)
-            np.divide(aqq - app, 2.0 * dots, out=tau, where=live)
-            t = np.where(
-                tau == 0.0,
-                1.0,
-                np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-            )
-            t = np.where(live, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            cols[p_sel] = c[:, None] * p_cols - s[:, None] * q_cols
-            cols[q_sel] = s[:, None] * p_cols + c[:, None] * q_cols
-            vp = vt[p_sel]
-            vq = vt[q_sel]
-            vt[p_sel] = c[:, None] * vp - s[:, None] * vq
-            vt[q_sel] = s[:, None] * vp + c[:, None] * vq
-    sigma = np.sqrt(np.einsum("ij,ij->i", cols, cols))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    safe = np.where(sigma > 0.0, sigma, 1.0)
-    u = (cols[order] / safe[:, None]).T.copy()
-    v = vt[order].T.copy()
-    return u, sigma, v
-
-
-def _complete_null_basis(u: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal completion of the columns of u."""
-    m, r = u.shape
-    missing = m - r
-    if missing == 0:
-        return np.zeros((m, 0))
-    basis = [u[:, k] for k in range(r)]
-    extra: list[np.ndarray] = []
-    for threshold in (0.5, 1e-8):
-        for k in range(m):
-            if len(extra) == missing:
-                break
-            cand = np.zeros(m)
-            cand[k] = 1.0
-            for b in basis + extra:
-                cand -= np.dot(b, cand) * b
-            norm = np.linalg.norm(cand)
-            if norm > threshold:
-                cand /= norm
-                # second orthogonalization pass for accuracy
-                for b in basis + extra:
-                    cand -= np.dot(b, cand) * b
-                extra.append(cand / np.linalg.norm(cand))
-        if len(extra) == missing:
-            break
-    if len(extra) != missing:
-        raise RankDeficiencyError("failed to complete the null-space basis")
-    return np.column_stack(extra)
+    @functools.cached_property
+    def rate_block(self) -> np.ndarray:
+        """2 (E Lambda) E^T, the chi-independent part of every wall operator."""
+        e = self.even_vectors
+        out = 2.0 * (e * self.rates) @ e.T
+        out.flags.writeable = False
+        return out
 
 
 def decompose(system: ReducedSystem) -> ParityEigen:
@@ -176,40 +63,33 @@ def decompose(system: ReducedSystem) -> ParityEigen:
 
     Sign convention: each column of the odd block has its largest-magnitude
     entry positive, ties broken by the lowest row index; equal rates keep
-    their SVD (descending, stable) order.  This pins the output bit-for-bit.
+    their SVD (descending) order.  This pins the output bit-for-bit.
     """
-    b = system.coupling_dense()
-    u, sigma, v = _onesided_jacobi(b)
+    if system.m_even != system.m_odd:
+        raise ValueError(
+            f"coupling block of order {system.order} is not square "
+            f"({system.m_even} x {system.m_odd})"
+        )
+    u, sigma, vt = np.linalg.svd(system.coupling_dense())
     scale = sigma[0] if sigma.size else 0.0
     if sigma.size and sigma[-1] <= RANK_TOL * scale:
         raise RankDeficiencyError(
             f"coupling block of order {system.order} is numerically rank deficient "
             f"(smallest singular value {sigma[-1]:.3e})"
         )
-    m_odd = system.m_odd
-    for j in range(m_odd):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0.0:
-            v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
-    null = _complete_null_basis(u[:, :m_odd]) if system.m_even > m_odd else np.zeros((system.m_even, 0))
+    v = vt.T
+    cols = np.arange(v.shape[1])
+    signs = np.where(v[np.argmax(np.abs(v), axis=0), cols] < 0.0, -1.0, 1.0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     return ParityEigen(
-        rates=sigma[:m_odd].copy(),
-        even_vectors=u[:, :m_odd] * inv_sqrt2,
-        odd_vectors=v * inv_sqrt2,
-        null_vectors=null,
+        rates=sigma,
+        even_vectors=u * (signs * inv_sqrt2),
+        odd_vectors=v * (signs * inv_sqrt2),
     )
 
 
 def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
-    """Full orthogonal eigenvector matrix [[E, N, E], [O, 0, -O]]."""
-    m_e, m_o = eigen.m_even, eigen.m_odd
-    n = m_e + m_o
-    out = np.zeros((n, n))
-    out[:m_e, :m_o] = eigen.even_vectors
-    out[:m_e, m_o: m_e] = eigen.null_vectors
-    out[:m_e, m_e:] = eigen.even_vectors
-    out[m_e:, :m_o] = eigen.odd_vectors
-    out[m_e:, m_e:] = -eigen.odd_vectors
-    return out
+    """Full orthogonal eigenvector matrix [[E, E], [O, -O]]."""
+    return np.block(
+        [[eigen.even_vectors, eigen.even_vectors], [eigen.odd_vectors, -eigen.odd_vectors]]
+    )

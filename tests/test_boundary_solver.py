@@ -33,9 +33,37 @@ def reference_t0(chi):
     return -1.0 / (math.sqrt(5.0) * (6.0 + 3.0 * math.sqrt(5.0) * b))
 
 
+def looped_temperature_T(order, table):
+    """Element-by-element assembly of the scaled temperature boundary matrix."""
+    size = order - 1
+    sn = table.s_normalized
+    n = np.zeros((size, size))
+    for k in range(1, size // 2 + 1):
+        for ell in range(1, size // 2 + 1):
+            n[2 * k - 1, 2 * ell - 1] = sn[2 * k - 2, 2 * ell - 2]
+            n[2 * k - 2, 2 * ell - 2] = (
+                sn[2 * k, 2 * ell] - sn[2 * k, 0] * sn[0, 2 * ell] / sn[0, 0]
+            )
+    w = np.array(
+        [
+            [0.5 * math.sqrt(2.0), 1.0],
+            [math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0)],
+        ]
+    )
+    out = n.copy()
+    out[:2, :] = w @ n[:2, :]
+    out[:, :2] = out[:, :2] @ w.T
+    return out
+
+
 @pytest.fixture(scope="module")
 def table99():
     return HalfSpaceTable(101)
+
+
+@pytest.fixture(scope="module")
+def table1025():
+    return HalfSpaceTable(1027)
 
 
 class TestAccommodationFactor:
@@ -84,6 +112,12 @@ class TestTemperatureAssembly:
         safe = assemble_temperature_T(order, table99)
         np.testing.assert_allclose(safe, direct, rtol=1e-11, atol=1e-13)
 
+    def test_sliced_assembly_matches_loop(self, table1025):
+        for order in [*range(3, 100, 2), 129, 513, 1025]:
+            assert np.array_equal(
+                assemble_temperature_T(order, table1025), looped_temperature_T(order, table1025)
+            ), order
+
     def test_symmetry(self, table99):
         for order in (3, 7, 33, 99):
             tb = assemble_temperature_Tb(order, table99)
@@ -119,6 +153,15 @@ class TestKramersAssembly:
         a1 = math.sqrt(2.0 * (4.0 + pr) / 5.0)
         expected = np.array([[-1.0, -1.0 / a1], [-1.0 / a1, -5.0 / a1**2]])
         np.testing.assert_allclose(assemble_kramers_T(4, table, pr), expected, atol=1e-14)
+
+    def test_sliced_assembly_matches_fancy_index(self, table1025):
+        for order in [*range(4, 99, 2), 128, 512, 1024]:
+            size = order // 2
+            idx = 2 * np.arange(size)
+            w = np.ones(size)
+            w[1] = math.sqrt(5.0 / (4.0 + 2.0 / 3.0))
+            expected = table1025.s_normalized[np.ix_(idx, idx)] * np.outer(w, w)
+            assert np.array_equal(assemble_kramers_T(order, table1025, 2.0 / 3.0), expected), order
 
     def test_negative_definite(self, table99):
         for order in range(4, 99, 2):
@@ -240,7 +283,6 @@ class TestSolveWall:
             order=wbs.order,
             chi=wbs.chi,
             b_chi=wbs.b_chi,
-            raw_matrix=None,
             scaled_matrix=-wbs.scaled_matrix,  # positive definite side
             c_vec=wbs.c_vec.copy(),
         )

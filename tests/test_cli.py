@@ -170,6 +170,28 @@ class TestExitCodes:
     def test_bad_kmax(self, capsys):
         assert run(capsys, ["table2", "--kmax", "9"])[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["temperature-jump", "-M", "7", "--kn", "nan"],
+            ["temperature-jump", "-M", "7", "--kn", "inf"],
+            ["temperature-jump", "-M", "7", "--pr", "nan"],
+            ["temperature-jump", "-M", "7", "--flux", "inf"],
+            ["temperature-jump", "-M", "7", "--wall-temp", "nan"],
+            ["sweep-chi", "-M", "7", "--kn", "nan"],
+            ["kramers", "-M", "8", "--kn", "inf"],
+            ["kramers", "-M", "8", "--pr", "nan"],
+            ["kramers", "-M", "8", "--wall-velocity=-inf"],
+            ["profile", "-M", "7", "--ymax", "nan"],
+            ["profile", "-M", "8", "--ymin=-inf", "--spacing", "linear"],
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
 
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
@@ -177,6 +199,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "OK" in out
         assert "FAIL" not in out
+
+    def test_structured_json(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--format", "structured-json"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["level"] == "quick"
+        assert record["passed"] is True
+        assert record["seconds"] > 0.0
+        assert record["checks"]
+        for check in record["checks"]:
+            assert set(check) == {"name", "passed", "residual", "tolerance", "detail"}
+            assert check["passed"] is True
 
     def test_full_passes_within_budget(self, capsys):
         import time

@@ -73,9 +73,17 @@ class TestInvariants:
         system = build_kramers_system(order, 2.0 / 3.0)
         all_invariants(system, decompose(system))
 
-    def test_null_block_empty_for_solvable_parities(self):
-        assert decompose(build_temperature_system(9)).null_vectors.shape == (7, 0)
-        assert decompose(build_kramers_system(8, 1.0)).null_vectors.shape == (3, 0)
+    @pytest.mark.parametrize("order", [1025, 1024])
+    def test_large_orders(self, order):
+        if order % 2:
+            system = build_temperature_system(order)
+        else:
+            system = build_kramers_system(order, 2.0 / 3.0)
+        eigen = decompose(system)
+        assert np.all(np.diff(eigen.rates) < 0.0)
+        assert eigen.rates[-1] > 0.0
+        gram = eigen.even_vectors.T @ eigen.even_vectors
+        assert np.max(np.abs(gram - 0.5 * np.eye(system.m_odd))) < 1e-10
 
 
 class TestDenseOracleAgreement:
@@ -110,7 +118,6 @@ class TestDownstreamInvariance:
             rates=eigen.rates.copy(),
             even_vectors=eigen.even_vectors * signs,
             odd_vectors=eigen.odd_vectors * signs,
-            null_vectors=eigen.null_vectors.copy(),
         )
         other = _temperature_from_parts(flipped, wbs, order, chi, 0.7, 1.0, 1.0, 0.0)
         y = np.linspace(0.0, 5.0, 40)
@@ -140,6 +147,21 @@ class TestRankGuard:
             log_odd_scale=np.zeros(3),
         )
         with pytest.raises(RankDeficiencyError):
+            decompose(bad)
+
+    def test_non_square_block_rejected(self):
+        bad = ReducedSystem(
+            kind=SystemKind.TEMPERATURE_JUMP,
+            order=5,
+            m_even=3,
+            m_odd=2,
+            diag_main=np.ones(2),
+            diag_sub1=np.ones(2),
+            diag_sub2=np.zeros(1),
+            log_even_scale=np.zeros(3),
+            log_odd_scale=np.zeros(2),
+        )
+        with pytest.raises(ValueError, match="not square"):
             decompose(bad)
 
 
