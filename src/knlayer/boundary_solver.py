@@ -5,14 +5,27 @@ The wall conditions reduce to a symmetric negative definite linear system
     K(chi) [dT ; E v] = flux * c,   K(chi) = b(chi) T - 2 diag(0, E L E^T),
 
 where T is the scaled boundary matrix, E the even eigenvector block and L
-the positive decay rates.  Assembly works entirely in normalized form so
-that orders in the thousands never touch a raw factorial.  The raw
-matrices have their own builders, valid inside the double-precision
-window, as the reference for tests and the definiteness checks.
+the positive decay rates.  Only b(chi) depends on chi, so -K(chi) =
+b N + D with N = -T positive definite and D = diag(0, 2 E L E^T) positive
+semidefinite is a symmetric-definite pencil in b.  One generalized
+eigendecomposition D W = N W diag(theta), W^T N W = I, per order gives
+
+    -K(chi)^-1 = W diag(1 / (theta + b)) W^T,
+
+so every further chi is one O(M^2) matrix-vector product (Golub & Van
+Loan, Matrix Computations, section 8.7).  The builders share one
+read-only T and c per order and table, and the solver caches the pencil
+per (T, c, eigendecomposition) object triple.
+
+Assembly works entirely in normalized form so that orders in the
+thousands never touch a raw factorial.  The raw matrices have their own
+builders, valid inside the double-precision window, as the reference for
+tests and the definiteness checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,7 +202,9 @@ def kramers_c_vector(order: int, prandtl: float) -> np.ndarray:
 class WallBoundarySystem:
     """Assembled wall system for one (kind, order, chi) combination.
 
-    ``scaled_matrix`` is the overflow-safe boundary matrix T the solver uses.
+    ``scaled_matrix`` is the overflow-safe boundary matrix T the solver uses;
+    it and ``c_vec`` are one read-only pair shared by every chi of an order
+    and table, so the solver's pencil cache finds them again.
     """
 
     kind: SystemKind
@@ -204,41 +219,123 @@ class WallBoundarySystem:
         self.c_vec.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=8)
+def _temperature_wall_parts(order: int, table: HalfSpaceTable) -> tuple[np.ndarray, np.ndarray]:
+    """(T, c) of the temperature wall system, shared read-only by every chi."""
+    return assemble_temperature_T(order, table), temperature_c_vector(order)
+
+
+@functools.lru_cache(maxsize=8)
+def _kramers_wall_parts(
+    order: int, table: HalfSpaceTable, prandtl: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T, c) of the Kramers wall system, shared read-only by every chi."""
+    return assemble_kramers_T(order, table, prandtl), kramers_c_vector(order, prandtl)
+
+
 def temperature_boundary_system(order: int, chi: float, table: HalfSpaceTable) -> WallBoundarySystem:
+    b_chi = accommodation_factor(chi)
+    scaled_matrix, c_vec = _temperature_wall_parts(order, table)
     return WallBoundarySystem(
         kind=SystemKind.TEMPERATURE_JUMP,
         order=order,
         chi=chi,
-        b_chi=accommodation_factor(chi),
-        scaled_matrix=assemble_temperature_T(order, table),
-        c_vec=temperature_c_vector(order),
+        b_chi=b_chi,
+        scaled_matrix=scaled_matrix,
+        c_vec=c_vec,
     )
 
 
 def kramers_boundary_system(
     order: int, chi: float, prandtl: float, table: HalfSpaceTable
 ) -> WallBoundarySystem:
+    b_chi = accommodation_factor(chi)
+    scaled_matrix, c_vec = _kramers_wall_parts(order, table, prandtl)
     return WallBoundarySystem(
         kind=SystemKind.KRAMERS,
         order=order,
         chi=chi,
-        b_chi=accommodation_factor(chi),
-        scaled_matrix=assemble_kramers_T(order, table, prandtl),
-        c_vec=kramers_c_vector(order, prandtl),
+        b_chi=b_chi,
+        scaled_matrix=scaled_matrix,
+        c_vec=c_vec,
     )
 
 
-def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
-    """K(chi) = b(chi) T - 2 diag(0, E Lambda E^T); symmetric negative definite."""
+def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
     size = system.scaled_matrix.shape[0]
     if eigen.m_even != size - 1 or eigen.m_even != eigen.m_odd:
         raise ValueError(
             "eigendecomposition does not match the boundary system "
             f"(matrix size {size}, even block {eigen.m_even}, odd block {eigen.m_odd})"
         )
+
+
+def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
+    """K(chi) = b(chi) T - 2 diag(0, E Lambda E^T); symmetric negative definite.
+
+    The solver never forms it; the definiteness checks and tests do.
+    """
+    _check_match(system, eigen)
     k = system.b_chi * system.scaled_matrix
     k[1:, 1:] -= eigen.rate_block
     return k
+
+
+class _IdentityKey:
+    """Cache key comparing its objects by identity.
+
+    It holds the objects, so none of their ids is reused while the key is
+    cached, and a system built on another matrix never meets this entry.
+    """
+
+    __slots__ = ("objects",)
+
+    def __init__(self, *objects):
+        self.objects = objects
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(id, self.objects)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _IdentityKey) and all(
+            a is b for a, b in zip(self.objects, other.objects)
+        )
+
+
+@dataclass(frozen=True)
+class _WallPencil:
+    """Chi-independent factor of the wall solve.
+
+    With W^T N W = I and W^T D W = diag(theta), the solution of
+    K(chi) u = flux c is u = -flux W s with s = g / (theta + b(chi)) and
+    g = W^T c; only u[0] = w0 . s and 2 E^T u[1:] = modes @ s are kept.
+    """
+
+    theta: np.ndarray
+    g: np.ndarray
+    w0: np.ndarray
+    modes: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _wall_pencil(key: _IdentityKey) -> _WallPencil:
+    scaled_matrix, c_vec, eigen = key.objects
+    size = scaled_matrix.shape[0]
+    d = np.zeros((size, size))
+    d[1:, 1:] = eigen.rate_block
+    n = -scaled_matrix
+    # The transposes are Fortran-ordered views, so LAPACK overwrites d and n
+    # instead of copying them; their upper triangles are the lower ones of
+    # d and n.
+    try:
+        theta, w = scipy.linalg.eigh(d.T, n.T, lower=False, overwrite_a=True, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise StructuralSolveError(
+            f"scaled wall matrix of size {size} is not negative definite"
+        ) from exc
+    modes = eigen.even_vectors.T @ w[1:]
+    modes *= 2.0
+    return _WallPencil(theta=theta, g=w.T @ c_vec, w0=w[0].copy(), modes=modes)
 
 
 def solve_wall(
@@ -252,18 +349,19 @@ def solve_wall(
     ``flux`` is the prescribed normal heat flux (temperature problem) or
     shear stress (Kramers); ``wall_value`` the corresponding wall state.
     Returns (wall unknown at y = 0, positive-branch mode amplitudes).
-    The solve factors the negated operator, which must be positive definite;
-    anything else is a structural failure.
+    The negated operator must be positive definite: a scaled matrix that is
+    not negative definite, or a pencil eigenvalue theta + b(chi) <= 0, is a
+    structural failure.  The pencil is computed once per (T, c, eigen)
+    objects; each further chi costs one matrix-vector product.
     """
-    k = wall_operator(system, eigen)
-    rhs = flux * system.c_vec
-    try:
-        factor = scipy.linalg.cho_factor(-k, lower=True)
-    except np.linalg.LinAlgError as exc:
+    _check_match(system, eigen)
+    pencil = _wall_pencil(_IdentityKey(system.scaled_matrix, system.c_vec, eigen))
+    shifted = pencil.theta + system.b_chi
+    if not shifted[0] > 0.0:
         raise StructuralSolveError(
             f"wall operator for order {system.order}, chi={system.chi} "
             "is not negative definite"
-        ) from exc
-    u = scipy.linalg.cho_solve(factor, -rhs)
-    v_plus0 = 2.0 * eigen.even_vectors.T @ u[1:]
-    return float(u[0]) + wall_value, v_plus0
+        )
+    s = pencil.g / shifted
+    v_plus0 = -flux * (pencil.modes @ s)
+    return -flux * float(pencil.w0 @ s) + wall_value, v_plus0

@@ -25,6 +25,7 @@ import numpy as np
 from . import special_functions, verification
 from .boundary_solver import (
     StructuralSolveError,
+    accommodation_factor,
     assemble_kramers_Sk,
     assemble_temperature_Tb,
     kramers_boundary_system,
@@ -255,7 +256,7 @@ def cmd_sweep_chi(cfg: RunConfig) -> str:
             coef.append(jump_coefficient(temperature_solution(cfg.order, chi, cfg.kn, cfg.pr)))
         else:
             coef.append(viscous_slip_coefficient(velocity_solution(cfg.order, chi, cfg.kn, cfg.pr)))
-    b_vals = [2.0 * c / ((2.0 - c) * special_functions.SQRT_2PI) for c in chis]
+    b_vals = [accommodation_factor(float(c)) for c in chis]
     name = "jump_coefficient" if temperature else "slip_coefficient"
     if cfg.fmt == "structured-json":
         record = {
@@ -612,19 +613,29 @@ def _check_bvp(level: str) -> list[CheckResult]:
     ]
 
 
-def run_verification(level: str) -> tuple[list[CheckResult], float]:
+VERIFICATION_SUITES = (
+    ("half_space", _check_half_space),
+    ("systems", _check_systems),
+    ("spectral", _check_spectral),
+    ("definiteness", _check_definiteness),
+    ("bvp", _check_bvp),
+)
+
+
+def run_verification(level: str) -> tuple[list[CheckResult], list[tuple[str, float]], float]:
+    """All check results, the seconds each suite took, and the total seconds."""
     t0 = time.perf_counter()
     results: list[CheckResult] = []
-    results.extend(_check_half_space(level))
-    results.extend(_check_systems(level))
-    results.extend(_check_spectral(level))
-    results.extend(_check_definiteness(level))
-    results.extend(_check_bvp(level))
-    return results, time.perf_counter() - t0
+    suites: list[tuple[str, float]] = []
+    for name, suite in VERIFICATION_SUITES:
+        start = time.perf_counter()
+        results.extend(suite(level))
+        suites.append((name, time.perf_counter() - start))
+    return results, suites, time.perf_counter() - t0
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, bool]:
-    results, elapsed = run_verification(cfg.level)
+    results, suites, elapsed = run_verification(cfg.level)
     ok = all(r.passed for r in results)
     if cfg.fmt == "structured-json":
         record = {
@@ -642,6 +653,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, bool]:
                 }
                 for r in results
             ],
+            "suites": [{"name": name, "seconds": seconds} for name, seconds in suites],
         }
         return _structured(record), ok
     lines = [r.line() for r in results]

@@ -1,9 +1,11 @@
 """Wall boundary assembly and solve against the worked low-order case."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,9 @@ from knlayer.boundary_solver import (
     temperature_c_vector,
     wall_operator,
 )
-from knlayer.parity_spectral import decompose
+from knlayer import boundary_solver, layer_profiles
+from knlayer.cli import main
+from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 
@@ -54,6 +58,23 @@ def looped_temperature_T(order, table):
     out[:2, :] = w @ n[:2, :]
     out[:, :2] = out[:, :2] @ w.T
     return out
+
+
+def cholesky_wall_solve(wbs, eigen, flux, wall_value):
+    """Reference wall solve: a Cholesky factorization of -K(chi) per chi."""
+    factor = scipy.linalg.cho_factor(-wall_operator(wbs, eigen), lower=True)
+    u = scipy.linalg.cho_solve(factor, -flux * wbs.c_vec)
+    return float(u[0]) + wall_value, 2.0 * eigen.even_vectors.T @ u[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def temperature_eigen(order):
+    return decompose(build_temperature_system(order))
+
+
+@functools.lru_cache(maxsize=None)
+def kramers_eigen(order, pr):
+    return decompose(build_kramers_system(order, pr))
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +331,106 @@ class TestSolveWall:
         lhs[1:] += system.coupling_dense() @ w_odd
         rhs = wbs.b_chi * (wbs.scaled_matrix @ np.concatenate(([u1_0], w_even)))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+class TestPencilSolve:
+    """The pencil solve against a per-chi Cholesky solve of the same operator."""
+
+    CHIS = (1e-3, 0.1, 0.5, 1.0)
+
+    @staticmethod
+    def assert_matches_cholesky(wbs, eigen):
+        u0, v_plus = solve_wall(wbs, eigen, 1.3, 0.2)
+        ref_u0, ref_v = cholesky_wall_solve(wbs, eigen, 1.3, 0.2)
+        assert u0 == pytest.approx(ref_u0, rel=1e-12)
+        assert np.linalg.norm(v_plus - ref_v) <= 1e-11 * np.linalg.norm(ref_v)
+
+    @pytest.mark.parametrize("order", [3, 5, 7, 9, 13, 33, 99, 129, 513])
+    def test_temperature_matches_cholesky(self, order, table1025):
+        eigen = temperature_eigen(order)
+        for chi in self.CHIS:
+            self.assert_matches_cholesky(temperature_boundary_system(order, chi, table1025), eigen)
+
+    @pytest.mark.parametrize("order", [4, 6, 8, 48, 98, 128, 512])
+    def test_kramers_matches_cholesky(self, order, table1025):
+        pr = 2.0 / 3.0
+        eigen = kramers_eigen(order, pr)
+        for chi in self.CHIS:
+            self.assert_matches_cholesky(kramers_boundary_system(order, chi, pr, table1025), eigen)
+
+    def test_chis_share_one_scaled_matrix(self, table99):
+        a = temperature_boundary_system(9, 0.3, table99)
+        b = temperature_boundary_system(9, 0.7, table99)
+        assert a.scaled_matrix is b.scaled_matrix
+        assert a.c_vec is b.c_vec
+        assert not a.scaled_matrix.flags.writeable
+        c = kramers_boundary_system(8, 0.3, 0.7, table99)
+        d = kramers_boundary_system(8, 0.9, 0.7, table99)
+        assert c.scaled_matrix is d.scaled_matrix
+        assert kramers_boundary_system(8, 0.3, 0.8, table99).scaled_matrix is not c.scaled_matrix
+        assert temperature_boundary_system(9, 0.3, HalfSpaceTable(11)).scaled_matrix is not a.scaled_matrix
+
+    def test_pencil_not_shared_across_systems(self, table99):
+        eigen = temperature_eigen(7)
+        wbs = temperature_boundary_system(7, 0.5, table99)
+        u0, v_plus = solve_wall(wbs, eigen, 1.0, 0.0)
+        doubled = wbs.__class__(
+            kind=wbs.kind,
+            order=wbs.order,
+            chi=wbs.chi,
+            b_chi=wbs.b_chi,
+            scaled_matrix=wbs.scaled_matrix,
+            c_vec=2.0 * wbs.c_vec,
+        )
+        u0_doubled, v_doubled = solve_wall(doubled, eigen, 1.0, 0.0)
+        assert u0_doubled == pytest.approx(2.0 * u0, rel=1e-13)
+        np.testing.assert_allclose(v_doubled, 2.0 * v_plus, rtol=1e-12)
+        copied = wbs.__class__(
+            kind=wbs.kind,
+            order=wbs.order,
+            chi=wbs.chi,
+            b_chi=wbs.b_chi,
+            scaled_matrix=1.5 * wbs.scaled_matrix,
+            c_vec=wbs.c_vec,
+        )
+        u0_scaled, v_scaled = solve_wall(copied, eigen, 1.0, 0.0)
+        ref_u0, ref_v = cholesky_wall_solve(copied, eigen, 1.0, 0.0)
+        assert u0_scaled == pytest.approx(ref_u0, rel=1e-12)
+        assert u0_scaled != pytest.approx(u0, rel=1e-6)
+
+    def test_sweep_runs_one_generalized_eigh(self, capsys, monkeypatch):
+        for cache in (
+            layer_profiles._temperature_parts,
+            boundary_solver._temperature_wall_parts,
+            boundary_solver._wall_pencil,
+        ):
+            cache.cache_clear()
+        calls = []
+        true_eigh = scipy.linalg.eigh
+
+        def counting_eigh(a, b=None, *args, **kwargs):
+            if b is not None:
+                calls.append(a.shape)
+            return true_eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        assert main(["sweep-chi", "-M", "33", "--samples", "50"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 50
+        assert calls == [(32, 32)]
+
+    def test_structural_error_on_negative_pencil(self, table99):
+        eigen = temperature_eigen(7)
+        wbs = temperature_boundary_system(7, 0.5, table99)
+        negated = ParityEigen(
+            rates=-100.0 * eigen.rates,
+            even_vectors=eigen.even_vectors.copy(),
+            odd_vectors=eigen.odd_vectors.copy(),
+        )
+        with pytest.raises(StructuralSolveError):
+            solve_wall(wbs, negated, 1.0, 0.0)
+
+    def test_mismatched_eigen_rejected(self, table99):
+        wbs = temperature_boundary_system(7, 0.5, table99)
+        with pytest.raises(ValueError):
+            solve_wall(wbs, temperature_eigen(9), 1.0, 0.0)

@@ -211,6 +211,11 @@ class TestVerifyCommand:
         for check in record["checks"]:
             assert set(check) == {"name", "passed", "residual", "tolerance", "detail"}
             assert check["passed"] is True
+        names = [suite["name"] for suite in record["suites"]]
+        assert names == ["half_space", "systems", "spectral", "definiteness", "bvp"]
+        seconds = [suite["seconds"] for suite in record["suites"]]
+        assert all(s >= 0.0 for s in seconds)
+        assert sum(seconds) <= record["seconds"]
 
     def test_full_passes_within_budget(self, capsys):
         import time
