@@ -5,17 +5,26 @@ The wall conditions reduce to a symmetric negative definite linear system
     K(chi) [dT ; E v] = flux * c,   K(chi) = b(chi) T - 2 diag(0, E L E^T),
 
 where T is the scaled boundary matrix, E the even eigenvector block and L
-the positive decay rates.  Only b(chi) depends on chi, so -K(chi) =
-b N + D with N = -T positive definite and D = diag(0, 2 E L E^T) positive
-semidefinite is a symmetric-definite pencil in b.  One generalized
-eigendecomposition D W = N W diag(theta), W^T N W = I, per order gives
+the positive decay rates.  Only b(chi) depends on chi, and -K(chi) = b N + D
+with N = -T positive definite and D = diag(0, 2 E L E^T).  The block is
+square, so P = sqrt(2) E is orthogonal and P^T (2 E L E^T) P = L.  Rotating
+and scaling the unknowns by diag(1, P L^-1/2) turns -K(chi) into
+b [[n00, q^T], [q, F^T N11 F]] + diag(0, I) with F = P L^-1/2 and
+q = F^T N[1:, 0].  Eliminating the leading unknown with the pivot
+n00 = -T[0, 0] leaves
 
-    -K(chi)^-1 = W diag(1 / (theta + b)) W^T,
+    (b A + I) u1 = -flux h,   A = F^T N11 F - q q^T / n00,
+                              h = F^T c[1:] - q c[0] / n00,
 
-so every further chi is one O(M^2) matrix-vector product (Golub & Van
-Loan, Matrix Computations, section 8.7).  The builders share one
-read-only T and c per order and table, and the solver caches the pencil
-per (T, c, eigendecomposition) object triple.
+whose only chi dependence is the scalar b.  One symmetric eigendecomposition
+A = Z diag(mu) Z^T per order (numpy's LAPACK eigh, of size m_even) then
+gives every chi as u1 = -flux Z (Z^T h / (b mu + 1)): one O(M^2)
+matrix-vector product, with no factorization (Golub & Van Loan, Matrix
+Computations, section 8.7).  N is positive definite and the rates are
+positive exactly when n00 > 0, min(L) > 0 and min(mu) > 0, so those three
+signs are the structural checks.  The builders share one read-only T and
+c per order and table, and the solver caches the reduced eigenproblem per
+(T, c, eigendecomposition) object triple.
 
 Assembly works entirely in normalized form so that orders in the
 thousands never touch a raw factorial.  The raw matrices have their own
@@ -30,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .parity_spectral import ParityEigen
 from .special_functions import RAW_ORDER_LIMIT, SQRT_2PI, HalfSpaceTable
@@ -276,8 +284,9 @@ def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
     The solver never forms it; the definiteness checks and tests do.
     """
     _check_match(system, eigen)
+    e = eigen.even_vectors
     k = system.b_chi * system.scaled_matrix
-    k[1:, 1:] -= eigen.rate_block
+    k[1:, 1:] -= 2.0 * (e * eigen.rates) @ e.T
     return k
 
 
@@ -306,13 +315,16 @@ class _IdentityKey:
 class _WallPencil:
     """Chi-independent factor of the wall solve.
 
-    With W^T N W = I and W^T D W = diag(theta), the solution of
-    K(chi) u = flux c is u = -flux W s with s = g / (theta + b(chi)) and
-    g = W^T c; only u[0] = w0 . s and 2 E^T u[1:] = modes @ s are kept.
+    With A = Z diag(mu) Z^T, the solution of K(chi) u = flux c has
+    s = Z^T h / (b(chi) mu + 1) = g / (inv_mu + b(chi)) with g = Z^T h / mu
+    and inv_mu = 1 / mu, and
+    u[0] = -flux (lead / b(chi) - w0 . s),  2 E^T u[1:] = -flux modes @ s,
+    where lead = c0 / n00, w0 = Z^T q / n00 and modes = sqrt(2) L^-1/2 Z.
     """
 
-    theta: np.ndarray
+    inv_mu: np.ndarray
     g: np.ndarray
+    lead: float
     w0: np.ndarray
     modes: np.ndarray
 
@@ -321,21 +333,30 @@ class _WallPencil:
 def _wall_pencil(key: _IdentityKey) -> _WallPencil:
     scaled_matrix, c_vec, eigen = key.objects
     size = scaled_matrix.shape[0]
-    d = np.zeros((size, size))
-    d[1:, 1:] = eigen.rate_block
-    n = -scaled_matrix
-    # The transposes are Fortran-ordered views, so LAPACK overwrites d and n
-    # instead of copying them; their upper triangles are the lower ones of
-    # d and n.
-    try:
-        theta, w = scipy.linalg.eigh(d.T, n.T, lower=False, overwrite_a=True, overwrite_b=True)
-    except np.linalg.LinAlgError as exc:
+    n00 = -float(scaled_matrix[0, 0])
+    rates = eigen.rates
+    if not (n00 > 0.0 and rates.min() > 0.0):
         raise StructuralSolveError(
-            f"scaled wall matrix of size {size} is not negative definite"
-        ) from exc
-    modes = eigen.even_vectors.T @ w[1:]
-    modes *= 2.0
-    return _WallPencil(theta=theta, g=w.T @ c_vec, w0=w[0].copy(), modes=modes)
+            f"wall system of size {size} has pivot {n00:.3e} and smallest rate "
+            f"{rates.min():.3e}; both must be positive"
+        )
+    inv_sqrt_rates = 1.0 / np.sqrt(rates)
+    f = eigen.even_vectors * (math.sqrt(2.0) * inv_sqrt_rates)
+    q = -(f.T @ scaled_matrix[1:, 0])
+    a = -(f.T @ scaled_matrix[1:, 1:] @ f)
+    a -= np.outer(q / n00, q)
+    lead = float(c_vec[0]) / n00
+    h = f.T @ c_vec[1:] - lead * q
+    mu, z = np.linalg.eigh(a)
+    if not mu[0] > 0.0:
+        raise StructuralSolveError(
+            f"scaled wall matrix of size {size} is not negative definite "
+            f"(smallest reduced eigenvalue {mu[0]:.3e})"
+        )
+    modes = z * (math.sqrt(2.0) * inv_sqrt_rates)[:, None]
+    return _WallPencil(
+        inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00, modes=modes
+    )
 
 
 def solve_wall(
@@ -349,19 +370,20 @@ def solve_wall(
     ``flux`` is the prescribed normal heat flux (temperature problem) or
     shear stress (Kramers); ``wall_value`` the corresponding wall state.
     Returns (wall unknown at y = 0, positive-branch mode amplitudes).
-    The negated operator must be positive definite: a scaled matrix that is
-    not negative definite, or a pencil eigenvalue theta + b(chi) <= 0, is a
-    structural failure.  The pencil is computed once per (T, c, eigen)
-    objects; each further chi costs one matrix-vector product.
+    The negated operator must be positive definite: a non-positive pivot
+    -T[0, 0], decay rate or reduced eigenvalue is a structural failure.
+    The reduced eigenproblem is solved once per (T, c, eigen) objects; each
+    further chi costs one matrix-vector product.  A result that is not
+    finite (a subnormal chi overflows 1 / b(chi)) raises ``ValueError``.
     """
     _check_match(system, eigen)
     pencil = _wall_pencil(_IdentityKey(system.scaled_matrix, system.c_vec, eigen))
-    shifted = pencil.theta + system.b_chi
-    if not shifted[0] > 0.0:
-        raise StructuralSolveError(
-            f"wall operator for order {system.order}, chi={system.chi} "
-            "is not negative definite"
-        )
-    s = pencil.g / shifted
+    b = system.b_chi
+    s = pencil.g / (pencil.inv_mu + b)
     v_plus0 = -flux * (pencil.modes @ s)
-    return -flux * float(pencil.w0 @ s) + wall_value, v_plus0
+    u0 = -flux * (pencil.lead / b - float(pencil.w0 @ s)) + wall_value
+    if not (math.isfinite(u0) and np.isfinite(v_plus0).all()):
+        raise ValueError(
+            f"wall solve for order {system.order}, chi={system.chi} is not finite"
+        )
+    return u0, v_plus0

@@ -17,24 +17,13 @@ import dataclasses
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import special_functions, verification
-from .boundary_solver import (
-    StructuralSolveError,
-    accommodation_factor,
-    assemble_kramers_Sk,
-    assemble_temperature_Tb,
-    kramers_boundary_system,
-    temperature_boundary_system,
-    wall_operator,
-)
+from .boundary_solver import StructuralSolveError, accommodation_factor
 from .layer_profiles import (
-    _kramers_parts,
-    _temperature_parts,
+    DEFAULT_KN,
     convergence_order,
     effective_conductivity,
     jump_coefficient,
@@ -44,23 +33,13 @@ from .layer_profiles import (
     velocity_solution,
     viscous_slip_coefficient,
 )
-from .parity_spectral import RankDeficiencyError, assemble_full_R
-from .system_builder import (
-    build_kramers_system,
-    build_temperature_system,
-    inner_product_oracle,
-    kramers_even_basis,
-    kramers_odd_basis,
-    temperature_even_basis,
-    temperature_odd_basis,
-)
-from .verification import BvpConfig, bvp_kramers, bvp_temperature, geometric_nodes, split_nodes
+from .parity_spectral import RankDeficiencyError
+from .system_builder import build_kramers_system, build_temperature_system
 
 __all__ = ["RunConfig", "main"]
 
 TABLE1_CHIS = (0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 1.0)
 TABLE1_ORDERS = (3, 5, 7, 9, 11, 13)
-DEFAULT_KN = math.sqrt(2.0) / 2.0
 
 
 @dataclass
@@ -370,272 +349,8 @@ def cmd_dump_system(cfg: RunConfig) -> str:
     return _columnar(params, ["row", "col", "value"], rows)
 
 
-# ----------------------------------------------------------------------
-# verification suites
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    detail: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        note = f"  ({self.detail})" if self.detail else ""
-        return f"{status} {self.name}: max residual {self.residual:.3e} (tol {self.tolerance:.1e}){note}"
-
-
-def _check_half_space(level: str) -> list[CheckResult]:
-    top = 12 if level == "quick" else verification.QUADRATURE_ORDER_LIMIT
-    worst_rel = 0.0
-    worst_zero = 0.0
-    for a in range(top + 1):
-        for b in range(a, top + 1):
-            closed = special_functions.half_space_S(a, b)
-            closed_n = special_functions.half_space_S_normalized(a, b)
-            quad_n = verification.quadrature_S_normalized(a, b, 1.0)
-            if closed == 0.0:
-                worst_zero = max(worst_zero, abs(quad_n))
-            else:
-                worst_rel = max(worst_rel, abs(quad_n - closed_n) / abs(closed_n))
-    results = [
-        CheckResult("half-space closed form vs quadrature (relative)", worst_rel <= 1e-9, worst_rel, 1e-9),
-        CheckResult("half-space zero pattern vs quadrature (absolute)", worst_zero <= 1e-12, worst_zero, 1e-12),
-    ]
-    theta_top = 6 if level == "quick" else 10
-    worst_theta = 0.0
-    for theta in (0.5, 2.0):
-        for a in range(theta_top + 1):
-            for b in range(a, theta_top + 1):
-                ref = verification.quadrature_S_normalized(a, b, 1.0)
-                other = verification.quadrature_S_normalized(a, b, theta)
-                worst_theta = max(worst_theta, abs(other - ref) / max(1.0, abs(ref)))
-    results.append(
-        CheckResult("half-space theta independence", worst_theta <= 1e-9, worst_theta, 1e-9)
-    )
-    sym = 0.0
-    pattern_ok = True
-    top_sym = 40 if level == "quick" else 80
-    for a in range(top_sym + 1):
-        for b in range(a, top_sym + 1):
-            x = special_functions.half_space_S_normalized(a, b)
-            y = special_functions.half_space_S_normalized(b, a)
-            sym = max(sym, abs(x - y))
-            if a % 2 == 0 and b % 2 == 1 and abs(a - b) != 1 and x != 0.0:
-                pattern_ok = False
-    results.append(CheckResult("half-space exact symmetry", sym == 0.0, sym, 0.0))
-    results.append(
-        CheckResult("half-space exact zero pattern", pattern_ok, 0.0 if pattern_ok else 1.0, 0.0)
-    )
-    return results
-
-
-def _basis_norm(combo) -> float:
-    """Norm of a Hermite combination from the orthogonality weights."""
-    return math.sqrt(
-        sum(c * c * math.prod(math.factorial(x) for x in idx) for c, idx in combo)
-    )
-
-
-def _system_entry_residual(system, even_basis, odd_basis) -> float:
-    worst = 0.0
-    for j in range(1, system.m_odd + 1):
-        bj = _basis_norm(odd_basis(j))
-        for i in range(1, system.m_even + 1):
-            aa = _basis_norm(even_basis(i)) ** 2
-            if system.kind.value == "kramers" and i == 1:
-                aa *= 1.0 - (1.0 - system.prandtl) / 5.0
-            ai = math.sqrt(aa)
-            ip = sum(
-                ce * co * inner_product_oracle(ie, io)
-                for ce, ie in even_basis(i)
-                for co, io in odd_basis(j)
-            )
-            expected = ip / (ai * bj)
-            got = system.coupling_entry(i, j)
-            scale = max(1.0, abs(expected))
-            worst = max(worst, abs(got - expected) / scale)
-    return worst
-
-
-def _check_systems(level: str) -> list[CheckResult]:
-    t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 32, 2))
-    k_orders = (4, 6) if level == "quick" else tuple(range(4, 31, 2))
-    worst = 0.0
-    for m in t_orders:
-        worst = max(
-            worst,
-            _system_entry_residual(
-                build_temperature_system(m), temperature_even_basis, temperature_odd_basis
-            ),
-        )
-    for m in k_orders:
-        for pr in (1.0, 2.0 / 3.0):
-            worst = max(
-                worst,
-                _system_entry_residual(
-                    build_kramers_system(m, pr), kramers_even_basis, kramers_odd_basis
-                ),
-            )
-    return [CheckResult("system entries vs inner-product oracle", worst <= 1e-12, worst, 1e-12)]
-
-
-def _spectral_residual(system) -> tuple[float, float]:
-    from .parity_spectral import decompose
-
-    eigen = decompose(system)
-    dense = system.parity_dense()
-    w, _ = verification.dense_symmetric_eig(dense)
-    expected = np.sort(np.concatenate((-eigen.rates, eigen.rates)))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    pairing = float(np.max(np.abs(np.sort(w) - expected))) / scale
-    r = assemble_full_R(eigen)
-    orth = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
-    half = float(
-        np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_odd)))
-    )
-    return pairing, max(orth, half)
-
-
-def _check_spectral(level: str) -> list[CheckResult]:
-    t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 100, 2))
-    k_orders = (4, 6) if level == "quick" else tuple(range(4, 99, 2))
-    worst_pair = 0.0
-    worst_orth = 0.0
-    for m in t_orders:
-        pairing, orth = _spectral_residual(build_temperature_system(m))
-        worst_pair = max(worst_pair, pairing)
-        worst_orth = max(worst_orth, orth)
-    for m in k_orders:
-        pairing, orth = _spectral_residual(build_kramers_system(m, 2.0 / 3.0))
-        worst_pair = max(worst_pair, pairing)
-        worst_orth = max(worst_orth, orth)
-    return [
-        CheckResult("parity spectrum vs dense Jacobi oracle", worst_pair <= 1e-10, worst_pair, 1e-10),
-        CheckResult("eigenvector orthogonality", worst_orth <= 1e-10, worst_orth, 1e-10),
-    ]
-
-
-def _negative_definite(matrix) -> bool:
-    try:
-        np.linalg.cholesky(-matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _check_definiteness(level: str) -> list[CheckResult]:
-    t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 100, 2))
-    k_orders = (4, 6) if level == "quick" else tuple(range(4, 99, 2))
-    ok = True
-    for m in t_orders:
-        system, table, eigen = _temperature_parts(m)
-        ok &= _negative_definite(assemble_temperature_Tb(m, table))
-        for chi in (0.1, 0.5, 1.0):
-            wbs = temperature_boundary_system(m, chi, table)
-            ok &= _negative_definite(wbs.scaled_matrix)
-            ok &= _negative_definite(wall_operator(wbs, eigen))
-    for m in k_orders:
-        system, table, eigen = _kramers_parts(m, 1.0)
-        ok &= _negative_definite(assemble_kramers_Sk(m, table))
-        for chi in (0.1, 0.5, 1.0):
-            wbs = kramers_boundary_system(m, chi, 1.0, table)
-            ok &= _negative_definite(wbs.scaled_matrix)
-            ok &= _negative_definite(wall_operator(wbs, eigen))
-    # eigenvalue sign sampling backs up the factorizations on a few instances
-    worst = -math.inf
-    for m in (t_orders[0], t_orders[-1]):
-        system, table, eigen = _temperature_parts(m)
-        wbs = temperature_boundary_system(m, 0.5, table)
-        w, _ = verification.dense_symmetric_eig(wall_operator(wbs, eigen))
-        worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
-    ok &= worst < 0.0
-    return [
-        CheckResult("boundary operators negative definite", ok, worst, 0.0,
-                    detail="factorization plus sampled spectra")
-    ]
-
-
-def _bvp_deviation(problem: str, order: int, n_cells: int) -> tuple[float, float]:
-    """(extrapolated deviation, raw-grid convergence ratio) for one case."""
-    kn, pr, chi = DEFAULT_KN, 1.0, 1.0
-    cfg = BvpConfig(n_cells=n_cells)
-    if problem == "temperature":
-        sol = temperature_solution(order, chi, kn, pr, 1.0, 0.0)
-        _, table, eigen = _temperature_parts(order)
-        y_max = cfg.resolve_y_max(float(eigen.rates[0]) * kn)
-        nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-        coarse = bvp_temperature(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=nodes)
-        fine = bvp_temperature(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-        exact = sol.temperature(nodes)
-    else:
-        sol = velocity_solution(order, chi, kn, pr, 1.0, 0.0)
-        _, table, eigen = _kramers_parts(order, pr)
-        y_max = cfg.resolve_y_max(float(eigen.rates[0]) * kn)
-        nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-        coarse = bvp_kramers(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=nodes)
-        fine = bvp_kramers(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-        exact = sol.velocity(nodes)
-    richardson = 2.0 * fine.values[::2] - coarse.values
-    dev_extrap = float(np.max(np.abs(richardson - exact)))
-    dev_coarse = float(np.max(np.abs(coarse.values - exact)))
-    dev_fine = float(np.max(np.abs(fine.values[::2] - exact)))
-    ratio = dev_coarse / dev_fine if dev_fine > 0 else math.inf
-    return dev_extrap, ratio
-
-
-def _check_bvp(level: str) -> list[CheckResult]:
-    cases = (
-        [("temperature", 3, 4000), ("kramers", 4, 4000)]
-        if level == "quick"
-        else [("temperature", 3, 20000), ("temperature", 7, 20000),
-              ("kramers", 4, 20000), ("kramers", 8, 20000)]
-    )
-    worst_dev = 0.0
-    ratios = []
-    for problem, order, cells in cases:
-        dev, ratio = _bvp_deviation(problem, order, cells)
-        worst_dev = max(worst_dev, dev)
-        ratios.append(ratio)
-    ratio_ok = all(1.5 <= r <= 2.5 for r in ratios)
-    return [
-        CheckResult("analytic profiles vs finite-difference oracle", worst_dev <= 1e-6, worst_dev, 1e-6),
-        CheckResult(
-            "first-order grid convergence",
-            ratio_ok,
-            min(ratios),
-            2.0,
-            detail="halving ratio " + ", ".join(f"{r:.2f}" for r in ratios),
-        ),
-    ]
-
-
-VERIFICATION_SUITES = (
-    ("half_space", _check_half_space),
-    ("systems", _check_systems),
-    ("spectral", _check_spectral),
-    ("definiteness", _check_definiteness),
-    ("bvp", _check_bvp),
-)
-
-
-def run_verification(level: str) -> tuple[list[CheckResult], list[tuple[str, float]], float]:
-    """All check results, the seconds each suite took, and the total seconds."""
-    t0 = time.perf_counter()
-    results: list[CheckResult] = []
-    suites: list[tuple[str, float]] = []
-    for name, suite in VERIFICATION_SUITES:
-        start = time.perf_counter()
-        results.extend(suite(level))
-        suites.append((name, time.perf_counter() - start))
-    return results, suites, time.perf_counter() - t0
-
-
-def cmd_verify(cfg: RunConfig) -> tuple[str, bool]:
-    results, suites, elapsed = run_verification(cfg.level)
+def cmd_verify(cfg: RunConfig, results, suites, elapsed: float) -> tuple[str, bool]:
+    """Report of one run of the oracle suites, and whether every check passed."""
     ok = all(r.passed for r in results)
     if cfg.fmt == "structured-json":
         record = {
@@ -747,13 +462,25 @@ def _emit(text: str, output: str | None) -> None:
         raise UsageError(f"cannot write output file {output!r}: {exc}") from exc
 
 
+def _numerical_failure(exc: Exception) -> int:
+    print(f"numerical failure: {exc}", file=sys.stderr)
+    return 3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         if cfg.command == "verify":
-            text, ok = cmd_verify(cfg)
+            # The oracles, and scipy with them, load only for this command.
+            from . import verification
+
+            try:
+                report = verification.run_verification(cfg.level)
+            except verification.BvpConvergenceError as exc:
+                return _numerical_failure(exc)
+            text, ok = cmd_verify(cfg, *report)
             _emit(text, cfg.output)
             return 0 if ok else 2
         dispatch = {
@@ -771,10 +498,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (StructuralSolveError, RankDeficiencyError,
-            verification.BvpConvergenceError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except (StructuralSolveError, RankDeficiencyError, np.linalg.LinAlgError) as exc:
+        return _numerical_failure(exc)
 
 
 if __name__ == "__main__":

@@ -42,6 +42,9 @@ __all__ = [
     "default_profile_grid",
 ]
 
+# Reference Knudsen number of the published tables.
+DEFAULT_KN = math.sqrt(2.0) / 2.0
+
 # Weights turning the three leading scaled even modes into the defect
 # combination t0 + 6 t2 + g2 (only the first survives at order 3).
 DEFECT_WEIGHTS = np.array([math.sqrt(3.0) / 3.0, math.sqrt(6.0) / 2.0, math.sqrt(2.0) / 2.0])
@@ -165,7 +168,7 @@ def _temperature_from_parts(
 def temperature_solution(
     order: int,
     chi: float,
-    kn: float = math.sqrt(2.0) / 2.0,
+    kn: float = DEFAULT_KN,
     pr: float = 1.0,
     q2: float = 1.0,
     theta_wall: float = 0.0,
@@ -182,7 +185,7 @@ def temperature_solution(
 def velocity_solution(
     order: int,
     chi: float,
-    kn: float = math.sqrt(2.0) / 2.0,
+    kn: float = DEFAULT_KN,
     pr: float = 1.0,
     sigma12: float = 1.0,
     u1_wall: float = 0.0,
@@ -286,7 +289,7 @@ def chi_zero_limit() -> float:
 def convergence_order(
     chi: float,
     k: int,
-    kn: float = math.sqrt(2.0) / 2.0,
+    kn: float = DEFAULT_KN,
     pr: float = 1.0,
 ) -> float:
     """Observed order of the jump coefficient on the doubling ladder M = 2^j + 1.

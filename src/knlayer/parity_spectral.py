@@ -8,7 +8,6 @@ routine (gesdd via numpy); a fixed sign convention pins its output.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +47,6 @@ class ParityEigen:
     @property
     def m_odd(self) -> int:
         return self.odd_vectors.shape[0]
-
-    @functools.cached_property
-    def rate_block(self) -> np.ndarray:
-        """2 (E Lambda) E^T, the chi-independent part of every wall operator."""
-        e = self.even_vectors
-        out = 2.0 * (e * self.rates) @ e.T
-        out.flags.writeable = False
-        return out
 
 
 def decompose(system: ReducedSystem) -> ParityEigen:

@@ -398,7 +398,7 @@ class TestPencilSolve:
         assert u0_scaled == pytest.approx(ref_u0, rel=1e-12)
         assert u0_scaled != pytest.approx(u0, rel=1e-6)
 
-    def test_sweep_runs_one_generalized_eigh(self, capsys, monkeypatch):
+    def test_sweep_runs_one_symmetric_eigh(self, capsys, monkeypatch):
         for cache in (
             layer_profiles._temperature_parts,
             boundary_solver._temperature_wall_parts,
@@ -406,18 +406,17 @@ class TestPencilSolve:
         ):
             cache.cache_clear()
         calls = []
-        true_eigh = scipy.linalg.eigh
+        true_eigh = np.linalg.eigh
 
-        def counting_eigh(a, b=None, *args, **kwargs):
-            if b is not None:
-                calls.append(a.shape)
-            return true_eigh(a, b, *args, **kwargs)
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return true_eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         assert main(["sweep-chi", "-M", "33", "--samples", "50"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 50
-        assert calls == [(32, 32)]
+        assert calls == [(31, 31)]
 
     def test_structural_error_on_negative_pencil(self, table99):
         eigen = temperature_eigen(7)
@@ -429,6 +428,28 @@ class TestPencilSolve:
         )
         with pytest.raises(StructuralSolveError):
             solve_wall(wbs, negated, 1.0, 0.0)
+
+    @pytest.mark.parametrize("flipped", ["pivot", "block"])
+    def test_structural_error_on_indefinite_scaled_matrix(self, flipped, table99):
+        # Each flip leaves the rates positive; only one of the pivot and the
+        # reduced block changes sign, so each guard is needed on its own.
+        eigen = temperature_eigen(7)
+        wbs = temperature_boundary_system(7, 0.5, table99)
+        indefinite = wbs.scaled_matrix.copy()
+        if flipped == "pivot":
+            indefinite[0, 0] *= -1.0
+        else:
+            indefinite[1:, 1:] *= -1.0
+        spoiled = wbs.__class__(
+            kind=wbs.kind,
+            order=wbs.order,
+            chi=wbs.chi,
+            b_chi=wbs.b_chi,
+            scaled_matrix=indefinite,
+            c_vec=wbs.c_vec,
+        )
+        with pytest.raises(StructuralSolveError):
+            solve_wall(spoiled, eigen, 1.0, 0.0)
 
     def test_mismatched_eigen_rejected(self, table99):
         wbs = temperature_boundary_system(7, 0.5, table99)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import knlayer
 import knlayer.special_functions
 from knlayer.cli import main
 from knlayer.layer_profiles import jump_coefficient, temperature_defect, temperature_solution
@@ -192,6 +196,52 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["temperature-jump", "-M", "9", "--chi", "1e-310"],
+            ["kramers", "-M", "8", "--chi", "1e-320"],
+            ["profile", "-M", "9", "--chi", "1e-320", "--samples", "3"],
+            ["sweep-chi", "-M", "9", "--spacing", "geometric", "--chi-min", "1e-320"],
+        ],
+    )
+    def test_subnormal_chi_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+
+
+class TestImportBoundary:
+    def test_solve_commands_never_load_scipy(self):
+        script = """
+import contextlib, io, json, sys
+import knlayer, knlayer.cli
+for argv in (
+    ["sweep-chi", "-M", "33", "--samples", "5"],
+    ["sweep-chi", "-M", "32", "--samples", "5"],
+    ["temperature-jump", "-M", "13", "--chi", "0.5"],
+    ["kramers", "-M", "12", "--chi", "0.8"],
+    ["profile", "-M", "7", "--samples", "20"],
+    ["profile", "-M", "8", "--samples", "20"],
+    ["table1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert knlayer.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(knlayer.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
 
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
@@ -242,3 +292,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--level", "quick"])
         assert code == 2
         assert "FAIL" in out
+
+    def test_bvp_failure_is_numerical_failure(self, capsys, monkeypatch):
+        import knlayer.verification as verification
+
+        def diverged(*args, **kwargs):
+            raise verification.BvpConvergenceError("sparse solve residual above tolerance")
+
+        monkeypatch.setattr(verification, "bvp_temperature", diverged)
+        code, out, err = run(capsys, ["verify", "--level", "quick"])
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
