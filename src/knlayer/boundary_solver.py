@@ -26,10 +26,11 @@ signs are the structural checks.  The builders share one read-only T and
 c per order and table, and the solver caches the reduced eigenproblem per
 (T, c, eigendecomposition) object triple.
 
-Assembly works entirely in normalized form so that orders in the
-thousands never touch a raw factorial.  The raw matrices have their own
-builders, valid inside the double-precision window, as the reference for
-tests and the definiteness checks.
+Assembly works entirely in normalized form, from the even-index block of
+the half-space table, so that orders in the thousands never touch a raw
+factorial.  The raw matrices, valid inside the double-precision window,
+are built in :mod:`knlayer.verification` as the reference for tests and
+the definiteness checks.
 """
 
 from __future__ import annotations
@@ -41,17 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parity_spectral import ParityEigen
-from .special_functions import RAW_ORDER_LIMIT, SQRT_2PI, HalfSpaceTable
+from .special_functions import SQRT_2PI, HalfSpaceTable
 from .system_builder import SystemKind
 
 __all__ = [
     "WallBoundarySystem",
     "StructuralSolveError",
     "accommodation_factor",
-    "assemble_temperature_Tb",
-    "assemble_T",
     "assemble_temperature_T",
-    "assemble_kramers_Sk",
     "assemble_kramers_T",
     "temperature_c_vector",
     "kramers_c_vector",
@@ -59,9 +57,6 @@ __all__ = [
     "kramers_boundary_system",
     "solve_wall",
 ]
-
-# Mixing of the leading temperature/density pair into the wall unknowns.
-P1 = np.array([[0.5, 1.0], [1.0, -1.0]])
 
 
 class StructuralSolveError(RuntimeError):
@@ -87,61 +82,25 @@ def _check_kramers_order(order: int) -> int:
     return (order - 1) // 2  # m_even
 
 
-def assemble_temperature_Tb(order: int, table: HalfSpaceTable) -> np.ndarray:
-    """Raw boundary matrix of the temperature problem, (m_e+1) square.
-
-    Odd rows/columns carry the pure-normal moment fluxes with the density
-    offset eliminated; even ones the tangential-pair fluxes.  Only valid
-    while the raw half-space values fit in a double.
-    """
-    m_even = _check_temperature_order(order)
-    size = m_even + 1
-    if order + 1 > RAW_ORDER_LIMIT:
-        raise ValueError("raw boundary matrix exceeds the double-precision window")
-    if table.max_order < order + 1:
-        raise ValueError(f"table of order {table.max_order} too small for order {order}")
-    out = np.zeros((size, size))
-    half = size // 2
-    s = table.s_values
-    for k in range(1, half + 1):
-        for ell in range(1, half + 1):
-            out[2 * k - 1, 2 * ell - 1] = s[2 * k - 2, 2 * ell - 2]
-            out[2 * k - 2, 2 * ell - 2] = (
-                s[2 * k, 2 * ell] - s[2 * k, 0] * s[0, 2 * ell] / s[0, 0]
-            )
-    return out
-
-
-def assemble_T(tb: np.ndarray, even_scales: np.ndarray) -> np.ndarray:
-    """Scaled boundary matrix diag(1, L1^-1) P (T^b) P diag(1, L1^-1)."""
-    size = tb.shape[0]
-    if even_scales.shape != (size - 1,):
-        raise ValueError("even_scales must have one entry per moment row")
-    p_full = np.eye(size)
-    p_full[:2, :2] = P1
-    d = np.ones(size)
-    d[1:] = 1.0 / even_scales
-    mixed = p_full @ tb @ p_full
-    return mixed * np.outer(d, d)
-
-
 def assemble_temperature_T(order: int, table: HalfSpaceTable) -> np.ndarray:
     """Scaled temperature boundary matrix, assembled overflow-safe.
 
     Row and column normalizations cancel against the moment scalings except
     for a 2x2 mixing block on the leading pair, so the whole matrix is a
-    congruence of normalized half-space values.
+    congruence of normalized half-space values.  Odd rows and columns take
+    S(2k-2, 2l-2), even ones S(2k, 2l) with the density offset eliminated,
+    all read from the table's even block at halved indices.
     """
     m_even = _check_temperature_order(order)
     size = m_even + 1
     if table.max_order < order + 1:
         raise ValueError(f"table of order {table.max_order} too small for order {order}")
+    half = size // 2
     sn = table.s_normalized
     n = np.zeros((size, size))
-    n[1::2, 1::2] = sn[0:size:2, 0:size:2]
+    n[1::2, 1::2] = sn[:half, :half]
     n[0::2, 0::2] = (
-        sn[2:size + 1:2, 2:size + 1:2]
-        - np.outer(sn[2:size + 1:2, 0], sn[0, 2:size + 1:2]) / sn[0, 0]
+        sn[1:half + 1, 1:half + 1] - np.outer(sn[1:half + 1, 0], sn[0, 1:half + 1]) / sn[0, 0]
     )
     w = np.array(
         [
@@ -153,19 +112,6 @@ def assemble_temperature_T(order: int, table: HalfSpaceTable) -> np.ndarray:
     out[:2, :] = w @ n[:2, :]
     out[:, :2] = out[:, :2] @ w.T
     return out
-
-
-def assemble_kramers_Sk(order: int, table: HalfSpaceTable) -> np.ndarray:
-    """Raw Kramers boundary matrix with entries S(2i-2, 2j-2)."""
-    m_even = _check_kramers_order(order)
-    size = m_even + 1
-    if 2 * size - 2 > RAW_ORDER_LIMIT:
-        raise ValueError("raw boundary matrix exceeds the double-precision window")
-    if table.max_order < 2 * size - 2:
-        raise ValueError(f"table of order {table.max_order} too small for order {order}")
-    s = table.s_values
-    idx = 2 * np.arange(size)
-    return s[np.ix_(idx, idx)].copy()
 
 
 def assemble_kramers_T(order: int, table: HalfSpaceTable, prandtl: float) -> np.ndarray:
@@ -183,7 +129,7 @@ def assemble_kramers_T(order: int, table: HalfSpaceTable, prandtl: float) -> np.
     w = np.ones(size)
     if size >= 2:
         w[1] = math.sqrt(5.0 / (4.0 + prandtl))
-    return table.s_normalized[0:2 * size:2, 0:2 * size:2] * np.outer(w, w)
+    return table.s_normalized[:size, :size] * np.outer(w, w)
 
 
 def temperature_c_vector(order: int) -> np.ndarray:

@@ -213,15 +213,25 @@ def velocity_solution(
     )
 
 
+def _finite_coefficient(name: str, sol, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} coefficient for order {sol.order}, chi={sol.chi} is not finite")
+    return value
+
+
 def jump_coefficient(sol: TemperatureLayerSolution) -> float:
     """Temperature jump coefficient zeta = -(5 Kn / (2 Pr q)) * intercept.
 
     Defined for the zero-wall-temperature normalization only; solutions with
-    a wall offset are rejected rather than silently re-normalized.
+    a wall offset are rejected rather than silently re-normalized.  A finite
+    intercept can still overflow the scaling (chi near the subnormal range),
+    so a non-finite coefficient raises ``ValueError``.
     """
     if sol.wall_temperature != 0.0:
         raise ValueError("jump coefficient requires the theta_wall = 0 normalization")
-    return -2.5 * sol.kn / (sol.pr * sol.heat_flux) * sol.intercept
+    return _finite_coefficient(
+        "jump", sol, -2.5 * sol.kn / (sol.pr * sol.heat_flux) * sol.intercept
+    )
 
 
 def temperature_defect(sol: TemperatureLayerSolution, y) -> np.ndarray | float:
@@ -271,10 +281,13 @@ def effective_conductivity(sol: TemperatureLayerSolution, y) -> np.ndarray | flo
 
 
 def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
-    """Slip-velocity intercept per unit shear, -(Kn / sigma) * intercept."""
+    """Slip-velocity intercept per unit shear, -(Kn / sigma) * intercept.
+
+    A non-finite coefficient raises ``ValueError``, as in ``jump_coefficient``.
+    """
     if sol.wall_velocity != 0.0:
         raise ValueError("slip coefficient requires the u1_wall = 0 normalization")
-    return -sol.kn / sol.shear * sol.intercept
+    return _finite_coefficient("slip", sol, -sol.kn / sol.shear * sol.intercept)
 
 
 def chi_zero_limit() -> float:

@@ -2,7 +2,10 @@
 
 Everything here is exact closed-form arithmetic (recursions and factorial
 ratios); the numerical quadrature counterparts live in
-:mod:`knlayer.verification`.
+:mod:`knlayer.verification`.  The scalar forms ``half_space_S`` and
+``half_space_S_normalized`` cover every index pair; ``HalfSpaceTable``
+stores only the even-index block S(2i, 2j) that the wall assemblies read,
+built in one vectorized closed form per block.
 """
 
 from __future__ import annotations
@@ -215,86 +218,60 @@ def half_space_S_normalized(alpha: int, beta: int) -> float:
 
 
 class HalfSpaceTable:
-    """Memoized table of S(alpha, beta) for 0 <= alpha, beta <= max_order.
+    """Even-index blocks of S(alpha, beta) for even alpha, beta <= max_order.
 
-    The normalized form S/sqrt(alpha! beta!) is stored for the full range;
-    raw values are kept only inside the double-precision window.  Immutable
-    after construction, so safe to share across threads.
+    The Maxwell wall conditions of the reduced parity systems couple only
+    even moments, so every half-space integral a wall assembly reads is
+    S(2i, 2j).  ``s_normalized[i, j]`` holds S(2i, 2j) / sqrt((2i)! (2j)!)
+    for the full range; ``s_values[i, j]`` the raw S(2i, 2j) inside the
+    double-precision window (2i, 2j <= RAW_ORDER_LIMIT).  Odd-index pairs
+    are left to :func:`half_space_S` and :func:`half_space_S_normalized`.
+    Immutable after construction, so safe to share across threads.
     """
 
     @staticmethod
-    def _assemble(top: int, z: np.ndarray, band: np.ndarray, normalized: bool) -> np.ndarray:
-        """Closed-form assembly on the upper triangle, mirrored for exact symmetry."""
-        a = np.arange(top + 1)[:, None].astype(float)
-        b = np.arange(top + 1)[None, :].astype(float)
-        ai = np.arange(top + 1)
-        za = z[ai][:, None]
-        za1 = z[ai + 1][:, None]
-        zb = z[ai][None, :]
-        zb1 = z[ai + 1][None, :]
-        zbm = z[np.maximum(ai - 1, 0)][None, :]
-        den = (a - b) ** 2 - 1.0
-        den[den == 0.0] = 1.0  # band positions, overwritten below
-        table = (a + b + 1.0) / den * za * zb
-        # odd-odd pairs: the z_{a+1} cross terms survive instead
-        den1 = a - b + 1.0
-        den1[den1 == 0.0] = 1.0
-        den2 = a - b - 1.0
-        den2[den2 == 0.0] = 1.0
-        if normalized:
-            odd = (
-                np.sqrt(b * (a + 1.0)) * za1 * zbm / den1
-                + np.sqrt((a + 1.0) * (b + 1.0)) * za1 * zb1 / den2
-            )
-        else:
-            odd = b * za1 * zbm / den1 + za1 * zb1 / den2
-        odd_mask = (np.asarray(ai % 2, bool)[:, None]) & (np.asarray(ai % 2, bool)[None, :])
-        table[odd_mask] = odd[odd_mask]
-        off1 = np.abs(a - b) == 1.0
-        table[off1] = band[off1]
-        upper = np.triu(table)
-        return upper + upper.T - np.diag(np.diag(table))
+    def _even_block(z_even: np.ndarray) -> np.ndarray:
+        """(a + b + 1) / ((a - b)^2 - 1) z_a z_b over a, b = 0, 2, 4, ...
+
+        Even indices never sit on the band |a - b| = 1, so one closed form
+        covers the block.  Only the upper triangle is kept and mirrored, for
+        exact symmetry; in-place updates keep the peak at two blocks.
+        """
+        a = 2.0 * np.arange(z_even.size)
+        block = np.add.outer(a, a)
+        block += 1.0
+        den = np.subtract.outer(a, a)
+        den *= den
+        den -= 1.0
+        block /= den
+        del den
+        block *= z_even[:, None]
+        block *= z_even
+        upper = np.triu(block)
+        del block
+        upper += np.tril(upper.T, -1)
+        return upper
 
     def __init__(self, max_order: int):
         if max_order < 0:
             raise ValueError("max_order must be non-negative")
         self.max_order = max_order
-        zs = _z(max_order + 2)
-        zn = zs.normalized_values[: max_order + 3]
-
-        idx = np.arange(max_order + 1)
-        band = SQRT_2PI / 2.0 * np.sqrt(np.maximum(idx[:, None], idx[None, :]))
-        self._normalized = self._assemble(max_order, zn, band, normalized=True)
-
+        zs = _z(max_order)
+        self._normalized = self._even_block(zs.normalized_values[: max_order + 1 : 2])
         raw_top = min(max_order, RAW_ORDER_LIMIT)
-        zraw = np.array([zs.value(n) for n in range(raw_top + 3)])
-        rid = idx[: raw_top + 1]
-        fact = np.array([float(math.factorial(int(n))) for n in rid])
-        rband = SQRT_2PI / 2.0 * np.where(rid[:, None] >= rid[None, :], fact[:, None], fact[None, :])
-        self._raw = self._assemble(raw_top, zraw, rband, normalized=False)
-        self._raw_top = raw_top
-
+        self._raw = self._even_block(np.array([zs.value(n) for n in range(0, raw_top + 1, 2)]))
         self._normalized.flags.writeable = False
         self._raw.flags.writeable = False
 
     @property
     def s_normalized(self) -> np.ndarray:
+        """S(2i, 2j) / sqrt((2i)! (2j)!) at [i, j]."""
         return self._normalized
 
     @property
     def s_values(self) -> np.ndarray:
-        """Raw table, restricted to the double-precision window."""
+        """Raw S(2i, 2j) at [i, j], restricted to the double-precision window."""
         return self._raw
-
-    def normalized(self, alpha: int, beta: int) -> float:
-        return float(self._normalized[alpha, beta])
-
-    def raw(self, alpha: int, beta: int) -> float:
-        if alpha > self._raw_top or beta > self._raw_top:
-            raise ValueError(
-                f"raw values only stored up to order {self._raw_top}; use normalized()"
-            )
-        return float(self._raw[alpha, beta])
 
 
 def wall_J(m: int, x: float, theta0: float, dtheta: float) -> float:

@@ -4,8 +4,10 @@ Three one-directional checks live here: adaptive quadrature for the
 half-space integrals, a dense cyclic Jacobi eigensolver for the parity
 spectra, and a first-order upwind two-point BVP solver for the reduced ODE
 systems on a truncated domain.  None of them reuse the closed forms they
-are meant to confirm.  The suites (``run_verification``) compare every
-solver layer against them and the raw boundary matrices.
+are meant to confirm.  The raw boundary matrices, the reference for the
+normalized assemblers of :mod:`knlayer.boundary_solver`, are built here
+too.  The suites (``run_verification``) compare every solver layer against
+these oracles and the raw matrices.
 
 It is the only knlayer module that imports scipy (quadrature and sparse
 LU); the CLI imports it for ``verify`` alone, so no solve loads scipy.
@@ -27,8 +29,8 @@ import scipy.sparse.linalg
 from . import special_functions
 from .boundary_solver import (
     WallBoundarySystem,
-    assemble_kramers_Sk,
-    assemble_temperature_Tb,
+    _check_kramers_order,
+    _check_temperature_order,
     kramers_boundary_system,
     temperature_boundary_system,
     wall_operator,
@@ -42,6 +44,7 @@ from .layer_profiles import (
     velocity_solution,
 )
 from .parity_spectral import ParityEigen, assemble_full_R, decompose
+from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
 from .system_builder import (
     ReducedSystem,
     build_kramers_system,
@@ -63,6 +66,9 @@ __all__ = [
     "quadrature_S",
     "quadrature_S_normalized",
     "dense_symmetric_eig",
+    "assemble_temperature_Tb",
+    "assemble_T",
+    "assemble_kramers_Sk",
     "geometric_nodes",
     "split_nodes",
     "bvp_temperature",
@@ -473,6 +479,61 @@ def bvp_kramers(
         config.tolerance,
     )
     return BvpProfile(nodes, u1)
+
+
+# ----------------------------------------------------------------------
+# raw boundary matrices, the reference for the normalized assemblers
+
+# Mixing of the leading temperature/density pair into the wall unknowns.
+P1 = np.array([[0.5, 1.0], [1.0, -1.0]])
+
+
+def assemble_temperature_Tb(order: int, table: HalfSpaceTable) -> np.ndarray:
+    """Raw boundary matrix of the temperature problem, (m_e+1) square.
+
+    Odd rows/columns carry the pure-normal moment fluxes S(2k-2, 2l-2);
+    even ones the tangential-pair fluxes S(2k, 2l) with the density offset
+    eliminated.  Reads the raw even block at halved indices, so it is only
+    valid while the raw half-space values fit in a double.
+    """
+    m_even = _check_temperature_order(order)
+    size = m_even + 1
+    if order + 1 > RAW_ORDER_LIMIT:
+        raise ValueError("raw boundary matrix exceeds the double-precision window")
+    if table.max_order < order + 1:
+        raise ValueError(f"table of order {table.max_order} too small for order {order}")
+    out = np.zeros((size, size))
+    half = size // 2
+    s = table.s_values
+    for k in range(1, half + 1):
+        for ell in range(1, half + 1):
+            out[2 * k - 1, 2 * ell - 1] = s[k - 1, ell - 1]
+            out[2 * k - 2, 2 * ell - 2] = s[k, ell] - s[k, 0] * s[0, ell] / s[0, 0]
+    return out
+
+
+def assemble_T(tb: np.ndarray, even_scales: np.ndarray) -> np.ndarray:
+    """Scaled boundary matrix diag(1, L1^-1) P (T^b) P diag(1, L1^-1)."""
+    size = tb.shape[0]
+    if even_scales.shape != (size - 1,):
+        raise ValueError("even_scales must have one entry per moment row")
+    p_full = np.eye(size)
+    p_full[:2, :2] = P1
+    d = np.ones(size)
+    d[1:] = 1.0 / even_scales
+    mixed = p_full @ tb @ p_full
+    return mixed * np.outer(d, d)
+
+
+def assemble_kramers_Sk(order: int, table: HalfSpaceTable) -> np.ndarray:
+    """Raw Kramers boundary matrix with entries S(2i-2, 2j-2)."""
+    m_even = _check_kramers_order(order)
+    size = m_even + 1
+    if 2 * size - 2 > RAW_ORDER_LIMIT:
+        raise ValueError("raw boundary matrix exceeds the double-precision window")
+    if table.max_order < 2 * size - 2:
+        raise ValueError(f"table of order {table.max_order} too small for order {order}")
+    return table.s_values[:size, :size].copy()
 
 
 # ----------------------------------------------------------------------

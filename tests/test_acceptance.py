@@ -12,10 +12,8 @@ import pytest
 
 from knlayer.boundary_solver import (
     accommodation_factor,
-    assemble_kramers_Sk,
     assemble_kramers_T,
     assemble_temperature_T,
-    assemble_temperature_Tb,
     kramers_boundary_system,
     temperature_boundary_system,
     wall_operator,
@@ -38,6 +36,8 @@ from knlayer.special_functions import (
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     BvpConfig,
+    assemble_kramers_Sk,
+    assemble_temperature_Tb,
     bvp_kramers,
     bvp_temperature,
     dense_symmetric_eig,

@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from knlayer.boundary_solver import (
     StructuralSolveError,
     accommodation_factor,
-    assemble_kramers_Sk,
     assemble_kramers_T,
-    assemble_T,
     assemble_temperature_T,
-    assemble_temperature_Tb,
     kramers_boundary_system,
     kramers_c_vector,
     solve_wall,
@@ -29,6 +26,7 @@ from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
 from knlayer.system_builder import build_kramers_system, build_temperature_system
+from knlayer.verification import assemble_kramers_Sk, assemble_T, assemble_temperature_Tb
 
 
 def reference_t0(chi):
@@ -38,16 +36,17 @@ def reference_t0(chi):
 
 
 def looped_temperature_T(order, table):
-    """Element-by-element assembly of the scaled temperature boundary matrix."""
+    """Element-by-element assembly of the scaled temperature boundary matrix.
+
+    The table holds S(2i, 2j) at [i, j], so S(2k-2, 2l-2) sits at [k-1, l-1].
+    """
     size = order - 1
     sn = table.s_normalized
     n = np.zeros((size, size))
     for k in range(1, size // 2 + 1):
         for ell in range(1, size // 2 + 1):
-            n[2 * k - 1, 2 * ell - 1] = sn[2 * k - 2, 2 * ell - 2]
-            n[2 * k - 2, 2 * ell - 2] = (
-                sn[2 * k, 2 * ell] - sn[2 * k, 0] * sn[0, 2 * ell] / sn[0, 0]
-            )
+            n[2 * k - 1, 2 * ell - 1] = sn[k - 1, ell - 1]
+            n[2 * k - 2, 2 * ell - 2] = sn[k, ell] - sn[k, 0] * sn[0, ell] / sn[0, 0]
     w = np.array(
         [
             [0.5 * math.sqrt(2.0), 1.0],
@@ -178,7 +177,7 @@ class TestKramersAssembly:
     def test_sliced_assembly_matches_fancy_index(self, table1025):
         for order in [*range(4, 99, 2), 128, 512, 1024]:
             size = order // 2
-            idx = 2 * np.arange(size)
+            idx = np.arange(size)  # S(2i, 2j) sits at [i, j] of the even block
             w = np.ones(size)
             w[1] = math.sqrt(5.0 / (4.0 + 2.0 / 3.0))
             expected = table1025.s_normalized[np.ix_(idx, idx)] * np.outer(w, w)

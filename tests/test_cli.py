@@ -203,6 +203,10 @@ class TestExitCodes:
             ["kramers", "-M", "8", "--chi", "1e-320"],
             ["profile", "-M", "9", "--chi", "1e-320", "--samples", "3"],
             ["sweep-chi", "-M", "9", "--spacing", "geometric", "--chi-min", "1e-320"],
+            # the wall solve stays finite, but the jump coefficient overflows
+            ["temperature-jump", "-M", "9", "--chi", "1e-308"],
+            ["sweep-chi", "-M", "9", "--chi-min", "1e-308", "--samples", "3"],
+            ["profile", "-M", "9", "--chi", "1e-308", "--samples", "3"],
         ],
     )
     def test_subnormal_chi_is_rejected(self, capsys, argv):

@@ -1,6 +1,7 @@
 """Closed-form Hermite / half-space machinery against exact and quadrature oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knlayer.special_functions import (
+    RAW_ORDER_LIMIT,
     HalfSpaceTable,
     WallMoments,
+    ZSequence,
     half_space_I,
     half_space_S,
     half_space_S_normalized,
@@ -191,36 +194,107 @@ class TestNormalizedS:
         assert math.isfinite(half_space_S_normalized(4095, 4093))
 
 
+def full_reference_tables(max_order):
+    """Full (normalized, raw) tables over every index pair, as built before the
+    table kept only its even block: one closed form per pair class on the
+    upper triangle, mirrored for exact symmetry.  Reference for the blocks."""
+
+    def assemble(top, z, band, normalized):
+        a = np.arange(top + 1)[:, None].astype(float)
+        b = np.arange(top + 1)[None, :].astype(float)
+        ai = np.arange(top + 1)
+        za = z[ai][:, None]
+        za1 = z[ai + 1][:, None]
+        zb = z[ai][None, :]
+        zb1 = z[ai + 1][None, :]
+        zbm = z[np.maximum(ai - 1, 0)][None, :]
+        den = (a - b) ** 2 - 1.0
+        den[den == 0.0] = 1.0
+        table = (a + b + 1.0) / den * za * zb
+        den1 = a - b + 1.0
+        den1[den1 == 0.0] = 1.0
+        den2 = a - b - 1.0
+        den2[den2 == 0.0] = 1.0
+        if normalized:
+            odd = (
+                np.sqrt(b * (a + 1.0)) * za1 * zbm / den1
+                + np.sqrt((a + 1.0) * (b + 1.0)) * za1 * zb1 / den2
+            )
+        else:
+            odd = b * za1 * zbm / den1 + za1 * zb1 / den2
+        odd_mask = (np.asarray(ai % 2, bool)[:, None]) & (np.asarray(ai % 2, bool)[None, :])
+        table[odd_mask] = odd[odd_mask]
+        off1 = np.abs(a - b) == 1.0
+        table[off1] = band[off1]
+        upper = np.triu(table)
+        return upper + upper.T - np.diag(np.diag(table))
+
+    zn = np.array([ZSequence(max_order + 2).normalized(n) for n in range(max_order + 3)])
+    idx = np.arange(max_order + 1)
+    band = SQRT_2PI / 2.0 * np.sqrt(np.maximum(idx[:, None], idx[None, :]))
+    normalized = assemble(max_order, zn, band, normalized=True)
+    raw_top = min(max_order, RAW_ORDER_LIMIT)
+    zraw = np.array([z_value(n) for n in range(raw_top + 3)])
+    rid = idx[: raw_top + 1]
+    fact = np.array([float(math.factorial(int(n))) for n in rid])
+    rband = SQRT_2PI / 2.0 * np.where(rid[:, None] >= rid[None, :], fact[:, None], fact[None, :])
+    return normalized, assemble(raw_top, zraw, rband, normalized=False)
+
+
 class TestHalfSpaceTable:
     def test_agrees_with_scalar_functions(self):
         table = HalfSpaceTable(25)
-        for a in range(26):
-            for b in range(26):
-                assert table.normalized(a, b) == half_space_S_normalized(a, b)
-                assert table.raw(a, b) == pytest.approx(half_space_S(a, b), rel=1e-13, abs=1e-13)
+        assert table.s_normalized.shape == (13, 13)
+        for i in range(13):
+            for j in range(13):
+                a, b = 2 * i, 2 * j
+                assert table.s_normalized[i, j] == half_space_S_normalized(a, b)
+                assert table.s_values[i, j] == pytest.approx(half_space_S(a, b), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("max_order", [*range(6), 10, 25, 131, 150, 151, 514, 1027, 2051])
+    def test_even_blocks_match_full_reference(self, max_order):
+        normalized, raw = full_reference_tables(max_order)
+        table = HalfSpaceTable(max_order)
+        assert np.array_equal(table.s_normalized, normalized[::2, ::2])
+        assert np.array_equal(table.s_values, raw[::2, ::2])
 
     def test_exact_symmetry_and_anchor(self):
         table = HalfSpaceTable(40)
-        assert table.raw(0, 0) == -1.0
-        sn = table.s_normalized
-        assert np.array_equal(sn, sn.T)
+        assert table.s_values[0, 0] == -1.0
+        assert table.s_normalized[0, 0] == -1.0
+        for block in (table.s_normalized, table.s_values):
+            assert np.array_equal(block, block.T)
 
     def test_zero_pattern_exact(self):
-        table = HalfSpaceTable(30)
         for a in range(0, 31, 2):
             for b in range(1, 31, 2):
                 if abs(a - b) != 1:
-                    assert table.normalized(a, b) == 0.0
+                    assert half_space_S_normalized(a, b) == 0.0
+                    assert half_space_S_normalized(b, a) == 0.0
 
     def test_immutable(self):
         table = HalfSpaceTable(10)
         with pytest.raises(ValueError):
             table.s_normalized[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            table.s_values[0, 0] = 5.0
 
     def test_raw_window_guard(self):
-        table = HalfSpaceTable(10)
-        with pytest.raises(ValueError):
-            table.raw(11, 0)
+        assert HalfSpaceTable(10).s_values.shape == (6, 6)
+        table = HalfSpaceTable(400)
+        assert table.s_normalized.shape == (201, 201)
+        assert table.s_values.shape == (RAW_ORDER_LIMIT // 2 + 1, RAW_ORDER_LIMIT // 2 + 1)
+        assert np.all(np.isfinite(table.s_values))
+
+    def test_construction_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            table = HalfSpaceTable(2051)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = table.s_normalized.nbytes + table.s_values.nbytes
+        assert peak <= 6 * stored, (peak, stored)
 
 
 class TestWallJ:
