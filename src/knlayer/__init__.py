@@ -15,9 +15,11 @@ from .boundary_solver import (
     temperature_boundary_system,
 )
 from .layer_profiles import (
+    CoefficientCurve,
     TemperatureLayerSolution,
     VelocityLayerSolution,
     chi_zero_limit,
+    coefficient_curve,
     convergence_order,
     default_profile_grid,
     effective_conductivity,
@@ -52,6 +54,7 @@ from .system_builder import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CoefficientCurve",
     "HalfSpaceTable",
     "ParityEigen",
     "ReducedSystem",
@@ -66,6 +69,7 @@ __all__ = [
     "build_kramers_system",
     "build_temperature_system",
     "chi_zero_limit",
+    "coefficient_curve",
     "convergence_order",
     "decompose",
     "default_profile_grid",

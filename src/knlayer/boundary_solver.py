@@ -63,10 +63,12 @@ class StructuralSolveError(RuntimeError):
     """The wall system lost definiteness; signals a builder bug, not bad input."""
 
 
-def accommodation_factor(chi: float) -> float:
-    """b(chi) = 2 chi / ((2 - chi) sqrt(2 pi)) for chi in (0, 1]."""
-    if not 0.0 < chi <= 1.0:
-        raise ValueError(f"accommodation coefficient must lie in (0, 1], got {chi}")
+def accommodation_factor(chi):
+    """b(chi) = 2 chi / ((2 - chi) sqrt(2 pi)) for chi in (0, 1], elementwise on arrays."""
+    chis = np.asarray(chi)
+    inside = (chis > 0.0) & (chis <= 1.0)
+    if not inside.all():
+        raise ValueError(f"accommodation coefficient must lie in (0, 1], got {chis[~inside].flat[0]}")
     return 2.0 * chi / ((2.0 - chi) * SQRT_2PI)
 
 
@@ -305,6 +307,17 @@ def _wall_pencil(key: _IdentityKey) -> _WallPencil:
     )
 
 
+def wall_pencil(system: WallBoundarySystem, eigen: ParityEigen) -> _WallPencil:
+    """The chi-independent reduced eigenproblem of ``system``, cached per (T, c, eigen).
+
+    ``solve_wall`` and the coefficient curves of :mod:`knlayer.layer_profiles`
+    read the same cache entry.  A non-positive pivot -T[0, 0], decay rate or
+    reduced eigenvalue raises ``StructuralSolveError``.
+    """
+    _check_match(system, eigen)
+    return _wall_pencil(_IdentityKey(system.scaled_matrix, system.c_vec, eigen))
+
+
 def solve_wall(
     system: WallBoundarySystem,
     eigen: ParityEigen,
@@ -320,14 +333,16 @@ def solve_wall(
     -T[0, 0], decay rate or reduced eigenvalue is a structural failure.
     The reduced eigenproblem is solved once per (T, c, eigen) objects; each
     further chi costs one matrix-vector product.  A result that is not
-    finite (a subnormal chi overflows 1 / b(chi)) raises ``ValueError``.
+    finite (a subnormal chi overflows 1 / b(chi), or b(chi) underflows to
+    zero) raises ``ValueError``.
     """
-    _check_match(system, eigen)
-    pencil = _wall_pencil(_IdentityKey(system.scaled_matrix, system.c_vec, eigen))
+    pencil = wall_pencil(system, eigen)
     b = system.b_chi
-    s = pencil.g / (pencil.inv_mu + b)
-    v_plus0 = -flux * (pencil.modes @ s)
-    u0 = -flux * (pencil.lead / b - float(pencil.w0 @ s)) + wall_value
+    # b(chi) underflows to zero below chi ~ 1e-323; numpy turns lead / 0 into inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = pencil.g / (pencil.inv_mu + b)
+        v_plus0 = -flux * (pencil.modes @ s)
+        u0 = float(-flux * (np.divide(pencil.lead, b) - float(pencil.w0 @ s)) + wall_value)
     if not (math.isfinite(u0) and np.isfinite(v_plus0).all()):
         raise ValueError(
             f"wall solve for order {system.order}, chi={system.chi} is not finite"

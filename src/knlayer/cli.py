@@ -24,6 +24,7 @@ import numpy as np
 from .boundary_solver import StructuralSolveError, accommodation_factor
 from .layer_profiles import (
     DEFAULT_KN,
+    coefficient_curve,
     convergence_order,
     effective_conductivity,
     jump_coefficient,
@@ -175,10 +176,8 @@ def cmd_kramers(cfg: RunConfig) -> str:
 
 
 def table1_values() -> dict[float, list[float]]:
-    return {
-        chi: [jump_coefficient(temperature_solution(m, chi)) for m in TABLE1_ORDERS]
-        for chi in TABLE1_CHIS
-    }
+    curves = [coefficient_curve(m) for m in TABLE1_ORDERS]
+    return {chi: [curve(chi) for curve in curves] for chi in TABLE1_CHIS}
 
 
 def cmd_table1(cfg: RunConfig) -> str:
@@ -228,14 +227,9 @@ def cmd_sweep_chi(cfg: RunConfig) -> str:
     else:
         chis = np.linspace(cfg.chi_min, cfg.chi_max, cfg.samples)
     temperature = cfg.order % 2 == 1
-    coef = []
-    for chi in chis:
-        chi = float(chi)
-        if temperature:
-            coef.append(jump_coefficient(temperature_solution(cfg.order, chi, cfg.kn, cfg.pr)))
-        else:
-            coef.append(viscous_slip_coefficient(velocity_solution(cfg.order, chi, cfg.kn, cfg.pr)))
-    b_vals = [accommodation_factor(float(c)) for c in chis]
+    coef = coefficient_curve(cfg.order, cfg.kn, cfg.pr)(chis)
+    b_vals = accommodation_factor(chis)
+    scaled = b_vals * coef
     name = "jump_coefficient" if temperature else "slip_coefficient"
     if cfg.fmt == "structured-json":
         record = {
@@ -244,10 +238,10 @@ def cmd_sweep_chi(cfg: RunConfig) -> str:
             "order": cfg.order,
             "kn": cfg.kn,
             "pr": cfg.pr,
-            "chi": list(map(float, chis)),
-            name: coef,
-            "accommodation_factor": b_vals,
-            "scaled_coefficient": [b * z for b, z in zip(b_vals, coef)],
+            "chi": chis.tolist(),
+            name: coef.tolist(),
+            "accommodation_factor": b_vals.tolist(),
+            "scaled_coefficient": scaled.tolist(),
         }
         return _structured(record)
     params = {
@@ -257,9 +251,7 @@ def cmd_sweep_chi(cfg: RunConfig) -> str:
         "kn": _fmt_float(cfg.kn),
         "pr": _fmt_float(cfg.pr),
     }
-    rows = [
-        (chi, z, b, b * z) for chi, z, b in zip(chis, coef, b_vals)
-    ]
+    rows = np.column_stack((chis, coef, b_vals, scaled))
     return _columnar(params, ["chi", name, "b_chi", f"b_chi*{name}"], rows)
 
 
@@ -385,12 +377,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="knlayer", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order_default):
+    def add_problem(p, order_default):
         p.add_argument("--order", "-M", type=int, default=order_default,
                        help="moment order (odd: temperature problems, even: shear)")
-        p.add_argument("--chi", type=float, default=1.0, help="accommodation coefficient in (0, 1]")
         p.add_argument("--kn", type=float, default=DEFAULT_KN, help="Knudsen number")
         p.add_argument("--pr", type=float, default=1.0, help="Prandtl number")
+
+    def add_common(p, order_default):
+        add_problem(p, order_default)
+        p.add_argument("--chi", type=float, default=1.0, help="accommodation coefficient in (0, 1]")
         p.add_argument("--flux", type=float, default=1.0,
                        help="prescribed heat flux (odd order) or shear stress (even order)")
         add_output(p)
@@ -418,7 +413,8 @@ def _build_parser() -> _Parser:
     add_output(p)
 
     p = sub.add_parser("sweep-chi", help="coefficient sweep over the accommodation range")
-    add_common(p, 13)
+    add_problem(p, 13)
+    add_output(p)
     p.add_argument("--chi-min", dest="chi_min", type=float, default=1e-3)
     p.add_argument("--chi-max", dest="chi_max", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=60)

@@ -5,6 +5,17 @@ exponentials with rates fixed by the parity spectrum; the wall solve pins
 the amplitudes.  Everything downstream (jump coefficient, temperature
 defect, effective conductivity, slip velocity) is evaluated analytically
 from that representation.
+
+Only b(chi) depends on the accommodation coefficient, and the cached wall
+pencil makes the coefficient an explicit partial fraction in it:
+
+    zeta(b) = alpha / b + sum_i beta_i / (b + 1 / mu_i),
+
+with alpha, the reduced eigenvalues mu and the residues beta fixed per
+order (:func:`coefficient_curve`).  A chi sweep, Table 1 and the
+convergence orders evaluate that curve at O(m) per chi, with no solution
+object per sample; profiles, defects and amplitudes keep the per-chi
+solution.  As chi -> 0, (chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.
 """
 
 from __future__ import annotations
@@ -18,15 +29,18 @@ import numpy as np
 
 from .boundary_solver import (
     WallBoundarySystem,
+    accommodation_factor,
     kramers_boundary_system,
     solve_wall,
     temperature_boundary_system,
+    wall_pencil,
 )
 from .parity_spectral import ParityEigen, decompose
 from .special_functions import HalfSpaceTable
 from .system_builder import ReducedSystem, build_kramers_system, build_temperature_system
 
 __all__ = [
+    "CoefficientCurve",
     "TemperatureLayerSolution",
     "VelocityLayerSolution",
     "temperature_solution",
@@ -37,6 +51,7 @@ __all__ = [
     "normalized_temperature",
     "effective_conductivity",
     "viscous_slip_coefficient",
+    "coefficient_curve",
     "chi_zero_limit",
     "convergence_order",
     "default_profile_grid",
@@ -48,6 +63,12 @@ DEFAULT_KN = math.sqrt(2.0) / 2.0
 # Weights turning the three leading scaled even modes into the defect
 # combination t0 + 6 t2 + g2 (only the first survives at order 3).
 DEFECT_WEIGHTS = np.array([math.sqrt(3.0) / 3.0, math.sqrt(6.0) / 2.0, math.sqrt(2.0) / 2.0])
+
+# Float64 entries of one chi block of a coefficient-curve evaluation, so
+# that its memory does not grow with the number of chi samples.  64 KiB
+# stays below malloc's 128 KiB mmap threshold: the block reuses heap memory
+# and a sweep's peak RSS does not grow.
+_BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -125,7 +146,7 @@ def _kramers_parts(order: int, pr: float) -> tuple[ReducedSystem, HalfSpaceTable
     return system, table, decompose(system)
 
 
-def _validate_common(kn: float, pr: float, flux: float, wall_value: float) -> None:
+def _validate_common(kn: float, pr: float, flux: float = 1.0, wall_value: float = 0.0) -> None:
     """Reject non-finite inputs; NaN would otherwise pass every sign test."""
     for name, value in (("Knudsen number", kn), ("Prandtl number", pr)):
         if not (math.isfinite(value) and value > 0.0):
@@ -133,6 +154,12 @@ def _validate_common(kn: float, pr: float, flux: float, wall_value: float) -> No
     for name, value in (("driving flux", flux), ("wall value", wall_value)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _defect_weights(eigen: ParityEigen) -> np.ndarray:
+    """Per-mode weights of the defect combination t0 + 6 t2 + g2."""
+    lead = min(3, eigen.m_even)
+    return DEFECT_WEIGHTS[:lead] @ eigen.even_vectors[:lead, :]
 
 
 def _temperature_from_parts(
@@ -146,9 +173,7 @@ def _temperature_from_parts(
     theta_wall: float,
 ) -> TemperatureLayerSolution:
     theta0, v_plus = solve_wall(wbs, eigen, q2, theta_wall)
-    lead = min(3, eigen.m_even)
-    weights = DEFECT_WEIGHTS[:lead] @ eigen.even_vectors[:lead, :]
-    mode_strength = weights * v_plus
+    mode_strength = _defect_weights(eigen) * v_plus
     amplitudes = -0.8 * mode_strength
     return TemperatureLayerSolution(
         order=order,
@@ -290,6 +315,94 @@ def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
     return _finite_coefficient("slip", sol, -sol.kn / sol.shear * sol.intercept)
 
 
+@dataclass(frozen=True)
+class CoefficientCurve:
+    """Jump (odd order) or slip (even order) coefficient as a function of chi.
+
+    zeta(b) = alpha / b + sum_i residues_i / (b - poles_i) with b = b(chi),
+    stored as alpha = scale * lead and residues = scale * weights so that the
+    Kn / Pr scaling is applied last, exactly as the per-chi coefficient
+    applies it.  Calling the curve costs O(m) per chi.
+    """
+
+    order: int
+    scale: float
+    lead: float
+    poles: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.poles, self.weights):
+            arr.flags.writeable = False
+
+    @property
+    def alpha(self) -> float:
+        """Residue at b = 0: the chi -> 0 limit of b(chi) * zeta."""
+        return self.scale * self.lead
+
+    @property
+    def residues(self) -> np.ndarray:
+        """beta_i, the residue at each pole -1/mu_i."""
+        return self.scale * self.weights
+
+    def __call__(self, chi):
+        """The coefficient at each chi in (0, 1]; a float for a scalar chi.
+
+        A non-finite value (a subnormal chi overflows 1 / b(chi)) raises
+        ``ValueError``.
+        """
+        chis = np.asarray(chi, dtype=float)
+        b = np.ravel(accommodation_factor(chis))
+        out = np.empty_like(b)
+        rows = max(1, _BLOCK_ELEMENTS // self.poles.size)
+        with np.errstate(all="ignore"):
+            for start in range(0, b.size, rows):
+                block = b[start:start + rows]
+                fractions = block[:, None] - self.poles
+                np.reciprocal(fractions, out=fractions)
+                out[start:start + rows] = self.scale * (self.lead / block + fractions @ self.weights)
+        finite = np.isfinite(out)
+        if not finite.all():
+            name = "jump" if self.order % 2 else "slip"
+            raise ValueError(
+                f"{name} coefficient for order {self.order}, "
+                f"chi={np.ravel(chis)[~finite][0]} is not finite"
+            )
+        return float(out[0]) if chis.ndim == 0 else out.reshape(chis.shape)
+
+
+def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> CoefficientCurve:
+    """The partial fraction of the jump (odd order) or slip (even order) coefficient.
+
+    With the cached wall pencil (s = g / (1/mu + b), wall value linear in s)
+    the coefficient of every chi is alpha / b + sum_i beta_i / (b + 1/mu_i),
+    beta = scale * (row - w0) * g, where row maps s to the summed mode
+    amplitudes: 0.8 DEFECT_WEIGHTS @ E[:3] @ modes with scale 2.5 Kn / Pr
+    for the temperature jump, (2 / a1) E[0] @ modes with scale Kn for the
+    slip.  It reads the same parts and pencil cache entries as the per-chi
+    solutions, and assembles one boundary system for the shared T and c.
+    """
+    _validate_common(kn, pr)
+    if order % 2:
+        system, table, eigen = _temperature_parts(order)
+        # b(chi) plays no part in the pencil; any chi gives the shared (T, c).
+        pencil = wall_pencil(temperature_boundary_system(order, 1.0, table), eigen)
+        row = 0.8 * (_defect_weights(eigen) @ pencil.modes)
+        scale = 2.5 * kn / pr
+    else:
+        system, table, eigen = _kramers_parts(order, pr)
+        pencil = wall_pencil(kramers_boundary_system(order, 1.0, pr, table), eigen)
+        row = (2.0 / system.even_scale(1)) * (eigen.even_vectors[0, :] @ pencil.modes)
+        scale = kn
+    return CoefficientCurve(
+        order=order,
+        scale=scale,
+        lead=pencil.lead,
+        poles=-pencil.inv_mu,
+        weights=(row - pencil.w0) * pencil.g,
+    )
+
+
 def chi_zero_limit() -> float:
     """Analytic limit of (chi / (2 - chi)) * zeta as chi -> 0.
 
@@ -315,10 +428,7 @@ def convergence_order(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    zs = [
-        jump_coefficient(temperature_solution(2**j + 1, chi, kn=kn, pr=pr))
-        for j in (k + 1, k + 2, k + 3)
-    ]
+    zs = [coefficient_curve(2**j + 1, kn, pr)(chi) for j in (k + 1, k + 2, k + 3)]
     denom = zs[1] - zs[0]
     if abs(denom) < 1e-14:
         raise ArithmeticError(

@@ -34,6 +34,10 @@ __all__ = [
 
 MAX_TEMPERATURE_ORDER = 4097
 MAX_KRAMERS_ORDER = 4096
+# The leading Kramers coupling sqrt(15 / (4 + Pr)) vanishes as Pr grows: at
+# M = 4096 the smallest singular value of the coupling block over the largest
+# is 2.8e-9 at this bound and falls below the rank tolerance 1e-12 near 1e19.
+MAX_KRAMERS_PRANDTL = 1e12
 
 
 class SystemKind(enum.Enum):
@@ -181,8 +185,8 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
         raise ValueError(f"Kramers systems need an even order, got {order}")
     if not 4 <= order <= MAX_KRAMERS_ORDER:
         raise ValueError(f"order must lie in [4, {MAX_KRAMERS_ORDER}], got {order}")
-    if prandtl <= 0.0:
-        raise ValueError(f"prandtl must be positive, got {prandtl}")
+    if not 0.0 < prandtl <= MAX_KRAMERS_PRANDTL:
+        raise ValueError(f"prandtl must lie in (0, {MAX_KRAMERS_PRANDTL:g}], got {prandtl}")
     m_even = (order - 1) // 2
     m_odd = (order - 2) // 2
 

@@ -22,12 +22,13 @@ from knlayer.layer_profiles import (
     _kramers_parts,
     _temperature_parts,
     chi_zero_limit,
+    coefficient_curve,
     convergence_order,
     jump_coefficient,
     temperature_solution,
     velocity_solution,
 )
-from knlayer.parity_spectral import assemble_full_R, decompose
+from knlayer.parity_spectral import decompose
 from knlayer.special_functions import (
     HalfSpaceTable,
     half_space_S,
@@ -36,6 +37,7 @@ from knlayer.special_functions import (
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     BvpConfig,
+    _spectral_residual,
     assemble_kramers_Sk,
     assemble_temperature_Tb,
     bvp_kramers,
@@ -136,6 +138,20 @@ def test_criterion_04_chi_zero_limit():
     print(f"\nPASS criterion 4: small-accommodation limit approached to {rel:.2e}")
 
 
+def test_criterion_04_chi_zero_residue_exact():
+    # b(chi) ~ (2 / sqrt(2 pi)) (chi / (2 - chi)) as chi -> 0, so the limit of
+    # (chi / (2 - chi)) zeta is sqrt(2 pi) / 2 times the residue at b = 0.
+    # The pivot n00 is exactly 2 (temperature) and 1 (Kramers) at every order.
+    for order in (3, 5, 129, 1025):
+        limit = math.sqrt(2.0 * math.pi) / 2.0 * coefficient_curve(order).alpha
+        assert limit == pytest.approx(5.0 * math.sqrt(math.pi) / 8.0, rel=1e-15, abs=0.0)
+    for order in (4, 128, 1024):
+        for pr in (2.0 / 3.0, 1.0):
+            limit = math.sqrt(2.0 * math.pi) / 2.0 * coefficient_curve(order, pr=pr).alpha
+            assert limit == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15, abs=0.0)
+    print("\nPASS criterion 4 (exact): chi -> 0 residues equal 5 sqrt(pi) / 8 and sqrt(pi) / 2")
+
+
 def test_criterion_05_prandtl_scaling():
     worst = 0.0
     for order in (3, 7, 13):
@@ -151,23 +167,12 @@ def test_criterion_05_prandtl_scaling():
 def test_criterion_06_spectral_structure():
     worst_pair = 0.0
     worst_orth = 0.0
-
-    def check(system):
-        nonlocal worst_pair, worst_orth
-        eigen = decompose(system)
-        w, _ = dense_symmetric_eig(system.parity_dense())
-        expected = np.sort(np.concatenate((-eigen.rates, eigen.rates)))
-        scale = max(1.0, float(eigen.rates[0]))
-        worst_pair = max(worst_pair, float(np.max(np.abs(np.sort(w) - expected))) / scale)
-        r = assemble_full_R(eigen)
-        worst_orth = max(worst_orth, float(np.max(np.abs(r.T @ r - np.eye(r.shape[0])))))
-        half = eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_odd)
-        worst_orth = max(worst_orth, float(np.max(np.abs(half))))
-
-    for order in range(3, 100, 2):
-        check(build_temperature_system(order))
-    for order in range(4, 99, 2):
-        check(build_kramers_system(order, 2.0 / 3.0))
+    systems = [build_temperature_system(order) for order in range(3, 100, 2)]
+    systems += [build_kramers_system(order, 2.0 / 3.0) for order in range(4, 99, 2)]
+    for system in systems:
+        pairing, orth = _spectral_residual(system)
+        worst_pair = max(worst_pair, pairing)
+        worst_orth = max(worst_orth, orth)
     assert worst_pair <= 1e-10
     assert worst_orth <= 1e-10
     print(f"\nPASS criterion 6: spectra pair with the dense oracle "

@@ -21,7 +21,7 @@ from knlayer.boundary_solver import (
     temperature_c_vector,
     wall_operator,
 )
-from knlayer import boundary_solver, layer_profiles
+from knlayer import boundary_solver, cli, layer_profiles
 from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
@@ -416,6 +416,35 @@ class TestPencilSolve:
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 50
         assert calls == [(31, 31)]
+
+    @pytest.mark.parametrize("order, size", [(33, 31), (32, 15)])
+    def test_sweep_makes_no_per_chi_solve(self, capsys, monkeypatch, order, size):
+        for cache in (
+            layer_profiles._temperature_parts,
+            layer_profiles._kramers_parts,
+            boundary_solver._temperature_wall_parts,
+            boundary_solver._kramers_wall_parts,
+            boundary_solver._wall_pencil,
+        ):
+            cache.cache_clear()
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append((name, np.shape(args[0])) if name == "eigh" else name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for module in (boundary_solver, layer_profiles, cli):
+            for name in ("solve_wall", "temperature_solution", "velocity_solution"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        assert main(["sweep-chi", "-M", str(order), "--samples", "50"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 50
+        assert calls == [("eigh", (size, size))]
 
     def test_structural_error_on_negative_pencil(self, table99):
         eigen = temperature_eigen(7)

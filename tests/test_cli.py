@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -207,13 +208,32 @@ class TestExitCodes:
             ["temperature-jump", "-M", "9", "--chi", "1e-308"],
             ["sweep-chi", "-M", "9", "--chi-min", "1e-308", "--samples", "3"],
             ["profile", "-M", "9", "--chi", "1e-308", "--samples", "3"],
+            # b(chi) underflows to zero
+            ["temperature-jump", "-M", "9", "--chi", "5e-324"],
+            ["sweep-chi", "-M", "8", "--chi-min", "5e-324", "--samples", "3"],
         ],
     )
     def test_subnormal_chi_is_rejected(self, capsys, argv):
-        code, out, err = run(capsys, argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
         assert "not finite" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-chi", "-M", "9", "--samples", "2", "--chi", "5"],
+            ["sweep-chi", "-M", "9", "--samples", "2", "--flux", "nan"],
+        ],
+    )
+    def test_sweep_rejects_single_solve_options(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
 
 
 class TestImportBoundary:

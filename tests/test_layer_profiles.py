@@ -1,13 +1,18 @@
 """Closed-form layer solutions and the derived coefficients."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knlayer.boundary_solver import accommodation_factor
 from knlayer.layer_profiles import (
     chi_zero_limit,
+    coefficient_curve,
     convergence_order,
     default_profile_grid,
     defect_slope,
@@ -266,10 +271,100 @@ class TestConvergenceOrder:
     def test_degenerate_differences_reported(self, monkeypatch):
         import knlayer.layer_profiles as lp
 
-        frozen = temperature_solution(3, 1.0)
-        monkeypatch.setattr(lp, "temperature_solution", lambda *a, **k: frozen)
+        frozen = coefficient_curve(3)
+        monkeypatch.setattr(lp, "coefficient_curve", lambda *a, **k: frozen)
         with pytest.raises(ArithmeticError, match="degenerate"):
             convergence_order(1.0, 2)
+
+
+def per_chi_coefficient(order, chi, kn=KN, pr=1.0):
+    """The coefficient through one full solution, the path the curve replaces."""
+    if order % 2:
+        return jump_coefficient(temperature_solution(order, chi, kn, pr))
+    return viscous_slip_coefficient(velocity_solution(order, chi, kn, pr))
+
+
+class TestCoefficientCurve:
+    CHIS = (1e-3, 0.1, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "order",
+        [*range(3, 16, 2), 129, 513, 1025, *range(4, 17, 2), 128, 512, 1024],
+    )
+    def test_matches_per_chi_path(self, order):
+        for pr in (2.0 / 3.0, 1.0):
+            got = coefficient_curve(order, pr=pr)(np.array(self.CHIS))
+            ref = [per_chi_coefficient(order, chi, pr=pr) for chi in self.CHIS]
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_scalar_and_array_calls(self):
+        curve = coefficient_curve(9)
+        value = curve(0.5)
+        assert isinstance(value, float)
+        grid = curve(np.full((2, 3), 0.5))
+        assert grid.shape == (2, 3)
+        assert np.all(grid == value)
+        assert not curve.poles.flags.writeable and not curve.weights.flags.writeable
+        assert np.all(curve.poles < 0.0)
+        assert curve.alpha == curve.scale * curve.lead
+
+    def test_rejects_out_of_domain_input(self):
+        curve = coefficient_curve(8)
+        for chis in ([0.5, 0.0], [1.5], [0.5, math.nan], [-0.1]):
+            with pytest.raises(ValueError, match="accommodation"):
+                curve(np.array(chis))
+        for kn, pr in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                coefficient_curve(9, kn, pr)
+        with pytest.raises(ValueError, match="not finite"):
+            curve(np.array([0.5, 1e-320]))
+
+    @given(
+        kn=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        pr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        order=st.sampled_from([3, 5, 13, 33, 4, 12, 32]),
+        chis=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=6
+        ),
+    )
+    @example(kn=KN, pr=1.0, order=13, chis=[1e-308, 5e-324, 1.0])
+    @example(kn=1e300, pr=1e-300, order=12, chis=[0.5])
+    @settings(max_examples=80, deadline=None)
+    def test_finite_or_value_error_over_input_domain(self, kn, pr, order, chis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = coefficient_curve(order, kn, pr)(np.array(chis))
+            except ValueError:
+                values = None
+        if values is not None:
+            assert np.all(np.isfinite(values))
+        for i, chi in enumerate(chis):
+            try:
+                ref = per_chi_coefficient(order, chi, kn, pr)
+            except ValueError:
+                continue
+            if values is None:
+                try:
+                    got = coefficient_curve(order, kn, pr)(chi)
+                except ValueError:
+                    continue
+            else:
+                got = values[i]
+            assert abs(got - ref) <= 1e-13 * abs(ref), (chi, got, ref)
+
+    def test_evaluation_memory_bounded(self):
+        curve = coefficient_curve(513)
+        chis = np.linspace(1e-3, 1.0, 20000)
+        tracemalloc.start()
+        try:
+            values = curve(chis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(values))
+        # one (20000 x 511) float64 array alone would take 82 MB
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestParameterSweeps:

@@ -201,6 +201,10 @@ class TestKramersSystem:
             build_kramers_system(4, 0.0)
         with pytest.raises(ValueError):
             build_kramers_system(4, -1.0)
+        with pytest.raises(ValueError):
+            build_kramers_system(12, 1e300)  # coupling block rank deficient
+        with pytest.raises(ValueError):
+            build_kramers_system(12, math.nan)
 
 
 class TestParityDense:
