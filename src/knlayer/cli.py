@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +40,11 @@ __all__ = ["RunConfig", "main"]
 
 TABLE1_CHIS = (0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 1.0)
 TABLE1_ORDERS = (3, 5, 7, 9, 11, 13)
+
+# Largest --samples of sweep-chi and profile.  Checked before any array is
+# allocated: a million rows is about 100 MB of text, while 1e9 would ask for
+# gigabytes and 1e12 ends in numpy's memory error.
+MAX_SAMPLES = 10**6
 
 
 @dataclass
@@ -70,6 +74,10 @@ class UsageError(Exception):
     pass
 
 
+class NumericalFailure(Exception):
+    """An oracle run failed numerically; reported like a solver failure (exit 3)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
@@ -79,15 +87,31 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# Rows formatted per %-template call: bounds the temporary Python floats of a
+# long profile, so formatting adds little beyond the output text itself.
+_FORMAT_BLOCK_ROWS = 4096
+
+
 def _columnar(params: dict, columns: list[str], rows) -> str:
+    """``#`` header lines, then one line of ``%.17g`` values per row.
+
+    ``rows`` is anything ``np.asarray`` turns into one float per column and
+    row; integer columns print as the equal float does, so ``1`` for 1.
+    """
     lines = [f"# {key} = {value}" for key, value in params.items()]
     lines.append("# columns: " + " ".join(columns))
-    for row in rows:
-        lines.append(" ".join(_fmt_float(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    parts = ["\n".join(lines) + "\n"]
+    data = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    line = " ".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, data.shape[0], _FORMAT_BLOCK_ROWS):
+        block = data[start:start + _FORMAT_BLOCK_ROWS]
+        parts.append((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _structured(record: dict) -> str:
+    import json  # text requests never pay for it
+
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
@@ -105,7 +129,7 @@ def _solution_record(sol, extra: dict) -> dict:
     }
 
 
-def cmd_temperature_jump(cfg: RunConfig) -> str:
+def cmd_temperature_jump(cfg: RunConfig) -> tuple[str, int]:
     sol = temperature_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, cfg.wall_value)
     zeta = jump_coefficient(sol) if cfg.wall_value == 0.0 else None
     if cfg.fmt == "structured-json":
@@ -121,7 +145,7 @@ def cmd_temperature_jump(cfg: RunConfig) -> str:
                 "jump_coefficient": zeta,
             },
         )
-        return _structured(record)
+        return _structured(record), 0
     params = {
         "command": "temperature-jump",
         "order": sol.order,
@@ -139,10 +163,10 @@ def cmd_temperature_jump(cfg: RunConfig) -> str:
         (i + 1, sol.decay_rates[i], sol.amplitudes[i], sol.defect_amplitudes[i])
         for i in range(sol.decay_rates.size)
     ]
-    return _columnar(params, ["mode", "decay_rate", "amplitude", "defect_amplitude"], rows)
+    return _columnar(params, ["mode", "decay_rate", "amplitude", "defect_amplitude"], rows), 0
 
 
-def cmd_kramers(cfg: RunConfig) -> str:
+def cmd_kramers(cfg: RunConfig) -> tuple[str, int]:
     sol = velocity_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, cfg.wall_value)
     slip = viscous_slip_coefficient(sol) if cfg.wall_value == 0.0 else None
     if cfg.fmt == "structured-json":
@@ -157,7 +181,7 @@ def cmd_kramers(cfg: RunConfig) -> str:
                 "slip_coefficient": slip,
             },
         )
-        return _structured(record)
+        return _structured(record), 0
     params = {
         "command": "kramers",
         "order": sol.order,
@@ -172,7 +196,7 @@ def cmd_kramers(cfg: RunConfig) -> str:
     if slip is not None:
         params["slip_coefficient"] = _fmt_float(slip)
     rows = [(i + 1, sol.decay_rates[i], sol.amplitudes[i]) for i in range(sol.decay_rates.size)]
-    return _columnar(params, ["mode", "decay_rate", "amplitude"], rows)
+    return _columnar(params, ["mode", "decay_rate", "amplitude"], rows), 0
 
 
 def table1_values() -> dict[float, list[float]]:
@@ -180,7 +204,7 @@ def table1_values() -> dict[float, list[float]]:
     return {chi: [curve(chi) for curve in curves] for chi in TABLE1_CHIS}
 
 
-def cmd_table1(cfg: RunConfig) -> str:
+def cmd_table1(cfg: RunConfig) -> tuple[str, int]:
     values = table1_values()
     if cfg.fmt == "structured-json":
         record = {
@@ -190,36 +214,40 @@ def cmd_table1(cfg: RunConfig) -> str:
             "orders": list(TABLE1_ORDERS),
             "rows": [{"chi": chi, "zeta": values[chi]} for chi in TABLE1_CHIS],
         }
-        return _structured(record)
+        return _structured(record), 0
     lines = ["# temperature jump coefficient, kn = sqrt(2)/2, pr = 1"]
     lines.append("# columns: chi " + " ".join(f"M={m}" for m in TABLE1_ORDERS))
     for chi in TABLE1_CHIS:
         lines.append(f"{chi:<5g} " + " ".join(f"{v:.5g}" for v in values[chi]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_table2(cfg: RunConfig) -> str:
+def cmd_table2(cfg: RunConfig) -> tuple[str, int]:
     if not 6 <= cfg.kmax <= 8:
         raise UsageError("kmax must lie in [6, 8]")
     ks = list(range(6, cfg.kmax + 1))
-    rows = {k: [convergence_order(chi, k) for chi in TABLE1_CHIS] for k in ks}
+    rows = {k: convergence_order(np.array(TABLE1_CHIS), k).tolist() for k in ks}
     if cfg.fmt == "structured-json":
         record = {
             "command": "table2",
             "chis": list(TABLE1_CHIS),
             "rows": [{"k": k, "orders": rows[k]} for k in ks],
         }
-        return _structured(record)
+        return _structured(record), 0
     lines = ["# observed convergence order of the jump coefficient"]
     lines.append("# columns: k " + " ".join(f"chi={c}" for c in TABLE1_CHIS))
     for k in ks:
         lines.append(f"{k:<3d} " + " ".join(f"{v:.3f}" for v in rows[k]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_sweep_chi(cfg: RunConfig) -> str:
-    if cfg.samples < 2:
-        raise UsageError("samples must be at least 2")
+def _check_samples(samples: int) -> None:
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise UsageError(f"samples must lie in [2, {MAX_SAMPLES}]")
+
+
+def cmd_sweep_chi(cfg: RunConfig) -> tuple[str, int]:
+    _check_samples(cfg.samples)
     if not 0.0 < cfg.chi_min < cfg.chi_max <= 1.0:
         raise UsageError("need 0 < chi-min < chi-max <= 1")
     if cfg.spacing == "geometric":
@@ -243,7 +271,7 @@ def cmd_sweep_chi(cfg: RunConfig) -> str:
             "accommodation_factor": b_vals.tolist(),
             "scaled_coefficient": scaled.tolist(),
         }
-        return _structured(record)
+        return _structured(record), 0
     params = {
         "command": "sweep-chi",
         "problem": "temperature" if temperature else "kramers",
@@ -252,13 +280,11 @@ def cmd_sweep_chi(cfg: RunConfig) -> str:
         "pr": _fmt_float(cfg.pr),
     }
     rows = np.column_stack((chis, coef, b_vals, scaled))
-    return _columnar(params, ["chi", name, "b_chi", f"b_chi*{name}"], rows)
+    return _columnar(params, ["chi", name, "b_chi", f"b_chi*{name}"], rows), 0
 
 
 def _profile_grid(cfg: RunConfig, sol) -> np.ndarray:
     y_max = cfg.y_max if cfg.y_max is not None else 60.0 * float(sol.decay_rates[0]) * sol.kn
-    if cfg.samples < 2:
-        raise UsageError("samples must be at least 2")
     if not (math.isfinite(cfg.y_min) and math.isfinite(y_max)):
         raise UsageError(f"ymin ({cfg.y_min:g}) and ymax ({y_max:g}) must be finite")
     if y_max <= cfg.y_min:
@@ -270,7 +296,8 @@ def _profile_grid(cfg: RunConfig, sol) -> np.ndarray:
     return np.linspace(cfg.y_min, y_max, cfg.samples)
 
 
-def cmd_profile(cfg: RunConfig) -> str:
+def cmd_profile(cfg: RunConfig) -> tuple[str, int]:
+    _check_samples(cfg.samples)
     if cfg.order % 2 == 1:
         sol = temperature_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, 0.0)
         grid = _profile_grid(cfg, sol)
@@ -305,7 +332,7 @@ def cmd_profile(cfg: RunConfig) -> str:
             "samples": {name: list(map(float, data[:, i])) for i, name in enumerate(columns)},
             **extra,
         }
-        return _structured(record)
+        return _structured(record), 0
     params = {
         "command": "profile",
         "problem": problem,
@@ -316,10 +343,10 @@ def cmd_profile(cfg: RunConfig) -> str:
         "flux": _fmt_float(cfg.flux),
         **{key: _fmt_float(val) for key, val in extra.items()},
     }
-    return _columnar(params, columns, data)
+    return _columnar(params, columns, data), 0
 
 
-def cmd_dump_system(cfg: RunConfig) -> str:
+def cmd_dump_system(cfg: RunConfig) -> tuple[str, int]:
     if cfg.order % 2 == 1:
         system = build_temperature_system(cfg.order)
     else:
@@ -338,11 +365,18 @@ def cmd_dump_system(cfg: RunConfig) -> str:
                 value = system.coupling_entry(i, j)
                 if value != 0.0:
                     rows.append((i, j, value))
-    return _columnar(params, ["row", "col", "value"], rows)
+    return _columnar(params, ["row", "col", "value"], rows), 0
 
 
-def cmd_verify(cfg: RunConfig, results, suites, elapsed: float) -> tuple[str, bool]:
-    """Report of one run of the oracle suites, and whether every check passed."""
+def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+    """Run the oracle suites: the report, and exit 2 unless every check passed."""
+    # The oracles, and scipy with them, load only for this command.
+    from . import verification
+
+    try:
+        results, suites, elapsed = verification.run_verification(cfg.level)
+    except verification.BvpConvergenceError as exc:
+        raise NumericalFailure(exc) from exc
     ok = all(r.passed for r in results)
     if cfg.fmt == "structured-json":
         record = {
@@ -362,85 +396,122 @@ def cmd_verify(cfg: RunConfig, results, suites, elapsed: float) -> tuple[str, bo
             ],
             "suites": [{"name": name, "seconds": seconds} for name, seconds in suites],
         }
-        return _structured(record), ok
+        return _structured(record), 0 if ok else 2
     lines = [r.line() for r in results]
     lines.append(f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} "
                  f"checks passed in {elapsed:.1f} s")
-    return "\n".join(lines) + "\n", ok
+    return "\n".join(lines) + "\n", 0 if ok else 2
 
 
 # ----------------------------------------------------------------------
 # argument parsing
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="knlayer", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_problem(p: argparse.ArgumentParser, order_default: int) -> None:
+    p.add_argument("--order", "-M", type=int, default=order_default,
+                   help="moment order (odd: temperature problems, even: shear)")
+    p.add_argument("--kn", type=float, default=DEFAULT_KN, help="Knudsen number")
+    p.add_argument("--pr", type=float, default=1.0, help="Prandtl number")
 
-    def add_problem(p, order_default):
-        p.add_argument("--order", "-M", type=int, default=order_default,
-                       help="moment order (odd: temperature problems, even: shear)")
-        p.add_argument("--kn", type=float, default=DEFAULT_KN, help="Knudsen number")
-        p.add_argument("--pr", type=float, default=1.0, help="Prandtl number")
 
-    def add_common(p, order_default):
-        add_problem(p, order_default)
-        p.add_argument("--chi", type=float, default=1.0, help="accommodation coefficient in (0, 1]")
-        p.add_argument("--flux", type=float, default=1.0,
-                       help="prescribed heat flux (odd order) or shear stress (even order)")
-        add_output(p)
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", dest="fmt", choices=["columnar-text", "structured-json"],
+                   default="columnar-text")
+    p.add_argument("--output", help="write to this path instead of stdout")
 
-    def add_output(p):
-        p.add_argument("--format", dest="fmt", choices=["columnar-text", "structured-json"],
-                       default="columnar-text")
-        p.add_argument("--output", help="write to this path instead of stdout")
 
-    p = sub.add_parser("temperature-jump", help="wall values and jump coefficient")
-    add_common(p, 13)
+def _add_common(p: argparse.ArgumentParser, order_default: int) -> None:
+    _add_problem(p, order_default)
+    p.add_argument("--chi", type=float, default=1.0, help="accommodation coefficient in (0, 1]")
+    p.add_argument("--flux", type=float, default=1.0,
+                   help="prescribed heat flux (odd order) or shear stress (even order)")
+    _add_output(p)
+
+
+def _temperature_jump_options(p: argparse.ArgumentParser) -> None:
+    _add_common(p, 13)
     p.add_argument("--wall-temp", dest="wall_value", type=float, default=0.0)
 
-    p = sub.add_parser("kramers", help="wall slip velocity and mode amplitudes")
-    add_common(p, 12)
+
+def _kramers_options(p: argparse.ArgumentParser) -> None:
+    _add_common(p, 12)
     p.add_argument("--wall-velocity", dest="wall_value", type=float, default=0.0)
 
-    p = sub.add_parser("table1", help="jump coefficient over chi and order")
-    add_output(p)
 
-    p = sub.add_parser("table2", help="observed convergence orders")
+def _table2_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kmax", type=int, default=6,
                    help="last ladder index (6..8); k=6 tops out at order 513, "
                         "k=7 at 1025, k=8 at 2049")
-    add_output(p)
+    _add_output(p)
 
-    p = sub.add_parser("sweep-chi", help="coefficient sweep over the accommodation range")
-    add_problem(p, 13)
-    add_output(p)
+
+def _sweep_chi_options(p: argparse.ArgumentParser) -> None:
+    _add_problem(p, 13)
+    _add_output(p)
     p.add_argument("--chi-min", dest="chi_min", type=float, default=1e-3)
     p.add_argument("--chi-max", dest="chi_max", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--spacing", choices=["linear", "geometric"], default="geometric")
 
-    p = sub.add_parser("profile", help="layer profile on a sample grid")
-    add_common(p, 7)
+
+def _profile_options(p: argparse.ArgumentParser) -> None:
+    _add_common(p, 7)
     p.add_argument("--ymin", dest="y_min", type=float, default=1e-3)
     p.add_argument("--ymax", dest="y_max", type=float, default=None)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--spacing", choices=["linear", "geometric"], default="geometric")
 
-    p = sub.add_parser("dump-system", help="columnar dump of the coupling block")
+
+def _dump_system_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", "-M", type=int, required=True)
     p.add_argument("--pr", type=float, default=1.0)
-    add_output(p)
+    _add_output(p)
 
-    p = sub.add_parser("verify", help="run the numerical oracle suites")
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    add_output(p)
+    _add_output(p)
 
+
+# name -> (help line, option adder, handler); the order is that of the help screen.
+COMMANDS = {
+    "temperature-jump": ("wall values and jump coefficient", _temperature_jump_options,
+                         cmd_temperature_jump),
+    "kramers": ("wall slip velocity and mode amplitudes", _kramers_options, cmd_kramers),
+    "table1": ("jump coefficient over chi and order", _add_output, cmd_table1),
+    "table2": ("observed convergence orders", _table2_options, cmd_table2),
+    "sweep-chi": ("coefficient sweep over the accommodation range", _sweep_chi_options,
+                  cmd_sweep_chi),
+    "profile": ("layer profile on a sample grid", _profile_options, cmd_profile),
+    "dump-system": ("columnar dump of the coupling block", _dump_system_options, cmd_dump_system),
+    "verify": ("run the numerical oracle suites", _verify_options, cmd_verify),
+}
+
+
+def _full_parser() -> _Parser:
+    """Every command's parser, for top-level help and usage errors."""
+    parser = _Parser(prog="knlayer", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_options, _) in COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_line))
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
+def _parse(argv: list[str]) -> RunConfig:
+    """Options of one request; when argv[0] names a command, only its parser is built.
+
+    That parser is the one ``_full_parser`` would give the command: same
+    prog, options and messages.
+    """
+    if argv and argv[0] in COMMANDS:
+        command = argv[0]
+        parser = _Parser(prog=f"knlayer {command}")
+        COMMANDS[command][1](parser)
+        args = parser.parse_args(argv[1:])
+    else:
+        args = _full_parser().parse_args(argv)
+        command = args.command
+    cfg = RunConfig(command=command)
     for field in dataclasses.fields(RunConfig):
         if hasattr(args, field.name):
             setattr(cfg, field.name, getattr(args, field.name))
@@ -458,44 +529,19 @@ def _emit(text: str, output: str | None) -> None:
         raise UsageError(f"cannot write output file {output!r}: {exc}") from exc
 
 
-def _numerical_failure(exc: Exception) -> int:
-    print(f"numerical failure: {exc}", file=sys.stderr)
-    return 3
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        if cfg.command == "verify":
-            # The oracles, and scipy with them, load only for this command.
-            from . import verification
-
-            try:
-                report = verification.run_verification(cfg.level)
-            except verification.BvpConvergenceError as exc:
-                return _numerical_failure(exc)
-            text, ok = cmd_verify(cfg, *report)
-            _emit(text, cfg.output)
-            return 0 if ok else 2
-        dispatch = {
-            "temperature-jump": cmd_temperature_jump,
-            "kramers": cmd_kramers,
-            "table1": cmd_table1,
-            "table2": cmd_table2,
-            "sweep-chi": cmd_sweep_chi,
-            "profile": cmd_profile,
-            "dump-system": cmd_dump_system,
-        }
-        text = dispatch[cfg.command](cfg)
+        cfg = _parse(sys.argv[1:] if argv is None else argv)
+        text, code = COMMANDS[cfg.command][2](cfg)
         _emit(text, cfg.output)
-        return 0
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (StructuralSolveError, RankDeficiencyError, np.linalg.LinAlgError) as exc:
-        return _numerical_failure(exc)
+    except (NumericalFailure, StructuralSolveError, RankDeficiencyError,
+            np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

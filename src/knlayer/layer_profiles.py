@@ -413,28 +413,32 @@ def chi_zero_limit() -> float:
 
 
 def convergence_order(
-    chi: float,
+    chi,
     k: int,
     kn: float = DEFAULT_KN,
     pr: float = 1.0,
-) -> float:
+) -> np.ndarray | float:
     """Observed order of the jump coefficient on the doubling ladder M = 2^j + 1.
 
     beta_k = -log2((z_{j+2} - z_{j+1}) / (z_{j+1} - z_j)) evaluated at
     j = k + 1, so the index k matches the published convergence table; the
     three orders actually solved are 2^(k+1) + 1, 2^(k+2) + 1 and
-    2^(k+3) + 1.  A vanishing denominator is reported as a degenerate
-    difference.
+    2^(k+3) + 1.  Each order's coefficient curve is built once and
+    evaluated at every chi; an array of chi gives an array of orders, a
+    scalar chi a float.  A vanishing denominator is reported as a
+    degenerate difference.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    zs = [coefficient_curve(2**j + 1, kn, pr)(chi) for j in (k + 1, k + 2, k + 3)]
-    denom = zs[1] - zs[0]
-    if abs(denom) < 1e-14:
+    z0, z1, z2 = (coefficient_curve(2**j + 1, kn, pr)(chi) for j in (k + 1, k + 2, k + 3))
+    denom = np.subtract(z1, z0)
+    degenerate = np.abs(denom) < 1e-14
+    if np.any(degenerate):
         raise ArithmeticError(
-            f"degenerate difference in convergence order at chi={chi}, k={k}"
+            f"degenerate difference in convergence order at chi={np.asarray(chi)[degenerate]}, k={k}"
         )
-    return -math.log2((zs[2] - zs[1]) / denom)
+    orders = -np.log2((z2 - z1) / denom)
+    return float(orders) if np.ndim(orders) == 0 else orders
 
 
 def default_profile_grid(sol, count: int = 400) -> np.ndarray:

@@ -71,21 +71,35 @@ class ZSequence:
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
         n = n_max + 1
+        # Step k = i - 1 of z_{k+1} = -k z_{k-1} fills index i >= 2, so each
+        # parity chain (even: seed 1, odd: seed 0) is a running product, taken
+        # in the order of the recursion.
+        k = np.arange(1.0, n_max)
+        raw_steps = np.zeros(n)
+        raw_steps[0] = 1.0
+        normed_steps = raw_steps.copy()
+        raw_steps[2:] = -k
+        normed_steps[2:] = -np.sqrt(k / (k + 1.0))
+        values = np.empty(n)
+        normed = np.empty(n)
+        for chain in (slice(0, None, 2), slice(1, None, 2)):
+            with np.errstate(over="ignore"):
+                np.cumprod(raw_steps[chain], out=values[chain])
+            np.cumprod(normed_steps[chain], out=normed[chain])
+        # Saturate early, as the recursion does: once |z_{k-1}| >= 1e304 / k,
+        # z_{k+1} and every later entry of its chain become +-inf.  Magnitudes
+        # only grow along a chain while 1e304 / k shrinks, so the unsaturated
+        # product hits the threshold exactly where the recursion does, and it
+        # carries the same sign.
+        saturated = np.abs(values[:-2]) >= 1e304 / k
+        values[2:][saturated] = np.copysign(np.inf, values[2:][saturated])
         sign = np.zeros(n, dtype=np.int8)
+        sign[0::4] = 1
+        sign[2::4] = -1
         logmag = np.full(n, -np.inf)
-        normed = np.zeros(n)
-        values = np.zeros(n)
-        sign[0] = 1
-        logmag[0] = 0.0
-        normed[0] = 1.0
-        values[0] = 1.0
-        for k in range(1, n_max):
-            # z_{k+1} = -k z_{k-1}; normalized ratio picks up sqrt(k/(k+1))
-            sign[k + 1] = -sign[k - 1]
-            logmag[k + 1] = math.log(k) + logmag[k - 1]
-            normed[k + 1] = -math.sqrt(k / (k + 1.0)) * normed[k - 1]
-            prev = values[k - 1]
-            values[k + 1] = -k * prev if abs(prev) < 1e304 / k else -math.copysign(math.inf, prev)
+        # math.log, not np.log: numpy's vector log may differ in the last bit.
+        logs = np.fromiter(map(math.log, range(1, n_max, 2)), dtype=float)
+        logmag[0::2] = np.cumsum(np.concatenate(([0.0], logs)))
         self.n_max = n_max
         self._sign = sign
         self._logmag = logmag

@@ -1,5 +1,8 @@
 """Command-line behavior: formats, determinism, exit codes, fault injection."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,7 +15,8 @@ import pytest
 
 import knlayer
 import knlayer.special_functions
-from knlayer.cli import main
+from knlayer import cli
+from knlayer.cli import MAX_SAMPLES, UsageError, main
 from knlayer.layer_profiles import jump_coefficient, temperature_defect, temperature_solution
 
 
@@ -151,6 +155,132 @@ class TestDeterminism:
         assert target.read_text() == stdout
 
 
+def reference_columnar(params, columns, rows):
+    """The per-value formatter that the row templates replace."""
+    lines = [f"# {key} = {value}" for key, value in params.items()]
+    lines.append("# columns: " + " ".join(columns))
+    for row in rows:
+        lines.append(" ".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnar:
+    SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+    def test_special_values(self):
+        rows = np.array(self.SPECIAL).reshape(-1, 3)
+        params = {"command": "x", "kn": "0.5"}
+        assert cli._columnar(params, ["a", "b", "c"], rows) == reference_columnar(
+            params, ["a", "b", "c"], rows
+        )
+
+    def test_integer_mode_columns(self):
+        rows = [(1, 0.5, -0.0), (2, 1e308, math.nan), (12, 5e-324, 3)]
+        assert cli._columnar({}, ["mode", "x", "y"], rows) == reference_columnar(
+            {}, ["mode", "x", "y"], rows
+        )
+        stacked = np.column_stack((np.arange(1, 4), np.ones(3)))
+        assert cli._columnar({}, ["mode", "x"], stacked).splitlines()[1:] == [
+            "1 1", "2 1", "3 1"
+        ]
+
+    def test_block_boundaries_and_empty(self):
+        rng = np.random.default_rng(7)
+        n = 2 * cli._FORMAT_BLOCK_ROWS + 3
+        rows = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-320, 308, (n, 4))
+        rows[::97, 1] = np.inf
+        text = cli._columnar({"p": 1}, list("abcd"), rows)
+        assert text == reference_columnar({"p": 1}, list("abcd"), rows)
+        assert cli._columnar({}, ["x"], np.empty((0, 1))) == "# columns: x\n"
+
+
+def full_parser_outcome(argv):
+    """What the parser holding every command does with argv: (stdout, exit code or message)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            cli._full_parser().parse_args(argv)
+        except SystemExit as exc:
+            return out.getvalue(), exc.code
+        except UsageError as exc:
+            return out.getvalue(), str(exc)
+    raise AssertionError(f"{argv} parsed")
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_exits_zero_with_full_parser_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["-h"] if command is None else [command, "-h"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert (out, 0) == full_parser_outcome(argv)
+        assert out.startswith(f"usage: knlayer {command or ''}".rstrip())
+
+    @pytest.mark.parametrize(
+        "argv, phrase",
+        [
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            ([], "the following arguments are required: command"),
+            (["sweep-chi", "--ymin", "1"], "unrecognized arguments: --ymin 1"),
+            (["sweep-chi", "-M", "abc"], "argument --order/-M: invalid int value: 'abc'"),
+        ],
+    )
+    def test_usage_errors_keep_full_parser_message(self, capsys, argv, phrase):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        _, message = full_parser_outcome(argv)
+        assert phrase in message
+        assert err == f"error: {message}\n"
+
+    def test_request_builds_only_its_command(self, capsys, monkeypatch):
+        added = []
+        true_add = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args)
+            return true_add(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert main(["sweep-chi", "-M", "5", "--samples", "3"]) == 0
+        assert added == [
+            ("-h", "--help"), ("--order", "-M"), ("--kn",), ("--pr",), ("--format",),
+            ("--output",), ("--chi-min",), ("--chi-max",), ("--samples",), ("--spacing",),
+        ]
+        out = capsys.readouterr().out
+        assert len([line for line in out.splitlines() if not line.startswith("#")]) == 3
+
+
+class TestTable2:
+    def test_one_curve_per_order(self, capsys, monkeypatch):
+        import knlayer.boundary_solver as boundary_solver
+        import knlayer.layer_profiles as lp
+
+        for cache in (lp._temperature_parts, boundary_solver._temperature_wall_parts,
+                      boundary_solver._wall_pencil):
+            cache.cache_clear()
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("decompose", "temperature_boundary_system"):
+            monkeypatch.setattr(lp, name, counting(name, getattr(lp, name)))
+        code, out, _ = run(capsys, ["table2", "--format", "structured-json"])
+        assert code == 0
+        assert calls.count("decompose") == 3
+        assert calls.count("temperature_boundary_system") == 3
+        assert len(json.loads(out)["rows"][0]["orders"]) == 7
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         code, _, err = run(capsys, ["table1", "--bogus"])
@@ -235,8 +365,31 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("samples", [10**12, MAX_SAMPLES + 1])
+    @pytest.mark.parametrize("command", [["sweep-chi", "-M", "9"], ["profile", "-M", "9"]])
+    def test_samples_above_limit_is_usage_error(self, capsys, command, samples):
+        code, out, err = run(capsys, [*command, "--samples", str(samples)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: samples must lie in [2, {MAX_SAMPLES}]\n"
+
 
 class TestImportBoundary:
+    @staticmethod
+    def last_line(script):
+        """Last stdout line of ``script`` run in a fresh interpreter."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(knlayer.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
     def test_solve_commands_never_load_scipy(self):
         script = """
 import contextlib, io, json, sys
@@ -254,17 +407,17 @@ for argv in (
         assert knlayer.cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
-        src = os.path.dirname(os.path.dirname(os.path.abspath(knlayer.__file__)))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert json.loads(self.last_line(script)) == []
+
+    def test_text_sweep_never_loads_json(self):
+        script = """
+import contextlib, io, sys
+import knlayer.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert knlayer.cli.main(["sweep-chi", "-M", "33", "--samples", "5"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "json"))
+"""
+        assert self.last_line(script) == "[]"
 
 
 class TestVerifyCommand:

@@ -264,6 +264,16 @@ class TestConvergenceOrder:
         b = convergence_order(0.5, 4, kn=1.0)
         assert a == pytest.approx(b, abs=1e-10)
 
+    def test_array_of_chi_matches_scalar_calls(self):
+        chis = np.array([0.1, 0.5, 1.0])
+        orders = convergence_order(chis, 4)
+        assert orders.shape == chis.shape
+        for chi, beta in zip(chis, orders):
+            scalar = convergence_order(float(chi), 4)
+            assert isinstance(scalar, float)
+            # the ladder differences amplify last-bit differences of the curve
+            assert beta == pytest.approx(scalar, abs=1e-9)
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             convergence_order(1.0, 0)

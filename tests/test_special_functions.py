@@ -116,6 +116,45 @@ class TestZSequence:
             val = theta**3 * hermite_eval(6, 0.0, 0.0, theta)
             assert val == pytest.approx(z_value(6), rel=1e-12)
 
+    @staticmethod
+    def recursion_reference(n_max):
+        """The per-index recursion the vectorised constructor replaces."""
+        n = n_max + 1
+        sign = np.zeros(n, dtype=np.int8)
+        logmag = np.full(n, -np.inf)
+        normed = np.zeros(n)
+        values = np.zeros(n)
+        sign[0] = 1
+        logmag[0] = 0.0
+        normed[0] = 1.0
+        values[0] = 1.0
+        for k in range(1, n_max):
+            sign[k + 1] = -sign[k - 1]
+            logmag[k + 1] = math.log(k) + logmag[k - 1]
+            normed[k + 1] = -math.sqrt(k / (k + 1.0)) * normed[k - 1]
+            prev = values[k - 1]
+            values[k + 1] = -k * prev if abs(prev) < 1e304 / k else -math.copysign(math.inf, prev)
+        return sign, logmag, normed, values
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 64, 131, 514, 4099])
+    def test_matches_recursion(self, n_max):
+        zs = ZSequence(n_max)
+        got = (zs._sign, zs._logmag, zs.normalized_values, zs._values)
+        for arr, ref in zip(got, self.recursion_reference(n_max)):
+            assert arr.dtype == ref.dtype
+            assert np.array_equal(arr, ref)
+            assert np.array_equal(np.signbit(arr), np.signbit(ref))  # zeros keep their sign
+
+    def test_raw_values_saturate_before_overflow(self):
+        # the first entry whose predecessor passes 1e304 / k is inf although
+        # the plain product would still be finite
+        values = ZSequence(400)._values
+        k = np.arange(1.0, 400)
+        first = int(np.argmax(np.abs(values[:-2]) >= 1e304 / k)) + 2
+        assert np.all(np.isfinite(values[:first]))
+        assert np.isinf(values[first])
+        assert abs(values[first - 2] * (first - 1)) < np.finfo(float).max
+
 
 class TestHalfSpaceI:
     def test_diagonal_seed(self):
