@@ -22,9 +22,13 @@ gives every chi as u1 = -flux Z (Z^T h / (b mu + 1)): one O(M^2)
 matrix-vector product, with no factorization (Golub & Van Loan, Matrix
 Computations, section 8.7).  N is positive definite and the rates are
 positive exactly when n00 > 0, min(L) > 0 and min(mu) > 0, so those three
-signs are the structural checks.  The builders share one read-only T and
-c per order and table, and the solver caches the reduced eigenproblem per
-(T, c, eigendecomposition) object triple.
+signs are the structural checks.
+
+The reduction has two steps, so a caller can drop the dense blocks between
+them: :func:`schur_complement` forms A, h and q from T, c and E, and
+:meth:`WallReduction.from_schur` diagonalizes A.  :func:`solve_wall` runs
+both on every call; the per-order ``LayerOperator`` of
+:mod:`knlayer.layer_profiles` runs them once and keeps only the reduction.
 
 Assembly works entirely in normalized form, from the even-index block of
 the half-space table, so that orders in the thousands never touch a raw
@@ -35,7 +39,6 @@ the definiteness checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +50,7 @@ from .system_builder import SystemKind
 
 __all__ = [
     "WallBoundarySystem",
+    "WallReduction",
     "StructuralSolveError",
     "accommodation_factor",
     "assemble_temperature_T",
@@ -55,6 +59,7 @@ __all__ = [
     "kramers_c_vector",
     "temperature_boundary_system",
     "kramers_boundary_system",
+    "schur_complement",
     "solve_wall",
 ]
 
@@ -159,8 +164,7 @@ class WallBoundarySystem:
     """Assembled wall system for one (kind, order, chi) combination.
 
     ``scaled_matrix`` is the overflow-safe boundary matrix T the solver uses;
-    it and ``c_vec`` are one read-only pair shared by every chi of an order
-    and table, so the solver's pencil cache finds them again.
+    it and ``c_vec`` are read-only.
     """
 
     kind: SystemKind
@@ -175,45 +179,19 @@ class WallBoundarySystem:
         self.c_vec.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=8)
-def _temperature_wall_parts(order: int, table: HalfSpaceTable) -> tuple[np.ndarray, np.ndarray]:
-    """(T, c) of the temperature wall system, shared read-only by every chi."""
-    return assemble_temperature_T(order, table), temperature_c_vector(order)
-
-
-@functools.lru_cache(maxsize=8)
-def _kramers_wall_parts(
-    order: int, table: HalfSpaceTable, prandtl: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T, c) of the Kramers wall system, shared read-only by every chi."""
-    return assemble_kramers_T(order, table, prandtl), kramers_c_vector(order, prandtl)
-
-
 def temperature_boundary_system(order: int, chi: float, table: HalfSpaceTable) -> WallBoundarySystem:
-    b_chi = accommodation_factor(chi)
-    scaled_matrix, c_vec = _temperature_wall_parts(order, table)
     return WallBoundarySystem(
-        kind=SystemKind.TEMPERATURE_JUMP,
-        order=order,
-        chi=chi,
-        b_chi=b_chi,
-        scaled_matrix=scaled_matrix,
-        c_vec=c_vec,
+        SystemKind.TEMPERATURE_JUMP, order, chi, accommodation_factor(chi),
+        assemble_temperature_T(order, table), temperature_c_vector(order),
     )
 
 
 def kramers_boundary_system(
     order: int, chi: float, prandtl: float, table: HalfSpaceTable
 ) -> WallBoundarySystem:
-    b_chi = accommodation_factor(chi)
-    scaled_matrix, c_vec = _kramers_wall_parts(order, table, prandtl)
     return WallBoundarySystem(
-        kind=SystemKind.KRAMERS,
-        order=order,
-        chi=chi,
-        b_chi=b_chi,
-        scaled_matrix=scaled_matrix,
-        c_vec=c_vec,
+        SystemKind.KRAMERS, order, chi, accommodation_factor(chi),
+        assemble_kramers_T(order, table, prandtl), kramers_c_vector(order, prandtl),
     )
 
 
@@ -238,29 +216,35 @@ def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
     return k
 
 
-class _IdentityKey:
-    """Cache key comparing its objects by identity.
+def schur_complement(
+    system: WallBoundarySystem, rates: np.ndarray, even_vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, np.ndarray]:
+    """First step of the reduction: (A, h, q, n00, lead, sqrt(2) L^-1/2).
 
-    It holds the objects, so none of their ids is reused while the key is
-    cached, and a system built on another matrix never meets this entry.
+    F = E sqrt(2) L^-1/2 lives only inside this call.  A non-positive pivot
+    -T[0, 0] or decay rate raises ``StructuralSolveError``.
     """
-
-    __slots__ = ("objects",)
-
-    def __init__(self, *objects):
-        self.objects = objects
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(id, self.objects)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _IdentityKey) and all(
-            a is b for a, b in zip(self.objects, other.objects)
+    t = system.scaled_matrix
+    n00 = -float(t[0, 0])
+    if not (n00 > 0.0 and rates.min() > 0.0):
+        raise StructuralSolveError(
+            f"wall system of size {t.shape[0]} has pivot {n00:.3e} and smallest rate "
+            f"{rates.min():.3e}; both must be positive"
         )
+    scale = math.sqrt(2.0) * (1.0 / np.sqrt(rates))
+    f = even_vectors * scale
+    q = -(f.T @ t[1:, 0])
+    a = f.T @ t[1:, 1:]
+    a = a @ f
+    np.negative(a, out=a)
+    a -= np.outer(q / n00, q)
+    lead = float(system.c_vec[0]) / n00
+    h = f.T @ system.c_vec[1:] - lead * q
+    return a, h, q, n00, lead, scale
 
 
 @dataclass(frozen=True)
-class _WallPencil:
+class WallReduction:
     """Chi-independent factor of the wall solve.
 
     With A = Z diag(mu) Z^T, the solution of K(chi) u = flux c has
@@ -276,75 +260,55 @@ class _WallPencil:
     w0: np.ndarray
     modes: np.ndarray
 
+    def __post_init__(self):
+        for arr in (self.inv_mu, self.g, self.w0, self.modes):
+            arr.flags.writeable = False
 
-@functools.lru_cache(maxsize=8)
-def _wall_pencil(key: _IdentityKey) -> _WallPencil:
-    scaled_matrix, c_vec, eigen = key.objects
-    size = scaled_matrix.shape[0]
-    n00 = -float(scaled_matrix[0, 0])
-    rates = eigen.rates
-    if not (n00 > 0.0 and rates.min() > 0.0):
-        raise StructuralSolveError(
-            f"wall system of size {size} has pivot {n00:.3e} and smallest rate "
-            f"{rates.min():.3e}; both must be positive"
+    @classmethod
+    def from_schur(cls, a, h, q, n00, lead, scale) -> WallReduction:
+        """Second step: eigh(A); a non-positive eigenvalue is a structural error."""
+        mu, z = np.linalg.eigh(a)
+        if not mu[0] > 0.0:
+            raise StructuralSolveError(
+                f"scaled wall matrix of size {a.shape[0] + 1} is not negative definite "
+                f"(smallest reduced eigenvalue {mu[0]:.3e})"
+            )
+        return cls(
+            inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00,
+            modes=z * scale[:, None],
         )
-    inv_sqrt_rates = 1.0 / np.sqrt(rates)
-    f = eigen.even_vectors * (math.sqrt(2.0) * inv_sqrt_rates)
-    q = -(f.T @ scaled_matrix[1:, 0])
-    a = -(f.T @ scaled_matrix[1:, 1:] @ f)
-    a -= np.outer(q / n00, q)
-    lead = float(c_vec[0]) / n00
-    h = f.T @ c_vec[1:] - lead * q
-    mu, z = np.linalg.eigh(a)
-    if not mu[0] > 0.0:
-        raise StructuralSolveError(
-            f"scaled wall matrix of size {size} is not negative definite "
-            f"(smallest reduced eigenvalue {mu[0]:.3e})"
-        )
-    modes = z * (math.sqrt(2.0) * inv_sqrt_rates)[:, None]
-    return _WallPencil(
-        inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00, modes=modes
-    )
 
+    def solve(
+        self, order: int, chi: float, b: float, flux: float, wall_value: float
+    ) -> tuple[float, np.ndarray]:
+        """(wall unknown at y = 0, positive-branch mode amplitudes) at b = b(chi).
 
-def wall_pencil(system: WallBoundarySystem, eigen: ParityEigen) -> _WallPencil:
-    """The chi-independent reduced eigenproblem of ``system``, cached per (T, c, eigen).
-
-    ``solve_wall`` and the coefficient curves of :mod:`knlayer.layer_profiles`
-    read the same cache entry.  A non-positive pivot -T[0, 0], decay rate or
-    reduced eigenvalue raises ``StructuralSolveError``.
-    """
-    _check_match(system, eigen)
-    return _wall_pencil(_IdentityKey(system.scaled_matrix, system.c_vec, eigen))
+        One O(M^2) matrix-vector product; a result that is not finite raises
+        ``ValueError``.
+        """
+        # b(chi) underflows to zero below chi ~ 1e-323; numpy turns lead / 0 into inf.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s = self.g / (self.inv_mu + b)
+            v_plus0 = -flux * (self.modes @ s)
+            u0 = float(-flux * (np.divide(self.lead, b) - float(self.w0 @ s)) + wall_value)
+        if not (math.isfinite(u0) and np.isfinite(v_plus0).all()):
+            raise ValueError(f"wall solve for order {order}, chi={chi} is not finite")
+        return u0, v_plus0
 
 
 def solve_wall(
-    system: WallBoundarySystem,
-    eigen: ParityEigen,
-    flux: float,
-    wall_value: float,
+    system: WallBoundarySystem, eigen: ParityEigen, flux: float, wall_value: float
 ) -> tuple[float, np.ndarray]:
     """Solve the wall system for the jump value and the decaying mode weights.
 
     ``flux`` is the prescribed normal heat flux (temperature problem) or
     shear stress (Kramers); ``wall_value`` the corresponding wall state.
     Returns (wall unknown at y = 0, positive-branch mode amplitudes).
-    The negated operator must be positive definite: a non-positive pivot
-    -T[0, 0], decay rate or reduced eigenvalue is a structural failure.
-    The reduced eigenproblem is solved once per (T, c, eigen) objects; each
-    further chi costs one matrix-vector product.  A result that is not
-    finite (a subnormal chi overflows 1 / b(chi), or b(chi) underflows to
-    zero) raises ``ValueError``.
+    A non-positive pivot -T[0, 0], decay rate or reduced eigenvalue is a
+    structural failure, and a result that is not finite (a subnormal chi
+    overflows 1 / b(chi)) raises ``ValueError``.  Every call reduces the
+    system afresh; repeated chi of one order go through ``LayerOperator``.
     """
-    pencil = wall_pencil(system, eigen)
-    b = system.b_chi
-    # b(chi) underflows to zero below chi ~ 1e-323; numpy turns lead / 0 into inf.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = pencil.g / (pencil.inv_mu + b)
-        v_plus0 = -flux * (pencil.modes @ s)
-        u0 = float(-flux * (np.divide(pencil.lead, b) - float(pencil.w0 @ s)) + wall_value)
-    if not (math.isfinite(u0) and np.isfinite(v_plus0).all()):
-        raise ValueError(
-            f"wall solve for order {system.order}, chi={system.chi} is not finite"
-        )
-    return u0, v_plus0
+    _check_match(system, eigen)
+    reduction = WallReduction.from_schur(*schur_complement(system, eigen.rates, eigen.even_vectors))
+    return reduction.solve(system.order, system.chi, system.b_chi, flux, wall_value)

@@ -6,8 +6,11 @@ the amplitudes.  Everything downstream (jump coefficient, temperature
 defect, effective conductivity, slip velocity) is evaluated analytically
 from that representation.
 
-Only b(chi) depends on the accommodation coefficient, and the cached wall
-pencil makes the coefficient an explicit partial fraction in it:
+Everything chi-independent about one order lives in one immutable
+:class:`LayerOperator`, cached per (kind, order, pr), built in one pass and
+keeping only what a solve reads: one m_even x m_even array (the mode
+matrix) and a few vectors.  Only b(chi) depends on the accommodation
+coefficient, and the operator makes the coefficient a partial fraction in it:
 
     zeta(b) = alpha / b + sum_i beta_i / (b + 1 / mu_i),
 
@@ -15,32 +18,35 @@ with alpha, the reduced eigenvalues mu and the residues beta fixed per
 order (:func:`coefficient_curve`).  A chi sweep, Table 1 and the
 convergence orders evaluate that curve at O(m) per chi, with no solution
 object per sample; profiles, defects and amplitudes keep the per-chi
-solution.  As chi -> 0, (chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.
+solution, one O(M^2) product per chi.  As chi -> 0,
+(chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.  Profile evaluators work in
+blocks of samples and raise ``ValueError`` on a non-finite value.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary_solver import (
-    WallBoundarySystem,
+    WallReduction,
     accommodation_factor,
     kramers_boundary_system,
-    solve_wall,
+    schur_complement,
     temperature_boundary_system,
-    wall_pencil,
 )
-from .parity_spectral import ParityEigen, decompose
+from .parity_spectral import decompose
 from .special_functions import HalfSpaceTable
-from .system_builder import ReducedSystem, build_kramers_system, build_temperature_system
+from .system_builder import SystemKind, build_kramers_system, build_temperature_system
 
 __all__ = [
     "CoefficientCurve",
+    "LayerOperator",
     "TemperatureLayerSolution",
     "VelocityLayerSolution",
     "temperature_solution",
@@ -52,6 +58,7 @@ __all__ = [
     "effective_conductivity",
     "viscous_slip_coefficient",
     "coefficient_curve",
+    "layer_operator",
     "chi_zero_limit",
     "convergence_order",
     "default_profile_grid",
@@ -64,11 +71,29 @@ DEFAULT_KN = math.sqrt(2.0) / 2.0
 # combination t0 + 6 t2 + g2 (only the first survives at order 3).
 DEFECT_WEIGHTS = np.array([math.sqrt(3.0) / 3.0, math.sqrt(6.0) / 2.0, math.sqrt(2.0) / 2.0])
 
-# Float64 entries of one chi block of a coefficient-curve evaluation, so
-# that its memory does not grow with the number of chi samples.  64 KiB
-# stays below malloc's 128 KiB mmap threshold: the block reuses heap memory
-# and a sweep's peak RSS does not grow.
+# Float64 entries of one block of a coefficient-curve or profile evaluation
+# (chi or y samples times modes; a profile block takes at least 16 rows), so
+# that its memory does not grow with the number of samples.  64 KiB stays
+# below malloc's 128 KiB mmap threshold: the block reuses heap memory and a
+# sweep's peak RSS does not grow.
 _BLOCK_ELEMENTS = 1 << 13
+
+
+def _finite_profile(evaluate):
+    """Evaluate on float y, a float for scalar y; a value that is not finite
+    (an overflowing slope, a layer width that underflows) raises ``ValueError``."""
+
+    @functools.wraps(evaluate)
+    def checked(sol, y):
+        with np.errstate(all="ignore"):
+            out = evaluate(sol, np.asarray(y, dtype=float))
+        if not np.isfinite(out).all():
+            raise ValueError(
+                f"{evaluate.__name__} for order {sol.order}, chi={sol.chi} is not finite"
+            )
+        return out if out.ndim else float(out)
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -97,13 +122,11 @@ class TemperatureLayerSolution:
         for arr in (self.decay_rates, self.amplitudes, self.defect_amplitudes):
             arr.flags.writeable = False
 
+    @_finite_profile
     def temperature(self, y):
         """theta at distance y from the wall (vectorized)."""
-        y = np.asarray(y, dtype=float)
         slope = -0.4 * self.pr * self.heat_flux / self.kn
-        decay = np.exp(-y[..., None] / (self.kn * self.decay_rates))
-        out = slope * y + self.intercept + decay @ self.amplitudes
-        return out if out.ndim else float(out)
+        return slope * y + self.intercept + _decay_sum(self, y, self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -125,115 +148,124 @@ class VelocityLayerSolution:
         for arr in (self.decay_rates, self.amplitudes):
             arr.flags.writeable = False
 
+    @_finite_profile
     def velocity(self, y):
-        y = np.asarray(y, dtype=float)
-        decay = np.exp(-y[..., None] / (self.kn * self.decay_rates))
-        out = -self.shear / self.kn * y + self.intercept + decay @ self.amplitudes
-        return out if out.ndim else float(out)
+        return -self.shear / self.kn * y + self.intercept + _decay_sum(self, y, self.amplitudes)
+
+
+def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights_i exp(-y / (Kn rates_i)) at every y, in row blocks.
+
+    A block of about ``_BLOCK_ELEMENTS`` entries holds a multiple of 16 rows
+    (the BLAS kernel's row grouping), and a lone last row joins the block
+    before it (one row alone would go through a dot product), so every value
+    is bit-identical to one product over all samples.
+    """
+    scale = sol.kn * sol.decay_rates
+    flat = y.reshape(-1)
+    out = np.empty(flat.shape)
+    rows = max(16, _BLOCK_ELEMENTS // scale.size // 16 * 16)
+    start = 0
+    while start < flat.size:
+        stop = start + rows + (flat.size - start == rows + 1)
+        out[start:stop] = np.exp(-flat[start:stop, None] / scale) @ weights
+        start = stop
+    return out.reshape(y.shape)
+
+
+@dataclass(frozen=True)
+class LayerOperator:
+    """Everything a solve of one (kind, order, pr) reads, independent of chi.
+
+    ``row`` is the defect combination DEFECT_WEIGHTS @ E[:3] (temperature)
+    or E[0] (Kramers); ``row_scale`` * ``row`` maps the mode weights to the
+    profile's exponential amplitudes (0.8 for temperature, 2 / a1 for the
+    slip).  ``wall`` is the reduced wall eigenproblem.
+    """
+
+    rates: np.ndarray
+    row: np.ndarray
+    row_scale: float
+    wall: WallReduction
+
+    def __post_init__(self):
+        for arr in (self.rates, self.row):
+            arr.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
-def _temperature_parts(order: int) -> tuple[ReducedSystem, HalfSpaceTable, ParityEigen]:
-    system = build_temperature_system(order)
-    table = HalfSpaceTable(order + 2)
-    return system, table, decompose(system)
+def layer_operator(kind: SystemKind, order: int, pr: float = 1.0) -> LayerOperator:
+    """The cached operator of one problem; ``pr`` enters the Kramers kind only.
+
+    One pass: system, SVD, half-space table (after the SVD), T, Schur
+    complement, eigh.  O goes before the table is built, the table once T
+    is assembled, and E and T before the eigh, which runs beside A alone.
+    """
+    temperature = kind is SystemKind.TEMPERATURE_JUMP
+    system = build_temperature_system(order) if temperature else build_kramers_system(order, pr)
+    eigen = decompose(system)
+    rates, e = eigen.rates, eigen.even_vectors
+    del eigen
+    if temperature:
+        row, row_scale = DEFECT_WEIGHTS[:min(3, rates.size)] @ e[:3, :], 0.8
+        wbs = temperature_boundary_system(order, 1.0, HalfSpaceTable(order + 2))
+    else:
+        row, row_scale = e[0, :].copy(), 2.0 / system.even_scale(1)
+        wbs = kramers_boundary_system(order, 1.0, pr, HalfSpaceTable(order + 2))
+    schur = schur_complement(wbs, rates, e)
+    del e, wbs
+    return LayerOperator(rates, row, row_scale, WallReduction.from_schur(*schur))
 
 
-@functools.lru_cache(maxsize=8)
-def _kramers_parts(order: int, pr: float) -> tuple[ReducedSystem, HalfSpaceTable, ParityEigen]:
-    system = build_kramers_system(order, pr)
-    table = HalfSpaceTable(order + 2)
-    return system, table, decompose(system)
-
-
-def _validate_common(kn: float, pr: float, flux: float = 1.0, wall_value: float = 0.0) -> None:
+def _validate_common(kn: float, pr: float) -> None:
     """Reject non-finite inputs; NaN would otherwise pass every sign test."""
     for name, value in (("Knudsen number", kn), ("Prandtl number", pr)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    for name, value in (("driving flux", flux), ("wall value", wall_value)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _defect_weights(eigen: ParityEigen) -> np.ndarray:
-    """Per-mode weights of the defect combination t0 + 6 t2 + g2."""
-    lead = min(3, eigen.m_even)
-    return DEFECT_WEIGHTS[:lead] @ eigen.even_vectors[:lead, :]
-
-
-def _temperature_from_parts(
-    eigen: ParityEigen,
-    wbs: WallBoundarySystem,
-    order: int,
-    chi: float,
-    kn: float,
-    pr: float,
-    q2: float,
-    theta_wall: float,
-) -> TemperatureLayerSolution:
-    theta0, v_plus = solve_wall(wbs, eigen, q2, theta_wall)
-    mode_strength = _defect_weights(eigen) * v_plus
-    amplitudes = -0.8 * mode_strength
-    return TemperatureLayerSolution(
-        order=order,
-        chi=chi,
-        kn=kn,
-        pr=pr,
-        heat_flux=q2,
-        wall_temperature=theta_wall,
-        wall_value=theta0,
-        intercept=theta0 - float(np.sum(amplitudes)),
-        decay_rates=eigen.rates.copy(),
-        amplitudes=amplitudes,
-        defect_amplitudes=mode_strength / q2,
-    )
+def _validate_drive(name: str, flux: float, wall_value: float) -> None:
+    """A zero flux drives no layer, and a subnormal one keeps too few digits
+    for the flux-normalized coefficients; both raise ``ValueError``."""
+    if not (math.isfinite(flux) and abs(flux) >= sys.float_info.min):
+        raise ValueError(f"the prescribed {name} must be finite, nonzero and normal, got {flux}")
+    if not math.isfinite(wall_value):
+        raise ValueError(f"wall value must be finite, got {wall_value}")
 
 
 def temperature_solution(
-    order: int,
-    chi: float,
-    kn: float = DEFAULT_KN,
-    pr: float = 1.0,
-    q2: float = 1.0,
+    order: int, chi: float, kn: float = DEFAULT_KN, pr: float = 1.0, q2: float = 1.0,
     theta_wall: float = 0.0,
 ) -> TemperatureLayerSolution:
     """Solve the temperature-jump problem at the given odd moment order."""
-    _validate_common(kn, pr, q2, theta_wall)
-    if q2 == 0.0:
-        raise ValueError("the prescribed heat flux must be nonzero")
-    system, table, eigen = _temperature_parts(order)
-    wbs = temperature_boundary_system(order, chi, table)
-    return _temperature_from_parts(eigen, wbs, order, chi, kn, pr, q2, theta_wall)
+    _validate_common(kn, pr)
+    _validate_drive("heat flux", q2, theta_wall)
+    b = accommodation_factor(chi)  # a bad chi fails before a cold operator build
+    op = layer_operator(SystemKind.TEMPERATURE_JUMP, order)
+    theta0, v_plus = op.wall.solve(order, chi, b, q2, theta_wall)
+    mode_strength = op.row * v_plus
+    amplitudes = -op.row_scale * mode_strength
+    return TemperatureLayerSolution(
+        order=order, chi=chi, kn=kn, pr=pr, heat_flux=q2, wall_temperature=theta_wall,
+        wall_value=theta0, intercept=theta0 - float(np.sum(amplitudes)), decay_rates=op.rates,
+        amplitudes=amplitudes, defect_amplitudes=mode_strength / q2,
+    )
 
 
 def velocity_solution(
-    order: int,
-    chi: float,
-    kn: float = DEFAULT_KN,
-    pr: float = 1.0,
-    sigma12: float = 1.0,
+    order: int, chi: float, kn: float = DEFAULT_KN, pr: float = 1.0, sigma12: float = 1.0,
     u1_wall: float = 0.0,
 ) -> VelocityLayerSolution:
     """Solve the shear-driven (Kramers) problem at the given even moment order."""
-    _validate_common(kn, pr, sigma12, u1_wall)
-    if sigma12 == 0.0:
-        raise ValueError("the prescribed shear stress must be nonzero")
-    system, table, eigen = _kramers_parts(order, pr)
-    wbs = kramers_boundary_system(order, chi, pr, table)
-    u1_0, v_plus = solve_wall(wbs, eigen, sigma12, u1_wall)
-    a1 = system.even_scale(1)
-    amplitudes = -(2.0 / a1) * eigen.even_vectors[0, :] * v_plus
+    _validate_common(kn, pr)
+    _validate_drive("shear stress", sigma12, u1_wall)
+    b = accommodation_factor(chi)
+    op = layer_operator(SystemKind.KRAMERS, order, pr)
+    u1_0, v_plus = op.wall.solve(order, chi, b, sigma12, u1_wall)
+    amplitudes = -op.row_scale * op.row * v_plus
     return VelocityLayerSolution(
-        order=order,
-        chi=chi,
-        kn=kn,
-        pr=pr,
-        shear=sigma12,
-        wall_velocity=u1_wall,
-        wall_value=u1_0,
-        intercept=u1_0 - float(np.sum(amplitudes)),
-        decay_rates=eigen.rates.copy(),
+        order=order, chi=chi, kn=kn, pr=pr, shear=sigma12, wall_velocity=u1_wall,
+        wall_value=u1_0, intercept=u1_0 - float(np.sum(amplitudes)), decay_rates=op.rates,
         amplitudes=amplitudes,
     )
 
@@ -245,41 +277,37 @@ def _finite_coefficient(name: str, sol, value: float) -> float:
 
 
 def jump_coefficient(sol: TemperatureLayerSolution) -> float:
-    """Temperature jump coefficient zeta = -(5 Kn / (2 Pr q)) * intercept.
+    """Temperature jump coefficient zeta = -(5 Kn / (2 Pr)) * (intercept / q).
 
     Defined for the zero-wall-temperature normalization only; solutions with
-    a wall offset are rejected rather than silently re-normalized.  A finite
-    intercept can still overflow the scaling (chi near the subnormal range),
-    so a non-finite coefficient raises ``ValueError``.
+    a wall offset are rejected rather than silently re-normalized.  Dividing
+    the intercept by q first keeps a large Pr q from rounding the scale to
+    zero; a non-finite coefficient (chi near the subnormal range) raises
+    ``ValueError``.
     """
     if sol.wall_temperature != 0.0:
         raise ValueError("jump coefficient requires the theta_wall = 0 normalization")
     return _finite_coefficient(
-        "jump", sol, -2.5 * sol.kn / (sol.pr * sol.heat_flux) * sol.intercept
+        "jump", sol, -2.5 * sol.kn / sol.pr * (sol.intercept / sol.heat_flux)
     )
 
 
+@_finite_profile
 def temperature_defect(sol: TemperatureLayerSolution, y) -> np.ndarray | float:
     """Deviation from the far-field linear asymptote, flux-normalized."""
-    y = np.asarray(y, dtype=float)
-    decay = np.exp(-y[..., None] / (sol.kn * sol.decay_rates))
-    out = -2.0 * sol.kn / sol.pr * (decay @ sol.defect_amplitudes)
-    return out if out.ndim else float(out)
+    return -2.0 * sol.kn / sol.pr * _decay_sum(sol, y, sol.defect_amplitudes)
 
 
+@_finite_profile
 def defect_slope(sol: TemperatureLayerSolution, y) -> np.ndarray | float:
     """Analytic d(defect)/dy."""
-    y = np.asarray(y, dtype=float)
-    decay = np.exp(-y[..., None] / (sol.kn * sol.decay_rates))
-    out = 2.0 / sol.pr * (decay @ (sol.defect_amplitudes / sol.decay_rates))
-    return out if out.ndim else float(out)
+    return 2.0 / sol.pr * _decay_sum(sol, y, sol.defect_amplitudes / sol.decay_rates)
 
 
+@_finite_profile
 def normalized_temperature(sol: TemperatureLayerSolution, y) -> np.ndarray | float:
     """Profile in gradient units: y + zeta - defect(y)."""
-    y = np.asarray(y, dtype=float)
-    out = y + jump_coefficient(sol) - temperature_defect(sol, y)
-    return out if out.ndim else float(out)
+    return y + jump_coefficient(sol) - temperature_defect(sol, y)
 
 
 def effective_conductivity(sol: TemperatureLayerSolution, y) -> np.ndarray | float:
@@ -306,13 +334,13 @@ def effective_conductivity(sol: TemperatureLayerSolution, y) -> np.ndarray | flo
 
 
 def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
-    """Slip-velocity intercept per unit shear, -(Kn / sigma) * intercept.
+    """Slip-velocity intercept per unit shear, -Kn * (intercept / sigma).
 
     A non-finite coefficient raises ``ValueError``, as in ``jump_coefficient``.
     """
     if sol.wall_velocity != 0.0:
         raise ValueError("slip coefficient requires the u1_wall = 0 normalization")
-    return _finite_coefficient("slip", sol, -sol.kn / sol.shear * sol.intercept)
+    return _finite_coefficient("slip", sol, -sol.kn * (sol.intercept / sol.shear))
 
 
 @dataclass(frozen=True)
@@ -374,32 +402,29 @@ class CoefficientCurve:
 def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> CoefficientCurve:
     """The partial fraction of the jump (odd order) or slip (even order) coefficient.
 
-    With the cached wall pencil (s = g / (1/mu + b), wall value linear in s)
-    the coefficient of every chi is alpha / b + sum_i beta_i / (b + 1/mu_i),
-    beta = scale * (row - w0) * g, where row maps s to the summed mode
-    amplitudes: 0.8 DEFECT_WEIGHTS @ E[:3] @ modes with scale 2.5 Kn / Pr
-    for the temperature jump, (2 / a1) E[0] @ modes with scale Kn for the
-    slip.  It reads the same parts and pencil cache entries as the per-chi
-    solutions, and assembles one boundary system for the shared T and c.
+    With the cached operator's wall reduction (s = g / (1/mu + b), wall
+    value linear in s) the coefficient of every chi is
+    alpha / b + sum_i beta_i / (b + 1/mu_i), beta = scale * (row - w0) * g,
+    where row maps s to the summed mode amplitudes:
+    0.8 DEFECT_WEIGHTS @ E[:3] @ modes with scale 2.5 Kn / Pr for the
+    temperature jump, (2 / a1) E[0] @ modes with scale Kn for the slip.  It
+    reads the same operator as the per-chi solutions.
     """
     _validate_common(kn, pr)
     if order % 2:
-        system, table, eigen = _temperature_parts(order)
-        # b(chi) plays no part in the pencil; any chi gives the shared (T, c).
-        pencil = wall_pencil(temperature_boundary_system(order, 1.0, table), eigen)
-        row = 0.8 * (_defect_weights(eigen) @ pencil.modes)
+        op = layer_operator(SystemKind.TEMPERATURE_JUMP, order)
         scale = 2.5 * kn / pr
     else:
-        system, table, eigen = _kramers_parts(order, pr)
-        pencil = wall_pencil(kramers_boundary_system(order, 1.0, pr, table), eigen)
-        row = (2.0 / system.even_scale(1)) * (eigen.even_vectors[0, :] @ pencil.modes)
+        op = layer_operator(SystemKind.KRAMERS, order, pr)
         scale = kn
+    wall = op.wall
+    row = op.row_scale * (op.row @ wall.modes)
     return CoefficientCurve(
         order=order,
         scale=scale,
-        lead=pencil.lead,
-        poles=-pencil.inv_mu,
-        weights=(row - pencil.w0) * pencil.g,
+        lead=wall.lead,
+        poles=-wall.inv_mu,
+        weights=(row - wall.w0) * wall.g,
     )
 
 

@@ -35,14 +35,7 @@ from .boundary_solver import (
     temperature_boundary_system,
     wall_operator,
 )
-from .layer_profiles import (
-    DEFAULT_KN,
-    DEFECT_WEIGHTS,
-    _kramers_parts,
-    _temperature_parts,
-    temperature_solution,
-    velocity_solution,
-)
+from .layer_profiles import DEFAULT_KN, DEFECT_WEIGHTS, temperature_solution, velocity_solution
 from .parity_spectral import ParityEigen, assemble_full_R, decompose
 from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
 from .system_builder import (
@@ -400,6 +393,19 @@ def _solve_layer_bvp(
     return x[0::stride]
 
 
+def _problem_parts(order: int, pr: float | None = None):
+    """(system, table, eigendecomposition) of one order, from the public builders.
+
+    ``pr`` None selects the temperature problem.  Nothing is cached: the
+    oracles build their own parts rather than read the solver's operator.
+    """
+    if pr is None:
+        system = build_temperature_system(order)
+    else:
+        system = build_kramers_system(order, pr)
+    return system, HalfSpaceTable(order + 2), decompose(system)
+
+
 def bvp_temperature(
     order: int,
     chi: float,
@@ -421,7 +427,7 @@ def bvp_temperature(
         )
     config = config or BvpConfig()
     config.validate()
-    system, table, eigen = _temperature_parts(order)
+    system, table, eigen = _problem_parts(order)
     wbs = temperature_boundary_system(order, chi, table)
     if nodes is None:
         y_max = config.resolve_y_max(float(eigen.rates[0]) * kn)
@@ -460,7 +466,7 @@ def bvp_kramers(
         )
     config = config or BvpConfig()
     config.validate()
-    system, table, eigen = _kramers_parts(order, pr)
+    system, table, eigen = _problem_parts(order, pr)
     wbs = kramers_boundary_system(order, chi, pr, table)
     if nodes is None:
         y_max = config.resolve_y_max(float(eigen.rates[0]) * kn)
@@ -696,14 +702,14 @@ def _check_definiteness(level: str) -> list[CheckResult]:
     k_orders = (4, 6) if level == "quick" else tuple(range(4, 99, 2))
     ok = True
     for m in t_orders:
-        system, table, eigen = _temperature_parts(m)
+        system, table, eigen = _problem_parts(m)
         ok &= _negative_definite(assemble_temperature_Tb(m, table))
         for chi in (0.1, 0.5, 1.0):
             wbs = temperature_boundary_system(m, chi, table)
             ok &= _negative_definite(wbs.scaled_matrix)
             ok &= _negative_definite(wall_operator(wbs, eigen))
     for m in k_orders:
-        system, table, eigen = _kramers_parts(m, 1.0)
+        system, table, eigen = _problem_parts(m, 1.0)
         ok &= _negative_definite(assemble_kramers_Sk(m, table))
         for chi in (0.1, 0.5, 1.0):
             wbs = kramers_boundary_system(m, chi, 1.0, table)
@@ -712,7 +718,7 @@ def _check_definiteness(level: str) -> list[CheckResult]:
     # eigenvalue sign sampling backs up the factorizations on a few instances
     worst = -math.inf
     for m in (t_orders[0], t_orders[-1]):
-        system, table, eigen = _temperature_parts(m)
+        system, table, eigen = _problem_parts(m)
         wbs = temperature_boundary_system(m, 0.5, table)
         w, _ = dense_symmetric_eig(wall_operator(wbs, eigen))
         worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
@@ -729,16 +735,14 @@ def _bvp_deviation(problem: str, order: int, n_cells: int) -> tuple[float, float
     cfg = BvpConfig(n_cells=n_cells)
     if problem == "temperature":
         sol = temperature_solution(order, chi, kn, pr, 1.0, 0.0)
-        _, table, eigen = _temperature_parts(order)
-        y_max = cfg.resolve_y_max(float(eigen.rates[0]) * kn)
+        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * kn)
         nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
         coarse = bvp_temperature(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=nodes)
         fine = bvp_temperature(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
         exact = sol.temperature(nodes)
     else:
         sol = velocity_solution(order, chi, kn, pr, 1.0, 0.0)
-        _, table, eigen = _kramers_parts(order, pr)
-        y_max = cfg.resolve_y_max(float(eigen.rates[0]) * kn)
+        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * kn)
         nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
         coarse = bvp_kramers(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=nodes)
         fine = bvp_kramers(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))

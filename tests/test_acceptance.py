@@ -19,12 +19,11 @@ from knlayer.boundary_solver import (
     wall_operator,
 )
 from knlayer.layer_profiles import (
-    _kramers_parts,
-    _temperature_parts,
     chi_zero_limit,
     coefficient_curve,
     convergence_order,
     jump_coefficient,
+    layer_operator,
     temperature_solution,
     velocity_solution,
 )
@@ -72,8 +71,7 @@ def last_digit_tol(printed: str) -> float:
 
 
 def clear_caches():
-    _temperature_parts.cache_clear()
-    _kramers_parts.cache_clear()
+    layer_operator.cache_clear()
 
 
 def test_criterion_01_table1_reproduction():

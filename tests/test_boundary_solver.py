@@ -25,7 +25,7 @@ from knlayer import boundary_solver, cli, layer_profiles
 from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
-from knlayer.system_builder import build_kramers_system, build_temperature_system
+from knlayer.system_builder import SystemKind, build_kramers_system, build_temperature_system
 from knlayer.verification import assemble_kramers_Sk, assemble_T, assemble_temperature_Tb
 
 
@@ -357,17 +357,18 @@ class TestPencilSolve:
         for chi in self.CHIS:
             self.assert_matches_cholesky(kramers_boundary_system(order, chi, pr, table1025), eigen)
 
-    def test_chis_share_one_scaled_matrix(self, table99):
-        a = temperature_boundary_system(9, 0.3, table99)
-        b = temperature_boundary_system(9, 0.7, table99)
-        assert a.scaled_matrix is b.scaled_matrix
-        assert a.c_vec is b.c_vec
-        assert not a.scaled_matrix.flags.writeable
-        c = kramers_boundary_system(8, 0.3, 0.7, table99)
-        d = kramers_boundary_system(8, 0.9, 0.7, table99)
-        assert c.scaled_matrix is d.scaled_matrix
-        assert kramers_boundary_system(8, 0.3, 0.8, table99).scaled_matrix is not c.scaled_matrix
-        assert temperature_boundary_system(9, 0.3, HalfSpaceTable(11)).scaled_matrix is not a.scaled_matrix
+    def test_chis_share_one_operator(self, table99):
+        assert not temperature_boundary_system(9, 0.3, table99).scaled_matrix.flags.writeable
+        a = layer_profiles.temperature_solution(9, 0.3)
+        b = layer_profiles.temperature_solution(9, 0.7)
+        assert a.decay_rates is b.decay_rates
+        c = layer_profiles.velocity_solution(8, 0.3, pr=0.7)
+        d = layer_profiles.velocity_solution(8, 0.9, pr=0.7)
+        assert c.decay_rates is d.decay_rates
+        assert layer_profiles.velocity_solution(8, 0.3, pr=0.8).decay_rates is not c.decay_rates
+        op = layer_profiles.layer_operator(SystemKind.KRAMERS, 8, 0.7)
+        assert op is layer_profiles.layer_operator(SystemKind.KRAMERS, 8, 0.7)
+        assert op.rates is c.decay_rates
 
     def test_pencil_not_shared_across_systems(self, table99):
         eigen = temperature_eigen(7)
@@ -398,12 +399,7 @@ class TestPencilSolve:
         assert u0_scaled != pytest.approx(u0, rel=1e-6)
 
     def test_sweep_runs_one_symmetric_eigh(self, capsys, monkeypatch):
-        for cache in (
-            layer_profiles._temperature_parts,
-            boundary_solver._temperature_wall_parts,
-            boundary_solver._wall_pencil,
-        ):
-            cache.cache_clear()
+        layer_profiles.layer_operator.cache_clear()
         calls = []
         true_eigh = np.linalg.eigh
 
@@ -419,14 +415,7 @@ class TestPencilSolve:
 
     @pytest.mark.parametrize("order, size", [(33, 31), (32, 15)])
     def test_sweep_makes_no_per_chi_solve(self, capsys, monkeypatch, order, size):
-        for cache in (
-            layer_profiles._temperature_parts,
-            layer_profiles._kramers_parts,
-            boundary_solver._temperature_wall_parts,
-            boundary_solver._kramers_wall_parts,
-            boundary_solver._wall_pencil,
-        ):
-            cache.cache_clear()
+        layer_profiles.layer_operator.cache_clear()
         calls = []
 
         def counting(name, fn):

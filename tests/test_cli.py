@@ -257,12 +257,9 @@ class TestParser:
 
 class TestTable2:
     def test_one_curve_per_order(self, capsys, monkeypatch):
-        import knlayer.boundary_solver as boundary_solver
         import knlayer.layer_profiles as lp
 
-        for cache in (lp._temperature_parts, boundary_solver._temperature_wall_parts,
-                      boundary_solver._wall_pencil):
-            cache.cache_clear()
+        lp.layer_operator.cache_clear()
         calls = []
 
         def counting(name, fn):

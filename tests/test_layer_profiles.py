@@ -1,8 +1,12 @@
 """Closed-form layer solutions and the derived coefficients."""
 
+import dataclasses
+import importlib
+import importlib.util
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 
 from knlayer.boundary_solver import accommodation_factor
 from knlayer.layer_profiles import (
+    LayerOperator,
+    _BLOCK_ELEMENTS,
     chi_zero_limit,
     coefficient_curve,
     convergence_order,
@@ -18,12 +24,17 @@ from knlayer.layer_profiles import (
     defect_slope,
     effective_conductivity,
     jump_coefficient,
+    layer_operator,
     normalized_temperature,
     temperature_defect,
     temperature_solution,
     velocity_solution,
     viscous_slip_coefficient,
 )
+from knlayer.special_functions import HalfSpaceTable
+from knlayer.system_builder import MAX_KRAMERS_PRANDTL, SystemKind
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 KN = math.sqrt(2.0) / 2.0
 
@@ -410,3 +421,178 @@ class TestGrid:
             temperature_solution(7, 1.0, pr=-1.0)
         with pytest.raises(ValueError):
             temperature_solution(7, 1.0, q2=0.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def problems(draw):
+    """(order, pr): any finite pr > 0, at most MAX_KRAMERS_PRANDTL for even orders."""
+    order = draw(st.sampled_from([3, 5, 9, 13, 4, 8, 12]))
+    top = None if order % 2 else MAX_KRAMERS_PRANDTL
+    return order, draw(st.floats(min_value=0.0, max_value=top, exclude_min=True, allow_infinity=False))
+
+
+def coefficient_and_profile(order, chi, kn, pr, flux, wall):
+    """The per-chi chain: the coefficient, then every profile evaluator at three y.
+
+    Returns (coefficient, profile values, conductivity) with the conductivity
+    None for the shear kind; the profile value at a wall offset comes from its
+    own solve, since the coefficients need the zero-wall normalization.
+    """
+    y = np.array([0.0, 0.3, 3.0])
+    if order % 2:
+        ref = temperature_solution(order, chi, kn, pr, flux, 0.0)
+        coefficient = jump_coefficient(ref)
+        shifted = temperature_solution(order, chi, kn, pr, flux, wall)
+        profile = [shifted.temperature(y), temperature_defect(ref, y), defect_slope(ref, y),
+                   normalized_temperature(ref, y)]
+        return coefficient, profile, effective_conductivity(ref, y)
+    ref = velocity_solution(order, chi, kn, pr, flux, 0.0)
+    coefficient = viscous_slip_coefficient(ref)
+    shifted = velocity_solution(order, chi, kn, pr, flux, wall)
+    return coefficient, [shifted.velocity(y), ref.velocity(y)], None
+
+
+class TestPerChiInputDomain:
+    """A per-chi solve over the whole input domain: finite values or ValueError."""
+
+    @given(
+        problem=problems(),
+        kn=FINITE_POSITIVE,
+        chi=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        flux=FINITE.filter(lambda x: x != 0.0),
+        wall=FINITE,
+    )
+    @example(problem=(13, 1.0), kn=KN, chi=5e-324, flux=1.0, wall=0.0)
+    @example(problem=(12, MAX_KRAMERS_PRANDTL), kn=1e300, chi=1.0, flux=1e-300, wall=1e300)
+    @settings(max_examples=150, deadline=None)
+    def test_finite_or_value_error(self, problem, kn, chi, flux, wall):
+        order, pr = problem
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            warnings.filterwarnings("always", "effective conductivity pole", RuntimeWarning)
+            try:
+                coefficient, profile, conductivity = coefficient_and_profile(
+                    order, chi, kn, pr, flux, wall
+                )
+            except ValueError:
+                return
+        assert math.isfinite(coefficient)
+        for values in profile:
+            assert np.all(np.isfinite(values)), profile
+        if conductivity is not None:
+            assert not np.any(np.isnan(conductivity))
+            assert np.all(np.isfinite(conductivity)) or caught, conductivity
+        try:
+            curve = coefficient_curve(order, kn, pr)(chi)
+        except ValueError:
+            return
+        assert abs(curve - coefficient) <= 1e-13 * abs(coefficient), (curve, coefficient)
+
+
+class TestBlockedEvaluation:
+    # Order 65 has 63 modes, so a block holds 128 rows; a lone row after a
+    # whole block (129, 257) joins that block.
+    @pytest.mark.parametrize("count", [1, 2, 17, 128, 129, 130, 257, 4097])
+    def test_blocks_match_one_product(self, count):
+        sol = temperature_solution(65, 0.5)
+        assert _BLOCK_ELEMENTS // sol.decay_rates.size // 16 * 16 == 128
+        y = np.geomspace(1e-3, 50.0, count)
+        decay = np.exp(-y[:, None] / (sol.kn * sol.decay_rates))
+        np.testing.assert_allclose(
+            temperature_defect(sol, y),
+            -2.0 * sol.kn / sol.pr * (decay @ sol.defect_amplitudes),
+            rtol=1e-14,
+            atol=0.0,
+        )
+        np.testing.assert_allclose(
+            sol.temperature(y),
+            -0.4 * sol.pr / sol.kn * y + sol.intercept + decay @ sol.amplitudes,
+            rtol=1e-14,
+            atol=1e-15,
+        )
+
+    def test_conductivity_memory_bounded(self):
+        sol = temperature_solution(65, 0.5)
+        y = np.geomspace(1e-3, 100.0, 200_000)
+        tracemalloc.start()
+        try:
+            ratio = effective_conductivity(sol, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(ratio))
+        # one (200000 x 63) float64 array of exponentials alone would take 101 MB
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def operator_arrays(op):
+    """Every array the operator holds, its wall reduction's included."""
+    fields = {f.name: getattr(op, f.name) for f in dataclasses.fields(op)}
+    fields.update({f.name: getattr(op.wall, f.name) for f in dataclasses.fields(op.wall)})
+    return {name: v for name, v in fields.items() if isinstance(v, np.ndarray)}
+
+
+class TestLayerOperator:
+    @pytest.mark.parametrize("kind, order", [(SystemKind.TEMPERATURE_JUMP, 513), (SystemKind.KRAMERS, 512)])
+    def test_cold_build_memory_bounded(self, kind, order, monkeypatch):
+        m_even = order - 2 if order % 2 else (order - 1) // 2
+        at_eigh = []
+        true_eigh = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            at_eigh.append(tracemalloc.get_traced_memory()[0])
+            return true_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        layer_operator.cache_clear()
+        tracemalloc.start()
+        try:
+            op = layer_operator(kind, order, 0.7)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        square = 8.0 * m_even * m_even
+        # Five caches kept E, O, T and the table beside the reduced eigh and
+        # peaked at 7.3 (order 513) and 8.3 (order 512) m_even^2 blocks.
+        assert peak < 6.5 * square, f"peak {peak / square:.2f} m_even^2"
+        # Only A is alive when the eigh starts, and only the modes after it.
+        assert at_eigh[0] < 1.5 * square, f"{at_eigh[0] / square:.2f} m_even^2 at the eigh"
+        assert current < 1.5 * square, f"retained {current / square:.2f} m_even^2"
+        assert op.rates.shape == (m_even,)
+
+    @pytest.mark.parametrize("order, pr", [(33, 1.0), (32, 0.7)])
+    def test_holds_one_square_array(self, order, pr):
+        kind = SystemKind.TEMPERATURE_JUMP if order % 2 else SystemKind.KRAMERS
+        op = layer_operator(kind, order, pr)
+        assert isinstance(op, LayerOperator)
+        arrays = operator_arrays(op)
+        m_even = op.rates.size
+        assert [name for name, a in arrays.items() if a.ndim > 1] == ["modes"]
+        assert arrays["modes"].shape == (m_even, m_even)
+        assert all(a.shape == (m_even,) for name, a in arrays.items() if name != "modes")
+        assert not any(a.flags.writeable for a in arrays.values())
+
+    def test_operator_shared_by_solutions_and_curve(self):
+        layer_operator.cache_clear()
+        first = temperature_solution(33, 0.4)
+        coefficient_curve(33, pr=0.5)
+        second = temperature_solution(33, 0.9, pr=2.0)
+        assert layer_operator.cache_info().misses == 1
+        assert first.decay_rates is second.decay_rates
+
+    def test_perfbench_targets_resolve(self):
+        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for targets in spans.LAYERS.values():
+            for module_name, qualname in targets:
+                owner = importlib.import_module(f"knlayer.{module_name}")
+                for part in qualname.split("."):
+                    owner = getattr(owner, part)
+                assert callable(owner), (module_name, qualname)
+        table = HalfSpaceTable(9)
+        assert table.s_normalized.shape == (5, 5) and table.s_values.shape == (5, 5)

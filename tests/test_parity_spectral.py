@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from knlayer.boundary_solver import temperature_boundary_system
-from knlayer.layer_profiles import _temperature_from_parts, temperature_defect
+from knlayer import layer_profiles
+from knlayer.layer_profiles import temperature_defect, temperature_solution
 from knlayer.parity_spectral import (
     ParityEigen,
     RankDeficiencyError,
     assemble_full_R,
     decompose,
 )
-from knlayer.special_functions import HalfSpaceTable
 from knlayer.system_builder import (
     ReducedSystem,
     SystemKind,
@@ -106,20 +105,24 @@ class TestDenseOracleAgreement:
 
 
 class TestDownstreamInvariance:
-    def test_profile_invariant_under_joint_sign_flips(self):
+    def test_profile_invariant_under_joint_sign_flips(self, monkeypatch):
         order, chi = 9, 0.7
-        system = build_temperature_system(order)
-        table = HalfSpaceTable(order + 2)
-        eigen = decompose(system)
-        wbs = temperature_boundary_system(order, chi, table)
-        base = _temperature_from_parts(eigen, wbs, order, chi, 0.7, 1.0, 1.0, 0.0)
+        layer_profiles.layer_operator.cache_clear()
+        base = temperature_solution(order, chi, 0.7)
         signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
-        flipped = ParityEigen(
-            rates=eigen.rates.copy(),
-            even_vectors=eigen.even_vectors * signs,
-            odd_vectors=eigen.odd_vectors * signs,
-        )
-        other = _temperature_from_parts(flipped, wbs, order, chi, 0.7, 1.0, 1.0, 0.0)
+
+        def flipped(system):
+            eigen = decompose(system)
+            return ParityEigen(
+                rates=eigen.rates.copy(),
+                even_vectors=eigen.even_vectors * signs,
+                odd_vectors=eigen.odd_vectors * signs,
+            )
+
+        monkeypatch.setattr(layer_profiles, "decompose", flipped)
+        layer_profiles.layer_operator.cache_clear()
+        other = temperature_solution(order, chi, 0.7)
+        layer_profiles.layer_operator.cache_clear()
         y = np.linspace(0.0, 5.0, 40)
         np.testing.assert_allclose(
             temperature_defect(base, y), temperature_defect(other, y), atol=1e-10
