@@ -30,25 +30,13 @@ from .layer_profiles import (
     velocity_solution,
     viscous_slip_coefficient,
 )
-from .parity_spectral import ParityEigen, assemble_full_R, decompose
-from .special_functions import (
-    HalfSpaceTable,
-    WallMoments,
-    ZSequence,
-    half_space_I,
-    half_space_S,
-    half_space_S_normalized,
-    hermite_eval,
-    linearized_wall_moment,
-    wall_J,
-    z_value,
-)
+from .parity_spectral import ParityEigen, decompose
+from .special_functions import HalfSpaceTable, half_space_S, half_space_S_normalized
 from .system_builder import (
     ReducedSystem,
     SystemKind,
     build_kramers_system,
     build_temperature_system,
-    inner_product_oracle,
 )
 
 __version__ = "0.1.0"
@@ -62,10 +50,7 @@ __all__ = [
     "SystemKind",
     "TemperatureLayerSolution",
     "VelocityLayerSolution",
-    "WallMoments",
-    "ZSequence",
     "accommodation_factor",
-    "assemble_full_R",
     "build_kramers_system",
     "build_temperature_system",
     "chi_zero_limit",
@@ -74,14 +59,10 @@ __all__ = [
     "decompose",
     "default_profile_grid",
     "effective_conductivity",
-    "half_space_I",
     "half_space_S",
     "half_space_S_normalized",
-    "hermite_eval",
-    "inner_product_oracle",
     "jump_coefficient",
     "kramers_boundary_system",
-    "linearized_wall_moment",
     "normalized_temperature",
     "solve_wall",
     "temperature_boundary_system",
@@ -89,6 +70,4 @@ __all__ = [
     "temperature_solution",
     "velocity_solution",
     "viscous_slip_coefficient",
-    "wall_J",
-    "z_value",
 ]

@@ -33,8 +33,8 @@ both on every call; the per-order ``LayerOperator`` of
 Assembly works entirely in normalized form, from the even-index block of
 the half-space table, so that orders in the thousands never touch a raw
 factorial.  The raw matrices, valid inside the double-precision window,
-are built in :mod:`knlayer.verification` as the reference for tests and
-the definiteness checks.
+and K(chi) itself are built in :mod:`knlayer.verification` as the
+reference for tests and the definiteness checks.
 """
 
 from __future__ import annotations
@@ -202,18 +202,6 @@ def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
             "eigendecomposition does not match the boundary system "
             f"(matrix size {size}, even block {eigen.m_even}, odd block {eigen.m_odd})"
         )
-
-
-def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
-    """K(chi) = b(chi) T - 2 diag(0, E Lambda E^T); symmetric negative definite.
-
-    The solver never forms it; the definiteness checks and tests do.
-    """
-    _check_match(system, eigen)
-    e = eigen.even_vectors
-    k = system.b_chi * system.scaled_matrix
-    k[1:, 1:] -= 2.0 * (e * eigen.rates) @ e.T
-    return k
 
 
 def schur_complement(

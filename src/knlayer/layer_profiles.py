@@ -72,8 +72,8 @@ DEFAULT_KN = math.sqrt(2.0) / 2.0
 DEFECT_WEIGHTS = np.array([math.sqrt(3.0) / 3.0, math.sqrt(6.0) / 2.0, math.sqrt(2.0) / 2.0])
 
 # Float64 entries of one block of a coefficient-curve or profile evaluation
-# (chi or y samples times modes; a profile block takes at least 16 rows), so
-# that its memory does not grow with the number of samples.  64 KiB stays
+# (chi or y samples times modes; a block takes at least 16 rows), so that its
+# memory does not grow with the number of samples.  64 KiB stays
 # below malloc's 128 KiB mmap threshold: the block reuses heap memory and a
 # sweep's peak RSS does not grow.
 _BLOCK_ELEMENTS = 1 << 13
@@ -153,23 +153,31 @@ class VelocityLayerSolution:
         return -self.shear / self.kn * y + self.intercept + _decay_sum(self, y, self.amplitudes)
 
 
-def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights_i exp(-y / (Kn rates_i)) at every y, in row blocks.
+def _blocked_matvec(x: np.ndarray, weights: np.ndarray, block_matrix) -> np.ndarray:
+    """block_matrix(x[rows]) @ weights over a 1-d x, one block of rows at a time.
 
-    A block of about ``_BLOCK_ELEMENTS`` entries holds a multiple of 16 rows
-    (the BLAS kernel's row grouping), and a lone last row joins the block
-    before it (one row alone would go through a dot product), so every value
-    is bit-identical to one product over all samples.
+    A block holds about ``_BLOCK_ELEMENTS`` entries in a multiple of 16 rows
+    (a multiple of the BLAS kernel's row grouping), and a short last block is
+    padded to a multiple of 16 with copies of its last x, so every row goes
+    through the same kernel and its value does not depend on how many rows
+    share the call.  A call with a single x keeps numpy's dot product, the path
+    of every scalar evaluation; its last bit can differ from a longer call.
     """
+    rows = max(16, _BLOCK_ELEMENTS // weights.size // 16 * 16)
+    out = np.empty(x.size)
+    for start in range(0, x.size, rows):
+        block = x[start:start + rows]
+        n = block.size
+        if n % 16 and x.size > 1:
+            block = np.concatenate((block, np.full(-n % 16, block[-1])))
+        out[start:start + n] = (block_matrix(block) @ weights)[:n]
+    return out
+
+
+def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights_i exp(-y / (Kn rates_i)) at every y, in row blocks."""
     scale = sol.kn * sol.decay_rates
-    flat = y.reshape(-1)
-    out = np.empty(flat.shape)
-    rows = max(16, _BLOCK_ELEMENTS // scale.size // 16 * 16)
-    start = 0
-    while start < flat.size:
-        stop = start + rows + (flat.size - start == rows + 1)
-        out[start:stop] = np.exp(-flat[start:stop, None] / scale) @ weights
-        start = stop
+    out = _blocked_matvec(y.reshape(-1), weights, lambda block: np.exp(-block[:, None] / scale))
     return out.reshape(y.shape)
 
 
@@ -381,14 +389,13 @@ class CoefficientCurve:
         """
         chis = np.asarray(chi, dtype=float)
         b = np.ravel(accommodation_factor(chis))
-        out = np.empty_like(b)
-        rows = max(1, _BLOCK_ELEMENTS // self.poles.size)
+
+        def fractions(block):
+            f = block[:, None] - self.poles
+            return np.reciprocal(f, out=f)
+
         with np.errstate(all="ignore"):
-            for start in range(0, b.size, rows):
-                block = b[start:start + rows]
-                fractions = block[:, None] - self.poles
-                np.reciprocal(fractions, out=fractions)
-                out[start:start + rows] = self.scale * (self.lead / block + fractions @ self.weights)
+            out = self.scale * (self.lead / b + _blocked_matvec(b, self.weights, fractions))
         finite = np.isfinite(out)
         if not finite.all():
             name = "jump" if self.order % 2 else "slip"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .system_builder import ReducedSystem
 
-__all__ = ["ParityEigen", "decompose", "assemble_full_R", "RankDeficiencyError"]
+__all__ = ["ParityEigen", "decompose", "RankDeficiencyError"]
 
 RANK_TOL = 1e-12
 
@@ -76,11 +76,4 @@ def decompose(system: ReducedSystem) -> ParityEigen:
         rates=sigma,
         even_vectors=u * (signs * inv_sqrt2),
         odd_vectors=v * (signs * inv_sqrt2),
-    )
-
-
-def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
-    """Full orthogonal eigenvector matrix [[E, E], [O, -O]]."""
-    return np.block(
-        [[eigen.even_vectors, eigen.even_vectors], [eigen.odd_vectors, -eigen.odd_vectors]]
     )

@@ -1,17 +1,17 @@
-"""Hermite polynomials, half-space integrals, and wall-moment recursions.
+"""Closed-form half-space integrals of Hermite polynomial pairs.
 
-Everything here is exact closed-form arithmetic (recursions and factorial
-ratios); the numerical quadrature counterparts live in
-:mod:`knlayer.verification`.  The scalar forms ``half_space_S`` and
-``half_space_S_normalized`` cover every index pair; ``HalfSpaceTable``
-stores only the even-index block S(2i, 2j) that the wall assemblies read,
-built in one vectorized closed form per block.
+Every value here is exact closed-form arithmetic on the sequence z_n of
+Hermite polynomials at the origin (running products and factorial ratios);
+the quadrature counterparts live in :mod:`knlayer.verification`.  The
+scalar forms ``half_space_S`` and ``half_space_S_normalized`` cover every
+index pair; ``HalfSpaceTable`` stores only the even-index block S(2i, 2j)
+that the wall assemblies read, built in one vectorized closed form per
+block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,8 @@ __all__ = [
     "SQRT_2PI",
     "ZSequence",
     "HalfSpaceTable",
-    "WallMoments",
-    "hermite_eval",
-    "z_value",
-    "z_sign_log",
-    "half_space_I",
     "half_space_S",
     "half_space_S_normalized",
-    "wall_J",
-    "linearized_wall_moment",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -38,33 +31,13 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 RAW_ORDER_LIMIT = 150
 
 
-def hermite_eval(order: int, xi: float, u: float, theta: float) -> float:
-    """Evaluate the scaled Hermite polynomial of the given order at xi.
-
-    Uses the stable upward three-term recursion seeded with 1 and
-    (xi - u)/theta.  The polynomials are orthogonal under the Gaussian
-    weight centered at u with variance theta.
-    """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if order == 0:
-        return 1.0
-    prev = 1.0
-    cur = (xi - u) / theta
-    for n in range(1, order):
-        prev, cur = cur, ((xi - u) * cur - n * prev) / theta
-    return cur
-
-
 class ZSequence:
-    """Values of the Hermite-at-origin sequence z_n in sign/log form.
+    """Values of the Hermite-at-origin sequence z_n, raw and normalized.
 
     z_0 = 1, z_1 = 0 and z_{n+1} = -n z_{n-1}, so odd entries vanish and the
     even ones alternate in sign while growing like a double factorial.  Raw
-    magnitudes overflow quickly, hence the (sign, log-magnitude) storage; the
-    ratio z_n / sqrt(n!) stays bounded and is tabulated directly.
+    values overflow past the double-precision window; the ratio
+    z_n / sqrt(n!) stays bounded and is tabulated directly.
     """
 
     def __init__(self, n_max: int):
@@ -93,26 +66,11 @@ class ZSequence:
         # carries the same sign.
         saturated = np.abs(values[:-2]) >= 1e304 / k
         values[2:][saturated] = np.copysign(np.inf, values[2:][saturated])
-        sign = np.zeros(n, dtype=np.int8)
-        sign[0::4] = 1
-        sign[2::4] = -1
-        logmag = np.full(n, -np.inf)
-        # math.log, not np.log: numpy's vector log may differ in the last bit.
-        logs = np.fromiter(map(math.log, range(1, n_max, 2)), dtype=float)
-        logmag[0::2] = np.cumsum(np.concatenate(([0.0], logs)))
         self.n_max = n_max
-        self._sign = sign
-        self._logmag = logmag
         self._normalized = normed
         self._values = values
-        for arr in (self._sign, self._logmag, self._normalized, self._values):
+        for arr in (self._normalized, self._values):
             arr.flags.writeable = False
-
-    def sign(self, n: int) -> int:
-        return int(self._sign[n])
-
-    def log_magnitude(self, n: int) -> float:
-        return float(self._logmag[n])
 
     def value(self, n: int) -> float:
         """Raw z_n; overflows to +-inf for very large even n."""
@@ -137,21 +95,6 @@ def _z(n_max: int) -> ZSequence:
     return _Z_CACHE
 
 
-def z_value(n: int) -> float:
-    """z_n from the recursion z_{n+1} = -n z_{n-1}, z_0 = 1, z_1 = 0."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _z(n).value(n)
-
-
-def z_sign_log(n: int) -> tuple[int, float]:
-    """Overflow-safe form of z_n: (sign, log|z_n|); sign 0 marks a zero."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    zs = _z(n)
-    return zs.sign(n), zs.log_magnitude(n)
-
-
 def _check_raw_window(alpha: int, beta: int) -> None:
     if alpha < 0 or beta < 0:
         raise ValueError("indices must be non-negative")
@@ -162,24 +105,11 @@ def _check_raw_window(alpha: int, beta: int) -> None:
         )
 
 
-def half_space_I(alpha: int, beta: int) -> float:
-    """Half-line Gaussian moment of a product of two Hermite polynomials.
-
-    Closed form: alpha! sqrt(2 pi)/2 on the diagonal, and
-    (z_{alpha+1} z_beta - z_{beta+1} z_alpha)/(alpha - beta) off it.
-    """
-    _check_raw_window(alpha, beta)
-    if alpha == beta:
-        return math.factorial(alpha) * SQRT_2PI / 2.0
-    zs = _z(max(alpha, beta) + 1)
-    num = zs.value(alpha + 1) * zs.value(beta) - zs.value(beta + 1) * zs.value(alpha)
-    return num / (alpha - beta)
-
-
 def half_space_S(alpha: int, beta: int) -> float:
     """Signed half-space flux integral S(alpha, beta) in closed form.
 
-    Equals beta * I(alpha, beta-1) + I(alpha, beta+1).  The band |a-b| = 1
+    Equals beta * I(alpha, beta-1) + I(alpha, beta+1), where I(a, b) is the
+    half-line Gaussian moment of He_a He_b.  The band |a-b| = 1
     collapses to sqrt(2 pi)/2 times a factorial; when either index is even
     the rest reduces to the rational multiple of z_alpha z_beta, and for
     odd-odd pairs the z_{alpha+1} cross terms survive instead (those pairs
@@ -286,67 +216,3 @@ class HalfSpaceTable:
     def s_values(self) -> np.ndarray:
         """Raw S(2i, 2j) at [i, j], restricted to the double-precision window."""
         return self._raw
-
-
-def wall_J(m: int, x: float, theta0: float, dtheta: float) -> float:
-    """Wall-moment kernel J_m(x) by its two-step recursion.
-
-    ``dtheta`` is the gas/wall temperature difference entering the recursion
-    J_m = ((dtheta) J_{m-2} + x J_{m-1}) / m, seeded J_0 = 1, J_1 = x.
-    """
-    if theta0 <= 0.0:
-        raise ValueError(f"theta0 must be positive, got {theta0}")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if m == 0:
-        return 1.0
-    if m == 1:
-        return x
-    jm2, jm1 = 1.0, x
-    for k in range(2, m + 1):
-        jm2, jm1 = jm1, (dtheta * jm2 + x * jm1) / k
-    return jm1
-
-
-@dataclass(frozen=True)
-class WallMoments:
-    """Linearized wall/gas state entering the Maxwell boundary moments."""
-
-    theta_bar_wall: float = 0.0
-    theta_bar_gas: float = 0.0
-    u_bar_wall: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    u_bar_gas: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-
-def linearized_wall_moment(
-    alpha: tuple[int, int, int],
-    wm: WallMoments,
-    gas_even_moments: dict[int, float] | None = None,
-) -> float:
-    """First-order wall expansion moment for the multi-index alpha.
-
-    Nonzero only for alpha = 0, e_i or 2 e_i.  The alpha = 0 case is the
-    density offset, recovered from the gas-side pure-normal even moments
-    ``gas_even_moments`` (a map beta -> f_bar for even beta >= 2); in the
-    boundary assembly that offset is eliminated analytically instead.
-    """
-    if len(alpha) != 3 or any(a < 0 for a in alpha):
-        raise ValueError(f"alpha must be a 3-tuple of non-negative ints, got {alpha}")
-    total = sum(alpha)
-    if total == 0:
-        if gas_even_moments is None:
-            raise ValueError("the zero multi-index needs the gas-side even moments")
-        # S(0,0) (rho_w - rho) = sum_beta S(0,beta) (f_beta - m_beta), S(0,0) = -1
-        acc = 0.0
-        for beta, f_bar in sorted(gas_even_moments.items()):
-            if beta < 2 or beta % 2 != 0:
-                raise ValueError(f"gas moments must have even index >= 2, got {beta}")
-            m_bar = 0.5 * (wm.theta_bar_wall - wm.theta_bar_gas) if beta == 2 else 0.0
-            acc += half_space_S(0, beta) * (f_bar - m_bar)
-        return -acc
-    if total == 1:
-        i = alpha.index(1)
-        return wm.u_bar_wall[i] - wm.u_bar_gas[i]
-    if total == 2 and max(alpha) == 2:
-        return 0.5 * (wm.theta_bar_wall - wm.theta_bar_gas)
-    return 0.0

@@ -9,7 +9,9 @@ moment unknowns.  The thermal (temperature-jump) variant orders the even
 unknowns as (t0, t2, g2, t4, g4, ...) and the odd ones as
 (t1 - q/5, t3, g3, t5, g5, ...); the shear (Kramers) variant uses the pure
 cross moments (f2, f4, ...) and (f3, f5, ...).  All entries are factorial
-ratios evaluated in closed form, never raw factorials.
+ratios evaluated in closed form, never raw factorials.  The Hermite basis
+combinations behind each row and column, and the inner-product oracle that
+re-derives every entry from them, live in :mod:`knlayer.verification`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ __all__ = [
     "ReducedSystem",
     "build_temperature_system",
     "build_kramers_system",
-    "inner_product_oracle",
-    "temperature_even_basis",
-    "temperature_odd_basis",
-    "kramers_even_basis",
-    "kramers_odd_basis",
 ]
 
 MAX_TEMPERATURE_ORDER = 4097
@@ -213,57 +210,3 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
         log_odd_scale=log_b,
         prandtl=prandtl,
     )
-
-
-def inner_product_oracle(phi_index: tuple[int, int, int], psi_index: tuple[int, int, int]) -> float:
-    """<He_a, xi_2 He_b> under the unit Gaussian weight, by recursion + orthogonality.
-
-    xi_2 He_b = b_2 He_{b - e2} + He_{b + e2}, and distinct Hermite indices are
-    orthogonal with <He_a, He_a> = a!.  Used only by tests to re-derive the
-    closed-form system entries.
-    """
-    a = tuple(phi_index)
-    b = tuple(psi_index)
-    if len(a) != 3 or len(b) != 3:
-        raise ValueError("multi-indices must have three components")
-
-    def norm_sq(idx):
-        return float(math.factorial(idx[0]) * math.factorial(idx[1]) * math.factorial(idx[2]))
-
-    total = 0.0
-    down = (b[0], b[1] - 1, b[2])
-    if b[1] >= 1 and a == down:
-        total += b[1] * norm_sq(a)
-    up = (b[0], b[1] + 1, b[2])
-    if a == up:
-        total += norm_sq(a)
-    return total
-
-
-# Symbolic basis combinations (coefficient, multi-index) defining the rows and
-# columns of the coupling blocks; consumed by the oracle tests.
-
-def temperature_even_basis(i: int) -> list[tuple[float, tuple[int, int, int]]]:
-    if i == 1:
-        return [(1.0, (0, 2, 0)), (-0.5, (2, 0, 0)), (-0.5, (0, 0, 2))]
-    k = i // 2
-    if i % 2 == 0:
-        return [(1.0, (0, 2 * k + 2, 0))]
-    return [(0.5, (2, 2 * k, 0)), (0.5, (0, 2 * k, 2))]
-
-
-def temperature_odd_basis(j: int) -> list[tuple[float, tuple[int, int, int]]]:
-    if j == 1:
-        return [(1.0, (0, 3, 0)), (-1.5, (2, 1, 0)), (-1.5, (0, 1, 2))]
-    k = j // 2
-    if j % 2 == 0:
-        return [(1.0, (0, 2 * k + 3, 0))]
-    return [(0.5, (2, 2 * k + 1, 0)), (0.5, (0, 2 * k + 1, 2))]
-
-
-def kramers_even_basis(i: int) -> list[tuple[float, tuple[int, int, int]]]:
-    return [(1.0, (1, 2 * i, 0))]
-
-
-def kramers_odd_basis(j: int) -> list[tuple[float, tuple[int, int, int]]]:
-    return [(1.0, (1, 2 * j + 1, 0))]

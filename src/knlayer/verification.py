@@ -4,10 +4,13 @@ Three one-directional checks live here: adaptive quadrature for the
 half-space integrals, a dense cyclic Jacobi eigensolver for the parity
 spectra, and a first-order upwind two-point BVP solver for the reduced ODE
 systems on a truncated domain.  None of them reuse the closed forms they
-are meant to confirm.  The raw boundary matrices, the reference for the
-normalized assemblers of :mod:`knlayer.boundary_solver`, are built here
-too.  The suites (``run_verification``) compare every solver layer against
-these oracles and the raw matrices.
+are meant to confirm.  The references they compare against are built
+here too: the Hermite inner products and basis combinations behind every
+coupling entry, the full parity eigenvector matrix, the raw boundary
+matrices behind :mod:`knlayer.boundary_solver`'s normalized assemblers, and
+the wall operator K(chi) that the solver never forms.  The suites
+(``run_verification``) compare every solver layer against these oracles
+and references.
 
 It is the only knlayer module that imports scipy (quadrature and sparse
 LU); the CLI imports it for ``verify`` alone, so no solve loads scipy.
@@ -30,23 +33,19 @@ from . import special_functions
 from .boundary_solver import (
     WallBoundarySystem,
     _check_kramers_order,
+    _check_match,
     _check_temperature_order,
     kramers_boundary_system,
     temperature_boundary_system,
-    wall_operator,
 )
 from .layer_profiles import DEFAULT_KN, DEFECT_WEIGHTS, temperature_solution, velocity_solution
-from .parity_spectral import ParityEigen, assemble_full_R, decompose
+from .parity_spectral import ParityEigen, decompose
 from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
 from .system_builder import (
     ReducedSystem,
+    SystemKind,
     build_kramers_system,
     build_temperature_system,
-    inner_product_oracle,
-    kramers_even_basis,
-    kramers_odd_basis,
-    temperature_even_basis,
-    temperature_odd_basis,
 )
 
 __all__ = [
@@ -58,10 +57,14 @@ __all__ = [
     "VERIFICATION_SUITES",
     "quadrature_S",
     "quadrature_S_normalized",
+    "inner_product_oracle",
+    "oracle_entry",
     "dense_symmetric_eig",
+    "assemble_full_R",
     "assemble_temperature_Tb",
     "assemble_T",
     "assemble_kramers_Sk",
+    "wall_operator",
     "geometric_nodes",
     "split_nodes",
     "bvp_temperature",
@@ -132,6 +135,82 @@ def quadrature_S(alpha: int, beta: int, theta: float = 1.0) -> float:
     """Raw S(alpha, beta) by quadrature; factorial scaling applied afterwards."""
     scale = math.sqrt(math.factorial(alpha) * math.factorial(beta))
     return quadrature_S_normalized(alpha, beta, theta) * scale
+
+
+# ----------------------------------------------------------------------
+# Hermite inner products, the reference for the coupling entries
+
+
+def inner_product_oracle(phi_index: tuple[int, int, int], psi_index: tuple[int, int, int]) -> float:
+    """<He_a, xi_2 He_b> under the unit Gaussian weight, by recursion + orthogonality.
+
+    xi_2 He_b = b_2 He_{b - e2} + He_{b + e2}, and distinct Hermite indices are
+    orthogonal with <He_a, He_a> = a!.
+    """
+    a = tuple(phi_index)
+    b = tuple(psi_index)
+    if len(a) != 3 or len(b) != 3:
+        raise ValueError("multi-indices must have three components")
+    total = 0.0
+    down = (b[0], b[1] - 1, b[2])
+    if b[1] >= 1 and a == down:
+        total += b[1] * _norm_sq(a)
+    up = (b[0], b[1] + 1, b[2])
+    if a == up:
+        total += _norm_sq(a)
+    return total
+
+
+def _norm_sq(idx) -> float:
+    """<He_a, He_a> = a! for the multi-index a."""
+    return float(math.prod(math.factorial(x) for x in idx))
+
+
+# Symbolic basis combinations (coefficient, multi-index) defining the rows and
+# columns of the coupling blocks.
+
+def temperature_even_basis(i: int) -> list[tuple[float, tuple[int, int, int]]]:
+    if i == 1:
+        return [(1.0, (0, 2, 0)), (-0.5, (2, 0, 0)), (-0.5, (0, 0, 2))]
+    k = i // 2
+    if i % 2 == 0:
+        return [(1.0, (0, 2 * k + 2, 0))]
+    return [(0.5, (2, 2 * k, 0)), (0.5, (0, 2 * k, 2))]
+
+
+def temperature_odd_basis(j: int) -> list[tuple[float, tuple[int, int, int]]]:
+    if j == 1:
+        return [(1.0, (0, 3, 0)), (-1.5, (2, 1, 0)), (-1.5, (0, 1, 2))]
+    k = j // 2
+    if j % 2 == 0:
+        return [(1.0, (0, 2 * k + 3, 0))]
+    return [(0.5, (2, 2 * k + 1, 0)), (0.5, (0, 2 * k + 1, 2))]
+
+
+def kramers_even_basis(i: int) -> list[tuple[float, tuple[int, int, int]]]:
+    return [(1.0, (1, 2 * i, 0))]
+
+
+def kramers_odd_basis(j: int) -> list[tuple[float, tuple[int, int, int]]]:
+    return [(1.0, (1, 2 * j + 1, 0))]
+
+
+def _basis_norm(combo) -> float:
+    """Norm of a Hermite combination from the orthogonality weights."""
+    return math.sqrt(sum(c * c * _norm_sq(idx) for c, idx in combo))
+
+
+def oracle_entry(system: ReducedSystem, i: int, j: int) -> float:
+    """Coupling entry (i, j), 1-based, re-derived from the basis combinations."""
+    if system.kind is SystemKind.TEMPERATURE_JUMP:
+        even, odd = temperature_even_basis, temperature_odd_basis
+    else:
+        even, odd = kramers_even_basis, kramers_odd_basis
+    ip = sum(ce * co * inner_product_oracle(ie, io) for ce, ie in even(i) for co, io in odd(j))
+    a_sq = _basis_norm(even(i)) ** 2
+    if system.kind is SystemKind.KRAMERS and i == 1:
+        a_sq *= 1.0 - (1.0 - system.prandtl) / 5.0
+    return ip / (math.sqrt(a_sq) * _basis_norm(odd(j)))
 
 
 def _disjoint_pair_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -219,6 +298,13 @@ def dense_symmetric_eig(matrix: np.ndarray, max_sweeps: int = 100) -> tuple[np.n
     w = np.diag(a).copy() * amax
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
+    """Full orthogonal eigenvector matrix [[E, E], [O, -O]]."""
+    return np.block(
+        [[eigen.even_vectors, eigen.even_vectors], [eigen.odd_vectors, -eigen.odd_vectors]]
+    )
 
 
 @dataclass(frozen=True)
@@ -542,6 +628,18 @@ def assemble_kramers_Sk(order: int, table: HalfSpaceTable) -> np.ndarray:
     return table.s_values[:size, :size].copy()
 
 
+def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
+    """K(chi) = b(chi) T - 2 diag(0, E Lambda E^T); symmetric negative definite.
+
+    The solver never forms it; the definiteness checks and tests do.
+    """
+    _check_match(system, eigen)
+    e = eigen.even_vectors
+    k = system.b_chi * system.scaled_matrix
+    k[1:, 1:] -= 2.0 * (e * eigen.rates) @ e.T
+    return k
+
+
 # ----------------------------------------------------------------------
 # verification suites, one per solver layer
 
@@ -605,31 +703,13 @@ def _check_half_space(level: str) -> list[CheckResult]:
     return results
 
 
-def _basis_norm(combo) -> float:
-    """Norm of a Hermite combination from the orthogonality weights."""
-    return math.sqrt(
-        sum(c * c * math.prod(math.factorial(x) for x in idx) for c, idx in combo)
-    )
-
-
-def _system_entry_residual(system, even_basis, odd_basis) -> float:
+def _system_entry_residual(system) -> float:
     worst = 0.0
     for j in range(1, system.m_odd + 1):
-        bj = _basis_norm(odd_basis(j))
         for i in range(1, system.m_even + 1):
-            aa = _basis_norm(even_basis(i)) ** 2
-            if system.kind.value == "kramers" and i == 1:
-                aa *= 1.0 - (1.0 - system.prandtl) / 5.0
-            ai = math.sqrt(aa)
-            ip = sum(
-                ce * co * inner_product_oracle(ie, io)
-                for ce, ie in even_basis(i)
-                for co, io in odd_basis(j)
-            )
-            expected = ip / (ai * bj)
+            expected = oracle_entry(system, i, j)
             got = system.coupling_entry(i, j)
-            scale = max(1.0, abs(expected))
-            worst = max(worst, abs(got - expected) / scale)
+            worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
     return worst
 
 
@@ -638,20 +718,10 @@ def _check_systems(level: str) -> list[CheckResult]:
     k_orders = (4, 6) if level == "quick" else tuple(range(4, 31, 2))
     worst = 0.0
     for m in t_orders:
-        worst = max(
-            worst,
-            _system_entry_residual(
-                build_temperature_system(m), temperature_even_basis, temperature_odd_basis
-            ),
-        )
+        worst = max(worst, _system_entry_residual(build_temperature_system(m)))
     for m in k_orders:
         for pr in (1.0, 2.0 / 3.0):
-            worst = max(
-                worst,
-                _system_entry_residual(
-                    build_kramers_system(m, pr), kramers_even_basis, kramers_odd_basis
-                ),
-            )
+            worst = max(worst, _system_entry_residual(build_kramers_system(m, pr)))
     return [CheckResult("system entries vs inner-product oracle", worst <= 1e-12, worst, 1e-12)]
 
 

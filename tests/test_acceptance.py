@@ -16,7 +16,6 @@ from knlayer.boundary_solver import (
     assemble_temperature_T,
     kramers_boundary_system,
     temperature_boundary_system,
-    wall_operator,
 )
 from knlayer.layer_profiles import (
     chi_zero_limit,
@@ -35,19 +34,14 @@ from knlayer.special_functions import (
 )
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
-    BvpConfig,
+    _bvp_deviation,
     _spectral_residual,
     assemble_kramers_Sk,
     assemble_temperature_Tb,
-    bvp_kramers,
-    bvp_temperature,
     dense_symmetric_eig,
-    geometric_nodes,
     quadrature_S_normalized,
-    split_nodes,
+    wall_operator,
 )
-
-KN = math.sqrt(2.0) / 2.0
 
 # Published jump coefficients at Kn = sqrt(2)/2, Pr = 1 (printed precision).
 TABLE1 = {
@@ -237,26 +231,8 @@ def test_criterion_09_bvp_equivalence():
     worst_dev = 0.0
     ratios = []
     for problem, order in cases:
-        cfg = BvpConfig(n_cells=20000)
-        if problem == "temperature":
-            sol = temperature_solution(order, 1.0)
-            y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * KN)
-            nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-            coarse = bvp_temperature(order, 1.0, KN, 1.0, 1.0, 0.0, cfg, nodes=nodes)
-            fine = bvp_temperature(order, 1.0, KN, 1.0, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-            exact = sol.temperature(nodes)
-        else:
-            sol = velocity_solution(order, 1.0)
-            y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * KN)
-            nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-            coarse = bvp_kramers(order, 1.0, KN, 1.0, 1.0, 0.0, cfg, nodes=nodes)
-            fine = bvp_kramers(order, 1.0, KN, 1.0, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-            exact = sol.velocity(nodes)
-        extrapolated = 2.0 * fine.values[::2] - coarse.values
-        dev = float(np.max(np.abs(extrapolated - exact)))
-        dev_coarse = float(np.max(np.abs(coarse.values - exact)))
-        dev_fine = float(np.max(np.abs(fine.values[::2] - exact)))
-        ratios.append(dev_coarse / dev_fine)
+        dev, ratio = _bvp_deviation(problem, order, 20000)
+        ratios.append(ratio)
         worst_dev = max(worst_dev, dev)
         assert dev <= 1e-6, (problem, order, dev)
     for ratio in ratios:

@@ -1,0 +1,88 @@
+"""The package's public names, and the solver-module names that must stay gone."""
+
+import importlib
+
+import knlayer
+from knlayer import verification
+from knlayer.special_functions import ZSequence
+
+PUBLIC = [
+    "CoefficientCurve",
+    "HalfSpaceTable",
+    "ParityEigen",
+    "ReducedSystem",
+    "StructuralSolveError",
+    "SystemKind",
+    "TemperatureLayerSolution",
+    "VelocityLayerSolution",
+    "accommodation_factor",
+    "build_kramers_system",
+    "build_temperature_system",
+    "chi_zero_limit",
+    "coefficient_curve",
+    "convergence_order",
+    "decompose",
+    "default_profile_grid",
+    "effective_conductivity",
+    "half_space_S",
+    "half_space_S_normalized",
+    "jump_coefficient",
+    "kramers_boundary_system",
+    "normalized_temperature",
+    "solve_wall",
+    "temperature_boundary_system",
+    "temperature_defect",
+    "temperature_solution",
+    "velocity_solution",
+    "viscous_slip_coefficient",
+]
+
+# Names no solve reads, deleted from the solver modules.
+DELETED = {
+    "special_functions": [
+        "hermite_eval", "wall_J", "WallMoments", "linearized_wall_moment", "z_value",
+        "z_sign_log", "half_space_I",
+    ],
+}
+
+# Oracle helpers that live in knlayer.verification now.
+MOVED = {
+    "system_builder": [
+        "inner_product_oracle", "temperature_even_basis", "temperature_odd_basis",
+        "kramers_even_basis", "kramers_odd_basis",
+    ],
+    "parity_spectral": ["assemble_full_R"],
+    "boundary_solver": ["wall_operator"],
+}
+
+SOLVER_MODULES = (
+    "special_functions", "system_builder", "parity_spectral", "boundary_solver",
+    "layer_profiles",
+)
+
+
+def test_public_api_is_pinned():
+    assert sorted(knlayer.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(knlayer, name), name
+
+
+def test_module_all_resolves():
+    for module in (*SOLVER_MODULES, "verification", "cli"):
+        mod = importlib.import_module(f"knlayer.{module}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, (module, missing)
+
+
+def test_removed_names_are_gone():
+    for module, names in (*DELETED.items(), *MOVED.items()):
+        mod = importlib.import_module(f"knlayer.{module}")
+        for name in names:
+            assert not hasattr(mod, name), (module, name)
+            assert not hasattr(knlayer, name), name
+    for names in MOVED.values():
+        for name in names:
+            assert hasattr(verification, name), name
+    zs = ZSequence(8)
+    for name in ("sign", "log_magnitude", "_sign", "_logmag"):
+        assert not hasattr(zs, name), name

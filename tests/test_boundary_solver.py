@@ -19,14 +19,18 @@ from knlayer.boundary_solver import (
     solve_wall,
     temperature_boundary_system,
     temperature_c_vector,
-    wall_operator,
 )
 from knlayer import boundary_solver, cli, layer_profiles
 from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
 from knlayer.system_builder import SystemKind, build_kramers_system, build_temperature_system
-from knlayer.verification import assemble_kramers_Sk, assemble_T, assemble_temperature_Tb
+from knlayer.verification import (
+    assemble_kramers_Sk,
+    assemble_T,
+    assemble_temperature_Tb,
+    wall_operator,
+)
 
 
 def reference_t0(chi):

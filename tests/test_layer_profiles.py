@@ -494,8 +494,8 @@ class TestPerChiInputDomain:
 
 
 class TestBlockedEvaluation:
-    # Order 65 has 63 modes, so a block holds 128 rows; a lone row after a
-    # whole block (129, 257) joins that block.
+    # Order 65 has 63 modes, so a block holds 128 rows; a short last block
+    # (1 to 127 rows after whole blocks) is padded to a multiple of 16.
     @pytest.mark.parametrize("count", [1, 2, 17, 128, 129, 130, 257, 4097])
     def test_blocks_match_one_product(self, count):
         sol = temperature_solution(65, 0.5)
@@ -514,6 +514,24 @@ class TestBlockedEvaluation:
             rtol=1e-14,
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize("order", [65, 129])
+    def test_values_independent_of_call_size(self, order):
+        # A row alone after a whole block, or in the 1 to 3 row tail of a
+        # block, goes through another BLAS kernel than a row inside a longer
+        # call and can differ in the last bit; windows of 2, 3 and
+        # (block rows + 1) samples must match the 1000-sample call exactly.
+        curve = coefficient_curve(order)
+        rows = _BLOCK_ELEMENTS // curve.poles.size // 16 * 16
+        chis = np.linspace(0.01, 1.0, 1000)
+        sol = temperature_solution(order, 0.7)
+        y = np.geomspace(1e-3, 50.0, 1000)
+        full_curve, full_defect = curve(chis), temperature_defect(sol, y)
+        for count in (2, 3, rows + 1):
+            for start in range(0, 1000 - count, 3):
+                window = slice(start, start + count)
+                assert np.array_equal(curve(chis[window]), full_curve[window]), (count, start)
+                assert np.array_equal(temperature_defect(sol, y[window]), full_defect[window])
 
     def test_conductivity_memory_bounded(self):
         sol = temperature_solution(65, 0.5)

@@ -7,19 +7,14 @@ import pytest
 
 from knlayer import layer_profiles
 from knlayer.layer_profiles import temperature_defect, temperature_solution
-from knlayer.parity_spectral import (
-    ParityEigen,
-    RankDeficiencyError,
-    assemble_full_R,
-    decompose,
-)
+from knlayer.parity_spectral import ParityEigen, RankDeficiencyError, decompose
 from knlayer.system_builder import (
     ReducedSystem,
     SystemKind,
     build_kramers_system,
     build_temperature_system,
 )
-from knlayer.verification import dense_symmetric_eig
+from knlayer.verification import assemble_full_R, dense_symmetric_eig
 
 
 def all_invariants(system, eigen, tol=1e-10):

@@ -1,4 +1,4 @@
-"""Closed-form Hermite / half-space machinery against exact and quadrature oracles."""
+"""Closed-form half-space integrals against exact and quadrature oracles."""
 
 import math
 import tracemalloc
@@ -6,22 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knlayer.special_functions import (
     RAW_ORDER_LIMIT,
     HalfSpaceTable,
-    WallMoments,
     ZSequence,
-    half_space_I,
     half_space_S,
     half_space_S_normalized,
-    hermite_eval,
-    linearized_wall_moment,
-    wall_J,
-    z_sign_log,
-    z_value,
 )
 from knlayer.verification import quadrature_S, quadrature_S_normalized
 
@@ -49,97 +42,60 @@ def exact_S(alpha, beta):
     return float(total)
 
 
-class TestHermiteEval:
-    def test_order_zero_is_one(self):
-        assert hermite_eval(0, 3.7, 0.0, 1.0) == 1.0
-        assert hermite_eval(0, -2.0, 1.0, 0.5) == 1.0
+def half_space_I(alpha, beta):
+    """Half-line Gaussian moment of He_alpha He_beta, the reference S is built on.
 
-    def test_order_one(self):
-        assert hermite_eval(1, 2.0, 0.0, 1.0) == 2.0
-
-    def test_order_two_at_origin(self):
-        # recursion gives xi^2 - 1 for the unit weight
-        assert hermite_eval(2, 0.0, 0.0, 1.0) == -1.0
-
-    def test_rejects_nonpositive_theta(self):
-        with pytest.raises(ValueError):
-            hermite_eval(2, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            hermite_eval(2, 0.0, 0.0, -1.0)
-
-    @given(
-        order=st.integers(min_value=0, max_value=12),
-        xi=st.floats(-4.0, 4.0),
-        u=st.floats(-1.0, 1.0),
-        theta=st.floats(0.25, 4.0),
-    )
-    @example(order=10, xi=0.412109375, u=0.412109375, theta=0.412109375)
-    @settings(max_examples=60, deadline=None)
-    def test_three_term_recursion_identity(self, order, xi, u, theta):
-        lhs = (xi - u) * hermite_eval(order + 1, xi, u, theta)
-        lower = (order + 1) * hermite_eval(order, xi, u, theta)
-        upper = theta * hermite_eval(order + 2, xi, u, theta)
-        # the two terms can cancel, so the absolute tolerance scales with them
-        scale = max(1.0, abs(lower), abs(upper))
-        assert lhs == pytest.approx(lower + upper, rel=1e-10, abs=1e-10 * scale)
+    Closed form: alpha! sqrt(2 pi)/2 on the diagonal, and
+    (z_{alpha+1} z_beta - z_{beta+1} z_alpha)/(alpha - beta) off it.
+    """
+    if alpha == beta:
+        return math.factorial(alpha) * SQRT_2PI / 2.0
+    zs = ZSequence(max(alpha, beta) + 1)
+    num = zs.value(alpha + 1) * zs.value(beta) - zs.value(beta + 1) * zs.value(alpha)
+    return num / (alpha - beta)
 
 
 class TestZSequence:
     def test_seed_values(self):
-        assert z_value(0) == 1.0
-        assert z_value(1) == 0.0
+        zs = ZSequence(1)
+        assert zs.value(0) == 1.0
+        assert zs.value(1) == 0.0
 
     def test_odd_values_vanish(self):
+        zs = ZSequence(31)
         for n in (1, 3, 5, 9, 31):
-            assert z_value(n) == 0.0
+            assert zs.value(n) == 0.0
 
     def test_z4(self):
         # z2 = -1, z4 = -3 z2 = 3; equals He_4 at the origin
-        assert z_value(4) == 3.0
-        assert hermite_eval(4, 0.0, 0.0, 1.0) == 3.0
+        assert ZSequence(4).value(4) == 3.0
 
     def test_matches_exact_integers(self):
         z = exact_z_list(60)
+        zs = ZSequence(60)
         for n in range(31):  # below 2^53 the float recursion is exact
-            assert z_value(n) == float(z[n])
+            assert zs.value(n) == float(z[n])
         for n in range(31, 61):
-            assert z_value(n) == pytest.approx(float(z[n]), rel=1e-14)
-
-    def test_sign_log_form(self):
-        sign, logmag = z_sign_log(6)
-        assert sign == -1
-        assert math.exp(logmag) == pytest.approx(15.0, rel=1e-14)
-        assert z_sign_log(3)[0] == 0
-
-    def test_theta_independence_of_scaled_origin_value(self):
-        for theta in (0.5, 1.0, 2.0):
-            val = theta**3 * hermite_eval(6, 0.0, 0.0, theta)
-            assert val == pytest.approx(z_value(6), rel=1e-12)
+            assert zs.value(n) == pytest.approx(float(z[n]), rel=1e-14)
 
     @staticmethod
     def recursion_reference(n_max):
         """The per-index recursion the vectorised constructor replaces."""
         n = n_max + 1
-        sign = np.zeros(n, dtype=np.int8)
-        logmag = np.full(n, -np.inf)
         normed = np.zeros(n)
         values = np.zeros(n)
-        sign[0] = 1
-        logmag[0] = 0.0
         normed[0] = 1.0
         values[0] = 1.0
         for k in range(1, n_max):
-            sign[k + 1] = -sign[k - 1]
-            logmag[k + 1] = math.log(k) + logmag[k - 1]
             normed[k + 1] = -math.sqrt(k / (k + 1.0)) * normed[k - 1]
             prev = values[k - 1]
             values[k + 1] = -k * prev if abs(prev) < 1e304 / k else -math.copysign(math.inf, prev)
-        return sign, logmag, normed, values
+        return normed, values
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 64, 131, 514, 4099])
     def test_matches_recursion(self, n_max):
         zs = ZSequence(n_max)
-        got = (zs._sign, zs._logmag, zs.normalized_values, zs._values)
+        got = (zs.normalized_values, zs._values)
         for arr, ref in zip(got, self.recursion_reference(n_max)):
             assert arr.dtype == ref.dtype
             assert np.array_equal(arr, ref)
@@ -273,7 +229,7 @@ def full_reference_tables(max_order):
     band = SQRT_2PI / 2.0 * np.sqrt(np.maximum(idx[:, None], idx[None, :]))
     normalized = assemble(max_order, zn, band, normalized=True)
     raw_top = min(max_order, RAW_ORDER_LIMIT)
-    zraw = np.array([z_value(n) for n in range(raw_top + 3)])
+    zraw = ZSequence(raw_top + 2)._values
     rid = idx[: raw_top + 1]
     fact = np.array([float(math.factorial(int(n))) for n in rid])
     rband = SQRT_2PI / 2.0 * np.where(rid[:, None] >= rid[None, :], fact[:, None], fact[None, :])
@@ -334,56 +290,6 @@ class TestHalfSpaceTable:
             tracemalloc.stop()
         stored = table.s_normalized.nbytes + table.s_values.nbytes
         assert peak <= 6 * stored, (peak, stored)
-
-
-class TestWallJ:
-    def test_seeds(self):
-        assert wall_J(0, 0.77, 1.0, 0.3) == 1.0
-        assert wall_J(1, 0.3, 1.0, 0.0) == 0.3
-
-    def test_j2_value(self):
-        assert wall_J(2, 0.2, 1.0, 0.1) == pytest.approx(0.07, rel=1e-15)
-
-    def test_rejects_bad_theta(self):
-        with pytest.raises(ValueError):
-            wall_J(2, 0.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
-    def test_small_argument_order(self, eps):
-        # J_m = O(eps^ceil(m/2)) when both the offset and dtheta are O(eps)
-        for m in range(2, 9):
-            bound = 2.0 * eps ** math.ceil(m / 2)
-            assert abs(wall_J(m, eps, 1.0, eps)) <= bound
-
-
-class TestWallMoments:
-    def test_temperature_pair(self):
-        wm = WallMoments(theta_bar_wall=0.1, theta_bar_gas=0.0)
-        assert linearized_wall_moment((0, 2, 0), wm) == pytest.approx(0.05)
-        assert linearized_wall_moment((2, 0, 0), wm) == pytest.approx(0.05)
-
-    def test_velocity_difference(self):
-        wm = WallMoments(u_bar_wall=(0.2, 0.0, 0.0), u_bar_gas=(0.05, 0.0, 0.0))
-        assert linearized_wall_moment((1, 0, 0), wm) == pytest.approx(0.15)
-
-    def test_mixed_indices_vanish(self):
-        wm = WallMoments(theta_bar_wall=0.3, u_bar_wall=(0.1, 0.0, 0.2))
-        for alpha in [(1, 2, 0), (2, 1, 0), (1, 1, 1), (0, 4, 0), (3, 0, 0)]:
-            assert linearized_wall_moment(alpha, wm) == 0.0
-
-    def test_density_offset_from_even_moments(self):
-        wm = WallMoments(theta_bar_wall=0.1, theta_bar_gas=0.0)
-        gas = {2: 0.02, 4: -0.003}
-        # S(0,0) (rho_w - rho) = sum_beta S(0,beta) (f_beta - m_beta)
-        expected = -(
-            half_space_S(0, 2) * (0.02 - 0.05) + half_space_S(0, 4) * (-0.003)
-        )
-        got = linearized_wall_moment((0, 0, 0), wm, gas_even_moments=gas)
-        assert got == pytest.approx(expected, rel=1e-14)
-
-    def test_density_offset_requires_gas_moments(self):
-        with pytest.raises(ValueError):
-            linearized_wall_moment((0, 0, 0), WallMoments())
 
 
 class TestQuadratureAgreement:

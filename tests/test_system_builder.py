@@ -5,39 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from knlayer.system_builder import (
-    SystemKind,
-    build_kramers_system,
-    build_temperature_system,
-    inner_product_oracle,
-    kramers_even_basis,
-    kramers_odd_basis,
-    temperature_even_basis,
-    temperature_odd_basis,
-)
-
-
-def basis_norm(combo):
-    return math.sqrt(
-        sum(c * c * math.prod(math.factorial(x) for x in idx) for c, idx in combo)
-    )
-
-
-def oracle_entry(system, i, j):
-    """Coupling entry (i, j) re-derived from the basis combinations."""
-    if system.kind is SystemKind.TEMPERATURE_JUMP:
-        even, odd = temperature_even_basis, temperature_odd_basis
-    else:
-        even, odd = kramers_even_basis, kramers_odd_basis
-    ip = sum(
-        ce * co * inner_product_oracle(ie, io)
-        for ce, ie in even(i)
-        for co, io in odd(j)
-    )
-    a_sq = basis_norm(even(i)) ** 2
-    if system.kind is SystemKind.KRAMERS and i == 1:
-        a_sq *= 1.0 - (1.0 - system.prandtl) / 5.0
-    return ip / (math.sqrt(a_sq) * basis_norm(odd(j)))
+from knlayer.system_builder import build_kramers_system, build_temperature_system
+from knlayer.verification import inner_product_oracle, oracle_entry
 
 
 class TestInnerProductOracle:
