@@ -30,11 +30,14 @@ them: :func:`schur_complement` forms A, h and q from T, c and E, and
 both on every call; the per-order ``LayerOperator`` of
 :mod:`knlayer.layer_profiles` runs them once and keeps only the reduction.
 
-Assembly works entirely in normalized form, from the even-index block of
-the half-space table, so that orders in the thousands never touch a raw
-factorial.  The raw matrices, valid inside the double-precision window,
-and K(chi) itself are built in :mod:`knlayer.verification` as the
-reference for tests and the definiteness checks.
+A :class:`WallBoundarySystem` holds T and c of one order and no chi: it is
+assembled once per order, and b(chi) enters only where :func:`solve_wall`
+or an oracle evaluates it.  Assembly works entirely in normalized form,
+from the even-index block of the half-space table, so that orders in the
+thousands never touch a raw factorial.  The raw matrices, valid inside the
+double-precision window, and K(chi) itself are built in
+:mod:`knlayer.verification` as the reference for tests and the
+definiteness checks.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import numpy as np
 
 from .parity_spectral import ParityEigen
 from .special_functions import SQRT_2PI, HalfSpaceTable
-from .system_builder import SystemKind
 
 __all__ = [
     "WallBoundarySystem",
@@ -161,16 +163,13 @@ def kramers_c_vector(order: int, prandtl: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WallBoundarySystem:
-    """Assembled wall system for one (kind, order, chi) combination.
+    """Chi-independent wall system of one order: T and the drive c, read-only.
 
     ``scaled_matrix`` is the overflow-safe boundary matrix T the solver uses;
-    it and ``c_vec`` are read-only.
+    b(chi) enters only where a solve or an oracle evaluates it.
     """
 
-    kind: SystemKind
     order: int
-    chi: float
-    b_chi: float
     scaled_matrix: np.ndarray
     c_vec: np.ndarray
 
@@ -179,19 +178,13 @@ class WallBoundarySystem:
         self.c_vec.flags.writeable = False
 
 
-def temperature_boundary_system(order: int, chi: float, table: HalfSpaceTable) -> WallBoundarySystem:
-    return WallBoundarySystem(
-        SystemKind.TEMPERATURE_JUMP, order, chi, accommodation_factor(chi),
-        assemble_temperature_T(order, table), temperature_c_vector(order),
-    )
+def temperature_boundary_system(order: int, table: HalfSpaceTable) -> WallBoundarySystem:
+    return WallBoundarySystem(order, assemble_temperature_T(order, table), temperature_c_vector(order))
 
 
-def kramers_boundary_system(
-    order: int, chi: float, prandtl: float, table: HalfSpaceTable
-) -> WallBoundarySystem:
+def kramers_boundary_system(order: int, prandtl: float, table: HalfSpaceTable) -> WallBoundarySystem:
     return WallBoundarySystem(
-        SystemKind.KRAMERS, order, chi, accommodation_factor(chi),
-        assemble_kramers_T(order, table, prandtl), kramers_c_vector(order, prandtl),
+        order, assemble_kramers_T(order, table, prandtl), kramers_c_vector(order, prandtl)
     )
 
 
@@ -285,18 +278,20 @@ class WallReduction:
 
 
 def solve_wall(
-    system: WallBoundarySystem, eigen: ParityEigen, flux: float, wall_value: float
+    system: WallBoundarySystem, eigen: ParityEigen, chi: float, flux: float, wall_value: float
 ) -> tuple[float, np.ndarray]:
     """Solve the wall system for the jump value and the decaying mode weights.
 
     ``flux`` is the prescribed normal heat flux (temperature problem) or
     shear stress (Kramers); ``wall_value`` the corresponding wall state.
     Returns (wall unknown at y = 0, positive-branch mode amplitudes).
+    A chi outside (0, 1] raises ``ValueError`` before any reduction.
     A non-positive pivot -T[0, 0], decay rate or reduced eigenvalue is a
     structural failure, and a result that is not finite (a subnormal chi
     overflows 1 / b(chi)) raises ``ValueError``.  Every call reduces the
     system afresh; repeated chi of one order go through ``LayerOperator``.
     """
+    b = accommodation_factor(chi)
     _check_match(system, eigen)
     reduction = WallReduction.from_schur(*schur_complement(system, eigen.rates, eigen.even_vectors))
-    return reduction.solve(system.order, system.chi, system.b_chi, flux, wall_value)
+    return reduction.solve(system.order, chi, b, flux, wall_value)

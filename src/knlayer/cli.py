@@ -13,10 +13,8 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .layer_profiles import (
 from .parity_spectral import RankDeficiencyError
 from .system_builder import build_kramers_system, build_temperature_system
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 TABLE1_CHIS = (0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 1.0)
 TABLE1_ORDERS = (3, 5, 7, 9, 11, 13)
@@ -45,29 +43,6 @@ TABLE1_ORDERS = (3, 5, 7, 9, 11, 13)
 # allocated: a million rows is about 100 MB of text, while 1e9 would ask for
 # gigabytes and 1e12 ends in numpy's memory error.
 MAX_SAMPLES = 10**6
-
-
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    command: str
-    order: int = 13
-    chi: float = 1.0
-    kn: float = DEFAULT_KN
-    pr: float = 1.0
-    flux: float = 1.0
-    wall_value: float = 0.0
-    y_min: float = 1e-3
-    y_max: float | None = None
-    samples: int = 400
-    spacing: str = "geometric"
-    fmt: str = "columnar-text"
-    output: str | None = None
-    level: str = "quick"
-    kmax: int = 6
-    chi_min: float = 1e-3
-    chi_max: float = 1.0
 
 
 class UsageError(Exception):
@@ -129,7 +104,7 @@ def _solution_record(sol, extra: dict) -> dict:
     }
 
 
-def cmd_temperature_jump(cfg: RunConfig) -> tuple[str, int]:
+def cmd_temperature_jump(cfg: argparse.Namespace) -> tuple[str, int]:
     sol = temperature_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, cfg.wall_value)
     zeta = jump_coefficient(sol) if cfg.wall_value == 0.0 else None
     if cfg.fmt == "structured-json":
@@ -166,7 +141,7 @@ def cmd_temperature_jump(cfg: RunConfig) -> tuple[str, int]:
     return _columnar(params, ["mode", "decay_rate", "amplitude", "defect_amplitude"], rows), 0
 
 
-def cmd_kramers(cfg: RunConfig) -> tuple[str, int]:
+def cmd_kramers(cfg: argparse.Namespace) -> tuple[str, int]:
     sol = velocity_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, cfg.wall_value)
     slip = viscous_slip_coefficient(sol) if cfg.wall_value == 0.0 else None
     if cfg.fmt == "structured-json":
@@ -204,7 +179,7 @@ def table1_values() -> dict[float, list[float]]:
     return {chi: [curve(chi) for curve in curves] for chi in TABLE1_CHIS}
 
 
-def cmd_table1(cfg: RunConfig) -> tuple[str, int]:
+def cmd_table1(cfg: argparse.Namespace) -> tuple[str, int]:
     values = table1_values()
     if cfg.fmt == "structured-json":
         record = {
@@ -222,7 +197,7 @@ def cmd_table1(cfg: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def cmd_table2(cfg: RunConfig) -> tuple[str, int]:
+def cmd_table2(cfg: argparse.Namespace) -> tuple[str, int]:
     if not 6 <= cfg.kmax <= 8:
         raise UsageError("kmax must lie in [6, 8]")
     ks = list(range(6, cfg.kmax + 1))
@@ -246,7 +221,7 @@ def _check_samples(samples: int) -> None:
         raise UsageError(f"samples must lie in [2, {MAX_SAMPLES}]")
 
 
-def cmd_sweep_chi(cfg: RunConfig) -> tuple[str, int]:
+def cmd_sweep_chi(cfg: argparse.Namespace) -> tuple[str, int]:
     _check_samples(cfg.samples)
     if not 0.0 < cfg.chi_min < cfg.chi_max <= 1.0:
         raise UsageError("need 0 < chi-min < chi-max <= 1")
@@ -283,7 +258,7 @@ def cmd_sweep_chi(cfg: RunConfig) -> tuple[str, int]:
     return _columnar(params, ["chi", name, "b_chi", f"b_chi*{name}"], rows), 0
 
 
-def _profile_grid(cfg: RunConfig, sol) -> np.ndarray:
+def _profile_grid(cfg: argparse.Namespace, sol) -> np.ndarray:
     y_max = cfg.y_max if cfg.y_max is not None else 60.0 * float(sol.decay_rates[0]) * sol.kn
     if not (math.isfinite(cfg.y_min) and math.isfinite(y_max)):
         raise UsageError(f"ymin ({cfg.y_min:g}) and ymax ({y_max:g}) must be finite")
@@ -296,7 +271,7 @@ def _profile_grid(cfg: RunConfig, sol) -> np.ndarray:
     return np.linspace(cfg.y_min, y_max, cfg.samples)
 
 
-def cmd_profile(cfg: RunConfig) -> tuple[str, int]:
+def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:
     _check_samples(cfg.samples)
     if cfg.order % 2 == 1:
         sol = temperature_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, 0.0)
@@ -346,7 +321,7 @@ def cmd_profile(cfg: RunConfig) -> tuple[str, int]:
     return _columnar(params, columns, data), 0
 
 
-def cmd_dump_system(cfg: RunConfig) -> tuple[str, int]:
+def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
     if cfg.order % 2 == 1:
         system = build_temperature_system(cfg.order)
     else:
@@ -368,7 +343,7 @@ def cmd_dump_system(cfg: RunConfig) -> tuple[str, int]:
     return _columnar(params, ["row", "col", "value"], rows), 0
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify(cfg: argparse.Namespace) -> tuple[str, int]:
     """Run the oracle suites: the report, and exit 2 unless every check passed."""
     # The oracles, and scipy with them, load only for this command.
     from . import verification
@@ -497,25 +472,19 @@ def _full_parser() -> _Parser:
     return parser
 
 
-def _parse(argv: list[str]) -> RunConfig:
-    """Options of one request; when argv[0] names a command, only its parser is built.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Options of one request, with ``command`` set; when argv[0] names a
+    command, only its parser is built.
 
     That parser is the one ``_full_parser`` would give the command: same
-    prog, options and messages.
+    prog, options and messages.  A handler reads only the options its own
+    parser defines.
     """
     if argv and argv[0] in COMMANDS:
-        command = argv[0]
-        parser = _Parser(prog=f"knlayer {command}")
-        COMMANDS[command][1](parser)
-        args = parser.parse_args(argv[1:])
-    else:
-        args = _full_parser().parse_args(argv)
-        command = args.command
-    cfg = RunConfig(command=command)
-    for field in dataclasses.fields(RunConfig):
-        if hasattr(args, field.name):
-            setattr(cfg, field.name, getattr(args, field.name))
-    return cfg
+        parser = _Parser(prog=f"knlayer {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _full_parser().parse_args(argv)
 
 
 def _emit(text: str, output: str | None) -> None:

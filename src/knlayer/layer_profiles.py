@@ -160,15 +160,14 @@ def _blocked_matvec(x: np.ndarray, weights: np.ndarray, block_matrix) -> np.ndar
     (a multiple of the BLAS kernel's row grouping), and a short last block is
     padded to a multiple of 16 with copies of its last x, so every row goes
     through the same kernel and its value does not depend on how many rows
-    share the call.  A call with a single x keeps numpy's dot product, the path
-    of every scalar evaluation; its last bit can differ from a longer call.
+    share the call, a single x included.
     """
     rows = max(16, _BLOCK_ELEMENTS // weights.size // 16 * 16)
     out = np.empty(x.size)
     for start in range(0, x.size, rows):
         block = x[start:start + rows]
         n = block.size
-        if n % 16 and x.size > 1:
+        if n % 16:
             block = np.concatenate((block, np.full(-n % 16, block[-1])))
         out[start:start + n] = (block_matrix(block) @ weights)[:n]
     return out
@@ -216,10 +215,10 @@ def layer_operator(kind: SystemKind, order: int, pr: float = 1.0) -> LayerOperat
     del eigen
     if temperature:
         row, row_scale = DEFECT_WEIGHTS[:min(3, rates.size)] @ e[:3, :], 0.8
-        wbs = temperature_boundary_system(order, 1.0, HalfSpaceTable(order + 2))
+        wbs = temperature_boundary_system(order, HalfSpaceTable(order + 2))
     else:
         row, row_scale = e[0, :].copy(), 2.0 / system.even_scale(1)
-        wbs = kramers_boundary_system(order, 1.0, pr, HalfSpaceTable(order + 2))
+        wbs = kramers_boundary_system(order, pr, HalfSpaceTable(order + 2))
     schur = schur_complement(wbs, rates, e)
     del e, wbs
     return LayerOperator(rates, row, row_scale, WallReduction.from_schur(*schur))

@@ -35,6 +35,7 @@ from .boundary_solver import (
     _check_kramers_order,
     _check_match,
     _check_temperature_order,
+    accommodation_factor,
     kramers_boundary_system,
     temperature_boundary_system,
 )
@@ -365,6 +366,7 @@ def _solve_layer_bvp(
     system: ReducedSystem,
     eigen: ParityEigen,
     wbs: WallBoundarySystem,
+    b: float,
     flux: float,
     wall_value: float,
     kn: float,
@@ -378,7 +380,8 @@ def _solve_layer_bvp(
     Unknowns per node: the scalar profile value, then the decaying (+) and
     growing (-) characteristic amplitudes.  The + branch is upwinded from
     the wall, the - branch from the far end where it is pinned to zero, and
-    the scalar equation telescopes the carrier moments exactly.
+    the scalar equation telescopes the carrier moments exactly.  The wall
+    rows read T and c from ``wbs`` and the accommodation factor ``b``.
     """
     m = eigen.m_odd
     n_nodes = nodes.size
@@ -393,7 +396,7 @@ def _solve_layer_bvp(
     rhs = np.zeros(size)
 
     # wall rows: b T (ds ; R_e (v+ + v-)) - [0 ; B R_o (v+ - v-)] = flux c
-    b_t = wbs.b_chi * wbs.scaled_matrix
+    b_t = b * wbs.scaled_matrix
     b_dense = system.coupling_dense()
     odd_flow = b_dense @ eigen.odd_vectors
     even_cols = b_t[:, 1:] @ eigen.even_vectors
@@ -410,7 +413,7 @@ def _solve_layer_bvp(
             1 + m + np.arange(m),
         )))
         vals.append(np.concatenate(([b_t[r, 0]], plus_block[r], minus_block[r])))
-        rhs[eq] = flux * wbs.c_vec[r] + wbs.b_chi * wbs.scaled_matrix[r, 0] * wall_value
+        rhs[eq] = flux * wbs.c_vec[r] + b * wbs.scaled_matrix[r, 0] * wall_value
         eq += 1
 
     rates = eigen.rates
@@ -513,8 +516,9 @@ def bvp_temperature(
         )
     config = config or BvpConfig()
     config.validate()
+    b = accommodation_factor(chi)
     system, table, eigen = _problem_parts(order)
-    wbs = temperature_boundary_system(order, chi, table)
+    wbs = temperature_boundary_system(order, table)
     if nodes is None:
         y_max = config.resolve_y_max(float(eigen.rates[0]) * kn)
         nodes = geometric_nodes(y_max, config.n_cells, config.stretch)
@@ -524,6 +528,7 @@ def bvp_temperature(
         system,
         eigen,
         wbs,
+        b,
         q2,
         theta_wall,
         kn,
@@ -552,8 +557,9 @@ def bvp_kramers(
         )
     config = config or BvpConfig()
     config.validate()
+    b = accommodation_factor(chi)
     system, table, eigen = _problem_parts(order, pr)
-    wbs = kramers_boundary_system(order, chi, pr, table)
+    wbs = kramers_boundary_system(order, pr, table)
     if nodes is None:
         y_max = config.resolve_y_max(float(eigen.rates[0]) * kn)
         nodes = geometric_nodes(y_max, config.n_cells, config.stretch)
@@ -562,6 +568,7 @@ def bvp_kramers(
         system,
         eigen,
         wbs,
+        b,
         sigma12,
         u1_wall,
         kn,
@@ -628,14 +635,15 @@ def assemble_kramers_Sk(order: int, table: HalfSpaceTable) -> np.ndarray:
     return table.s_values[:size, :size].copy()
 
 
-def wall_operator(system: WallBoundarySystem, eigen: ParityEigen) -> np.ndarray:
+def wall_operator(system: WallBoundarySystem, eigen: ParityEigen, chi: float) -> np.ndarray:
     """K(chi) = b(chi) T - 2 diag(0, E Lambda E^T); symmetric negative definite.
 
     The solver never forms it; the definiteness checks and tests do.
     """
+    b = accommodation_factor(chi)
     _check_match(system, eigen)
     e = eigen.even_vectors
-    k = system.b_chi * system.scaled_matrix
+    k = b * system.scaled_matrix
     k[1:, 1:] -= 2.0 * (e * eigen.rates) @ e.T
     return k
 
@@ -659,7 +667,11 @@ class CheckResult:
 
 
 def _check_half_space(level: str) -> list[CheckResult]:
+    """The closed forms, and the table's even block the wall assemblies read,
+    against quadrature; every even-index pair is nonzero, so the table entries
+    join the relative check."""
     top = 12 if level == "quick" else QUADRATURE_ORDER_LIMIT
+    table = HalfSpaceTable(top).s_normalized
     worst_rel = 0.0
     worst_zero = 0.0
     for a in range(top + 1):
@@ -671,6 +683,9 @@ def _check_half_space(level: str) -> list[CheckResult]:
                 worst_zero = max(worst_zero, abs(quad_n))
             else:
                 worst_rel = max(worst_rel, abs(quad_n - closed_n) / abs(closed_n))
+            if a % 2 == 0 and b % 2 == 0:
+                entries = table[[a // 2, b // 2], [b // 2, a // 2]]
+                worst_rel = max(worst_rel, float(np.max(np.abs(entries - quad_n))) / abs(closed_n))
     results = [
         CheckResult("half-space closed form vs quadrature (relative)", worst_rel <= 1e-9, worst_rel, 1e-9),
         CheckResult("half-space zero pattern vs quadrature (absolute)", worst_zero <= 1e-12, worst_zero, 1e-12),
@@ -767,31 +782,29 @@ def _negative_definite(matrix) -> bool:
     return True
 
 
+def _wall_definite(raw: np.ndarray, wbs: WallBoundarySystem, eigen: ParityEigen) -> bool:
+    """Raw matrix, T (factored once) and K(chi) at each checked chi all negative definite."""
+    ok = _negative_definite(raw) and _negative_definite(wbs.scaled_matrix)
+    return ok and all(_negative_definite(wall_operator(wbs, eigen, chi)) for chi in (0.1, 0.5, 1.0))
+
+
 def _check_definiteness(level: str) -> list[CheckResult]:
     t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 100, 2))
     k_orders = (4, 6) if level == "quick" else tuple(range(4, 99, 2))
     ok = True
-    for m in t_orders:
-        system, table, eigen = _problem_parts(m)
-        ok &= _negative_definite(assemble_temperature_Tb(m, table))
-        for chi in (0.1, 0.5, 1.0):
-            wbs = temperature_boundary_system(m, chi, table)
-            ok &= _negative_definite(wbs.scaled_matrix)
-            ok &= _negative_definite(wall_operator(wbs, eigen))
-    for m in k_orders:
-        system, table, eigen = _problem_parts(m, 1.0)
-        ok &= _negative_definite(assemble_kramers_Sk(m, table))
-        for chi in (0.1, 0.5, 1.0):
-            wbs = kramers_boundary_system(m, chi, 1.0, table)
-            ok &= _negative_definite(wbs.scaled_matrix)
-            ok &= _negative_definite(wall_operator(wbs, eigen))
     # eigenvalue sign sampling backs up the factorizations on a few instances
     worst = -math.inf
-    for m in (t_orders[0], t_orders[-1]):
+    for m in t_orders:
         system, table, eigen = _problem_parts(m)
-        wbs = temperature_boundary_system(m, 0.5, table)
-        w, _ = dense_symmetric_eig(wall_operator(wbs, eigen))
-        worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
+        wbs = temperature_boundary_system(m, table)
+        ok &= _wall_definite(assemble_temperature_Tb(m, table), wbs, eigen)
+        if m in (t_orders[0], t_orders[-1]):
+            w, _ = dense_symmetric_eig(wall_operator(wbs, eigen, 0.5))
+            worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
+    for m in k_orders:
+        system, table, eigen = _problem_parts(m, 1.0)
+        wbs = kramers_boundary_system(m, 1.0, table)
+        ok &= _wall_definite(assemble_kramers_Sk(m, table), wbs, eigen)
     ok &= worst < 0.0
     return [
         CheckResult("boundary operators negative definite", ok, worst, 0.0,

@@ -1,5 +1,6 @@
 """Wall boundary assembly and solve against the worked low-order case."""
 
+import dataclasses
 import functools
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from knlayer.boundary_solver import (
     StructuralSolveError,
+    WallBoundarySystem,
     accommodation_factor,
     assemble_kramers_T,
     assemble_temperature_T,
@@ -63,9 +65,9 @@ def looped_temperature_T(order, table):
     return out
 
 
-def cholesky_wall_solve(wbs, eigen, flux, wall_value):
+def cholesky_wall_solve(wbs, eigen, chi, flux, wall_value):
     """Reference wall solve: a Cholesky factorization of -K(chi) per chi."""
-    factor = scipy.linalg.cho_factor(-wall_operator(wbs, eigen), lower=True)
+    factor = scipy.linalg.cho_factor(-wall_operator(wbs, eigen, chi), lower=True)
     u = scipy.linalg.cho_solve(factor, -flux * wbs.c_vec)
     return float(u[0]) + wall_value, 2.0 * eigen.even_vectors.T @ u[1:]
 
@@ -221,15 +223,15 @@ class TestWallOperator:
     @pytest.mark.parametrize("order", [3, 9, 33, 99])
     def test_temperature_negative_definite(self, order, chi, table99):
         eigen = decompose(build_temperature_system(order))
-        wbs = temperature_boundary_system(order, chi, table99)
-        np.linalg.cholesky(-wall_operator(wbs, eigen))
+        wbs = temperature_boundary_system(order, table99)
+        np.linalg.cholesky(-wall_operator(wbs, eigen, chi))
 
     @pytest.mark.parametrize("chi", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("order", [4, 8, 48, 98])
     def test_kramers_negative_definite(self, order, chi, table99):
         eigen = decompose(build_kramers_system(order, 1.0))
-        wbs = kramers_boundary_system(order, chi, 1.0, table99)
-        np.linalg.cholesky(-wall_operator(wbs, eigen))
+        wbs = kramers_boundary_system(order, 1.0, table99)
+        np.linalg.cholesky(-wall_operator(wbs, eigen, chi))
 
 
 class TestSolveWall:
@@ -238,8 +240,8 @@ class TestSolveWall:
         table = HalfSpaceTable(5)
         system = build_temperature_system(3)
         eigen = decompose(system)
-        wbs = temperature_boundary_system(3, chi, table)
-        theta0, v_plus = solve_wall(wbs, eigen, 1.0, 0.0)
+        wbs = temperature_boundary_system(3, table)
+        theta0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         t0 = reference_t0(chi)
         b = accommodation_factor(chi)
         # first wall row: -2 b theta(0) - b t0(0) = 1
@@ -252,9 +254,9 @@ class TestSolveWall:
     def test_flux_homogeneity(self):
         table = HalfSpaceTable(9)
         eigen = decompose(build_temperature_system(7))
-        wbs = temperature_boundary_system(7, 0.5, table)
-        theta1, v1 = solve_wall(wbs, eigen, 1.0, 0.0)
-        theta2, v2 = solve_wall(wbs, eigen, 2.0, 0.0)
+        wbs = temperature_boundary_system(7, table)
+        theta1, v1 = solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
+        theta2, v2 = solve_wall(wbs, eigen, 0.5, 2.0, 0.0)
         assert theta2 == pytest.approx(2.0 * theta1, rel=1e-12)
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
 
@@ -263,18 +265,18 @@ class TestSolveWall:
     def test_flux_linearity_property(self, flux):
         table = HalfSpaceTable(7)
         eigen = decompose(build_temperature_system(5))
-        wbs = temperature_boundary_system(5, 0.9, table)
-        base_theta, base_v = solve_wall(wbs, eigen, 1.0, 0.0)
-        theta, v = solve_wall(wbs, eigen, flux, 0.0)
+        wbs = temperature_boundary_system(5, table)
+        base_theta, base_v = solve_wall(wbs, eigen, 0.9, 1.0, 0.0)
+        theta, v = solve_wall(wbs, eigen, 0.9, flux, 0.0)
         assert theta == pytest.approx(flux * base_theta, rel=1e-12)
         np.testing.assert_allclose(v, flux * base_v, rtol=1e-11, atol=1e-13)
 
     def test_wall_value_shift(self):
         table = HalfSpaceTable(9)
         eigen = decompose(build_temperature_system(7))
-        wbs = temperature_boundary_system(7, 1.0, table)
-        theta_a, v_a = solve_wall(wbs, eigen, 1.0, 0.0)
-        theta_b, v_b = solve_wall(wbs, eigen, 1.0, 0.3)
+        wbs = temperature_boundary_system(7, table)
+        theta_a, v_a = solve_wall(wbs, eigen, 1.0, 1.0, 0.0)
+        theta_b, v_b = solve_wall(wbs, eigen, 1.0, 1.0, 0.3)
         assert theta_b - 0.3 == pytest.approx(theta_a, rel=1e-13)
         np.testing.assert_allclose(v_a, v_b, rtol=1e-13)
 
@@ -284,40 +286,46 @@ class TestSolveWall:
         chi = 0.65
         system = build_temperature_system(order)
         eigen = decompose(system)
-        wbs = temperature_boundary_system(order, chi, table99)
-        theta0, v_plus = solve_wall(wbs, eigen, 1.0, 0.0)
+        wbs = temperature_boundary_system(order, table99)
+        theta0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         w_even = eigen.even_vectors @ v_plus
         w_odd = eigen.odd_vectors @ v_plus
         lhs = 1.0 * wbs.c_vec.copy()
         lhs[1:] += system.coupling_dense() @ w_odd
-        rhs = wbs.b_chi * (wbs.scaled_matrix @ np.concatenate(([theta0], w_even)))
+        rhs = accommodation_factor(chi) * (wbs.scaled_matrix @ np.concatenate(([theta0], w_even)))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    def test_wall_system_holds_no_chi(self):
+        fields = [f.name for f in dataclasses.fields(WallBoundarySystem)]
+        assert fields == ["order", "scaled_matrix", "c_vec"]
+
     def test_chi_zero_rejected(self):
-        table = HalfSpaceTable(5)
-        with pytest.raises(ValueError):
-            temperature_boundary_system(3, 0.0, table)
+        # chi = 1.5 lies outside (0, 1] too.  Reducing the flipped T would
+        # raise StructuralSolveError, so the ValueError shows chi is checked first.
+        wbs = temperature_boundary_system(3, HalfSpaceTable(5))
+        flipped = wbs.__class__(order=3, scaled_matrix=-wbs.scaled_matrix, c_vec=wbs.c_vec)
+        eigen = decompose(build_temperature_system(3))
+        for chi in (0.0, 1.5):
+            with pytest.raises(ValueError, match="accommodation"):
+                solve_wall(flipped, eigen, chi, 1.0, 0.0)
 
     def test_structural_error_on_spoiled_operator(self):
         table = HalfSpaceTable(5)
         eigen = decompose(build_temperature_system(3))
-        wbs = temperature_boundary_system(3, 1.0, table)
+        wbs = temperature_boundary_system(3, table)
         spoiled = wbs.__class__(
-            kind=wbs.kind,
             order=wbs.order,
-            chi=wbs.chi,
-            b_chi=wbs.b_chi,
             scaled_matrix=-wbs.scaled_matrix,  # positive definite side
             c_vec=wbs.c_vec.copy(),
         )
         with pytest.raises(StructuralSolveError):
-            solve_wall(spoiled, eigen, 1.0, 0.0)
+            solve_wall(spoiled, eigen, 1.0, 1.0, 0.0)
 
     def test_kramers_solve_runs(self, table99):
         order, pr = 8, 2.0 / 3.0
         eigen = decompose(build_kramers_system(order, pr))
-        wbs = kramers_boundary_system(order, 0.8, pr, table99)
-        u0, v_plus = solve_wall(wbs, eigen, 1.0, 0.0)
+        wbs = kramers_boundary_system(order, pr, table99)
+        u0, v_plus = solve_wall(wbs, eigen, 0.8, 1.0, 0.0)
         assert math.isfinite(u0)
         assert v_plus.shape == (eigen.m_odd,)
 
@@ -326,13 +334,13 @@ class TestSolveWall:
         chi, pr = 0.65, 2.0 / 3.0
         system = build_kramers_system(order, pr)
         eigen = decompose(system)
-        wbs = kramers_boundary_system(order, chi, pr, table99)
-        u1_0, v_plus = solve_wall(wbs, eigen, 1.0, 0.0)
+        wbs = kramers_boundary_system(order, pr, table99)
+        u1_0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         w_even = eigen.even_vectors @ v_plus
         w_odd = eigen.odd_vectors @ v_plus
         lhs = wbs.c_vec.copy()
         lhs[1:] += system.coupling_dense() @ w_odd
-        rhs = wbs.b_chi * (wbs.scaled_matrix @ np.concatenate(([u1_0], w_even)))
+        rhs = accommodation_factor(chi) * (wbs.scaled_matrix @ np.concatenate(([u1_0], w_even)))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -341,28 +349,25 @@ class TestPencilSolve:
 
     CHIS = (1e-3, 0.1, 0.5, 1.0)
 
-    @staticmethod
-    def assert_matches_cholesky(wbs, eigen):
-        u0, v_plus = solve_wall(wbs, eigen, 1.3, 0.2)
-        ref_u0, ref_v = cholesky_wall_solve(wbs, eigen, 1.3, 0.2)
-        assert u0 == pytest.approx(ref_u0, rel=1e-12)
-        assert np.linalg.norm(v_plus - ref_v) <= 1e-11 * np.linalg.norm(ref_v)
+    @classmethod
+    def assert_matches_cholesky(cls, wbs, eigen):
+        for chi in cls.CHIS:
+            u0, v_plus = solve_wall(wbs, eigen, chi, 1.3, 0.2)
+            ref_u0, ref_v = cholesky_wall_solve(wbs, eigen, chi, 1.3, 0.2)
+            assert u0 == pytest.approx(ref_u0, rel=1e-12)
+            assert np.linalg.norm(v_plus - ref_v) <= 1e-11 * np.linalg.norm(ref_v)
 
     @pytest.mark.parametrize("order", [3, 5, 7, 9, 13, 33, 99, 129, 513])
     def test_temperature_matches_cholesky(self, order, table1025):
-        eigen = temperature_eigen(order)
-        for chi in self.CHIS:
-            self.assert_matches_cholesky(temperature_boundary_system(order, chi, table1025), eigen)
+        self.assert_matches_cholesky(temperature_boundary_system(order, table1025), temperature_eigen(order))
 
     @pytest.mark.parametrize("order", [4, 6, 8, 48, 98, 128, 512])
     def test_kramers_matches_cholesky(self, order, table1025):
         pr = 2.0 / 3.0
-        eigen = kramers_eigen(order, pr)
-        for chi in self.CHIS:
-            self.assert_matches_cholesky(kramers_boundary_system(order, chi, pr, table1025), eigen)
+        self.assert_matches_cholesky(kramers_boundary_system(order, pr, table1025), kramers_eigen(order, pr))
 
     def test_chis_share_one_operator(self, table99):
-        assert not temperature_boundary_system(9, 0.3, table99).scaled_matrix.flags.writeable
+        assert not temperature_boundary_system(9, table99).scaled_matrix.flags.writeable
         a = layer_profiles.temperature_solution(9, 0.3)
         b = layer_profiles.temperature_solution(9, 0.7)
         assert a.decay_rates is b.decay_rates
@@ -376,29 +381,15 @@ class TestPencilSolve:
 
     def test_pencil_not_shared_across_systems(self, table99):
         eigen = temperature_eigen(7)
-        wbs = temperature_boundary_system(7, 0.5, table99)
-        u0, v_plus = solve_wall(wbs, eigen, 1.0, 0.0)
-        doubled = wbs.__class__(
-            kind=wbs.kind,
-            order=wbs.order,
-            chi=wbs.chi,
-            b_chi=wbs.b_chi,
-            scaled_matrix=wbs.scaled_matrix,
-            c_vec=2.0 * wbs.c_vec,
-        )
-        u0_doubled, v_doubled = solve_wall(doubled, eigen, 1.0, 0.0)
+        wbs = temperature_boundary_system(7, table99)
+        u0, v_plus = solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
+        doubled = wbs.__class__(order=wbs.order, scaled_matrix=wbs.scaled_matrix, c_vec=2.0 * wbs.c_vec)
+        u0_doubled, v_doubled = solve_wall(doubled, eigen, 0.5, 1.0, 0.0)
         assert u0_doubled == pytest.approx(2.0 * u0, rel=1e-13)
         np.testing.assert_allclose(v_doubled, 2.0 * v_plus, rtol=1e-12)
-        copied = wbs.__class__(
-            kind=wbs.kind,
-            order=wbs.order,
-            chi=wbs.chi,
-            b_chi=wbs.b_chi,
-            scaled_matrix=1.5 * wbs.scaled_matrix,
-            c_vec=wbs.c_vec,
-        )
-        u0_scaled, v_scaled = solve_wall(copied, eigen, 1.0, 0.0)
-        ref_u0, ref_v = cholesky_wall_solve(copied, eigen, 1.0, 0.0)
+        copied = wbs.__class__(order=wbs.order, scaled_matrix=1.5 * wbs.scaled_matrix, c_vec=wbs.c_vec)
+        u0_scaled, v_scaled = solve_wall(copied, eigen, 0.5, 1.0, 0.0)
+        ref_u0, ref_v = cholesky_wall_solve(copied, eigen, 0.5, 1.0, 0.0)
         assert u0_scaled == pytest.approx(ref_u0, rel=1e-12)
         assert u0_scaled != pytest.approx(u0, rel=1e-6)
 
@@ -441,38 +432,31 @@ class TestPencilSolve:
 
     def test_structural_error_on_negative_pencil(self, table99):
         eigen = temperature_eigen(7)
-        wbs = temperature_boundary_system(7, 0.5, table99)
+        wbs = temperature_boundary_system(7, table99)
         negated = ParityEigen(
             rates=-100.0 * eigen.rates,
             even_vectors=eigen.even_vectors.copy(),
             odd_vectors=eigen.odd_vectors.copy(),
         )
         with pytest.raises(StructuralSolveError):
-            solve_wall(wbs, negated, 1.0, 0.0)
+            solve_wall(wbs, negated, 0.5, 1.0, 0.0)
 
     @pytest.mark.parametrize("flipped", ["pivot", "block"])
     def test_structural_error_on_indefinite_scaled_matrix(self, flipped, table99):
         # Each flip leaves the rates positive; only one of the pivot and the
         # reduced block changes sign, so each guard is needed on its own.
         eigen = temperature_eigen(7)
-        wbs = temperature_boundary_system(7, 0.5, table99)
+        wbs = temperature_boundary_system(7, table99)
         indefinite = wbs.scaled_matrix.copy()
         if flipped == "pivot":
             indefinite[0, 0] *= -1.0
         else:
             indefinite[1:, 1:] *= -1.0
-        spoiled = wbs.__class__(
-            kind=wbs.kind,
-            order=wbs.order,
-            chi=wbs.chi,
-            b_chi=wbs.b_chi,
-            scaled_matrix=indefinite,
-            c_vec=wbs.c_vec,
-        )
+        spoiled = wbs.__class__(order=wbs.order, scaled_matrix=indefinite, c_vec=wbs.c_vec)
         with pytest.raises(StructuralSolveError):
-            solve_wall(spoiled, eigen, 1.0, 0.0)
+            solve_wall(spoiled, eigen, 0.5, 1.0, 0.0)
 
     def test_mismatched_eigen_rejected(self, table99):
-        wbs = temperature_boundary_system(7, 0.5, table99)
+        wbs = temperature_boundary_system(7, table99)
         with pytest.raises(ValueError):
-            solve_wall(wbs, temperature_eigen(9), 1.0, 0.0)
+            solve_wall(wbs, temperature_eigen(9), 0.5, 1.0, 0.0)

@@ -17,7 +17,13 @@ import knlayer
 import knlayer.special_functions
 from knlayer import cli
 from knlayer.cli import MAX_SAMPLES, UsageError, main
-from knlayer.layer_profiles import jump_coefficient, temperature_defect, temperature_solution
+from knlayer.layer_profiles import (
+    jump_coefficient,
+    layer_operator,
+    temperature_defect,
+    temperature_solution,
+)
+from knlayer.special_functions import HalfSpaceTable
 
 
 def run(capsys, argv):
@@ -466,6 +472,27 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--level", "quick"])
         assert code == 2
         assert "FAIL" in out
+
+        # The table the wall assemblies and the BVP oracle both read, with
+        # S(2, 4) scaled by 1.001: only the half-space suite can see it.
+        monkeypatch.undo()
+        true_block = HalfSpaceTable._even_block
+
+        def corrupted(z_even):
+            block = true_block(z_even)
+            if block.shape[0] > 2:
+                block[1, 2] *= 1.001
+                block[2, 1] *= 1.001
+            return block
+
+        monkeypatch.setattr(HalfSpaceTable, "_even_block", staticmethod(corrupted))
+        layer_operator.cache_clear()
+        try:
+            code, out, _ = run(capsys, ["verify", "--level", "quick"])
+        finally:
+            layer_operator.cache_clear()  # no operator built on the corrupted table survives
+        assert code == 2
+        assert "FAIL half-space closed form vs quadrature (relative)" in out
 
     def test_bvp_failure_is_numerical_failure(self, capsys, monkeypatch):
         import knlayer.verification as verification

@@ -533,6 +533,14 @@ class TestBlockedEvaluation:
                 assert np.array_equal(curve(chis[window]), full_curve[window]), (count, start)
                 assert np.array_equal(temperature_defect(sol, y[window]), full_defect[window])
 
+    def test_lone_chi_matches_batch(self):
+        # A single chi takes the same padded block kernel as a batch of 1000.
+        curve = coefficient_curve(33)
+        chis = np.geomspace(0.01, 1.0, 1000)
+        batch = curve(chis)
+        alone = np.array([curve(chi) for chi in chis])
+        assert np.array_equal(alone, batch), np.flatnonzero(alone != batch)
+
     def test_conductivity_memory_bounded(self):
         sol = temperature_solution(65, 0.5)
         y = np.geomspace(1e-3, 100.0, 200_000)
