@@ -31,7 +31,7 @@ from .layer_profiles import (
     viscous_slip_coefficient,
 )
 from .parity_spectral import ParityEigen, decompose
-from .special_functions import HalfSpaceTable, half_space_S, half_space_S_normalized
+from .special_functions import HalfSpaceTable, half_space_S_normalized
 from .system_builder import (
     ReducedSystem,
     SystemKind,
@@ -59,7 +59,6 @@ __all__ = [
     "decompose",
     "default_profile_grid",
     "effective_conductivity",
-    "half_space_S",
     "half_space_S_normalized",
     "jump_coefficient",
     "kramers_boundary_system",

@@ -190,10 +190,10 @@ def kramers_boundary_system(order: int, prandtl: float, table: HalfSpaceTable) -
 
 def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
     size = system.scaled_matrix.shape[0]
-    if eigen.m_even != size - 1 or eigen.m_even != eigen.m_odd:
+    if eigen.m_even != size - 1:
         raise ValueError(
             "eigendecomposition does not match the boundary system "
-            f"(matrix size {size}, even block {eigen.m_even}, odd block {eigen.m_odd})"
+            f"(matrix size {size}, parity block {eigen.m_even})"
         )
 
 

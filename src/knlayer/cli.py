@@ -21,6 +21,7 @@ import numpy as np
 from .boundary_solver import StructuralSolveError, accommodation_factor
 from .layer_profiles import (
     DEFAULT_KN,
+    _validate_positive,
     coefficient_curve,
     convergence_order,
     effective_conductivity,
@@ -322,6 +323,7 @@ def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
+    _validate_positive("Prandtl number", cfg.pr)  # odd orders never read it
     if cfg.order % 2 == 1:
         system = build_temperature_system(cfg.order)
     else:
@@ -331,10 +333,10 @@ def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
         "kind": system.kind.value,
         "order": system.order,
         "m_even": system.m_even,
-        "m_odd": system.m_odd,
+        "m_odd": system.m_even,  # the block is square
     }
     rows = []
-    for j in range(1, system.m_odd + 1):
+    for j in range(1, system.m_even + 1):
         for i in (j, j + 1, j + 2):
             if i <= system.m_even:
                 value = system.coupling_entry(i, j)

@@ -224,11 +224,17 @@ def layer_operator(kind: SystemKind, order: int, pr: float = 1.0) -> LayerOperat
     return LayerOperator(rates, row, row_scale, WallReduction.from_schur(*schur))
 
 
+def _validate_positive(name: str, value: float) -> None:
+    """Reject a value that is not finite, positive and normal: NaN would
+    otherwise pass every sign test, and a subnormal one keeps too few digits
+    for the coefficients it scales."""
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValueError(f"{name} must be finite and positive, and not subnormal, got {value}")
+
+
 def _validate_common(kn: float, pr: float) -> None:
-    """Reject non-finite inputs; NaN would otherwise pass every sign test."""
-    for name, value in (("Knudsen number", kn), ("Prandtl number", pr)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _validate_positive("Knudsen number", kn)
+    _validate_positive("Prandtl number", pr)
 
 
 def _validate_drive(name: str, flux: float, wall_value: float) -> None:

@@ -1,9 +1,11 @@
 """Structured eigendecomposition of the block anti-diagonal parity matrix.
 
-For M = [[0, B], [B^T, 0]] with square B the spectrum is {+s_i} u {-s_i},
-where s_i are the singular values of B, and the eigenvectors assemble from
-the left and right singular vectors.  The SVD is LAPACK's divide-and-conquer
-routine (gesdd via numpy); a fixed sign convention pins its output.
+For M = [[0, B], [B^T, 0]] the spectrum is {+s_i} u {-s_i}, where s_i are
+the singular values of B, and the eigenvectors assemble from the left and
+right singular vectors.  B is square at every supported order, so one block
+size m_even serves both parities and no null space arises.  The SVD is
+LAPACK's divide-and-conquer routine (gesdd via numpy); a fixed sign
+convention pins its output.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class ParityEigen:
 
     ``rates`` are the positive eigenvalues, descending.  The assembled
     eigenvector matrix is [[E, E], [O, -O]] with E = even_vectors and
-    O = odd_vectors; E^T E = I/2 and O^T O = I/2.
+    O = odd_vectors, both m_even x m_even; E^T E = I/2 and O^T O = I/2.
     """
 
     rates: np.ndarray
@@ -44,10 +46,6 @@ class ParityEigen:
     def m_even(self) -> int:
         return self.even_vectors.shape[0]
 
-    @property
-    def m_odd(self) -> int:
-        return self.odd_vectors.shape[0]
-
 
 def decompose(system: ReducedSystem) -> ParityEigen:
     """Structured eigendecomposition of a reduced system.
@@ -56,14 +54,8 @@ def decompose(system: ReducedSystem) -> ParityEigen:
     entry positive, ties broken by the lowest row index; equal rates keep
     their SVD (descending) order.  This pins the output bit-for-bit.
     """
-    if system.m_even != system.m_odd:
-        raise ValueError(
-            f"coupling block of order {system.order} is not square "
-            f"({system.m_even} x {system.m_odd})"
-        )
     u, sigma, vt = np.linalg.svd(system.coupling_dense())
-    scale = sigma[0] if sigma.size else 0.0
-    if sigma.size and sigma[-1] <= RANK_TOL * scale:
+    if sigma[-1] <= RANK_TOL * sigma[0]:
         raise RankDeficiencyError(
             f"coupling block of order {system.order} is numerically rank deficient "
             f"(smallest singular value {sigma[-1]:.3e})"

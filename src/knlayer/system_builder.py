@@ -4,14 +4,16 @@ Two half-space problems share the same block skeleton
 
     [[0, B], [B^T, 0]] d w / dy = -w / Kn
 
-with B a banded coupling block between scaled even-parity and odd-parity
-moment unknowns.  The thermal (temperature-jump) variant orders the even
-unknowns as (t0, t2, g2, t4, g4, ...) and the odd ones as
-(t1 - q/5, t3, g3, t5, g5, ...); the shear (Kramers) variant uses the pure
-cross moments (f2, f4, ...) and (f3, f5, ...).  All entries are factorial
-ratios evaluated in closed form, never raw factorials.  The Hermite basis
-combinations behind each row and column, and the inner-product oracle that
-re-derives every entry from them, live in :mod:`knlayer.verification`.
+with B a square banded coupling block between scaled even-parity and
+odd-parity moment unknowns: every supported order has as many odd unknowns
+as even ones, m_even = M - 2 for odd M and M/2 - 1 for even M.  The thermal
+(temperature-jump) variant orders the even unknowns as (t0, t2, g2, t4, g4,
+...) and the odd ones as (t1 - q/5, t3, g3, t5, g5, ...); the shear
+(Kramers) variant uses the pure cross moments (f2, f4, ...) and
+(f3, f5, ...).  All entries are factorial ratios evaluated in closed form,
+never raw factorials.  The Hermite basis combinations behind each row and
+column, and the inner-product oracle that re-derives every entry from them,
+live in :mod:`knlayer.verification`.
 """
 
 from __future__ import annotations
@@ -46,33 +48,30 @@ class SystemKind(enum.Enum):
 class ReducedSystem:
     """Reduced moment system in banded form.
 
-    The coupling block is lower triangular with bandwidth three; only the
-    main diagonal and the first two subdiagonals are stored, so construction
-    stays O(M).  ``log_even_scale`` / ``log_odd_scale`` hold the logs of the
-    diagonal normalizations (the raw values overflow for orders in the
-    thousands).
+    The coupling block is square, m_even x m_even, and lower triangular
+    with bandwidth three; only the main diagonal and the first two
+    subdiagonals are stored, so construction stays O(M).
+    ``log_even_scale`` holds the logs of the even unknowns' diagonal
+    normalizations (the raw values overflow for orders in the thousands).
     """
 
     kind: SystemKind
     order: int
     m_even: int
-    m_odd: int
     diag_main: np.ndarray
     diag_sub1: np.ndarray
     diag_sub2: np.ndarray
     log_even_scale: np.ndarray
-    log_odd_scale: np.ndarray
     prandtl: float | None = None
 
     def __post_init__(self):
-        for arr in (self.diag_main, self.diag_sub1, self.diag_sub2,
-                    self.log_even_scale, self.log_odd_scale):
+        for arr in (self.diag_main, self.diag_sub1, self.diag_sub2, self.log_even_scale):
             arr.flags.writeable = False
 
     def coupling_entry(self, i: int, j: int) -> float:
         """Entry (i, j) of the coupling block, 1-based as in the derivation."""
-        if not (1 <= i <= self.m_even and 1 <= j <= self.m_odd):
-            raise IndexError(f"entry ({i}, {j}) outside {self.m_even} x {self.m_odd}")
+        if not (1 <= i <= self.m_even and 1 <= j <= self.m_even):
+            raise IndexError(f"entry ({i}, {j}) outside {self.m_even} x {self.m_even}")
         d = i - j
         if d == 0:
             return float(self.diag_main[j - 1])
@@ -83,8 +82,8 @@ class ReducedSystem:
         return 0.0
 
     def coupling_dense(self) -> np.ndarray:
-        """Dense m_even x m_odd coupling block (O(M^2) memory)."""
-        out = np.zeros((self.m_even, self.m_odd))
+        """Dense m_even x m_even coupling block (O(M^2) memory)."""
+        out = np.zeros((self.m_even, self.m_even))
         n0 = self.diag_main.size
         out[np.arange(n0), np.arange(n0)] = self.diag_main
         n1 = self.diag_sub1.size
@@ -96,7 +95,7 @@ class ReducedSystem:
     def parity_dense(self) -> np.ndarray:
         """Full symmetric block matrix [[0, B], [B^T, 0]]."""
         b = self.coupling_dense()
-        n = self.m_even + self.m_odd
+        n = 2 * self.m_even
         out = np.zeros((n, n))
         out[: self.m_even, self.m_even:] = b
         out[self.m_even:, : self.m_even] = b.T
@@ -106,15 +105,6 @@ class ReducedSystem:
         """Diagonal normalization of the i-th even unknown (1-based)."""
         return math.exp(float(self.log_even_scale[i - 1]))
 
-    def odd_scale(self, j: int) -> float:
-        return math.exp(float(self.log_odd_scale[j - 1]))
-
-
-def _temperature_dims(order: int) -> tuple[int, int]:
-    m_odd = 2 * ((order - 1) // 2) - 1
-    m_even = 2 * (order // 2) - 1
-    return m_even, m_odd
-
 
 def build_temperature_system(order: int) -> ReducedSystem:
     """Reduced system of the temperature-jump problem for odd order >= 3."""
@@ -122,7 +112,7 @@ def build_temperature_system(order: int) -> ReducedSystem:
         raise ValueError(f"temperature-jump systems need an odd order, got {order}")
     if not 3 <= order <= MAX_TEMPERATURE_ORDER:
         raise ValueError(f"order must lie in [3, {MAX_TEMPERATURE_ORDER}], got {order}")
-    m_even, m_odd = _temperature_dims(order)
+    m_even = order - 2
 
     # Even scales: a_1 = sqrt(3), a_{2k} = sqrt((2k+2)!), a_{2k+1} = sqrt((2k)!).
     log_a = np.empty(m_even)
@@ -130,16 +120,11 @@ def build_temperature_system(order: int) -> ReducedSystem:
     for k in range(1, (m_even + 1) // 2):
         log_a[2 * k - 1] = 0.5 * math.lgamma(2 * k + 3)
         log_a[2 * k] = 0.5 * math.lgamma(2 * k + 1)
-    # Odd scales: b_1 = sqrt(15), b_{2k} = sqrt((2k+3)!), b_{2k+1} = sqrt((2k+1)!).
-    log_b = np.empty(m_odd)
-    log_b[0] = 0.5 * math.log(15.0)
-    for k in range(1, (m_odd + 1) // 2):
-        log_b[2 * k - 1] = 0.5 * math.lgamma(2 * k + 4)
-        log_b[2 * k] = 0.5 * math.lgamma(2 * k + 2)
-
-    main = np.zeros(m_odd)
-    sub1 = np.zeros(max(m_odd - 1, 0))
-    sub2 = np.zeros(max(min(m_odd, m_even - 2), 0))
+    # The odd scales b_1 = sqrt(15), b_{2k} = sqrt((2k+3)!) and
+    # b_{2k+1} = sqrt((2k+1)!) enter only through the entries below.
+    main = np.zeros(m_even)
+    sub1 = np.zeros(m_even - 1)
+    sub2 = np.zeros(max(m_even - 2, 0))
 
     # First column couples to the special recombined test functions.
     main[0] = 9.0 / math.sqrt(45.0)            # 9 / (a1 b1)
@@ -147,16 +132,14 @@ def build_temperature_system(order: int) -> ReducedSystem:
         sub1[0] = 24.0 / math.sqrt(24.0 * 15.0)  # 24 / (a2 b1)
     if m_even >= 3:
         sub2[0] = -6.0 / math.sqrt(2.0 * 15.0)   # -6 / (a3 b1)
-    for j in range(2, m_odd + 1):
+    for j in range(2, m_even + 1):
         k = j // 2
         if j % 2 == 0:
             main[j - 1] = math.sqrt(2 * k + 3)           # (2k+3)!/(a_2k b_2k)
         else:
             main[j - 1] = math.sqrt(2 * k + 1)           # (2k+1)!/(a_{2k+1} b_{2k+1})
-    for j in range(2, m_odd + 1):
+    for j in range(2, m_even - 1):
         i = j + 2
-        if i > m_even:
-            break
         k = i // 2
         if i % 2 == 0:
             sub2[j - 1] = math.sqrt(2 * k + 2)           # (2k+2)!/(a_2k b_{2k-2})
@@ -167,12 +150,10 @@ def build_temperature_system(order: int) -> ReducedSystem:
         kind=SystemKind.TEMPERATURE_JUMP,
         order=order,
         m_even=m_even,
-        m_odd=m_odd,
         diag_main=main,
         diag_sub1=sub1,
         diag_sub2=sub2,
         log_even_scale=log_a,
-        log_odd_scale=log_b,
     )
 
 
@@ -184,29 +165,26 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
         raise ValueError(f"order must lie in [4, {MAX_KRAMERS_ORDER}], got {order}")
     if not 0.0 < prandtl <= MAX_KRAMERS_PRANDTL:
         raise ValueError(f"prandtl must lie in (0, {MAX_KRAMERS_PRANDTL:g}], got {prandtl}")
-    m_even = (order - 1) // 2
-    m_odd = (order - 2) // 2
+    m_even = order // 2 - 1
 
     log_a = np.array([0.5 * math.lgamma(2 * i + 1) for i in range(1, m_even + 1)])
     log_a[0] += 0.5 * math.log(1.0 - (1.0 - prandtl) / 5.0)
-    log_b = np.array([0.5 * math.lgamma(2 * j + 2) for j in range(1, m_odd + 1)])
 
-    main = np.zeros(m_odd)
+    # Odd scales b_j = sqrt((2j+1)!).
+    main = np.zeros(m_even)
     main[0] = math.sqrt(15.0 / (4.0 + prandtl))          # 3!/(a1 b1), Pr-corrected a1
-    for j in range(2, m_odd + 1):
+    for j in range(2, m_even + 1):
         main[j - 1] = math.sqrt(2 * j + 1)               # (2j+1)!/(a_j b_j)
-    sub1 = np.array([math.sqrt(2.0 * j + 2.0) for j in range(1, min(m_odd, m_even - 1) + 1)])
+    sub1 = np.array([math.sqrt(2.0 * j + 2.0) for j in range(1, m_even)])
     sub2 = np.zeros(0)
 
     return ReducedSystem(
         kind=SystemKind.KRAMERS,
         order=order,
         m_even=m_even,
-        m_odd=m_odd,
         diag_main=main,
         diag_sub1=sub1,
         diag_sub2=sub2,
         log_even_scale=log_a,
-        log_odd_scale=log_b,
         prandtl=prandtl,
     )

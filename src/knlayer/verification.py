@@ -383,7 +383,7 @@ def _solve_layer_bvp(
     the scalar equation telescopes the carrier moments exactly.  The wall
     rows read T and c from ``wbs`` and the accommodation factor ``b``.
     """
-    m = eigen.m_odd
+    m = eigen.m_even
     n_nodes = nodes.size
     n_cells = n_nodes - 1
     h = np.diff(nodes)
@@ -676,10 +676,9 @@ def _check_half_space(level: str) -> list[CheckResult]:
     worst_zero = 0.0
     for a in range(top + 1):
         for b in range(a, top + 1):
-            closed = special_functions.half_space_S(a, b)
             closed_n = special_functions.half_space_S_normalized(a, b)
             quad_n = quadrature_S_normalized(a, b, 1.0)
-            if closed == 0.0:
+            if closed_n == 0.0:
                 worst_zero = max(worst_zero, abs(quad_n))
             else:
                 worst_rel = max(worst_rel, abs(quad_n - closed_n) / abs(closed_n))
@@ -720,7 +719,7 @@ def _check_half_space(level: str) -> list[CheckResult]:
 
 def _system_entry_residual(system) -> float:
     worst = 0.0
-    for j in range(1, system.m_odd + 1):
+    for j in range(1, system.m_even + 1):
         for i in range(1, system.m_even + 1):
             expected = oracle_entry(system, i, j)
             got = system.coupling_entry(i, j)
@@ -750,7 +749,7 @@ def _spectral_residual(system) -> tuple[float, float]:
     r = assemble_full_R(eigen)
     orth = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
     half = float(
-        np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_odd)))
+        np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_even)))
     )
     return pairing, max(orth, half)
 
@@ -782,33 +781,53 @@ def _negative_definite(matrix) -> bool:
     return True
 
 
-def _wall_definite(raw: np.ndarray, wbs: WallBoundarySystem, eigen: ParityEigen) -> bool:
-    """Raw matrix, T (factored once) and K(chi) at each checked chi all negative definite."""
-    ok = _negative_definite(raw) and _negative_definite(wbs.scaled_matrix)
-    return ok and all(_negative_definite(wall_operator(wbs, eigen, chi)) for chi in (0.1, 0.5, 1.0))
+def _wall_definite(
+    raw: np.ndarray, wbs: WallBoundarySystem, eigen: ParityEigen
+) -> tuple[bool, bool, float]:
+    """(sampled, certified, gram) for the wall operators of one order.
+
+    ``sampled``: the raw matrix, T (factored once) and K(chi) at each checked
+    chi are all negative definite.  ``certified``: -K(chi) = b N + D with
+    N = -T positive definite and D = diag(0, 2 E L E^T) positive
+    semidefinite (every rate positive), so K(chi) is negative definite for
+    every b(chi) > 0, that is for every chi in (0, 1].  ``gram`` is
+    ||E^T E - I/2||_2, which confirms that E is the eigenvector block the
+    form assumes.
+    """
+    t_definite = _negative_definite(wbs.scaled_matrix)
+    sampled = _negative_definite(raw) and t_definite and all(
+        _negative_definite(wall_operator(wbs, eigen, chi)) for chi in (0.1, 0.5, 1.0)
+    )
+    e = eigen.even_vectors
+    gram = float(np.linalg.norm(e.T @ e - 0.5 * np.eye(e.shape[1]), 2))
+    return sampled, t_definite and bool(eigen.rates.min() > 0.0), gram
 
 
 def _check_definiteness(level: str) -> list[CheckResult]:
     t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 100, 2))
     k_orders = (4, 6) if level == "quick" else tuple(range(4, 99, 2))
-    ok = True
+    checks = []
     # eigenvalue sign sampling backs up the factorizations on a few instances
     worst = -math.inf
     for m in t_orders:
         system, table, eigen = _problem_parts(m)
         wbs = temperature_boundary_system(m, table)
-        ok &= _wall_definite(assemble_temperature_Tb(m, table), wbs, eigen)
+        checks.append(_wall_definite(assemble_temperature_Tb(m, table), wbs, eigen))
         if m in (t_orders[0], t_orders[-1]):
             w, _ = dense_symmetric_eig(wall_operator(wbs, eigen, 0.5))
             worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
     for m in k_orders:
         system, table, eigen = _problem_parts(m, 1.0)
         wbs = kramers_boundary_system(m, 1.0, table)
-        ok &= _wall_definite(assemble_kramers_Sk(m, table), wbs, eigen)
-    ok &= worst < 0.0
+        checks.append(_wall_definite(assemble_kramers_Sk(m, table), wbs, eigen))
+    sampled, certified, grams = zip(*checks)
+    ok = all(sampled) and worst < 0.0
+    gram = max(grams)
     return [
         CheckResult("boundary operators negative definite", ok, worst, 0.0,
-                    detail="factorization plus sampled spectra")
+                    detail="factorization plus sampled spectra"),
+        CheckResult("wall operator negative definite for every chi", all(certified) and gram <= 1e-10,
+                    gram, 1e-10, detail="-T positive definite, rates positive, ||E^T E - I/2||_2"),
     ]
 
 

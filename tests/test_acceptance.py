@@ -25,11 +25,7 @@ from knlayer.layer_profiles import (
     velocity_solution,
 )
 from knlayer.parity_spectral import decompose
-from knlayer.special_functions import (
-    HalfSpaceTable,
-    half_space_S,
-    half_space_S_normalized,
-)
+from knlayer.special_functions import HalfSpaceTable, half_space_S_normalized
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     _bvp_deviation,
@@ -201,20 +197,18 @@ def test_criterion_08_half_space_integrals():
     worst_zero = 0.0
     for a in range(31):
         for b in range(a, 31):
-            closed = half_space_S(a, b)
             closed_n = half_space_S_normalized(a, b)
             quad_n = quadrature_S_normalized(a, b, 1.0)
-            if closed == 0.0:
+            if closed_n == 0.0:
                 worst_zero = max(worst_zero, abs(quad_n))
                 assert (a + b) % 2 == 1 and abs(a - b) != 1
             else:
                 worst_rel = max(worst_rel, abs(quad_n - closed_n) / abs(closed_n))
-            assert half_space_S(b, a) == closed
             assert half_space_S_normalized(b, a) == closed_n
     for a in range(0, 31, 2):
         for b in range(1, 31, 2):
             if abs(a - b) != 1:
-                assert half_space_S(a, b) == 0.0
+                assert half_space_S_normalized(a, b) == 0.0
     assert worst_rel <= 1e-9
     assert worst_zero <= 1e-12
     print(f"\nPASS criterion 8: half-space integrals vs quadrature "

@@ -4,7 +4,6 @@ import importlib
 
 import knlayer
 from knlayer import verification
-from knlayer.special_functions import ZSequence
 
 PUBLIC = [
     "CoefficientCurve",
@@ -24,7 +23,6 @@ PUBLIC = [
     "decompose",
     "default_profile_grid",
     "effective_conductivity",
-    "half_space_S",
     "half_space_S_normalized",
     "jump_coefficient",
     "kramers_boundary_system",
@@ -41,9 +39,13 @@ PUBLIC = [
 DELETED = {
     "special_functions": [
         "hermite_eval", "wall_J", "WallMoments", "linearized_wall_moment", "z_value",
-        "z_sign_log", "half_space_I",
+        "z_sign_log", "half_space_I", "ZSequence", "half_space_S", "_check_raw_window", "_z",
+        "_Z_CACHE",
     ],
 }
+
+# Parity-block members that went with the odd block size, which always equals m_even.
+DELETED_MEMBERS = ["m_odd", "odd_scale", "log_odd_scale"]
 
 # Oracle helpers that live in knlayer.verification now.
 MOVED = {
@@ -83,6 +85,7 @@ def test_removed_names_are_gone():
     for names in MOVED.values():
         for name in names:
             assert hasattr(verification, name), name
-    zs = ZSequence(8)
-    for name in ("sign", "log_magnitude", "_sign", "_logmag"):
-        assert not hasattr(zs, name), name
+    system = knlayer.build_temperature_system(5)
+    for obj in (system, knlayer.decompose(system)):
+        for name in DELETED_MEMBERS:
+            assert not hasattr(obj, name), (type(obj).__name__, name)

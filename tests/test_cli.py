@@ -23,6 +23,7 @@ from knlayer.layer_profiles import (
     temperature_defect,
     temperature_solution,
 )
+from knlayer.parity_spectral import ParityEigen
 from knlayer.special_functions import HalfSpaceTable
 
 
@@ -322,6 +323,15 @@ class TestExitCodes:
             ["kramers", "-M", "8", "--wall-velocity=-inf"],
             ["profile", "-M", "7", "--ymax", "nan"],
             ["profile", "-M", "8", "--ymin=-inf", "--spacing", "linear"],
+            # a subnormal Kn keeps too few digits for the coefficient it scales
+            ["temperature-jump", "-M", "5", "--kn", "1e-320"],
+            ["sweep-chi", "-M", "9", "--kn", "1e-320"],
+            ["kramers", "-M", "6", "--kn", "1e-315"],
+            # odd orders never read --pr, but it is checked all the same
+            ["dump-system", "-M", "5", "--pr", "nan"],
+            ["dump-system", "-M", "5", "--pr", "inf"],
+            ["dump-system", "-M", "5", "--pr=-1"],
+            ["dump-system", "-M", "8", "--pr", "nan"],
         ],
     )
     def test_non_finite_input_is_usage_error(self, capsys, argv):
@@ -493,6 +503,33 @@ class TestVerifyCommand:
             layer_operator.cache_clear()  # no operator built on the corrupted table survives
         assert code == 2
         assert "FAIL half-space closed form vs quadrature (relative)" in out
+
+    @pytest.mark.parametrize(
+        "rate_sign, vector_scale",
+        [(-1.0, 1.0), (1.0, 1.0 + 1e-6)],  # a negated rate; E^T E off I/2 by 1e-6
+    )
+    def test_all_chi_certificate_fault_injection(
+        self, capsys, monkeypatch, rate_sign, vector_scale
+    ):
+        import knlayer.verification as verification
+
+        true_parts = verification._problem_parts
+
+        def corrupted(order, pr=None):
+            system, table, eigen = true_parts(order, pr)
+            rates = eigen.rates.copy()
+            rates[-1] *= rate_sign
+            even = eigen.even_vectors * vector_scale
+            return system, table, ParityEigen(rates, even, eigen.odd_vectors)
+
+        # the BVP oracle reads the same parts and cannot converge on a negated rate
+        monkeypatch.setattr(verification, "_problem_parts", corrupted)
+        monkeypatch.setattr(
+            verification, "VERIFICATION_SUITES", (("definiteness", verification._check_definiteness),)
+        )
+        code, out, _ = run(capsys, ["verify", "--level", "quick"])
+        assert code == 2
+        assert "FAIL wall operator negative definite for every chi" in out
 
     def test_bvp_failure_is_numerical_failure(self, capsys, monkeypatch):
         import knlayer.verification as verification

@@ -334,7 +334,8 @@ class TestCoefficientCurve:
         for chis in ([0.5, 0.0], [1.5], [0.5, math.nan], [-0.1]):
             with pytest.raises(ValueError, match="accommodation"):
                 curve(np.array(chis))
-        for kn, pr in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -1.0)):
+        for kn, pr in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -1.0), (1e-320, 1.0),
+                       (1.0, 5e-324)):
             with pytest.raises(ValueError, match="finite and positive"):
                 coefficient_curve(9, kn, pr)
         with pytest.raises(ValueError, match="not finite"):

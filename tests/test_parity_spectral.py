@@ -29,7 +29,7 @@ def all_invariants(system, eigen, tol=1e-10):
         1.0, eigen.rates[0]
     )
     assert (
-        np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_odd)))
+        np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_even)))
         < tol
     )
     assert np.all(np.diff(eigen.rates) <= 0.0)
@@ -77,7 +77,7 @@ class TestInvariants:
         assert np.all(np.diff(eigen.rates) < 0.0)
         assert eigen.rates[-1] > 0.0
         gram = eigen.even_vectors.T @ eigen.even_vectors
-        assert np.max(np.abs(gram - 0.5 * np.eye(system.m_odd))) < 1e-10
+        assert np.max(np.abs(gram - 0.5 * np.eye(system.m_even))) < 1e-10
 
 
 class TestDenseOracleAgreement:
@@ -137,29 +137,12 @@ class TestRankGuard:
             kind=SystemKind.TEMPERATURE_JUMP,
             order=5,
             m_even=3,
-            m_odd=3,
             diag_main=np.array([1.0, 0.0, 1.0]),
             diag_sub1=np.zeros(2),
             diag_sub2=np.zeros(1),
             log_even_scale=np.zeros(3),
-            log_odd_scale=np.zeros(3),
         )
         with pytest.raises(RankDeficiencyError):
-            decompose(bad)
-
-    def test_non_square_block_rejected(self):
-        bad = ReducedSystem(
-            kind=SystemKind.TEMPERATURE_JUMP,
-            order=5,
-            m_even=3,
-            m_odd=2,
-            diag_main=np.ones(2),
-            diag_sub1=np.ones(2),
-            diag_sub2=np.zeros(1),
-            log_even_scale=np.zeros(3),
-            log_odd_scale=np.zeros(2),
-        )
-        with pytest.raises(ValueError, match="not square"):
             decompose(bad)
 
 

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from knlayer.special_functions import (
     RAW_ORDER_LIMIT,
     HalfSpaceTable,
-    ZSequence,
-    half_space_S,
+    _z_even,
     half_space_S_normalized,
 )
 from knlayer.verification import quadrature_S, quadrature_S_normalized
@@ -50,66 +49,70 @@ def half_space_I(alpha, beta):
     """
     if alpha == beta:
         return math.factorial(alpha) * SQRT_2PI / 2.0
-    zs = ZSequence(max(alpha, beta) + 1)
-    num = zs.value(alpha + 1) * zs.value(beta) - zs.value(beta + 1) * zs.value(alpha)
-    return num / (alpha - beta)
+    z = exact_z_list(max(alpha, beta) + 1)
+    return (z[alpha + 1] * z[beta] - z[beta + 1] * z[alpha]) / (alpha - beta)
+
+
+def scaled(alpha, beta):
+    """Raw S(alpha, beta) recovered from the normalized closed form."""
+    return half_space_S_normalized(alpha, beta) * math.sqrt(
+        math.factorial(alpha) * math.factorial(beta)
+    )
 
 
 class TestZSequence:
+    """The even z chain, normalized and raw, as ``_z_even`` builds it."""
+
     def test_seed_values(self):
-        zs = ZSequence(1)
-        assert zs.value(0) == 1.0
-        assert zs.value(1) == 0.0
+        assert _z_even(1).tolist() == [1.0]
+        assert _z_even(1, normalized=False).tolist() == [1.0]
+        assert _z_even(2, normalized=False).tolist() == [1.0, -1.0]
 
     def test_odd_values_vanish(self):
-        zs = ZSequence(31)
+        # odd z are never stored: every mixed-parity pair off the band is 0
+        z = exact_z_list(31)
         for n in (1, 3, 5, 9, 31):
-            assert zs.value(n) == 0.0
+            assert z[n] == 0
+            assert half_space_S_normalized(n + 3, n) == 0.0
 
     def test_z4(self):
         # z2 = -1, z4 = -3 z2 = 3; equals He_4 at the origin
-        assert ZSequence(4).value(4) == 3.0
+        assert _z_even(3, normalized=False)[2] == 3.0
+        assert _z_even(3)[2] == 3.0 / math.sqrt(24.0)
 
     def test_matches_exact_integers(self):
-        z = exact_z_list(60)
-        zs = ZSequence(60)
-        for n in range(31):  # below 2^53 the float recursion is exact
-            assert zs.value(n) == float(z[n])
-        for n in range(31, 61):
-            assert zs.value(n) == pytest.approx(float(z[n]), rel=1e-14)
+        z = exact_z_list(RAW_ORDER_LIMIT)
+        raw = _z_even(RAW_ORDER_LIMIT // 2 + 1, normalized=False)
+        for k, value in enumerate(raw):
+            if 2 * k <= 30:  # below 2^53 the float product is exact
+                assert value == float(z[2 * k])
+            else:
+                assert value == pytest.approx(float(z[2 * k]), rel=1e-14)
 
     @staticmethod
     def recursion_reference(n_max):
-        """The per-index recursion the vectorised constructor replaces."""
-        n = n_max + 1
-        normed = np.zeros(n)
-        values = np.zeros(n)
+        """The per-index recursion z_{k+1} = -k z_{k-1}, normalized and raw,
+        that the running products replace; raw values stop two past the
+        double-precision window, before they overflow."""
+        normed = np.zeros(n_max + 1)
+        values = np.zeros(min(n_max, RAW_ORDER_LIMIT + 2) + 1)
         normed[0] = 1.0
         values[0] = 1.0
         for k in range(1, n_max):
             normed[k + 1] = -math.sqrt(k / (k + 1.0)) * normed[k - 1]
-            prev = values[k - 1]
-            values[k + 1] = -k * prev if abs(prev) < 1e304 / k else -math.copysign(math.inf, prev)
+            if k + 1 < values.size:
+                values[k + 1] = -k * values[k - 1]
         return normed, values
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 64, 131, 514, 4099])
     def test_matches_recursion(self, n_max):
-        zs = ZSequence(n_max)
-        got = (zs.normalized_values, zs._values)
-        for arr, ref in zip(got, self.recursion_reference(n_max)):
-            assert arr.dtype == ref.dtype
-            assert np.array_equal(arr, ref)
-            assert np.array_equal(np.signbit(arr), np.signbit(ref))  # zeros keep their sign
-
-    def test_raw_values_saturate_before_overflow(self):
-        # the first entry whose predecessor passes 1e304 / k is inf although
-        # the plain product would still be finite
-        values = ZSequence(400)._values
-        k = np.arange(1.0, 400)
-        first = int(np.argmax(np.abs(values[:-2]) >= 1e304 / k)) + 2
-        assert np.all(np.isfinite(values[:first]))
-        assert np.isinf(values[first])
-        assert abs(values[first - 2] * (first - 1)) < np.finfo(float).max
+        normed, values = self.recursion_reference(n_max)
+        got = _z_even(n_max // 2 + 1)
+        assert got.dtype == normed.dtype
+        assert np.array_equal(got, normed[::2])
+        assert np.array_equal(np.signbit(got), np.signbit(normed[::2]))
+        raw_top = min(n_max, RAW_ORDER_LIMIT)  # raw values stop at the window
+        assert np.array_equal(_z_even(raw_top // 2 + 1, normalized=False), values[: raw_top + 1 : 2])
 
 
 class TestHalfSpaceI:
@@ -129,32 +132,34 @@ class TestHalfSpaceI:
 
 class TestHalfSpaceS:
     def test_anchor_values(self):
-        assert half_space_S(0, 0) == -1.0
-        assert half_space_S(0, 1) == pytest.approx(SQRT_2PI / 2.0, rel=1e-15)
-        assert half_space_S(2, 0) == -1.0
-        assert half_space_S(4, 1) == 0.0
+        # S(2, 0) = -1 and S(4, 1) = 0 in raw form
+        assert half_space_S_normalized(2, 0) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
+        assert half_space_S_normalized(4, 1) == 0.0
 
     def test_quadrature_cross_check_small(self):
         for a, b in [(2, 0), (3, 3), (1, 3), (5, 2), (6, 6)]:
-            assert half_space_S(a, b) == pytest.approx(quadrature_S(a, b), rel=1e-9)
+            assert scaled(a, b) == pytest.approx(quadrature_S(a, b), rel=1e-9)
 
     def test_matches_exact_integer_oracle(self):
         for a in range(31):
             for b in range(31):
-                ref = exact_S(a, b)
-                got = half_space_S(a, b)
-                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                assert scaled(a, b) == pytest.approx(exact_S(a, b), rel=1e-12, abs=1e-12)
+        # the raw even block, across the whole double-precision window
+        raw = HalfSpaceTable(RAW_ORDER_LIMIT).s_values
+        for i in range(raw.shape[0]):
+            for j in range(i, raw.shape[0]):
+                assert raw[i, j] == pytest.approx(exact_S(2 * i, 2 * j), rel=1e-12)
 
     def test_definition_consistency_with_I(self):
         for a in range(31):
             for b in range(1, 31):
                 via_i = b * half_space_I(a, b - 1) + half_space_I(a, b + 1)
                 scale = max(1.0, abs(via_i))
-                assert abs(half_space_S(a, b) - via_i) / scale < 1e-12
+                assert abs(scaled(a, b) - via_i) / scale < 1e-12
 
     def test_s_alpha_zero_equals_I_alpha_one(self):
         for a in range(31):
-            assert half_space_S(a, 0) == pytest.approx(half_space_I(a, 1), rel=1e-12, abs=1e-12)
+            assert scaled(a, 0) == pytest.approx(half_space_I(a, 1), rel=1e-12, abs=1e-12)
 
     @given(a=st.integers(0, 60), b=st.integers(0, 60))
     @settings(max_examples=80, deadline=None)
@@ -162,10 +167,6 @@ class TestHalfSpaceS:
         assert half_space_S_normalized(a, b) == half_space_S_normalized(b, a)
         if a % 2 == 0 and b % 2 == 1 and abs(a - b) != 1:
             assert half_space_S_normalized(a, b) == 0.0
-
-    def test_raw_window_rejected_beyond_limit(self):
-        with pytest.raises(ValueError):
-            half_space_S(151, 0)
 
 
 class TestNormalizedS:
@@ -224,12 +225,11 @@ def full_reference_tables(max_order):
         upper = np.triu(table)
         return upper + upper.T - np.diag(np.diag(table))
 
-    zn = np.array([ZSequence(max_order + 2).normalized(n) for n in range(max_order + 3)])
+    zn, zraw = TestZSequence.recursion_reference(max_order + 2)
     idx = np.arange(max_order + 1)
     band = SQRT_2PI / 2.0 * np.sqrt(np.maximum(idx[:, None], idx[None, :]))
     normalized = assemble(max_order, zn, band, normalized=True)
     raw_top = min(max_order, RAW_ORDER_LIMIT)
-    zraw = ZSequence(raw_top + 2)._values
     rid = idx[: raw_top + 1]
     fact = np.array([float(math.factorial(int(n))) for n in rid])
     rband = SQRT_2PI / 2.0 * np.where(rid[:, None] >= rid[None, :], fact[:, None], fact[None, :])
@@ -244,7 +244,7 @@ class TestHalfSpaceTable:
             for j in range(13):
                 a, b = 2 * i, 2 * j
                 assert table.s_normalized[i, j] == half_space_S_normalized(a, b)
-                assert table.s_values[i, j] == pytest.approx(half_space_S(a, b), rel=1e-13, abs=1e-13)
+                assert table.s_values[i, j] == pytest.approx(exact_S(a, b), rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("max_order", [*range(6), 10, 25, 131, 150, 151, 514, 1027, 2051])
     def test_even_blocks_match_full_reference(self, max_order):

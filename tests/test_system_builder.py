@@ -47,16 +47,14 @@ class TestTemperatureSystem:
     def test_dimensions(self):
         for order in (3, 5, 7, 9, 21):
             system = build_temperature_system(order)
-            assert system.m_odd == 2 * ((order - 1) // 2) - 1
-            assert system.m_even == 2 * (order // 2) - 1
-            assert system.m_odd + system.m_even == 2 * (order - 2)
+            assert system.m_even == order - 2
+            assert system.coupling_dense().shape == (order - 2, order - 2)
 
     def test_order_three_entries(self):
         system = build_temperature_system(3)
-        assert system.m_even == system.m_odd == 1
+        assert system.m_even == 1
         assert system.coupling_entry(1, 1) == pytest.approx(3.0 / math.sqrt(5.0), rel=1e-15)
         assert system.even_scale(1) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-        assert system.odd_scale(1) == pytest.approx(math.sqrt(15.0), rel=1e-15)
 
     def test_order_five_entries_from_oracle(self):
         system = build_temperature_system(5)
@@ -78,7 +76,7 @@ class TestTemperatureSystem:
     def test_all_entries_match_oracle(self, order):
         system = build_temperature_system(order)
         worst = 0.0
-        for j in range(1, system.m_odd + 1):
+        for j in range(1, system.m_even + 1):
             for i in range(1, system.m_even + 1):
                 expected = oracle_entry(system, i, j)
                 got = system.coupling_entry(i, j)
@@ -89,7 +87,7 @@ class TestTemperatureSystem:
         system = build_temperature_system(13)
         dense = system.coupling_dense()
         for i in range(system.m_even):
-            for j in range(system.m_odd):
+            for j in range(system.m_even):
                 if not 0 <= i - j <= 2:
                     assert dense[i, j] == 0.0
 
@@ -129,8 +127,8 @@ class TestKramersSystem:
     def test_dimensions(self):
         for order in (4, 6, 8, 20):
             system = build_kramers_system(order, 1.0)
-            assert system.m_even == (order - 1) // 2
-            assert system.m_odd == (order - 2) // 2
+            assert system.m_even == order // 2 - 1
+            assert system.coupling_dense().shape == (order // 2 - 1, order // 2 - 1)
 
     def test_leading_scale_bgk(self):
         system = build_kramers_system(4, 1.0)
@@ -150,7 +148,7 @@ class TestKramersSystem:
     @pytest.mark.parametrize("prandtl", [1.0, 2.0 / 3.0])
     def test_all_entries_match_oracle(self, order, prandtl):
         system = build_kramers_system(order, prandtl)
-        for j in range(1, system.m_odd + 1):
+        for j in range(1, system.m_even + 1):
             for i in range(1, system.m_even + 1):
                 expected = oracle_entry(system, i, j)
                 got = system.coupling_entry(i, j)
@@ -180,7 +178,7 @@ class TestParityDense:
     def test_assembled_shape_and_symmetry(self):
         system = build_temperature_system(9)
         dense = system.parity_dense()
-        n = system.m_even + system.m_odd
+        n = 2 * system.m_even
         assert dense.shape == (n, n)
         np.testing.assert_array_equal(dense, dense.T)
         assert np.all(dense[: system.m_even, : system.m_even] == 0.0)
