@@ -263,6 +263,8 @@ def _profile_grid(cfg: argparse.Namespace, sol) -> np.ndarray:
     y_max = cfg.y_max if cfg.y_max is not None else 60.0 * float(sol.decay_rates[0]) * sol.kn
     if not (math.isfinite(cfg.y_min) and math.isfinite(y_max)):
         raise UsageError(f"ymin ({cfg.y_min:g}) and ymax ({y_max:g}) must be finite")
+    if cfg.y_min < 0.0:
+        raise UsageError(f"ymin ({cfg.y_min:g}) must be >= 0: y is the distance from the wall")
     if y_max <= cfg.y_min:
         raise UsageError(f"ymax ({y_max:g}) must exceed ymin ({cfg.y_min:g})")
     if cfg.spacing == "geometric":

@@ -20,7 +20,8 @@ convergence orders evaluate that curve at O(m) per chi, with no solution
 object per sample; profiles, defects and amplitudes keep the per-chi
 solution, one O(M^2) product per chi.  As chi -> 0,
 (chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.  Profile evaluators work in
-blocks of samples and raise ``ValueError`` on a non-finite value.
+blocks of samples and raise ``ValueError`` on a y < 0 (outside the
+half-space) and on a non-finite value.
 """
 
 from __future__ import annotations
@@ -80,13 +81,19 @@ _BLOCK_ELEMENTS = 1 << 13
 
 
 def _finite_profile(evaluate):
-    """Evaluate on float y, a float for scalar y; a value that is not finite
-    (an overflowing slope, a layer width that underflows) raises ``ValueError``."""
+    """Evaluate on float y, a float for scalar y.  A y < 0 lies outside the
+    half-space, and a value that is not finite (an overflowing slope, a layer
+    width that underflows) raises ``ValueError``."""
 
     @functools.wraps(evaluate)
     def checked(sol, y):
+        y = np.asarray(y, dtype=float)
+        if (y < 0.0).any():
+            raise ValueError(
+                f"{evaluate.__name__} needs y >= 0 (the half-space), got y = {y[y < 0.0][0]:g}"
+            )
         with np.errstate(all="ignore"):
-            out = evaluate(sol, np.asarray(y, dtype=float))
+            out = evaluate(sol, y)
         if not np.isfinite(out).all():
             raise ValueError(
                 f"{evaluate.__name__} for order {sol.order}, chi={sol.chi} is not finite"
@@ -204,9 +211,10 @@ class LayerOperator:
 def layer_operator(kind: SystemKind, order: int, pr: float = 1.0) -> LayerOperator:
     """The cached operator of one problem; ``pr`` enters the Kramers kind only.
 
-    One pass: system, SVD, half-space table (after the SVD), T, Schur
-    complement, eigh.  O goes before the table is built, the table once T
-    is assembled, and E and T before the eigh, which runs beside A alone.
+    One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
+    half-space table, T, Schur complement, wall eigh.  O goes before the
+    table is built, the table once T is assembled, and E and T before the
+    wall eigh, which runs beside A alone, as the Gram eigh runs beside G.
     """
     temperature = kind is SystemKind.TEMPERATURE_JUMP
     system = build_temperature_system(order) if temperature else build_kramers_system(order, pr)

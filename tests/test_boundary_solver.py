@@ -394,19 +394,23 @@ class TestPencilSolve:
         assert u0_scaled != pytest.approx(u0, rel=1e-6)
 
     def test_sweep_runs_one_symmetric_eigh(self, capsys, monkeypatch):
+        # One wall eigh per sweep, after the Gram eigh of decompose.
         layer_profiles.layer_operator.cache_clear()
         calls = []
         true_eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
+            calls.append(np.array(a))
             return true_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         assert main(["sweep-chi", "-M", "33", "--samples", "50"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 50
-        assert calls == [(31, 31)]
+        assert [a.shape for a in calls] == [(31, 31), (31, 31)]
+        b = build_temperature_system(33).coupling_dense()
+        np.testing.assert_allclose(calls[0], b @ b.T, rtol=0.0, atol=1e-13)
+        assert np.count_nonzero(np.triu(calls[1], 3)) > 0  # the wall matrix is dense
 
     @pytest.mark.parametrize("order, size", [(33, 31), (32, 15)])
     def test_sweep_makes_no_per_chi_solve(self, capsys, monkeypatch, order, size):
@@ -428,7 +432,7 @@ class TestPencilSolve:
         assert main(["sweep-chi", "-M", str(order), "--samples", "50"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 50
-        assert calls == [("eigh", (size, size))]
+        assert calls == [("eigh", (size, size)), ("eigh", (size, size))]
 
     def test_structural_error_on_negative_pencil(self, table99):
         eigen = temperature_eigen(7)

@@ -378,6 +378,17 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("order", ["9", "8"])
+    def test_negative_ymin_is_usage_error(self, capsys, order):
+        argv = ["profile", "-M", order, "--ymin", "-5", "--spacing", "linear"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: ymin (-5) must be >= 0: y is the distance from the wall\n"
+        code, out, _ = run(capsys, [*argv[:4], "0", *argv[5:], "--samples", "3"])
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines() if not line.startswith("#")][0] == "0"
+
     @pytest.mark.parametrize("samples", [10**12, MAX_SAMPLES + 1])
     @pytest.mark.parametrize("command", [["sweep-chi", "-M", "9"], ["profile", "-M", "9"]])
     def test_samples_above_limit_is_usage_error(self, capsys, command, samples):

@@ -1,6 +1,7 @@
 """Closed-form layer solutions and the derived coefficients."""
 
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import math
@@ -210,6 +211,29 @@ class TestVelocitySolution:
             velocity_solution(7, 1.0)
         with pytest.raises(ValueError):
             temperature_solution(8, 1.0)
+
+
+class TestHalfSpaceDomain:
+    @pytest.mark.parametrize("y", [-1e-300, -5.0, [0.0, 1.0, -0.5]])
+    def test_negative_y_raises(self, y):
+        sol = temperature_solution(9, 0.7)
+        evaluators = [
+            sol.temperature,
+            velocity_solution(8, 0.7).velocity,
+            functools.partial(temperature_defect, sol),
+            functools.partial(defect_slope, sol),
+            functools.partial(normalized_temperature, sol),
+            functools.partial(effective_conductivity, sol),
+        ]
+        for evaluate in evaluators:
+            with pytest.raises(ValueError, match="y >= 0"):
+                evaluate(y)
+            assert np.all(np.isfinite(evaluate(np.abs(y))))
+
+    def test_wall_is_inside(self):
+        sol = temperature_solution(9, 0.7)
+        assert temperature_defect(sol, 0.0) == temperature_defect(sol, [0.0, 1.0])[0]
+        assert sol.temperature(-0.0) == pytest.approx(sol.wall_value, rel=1e-12)
 
 
 class TestEigenFreeCrossCheck:
@@ -586,8 +610,11 @@ class TestLayerOperator:
         # Five caches kept E, O, T and the table beside the reduced eigh and
         # peaked at 7.3 (order 513) and 8.3 (order 512) m_even^2 blocks.
         assert peak < 6.5 * square, f"peak {peak / square:.2f} m_even^2"
-        # Only A is alive when the eigh starts, and only the modes after it.
-        assert at_eigh[0] < 1.5 * square, f"{at_eigh[0] / square:.2f} m_even^2 at the eigh"
+        # Only the Gram matrix is alive when decompose's eigh starts, only A
+        # when the wall eigh starts, and only the modes after it.
+        assert len(at_eigh) == 2
+        for name, at in zip(("Gram", "wall"), at_eigh):
+            assert at < 1.5 * square, f"{at / square:.2f} m_even^2 at the {name} eigh"
         assert current < 1.5 * square, f"retained {current / square:.2f} m_even^2"
         assert op.rates.shape == (m_even,)
 

@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from knlayer import layer_profiles
+from knlayer import cli, layer_profiles
 from knlayer.layer_profiles import temperature_defect, temperature_solution
 from knlayer.parity_spectral import ParityEigen, RankDeficiencyError, decompose
 from knlayer.system_builder import (
@@ -154,3 +155,142 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.rates, b.rates)
         np.testing.assert_array_equal(a.even_vectors, b.even_vectors)
         np.testing.assert_array_equal(a.odd_vectors, b.odd_vectors)
+
+
+def exact_coupling(order, pr=None):
+    """B at 30 digits from the closed-form entries (Pr enters as given)."""
+    with mp.workdps(30):
+        if order % 2:
+            m = order - 2
+            b = mp.zeros(m, m)
+            b[0, 0] = 9 / mp.sqrt(45)
+            if m >= 2:
+                b[1, 0] = 24 / mp.sqrt(360)
+            if m >= 3:
+                b[2, 0] = -6 / mp.sqrt(30)
+            for j in range(1, m):  # 0-based column j, k = (j + 1) // 2
+                k = (j + 1) // 2
+                b[j, j] = mp.sqrt(2 * k + 3 if j % 2 else 2 * k + 1)
+            for j in range(1, m - 2):  # row i = j + 2, k = (i + 1) // 2
+                k = (j + 3) // 2
+                b[j + 2, j] = mp.sqrt(2 * k + 2 if j % 2 else 2 * k)
+        else:
+            m = order // 2 - 1
+            b = mp.zeros(m, m)
+            b[0, 0] = mp.sqrt(15 / (4 + mp.mpf(pr)))
+            for j in range(1, m):
+                b[j, j] = mp.sqrt(2 * j + 3)
+                b[j, j - 1] = mp.sqrt(2 * j + 2)
+    return b
+
+
+def exact_svd(order, pr=None, vectors=False):
+    """Descending singular values (and left vectors) of B from mpmath at 30 digits."""
+    with mp.workdps(30):
+        b = exact_coupling(order, pr)
+        if not vectors:
+            return np.array(sorted((float(s) for s in mp.svd_r(b, compute_uv=False)), reverse=True))
+        u, s, _ = mp.svd_r(b)
+        idx = sorted(range(b.rows), key=lambda i: -s[i])
+        rates = np.array([float(s[i]) for i in idx])
+        return rates, np.array([[float(u[r, i]) for i in idx] for r in range(b.rows)])
+
+
+def system_of(order, pr=None):
+    return build_temperature_system(order) if pr is None else build_kramers_system(order, pr)
+
+
+class TestExactReference:
+    """Rates and even vectors against a 30-digit mpmath SVD of the exact B."""
+
+    def test_closed_form_entries_match_builder(self):
+        for order, pr in ((9, None), (21, None), (12, 1e12)):
+            system = system_of(order, pr)
+            exact = np.array(exact_coupling(order, pr).tolist(), dtype=float)
+            np.testing.assert_allclose(system.coupling_dense(), exact, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "order, pr",
+        [(21, None), (41, None)]
+        + [(order, pr) for order in (32, 64) for pr in (2.0 / 3.0, 1.0, 1e6, 1e12)],
+    )
+    def test_rates_relative(self, order, pr):
+        # Small Kramers rates at large Pr need relative accuracy; a dense
+        # SVD of B is only normwise accurate and misses by 1e-9 at Pr = 1e12.
+        rates = decompose(system_of(order, pr)).rates
+        exact = exact_svd(order, pr)
+        assert np.max(np.abs(rates / exact - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("order, pr", [(21, None), (32, 1e12), (12, 2.0 / 3.0)])
+    def test_even_vectors(self, order, pr):
+        eigen = decompose(system_of(order, pr))
+        rates, u = exact_svd(order, pr, vectors=True)
+        np.testing.assert_allclose(eigen.rates, rates, rtol=1e-14)
+        e = math.sqrt(2.0) * eigen.even_vectors
+        aligned = u * np.sign(np.sum(u * e, axis=0))
+        assert np.max(np.abs(e - aligned)) < 1e-12
+
+
+class TestCloseRates:
+    def test_vectors_of_close_rates_resolved(self):
+        # At M = 513 the two smallest rates, 0.0713 and 0.0748, are 5e-4
+        # apart in B B^T against |B B^T| = 2e3, so eigh of the Gram matrix
+        # alone mixes their vectors by 6e-12.  The parity matrix of size 2m
+        # resolves them to the accuracy of B.
+        system = build_temperature_system(513)
+        eigen = decompose(system)
+        m = system.m_even
+        _, z = np.linalg.eigh(system.parity_dense())
+        ref = z[:, m:][:, ::-1]  # positive branch, descending
+        got = np.vstack((eigen.even_vectors, eigen.odd_vectors))
+        aligned = ref * np.sign(np.sum(ref * got, axis=0))
+        assert np.max(np.abs(got - aligned)) < 1e-12
+
+
+def banded_times(system, x):
+    """B x from the three stored diagonals of the lower-banded B."""
+    out = system.diag_main[:, None] * x
+    for k, band in ((1, system.diag_sub1), (2, system.diag_sub2)):
+        out[k: k + band.size] += band[:, None] * x[: band.size]
+    return out
+
+
+class TestTopOrders:
+    @pytest.mark.parametrize("order", [2049, 4097])
+    def test_invariants(self, order):
+        system = build_temperature_system(order)
+        eigen = decompose(system)
+        e, o, rates = eigen.even_vectors, eigen.odd_vectors, eigen.rates
+        assert np.all(np.diff(rates) < 0.0)
+        assert rates[-1] > 0.0
+        half = 0.5 * np.eye(system.m_even)
+        assert np.max(np.abs(e.T @ e - half)) < 1e-10
+        assert np.max(np.abs(o.T @ o - half)) < 1e-10
+        assert np.max(np.abs(banded_times(system, o) - e * rates)) < 1e-10 * rates[0]
+        big = np.argmax(np.abs(o), axis=0)
+        assert np.all(o[big, np.arange(system.m_even)] > 0.0)
+
+
+class TestNoDenseSvd:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-chi", "-M", "33", "--samples", "20"],
+            ["sweep-chi", "-M", "32", "--samples", "20"],
+            ["temperature-jump", "-M", "13"],
+            ["kramers", "-M", "12", "--pr", "1e12"],
+            ["profile", "-M", "9", "--samples", "20"],
+            ["profile", "-M", "8", "--samples", "20"],
+        ],
+    )
+    def test_cold_paths_run_no_svd(self, argv, monkeypatch, capsys):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on a solve path")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        layer_profiles.layer_operator.cache_clear()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            layer_profiles.layer_operator.cache_clear()
+        assert capsys.readouterr().out
