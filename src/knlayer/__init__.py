@@ -32,12 +32,7 @@ from .layer_profiles import (
 )
 from .parity_spectral import ParityEigen, decompose
 from .special_functions import HalfSpaceTable, half_space_S_normalized
-from .system_builder import (
-    ReducedSystem,
-    SystemKind,
-    build_kramers_system,
-    build_temperature_system,
-)
+from .system_builder import ReducedSystem, build_kramers_system, build_temperature_system
 
 __version__ = "0.1.0"
 
@@ -47,7 +42,6 @@ __all__ = [
     "ParityEigen",
     "ReducedSystem",
     "StructuralSolveError",
-    "SystemKind",
     "TemperatureLayerSolution",
     "VelocityLayerSolution",
     "accommodation_factor",

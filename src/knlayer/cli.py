@@ -332,7 +332,7 @@ def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
         system = build_kramers_system(cfg.order, cfg.pr)
     params = {
         "command": "dump-system",
-        "kind": system.kind.value,
+        "kind": "temperature-jump" if cfg.order % 2 else "kramers",
         "order": system.order,
         "m_even": system.m_even,
         "m_odd": system.m_even,  # the block is square

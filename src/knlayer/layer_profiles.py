@@ -7,18 +7,22 @@ defect, effective conductivity, slip velocity) is evaluated analytically
 from that representation.
 
 Everything chi-independent about one order lives in one immutable
-:class:`LayerOperator`, cached per (kind, order, pr), built in one pass and
-keeping only what a solve reads: one m_even x m_even array (the mode
-matrix) and a few vectors.  Only b(chi) depends on the accommodation
-coefficient, and the operator makes the coefficient a partial fraction in it:
+:class:`LayerOperator`, cached per order (and Pr, for an even order), built
+in one pass and keeping only what a solve reads: one m_even x m_even array
+(the mode matrix) and a few vectors.  Only b(chi) depends on the
+accommodation coefficient, and the operator makes the coefficient a partial
+fraction in it:
 
     zeta(b) = alpha / b + sum_i beta_i / (b + 1 / mu_i),
 
 with alpha, the reduced eigenvalues mu and the residues beta fixed per
-order (:func:`coefficient_curve`).  A chi sweep, Table 1 and the
-convergence orders evaluate that curve at O(m) per chi, with no solution
-object per sample; profiles, defects and amplitudes keep the per-chi
-solution, one O(M^2) product per chi.  As chi -> 0,
+order (:func:`coefficient_curve`).  A chi sweep, Table 1, the convergence
+orders and the coefficient of a single solution all evaluate that curve, at
+O(m) per chi and with no solution object per sample, so every command
+prints the same value for the same inputs; profiles, defects and amplitudes
+keep the per-chi solution, one O(M^2) product per chi.  The order's parity
+names the problem: an odd order is the temperature jump, an even one
+Kramers slip.  As chi -> 0,
 (chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.  Profile evaluators work in
 blocks of samples and raise ``ValueError`` on a y < 0 (outside the
 half-space) and on a non-finite value.
@@ -43,7 +47,7 @@ from .boundary_solver import (
 )
 from .parity_spectral import decompose
 from .special_functions import HalfSpaceTable
-from .system_builder import SystemKind, build_kramers_system, build_temperature_system
+from .system_builder import build_kramers_system, build_temperature_system
 
 __all__ = [
     "CoefficientCurve",
@@ -189,7 +193,7 @@ def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerOperator:
-    """Everything a solve of one (kind, order, pr) reads, independent of chi.
+    """Everything a solve of one order (and Pr) reads, independent of chi.
 
     ``row`` is the defect combination DEFECT_WEIGHTS @ E[:3] (temperature)
     or E[0] (Kramers); ``row_scale`` * ``row`` maps the mode weights to the
@@ -208,15 +212,17 @@ class LayerOperator:
 
 
 @functools.lru_cache(maxsize=8)
-def layer_operator(kind: SystemKind, order: int, pr: float = 1.0) -> LayerOperator:
-    """The cached operator of one problem; ``pr`` enters the Kramers kind only.
+def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
+    """The cached operator of one order: the temperature jump for an odd
+    order, Kramers slip for an even one, which alone reads ``pr``.  Callers
+    pass ``pr`` for even orders only, so an odd order keeps one cache entry.
 
     One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
     half-space table, T, Schur complement, wall eigh.  O goes before the
     table is built, the table once T is assembled, and E and T before the
     wall eigh, which runs beside A alone, as the Gram eigh runs beside G.
     """
-    temperature = kind is SystemKind.TEMPERATURE_JUMP
+    temperature = order % 2 == 1
     system = build_temperature_system(order) if temperature else build_kramers_system(order, pr)
     eigen = decompose(system)
     rates, e = eigen.rates, eigen.even_vectors
@@ -262,7 +268,9 @@ def temperature_solution(
     _validate_common(kn, pr)
     _validate_drive("heat flux", q2, theta_wall)
     b = accommodation_factor(chi)  # a bad chi fails before a cold operator build
-    op = layer_operator(SystemKind.TEMPERATURE_JUMP, order)
+    if order % 2 == 0:
+        raise ValueError(f"temperature-jump solutions need an odd order, got {order}")
+    op = layer_operator(order)
     theta0, v_plus = op.wall.solve(order, chi, b, q2, theta_wall)
     mode_strength = op.row * v_plus
     amplitudes = -op.row_scale * mode_strength
@@ -281,7 +289,9 @@ def velocity_solution(
     _validate_common(kn, pr)
     _validate_drive("shear stress", sigma12, u1_wall)
     b = accommodation_factor(chi)
-    op = layer_operator(SystemKind.KRAMERS, order, pr)
+    if order % 2 == 1:
+        raise ValueError(f"Kramers solutions need an even order, got {order}")
+    op = layer_operator(order, pr)
     u1_0, v_plus = op.wall.solve(order, chi, b, sigma12, u1_wall)
     amplitudes = -op.row_scale * op.row * v_plus
     return VelocityLayerSolution(
@@ -291,26 +301,19 @@ def velocity_solution(
     )
 
 
-def _finite_coefficient(name: str, sol, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} coefficient for order {sol.order}, chi={sol.chi} is not finite")
-    return value
-
-
 def jump_coefficient(sol: TemperatureLayerSolution) -> float:
     """Temperature jump coefficient zeta = -(5 Kn / (2 Pr)) * (intercept / q).
 
     Defined for the zero-wall-temperature normalization only; solutions with
-    a wall offset are rejected rather than silently re-normalized.  Dividing
-    the intercept by q first keeps a large Pr q from rounding the scale to
-    zero; a non-finite coefficient (chi near the subnormal range) raises
+    a wall offset are rejected rather than silently re-normalized.  The value
+    is the order's :func:`coefficient_curve` at the solution's chi, the one
+    formula every command prints, so it does not depend on the flux q; a
+    non-finite coefficient (chi near the subnormal range) raises
     ``ValueError``.
     """
     if sol.wall_temperature != 0.0:
         raise ValueError("jump coefficient requires the theta_wall = 0 normalization")
-    return _finite_coefficient(
-        "jump", sol, -2.5 * sol.kn / sol.pr * (sol.intercept / sol.heat_flux)
-    )
+    return coefficient_curve(sol.order, sol.kn, sol.pr)(sol.chi)
 
 
 @_finite_profile
@@ -357,11 +360,12 @@ def effective_conductivity(sol: TemperatureLayerSolution, y) -> np.ndarray | flo
 def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
     """Slip-velocity intercept per unit shear, -Kn * (intercept / sigma).
 
-    A non-finite coefficient raises ``ValueError``, as in ``jump_coefficient``.
+    Read off the order's :func:`coefficient_curve` at the solution's chi, as
+    in ``jump_coefficient``; a non-finite coefficient raises ``ValueError``.
     """
     if sol.wall_velocity != 0.0:
         raise ValueError("slip coefficient requires the u1_wall = 0 normalization")
-    return _finite_coefficient("slip", sol, -sol.kn * (sol.intercept / sol.shear))
+    return coefficient_curve(sol.order, sol.kn, sol.pr)(sol.chi)
 
 
 @dataclass(frozen=True)
@@ -370,8 +374,7 @@ class CoefficientCurve:
 
     zeta(b) = alpha / b + sum_i residues_i / (b - poles_i) with b = b(chi),
     stored as alpha = scale * lead and residues = scale * weights so that the
-    Kn / Pr scaling is applied last, exactly as the per-chi coefficient
-    applies it.  Calling the curve costs O(m) per chi.
+    Kn / Pr scaling is applied last.  Calling the curve costs O(m) per chi.
     """
 
     order: int
@@ -428,14 +431,15 @@ def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> Co
     where row maps s to the summed mode amplitudes:
     0.8 DEFECT_WEIGHTS @ E[:3] @ modes with scale 2.5 Kn / Pr for the
     temperature jump, (2 / a1) E[0] @ modes with scale Kn for the slip.  It
-    reads the same operator as the per-chi solutions.
+    reads the same operator as the per-chi solutions, and their
+    ``jump_coefficient`` and ``viscous_slip_coefficient`` evaluate it.
     """
     _validate_common(kn, pr)
     if order % 2:
-        op = layer_operator(SystemKind.TEMPERATURE_JUMP, order)
+        op = layer_operator(order)
         scale = 2.5 * kn / pr
     else:
-        op = layer_operator(SystemKind.KRAMERS, order, pr)
+        op = layer_operator(order, pr)
         scale = kn
     wall = op.wall
     row = op.row_scale * (op.row @ wall.modes)

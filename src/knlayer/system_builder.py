@@ -13,19 +13,19 @@ as even ones, m_even = M - 2 for odd M and M/2 - 1 for even M.  The thermal
 (f3, f5, ...).  All entries are factorial ratios evaluated in closed form,
 never raw factorials.  The Hermite basis combinations behind each row and
 column, and the inner-product oracle that re-derives every entry from them,
-live in :mod:`knlayer.verification`.
+live in :mod:`knlayer.verification`, with the dense forms of the block.  The
+order's parity names the problem: an odd order is the temperature jump, an
+even one Kramers slip.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SystemKind",
     "ReducedSystem",
     "build_temperature_system",
     "build_kramers_system",
@@ -40,11 +40,6 @@ MAX_KRAMERS_ORDER = 4096
 MAX_KRAMERS_PRANDTL = 1e12
 
 
-class SystemKind(enum.Enum):
-    TEMPERATURE_JUMP = "temperature-jump"
-    KRAMERS = "kramers"
-
-
 @dataclass(frozen=True)
 class ReducedSystem:
     """Reduced moment system in banded form.
@@ -56,7 +51,6 @@ class ReducedSystem:
     normalizations (the raw values overflow for orders in the thousands).
     """
 
-    kind: SystemKind
     order: int
     m_even: int
     diag_main: np.ndarray
@@ -81,26 +75,6 @@ class ReducedSystem:
         if d == 2 and j - 1 < self.diag_sub2.size:
             return float(self.diag_sub2[j - 1])
         return 0.0
-
-    def coupling_dense(self) -> np.ndarray:
-        """Dense m_even x m_even coupling block (O(M^2) memory)."""
-        out = np.zeros((self.m_even, self.m_even))
-        n0 = self.diag_main.size
-        out[np.arange(n0), np.arange(n0)] = self.diag_main
-        n1 = self.diag_sub1.size
-        out[np.arange(n1) + 1, np.arange(n1)] = self.diag_sub1
-        n2 = self.diag_sub2.size
-        out[np.arange(n2) + 2, np.arange(n2)] = self.diag_sub2
-        return out
-
-    def parity_dense(self) -> np.ndarray:
-        """Full symmetric block matrix [[0, B], [B^T, 0]]."""
-        b = self.coupling_dense()
-        n = 2 * self.m_even
-        out = np.zeros((n, n))
-        out[: self.m_even, self.m_even:] = b
-        out[self.m_even:, : self.m_even] = b.T
-        return out
 
     def even_scale(self, i: int) -> float:
         """Diagonal normalization of the i-th even unknown (1-based)."""
@@ -148,7 +122,6 @@ def build_temperature_system(order: int) -> ReducedSystem:
             sub2[j - 1] = math.sqrt(2 * k)               # (2k)!/(a_{2k+1} b_{2k-1})
 
     return ReducedSystem(
-        kind=SystemKind.TEMPERATURE_JUMP,
         order=order,
         m_even=m_even,
         diag_main=main,
@@ -180,7 +153,6 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
     sub2 = np.zeros(0)
 
     return ReducedSystem(
-        kind=SystemKind.KRAMERS,
         order=order,
         m_even=m_even,
         diag_main=main,

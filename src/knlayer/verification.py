@@ -6,9 +6,10 @@ spectra, and a first-order upwind two-point BVP solver for the reduced ODE
 systems on a truncated domain.  None of them reuse the closed forms they
 are meant to confirm.  The references they compare against are built
 here too: the Hermite inner products and basis combinations behind every
-coupling entry, the full parity eigenvector matrix, the raw boundary
-matrices behind :mod:`knlayer.boundary_solver`'s normalized assemblers, and
-the wall operator K(chi) that the solver never forms.  The suites
+coupling entry, the dense coupling block and parity matrix, the full parity
+eigenvector matrix, the raw boundary matrices behind
+:mod:`knlayer.boundary_solver`'s normalized assemblers, and the wall
+operator K(chi) that the solver never forms.  The suites
 (``run_verification``) compare every solver layer against these oracles
 and references.
 
@@ -42,12 +43,7 @@ from .boundary_solver import (
 from .layer_profiles import DEFAULT_KN, DEFECT_WEIGHTS, temperature_solution, velocity_solution
 from .parity_spectral import ParityEigen, decompose
 from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
-from .system_builder import (
-    ReducedSystem,
-    SystemKind,
-    build_kramers_system,
-    build_temperature_system,
-)
+from .system_builder import ReducedSystem, build_kramers_system, build_temperature_system
 
 __all__ = [
     "QUADRATURE_ORDER_LIMIT",
@@ -60,6 +56,8 @@ __all__ = [
     "quadrature_S_normalized",
     "inner_product_oracle",
     "oracle_entry",
+    "coupling_dense",
+    "parity_dense",
     "dense_symmetric_eig",
     "assemble_full_R",
     "assemble_temperature_Tb",
@@ -203,15 +201,34 @@ def _basis_norm(combo) -> float:
 
 def oracle_entry(system: ReducedSystem, i: int, j: int) -> float:
     """Coupling entry (i, j), 1-based, re-derived from the basis combinations."""
-    if system.kind is SystemKind.TEMPERATURE_JUMP:
+    temperature = system.order % 2 == 1
+    if temperature:
         even, odd = temperature_even_basis, temperature_odd_basis
     else:
         even, odd = kramers_even_basis, kramers_odd_basis
     ip = sum(ce * co * inner_product_oracle(ie, io) for ce, ie in even(i) for co, io in odd(j))
     a_sq = _basis_norm(even(i)) ** 2
-    if system.kind is SystemKind.KRAMERS and i == 1:
+    if not temperature and i == 1:
         a_sq *= 1.0 - (1.0 - system.prandtl) / 5.0
     return ip / (math.sqrt(a_sq) * _basis_norm(odd(j)))
+
+
+def coupling_dense(system: ReducedSystem) -> np.ndarray:
+    """Dense m_even x m_even coupling block B from its three diagonals."""
+    out = np.zeros((system.m_even, system.m_even))
+    for offset, diag in enumerate((system.diag_main, system.diag_sub1, system.diag_sub2)):
+        out[np.arange(diag.size) + offset, np.arange(diag.size)] = diag
+    return out
+
+
+def parity_dense(system: ReducedSystem) -> np.ndarray:
+    """Full symmetric block matrix [[0, B], [B^T, 0]]."""
+    b = coupling_dense(system)
+    m = system.m_even
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, m:] = b
+    out[m:, :m] = b.T
+    return out
 
 
 def _disjoint_pair_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -397,7 +414,7 @@ def _solve_layer_bvp(
 
     # wall rows: b T (ds ; R_e (v+ + v-)) - [0 ; B R_o (v+ - v-)] = flux c
     b_t = b * wbs.scaled_matrix
-    b_dense = system.coupling_dense()
+    b_dense = coupling_dense(system)
     odd_flow = b_dense @ eigen.odd_vectors
     even_cols = b_t[:, 1:] @ eigen.even_vectors
     plus_block = even_cols.copy()
@@ -482,13 +499,14 @@ def _solve_layer_bvp(
     return x[0::stride]
 
 
-def _problem_parts(order: int, pr: float | None = None):
+def _problem_parts(order: int, pr: float = 1.0):
     """(system, table, eigendecomposition) of one order, from the public builders.
 
-    ``pr`` None selects the temperature problem.  Nothing is cached: the
-    oracles build their own parts rather than read the solver's operator.
+    An odd order is the temperature problem, which ignores ``pr``.  Nothing
+    is cached: the oracles build their own parts rather than read the
+    solver's operator.
     """
-    if pr is None:
+    if order % 2:
         system = build_temperature_system(order)
     else:
         system = build_kramers_system(order, pr)
@@ -741,7 +759,7 @@ def _check_systems(level: str) -> list[CheckResult]:
 
 def _spectral_residual(system) -> tuple[float, float]:
     eigen = decompose(system)
-    dense = system.parity_dense()
+    dense = parity_dense(system)
     w, _ = dense_symmetric_eig(dense)
     expected = np.sort(np.concatenate((-eigen.rates, eigen.rates)))
     scale = max(1.0, float(np.max(np.abs(w))))
@@ -817,7 +835,7 @@ def _check_definiteness(level: str) -> list[CheckResult]:
             w, _ = dense_symmetric_eig(wall_operator(wbs, eigen, 0.5))
             worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
     for m in k_orders:
-        system, table, eigen = _problem_parts(m, 1.0)
+        system, table, eigen = _problem_parts(m)
         wbs = kramers_boundary_system(m, 1.0, table)
         checks.append(_wall_definite(assemble_kramers_Sk(m, table), wbs, eigen))
     sampled, certified, grams = zip(*checks)
@@ -831,11 +849,12 @@ def _check_definiteness(level: str) -> list[CheckResult]:
     ]
 
 
-def _bvp_deviation(problem: str, order: int, n_cells: int) -> tuple[float, float]:
-    """(extrapolated deviation, raw-grid convergence ratio) for one case."""
+def _bvp_deviation(order: int, n_cells: int) -> tuple[float, float]:
+    """(extrapolated deviation, raw-grid convergence ratio) for one order:
+    the temperature profile of an odd order, the Kramers one of an even."""
     kn, pr, chi = DEFAULT_KN, 1.0, 1.0
     cfg = BvpConfig(n_cells=n_cells)
-    if problem == "temperature":
+    if order % 2:
         sol = temperature_solution(order, chi, kn, pr, 1.0, 0.0)
         y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * kn)
         nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
@@ -858,16 +877,11 @@ def _bvp_deviation(problem: str, order: int, n_cells: int) -> tuple[float, float
 
 
 def _check_bvp(level: str) -> list[CheckResult]:
-    cases = (
-        [("temperature", 3, 4000), ("kramers", 4, 4000)]
-        if level == "quick"
-        else [("temperature", 3, 20000), ("temperature", 7, 20000),
-              ("kramers", 4, 20000), ("kramers", 8, 20000)]
-    )
+    cases = [(3, 4000), (4, 4000)] if level == "quick" else [(m, 20000) for m in (3, 7, 4, 8)]
     worst_dev = 0.0
     ratios = []
-    for problem, order, cells in cases:
-        dev, ratio = _bvp_deviation(problem, order, cells)
+    for order, cells in cases:
+        dev, ratio = _bvp_deviation(order, cells)
         worst_dev = max(worst_dev, dev)
         ratios.append(ratio)
     ratio_ok = all(1.5 <= r <= 2.5 for r in ratios)

@@ -11,7 +11,6 @@ PUBLIC = [
     "ParityEigen",
     "ReducedSystem",
     "StructuralSolveError",
-    "SystemKind",
     "TemperatureLayerSolution",
     "VelocityLayerSolution",
     "accommodation_factor",
@@ -42,10 +41,14 @@ DELETED = {
         "z_sign_log", "half_space_I", "ZSequence", "half_space_S", "_check_raw_window", "_z",
         "_Z_CACHE",
     ],
+    # the order's parity names the problem
+    "system_builder": ["SystemKind"],
 }
 
-# Parity-block members that went with the odd block size, which always equals m_even.
-DELETED_MEMBERS = ["m_odd", "odd_scale", "log_odd_scale"]
+# Parity-block members that went with the odd block size, which always equals
+# m_even; the problem kind, which the order's parity names; and the dense
+# forms of the coupling block, which only the oracles read.
+DELETED_MEMBERS = ["m_odd", "odd_scale", "log_odd_scale", "kind", "coupling_dense", "parity_dense"]
 
 # Oracle helpers that live in knlayer.verification now.
 MOVED = {
@@ -56,6 +59,9 @@ MOVED = {
     "parity_spectral": ["assemble_full_R"],
     "boundary_solver": ["wall_operator"],
 }
+
+# Members of the reduced system that are functions of knlayer.verification now.
+MOVED_MEMBERS = ["coupling_dense", "parity_dense"]
 
 SOLVER_MODULES = (
     "special_functions", "system_builder", "parity_spectral", "boundary_solver",
@@ -82,7 +88,7 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(mod, name), (module, name)
             assert not hasattr(knlayer, name), name
-    for names in MOVED.values():
+    for names in (*MOVED.values(), MOVED_MEMBERS):
         for name in names:
             assert hasattr(verification, name), name
     system = knlayer.build_temperature_system(5)

@@ -26,11 +26,12 @@ from knlayer import boundary_solver, cli, layer_profiles
 from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
-from knlayer.system_builder import SystemKind, build_kramers_system, build_temperature_system
+from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     assemble_kramers_Sk,
     assemble_T,
     assemble_temperature_Tb,
+    coupling_dense,
     wall_operator,
 )
 
@@ -291,7 +292,7 @@ class TestSolveWall:
         w_even = eigen.even_vectors @ v_plus
         w_odd = eigen.odd_vectors @ v_plus
         lhs = 1.0 * wbs.c_vec.copy()
-        lhs[1:] += system.coupling_dense() @ w_odd
+        lhs[1:] += coupling_dense(system) @ w_odd
         rhs = accommodation_factor(chi) * (wbs.scaled_matrix @ np.concatenate(([theta0], w_even)))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -339,7 +340,7 @@ class TestSolveWall:
         w_even = eigen.even_vectors @ v_plus
         w_odd = eigen.odd_vectors @ v_plus
         lhs = wbs.c_vec.copy()
-        lhs[1:] += system.coupling_dense() @ w_odd
+        lhs[1:] += coupling_dense(system) @ w_odd
         rhs = accommodation_factor(chi) * (wbs.scaled_matrix @ np.concatenate(([u1_0], w_even)))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -375,8 +376,8 @@ class TestPencilSolve:
         d = layer_profiles.velocity_solution(8, 0.9, pr=0.7)
         assert c.decay_rates is d.decay_rates
         assert layer_profiles.velocity_solution(8, 0.3, pr=0.8).decay_rates is not c.decay_rates
-        op = layer_profiles.layer_operator(SystemKind.KRAMERS, 8, 0.7)
-        assert op is layer_profiles.layer_operator(SystemKind.KRAMERS, 8, 0.7)
+        op = layer_profiles.layer_operator(8, 0.7)
+        assert op is layer_profiles.layer_operator(8, 0.7)
         assert op.rates is c.decay_rates
 
     def test_pencil_not_shared_across_systems(self, table99):
@@ -408,7 +409,7 @@ class TestPencilSolve:
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 50
         assert [a.shape for a in calls] == [(31, 31), (31, 31)]
-        b = build_temperature_system(33).coupling_dense()
+        b = coupling_dense(build_temperature_system(33))
         np.testing.assert_allclose(calls[0], b @ b.T, rtol=0.0, atol=1e-13)
         assert np.count_nonzero(np.triu(calls[1], 3)) > 0  # the wall matrix is dense
 

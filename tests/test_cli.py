@@ -52,7 +52,11 @@ class TestTable1:
         assert record["orders"] == [3, 5, 7, 9, 11, 13]
         chi, zeta = record["rows"][6]["chi"], record["rows"][6]["zeta"][5]
         assert chi == 1.0
-        assert zeta == jump_coefficient(temperature_solution(13, 1.0))
+        sol = temperature_solution(13, 1.0)
+        assert zeta == jump_coefficient(sol)  # the JSON digits round-trip
+        # the per-chi formula through the wall solve's intercept, not the
+        # partial fraction that table1 and jump_coefficient both evaluate
+        assert zeta == -2.5 * sol.kn / sol.pr * (sol.intercept / sol.heat_flux)
 
 
 class TestProfileCommand:
@@ -145,6 +149,31 @@ class TestSolveCommands:
         entries = {(int(r[0]), int(r[1])): float(r[2]) for r in rows}
         assert entries[(1, 1)] == pytest.approx(3.0 / math.sqrt(5.0))
         assert entries[(3, 3)] == pytest.approx(math.sqrt(3.0))
+
+    @pytest.mark.parametrize("order, kind", [(9, "temperature-jump"), (8, "kramers")])
+    def test_dump_system_kind_follows_parity(self, capsys, order, kind):
+        code, out, _ = run(capsys, ["dump-system", "-M", str(order)])
+        assert code == 0
+        assert f"# kind = {kind}\n" in out
+
+    @pytest.mark.parametrize(
+        "command, order, name",
+        [("temperature-jump", 513, "jump_coefficient"), ("kramers", 10, "slip_coefficient")],
+    )
+    def test_coefficient_matches_sweep(self, capsys, command, order, name):
+        # A solve prints the partial fraction that sweep-chi evaluates, so
+        # both print the same coefficient at chi = 1, to the last bit.
+        code, out, _ = run(capsys, [command, "-M", str(order)])
+        assert code == 0
+        header = dict(l[2:].split(" = ", 1) for l in out.splitlines() if " = " in l)
+        code, out, _ = run(
+            capsys,
+            ["sweep-chi", "-M", str(order), "--chi-min", "0.5", "--chi-max", "1", "--samples", "2"],
+        )
+        assert code == 0
+        chi, coefficient = [l.split() for l in out.splitlines() if not l.startswith("#")][-1][:2]
+        assert float(chi) == 1.0 and float(header["chi"]) == 1.0
+        assert float(header[name]) == float(coefficient)
 
 
 class TestDeterminism:
@@ -526,7 +555,7 @@ class TestVerifyCommand:
 
         true_parts = verification._problem_parts
 
-        def corrupted(order, pr=None):
+        def corrupted(order, pr=1.0):
             system, table, eigen = true_parts(order, pr)
             rates = eigen.rates.copy()
             rates[-1] *= rate_sign

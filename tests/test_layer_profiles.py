@@ -33,7 +33,7 @@ from knlayer.layer_profiles import (
     viscous_slip_coefficient,
 )
 from knlayer.special_functions import HalfSpaceTable
-from knlayer.system_builder import MAX_KRAMERS_PRANDTL, SystemKind
+from knlayer.system_builder import MAX_KRAMERS_PRANDTL
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -102,6 +102,25 @@ class TestJumpCoefficient:
         z1 = jump_coefficient(temperature_solution(7, 0.6, kn=0.1))
         z2 = jump_coefficient(temperature_solution(7, 0.6, kn=1.0))
         assert z1 / 0.1 == pytest.approx(z2 / 1.0, rel=1e-12)
+
+
+class TestOneCoefficientFormula:
+    """The coefficient of a solution is its order's curve at its chi, bit for bit."""
+
+    FLUXES = (1.0, 0.3, -2.5, 1e-300)
+
+    @pytest.mark.parametrize("order", [3, 13, 129, 513, 4, 12, 128, 512])
+    def test_flux_free_and_equal_to_curve(self, order):
+        for chi in (1e-3, 0.37, 0.9, 1.0):
+            for pr in (2.0 / 3.0, 1.0):
+                curve = coefficient_curve(order, KN, pr)(chi)
+                if order % 2:
+                    got = [jump_coefficient(temperature_solution(order, chi, KN, pr, q))
+                           for q in self.FLUXES]
+                else:
+                    got = [viscous_slip_coefficient(velocity_solution(order, chi, KN, pr, s))
+                           for s in self.FLUXES]
+                assert got == [curve] * len(self.FLUXES), (chi, pr, got, curve)
 
 
 class TestTemperatureDefect:
@@ -257,12 +276,13 @@ class TestEigenFreeCrossCheck:
         )
         from knlayer.special_functions import HalfSpaceTable
         from knlayer.system_builder import build_temperature_system
+        from knlayer.verification import coupling_dense
 
         system = build_temperature_system(order)
         table = HalfSpaceTable(order + 2)
         b = accommodation_factor(chi)
         t = assemble_temperature_T(order, table)
-        coupling = system.coupling_dense()
+        coupling = coupling_dense(system)
         k = b * t
         k[1:, 1:] -= scipy.linalg.sqrtm(coupling @ coupling.T).real
         u = np.linalg.solve(k, temperature_c_vector(order))
@@ -322,11 +342,24 @@ class TestConvergenceOrder:
             convergence_order(1.0, 2)
 
 
+def intercept_coefficient(sol):
+    """The coefficient through the wall solve's intercept, independent of the
+    curve: -(5 Kn / 2 Pr) (intercept / q) for the jump, -Kn (intercept / sigma)
+    for the slip.  A value that is not finite raises ``ValueError``."""
+    if sol.order % 2:
+        value = -2.5 * sol.kn / sol.pr * (sol.intercept / sol.heat_flux)
+    else:
+        value = -sol.kn * (sol.intercept / sol.shear)
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient for order {sol.order}, chi={sol.chi} is not finite")
+    return value
+
+
 def per_chi_coefficient(order, chi, kn=KN, pr=1.0):
     """The coefficient through one full solution, the path the curve replaces."""
     if order % 2:
-        return jump_coefficient(temperature_solution(order, chi, kn, pr))
-    return viscous_slip_coefficient(velocity_solution(order, chi, kn, pr))
+        return intercept_coefficient(temperature_solution(order, chi, kn, pr))
+    return intercept_coefficient(velocity_solution(order, chi, kn, pr))
 
 
 class TestCoefficientCurve:
@@ -464,21 +497,23 @@ def coefficient_and_profile(order, chi, kn, pr, flux, wall):
     """The per-chi chain: the coefficient, then every profile evaluator at three y.
 
     Returns (coefficient, profile values, conductivity) with the conductivity
-    None for the shear kind; the profile value at a wall offset comes from its
-    own solve, since the coefficients need the zero-wall normalization.
+    None for the shear kind; the coefficient comes through the intercept,
+    and the profile values include the solution's own coefficient.  The
+    profile value at a wall offset comes from its own solve, since the
+    coefficients need the zero-wall normalization.
     """
     y = np.array([0.0, 0.3, 3.0])
     if order % 2:
         ref = temperature_solution(order, chi, kn, pr, flux, 0.0)
-        coefficient = jump_coefficient(ref)
+        coefficient = intercept_coefficient(ref)
         shifted = temperature_solution(order, chi, kn, pr, flux, wall)
-        profile = [shifted.temperature(y), temperature_defect(ref, y), defect_slope(ref, y),
-                   normalized_temperature(ref, y)]
+        profile = [jump_coefficient(ref), shifted.temperature(y), temperature_defect(ref, y),
+                   defect_slope(ref, y), normalized_temperature(ref, y)]
         return coefficient, profile, effective_conductivity(ref, y)
     ref = velocity_solution(order, chi, kn, pr, flux, 0.0)
-    coefficient = viscous_slip_coefficient(ref)
+    coefficient = intercept_coefficient(ref)
     shifted = velocity_solution(order, chi, kn, pr, flux, wall)
-    return coefficient, [shifted.velocity(y), ref.velocity(y)], None
+    return coefficient, [viscous_slip_coefficient(ref), shifted.velocity(y), ref.velocity(y)], None
 
 
 class TestPerChiInputDomain:
@@ -588,8 +623,8 @@ def operator_arrays(op):
 
 
 class TestLayerOperator:
-    @pytest.mark.parametrize("kind, order", [(SystemKind.TEMPERATURE_JUMP, 513), (SystemKind.KRAMERS, 512)])
-    def test_cold_build_memory_bounded(self, kind, order, monkeypatch):
+    @pytest.mark.parametrize("order", [513, 512])
+    def test_cold_build_memory_bounded(self, order, monkeypatch):
         m_even = order - 2 if order % 2 else (order - 1) // 2
         at_eigh = []
         true_eigh = np.linalg.eigh
@@ -602,7 +637,7 @@ class TestLayerOperator:
         layer_operator.cache_clear()
         tracemalloc.start()
         try:
-            op = layer_operator(kind, order, 0.7)
+            op = layer_operator(order, 0.7)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -620,8 +655,7 @@ class TestLayerOperator:
 
     @pytest.mark.parametrize("order, pr", [(33, 1.0), (32, 0.7)])
     def test_holds_one_square_array(self, order, pr):
-        kind = SystemKind.TEMPERATURE_JUMP if order % 2 else SystemKind.KRAMERS
-        op = layer_operator(kind, order, pr)
+        op = layer_operator(order, pr)
         assert isinstance(op, LayerOperator)
         arrays = operator_arrays(op)
         m_even = op.rates.size

@@ -9,17 +9,12 @@ import pytest
 from knlayer import cli, layer_profiles
 from knlayer.layer_profiles import temperature_defect, temperature_solution
 from knlayer.parity_spectral import ParityEigen, RankDeficiencyError, decompose
-from knlayer.system_builder import (
-    ReducedSystem,
-    SystemKind,
-    build_kramers_system,
-    build_temperature_system,
-)
-from knlayer.verification import assemble_full_R, dense_symmetric_eig
+from knlayer.system_builder import ReducedSystem, build_kramers_system, build_temperature_system
+from knlayer.verification import assemble_full_R, coupling_dense, dense_symmetric_eig, parity_dense
 
 
 def all_invariants(system, eigen, tol=1e-10):
-    b = system.coupling_dense()
+    b = coupling_dense(system)
     r = assemble_full_R(eigen)
     n = r.shape[0]
     assert np.max(np.abs(r.T @ r - np.eye(n))) < tol
@@ -86,7 +81,7 @@ class TestDenseOracleAgreement:
     def test_eigenvalues_pair_up(self, order):
         system = build_temperature_system(order)
         eigen = decompose(system)
-        w, _ = dense_symmetric_eig(system.parity_dense())
+        w, _ = dense_symmetric_eig(parity_dense(system))
         expected = np.sort(np.concatenate((-eigen.rates, eigen.rates)))
         assert np.max(np.abs(np.sort(w) - expected)) < 1e-10 * max(1.0, eigen.rates[0])
 
@@ -95,7 +90,7 @@ class TestDenseOracleAgreement:
         eigen = decompose(system)
         r = assemble_full_R(eigen)
         lam = np.concatenate((eigen.rates, -eigen.rates))
-        dense = system.parity_dense()
+        dense = parity_dense(system)
         resid = np.max(np.abs(r.T @ dense @ r - np.diag(lam)))
         assert resid < 1e-10 * np.max(np.abs(dense))
 
@@ -135,7 +130,6 @@ class TestDownstreamInvariance:
 class TestRankGuard:
     def test_zero_column_raises(self):
         bad = ReducedSystem(
-            kind=SystemKind.TEMPERATURE_JUMP,
             order=5,
             m_even=3,
             diag_main=np.array([1.0, 0.0, 1.0]),
@@ -207,7 +201,7 @@ class TestExactReference:
         for order, pr in ((9, None), (21, None), (12, 1e12)):
             system = system_of(order, pr)
             exact = np.array(exact_coupling(order, pr).tolist(), dtype=float)
-            np.testing.assert_allclose(system.coupling_dense(), exact, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(coupling_dense(system), exact, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize(
         "order, pr",
@@ -240,7 +234,7 @@ class TestCloseRates:
         system = build_temperature_system(513)
         eigen = decompose(system)
         m = system.m_even
-        _, z = np.linalg.eigh(system.parity_dense())
+        _, z = np.linalg.eigh(parity_dense(system))
         ref = z[:, m:][:, ::-1]  # positive branch, descending
         got = np.vstack((eigen.even_vectors, eigen.odd_vectors))
         aligned = ref * np.sign(np.sum(ref * got, axis=0))

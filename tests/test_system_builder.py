@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from knlayer.system_builder import build_kramers_system, build_temperature_system
-from knlayer.verification import inner_product_oracle, oracle_entry
+from knlayer.verification import coupling_dense, inner_product_oracle, oracle_entry, parity_dense
 
 
 class TestInnerProductOracle:
@@ -48,7 +48,7 @@ class TestTemperatureSystem:
         for order in (3, 5, 7, 9, 21):
             system = build_temperature_system(order)
             assert system.m_even == order - 2
-            assert system.coupling_dense().shape == (order - 2, order - 2)
+            assert coupling_dense(system).shape == (order - 2, order - 2)
 
     def test_order_three_entries(self):
         system = build_temperature_system(3)
@@ -61,7 +61,7 @@ class TestTemperatureSystem:
         expected = np.array(
             [[oracle_entry(system, i, j) for j in range(1, 4)] for i in range(1, 4)]
         )
-        np.testing.assert_allclose(system.coupling_dense(), expected, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(coupling_dense(system), expected, rtol=1e-13, atol=1e-14)
         # diagonal entries in closed form
         assert system.coupling_entry(2, 2) == pytest.approx(math.sqrt(5.0), rel=1e-15)
         assert system.coupling_entry(3, 3) == pytest.approx(math.sqrt(3.0), rel=1e-15)
@@ -85,7 +85,7 @@ class TestTemperatureSystem:
 
     def test_band_structure(self):
         system = build_temperature_system(13)
-        dense = system.coupling_dense()
+        dense = coupling_dense(system)
         for i in range(system.m_even):
             for j in range(system.m_even):
                 if not 0 <= i - j <= 2:
@@ -93,7 +93,7 @@ class TestTemperatureSystem:
 
     def test_full_column_rank(self):
         for order in range(3, 100, 2):
-            dense = build_temperature_system(order).coupling_dense()
+            dense = coupling_dense(build_temperature_system(order))
             smallest = np.linalg.svd(dense, compute_uv=False)[-1]
             assert smallest > 0.0
 
@@ -128,7 +128,7 @@ class TestKramersSystem:
         for order in (4, 6, 8, 20):
             system = build_kramers_system(order, 1.0)
             assert system.m_even == order // 2 - 1
-            assert system.coupling_dense().shape == (order // 2 - 1, order // 2 - 1)
+            assert coupling_dense(system).shape == (order // 2 - 1, order // 2 - 1)
 
     def test_leading_scale_bgk(self):
         system = build_kramers_system(4, 1.0)
@@ -155,7 +155,7 @@ class TestKramersSystem:
                 assert got == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
     def test_bidiagonal(self):
-        dense = build_kramers_system(20, 0.7).coupling_dense()
+        dense = coupling_dense(build_kramers_system(20, 0.7))
         for i in range(dense.shape[0]):
             for j in range(dense.shape[1]):
                 if i - j not in (0, 1):
@@ -177,7 +177,7 @@ class TestKramersSystem:
 class TestParityDense:
     def test_assembled_shape_and_symmetry(self):
         system = build_temperature_system(9)
-        dense = system.parity_dense()
+        dense = parity_dense(system)
         n = 2 * system.m_even
         assert dense.shape == (n, n)
         np.testing.assert_array_equal(dense, dense.T)
