@@ -71,12 +71,14 @@ class StructuralSolveError(RuntimeError):
 
 
 def accommodation_factor(chi):
-    """b(chi) = 2 chi / ((2 - chi) sqrt(2 pi)) for chi in (0, 1], elementwise on arrays."""
+    """b(chi) = 2 chi / ((2 - chi) sqrt(2 pi)) for chi in (0, 1], elementwise on
+    arrays and sequences; a float for a scalar chi."""
     chis = np.asarray(chi)
     inside = (chis > 0.0) & (chis <= 1.0)
     if not inside.all():
         raise ValueError(f"accommodation coefficient must lie in (0, 1], got {chis[~inside].flat[0]}")
-    return 2.0 * chi / ((2.0 - chi) * SQRT_2PI)
+    b = 2.0 * chis / ((2.0 - chis) * SQRT_2PI)
+    return b if b.ndim else float(b)
 
 
 def _check_temperature_order(order: int) -> int:

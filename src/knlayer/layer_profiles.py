@@ -198,26 +198,35 @@ class LayerOperator:
     ``row`` is the defect combination DEFECT_WEIGHTS @ E[:3] (temperature)
     or E[0] (Kramers); ``row_scale`` * ``row`` maps the mode weights to the
     profile's exponential amplitudes (0.8 for temperature, 2 / a1 for the
-    slip).  ``wall`` is the reduced wall eigenproblem.
+    slip).  ``wall`` is the reduced wall eigenproblem, and ``amplitude_row``
+    = ``row_scale`` * ``row`` @ ``wall.modes`` maps its unknowns s to the
+    summed amplitudes, formed once per build for the coefficient curve.
     """
 
     rates: np.ndarray
     row: np.ndarray
     row_scale: float
     wall: WallReduction
+    amplitude_row: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.rates, self.row):
+        for arr in (self.rates, self.row, self.amplitude_row):
             arr.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=8)
 def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
     """The cached operator of one order: the temperature jump for an odd
-    order, Kramers slip for an even one, which alone reads ``pr``.  Callers
-    pass ``pr`` for even orders only, so an odd order keeps one cache entry.
+    order, Kramers slip for an even one, which alone reads ``pr``.  An odd
+    order is keyed on the order alone, so ``(33)``, ``(33, 1.0)`` and
+    ``(33, 0.5)`` share one entry; ``cache_info`` and ``cache_clear`` are
+    the cache's.
+    """
+    return _cached_operator(order, 1.0 if order % 2 else pr)
 
-    One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
+
+@functools.lru_cache(maxsize=8)
+def _cached_operator(order: int, pr: float) -> LayerOperator:
+    """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
     half-space table, T, Schur complement, wall eigh.  O goes before the
     table is built, the table once T is assembled, and E and T before the
     wall eigh, which runs beside A alone, as the Gram eigh runs beside G.
@@ -235,7 +244,12 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
         wbs = kramers_boundary_system(order, pr, HalfSpaceTable(order + 2))
     schur = schur_complement(wbs, rates, e)
     del e, wbs
-    return LayerOperator(rates, row, row_scale, WallReduction.from_schur(*schur))
+    wall = WallReduction.from_schur(*schur)
+    return LayerOperator(rates, row, row_scale, wall, row_scale * (row @ wall.modes))
+
+
+layer_operator.cache_info = _cached_operator.cache_info
+layer_operator.cache_clear = _cached_operator.cache_clear
 
 
 def _validate_positive(name: str, value: float) -> None:
@@ -428,27 +442,21 @@ def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> Co
     With the cached operator's wall reduction (s = g / (1/mu + b), wall
     value linear in s) the coefficient of every chi is
     alpha / b + sum_i beta_i / (b + 1/mu_i), beta = scale * (row - w0) * g,
-    where row maps s to the summed mode amplitudes:
-    0.8 DEFECT_WEIGHTS @ E[:3] @ modes with scale 2.5 Kn / Pr for the
-    temperature jump, (2 / a1) E[0] @ modes with scale Kn for the slip.  It
+    where row, the operator's ``amplitude_row``, maps s to the summed mode
+    amplitudes: 0.8 DEFECT_WEIGHTS @ E[:3] @ modes with scale 2.5 Kn / Pr for
+    the temperature jump, (2 / a1) E[0] @ modes with scale Kn for the slip.  It
     reads the same operator as the per-chi solutions, and their
     ``jump_coefficient`` and ``viscous_slip_coefficient`` evaluate it.
     """
     _validate_common(kn, pr)
-    if order % 2:
-        op = layer_operator(order)
-        scale = 2.5 * kn / pr
-    else:
-        op = layer_operator(order, pr)
-        scale = kn
+    op = layer_operator(order, pr)
     wall = op.wall
-    row = op.row_scale * (op.row @ wall.modes)
     return CoefficientCurve(
         order=order,
-        scale=scale,
+        scale=2.5 * kn / pr if order % 2 else kn,
         lead=wall.lead,
         poles=-wall.inv_mu,
-        weights=(row - wall.w0) * wall.g,
+        weights=(op.amplitude_row - wall.w0) * wall.g,
     )
 
 

@@ -4,7 +4,8 @@ Three one-directional checks live here: adaptive quadrature for the
 half-space integrals, a dense cyclic Jacobi eigensolver for the parity
 spectra, and a first-order upwind two-point BVP solver for the reduced ODE
 systems on a truncated domain.  None of them reuse the closed forms they
-are meant to confirm.  The references they compare against are built
+are meant to confirm.  The BVP oracle has one entry, ``bvp_profile``, keyed
+on the order's parity like the solver, on the grid ``bvp_nodes`` builds.  The references they compare against are built
 here too: the Hermite inner products and basis combinations behind every
 coupling entry, the dense coupling block and parity matrix, the full parity
 eigenvector matrix, the raw boundary matrices behind
@@ -23,7 +24,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -47,8 +47,6 @@ from .system_builder import ReducedSystem, build_kramers_system, build_temperatu
 
 __all__ = [
     "QUADRATURE_ORDER_LIMIT",
-    "BvpConfig",
-    "BvpProfile",
     "BvpConvergenceError",
     "CheckResult",
     "VERIFICATION_SUITES",
@@ -66,8 +64,8 @@ __all__ = [
     "wall_operator",
     "geometric_nodes",
     "split_nodes",
-    "bvp_temperature",
-    "bvp_kramers",
+    "bvp_nodes",
+    "bvp_profile",
     "run_verification",
 ]
 
@@ -80,6 +78,12 @@ QUADRATURE_WINDOW_SIGMA = 12.0
 
 BVP_TEMPERATURE_ORDER_LIMIT = 15
 BVP_KRAMERS_ORDER_LIMIT = 14
+# The finite-difference grid spans BVP_DOMAIN_WIDTHS widths of the widest
+# layer, and its last cell is BVP_STRETCH times its first.  A sparse solve
+# whose residual exceeds BVP_TOLERANCE of the largest right-hand side fails.
+BVP_DOMAIN_WIDTHS = 40.0
+BVP_STRETCH = 50.0
+BVP_TOLERANCE = 1e-9
 
 
 class BvpConvergenceError(RuntimeError):
@@ -325,49 +329,18 @@ def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class BvpConfig:
-    """Discretization parameters of the finite-difference oracle.
-
-    ``y_max`` defaults to forty widths of the widest layer; the grid is
-    geometric with the last cell ``stretch`` times the first.
-    """
-
-    y_max: float | None = None
-    n_cells: int = 20000
-    stretch: float = 50.0
-    tolerance: float = 1e-9
-
-    def resolve_y_max(self, widest_layer: float) -> float:
-        y_max = 40.0 * widest_layer if self.y_max is None else self.y_max
-        if y_max < 20.0 * widest_layer:
-            raise ValueError(
-                f"y_max {y_max} does not cover the widest layer ({widest_layer:.3g})"
-            )
-        return y_max
-
-    def validate(self) -> None:
-        if self.n_cells < 1000:
-            raise ValueError("n_cells must be at least 1000")
-        if self.stretch < 1.0:
-            raise ValueError("stretch must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-
-
-class BvpProfile(NamedTuple):
-    y: np.ndarray
-    values: np.ndarray
-
-
 def geometric_nodes(y_max: float, n_cells: int, stretch: float) -> np.ndarray:
     """Nodes 0 = y_0 < ... < y_n = y_max with geometrically growing cells."""
-    if stretch == 1.0:
-        return np.linspace(0.0, y_max, n_cells + 1)
     ratio = stretch ** (1.0 / (n_cells - 1))
     steps = ratio ** np.arange(n_cells)
     nodes = np.concatenate(([0.0], np.cumsum(steps)))
     return nodes * (y_max / nodes[-1])
+
+
+def bvp_nodes(widest_layer: float, n_cells: int) -> np.ndarray:
+    """The oracle's grid: ``BVP_DOMAIN_WIDTHS`` widths of the widest layer,
+    in ``n_cells`` geometric cells, the last ``BVP_STRETCH`` times the first."""
+    return geometric_nodes(BVP_DOMAIN_WIDTHS * widest_layer, n_cells, BVP_STRETCH)
 
 
 def split_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -390,7 +363,6 @@ def _solve_layer_bvp(
     carrier_row: np.ndarray,
     scalar_rhs_per_length: float,
     nodes: np.ndarray,
-    tolerance: float,
 ) -> np.ndarray:
     """Assemble and solve the upwinded characteristic discretization.
 
@@ -398,7 +370,9 @@ def _solve_layer_bvp(
     growing (-) characteristic amplitudes.  The + branch is upwinded from
     the wall, the - branch from the far end where it is pinned to zero, and
     the scalar equation telescopes the carrier moments exactly.  The wall
-    rows read T and c from ``wbs`` and the accommodation factor ``b``.
+    rows read T and c from ``wbs`` and the accommodation factor ``b``.  A
+    residual above ``BVP_TOLERANCE`` of the largest right-hand side raises
+    :class:`BvpConvergenceError`.
     """
     m = eigen.m_even
     n_nodes = nodes.size
@@ -494,7 +468,7 @@ def _solve_layer_bvp(
     lu = scipy.sparse.linalg.splu(mat)
     x = lu.solve(rhs)
     residual = np.max(np.abs(mat @ x - rhs))
-    if not np.isfinite(residual) or residual > tolerance * max(1.0, np.max(np.abs(rhs))):
+    if not np.isfinite(residual) or residual > BVP_TOLERANCE * max(1.0, np.max(np.abs(rhs))):
         raise BvpConvergenceError(f"sparse solve residual {residual:.3e} above tolerance")
     return x[0::stride]
 
@@ -513,89 +487,42 @@ def _problem_parts(order: int, pr: float = 1.0):
     return system, HalfSpaceTable(order + 2), decompose(system)
 
 
-def bvp_temperature(
+def bvp_profile(
     order: int,
     chi: float,
     kn: float,
     pr: float,
-    q2: float,
-    theta_wall: float,
-    config: BvpConfig | None = None,
-    nodes: np.ndarray | None = None,
-) -> BvpProfile:
-    """Finite-difference temperature profile on a truncated half-line.
+    flux: float,
+    wall_value: float,
+    nodes: np.ndarray,
+) -> np.ndarray:
+    """Finite-difference profile at ``nodes``, on the half-line truncated at
+    the last node.
 
-    Small-order equivalence oracle for the analytic solution; first-order
-    accurate, so agreement is judged after grid refinement.
+    An odd order 3 ... ``BVP_TEMPERATURE_ORDER_LIMIT`` gives the temperature
+    of the jump problem (``flux`` is the heat flux q, ``wall_value`` the
+    wall temperature), an even order 4 ... ``BVP_KRAMERS_ORDER_LIMIT`` the
+    tangential velocity of Kramers slip (``flux`` is the shear stress).  A
+    small-order equivalence oracle for the closed-form solutions; it is
+    first-order accurate, so agreement is judged after grid refinement.
     """
-    if order % 2 == 0 or not 3 <= order <= BVP_TEMPERATURE_ORDER_LIMIT:
+    limit = BVP_TEMPERATURE_ORDER_LIMIT if order % 2 else BVP_KRAMERS_ORDER_LIMIT
+    if not 3 <= order <= limit:
         raise ValueError(
-            f"temperature oracle supports odd orders in [3, {BVP_TEMPERATURE_ORDER_LIMIT}]"
+            f"the finite-difference oracle supports odd orders in [3, {BVP_TEMPERATURE_ORDER_LIMIT}]"
+            f" and even orders in [4, {BVP_KRAMERS_ORDER_LIMIT}], got {order}"
         )
-    config = config or BvpConfig()
-    config.validate()
-    b = accommodation_factor(chi)
-    system, table, eigen = _problem_parts(order)
-    wbs = temperature_boundary_system(order, table)
-    if nodes is None:
-        y_max = config.resolve_y_max(float(eigen.rates[0]) * kn)
-        nodes = geometric_nodes(y_max, config.n_cells, config.stretch)
-    lead = min(3, eigen.m_even)
-    carrier = 0.8 * (DEFECT_WEIGHTS[:lead] @ eigen.even_vectors[:lead, :])
-    theta = _solve_layer_bvp(
-        system,
-        eigen,
-        wbs,
-        b,
-        q2,
-        theta_wall,
-        kn,
-        carrier,
-        -0.4 * pr * q2 / kn,
-        nodes,
-        config.tolerance,
-    )
-    return BvpProfile(nodes, theta)
-
-
-def bvp_kramers(
-    order: int,
-    chi: float,
-    kn: float,
-    pr: float,
-    sigma12: float,
-    u1_wall: float,
-    config: BvpConfig | None = None,
-    nodes: np.ndarray | None = None,
-) -> BvpProfile:
-    """Finite-difference tangential-velocity profile, even-order analogue."""
-    if order % 2 == 1 or not 4 <= order <= BVP_KRAMERS_ORDER_LIMIT:
-        raise ValueError(
-            f"Kramers oracle supports even orders in [4, {BVP_KRAMERS_ORDER_LIMIT}]"
-        )
-    config = config or BvpConfig()
-    config.validate()
     b = accommodation_factor(chi)
     system, table, eigen = _problem_parts(order, pr)
-    wbs = kramers_boundary_system(order, pr, table)
-    if nodes is None:
-        y_max = config.resolve_y_max(float(eigen.rates[0]) * kn)
-        nodes = geometric_nodes(y_max, config.n_cells, config.stretch)
-    carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
-    u1 = _solve_layer_bvp(
-        system,
-        eigen,
-        wbs,
-        b,
-        sigma12,
-        u1_wall,
-        kn,
-        carrier,
-        -sigma12 / kn,
-        nodes,
-        config.tolerance,
-    )
-    return BvpProfile(nodes, u1)
+    if order % 2:
+        wbs = temperature_boundary_system(order, table)
+        carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, eigen.m_even)] @ eigen.even_vectors[:3, :])
+        slope = -0.4 * pr * flux / kn
+    else:
+        wbs = kramers_boundary_system(order, pr, table)
+        carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
+        slope = -flux / kn
+    return _solve_layer_bvp(system, eigen, wbs, b, flux, wall_value, kn, carrier, slope, nodes)
 
 
 # ----------------------------------------------------------------------
@@ -853,25 +780,15 @@ def _bvp_deviation(order: int, n_cells: int) -> tuple[float, float]:
     """(extrapolated deviation, raw-grid convergence ratio) for one order:
     the temperature profile of an odd order, the Kramers one of an even."""
     kn, pr, chi = DEFAULT_KN, 1.0, 1.0
-    cfg = BvpConfig(n_cells=n_cells)
-    if order % 2:
-        sol = temperature_solution(order, chi, kn, pr, 1.0, 0.0)
-        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * kn)
-        nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-        coarse = bvp_temperature(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=nodes)
-        fine = bvp_temperature(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-        exact = sol.temperature(nodes)
-    else:
-        sol = velocity_solution(order, chi, kn, pr, 1.0, 0.0)
-        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * kn)
-        nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-        coarse = bvp_kramers(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=nodes)
-        fine = bvp_kramers(order, chi, kn, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-        exact = sol.velocity(nodes)
-    richardson = 2.0 * fine.values[::2] - coarse.values
-    dev_extrap = float(np.max(np.abs(richardson - exact)))
-    dev_coarse = float(np.max(np.abs(coarse.values - exact)))
-    dev_fine = float(np.max(np.abs(fine.values[::2] - exact)))
+    solve = temperature_solution if order % 2 else velocity_solution
+    sol = solve(order, chi, kn, pr, 1.0, 0.0)
+    nodes = bvp_nodes(float(sol.decay_rates[0]) * kn, n_cells)
+    coarse = bvp_profile(order, chi, kn, pr, 1.0, 0.0, nodes)
+    fine = bvp_profile(order, chi, kn, pr, 1.0, 0.0, split_nodes(nodes))[::2]
+    exact = sol.temperature(nodes) if order % 2 else sol.velocity(nodes)
+    dev_extrap = float(np.max(np.abs(2.0 * fine - coarse - exact)))
+    dev_coarse = float(np.max(np.abs(coarse - exact)))
+    dev_fine = float(np.max(np.abs(fine - exact)))
     ratio = dev_coarse / dev_fine if dev_fine > 0 else math.inf
     return dev_extrap, ratio
 

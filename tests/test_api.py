@@ -43,6 +43,8 @@ DELETED = {
     ],
     # the order's parity names the problem
     "system_builder": ["SystemKind"],
+    # one finite-difference entry, bvp_profile, keyed on the order's parity
+    "verification": ["BvpConfig", "BvpProfile", "bvp_temperature", "bvp_kramers"],
 }
 
 # Parity-block members that went with the odd block size, which always equals

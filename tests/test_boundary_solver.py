@@ -104,6 +104,19 @@ class TestAccommodationFactor:
             accommodation_factor(1.5)
         with pytest.raises(ValueError):
             accommodation_factor(-0.1)
+        with pytest.raises(ValueError):
+            accommodation_factor([0.5, 1.5])
+
+    def test_sequence_matches_array(self):
+        chis = [0.1, 0.5, 1.0]
+        from_list = accommodation_factor(chis)
+        assert np.array_equal(from_list, accommodation_factor(np.array(chis)))
+        # a scalar chi gives a float, bit-identical to the scalar formula
+        for chi in chis:
+            b = accommodation_factor(chi)
+            assert type(b) is float
+            assert b == 2.0 * chi / ((2.0 - chi) * SQRT_2PI)
+            assert b == from_list[chis.index(chi)]
 
 
 class TestTemperatureAssembly:

@@ -577,7 +577,7 @@ class TestVerifyCommand:
         def diverged(*args, **kwargs):
             raise verification.BvpConvergenceError("sparse solve residual above tolerance")
 
-        monkeypatch.setattr(verification, "bvp_temperature", diverged)
+        monkeypatch.setattr(verification, "bvp_profile", diverged)
         code, out, err = run(capsys, ["verify", "--level", "quick"])
         assert code == 3
         assert out == ""

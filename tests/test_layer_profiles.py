@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knlayer import layer_profiles
 from knlayer.boundary_solver import accommodation_factor
 from knlayer.layer_profiles import (
     LayerOperator,
@@ -663,6 +664,30 @@ class TestLayerOperator:
         assert arrays["modes"].shape == (m_even, m_even)
         assert all(a.shape == (m_even,) for name, a in arrays.items() if name != "modes")
         assert not any(a.flags.writeable for a in arrays.values())
+
+    def test_odd_order_keyed_on_order_alone(self):
+        layer_operator.cache_clear()
+        op = layer_operator(33)
+        assert layer_operator(33, 1.0) is op
+        assert layer_operator(33, 0.5) is op
+        assert layer_operator(32) is layer_operator(32, 1.0)
+        assert layer_operator(32, 0.7) is not layer_operator(32, 1.0)
+        info = layer_operator.cache_info()
+        assert (info.misses, info.hits) == (3, 4)
+
+    @pytest.mark.parametrize("order, pr", [(33, 1.0), (32, 0.7)])
+    def test_curve_reads_amplitude_row(self, order, pr, monkeypatch):
+        op = layer_operator(order, pr)
+        assert np.array_equal(op.amplitude_row, op.row_scale * (op.row @ op.wall.modes))
+        expected = coefficient_curve(order, pr=pr)
+        # the curve is formed in O(m) from the operator's vectors: it never
+        # reads the mode matrix
+        blind_wall = dataclasses.replace(op.wall, modes=np.full_like(op.wall.modes, np.nan))
+        blind = dataclasses.replace(op, wall=blind_wall)
+        monkeypatch.setattr(layer_profiles, "layer_operator", lambda *args: blind)
+        got = coefficient_curve(order, pr=pr)
+        assert np.array_equal(got.weights, expected.weights)
+        assert got(0.5) == expected(0.5)
 
     def test_operator_shared_by_solutions_and_curve(self):
         layer_operator.cache_clear()

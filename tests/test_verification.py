@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from knlayer.layer_profiles import temperature_solution, velocity_solution
+import knlayer.verification as verification
 from knlayer.verification import (
-    BvpConfig,
     BvpConvergenceError,
-    bvp_kramers,
-    bvp_temperature,
+    bvp_nodes,
+    bvp_profile,
     dense_symmetric_eig,
     geometric_nodes,
     quadrature_S,
@@ -87,108 +87,115 @@ class TestGrids:
         np.testing.assert_array_equal(fine[::2], nodes)
         assert fine.size == 2 * nodes.size - 1
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BvpConfig(n_cells=10).validate()
-        with pytest.raises(ValueError):
-            BvpConfig(stretch=0.5).validate()
-        with pytest.raises(ValueError):
-            BvpConfig(y_max=0.1).resolve_y_max(1.0)
+    def test_bvp_nodes_span_the_domain(self):
+        nodes = bvp_nodes(0.5, 2000)
+        np.testing.assert_array_equal(nodes, geometric_nodes(20.0, 2000, 50.0))
+        assert nodes[-1] == pytest.approx(verification.BVP_DOMAIN_WIDTHS * 0.5, rel=1e-14)
 
 
-def run_refinement(problem, order, n_cells=6000):
+def widest_layer(sol):
+    return float(sol.decay_rates[0]) * KN
+
+
+def refined(order, chi, pr, flux, wall, nodes):
+    """(coarse, fine at the coarse nodes) profiles of the oracle."""
+    coarse = bvp_profile(order, chi, KN, pr, flux, wall, nodes)
+    fine = bvp_profile(order, chi, KN, pr, flux, wall, split_nodes(nodes))
+    return coarse, fine[::2]
+
+
+def run_refinement(order, n_cells=6000):
     chi, pr = 1.0, 1.0
-    cfg = BvpConfig(n_cells=n_cells)
-    if problem == "temperature":
+    if order % 2:
         sol = temperature_solution(order, chi, KN, pr, 1.0, 0.0)
-        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * KN)
-        nodes = geometric_nodes(y_max, n_cells, cfg.stretch)
-        coarse = bvp_temperature(order, chi, KN, pr, 1.0, 0.0, cfg, nodes=nodes)
-        fine = bvp_temperature(order, chi, KN, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-        exact = sol.temperature(nodes)
+        profile = sol.temperature
     else:
         sol = velocity_solution(order, chi, KN, pr, 1.0, 0.0)
-        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * KN)
-        nodes = geometric_nodes(y_max, n_cells, cfg.stretch)
-        coarse = bvp_kramers(order, chi, KN, pr, 1.0, 0.0, cfg, nodes=nodes)
-        fine = bvp_kramers(order, chi, KN, pr, 1.0, 0.0, cfg, nodes=split_nodes(nodes))
-        exact = sol.velocity(nodes)
-    dev_coarse = float(np.max(np.abs(coarse.values - exact)))
-    dev_fine = float(np.max(np.abs(fine.values[::2] - exact)))
-    dev_extrap = float(np.max(np.abs(2.0 * fine.values[::2] - coarse.values - exact)))
+        profile = sol.velocity
+    nodes = bvp_nodes(widest_layer(sol), n_cells)
+    coarse, fine = refined(order, chi, pr, 1.0, 0.0, nodes)
+    exact = profile(nodes)
+    dev_coarse = float(np.max(np.abs(coarse - exact)))
+    dev_fine = float(np.max(np.abs(fine - exact)))
+    dev_extrap = float(np.max(np.abs(2.0 * fine - coarse - exact)))
     return dev_coarse, dev_fine, dev_extrap
+
+
+def reference_nodes(order, n_cells):
+    """The oracle's grid for one order, sized from the closed-form solution."""
+    solve = temperature_solution if order % 2 else velocity_solution
+    return bvp_nodes(widest_layer(solve(order, 1.0)), n_cells)
 
 
 class TestBvpTemperature:
     def test_matches_closed_form_order3(self):
-        dev_coarse, dev_fine, dev_extrap = run_refinement("temperature", 3)
+        dev_coarse, dev_fine, dev_extrap = run_refinement(3)
         assert dev_coarse / dev_fine == pytest.approx(2.0, abs=0.1)
         assert dev_extrap < 1e-7
 
     def test_far_field_slope(self):
-        profile = bvp_temperature(3, 1.0, KN, 1.0, 1.0, 0.0, BvpConfig(n_cells=2000))
-        slope = (profile.values[-1] - profile.values[-2]) / (profile.y[-1] - profile.y[-2])
+        y = reference_nodes(3, 2000)
+        values = bvp_profile(3, 1.0, KN, 1.0, 1.0, 0.0, y)
+        assert values.shape == y.shape
+        slope = (values[-1] - values[-2]) / (y[-1] - y[-2])
         assert slope == pytest.approx(-0.4 / KN, abs=1e-8)
 
     def test_wall_offset_carried(self):
-        base = bvp_temperature(3, 1.0, KN, 1.0, 1.0, 0.0, BvpConfig(n_cells=2000))
-        lifted = bvp_temperature(3, 1.0, KN, 1.0, 1.0, 0.4, BvpConfig(n_cells=2000))
-        np.testing.assert_allclose(lifted.values - base.values, 0.4, rtol=1e-9)
+        y = reference_nodes(3, 2000)
+        base = bvp_profile(3, 1.0, KN, 1.0, 1.0, 0.0, y)
+        lifted = bvp_profile(3, 1.0, KN, 1.0, 1.0, 0.4, y)
+        np.testing.assert_allclose(lifted - base, 0.4, rtol=1e-9)
 
     def test_prandtl_flux_and_offset_all_at_once(self):
         order, chi, pr, q2, wall = 5, 0.7, 2.0 / 3.0, 1.7, 0.2
         sol = temperature_solution(order, chi, KN, pr, q2, wall)
-        cfg = BvpConfig(n_cells=8000)
-        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * KN)
-        nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-        coarse = bvp_temperature(order, chi, KN, pr, q2, wall, cfg, nodes=nodes)
-        fine = bvp_temperature(order, chi, KN, pr, q2, wall, cfg, nodes=split_nodes(nodes))
-        extrapolated = 2.0 * fine.values[::2] - coarse.values
+        nodes = bvp_nodes(widest_layer(sol), 8000)
+        coarse, fine = refined(order, chi, pr, q2, wall, nodes)
+        extrapolated = 2.0 * fine - coarse
         assert np.max(np.abs(extrapolated - sol.temperature(nodes))) < 1e-6
 
     def test_order_window(self):
-        with pytest.raises(ValueError):
-            bvp_temperature(17, 1.0, KN, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            bvp_temperature(4, 1.0, KN, 1.0, 1.0, 0.0)
+        y = reference_nodes(3, 1000)
+        # an odd order past the window, and one below the smallest order
+        for order in (17, 1):
+            with pytest.raises(ValueError):
+                bvp_profile(order, 1.0, KN, 1.0, 1.0, 0.0, y)
 
-    def test_unreachable_residual_reported(self):
-        cfg = BvpConfig(n_cells=1000, tolerance=1e-300)
+    def test_unreachable_residual_reported(self, monkeypatch):
+        monkeypatch.setattr(verification, "BVP_TOLERANCE", 1e-300)
         with pytest.raises(BvpConvergenceError):
-            bvp_temperature(3, 1.0, KN, 1.0, 1.0, 0.0, cfg)
+            bvp_profile(3, 1.0, KN, 1.0, 1.0, 0.0, reference_nodes(3, 1000))
 
 
 class TestBvpKramers:
     def test_matches_closed_form_order4(self):
-        dev_coarse, dev_fine, dev_extrap = run_refinement("kramers", 4)
+        dev_coarse, dev_fine, dev_extrap = run_refinement(4)
         assert dev_coarse / dev_fine == pytest.approx(2.0, abs=0.1)
         assert dev_extrap < 1e-6
 
     def test_shear_linearity_on_grid(self):
-        cfg = BvpConfig(n_cells=2000)
-        a = bvp_kramers(4, 0.8, KN, 1.0, 1.0, 0.0, cfg)
-        b = bvp_kramers(4, 0.8, KN, 1.0, 2.0, 0.0, cfg)
-        np.testing.assert_allclose(2.0 * a.values, b.values, rtol=1e-10, atol=1e-12)
+        y = reference_nodes(4, 2000)
+        a = bvp_profile(4, 0.8, KN, 1.0, 1.0, 0.0, y)
+        b = bvp_profile(4, 0.8, KN, 1.0, 2.0, 0.0, y)
+        np.testing.assert_allclose(2.0 * a, b, rtol=1e-10, atol=1e-12)
 
     def test_wall_value_close_to_analytic(self):
         sol = velocity_solution(4, 1.0)
-        profile = bvp_kramers(4, 1.0, KN, 1.0, 1.0, 0.0, BvpConfig(n_cells=4000))
-        assert profile.values[0] == pytest.approx(sol.wall_value, abs=1e-6)
+        values = bvp_profile(4, 1.0, KN, 1.0, 1.0, 0.0, reference_nodes(4, 4000))
+        assert values[0] == pytest.approx(sol.wall_value, abs=1e-6)
 
     def test_prandtl_shear_and_offset_all_at_once(self):
         # non-unit Prandtl, shear and wall velocity exercise every Kramers knob
         order, chi, pr, shear, wall = 6, 0.8, 2.0 / 3.0, 1.3, 0.1
         sol = velocity_solution(order, chi, KN, pr, shear, wall)
-        cfg = BvpConfig(n_cells=8000)
-        y_max = cfg.resolve_y_max(float(sol.decay_rates[0]) * KN)
-        nodes = geometric_nodes(y_max, cfg.n_cells, cfg.stretch)
-        coarse = bvp_kramers(order, chi, KN, pr, shear, wall, cfg, nodes=nodes)
-        fine = bvp_kramers(order, chi, KN, pr, shear, wall, cfg, nodes=split_nodes(nodes))
-        extrapolated = 2.0 * fine.values[::2] - coarse.values
+        nodes = bvp_nodes(widest_layer(sol), 8000)
+        coarse, fine = refined(order, chi, pr, shear, wall, nodes)
+        extrapolated = 2.0 * fine - coarse
         assert np.max(np.abs(extrapolated - sol.velocity(nodes))) < 1e-6
 
     def test_order_window(self):
-        with pytest.raises(ValueError):
-            bvp_kramers(16, 1.0, KN, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            bvp_kramers(5, 1.0, KN, 1.0, 1.0, 0.0)
+        y = reference_nodes(4, 1000)
+        # an even order past the window, and the even order below it
+        for order in (16, 2):
+            with pytest.raises(ValueError):
+                bvp_profile(order, 1.0, KN, 1.0, 1.0, 0.0, y)
