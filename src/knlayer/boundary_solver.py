@@ -32,9 +32,12 @@ both on every call; the per-order ``LayerOperator`` of
 
 A :class:`WallBoundarySystem` holds T and c of one order and no chi: it is
 assembled once per order, and b(chi) enters only where :func:`solve_wall`
-or an oracle evaluates it.  Assembly works entirely in normalized form,
-from the even-index block of the half-space table, so that orders in the
-thousands never touch a raw factorial.  The raw matrices, valid inside the
+or an oracle evaluates it.  The order fixes it (and Pr, for Kramers slip):
+:func:`temperature_boundary_system` and :func:`kramers_boundary_system`
+check that domain first, then build the smallest half-space table their
+assembly reads.  Assembly works entirely in normalized form, from the
+table's even-index block, so that orders in the thousands never touch a
+raw factorial.  The raw matrices, valid inside the
 double-precision window, and K(chi) itself are built in
 :mod:`knlayer.verification` as the reference for tests and the
 definiteness checks.
@@ -49,16 +52,13 @@ import numpy as np
 
 from .parity_spectral import ParityEigen
 from .special_functions import SQRT_2PI, HalfSpaceTable
+from .system_builder import _check_kramers_order, _check_temperature_order
 
 __all__ = [
     "WallBoundarySystem",
     "WallReduction",
     "StructuralSolveError",
     "accommodation_factor",
-    "assemble_temperature_T",
-    "assemble_kramers_T",
-    "temperature_c_vector",
-    "kramers_c_vector",
     "temperature_boundary_system",
     "kramers_boundary_system",
     "schur_complement",
@@ -81,88 +81,6 @@ def accommodation_factor(chi):
     return b if b.ndim else float(b)
 
 
-def _check_temperature_order(order: int) -> int:
-    if order % 2 == 0 or order < 3:
-        raise ValueError(f"temperature boundary assembly needs an odd order >= 3, got {order}")
-    return order - 2  # m_even
-
-
-def _check_kramers_order(order: int) -> int:
-    if order % 2 == 1 or order < 4:
-        raise ValueError(f"Kramers boundary assembly needs an even order >= 4, got {order}")
-    return (order - 1) // 2  # m_even
-
-
-def assemble_temperature_T(order: int, table: HalfSpaceTable) -> np.ndarray:
-    """Scaled temperature boundary matrix, assembled overflow-safe.
-
-    Row and column normalizations cancel against the moment scalings except
-    for a 2x2 mixing block on the leading pair, so the whole matrix is a
-    congruence of normalized half-space values.  Odd rows and columns take
-    S(2k-2, 2l-2), even ones S(2k, 2l) with the density offset eliminated,
-    all read from the table's even block at halved indices.
-    """
-    m_even = _check_temperature_order(order)
-    size = m_even + 1
-    if table.max_order < order + 1:
-        raise ValueError(f"table of order {table.max_order} too small for order {order}")
-    half = size // 2
-    sn = table.s_normalized
-    n = np.zeros((size, size))
-    n[1::2, 1::2] = sn[:half, :half]
-    n[0::2, 0::2] = (
-        sn[1:half + 1, 1:half + 1] - np.outer(sn[1:half + 1, 0], sn[0, 1:half + 1]) / sn[0, 0]
-    )
-    w = np.array(
-        [
-            [0.5 * math.sqrt(2.0), 1.0],
-            [math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0)],
-        ]
-    )
-    out = n.copy()
-    out[:2, :] = w @ n[:2, :]
-    out[:, :2] = out[:, :2] @ w.T
-    return out
-
-
-def assemble_kramers_T(order: int, table: HalfSpaceTable, prandtl: float) -> np.ndarray:
-    """Scaled Kramers boundary matrix diag(1, L1k)^-1 S_k diag(1, L1k)^-1.
-
-    In normalized form the scaling collapses to a single Prandtl-dependent
-    weight on the leading shear moment.
-    """
-    m_even = _check_kramers_order(order)
-    if prandtl <= 0.0:
-        raise ValueError(f"prandtl must be positive, got {prandtl}")
-    size = m_even + 1
-    if table.max_order < 2 * size - 2:
-        raise ValueError(f"table of order {table.max_order} too small for order {order}")
-    w = np.ones(size)
-    if size >= 2:
-        w[1] = math.sqrt(5.0 / (4.0 + prandtl))
-    return table.s_normalized[:size, :size] * np.outer(w, w)
-
-
-def temperature_c_vector(order: int) -> np.ndarray:
-    """Heat-flux inhomogeneity direction of the temperature wall system."""
-    m_even = _check_temperature_order(order)
-    out = np.zeros(m_even + 1)
-    lead = [1.0, 4.0 / (5.0 * math.sqrt(3.0)), 2.0 * math.sqrt(6.0) / 5.0, 2.0 * math.sqrt(2.0) / 5.0]
-    take = min(len(lead), m_even + 1)
-    out[:take] = lead[:take]
-    return out
-
-
-def kramers_c_vector(order: int, prandtl: float) -> np.ndarray:
-    """Shear-stress inhomogeneity direction of the Kramers wall system."""
-    m_even = _check_kramers_order(order)
-    a1 = math.sqrt(2.0 * (4.0 + prandtl) / 5.0)
-    out = np.zeros(m_even + 1)
-    out[0] = 1.0
-    out[1] = 2.0 / a1
-    return out
-
-
 @dataclass(frozen=True)
 class WallBoundarySystem:
     """Chi-independent wall system of one order: T and the drive c, read-only.
@@ -180,14 +98,58 @@ class WallBoundarySystem:
         self.c_vec.flags.writeable = False
 
 
-def temperature_boundary_system(order: int, table: HalfSpaceTable) -> WallBoundarySystem:
-    return WallBoundarySystem(order, assemble_temperature_T(order, table), temperature_c_vector(order))
+def temperature_boundary_system(order: int) -> WallBoundarySystem:
+    """Wall system of the temperature jump, odd order in [3, MAX_TEMPERATURE_ORDER].
 
-
-def kramers_boundary_system(order: int, prandtl: float, table: HalfSpaceTable) -> WallBoundarySystem:
-    return WallBoundarySystem(
-        order, assemble_kramers_T(order, table, prandtl), kramers_c_vector(order, prandtl)
+    T is assembled overflow-safe: row and column normalizations cancel
+    against the moment scalings except for a 2x2 mixing block on the leading
+    pair, so the whole matrix is a congruence of normalized half-space
+    values.  Odd rows and columns take S(2k-2, 2l-2), even ones S(2k, 2l)
+    with the density offset eliminated, all read from the even block of the
+    smallest table that holds them, S up to index order - 1.  c is the
+    heat-flux inhomogeneity direction.
+    """
+    size = _check_temperature_order(order) + 1
+    half = size // 2
+    sn = HalfSpaceTable(order - 1).s_normalized
+    n = np.zeros((size, size))
+    n[1::2, 1::2] = sn[:half, :half]
+    n[0::2, 0::2] = (
+        sn[1:half + 1, 1:half + 1] - np.outer(sn[1:half + 1, 0], sn[0, 1:half + 1]) / sn[0, 0]
     )
+    w = np.array(
+        [
+            [0.5 * math.sqrt(2.0), 1.0],
+            [math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0)],
+        ]
+    )
+    t = n.copy()
+    t[:2, :] = w @ n[:2, :]
+    t[:, :2] = t[:, :2] @ w.T
+    lead = [1.0, 4.0 / (5.0 * math.sqrt(3.0)), 2.0 * math.sqrt(6.0) / 5.0, 2.0 * math.sqrt(2.0) / 5.0]
+    c = np.zeros(size)
+    c[:len(lead)] = lead[:size]
+    return WallBoundarySystem(order, t, c)
+
+
+def kramers_boundary_system(order: int, prandtl: float) -> WallBoundarySystem:
+    """Wall system of Kramers slip, even order in [4, MAX_KRAMERS_ORDER] and
+    Prandtl number in (0, MAX_KRAMERS_PRANDTL].
+
+    T = diag(1, L1k)^-1 S_k diag(1, L1k)^-1 with S_k = S(2i, 2j) up to index
+    order - 2: in normalized form the scaling collapses to a single
+    Prandtl-dependent weight on the leading shear moment.  c is the
+    shear-stress inhomogeneity direction.
+    """
+    size = _check_kramers_order(order, prandtl) + 1
+    w = np.ones(size)
+    w[1] = math.sqrt(5.0 / (4.0 + prandtl))
+    t = HalfSpaceTable(order - 2).s_normalized * np.outer(w, w)
+    a1 = math.sqrt(2.0 * (4.0 + prandtl) / 5.0)
+    c = np.zeros(size)
+    c[0] = 1.0
+    c[1] = 2.0 / a1
+    return WallBoundarySystem(order, t, c)
 
 
 def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:

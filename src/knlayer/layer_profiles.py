@@ -46,7 +46,6 @@ from .boundary_solver import (
     temperature_boundary_system,
 )
 from .parity_spectral import decompose
-from .special_functions import HalfSpaceTable
 from .system_builder import build_kramers_system, build_temperature_system
 
 __all__ = [
@@ -227,9 +226,10 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
 @functools.lru_cache(maxsize=8)
 def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
-    half-space table, T, Schur complement, wall eigh.  O goes before the
-    table is built, the table once T is assembled, and E and T before the
-    wall eigh, which runs beside A alone, as the Gram eigh runs beside G.
+    wall system (its builder makes the half-space table T reads), Schur
+    complement, wall eigh.  O goes before the table is built, the table once
+    T is assembled, and E and T before the wall eigh, which runs beside A
+    alone, as the Gram eigh runs beside G.
     """
     temperature = order % 2 == 1
     system = build_temperature_system(order) if temperature else build_kramers_system(order, pr)
@@ -238,10 +238,10 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     del eigen
     if temperature:
         row, row_scale = DEFECT_WEIGHTS[:min(3, rates.size)] @ e[:3, :], 0.8
-        wbs = temperature_boundary_system(order, HalfSpaceTable(order + 2))
+        wbs = temperature_boundary_system(order)
     else:
         row, row_scale = e[0, :].copy(), 2.0 / system.even_scale(1)
-        wbs = kramers_boundary_system(order, pr, HalfSpaceTable(order + 2))
+        wbs = kramers_boundary_system(order, pr)
     schur = schur_complement(wbs, rates, e)
     del e, wbs
     wall = WallReduction.from_schur(*schur)

@@ -40,6 +40,29 @@ MAX_KRAMERS_ORDER = 4096
 MAX_KRAMERS_PRANDTL = 1e12
 
 
+def _check_temperature_order(order: int) -> int:
+    """m_even of an odd order in [3, MAX_TEMPERATURE_ORDER]; anything else
+    raises ``ValueError``.  The system and wall builders share this domain."""
+    if order % 2 == 0:
+        raise ValueError(f"temperature-jump systems need an odd order, got {order}")
+    if not 3 <= order <= MAX_TEMPERATURE_ORDER:
+        raise ValueError(f"order must lie in [3, {MAX_TEMPERATURE_ORDER}], got {order}")
+    return order - 2
+
+
+def _check_kramers_order(order: int, prandtl: float) -> int:
+    """m_even of an even order in [4, MAX_KRAMERS_ORDER] at a Prandtl number
+    in (0, MAX_KRAMERS_PRANDTL]; anything else, NaN included, raises
+    ``ValueError``."""
+    if order % 2 == 1:
+        raise ValueError(f"Kramers systems need an even order, got {order}")
+    if not 4 <= order <= MAX_KRAMERS_ORDER:
+        raise ValueError(f"order must lie in [4, {MAX_KRAMERS_ORDER}], got {order}")
+    if not 0.0 < prandtl <= MAX_KRAMERS_PRANDTL:
+        raise ValueError(f"prandtl must lie in (0, {MAX_KRAMERS_PRANDTL:g}], got {prandtl}")
+    return order // 2 - 1
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
     """Reduced moment system in banded form.
@@ -83,11 +106,7 @@ class ReducedSystem:
 
 def build_temperature_system(order: int) -> ReducedSystem:
     """Reduced system of the temperature-jump problem for odd order >= 3."""
-    if order % 2 == 0:
-        raise ValueError(f"temperature-jump systems need an odd order, got {order}")
-    if not 3 <= order <= MAX_TEMPERATURE_ORDER:
-        raise ValueError(f"order must lie in [3, {MAX_TEMPERATURE_ORDER}], got {order}")
-    m_even = order - 2
+    m_even = _check_temperature_order(order)
 
     # Even scales: a_1 = sqrt(3), a_{2k} = sqrt((2k+2)!), a_{2k+1} = sqrt((2k)!).
     log_a = np.empty(m_even)
@@ -133,13 +152,7 @@ def build_temperature_system(order: int) -> ReducedSystem:
 
 def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
     """Reduced system of the Kramers (shear-driven slip) problem, even order >= 4."""
-    if order % 2 == 1:
-        raise ValueError(f"Kramers systems need an even order, got {order}")
-    if not 4 <= order <= MAX_KRAMERS_ORDER:
-        raise ValueError(f"order must lie in [4, {MAX_KRAMERS_ORDER}], got {order}")
-    if not 0.0 < prandtl <= MAX_KRAMERS_PRANDTL:
-        raise ValueError(f"prandtl must lie in (0, {MAX_KRAMERS_PRANDTL:g}], got {prandtl}")
-    m_even = order // 2 - 1
+    m_even = _check_kramers_order(order, prandtl)
 
     log_a = np.array([0.5 * math.lgamma(2 * i + 1) for i in range(1, m_even + 1)])
     log_a[0] += 0.5 * math.log(1.0 - (1.0 - prandtl) / 5.0)

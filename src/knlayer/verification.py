@@ -5,11 +5,12 @@ half-space integrals, a dense cyclic Jacobi eigensolver for the parity
 spectra, and a first-order upwind two-point BVP solver for the reduced ODE
 systems on a truncated domain.  None of them reuse the closed forms they
 are meant to confirm.  The BVP oracle has one entry, ``bvp_profile``, keyed
-on the order's parity like the solver, on the grid ``bvp_nodes`` builds.  The references they compare against are built
-here too: the Hermite inner products and basis combinations behind every
-coupling entry, the dense coupling block and parity matrix, the full parity
-eigenvector matrix, the raw boundary matrices behind
-:mod:`knlayer.boundary_solver`'s normalized assemblers, and the wall
+on the order's parity like the solver, on the grid ``bvp_nodes`` builds.
+The references they compare against are built here too: the Hermite inner
+products and basis combinations behind every coupling entry, the dense
+coupling block and parity matrix, the full parity eigenvector matrix, the
+raw boundary matrices behind :mod:`knlayer.boundary_solver`'s normalized
+wall builders (like those, they take the order alone), and the wall
 operator K(chi) that the solver never forms.  The suites
 (``run_verification``) compare every solver layer against these oracles
 and references.
@@ -33,9 +34,7 @@ import scipy.sparse.linalg
 from . import special_functions
 from .boundary_solver import (
     WallBoundarySystem,
-    _check_kramers_order,
     _check_match,
-    _check_temperature_order,
     accommodation_factor,
     kramers_boundary_system,
     temperature_boundary_system,
@@ -43,7 +42,13 @@ from .boundary_solver import (
 from .layer_profiles import DEFAULT_KN, DEFECT_WEIGHTS, temperature_solution, velocity_solution
 from .parity_spectral import ParityEigen, decompose
 from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
-from .system_builder import ReducedSystem, build_kramers_system, build_temperature_system
+from .system_builder import (
+    ReducedSystem,
+    _check_kramers_order,
+    _check_temperature_order,
+    build_kramers_system,
+    build_temperature_system,
+)
 
 __all__ = [
     "QUADRATURE_ORDER_LIMIT",
@@ -474,7 +479,7 @@ def _solve_layer_bvp(
 
 
 def _problem_parts(order: int, pr: float = 1.0):
-    """(system, table, eigendecomposition) of one order, from the public builders.
+    """(system, eigendecomposition) of one order, from the public builders.
 
     An odd order is the temperature problem, which ignores ``pr``.  Nothing
     is cached: the oracles build their own parts rather than read the
@@ -484,7 +489,7 @@ def _problem_parts(order: int, pr: float = 1.0):
         system = build_temperature_system(order)
     else:
         system = build_kramers_system(order, pr)
-    return system, HalfSpaceTable(order + 2), decompose(system)
+    return system, decompose(system)
 
 
 def bvp_profile(
@@ -513,13 +518,13 @@ def bvp_profile(
             f" and even orders in [4, {BVP_KRAMERS_ORDER_LIMIT}], got {order}"
         )
     b = accommodation_factor(chi)
-    system, table, eigen = _problem_parts(order, pr)
+    system, eigen = _problem_parts(order, pr)
     if order % 2:
-        wbs = temperature_boundary_system(order, table)
+        wbs = temperature_boundary_system(order)
         carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, eigen.m_even)] @ eigen.even_vectors[:3, :])
         slope = -0.4 * pr * flux / kn
     else:
-        wbs = kramers_boundary_system(order, pr, table)
+        wbs = kramers_boundary_system(order, pr)
         carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
         slope = -flux / kn
     return _solve_layer_bvp(system, eigen, wbs, b, flux, wall_value, kn, carrier, slope, nodes)
@@ -532,23 +537,21 @@ def bvp_profile(
 P1 = np.array([[0.5, 1.0], [1.0, -1.0]])
 
 
-def assemble_temperature_Tb(order: int, table: HalfSpaceTable) -> np.ndarray:
+def assemble_temperature_Tb(order: int) -> np.ndarray:
     """Raw boundary matrix of the temperature problem, (m_e+1) square.
 
     Odd rows/columns carry the pure-normal moment fluxes S(2k-2, 2l-2);
     even ones the tangential-pair fluxes S(2k, 2l) with the density offset
-    eliminated.  Reads the raw even block at halved indices, so it is only
-    valid while the raw half-space values fit in a double.
+    eliminated.  Reads the raw even block of the table its wall system
+    reads, at halved indices, so it is only valid while the raw half-space
+    values fit in a double.
     """
-    m_even = _check_temperature_order(order)
-    size = m_even + 1
+    size = _check_temperature_order(order) + 1
     if order + 1 > RAW_ORDER_LIMIT:
         raise ValueError("raw boundary matrix exceeds the double-precision window")
-    if table.max_order < order + 1:
-        raise ValueError(f"table of order {table.max_order} too small for order {order}")
     out = np.zeros((size, size))
     half = size // 2
-    s = table.s_values
+    s = HalfSpaceTable(order - 1).s_values
     for k in range(1, half + 1):
         for ell in range(1, half + 1):
             out[2 * k - 1, 2 * ell - 1] = s[k - 1, ell - 1]
@@ -569,15 +572,13 @@ def assemble_T(tb: np.ndarray, even_scales: np.ndarray) -> np.ndarray:
     return mixed * np.outer(d, d)
 
 
-def assemble_kramers_Sk(order: int, table: HalfSpaceTable) -> np.ndarray:
-    """Raw Kramers boundary matrix with entries S(2i-2, 2j-2)."""
-    m_even = _check_kramers_order(order)
-    size = m_even + 1
-    if 2 * size - 2 > RAW_ORDER_LIMIT:
+def assemble_kramers_Sk(order: int) -> np.ndarray:
+    """Raw Kramers boundary matrix with entries S(2i-2, 2j-2); it does not
+    depend on the Prandtl number."""
+    _check_kramers_order(order, 1.0)
+    if order - 2 > RAW_ORDER_LIMIT:
         raise ValueError("raw boundary matrix exceeds the double-precision window")
-    if table.max_order < 2 * size - 2:
-        raise ValueError(f"table of order {table.max_order} too small for order {order}")
-    return table.s_values[:size, :size].copy()
+    return HalfSpaceTable(order - 2).s_values.copy()
 
 
 def wall_operator(system: WallBoundarySystem, eigen: ParityEigen, chi: float) -> np.ndarray:
@@ -653,7 +654,7 @@ def _check_half_space(level: str) -> list[CheckResult]:
             x = special_functions.half_space_S_normalized(a, b)
             y = special_functions.half_space_S_normalized(b, a)
             sym = max(sym, abs(x - y))
-            if a % 2 == 0 and b % 2 == 1 and abs(a - b) != 1 and x != 0.0:
+            if (a + b) % 2 == 1 and b - a != 1 and x != 0.0:
                 pattern_ok = False
     results.append(CheckResult("half-space exact symmetry", sym == 0.0, sym, 0.0))
     results.append(
@@ -755,16 +756,16 @@ def _check_definiteness(level: str) -> list[CheckResult]:
     # eigenvalue sign sampling backs up the factorizations on a few instances
     worst = -math.inf
     for m in t_orders:
-        system, table, eigen = _problem_parts(m)
-        wbs = temperature_boundary_system(m, table)
-        checks.append(_wall_definite(assemble_temperature_Tb(m, table), wbs, eigen))
+        _, eigen = _problem_parts(m)
+        wbs = temperature_boundary_system(m)
+        checks.append(_wall_definite(assemble_temperature_Tb(m), wbs, eigen))
         if m in (t_orders[0], t_orders[-1]):
             w, _ = dense_symmetric_eig(wall_operator(wbs, eigen, 0.5))
             worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
     for m in k_orders:
-        system, table, eigen = _problem_parts(m)
-        wbs = kramers_boundary_system(m, 1.0, table)
-        checks.append(_wall_definite(assemble_kramers_Sk(m, table), wbs, eigen))
+        _, eigen = _problem_parts(m)
+        wbs = kramers_boundary_system(m, 1.0)
+        checks.append(_wall_definite(assemble_kramers_Sk(m), wbs, eigen))
     sampled, certified, grams = zip(*checks)
     ok = all(sampled) and worst < 0.0
     gram = max(grams)

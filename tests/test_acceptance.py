@@ -25,15 +25,13 @@ from knlayer.layer_profiles import (
     velocity_solution,
 )
 from knlayer.parity_spectral import decompose
-from knlayer.special_functions import HalfSpaceTable, half_space_S_normalized
+from knlayer.special_functions import half_space_S_normalized
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     _bvp_deviation,
-    _spectral_residual,
     assemble_kramers_Sk,
     assemble_temperature_Tb,
     dense_symmetric_eig,
-    quadrature_S_normalized,
     wall_operator,
 )
 
@@ -150,15 +148,11 @@ def test_criterion_05_prandtl_scaling():
     print(f"\nPASS criterion 5: Prandtl scaling exact to 1e-12 (worst {worst:.2e})")
 
 
-def test_criterion_06_spectral_structure():
-    worst_pair = 0.0
-    worst_orth = 0.0
-    systems = [build_temperature_system(order) for order in range(3, 100, 2)]
-    systems += [build_kramers_system(order, 2.0 / 3.0) for order in range(4, 99, 2)]
-    for system in systems:
-        pairing, orth = _spectral_residual(system)
-        worst_pair = max(worst_pair, pairing)
-        worst_orth = max(worst_orth, orth)
+def test_criterion_06_spectral_structure(full_verification):
+    # The full verify run pairs the spectra of every odd order 3-99 and every
+    # even order 4-98 (Pr = 2/3) with the dense Jacobi oracle.
+    worst_pair = full_verification.residual("parity spectrum vs dense Jacobi oracle")
+    worst_orth = full_verification.residual("eigenvector orthogonality")
     assert worst_pair <= 1e-10
     assert worst_orth <= 1e-10
     print(f"\nPASS criterion 6: spectra pair with the dense oracle "
@@ -167,12 +161,11 @@ def test_criterion_06_spectral_structure():
 
 def test_criterion_07_definiteness():
     # one chi-free wall system per order: T is factored once, K(chi) at each chi
-    table = HalfSpaceTable(101)
     sampled_eigs = []
     for order in range(3, 100, 2):
         eigen = decompose(build_temperature_system(order))
-        wbs = temperature_boundary_system(order, table)
-        np.linalg.cholesky(-assemble_temperature_Tb(order, table))
+        wbs = temperature_boundary_system(order)
+        np.linalg.cholesky(-assemble_temperature_Tb(order))
         np.linalg.cholesky(-wbs.scaled_matrix)
         for chi in (0.1, 0.5, 1.0):
             np.linalg.cholesky(-wall_operator(wbs, eigen, chi))
@@ -183,8 +176,8 @@ def test_criterion_07_definiteness():
             assert w[-1] < 0.0
     for order in range(4, 99, 2):
         eigen = decompose(build_kramers_system(order, 1.0))
-        wbs = kramers_boundary_system(order, 1.0, table)
-        np.linalg.cholesky(-assemble_kramers_Sk(order, table))
+        wbs = kramers_boundary_system(order, 1.0)
+        np.linalg.cholesky(-assemble_kramers_Sk(order))
         np.linalg.cholesky(-wbs.scaled_matrix)
         for chi in (0.1, 0.5, 1.0):
             np.linalg.cholesky(-wall_operator(wbs, eigen, chi))
@@ -192,18 +185,15 @@ def test_criterion_07_definiteness():
           f"(largest sampled eigenvalue {max(sampled_eigs):.3e})")
 
 
-def test_criterion_08_half_space_integrals():
-    worst_rel = 0.0
-    worst_zero = 0.0
+def test_criterion_08_half_space_integrals(full_verification):
+    # The full verify run compares every pair a, b <= 30 with quadrature.
+    worst_rel = full_verification.residual("half-space closed form vs quadrature (relative)")
+    worst_zero = full_verification.residual("half-space zero pattern vs quadrature (absolute)")
     for a in range(31):
         for b in range(a, 31):
             closed_n = half_space_S_normalized(a, b)
-            quad_n = quadrature_S_normalized(a, b, 1.0)
             if closed_n == 0.0:
-                worst_zero = max(worst_zero, abs(quad_n))
                 assert (a + b) % 2 == 1 and abs(a - b) != 1
-            else:
-                worst_rel = max(worst_rel, abs(quad_n - closed_n) / abs(closed_n))
             assert half_space_S_normalized(b, a) == closed_n
     for a in range(0, 31, 2):
         for b in range(1, 31, 2):

@@ -45,6 +45,11 @@ DELETED = {
     "system_builder": ["SystemKind"],
     # one finite-difference entry, bvp_profile, keyed on the order's parity
     "verification": ["BvpConfig", "BvpProfile", "bvp_temperature", "bvp_kramers"],
+    # folded into the two wall builders, which take the order alone
+    "boundary_solver": [
+        "assemble_temperature_T", "assemble_kramers_T", "temperature_c_vector",
+        "kramers_c_vector",
+    ],
 }
 
 # Parity-block members that went with the odd block size, which always equals

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,15 +15,11 @@ from knlayer.boundary_solver import (
     StructuralSolveError,
     WallBoundarySystem,
     accommodation_factor,
-    assemble_kramers_T,
-    assemble_temperature_T,
     kramers_boundary_system,
-    kramers_c_vector,
     solve_wall,
     temperature_boundary_system,
-    temperature_c_vector,
 )
-from knlayer import boundary_solver, cli, layer_profiles
+from knlayer import boundary_solver, cli, layer_profiles, verification
 from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
@@ -84,11 +81,6 @@ def kramers_eigen(order, pr):
 
 
 @pytest.fixture(scope="module")
-def table99():
-    return HalfSpaceTable(101)
-
-
-@pytest.fixture(scope="module")
 def table1025():
     return HalfSpaceTable(1027)
 
@@ -121,78 +113,73 @@ class TestAccommodationFactor:
 
 class TestTemperatureAssembly:
     def test_order_three_raw_matrix(self):
-        table = HalfSpaceTable(5)
-        tb = assemble_temperature_Tb(3, table)
+        tb = assemble_temperature_Tb(3)
         np.testing.assert_allclose(tb, [[-4.0, 0.0], [0.0, -1.0]], atol=1e-14)
 
     def test_order_three_mixed_block(self):
         # the P-recombined raw system carries the classic 2x2 pattern
-        table = HalfSpaceTable(5)
-        tb = assemble_temperature_Tb(3, table)
+        tb = assemble_temperature_Tb(3)
         p1 = np.array([[0.5, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(p1 @ tb @ p1, [[-2.0, -1.0], [-1.0, -5.0]], atol=1e-14)
 
     def test_scaled_matrix_via_sandwich(self):
-        table = HalfSpaceTable(5)
-        tb = assemble_temperature_Tb(3, table)
+        tb = assemble_temperature_Tb(3)
         scales = np.array([math.sqrt(3.0)])
         t = assemble_T(tb, scales)
         expected = np.array(
             [[-2.0, -1.0 / math.sqrt(3.0)], [-1.0 / math.sqrt(3.0), -5.0 / 3.0]]
         )
         np.testing.assert_allclose(t, expected, atol=1e-14)
-        np.testing.assert_allclose(assemble_temperature_T(3, table), expected, atol=1e-14)
+        np.testing.assert_allclose(temperature_boundary_system(3).scaled_matrix, expected, atol=1e-14)
 
     @pytest.mark.parametrize("order", [5, 9, 21, 63, 99])
-    def test_normalized_path_matches_raw_sandwich(self, order, table99):
+    def test_normalized_path_matches_raw_sandwich(self, order):
         system = build_temperature_system(order)
-        tb = assemble_temperature_Tb(order, table99)
+        tb = assemble_temperature_Tb(order)
         scales = np.array([system.even_scale(i) for i in range(1, system.m_even + 1)])
         direct = assemble_T(tb, scales)
-        safe = assemble_temperature_T(order, table99)
+        safe = temperature_boundary_system(order).scaled_matrix
         np.testing.assert_allclose(safe, direct, rtol=1e-11, atol=1e-13)
 
     def test_sliced_assembly_matches_loop(self, table1025):
         for order in [*range(3, 100, 2), 129, 513, 1025]:
             assert np.array_equal(
-                assemble_temperature_T(order, table1025), looped_temperature_T(order, table1025)
+                temperature_boundary_system(order).scaled_matrix, looped_temperature_T(order, table1025)
             ), order
 
-    def test_symmetry(self, table99):
+    def test_symmetry(self):
         for order in (3, 7, 33, 99):
-            tb = assemble_temperature_Tb(order, table99)
+            tb = assemble_temperature_Tb(order)
             np.testing.assert_array_equal(tb, tb.T)
-            t = assemble_temperature_T(order, table99)
+            t = temperature_boundary_system(order).scaled_matrix
             np.testing.assert_allclose(t, t.T, atol=1e-15)
 
-    def test_negative_definite_by_sampling(self, table99):
+    def test_negative_definite_by_sampling(self):
         rng = np.random.default_rng(7)
-        tb = assemble_temperature_Tb(7, table99)
+        tb = assemble_temperature_Tb(7)
         for _ in range(100):
             x = rng.standard_normal(tb.shape[0])
             assert x @ tb @ x < 0.0
 
-    def test_negative_definite_by_factorization(self, table99):
+    def test_negative_definite_by_factorization(self):
         for order in range(3, 100, 2):
-            t = assemble_temperature_T(order, table99)
+            t = temperature_boundary_system(order).scaled_matrix
             np.linalg.cholesky(-t)
-            tb = assemble_temperature_Tb(order, table99)
+            tb = assemble_temperature_Tb(order)
             np.linalg.cholesky(-tb)
 
 
 class TestKramersAssembly:
     def test_leading_entry(self):
-        table = HalfSpaceTable(6)
-        sk = assemble_kramers_Sk(4, table)
+        sk = assemble_kramers_Sk(4)
         assert sk[0, 0] == -1.0
         np.testing.assert_allclose(sk, [[-1.0, -1.0], [-1.0, -5.0]], atol=1e-14)
 
     def test_scaled_form(self):
-        table = HalfSpaceTable(6)
         pr = 1.0
         a1 = math.sqrt(2.0 * (4.0 + pr) / 5.0)
         expected = np.array([[-1.0, -1.0 / a1], [-1.0 / a1, -5.0 / a1**2]])
-        np.testing.assert_allclose(assemble_kramers_T(4, table, pr), expected, atol=1e-14)
+        np.testing.assert_allclose(kramers_boundary_system(4, pr).scaled_matrix, expected, atol=1e-14)
 
     def test_sliced_assembly_matches_fancy_index(self, table1025):
         for order in [*range(4, 99, 2), 128, 512, 1024]:
@@ -201,19 +188,81 @@ class TestKramersAssembly:
             w = np.ones(size)
             w[1] = math.sqrt(5.0 / (4.0 + 2.0 / 3.0))
             expected = table1025.s_normalized[np.ix_(idx, idx)] * np.outer(w, w)
-            assert np.array_equal(assemble_kramers_T(order, table1025, 2.0 / 3.0), expected), order
+            assert np.array_equal(kramers_boundary_system(order, 2.0 / 3.0).scaled_matrix, expected), order
 
-    def test_negative_definite(self, table99):
+    def test_negative_definite(self):
         for order in range(4, 99, 2):
-            sk = assemble_kramers_Sk(order, table99)
+            sk = assemble_kramers_Sk(order)
             np.testing.assert_array_equal(sk, sk.T)
             np.linalg.cholesky(-sk)
-            np.linalg.cholesky(-assemble_kramers_T(order, table99, 2.0 / 3.0))
+            np.linalg.cholesky(-kramers_boundary_system(order, 2.0 / 3.0).scaled_matrix)
+
+
+class TestWallDomain:
+    """The wall builders accept the system builders' domain and nothing else,
+    and reject the rest before they allocate: the order alone sizes the
+    table, so nothing else would stop an order of 10**6."""
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (kramers_boundary_system, (8, math.nan)),
+            (kramers_boundary_system, (8, math.inf)),
+            (kramers_boundary_system, (8, 1e300)),
+            (kramers_boundary_system, (8, 0.0)),
+            (kramers_boundary_system, (4098, 1.0)),
+            (kramers_boundary_system, (10**6, 1.0)),
+            (kramers_boundary_system, (9, 1.0)),
+            (kramers_boundary_system, (2, 1.0)),
+            (temperature_boundary_system, (4099,)),
+            (temperature_boundary_system, (10**6 + 1,)),
+            (temperature_boundary_system, (8,)),
+            (temperature_boundary_system, (1,)),
+            (assemble_temperature_Tb, (4099,)),
+            (assemble_kramers_Sk, (4098,)),
+        ],
+    )
+    def test_rejected_before_allocation(self, monkeypatch, build, args):
+        def no_table(max_order):
+            raise AssertionError(f"a table of order {max_order} was built")
+
+        monkeypatch.setattr(boundary_solver, "HalfSpaceTable", no_table)
+        monkeypatch.setattr(verification, "HalfSpaceTable", no_table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                build(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak
+
+    @pytest.mark.parametrize("order, pr", [(4, 1e-300), (4096, 1e12), (4, 1e12)])
+    def test_prandtl_bounds_accepted(self, order, pr):
+        wbs = kramers_boundary_system(order, pr)
+        assert np.isfinite(wbs.scaled_matrix).all() and np.isfinite(wbs.c_vec).all()
+
+    def test_table_sized_by_order(self, monkeypatch):
+        # each builder builds the smallest table its assembly reads
+        sizes = []
+
+        class Recording(HalfSpaceTable):
+            def __init__(self, max_order):
+                sizes.append(max_order)
+                super().__init__(max_order)
+
+        monkeypatch.setattr(boundary_solver, "HalfSpaceTable", Recording)
+        monkeypatch.setattr(verification, "HalfSpaceTable", Recording)
+        temperature_boundary_system(9)
+        kramers_boundary_system(8, 1.0)
+        assemble_temperature_Tb(9)
+        assemble_kramers_Sk(8)
+        assert sizes == [8, 6, 8, 6]
 
 
 class TestCVectors:
     def test_temperature_leading_entries(self):
-        c = temperature_c_vector(9)
+        c = temperature_boundary_system(9).c_vec
         expected = [1.0, 4.0 / (5.0 * math.sqrt(3.0)), 2.0 * math.sqrt(6.0) / 5.0,
                     2.0 * math.sqrt(2.0) / 5.0]
         np.testing.assert_allclose(c[:4], expected, rtol=1e-15)
@@ -221,12 +270,12 @@ class TestCVectors:
 
     def test_temperature_truncated_at_order_three(self):
         np.testing.assert_allclose(
-            temperature_c_vector(3), [1.0, 4.0 / (5.0 * math.sqrt(3.0))], rtol=1e-15
+            temperature_boundary_system(3).c_vec, [1.0, 4.0 / (5.0 * math.sqrt(3.0))], rtol=1e-15
         )
 
     def test_kramers_vector(self):
         pr = 2.0 / 3.0
-        c = kramers_c_vector(8, pr)
+        c = kramers_boundary_system(8, pr).c_vec
         a1 = math.sqrt(2.0 * (4.0 + pr) / 5.0)
         np.testing.assert_allclose(c[:2], [1.0, 2.0 / a1], rtol=1e-15)
         assert np.all(c[2:] == 0.0)
@@ -235,26 +284,25 @@ class TestCVectors:
 class TestWallOperator:
     @pytest.mark.parametrize("chi", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("order", [3, 9, 33, 99])
-    def test_temperature_negative_definite(self, order, chi, table99):
+    def test_temperature_negative_definite(self, order, chi):
         eigen = decompose(build_temperature_system(order))
-        wbs = temperature_boundary_system(order, table99)
+        wbs = temperature_boundary_system(order)
         np.linalg.cholesky(-wall_operator(wbs, eigen, chi))
 
     @pytest.mark.parametrize("chi", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("order", [4, 8, 48, 98])
-    def test_kramers_negative_definite(self, order, chi, table99):
+    def test_kramers_negative_definite(self, order, chi):
         eigen = decompose(build_kramers_system(order, 1.0))
-        wbs = kramers_boundary_system(order, 1.0, table99)
+        wbs = kramers_boundary_system(order, 1.0)
         np.linalg.cholesky(-wall_operator(wbs, eigen, chi))
 
 
 class TestSolveWall:
     @pytest.mark.parametrize("chi", [0.1, 0.5, 1.0])
     def test_order_three_closed_form(self, chi):
-        table = HalfSpaceTable(5)
         system = build_temperature_system(3)
         eigen = decompose(system)
-        wbs = temperature_boundary_system(3, table)
+        wbs = temperature_boundary_system(3)
         theta0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         t0 = reference_t0(chi)
         b = accommodation_factor(chi)
@@ -266,9 +314,8 @@ class TestSolveWall:
         assert w_even0 == pytest.approx(math.sqrt(3.0) * t0, rel=1e-13)
 
     def test_flux_homogeneity(self):
-        table = HalfSpaceTable(9)
         eigen = decompose(build_temperature_system(7))
-        wbs = temperature_boundary_system(7, table)
+        wbs = temperature_boundary_system(7)
         theta1, v1 = solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
         theta2, v2 = solve_wall(wbs, eigen, 0.5, 2.0, 0.0)
         assert theta2 == pytest.approx(2.0 * theta1, rel=1e-12)
@@ -277,30 +324,28 @@ class TestSolveWall:
     @given(flux=st.floats(-50.0, 50.0).filter(lambda x: abs(x) > 1e-3))
     @settings(max_examples=25, deadline=None)
     def test_flux_linearity_property(self, flux):
-        table = HalfSpaceTable(7)
         eigen = decompose(build_temperature_system(5))
-        wbs = temperature_boundary_system(5, table)
+        wbs = temperature_boundary_system(5)
         base_theta, base_v = solve_wall(wbs, eigen, 0.9, 1.0, 0.0)
         theta, v = solve_wall(wbs, eigen, 0.9, flux, 0.0)
         assert theta == pytest.approx(flux * base_theta, rel=1e-12)
         np.testing.assert_allclose(v, flux * base_v, rtol=1e-11, atol=1e-13)
 
     def test_wall_value_shift(self):
-        table = HalfSpaceTable(9)
         eigen = decompose(build_temperature_system(7))
-        wbs = temperature_boundary_system(7, table)
+        wbs = temperature_boundary_system(7)
         theta_a, v_a = solve_wall(wbs, eigen, 1.0, 1.0, 0.0)
         theta_b, v_b = solve_wall(wbs, eigen, 1.0, 1.0, 0.3)
         assert theta_b - 0.3 == pytest.approx(theta_a, rel=1e-13)
         np.testing.assert_allclose(v_a, v_b, rtol=1e-13)
 
     @pytest.mark.parametrize("order", [3, 5, 7])
-    def test_wall_condition_residual(self, order, table99):
+    def test_wall_condition_residual(self, order):
         """Reconstructed moments satisfy the raw scaled boundary rows."""
         chi = 0.65
         system = build_temperature_system(order)
         eigen = decompose(system)
-        wbs = temperature_boundary_system(order, table99)
+        wbs = temperature_boundary_system(order)
         theta0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         w_even = eigen.even_vectors @ v_plus
         w_odd = eigen.odd_vectors @ v_plus
@@ -316,7 +361,7 @@ class TestSolveWall:
     def test_chi_zero_rejected(self):
         # chi = 1.5 lies outside (0, 1] too.  Reducing the flipped T would
         # raise StructuralSolveError, so the ValueError shows chi is checked first.
-        wbs = temperature_boundary_system(3, HalfSpaceTable(5))
+        wbs = temperature_boundary_system(3)
         flipped = wbs.__class__(order=3, scaled_matrix=-wbs.scaled_matrix, c_vec=wbs.c_vec)
         eigen = decompose(build_temperature_system(3))
         for chi in (0.0, 1.5):
@@ -324,9 +369,8 @@ class TestSolveWall:
                 solve_wall(flipped, eigen, chi, 1.0, 0.0)
 
     def test_structural_error_on_spoiled_operator(self):
-        table = HalfSpaceTable(5)
         eigen = decompose(build_temperature_system(3))
-        wbs = temperature_boundary_system(3, table)
+        wbs = temperature_boundary_system(3)
         spoiled = wbs.__class__(
             order=wbs.order,
             scaled_matrix=-wbs.scaled_matrix,  # positive definite side
@@ -335,20 +379,20 @@ class TestSolveWall:
         with pytest.raises(StructuralSolveError):
             solve_wall(spoiled, eigen, 1.0, 1.0, 0.0)
 
-    def test_kramers_solve_runs(self, table99):
+    def test_kramers_solve_runs(self):
         order, pr = 8, 2.0 / 3.0
         eigen = decompose(build_kramers_system(order, pr))
-        wbs = kramers_boundary_system(order, pr, table99)
+        wbs = kramers_boundary_system(order, pr)
         u0, v_plus = solve_wall(wbs, eigen, 0.8, 1.0, 0.0)
         assert math.isfinite(u0)
         assert v_plus.shape == (eigen.m_even,)
 
     @pytest.mark.parametrize("order", [4, 6, 8])
-    def test_kramers_wall_condition_residual(self, order, table99):
+    def test_kramers_wall_condition_residual(self, order):
         chi, pr = 0.65, 2.0 / 3.0
         system = build_kramers_system(order, pr)
         eigen = decompose(system)
-        wbs = kramers_boundary_system(order, pr, table99)
+        wbs = kramers_boundary_system(order, pr)
         u1_0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         w_even = eigen.even_vectors @ v_plus
         w_odd = eigen.odd_vectors @ v_plus
@@ -372,16 +416,16 @@ class TestPencilSolve:
             assert np.linalg.norm(v_plus - ref_v) <= 1e-11 * np.linalg.norm(ref_v)
 
     @pytest.mark.parametrize("order", [3, 5, 7, 9, 13, 33, 99, 129, 513])
-    def test_temperature_matches_cholesky(self, order, table1025):
-        self.assert_matches_cholesky(temperature_boundary_system(order, table1025), temperature_eigen(order))
+    def test_temperature_matches_cholesky(self, order):
+        self.assert_matches_cholesky(temperature_boundary_system(order), temperature_eigen(order))
 
     @pytest.mark.parametrize("order", [4, 6, 8, 48, 98, 128, 512])
-    def test_kramers_matches_cholesky(self, order, table1025):
+    def test_kramers_matches_cholesky(self, order):
         pr = 2.0 / 3.0
-        self.assert_matches_cholesky(kramers_boundary_system(order, pr, table1025), kramers_eigen(order, pr))
+        self.assert_matches_cholesky(kramers_boundary_system(order, pr), kramers_eigen(order, pr))
 
-    def test_chis_share_one_operator(self, table99):
-        assert not temperature_boundary_system(9, table99).scaled_matrix.flags.writeable
+    def test_chis_share_one_operator(self):
+        assert not temperature_boundary_system(9).scaled_matrix.flags.writeable
         a = layer_profiles.temperature_solution(9, 0.3)
         b = layer_profiles.temperature_solution(9, 0.7)
         assert a.decay_rates is b.decay_rates
@@ -393,9 +437,9 @@ class TestPencilSolve:
         assert op is layer_profiles.layer_operator(8, 0.7)
         assert op.rates is c.decay_rates
 
-    def test_pencil_not_shared_across_systems(self, table99):
+    def test_pencil_not_shared_across_systems(self):
         eigen = temperature_eigen(7)
-        wbs = temperature_boundary_system(7, table99)
+        wbs = temperature_boundary_system(7)
         u0, v_plus = solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
         doubled = wbs.__class__(order=wbs.order, scaled_matrix=wbs.scaled_matrix, c_vec=2.0 * wbs.c_vec)
         u0_doubled, v_doubled = solve_wall(doubled, eigen, 0.5, 1.0, 0.0)
@@ -448,9 +492,9 @@ class TestPencilSolve:
         assert len(rows) == 50
         assert calls == [("eigh", (size, size)), ("eigh", (size, size))]
 
-    def test_structural_error_on_negative_pencil(self, table99):
+    def test_structural_error_on_negative_pencil(self):
         eigen = temperature_eigen(7)
-        wbs = temperature_boundary_system(7, table99)
+        wbs = temperature_boundary_system(7)
         negated = ParityEigen(
             rates=-100.0 * eigen.rates,
             even_vectors=eigen.even_vectors.copy(),
@@ -460,11 +504,11 @@ class TestPencilSolve:
             solve_wall(wbs, negated, 0.5, 1.0, 0.0)
 
     @pytest.mark.parametrize("flipped", ["pivot", "block"])
-    def test_structural_error_on_indefinite_scaled_matrix(self, flipped, table99):
+    def test_structural_error_on_indefinite_scaled_matrix(self, flipped):
         # Each flip leaves the rates positive; only one of the pivot and the
         # reduced block changes sign, so each guard is needed on its own.
         eigen = temperature_eigen(7)
-        wbs = temperature_boundary_system(7, table99)
+        wbs = temperature_boundary_system(7)
         indefinite = wbs.scaled_matrix.copy()
         if flipped == "pivot":
             indefinite[0, 0] *= -1.0
@@ -474,7 +518,7 @@ class TestPencilSolve:
         with pytest.raises(StructuralSolveError):
             solve_wall(spoiled, eigen, 0.5, 1.0, 0.0)
 
-    def test_mismatched_eigen_rejected(self, table99):
-        wbs = temperature_boundary_system(7, table99)
+    def test_mismatched_eigen_rejected(self):
+        wbs = temperature_boundary_system(7)
         with pytest.raises(ValueError):
             solve_wall(wbs, temperature_eigen(9), 0.5, 1.0, 0.0)

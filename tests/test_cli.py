@@ -497,15 +497,13 @@ class TestVerifyCommand:
         assert all(s >= 0.0 for s in seconds)
         assert sum(seconds) <= record["seconds"]
 
-    def test_full_passes_within_budget(self, capsys):
-        import time
-
-        start = time.perf_counter()
-        code, out, _ = run(capsys, ["verify", "--level", "full"])
-        elapsed = time.perf_counter() - start
-        assert code == 0
-        assert "FAIL" not in out
+    def test_full_passes_within_budget(self, full_verification):
+        assert full_verification.code == 0
+        assert full_verification.record["passed"] is True
+        failed = [c["name"] for c in full_verification.record["checks"] if not c["passed"]]
+        assert not failed
         # bounded by the summed runtime budgets of the acceptance criteria
+        elapsed = full_verification.seconds
         assert elapsed < 65.0, f"full verification took {elapsed:.1f} s"
 
     def test_fault_injection_detected(self, capsys, monkeypatch):
@@ -544,6 +542,23 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL half-space closed form vs quadrature (relative)" in out
 
+    def test_zero_pattern_covers_odd_first_pairs(self, capsys, monkeypatch):
+        # S(31, 40) lies past the quadrature range, so only the exact zero
+        # pattern sees it; it is corrupted symmetrically, so the symmetry
+        # check cannot.
+        true_fn = knlayer.special_functions.half_space_S_normalized
+
+        def corrupted(alpha, beta):
+            if {alpha, beta} == {31, 40}:
+                return 1e-3
+            return true_fn(alpha, beta)
+
+        monkeypatch.setattr(knlayer.special_functions, "half_space_S_normalized", corrupted)
+        code, out, _ = run(capsys, ["verify", "--level", "quick"])
+        assert code == 2
+        assert "FAIL half-space exact zero pattern" in out
+        assert "FAIL half-space exact symmetry" not in out
+
     @pytest.mark.parametrize(
         "rate_sign, vector_scale",
         [(-1.0, 1.0), (1.0, 1.0 + 1e-6)],  # a negated rate; E^T E off I/2 by 1e-6
@@ -556,11 +571,11 @@ class TestVerifyCommand:
         true_parts = verification._problem_parts
 
         def corrupted(order, pr=1.0):
-            system, table, eigen = true_parts(order, pr)
+            system, eigen = true_parts(order, pr)
             rates = eigen.rates.copy()
             rates[-1] *= rate_sign
             even = eigen.even_vectors * vector_scale
-            return system, table, ParityEigen(rates, even, eigen.odd_vectors)
+            return system, ParityEigen(rates, even, eigen.odd_vectors)
 
         # the BVP oracle reads the same parts and cannot converge on a negated rate
         monkeypatch.setattr(verification, "_problem_parts", corrupted)

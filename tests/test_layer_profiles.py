@@ -270,23 +270,17 @@ class TestEigenFreeCrossCheck:
     def test_matches_production_path(self, order, chi):
         import scipy.linalg
 
-        from knlayer.boundary_solver import (
-            accommodation_factor,
-            assemble_temperature_T,
-            temperature_c_vector,
-        )
-        from knlayer.special_functions import HalfSpaceTable
+        from knlayer.boundary_solver import accommodation_factor, temperature_boundary_system
         from knlayer.system_builder import build_temperature_system
         from knlayer.verification import coupling_dense
 
         system = build_temperature_system(order)
-        table = HalfSpaceTable(order + 2)
+        wbs = temperature_boundary_system(order)
         b = accommodation_factor(chi)
-        t = assemble_temperature_T(order, table)
         coupling = coupling_dense(system)
-        k = b * t
+        k = b * wbs.scaled_matrix
         k[1:, 1:] -= scipy.linalg.sqrtm(coupling @ coupling.T).real
-        u = np.linalg.solve(k, temperature_c_vector(order))
+        u = np.linalg.solve(k, wbs.c_vec)
         weights = np.zeros(system.m_even)
         lead = min(3, system.m_even)
         weights[:lead] = [math.sqrt(3.0) / 3.0, math.sqrt(6.0) / 2.0, math.sqrt(2.0) / 2.0][:lead]
