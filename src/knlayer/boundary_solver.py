@@ -134,7 +134,7 @@ def temperature_boundary_system(order: int) -> WallBoundarySystem:
 
 def kramers_boundary_system(order: int, prandtl: float) -> WallBoundarySystem:
     """Wall system of Kramers slip, even order in [4, MAX_KRAMERS_ORDER] and
-    Prandtl number in (0, MAX_KRAMERS_PRANDTL].
+    normal Prandtl number of at most MAX_KRAMERS_PRANDTL.
 
     T = diag(1, L1k)^-1 S_k diag(1, L1k)^-1 with S_k = S(2i, 2j) up to index
     order - 2: in normalized form the scaling collapses to a single

@@ -13,15 +13,17 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .boundary_solver import StructuralSolveError, accommodation_factor
 from .layer_profiles import (
     DEFAULT_KN,
-    _validate_positive,
     coefficient_curve,
     convergence_order,
     effective_conductivity,
@@ -33,7 +35,7 @@ from .layer_profiles import (
     viscous_slip_coefficient,
 )
 from .parity_spectral import RankDeficiencyError
-from .system_builder import build_kramers_system, build_temperature_system
+from .system_builder import _check_prandtl, build_kramers_system, build_temperature_system
 
 __all__ = ["main"]
 
@@ -91,88 +93,82 @@ def _structured(record: dict) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def _solution_record(sol, extra: dict) -> dict:
-    return {
-        "parameters": {
-            "order": sol.order,
-            "chi": sol.chi,
-            "kn": sol.kn,
-            "pr": sol.pr,
-        },
-        "decay_rates": list(sol.decay_rates),
-        "amplitudes": list(sol.amplitudes),
-        **extra,
-    }
+@dataclass(frozen=True)
+class _Problem:
+    """What the two layers differ in above the operator: names, keys and the
+    library calls.  Each callable looks its library function up in this
+    module's globals when it runs, so a tracer that rebinds them sees every
+    call."""
+
+    command: str  # the solve command; dump-system prints it as the kind
+    help: str
+    label: str  # the problem sweep-chi and profile print
+    default_order: int
+    wall_option: str
+    flux: str  # solution field of the prescribed flux
+    wall: str  # solution field of the prescribed wall value
+    coefficient: str  # output key of the jump or slip coefficient
+    solve: Callable  # (order, chi, kn, pr, flux, wall value) -> solution
+    coefficient_of: Callable  # solution -> coefficient
+    modes: tuple[str, ...]  # per-mode fields; each text column is its field in the singular
+    profile: tuple[tuple[str, Callable], ...]  # columns after y: (name, (sol, y) -> values)
 
 
-def cmd_temperature_jump(cfg: argparse.Namespace) -> tuple[str, int]:
-    sol = temperature_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, cfg.wall_value)
-    zeta = jump_coefficient(sol) if cfg.wall_value == 0.0 else None
+# Keyed on the order's parity: odd is the temperature jump, even Kramers slip.
+_PROBLEMS = {
+    1: _Problem(
+        command="temperature-jump", help="wall values and jump coefficient", label="temperature",
+        default_order=13, wall_option="--wall-temp", flux="heat_flux", wall="wall_temperature",
+        coefficient="jump_coefficient",
+        solve=lambda *args: temperature_solution(*args),
+        coefficient_of=lambda sol: jump_coefficient(sol),
+        modes=("decay_rates", "amplitudes", "defect_amplitudes"),
+        profile=(("defect", lambda sol, y: temperature_defect(sol, y)),
+                 ("normalized_temperature", lambda sol, y: normalized_temperature(sol, y)),
+                 ("conductivity_ratio", lambda sol, y: effective_conductivity(sol, y))),
+    ),
+    0: _Problem(
+        command="kramers", help="wall slip velocity and mode amplitudes", label="kramers",
+        default_order=12, wall_option="--wall-velocity", flux="shear", wall="wall_velocity",
+        coefficient="slip_coefficient",
+        solve=lambda *args: velocity_solution(*args),
+        coefficient_of=lambda sol: viscous_slip_coefficient(sol),
+        modes=("decay_rates", "amplitudes"),
+        profile=(("velocity", lambda sol, y: sol.velocity(y)),),
+    ),
+}
+
+
+def cmd_solve(cfg: argparse.Namespace) -> tuple[str, int]:
+    """``temperature-jump`` and ``kramers``: the command, not the order, picks the problem."""
+    problem = cfg.problem
+    sol = problem.solve(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, cfg.wall_value)
+    coefficient = problem.coefficient_of(sol) if cfg.wall_value == 0.0 else None
+    fields = {name: getattr(sol, name)
+              for name in (problem.flux, problem.wall, "wall_value", "intercept")}
     if cfg.fmt == "structured-json":
-        record = _solution_record(
-            sol,
-            {
-                "command": "temperature-jump",
-                "heat_flux": sol.heat_flux,
-                "wall_temperature": sol.wall_temperature,
-                "wall_value": sol.wall_value,
-                "intercept": sol.intercept,
-                "defect_amplitudes": list(sol.defect_amplitudes),
-                "jump_coefficient": zeta,
-            },
-        )
+        record = {
+            "command": problem.command,
+            "parameters": {"order": sol.order, "chi": sol.chi, "kn": sol.kn, "pr": sol.pr},
+            **{name: list(getattr(sol, name)) for name in problem.modes},
+            **fields,
+            problem.coefficient: coefficient,
+        }
         return _structured(record), 0
     params = {
-        "command": "temperature-jump",
+        "command": problem.command,
         "order": sol.order,
         "chi": sol.chi,
         "kn": _fmt_float(sol.kn),
         "pr": _fmt_float(sol.pr),
-        "heat_flux": _fmt_float(sol.heat_flux),
-        "wall_temperature": _fmt_float(sol.wall_temperature),
-        "wall_value": _fmt_float(sol.wall_value),
-        "intercept": _fmt_float(sol.intercept),
+        **{name: _fmt_float(value) for name, value in fields.items()},
     }
-    if zeta is not None:
-        params["jump_coefficient"] = _fmt_float(zeta)
-    rows = [
-        (i + 1, sol.decay_rates[i], sol.amplitudes[i], sol.defect_amplitudes[i])
-        for i in range(sol.decay_rates.size)
-    ]
-    return _columnar(params, ["mode", "decay_rate", "amplitude", "defect_amplitude"], rows), 0
-
-
-def cmd_kramers(cfg: argparse.Namespace) -> tuple[str, int]:
-    sol = velocity_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, cfg.wall_value)
-    slip = viscous_slip_coefficient(sol) if cfg.wall_value == 0.0 else None
-    if cfg.fmt == "structured-json":
-        record = _solution_record(
-            sol,
-            {
-                "command": "kramers",
-                "shear": sol.shear,
-                "wall_velocity": sol.wall_velocity,
-                "wall_value": sol.wall_value,
-                "intercept": sol.intercept,
-                "slip_coefficient": slip,
-            },
-        )
-        return _structured(record), 0
-    params = {
-        "command": "kramers",
-        "order": sol.order,
-        "chi": sol.chi,
-        "kn": _fmt_float(sol.kn),
-        "pr": _fmt_float(sol.pr),
-        "shear": _fmt_float(sol.shear),
-        "wall_velocity": _fmt_float(sol.wall_velocity),
-        "wall_value": _fmt_float(sol.wall_value),
-        "intercept": _fmt_float(sol.intercept),
-    }
-    if slip is not None:
-        params["slip_coefficient"] = _fmt_float(slip)
-    rows = [(i + 1, sol.decay_rates[i], sol.amplitudes[i]) for i in range(sol.decay_rates.size)]
-    return _columnar(params, ["mode", "decay_rate", "amplitude"], rows), 0
+    if coefficient is not None:
+        params[problem.coefficient] = _fmt_float(coefficient)
+    columns = ["mode", *(name[:-1] for name in problem.modes)]
+    rows = np.column_stack([np.arange(1, sol.decay_rates.size + 1),
+                            *(getattr(sol, name) for name in problem.modes)])
+    return _columnar(params, columns, rows), 0
 
 
 def table1_values() -> dict[float, list[float]]:
@@ -230,15 +226,15 @@ def cmd_sweep_chi(cfg: argparse.Namespace) -> tuple[str, int]:
         chis = np.geomspace(cfg.chi_min, cfg.chi_max, cfg.samples)
     else:
         chis = np.linspace(cfg.chi_min, cfg.chi_max, cfg.samples)
-    temperature = cfg.order % 2 == 1
+    problem = _PROBLEMS[cfg.order % 2]
     coef = coefficient_curve(cfg.order, cfg.kn, cfg.pr)(chis)
     b_vals = accommodation_factor(chis)
     scaled = b_vals * coef
-    name = "jump_coefficient" if temperature else "slip_coefficient"
+    name = problem.coefficient
     if cfg.fmt == "structured-json":
         record = {
             "command": "sweep-chi",
-            "problem": "temperature" if temperature else "kramers",
+            "problem": problem.label,
             "order": cfg.order,
             "kn": cfg.kn,
             "pr": cfg.pr,
@@ -250,7 +246,7 @@ def cmd_sweep_chi(cfg: argparse.Namespace) -> tuple[str, int]:
         return _structured(record), 0
     params = {
         "command": "sweep-chi",
-        "problem": "temperature" if temperature else "kramers",
+        "problem": problem.label,
         "order": cfg.order,
         "kn": _fmt_float(cfg.kn),
         "pr": _fmt_float(cfg.pr),
@@ -276,28 +272,16 @@ def _profile_grid(cfg: argparse.Namespace, sol) -> np.ndarray:
 
 def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:
     _check_samples(cfg.samples)
-    if cfg.order % 2 == 1:
-        sol = temperature_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, 0.0)
-        grid = _profile_grid(cfg, sol)
-        defect = np.asarray(temperature_defect(sol, grid))
-        normalized = np.asarray(normalized_temperature(sol, grid))
-        conductivity = np.asarray(effective_conductivity(sol, grid))
-        columns = ["y", "defect", "normalized_temperature", "conductivity_ratio"]
-        data = np.column_stack((grid, defect, normalized, conductivity))
-        problem = "temperature"
-        extra = {"jump_coefficient": jump_coefficient(sol)}
-    else:
-        sol = velocity_solution(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, 0.0)
-        grid = _profile_grid(cfg, sol)
-        velocity = np.asarray(sol.velocity(grid))
-        columns = ["y", "velocity"]
-        data = np.column_stack((grid, velocity))
-        problem = "kramers"
-        extra = {"slip_coefficient": viscous_slip_coefficient(sol)}
+    problem = _PROBLEMS[cfg.order % 2]
+    sol = problem.solve(cfg.order, cfg.chi, cfg.kn, cfg.pr, cfg.flux, 0.0)
+    grid = _profile_grid(cfg, sol)
+    columns = ["y", *(name for name, _ in problem.profile)]
+    data = np.column_stack([grid, *(np.asarray(column(sol, grid)) for _, column in problem.profile)])
+    extra = {problem.coefficient: problem.coefficient_of(sol)}
     if cfg.fmt == "structured-json":
         record = {
             "command": "profile",
-            "problem": problem,
+            "problem": problem.label,
             "parameters": {
                 "order": cfg.order,
                 "chi": cfg.chi,
@@ -313,7 +297,7 @@ def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:
         return _structured(record), 0
     params = {
         "command": "profile",
-        "problem": problem,
+        "problem": problem.label,
         "order": cfg.order,
         "chi": cfg.chi,
         "kn": _fmt_float(cfg.kn),
@@ -325,14 +309,14 @@ def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
-    _validate_positive("Prandtl number", cfg.pr)  # odd orders never read it
+    _check_prandtl(cfg.pr)  # odd orders never read it
     if cfg.order % 2 == 1:
         system = build_temperature_system(cfg.order)
     else:
         system = build_kramers_system(cfg.order, cfg.pr)
     params = {
         "command": "dump-system",
-        "kind": "temperature-jump" if cfg.order % 2 else "kramers",
+        "kind": _PROBLEMS[cfg.order % 2].command,
         "order": system.order,
         "m_even": system.m_even,
         "m_odd": system.m_even,  # the block is square
@@ -407,14 +391,10 @@ def _add_common(p: argparse.ArgumentParser, order_default: int) -> None:
     _add_output(p)
 
 
-def _temperature_jump_options(p: argparse.ArgumentParser) -> None:
-    _add_common(p, 13)
-    p.add_argument("--wall-temp", dest="wall_value", type=float, default=0.0)
-
-
-def _kramers_options(p: argparse.ArgumentParser) -> None:
-    _add_common(p, 12)
-    p.add_argument("--wall-velocity", dest="wall_value", type=float, default=0.0)
+def _solve_options(problem: _Problem, p: argparse.ArgumentParser) -> None:
+    _add_common(p, problem.default_order)
+    p.add_argument(problem.wall_option, dest="wall_value", type=float, default=0.0)
+    p.set_defaults(problem=problem)
 
 
 def _table2_options(p: argparse.ArgumentParser) -> None:
@@ -454,9 +434,8 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
 
 # name -> (help line, option adder, handler); the order is that of the help screen.
 COMMANDS = {
-    "temperature-jump": ("wall values and jump coefficient", _temperature_jump_options,
-                         cmd_temperature_jump),
-    "kramers": ("wall slip velocity and mode amplitudes", _kramers_options, cmd_kramers),
+    **{p.command: (p.help, functools.partial(_solve_options, p), cmd_solve)
+       for p in _PROBLEMS.values()},
     "table1": ("jump coefficient over chi and order", _add_output, cmd_table1),
     "table2": ("observed convergence orders", _table2_options, cmd_table2),
     "sweep-chi": ("coefficient sweep over the accommodation range", _sweep_chi_options,

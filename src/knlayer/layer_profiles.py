@@ -46,7 +46,7 @@ from .boundary_solver import (
     temperature_boundary_system,
 )
 from .parity_spectral import decompose
-from .system_builder import build_kramers_system, build_temperature_system
+from .system_builder import _check_prandtl, build_kramers_system, build_temperature_system
 
 __all__ = [
     "CoefficientCurve",
@@ -252,17 +252,13 @@ layer_operator.cache_info = _cached_operator.cache_info
 layer_operator.cache_clear = _cached_operator.cache_clear
 
 
-def _validate_positive(name: str, value: float) -> None:
-    """Reject a value that is not finite, positive and normal: NaN would
-    otherwise pass every sign test, and a subnormal one keeps too few digits
-    for the coefficients it scales."""
-    if not (math.isfinite(value) and value >= sys.float_info.min):
-        raise ValueError(f"{name} must be finite and positive, and not subnormal, got {value}")
-
-
 def _validate_common(kn: float, pr: float) -> None:
-    _validate_positive("Knudsen number", kn)
-    _validate_positive("Prandtl number", pr)
+    """Kn must be finite, positive and normal: NaN would otherwise pass every
+    sign test, and a subnormal Kn keeps too few digits for the coefficients it
+    scales.  Pr has the system builders' one domain, for both parities."""
+    if not (math.isfinite(kn) and kn >= sys.float_info.min):
+        raise ValueError(f"Knudsen number must be finite and positive, and not subnormal, got {kn}")
+    _check_prandtl(pr)
 
 
 def _validate_drive(name: str, flux: float, wall_value: float) -> None:
@@ -274,25 +270,39 @@ def _validate_drive(name: str, flux: float, wall_value: float) -> None:
         raise ValueError(f"wall value must be finite, got {wall_value}")
 
 
+def _wall_solution(
+    odd: bool, order: int, chi: float, kn: float, pr: float, flux: float, wall_value: float,
+):
+    """Both solution functions' body: the checks, the cached operator's wall
+    solve, then the solution of the temperature jump (``odd``) or of Kramers
+    slip, whose order must have that parity.  Each amplitude product keeps
+    its own operand order, and so its digits."""
+    _validate_common(kn, pr)
+    _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
+    b = accommodation_factor(chi)  # a bad chi fails before a cold operator build
+    if order % 2 != odd:
+        problem, parity = ("temperature-jump", "odd") if odd else ("Kramers", "even")
+        raise ValueError(f"{problem} solutions need an {parity} order, got {order}")
+    op = layer_operator(order, pr)
+    value, v_plus = op.wall.solve(order, chi, b, flux, wall_value)
+    if odd:
+        strength = op.row * v_plus
+        amplitudes = -op.row_scale * strength
+        cls, fields = TemperatureLayerSolution, dict(
+            heat_flux=flux, wall_temperature=wall_value, defect_amplitudes=strength / flux)
+    else:
+        amplitudes = -op.row_scale * op.row * v_plus
+        cls, fields = VelocityLayerSolution, dict(shear=flux, wall_velocity=wall_value)
+    return cls(order=order, chi=chi, kn=kn, pr=pr, wall_value=value, decay_rates=op.rates,
+               intercept=value - float(np.sum(amplitudes)), amplitudes=amplitudes, **fields)
+
+
 def temperature_solution(
     order: int, chi: float, kn: float = DEFAULT_KN, pr: float = 1.0, q2: float = 1.0,
     theta_wall: float = 0.0,
 ) -> TemperatureLayerSolution:
     """Solve the temperature-jump problem at the given odd moment order."""
-    _validate_common(kn, pr)
-    _validate_drive("heat flux", q2, theta_wall)
-    b = accommodation_factor(chi)  # a bad chi fails before a cold operator build
-    if order % 2 == 0:
-        raise ValueError(f"temperature-jump solutions need an odd order, got {order}")
-    op = layer_operator(order)
-    theta0, v_plus = op.wall.solve(order, chi, b, q2, theta_wall)
-    mode_strength = op.row * v_plus
-    amplitudes = -op.row_scale * mode_strength
-    return TemperatureLayerSolution(
-        order=order, chi=chi, kn=kn, pr=pr, heat_flux=q2, wall_temperature=theta_wall,
-        wall_value=theta0, intercept=theta0 - float(np.sum(amplitudes)), decay_rates=op.rates,
-        amplitudes=amplitudes, defect_amplitudes=mode_strength / q2,
-    )
+    return _wall_solution(True, order, chi, kn, pr, q2, theta_wall)
 
 
 def velocity_solution(
@@ -300,19 +310,7 @@ def velocity_solution(
     u1_wall: float = 0.0,
 ) -> VelocityLayerSolution:
     """Solve the shear-driven (Kramers) problem at the given even moment order."""
-    _validate_common(kn, pr)
-    _validate_drive("shear stress", sigma12, u1_wall)
-    b = accommodation_factor(chi)
-    if order % 2 == 1:
-        raise ValueError(f"Kramers solutions need an even order, got {order}")
-    op = layer_operator(order, pr)
-    u1_0, v_plus = op.wall.solve(order, chi, b, sigma12, u1_wall)
-    amplitudes = -op.row_scale * op.row * v_plus
-    return VelocityLayerSolution(
-        order=order, chi=chi, kn=kn, pr=pr, shear=sigma12, wall_velocity=u1_wall,
-        wall_value=u1_0, intercept=u1_0 - float(np.sum(amplitudes)), decay_rates=op.rates,
-        amplitudes=amplitudes,
-    )
+    return _wall_solution(False, order, chi, kn, pr, sigma12, u1_wall)
 
 
 def jump_coefficient(sol: TemperatureLayerSolution) -> float:

@@ -21,6 +21,7 @@ even one Kramers slip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ MAX_KRAMERS_ORDER = 4096
 # M = 4096 the smallest rate over the largest is 2.806e-9 at this bound (the
 # computed rates match a 30-digit inverse iteration to 2e-15 relative), and,
 # falling as Pr^(-1/2), it would reach the rank tolerance 1e-12 near 7.9e18.
+# ``_check_prandtl`` holds both parities to it.
 MAX_KRAMERS_PRANDTL = 1e12
 
 
@@ -50,16 +52,23 @@ def _check_temperature_order(order: int) -> int:
     return order - 2
 
 
+def _check_prandtl(prandtl: float) -> None:
+    """The one Prandtl domain of both parities: finite, normal (a subnormal
+    Pr keeps too few digits for the coefficients it scales) and at most
+    MAX_KRAMERS_PRANDTL; anything else, NaN included, raises ``ValueError``."""
+    if not sys.float_info.min <= prandtl <= MAX_KRAMERS_PRANDTL:
+        raise ValueError(f"Prandtl number must be finite and positive, not subnormal and at "
+                         f"most {MAX_KRAMERS_PRANDTL:g}, got {prandtl}")
+
+
 def _check_kramers_order(order: int, prandtl: float) -> int:
     """m_even of an even order in [4, MAX_KRAMERS_ORDER] at a Prandtl number
-    in (0, MAX_KRAMERS_PRANDTL]; anything else, NaN included, raises
-    ``ValueError``."""
+    in the domain of ``_check_prandtl``; anything else raises ``ValueError``."""
     if order % 2 == 1:
         raise ValueError(f"Kramers systems need an even order, got {order}")
     if not 4 <= order <= MAX_KRAMERS_ORDER:
         raise ValueError(f"order must lie in [4, {MAX_KRAMERS_ORDER}], got {order}")
-    if not 0.0 < prandtl <= MAX_KRAMERS_PRANDTL:
-        raise ValueError(f"prandtl must lie in (0, {MAX_KRAMERS_PRANDTL:g}], got {prandtl}")
+    _check_prandtl(prandtl)
     return order // 2 - 1
 
 

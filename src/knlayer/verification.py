@@ -547,7 +547,7 @@ def assemble_temperature_Tb(order: int) -> np.ndarray:
     values fit in a double.
     """
     size = _check_temperature_order(order) + 1
-    if order + 1 > RAW_ORDER_LIMIT:
+    if order - 1 > RAW_ORDER_LIMIT:  # the largest index read is S(order - 1, order - 1)
         raise ValueError("raw boundary matrix exceeds the double-precision window")
     out = np.zeros((size, size))
     half = size // 2

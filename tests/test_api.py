@@ -50,6 +50,8 @@ DELETED = {
         "assemble_temperature_T", "assemble_kramers_T", "temperature_c_vector",
         "kramers_c_vector",
     ],
+    # one handler and one option adder behind both solve commands
+    "cli": ["cmd_temperature_jump", "cmd_kramers", "_temperature_jump_options", "_kramers_options"],
 }
 
 # Parity-block members that went with the odd block size, which always equals

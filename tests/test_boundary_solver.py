@@ -132,7 +132,9 @@ class TestTemperatureAssembly:
         np.testing.assert_allclose(t, expected, atol=1e-14)
         np.testing.assert_allclose(temperature_boundary_system(3).scaled_matrix, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("order", [5, 9, 21, 63, 99])
+    # 151 is the last odd order whose raw matrix fits the raw window: it reads
+    # S up to index 150 = RAW_ORDER_LIMIT
+    @pytest.mark.parametrize("order", [5, 9, 21, 63, 99, 151])
     def test_normalized_path_matches_raw_sandwich(self, order):
         system = build_temperature_system(order)
         tb = assemble_temperature_Tb(order)
@@ -140,6 +142,10 @@ class TestTemperatureAssembly:
         direct = assemble_T(tb, scales)
         safe = temperature_boundary_system(order).scaled_matrix
         np.testing.assert_allclose(safe, direct, rtol=1e-11, atol=1e-13)
+
+    def test_raw_matrix_stops_past_the_window(self):
+        with pytest.raises(ValueError, match="double-precision window"):
+            assemble_temperature_Tb(153)
 
     def test_sliced_assembly_matches_loop(self, table1025):
         for order in [*range(3, 100, 2), 129, 513, 1025]:

@@ -22,6 +22,8 @@ from knlayer.layer_profiles import (
     layer_operator,
     temperature_defect,
     temperature_solution,
+    velocity_solution,
+    viscous_slip_coefficient,
 )
 from knlayer.parity_spectral import ParityEigen
 from knlayer.special_functions import HalfSpaceTable
@@ -174,6 +176,106 @@ class TestSolveCommands:
         chi, coefficient = [l.split() for l in out.splitlines() if not l.startswith("#")][-1][:2]
         assert float(chi) == 1.0 and float(header["chi"]) == 1.0
         assert float(header[name]) == float(coefficient)
+
+
+# Header keys and mode columns of each solve command, in the order printed.
+SOLVE_LAYOUT = {
+    "temperature-jump": (
+        ["command", "order", "chi", "kn", "pr", "heat_flux", "wall_temperature", "wall_value",
+         "intercept", "jump_coefficient"],
+        ["mode", "decay_rate", "amplitude", "defect_amplitude"],
+    ),
+    "kramers": (
+        ["command", "order", "chi", "kn", "pr", "shear", "wall_velocity", "wall_value",
+         "intercept", "slip_coefficient"],
+        ["mode", "decay_rate", "amplitude"],
+    ),
+}
+
+
+class TestSolveLayout:
+    """Both solve commands print their solution's fields under fixed keys,
+    each value the ``%.17g`` of the library's own field."""
+
+    CASES = [
+        ("temperature-jump", 13, temperature_solution, jump_coefficient),
+        ("kramers", 12, velocity_solution, viscous_slip_coefficient),
+    ]
+
+    @staticmethod
+    def solve(capsys, command, order, solve, wall, fmt):
+        argv = [command, "-M", str(order), "--chi", "0.6", "--kn", "0.9", "--pr", "0.7",
+                "--flux", "1.5", "--" + ("wall-temp" if order % 2 else "wall-velocity"), str(wall),
+                "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        return out, solve(order, 0.6, 0.9, 0.7, 1.5, wall)
+
+    @pytest.mark.parametrize("wall", [0.0, 0.4])
+    @pytest.mark.parametrize("command, order, solve, coefficient", CASES)
+    def test_text(self, capsys, command, order, solve, coefficient, wall):
+        out, sol = self.solve(capsys, command, order, solve, wall, "columnar-text")
+        keys, columns = SOLVE_LAYOUT[command]
+        if wall:  # the coefficient needs the zero-wall normalization
+            keys = keys[:-1]
+        lines = out.splitlines()
+        header = [line[2:].split(" = ", 1) for line in lines[:len(keys)]]
+        assert [key for key, _ in header] == keys
+        values = dict(header)
+        assert (values["command"], values["order"], values["chi"]) == (command, str(order), "0.6")
+        for key in keys[3:9]:
+            assert values[key] == cli._fmt_float(getattr(sol, key)), key
+        if not wall:
+            assert values[keys[-1]] == cli._fmt_float(coefficient(sol))
+        assert lines[len(keys)] == "# columns: " + " ".join(columns)
+        fields = [getattr(sol, name + "s") for name in columns[1:]]
+        rows = lines[len(keys) + 1:]
+        assert len(rows) == sol.decay_rates.size
+        for i, row in enumerate(rows):
+            expected = [cli._fmt_float(i + 1)] + [cli._fmt_float(field[i]) for field in fields]
+            assert row.split() == expected
+
+    @pytest.mark.parametrize("wall", [0.0, 0.4])
+    @pytest.mark.parametrize("command, order, solve, coefficient", CASES)
+    def test_structured(self, capsys, command, order, solve, coefficient, wall):
+        out, sol = self.solve(capsys, command, order, solve, wall, "structured-json")
+        keys, columns = SOLVE_LAYOUT[command]
+        record = json.loads(out)
+        modes = [name + "s" for name in columns[1:]]
+        assert list(record) == sorted(["command", "parameters", *keys[5:], *modes])
+        assert record["command"] == command
+        assert record["parameters"] == {"order": order, "chi": 0.6, "kn": 0.9, "pr": 0.7}
+        for key in keys[5:9]:
+            assert record[key] == getattr(sol, key), key
+        assert record[keys[-1]] == (None if wall else coefficient(sol))
+        for name in modes:
+            assert record[name] == getattr(sol, name).tolist(), name
+
+
+def test_library_calls_go_through_module_globals(capsys, monkeypatch):
+    # perfbench's tracer rebinds the names a module holds, so the problem
+    # table must look its library functions up when it runs
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    for name in ("temperature_solution", "velocity_solution", "jump_coefficient",
+                 "viscous_slip_coefficient", "temperature_defect", "normalized_temperature",
+                 "effective_conductivity"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for argv in (["temperature-jump", "-M", "5"], ["kramers", "-M", "6"],
+                 ["profile", "-M", "5", "--samples", "3"], ["profile", "-M", "6", "--samples", "3"]):
+        assert run(capsys, argv)[0] == 0
+    assert calls == [
+        "temperature_solution", "jump_coefficient", "velocity_solution", "viscous_slip_coefficient",
+        "temperature_solution", "temperature_defect", "normalized_temperature",
+        "effective_conductivity", "jump_coefficient", "velocity_solution", "viscous_slip_coefficient",
+    ]
 
 
 class TestDeterminism:
@@ -368,6 +470,21 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("pr", ["1e300", "1e13", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["temperature-jump", "-M", "9"], ["kramers", "-M", "8"], ["sweep-chi", "-M", "9"],
+         ["sweep-chi", "-M", "8"], ["profile", "-M", "9"], ["profile", "-M", "8"],
+         ["dump-system", "-M", "9"], ["dump-system", "-M", "8"]],
+    )
+    def test_one_prandtl_domain(self, capsys, command, pr):
+        # odd orders never read Pr, but both parities share one domain and one message
+        code, out, err = run(capsys, [*command, "--pr", pr])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: Prandtl number must be finite and positive, not subnormal and at "
+                       f"most 1e+12, got {float(pr)}\n")
 
     @pytest.mark.parametrize(
         "argv",

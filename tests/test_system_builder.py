@@ -1,11 +1,18 @@
 """Reduced-system construction against the inner-product oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from knlayer.system_builder import build_kramers_system, build_temperature_system
+from knlayer.boundary_solver import kramers_boundary_system
+from knlayer.layer_profiles import coefficient_curve, temperature_solution, velocity_solution
+from knlayer.system_builder import (
+    MAX_KRAMERS_PRANDTL,
+    build_kramers_system,
+    build_temperature_system,
+)
 from knlayer.verification import coupling_dense, inner_product_oracle, oracle_entry, parity_dense
 
 
@@ -172,6 +179,26 @@ class TestKramersSystem:
             build_kramers_system(12, 1e300)  # coupling block rank deficient
         with pytest.raises(ValueError):
             build_kramers_system(12, math.nan)
+
+    @pytest.mark.parametrize("prandtl", [1e-320, 5e-324, math.inf, MAX_KRAMERS_PRANDTL * 1.0000001])
+    def test_one_prandtl_domain(self, prandtl):
+        # finite, normal and at most MAX_KRAMERS_PRANDTL, with one message,
+        # for the system, the wall and the solution alike
+        message = "Prandtl number must be finite and positive, not subnormal and at most 1e"
+        for call in (
+            lambda: build_kramers_system(8, prandtl),
+            lambda: kramers_boundary_system(8, prandtl),
+            lambda: velocity_solution(8, 1.0, pr=prandtl),
+            lambda: temperature_solution(9, 1.0, pr=prandtl),
+            lambda: coefficient_curve(9, pr=prandtl),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_prandtl_bound_is_inside(self):
+        assert build_kramers_system(8, MAX_KRAMERS_PRANDTL).prandtl == MAX_KRAMERS_PRANDTL
+        assert build_kramers_system(8, sys.float_info.min).prandtl == sys.float_info.min
+        assert math.isfinite(coefficient_curve(9, pr=MAX_KRAMERS_PRANDTL)(1.0))
 
 
 class TestParityDense:
