@@ -15,8 +15,8 @@ operator K(chi) that the solver never forms.  The suites
 (``run_verification``) compare every solver layer against these oracles
 and references.
 
-It is the only knlayer module that imports scipy (quadrature and sparse
-LU); the CLI imports it for ``verify`` alone, so no solve loads scipy.
+It is the only knlayer module that imports scipy, for quadrature alone; the
+CLI imports it for ``verify`` alone, so no solve loads scipy.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import special_functions
 from .boundary_solver import (
@@ -39,7 +37,14 @@ from .boundary_solver import (
     kramers_boundary_system,
     temperature_boundary_system,
 )
-from .layer_profiles import DEFAULT_KN, DEFECT_WEIGHTS, temperature_solution, velocity_solution
+from .layer_profiles import (
+    DEFAULT_KN,
+    DEFECT_WEIGHTS,
+    _validate_common,
+    _validate_drive,
+    temperature_solution,
+    velocity_solution,
+)
 from .parity_spectral import ParityEigen, decompose
 from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
 from .system_builder import (
@@ -84,15 +89,15 @@ QUADRATURE_WINDOW_SIGMA = 12.0
 BVP_TEMPERATURE_ORDER_LIMIT = 15
 BVP_KRAMERS_ORDER_LIMIT = 14
 # The finite-difference grid spans BVP_DOMAIN_WIDTHS widths of the widest
-# layer, and its last cell is BVP_STRETCH times its first.  A sparse solve
-# whose residual exceeds BVP_TOLERANCE of the largest right-hand side fails.
+# layer, and its last cell is BVP_STRETCH times its first.  A solve whose
+# residual exceeds BVP_TOLERANCE of the largest right-hand side fails.
 BVP_DOMAIN_WIDTHS = 40.0
 BVP_STRETCH = 50.0
 BVP_TOLERANCE = 1e-9
 
 
 class BvpConvergenceError(RuntimeError):
-    """The sparse boundary-value solve did not reach the residual target."""
+    """The finite-difference solve did not reach the residual target."""
 
 
 def quadrature_S_normalized(alpha: int, beta: int, theta: float = 1.0) -> float:
@@ -107,8 +112,8 @@ def quadrature_S_normalized(alpha: int, beta: int, theta: float = 1.0) -> float:
         raise ValueError(
             f"quadrature oracle is validated for orders <= {QUADRATURE_ORDER_LIMIT}"
         )
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     sqrt_theta = math.sqrt(theta)
     top = max(alpha, beta)
     window = max(QUADRATURE_WINDOW_SIGMA, 2.0 * math.sqrt(top + 1.0) + 8.0)
@@ -335,7 +340,13 @@ def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
 
 
 def geometric_nodes(y_max: float, n_cells: int, stretch: float) -> np.ndarray:
-    """Nodes 0 = y_0 < ... < y_n = y_max with geometrically growing cells."""
+    """Nodes 0 = y_0 < ... < y_n = y_max with geometrically growing cells;
+    a whole number of at least two cells, with ``y_max`` and ``stretch``
+    finite and positive."""
+    if not (isinstance(n_cells, (int, np.integer)) and n_cells >= 2):
+        raise ValueError(f"a geometric grid needs a whole number of cells >= 2, got {n_cells}")
+    if not all(math.isfinite(v) and v > 0.0 for v in (y_max, stretch)):
+        raise ValueError(f"y_max and stretch must be finite and positive, got {y_max}, {stretch}")
     ratio = stretch ** (1.0 / (n_cells - 1))
     steps = ratio ** np.arange(n_cells)
     nodes = np.concatenate(([0.0], np.cumsum(steps)))
@@ -355,127 +366,6 @@ def split_nodes(nodes: np.ndarray) -> np.ndarray:
     out[0::2] = nodes
     out[1::2] = mids
     return out
-
-
-def _solve_layer_bvp(
-    system: ReducedSystem,
-    eigen: ParityEigen,
-    wbs: WallBoundarySystem,
-    b: float,
-    flux: float,
-    wall_value: float,
-    kn: float,
-    carrier_row: np.ndarray,
-    scalar_rhs_per_length: float,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """Assemble and solve the upwinded characteristic discretization.
-
-    Unknowns per node: the scalar profile value, then the decaying (+) and
-    growing (-) characteristic amplitudes.  The + branch is upwinded from
-    the wall, the - branch from the far end where it is pinned to zero, and
-    the scalar equation telescopes the carrier moments exactly.  The wall
-    rows read T and c from ``wbs`` and the accommodation factor ``b``.  A
-    residual above ``BVP_TOLERANCE`` of the largest right-hand side raises
-    :class:`BvpConvergenceError`.
-    """
-    m = eigen.m_even
-    n_nodes = nodes.size
-    n_cells = n_nodes - 1
-    h = np.diff(nodes)
-    stride = 2 * m + 1
-    size = stride * n_nodes
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    rhs = np.zeros(size)
-
-    # wall rows: b T (ds ; R_e (v+ + v-)) - [0 ; B R_o (v+ - v-)] = flux c
-    b_t = b * wbs.scaled_matrix
-    b_dense = coupling_dense(system)
-    odd_flow = b_dense @ eigen.odd_vectors
-    even_cols = b_t[:, 1:] @ eigen.even_vectors
-    plus_block = even_cols.copy()
-    plus_block[1:, :] -= odd_flow
-    minus_block = even_cols.copy()
-    minus_block[1:, :] += odd_flow
-    eq = 0
-    for r in range(m + 1):
-        rows.append(np.full(1 + 2 * m, eq))
-        cols.append(np.concatenate((
-            [0],
-            1 + np.arange(m),
-            1 + m + np.arange(m),
-        )))
-        vals.append(np.concatenate(([b_t[r, 0]], plus_block[r], minus_block[r])))
-        rhs[eq] = flux * wbs.c_vec[r] + b * wbs.scaled_matrix[r, 0] * wall_value
-        eq += 1
-
-    rates = eigen.rates
-    # + branch: (1 + h_j / (rate kn)) v_j = v_{j-1}, marching away from the wall
-    j_grid, i_grid = np.meshgrid(np.arange(1, n_nodes), np.arange(m), indexing="ij")
-    grow = 1.0 + h[j_grid - 1] / (rates[i_grid] * kn)
-    eq_ids = eq + np.arange(j_grid.size)
-    rows.append(np.repeat(eq_ids, 2))
-    plus_col = j_grid * stride + 1 + i_grid
-    prev_col = (j_grid - 1) * stride + 1 + i_grid
-    cols.append(np.column_stack((plus_col.ravel(), prev_col.ravel())).ravel())
-    vals.append(np.column_stack((grow.ravel(), -np.ones(j_grid.size))).ravel())
-    eq += j_grid.size
-
-    # - branch: (1 + h_{j+1} / (rate kn)) v_j = v_{j+1}, marching toward the wall
-    j_grid, i_grid = np.meshgrid(np.arange(n_cells), np.arange(m), indexing="ij")
-    grow = 1.0 + h[j_grid] / (rates[i_grid] * kn)
-    eq_ids = eq + np.arange(j_grid.size)
-    rows.append(np.repeat(eq_ids, 2))
-    minus_col = j_grid * stride + 1 + m + i_grid
-    next_col = (j_grid + 1) * stride + 1 + m + i_grid
-    cols.append(np.column_stack((minus_col.ravel(), next_col.ravel())).ravel())
-    vals.append(np.column_stack((grow.ravel(), -np.ones(j_grid.size))).ravel())
-    eq += j_grid.size
-
-    # - branch pinned at the far end
-    eq_ids = eq + np.arange(m)
-    rows.append(eq_ids)
-    cols.append(n_cells * stride + 1 + m + np.arange(m))
-    vals.append(np.ones(m))
-    eq += m
-
-    # scalar equation telescopes: s_j - s_{j-1} + carrier ((v+ + v-)_j - (.)_{j-1})
-    car = np.asarray(carrier_row, dtype=float)
-    j_arr = np.arange(1, n_nodes)
-    eq_ids = eq + np.arange(n_cells)
-    rows.append(np.repeat(eq_ids, 2))
-    cols.append(np.column_stack((j_arr * stride, (j_arr - 1) * stride)).ravel())
-    vals.append(np.tile([1.0, -1.0], n_cells))
-    span = np.arange(m)
-    col_block = np.concatenate((
-        j_arr[:, None] * stride + 1 + span,
-        j_arr[:, None] * stride + 1 + m + span,
-        (j_arr[:, None] - 1) * stride + 1 + span,
-        (j_arr[:, None] - 1) * stride + 1 + m + span,
-    ), axis=1)
-    val_block = np.tile(np.concatenate((car, car, -car, -car)), (n_cells, 1))
-    rows.append(np.repeat(eq_ids, 4 * m))
-    cols.append(col_block.ravel())
-    vals.append(val_block.ravel())
-    rhs[eq_ids] = scalar_rhs_per_length * h
-    eq += n_cells
-
-    if eq != size:
-        raise AssertionError(f"assembled {eq} equations for {size} unknowns")
-
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsc()
-    lu = scipy.sparse.linalg.splu(mat)
-    x = lu.solve(rhs)
-    residual = np.max(np.abs(mat @ x - rhs))
-    if not np.isfinite(residual) or residual > BVP_TOLERANCE * max(1.0, np.max(np.abs(rhs))):
-        raise BvpConvergenceError(f"sparse solve residual {residual:.3e} above tolerance")
-    return x[0::stride]
 
 
 def _problem_parts(order: int, pr: float = 1.0):
@@ -510,16 +400,34 @@ def bvp_profile(
     tangential velocity of Kramers slip (``flux`` is the shear stress).  A
     small-order equivalence oracle for the closed-form solutions; it is
     first-order accurate, so agreement is judged after grid refinement.
+    ``nodes`` is a finite, strictly increasing grid that starts at the wall.
+
+    The decaying characteristic amplitudes v+ are upwinded from the wall,
+    (1 + h_j / (rate kn)) v+_j = v+_{j-1}; the growing ones, upwinded from the
+    far end where they are pinned to zero, vanish at every node.  What is left
+    is triangular: the wall rows b T (s ; E v+) - (0 ; B O v+) = flux c +
+    b T[:, 0] wall_value, the implicit-Euler march of v+, and the scalar
+    equation, which telescopes the carrier moments.  A residual of any of
+    these equations above ``BVP_TOLERANCE`` of the largest right-hand side
+    raises :class:`BvpConvergenceError`.
     """
-    limit = BVP_TEMPERATURE_ORDER_LIMIT if order % 2 else BVP_KRAMERS_ORDER_LIMIT
+    odd = order % 2 == 1
+    limit = BVP_TEMPERATURE_ORDER_LIMIT if odd else BVP_KRAMERS_ORDER_LIMIT
     if not 3 <= order <= limit:
         raise ValueError(
             f"the finite-difference oracle supports odd orders in [3, {BVP_TEMPERATURE_ORDER_LIMIT}]"
             f" and even orders in [4, {BVP_KRAMERS_ORDER_LIMIT}], got {order}"
         )
+    _validate_common(kn, pr)
+    _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
+    y = np.asarray(nodes, dtype=float)
+    if not (y.ndim == 1 and y.size >= 2 and y[0] == 0.0 and np.isfinite(y).all()
+            and (np.diff(y) > 0.0).all()):
+        raise ValueError("nodes must be a finite, strictly increasing 1-d grid of at least"
+                         " 2 nodes that starts at 0")
     b = accommodation_factor(chi)
     system, eigen = _problem_parts(order, pr)
-    if order % 2:
+    if odd:
         wbs = temperature_boundary_system(order)
         carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, eigen.m_even)] @ eigen.even_vectors[:3, :])
         slope = -0.4 * pr * flux / kn
@@ -527,7 +435,28 @@ def bvp_profile(
         wbs = kramers_boundary_system(order, pr)
         carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
         slope = -flux / kn
-    return _solve_layer_bvp(system, eigen, wbs, b, flux, wall_value, kn, carrier, slope, nodes)
+
+    b_t = b * wbs.scaled_matrix
+    wall = np.column_stack((b_t[:, 0], b_t[:, 1:] @ eigen.even_vectors))
+    wall[1:, 1:] -= coupling_dense(system) @ eigen.odd_vectors
+    wall_rhs = flux * wbs.c_vec + b_t[:, 0] * wall_value
+    x = np.linalg.solve(wall, wall_rhs)
+    v0 = x[1:]
+    h = np.diff(y)
+    grow = 1.0 + h[:, None] / (eigen.rates * kn)
+    v_plus = np.vstack((v0, v0 / np.cumprod(grow, axis=0)))
+    profile = x[0] + slope * y - (v_plus - v0) @ carrier
+
+    drop = slope * h
+    residual = max(
+        np.max(np.abs(wall @ x - wall_rhs)),
+        np.max(np.abs(grow * v_plus[1:] - v_plus[:-1])),
+        np.max(np.abs(np.diff(profile) + np.diff(v_plus, axis=0) @ carrier - drop)),
+    )
+    scale = max(1.0, np.max(np.abs(wall_rhs)), np.max(np.abs(drop)))
+    if not np.isfinite(residual) or residual > BVP_TOLERANCE * scale:
+        raise BvpConvergenceError(f"finite-difference residual {residual:.3e} above tolerance")
+    return profile
 
 
 # ----------------------------------------------------------------------

@@ -695,6 +695,7 @@ class TestVerifyCommand:
             return system, ParityEigen(rates, even, eigen.odd_vectors)
 
         # the BVP oracle reads the same parts and cannot converge on a negated rate
+        # (test_verification.py::TestBvpDomain::test_negated_rate_does_not_converge)
         monkeypatch.setattr(verification, "_problem_parts", corrupted)
         monkeypatch.setattr(
             verification, "VERIFICATION_SUITES", (("definiteness", verification._check_definiteness),)
@@ -707,7 +708,7 @@ class TestVerifyCommand:
         import knlayer.verification as verification
 
         def diverged(*args, **kwargs):
-            raise verification.BvpConvergenceError("sparse solve residual above tolerance")
+            raise verification.BvpConvergenceError("finite-difference residual above tolerance")
 
         monkeypatch.setattr(verification, "bvp_profile", diverged)
         code, out, err = run(capsys, ["verify", "--level", "quick"])

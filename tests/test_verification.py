@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from knlayer.layer_profiles import temperature_solution, velocity_solution
+from knlayer.boundary_solver import (
+    accommodation_factor,
+    kramers_boundary_system,
+    temperature_boundary_system,
+)
+from knlayer.layer_profiles import DEFECT_WEIGHTS, temperature_solution, velocity_solution
+from knlayer.parity_spectral import ParityEigen
 import knlayer.verification as verification
 from knlayer.verification import (
     BvpConvergenceError,
@@ -36,6 +42,11 @@ class TestQuadrature:
             quadrature_S(31, 0, 1.0)
         with pytest.raises(ValueError):
             quadrature_S_normalized(0, 0, -1.0)
+
+    @pytest.mark.parametrize("theta", [0.0, math.nan, math.inf])
+    def test_rejects_theta_outside_domain(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            quadrature_S_normalized(2, 2, theta)
 
     def test_normalized_scaling(self):
         got = quadrature_S(4, 6, 1.0)
@@ -86,6 +97,16 @@ class TestGrids:
         fine = split_nodes(nodes)
         np.testing.assert_array_equal(fine[::2], nodes)
         assert fine.size == 2 * nodes.size - 1
+
+    @pytest.mark.parametrize(
+        "y_max, n_cells, stretch",
+        [(5.0, 0, 10.0), (5.0, 1, 10.0), (5.0, 2.5, 10.0), (0.0, 10, 10.0), (-5.0, 10, 10.0),
+         (math.nan, 10, 10.0), (math.inf, 10, 10.0), (5.0, 10, 0.0), (5.0, 10, math.nan),
+         (5.0, 10, math.inf)],
+    )
+    def test_geometric_nodes_rejects_outside_domain(self, y_max, n_cells, stretch):
+        with pytest.raises(ValueError):
+            geometric_nodes(y_max, n_cells, stretch)
 
     def test_bvp_nodes_span_the_domain(self):
         nodes = bvp_nodes(0.5, 2000)
@@ -199,3 +220,125 @@ class TestBvpKramers:
         for order in (16, 2):
             with pytest.raises(ValueError):
                 bvp_profile(order, 1.0, KN, 1.0, 1.0, 0.0, y)
+
+
+class TestBvpDomain:
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [0.0, 1.0, math.nan, 3.0],  # a NaN node
+            [0.0, 1.0, math.inf],  # an infinite node
+            [0.0, 2.0, 1.0, 3.0],  # not increasing
+            [0.0, 1.0, 1.0, 3.0],  # a repeated node
+            [0.5, 1.0, 2.0],  # not starting at the wall
+            [0.0],  # one node
+            [[0.0, 1.0], [2.0, 3.0]],  # not 1-d
+        ],
+    )
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_rejects_bad_grid(self, order, nodes):
+        with pytest.raises(ValueError, match="nodes"):
+            bvp_profile(order, 1.0, KN, 1.0, 1.0, 0.0, nodes)
+
+    @pytest.mark.parametrize(
+        "kn, pr, flux, wall",
+        [
+            (math.nan, 1.0, 1.0, 0.0),
+            (0.0, 1.0, 1.0, 0.0),
+            (KN, math.nan, 1.0, 0.0),
+            (KN, 1e300, 1.0, 0.0),
+            (KN, 1.0, 0.0, 0.0),
+            (KN, 1.0, math.nan, 0.0),
+            (KN, 1.0, 1.0, math.nan),
+            (KN, 1.0, 1.0, math.inf),
+        ],
+    )
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_rejects_what_the_solutions_reject(self, order, kn, pr, flux, wall):
+        solve = temperature_solution if order % 2 else velocity_solution
+        with pytest.raises(ValueError):
+            solve(order, 1.0, kn, pr, flux, wall)
+        with pytest.raises(ValueError):
+            bvp_profile(order, 1.0, kn, pr, flux, wall, reference_nodes(order, 100))
+
+    @pytest.mark.parametrize("order", [3, 4, 7, 8])
+    def test_negated_rate_does_not_converge(self, monkeypatch, order):
+        true_parts = verification._problem_parts
+
+        def corrupted(order, pr=1.0):
+            system, eigen = true_parts(order, pr)
+            rates = eigen.rates.copy()
+            rates[-1] *= -1.0
+            return system, ParityEigen(rates, eigen.even_vectors, eigen.odd_vectors)
+
+        nodes = reference_nodes(order, 1000)
+        monkeypatch.setattr(verification, "_problem_parts", corrupted)
+        with pytest.raises(BvpConvergenceError):
+            bvp_profile(order, 1.0, KN, 1.0, 1.0, 0.0, nodes)
+
+
+def global_solve(order, chi, pr, flux, wall_value, nodes):
+    """(scalar, v+, v-) at every node from the oracle's discrete equations,
+    all assembled into one dense system: the wall rows, both upwinded
+    branches, the far-end pin of the growing branch and the scalar rows."""
+    system, eigen = verification._problem_parts(order, pr)
+    m, n = eigen.m_even, nodes.size - 1
+    if order % 2:
+        wbs = temperature_boundary_system(order)
+        carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, m)] @ eigen.even_vectors[:3, :])
+        slope = -0.4 * pr * flux / KN
+    else:
+        wbs = kramers_boundary_system(order, pr)
+        carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
+        slope = -flux / KN
+    stride = 2 * m + 1
+    size = stride * (n + 1)
+    plus = lambda j: j * stride + 1 + np.arange(m)
+    minus = lambda j: j * stride + 1 + m + np.arange(m)
+    a = np.zeros((size, size))
+    rhs = np.zeros(size)
+
+    # b T (s ; E (v+ + v-)) - (0 ; B O (v+ - v-)) = flux c + b T[:, 0] wall_value
+    bt = accommodation_factor(chi) * wbs.scaled_matrix
+    even = bt[:, 1:] @ eigen.even_vectors
+    flow = np.zeros_like(even)
+    flow[1:] = verification.coupling_dense(system) @ eigen.odd_vectors
+    rows = np.arange(m + 1)
+    a[rows, 0] = bt[:, 0]
+    a[np.ix_(rows, plus(0))] = even - flow
+    a[np.ix_(rows, minus(0))] = even + flow
+    rhs[rows] = flux * wbs.c_vec + bt[:, 0] * wall_value
+    eq = m + 1
+    for j in range(1, n + 1):
+        grow = 1.0 + (nodes[j] - nodes[j - 1]) / (eigen.rates * KN)
+        rows = eq + np.arange(m)
+        a[rows, plus(j)] = grow
+        a[rows, plus(j - 1)] = -1.0
+        a[rows + m, minus(j - 1)] = grow
+        a[rows + m, minus(j)] = -1.0
+        scalar = eq + 2 * m
+        a[scalar, [j * stride, (j - 1) * stride]] = 1.0, -1.0
+        for cols, sign in ((plus(j), 1.0), (minus(j), 1.0), (plus(j - 1), -1.0), (minus(j - 1), -1.0)):
+            a[scalar, cols] = sign * carrier
+        rhs[scalar] = slope * (nodes[j] - nodes[j - 1])
+        eq = scalar + 1
+    a[eq + np.arange(m), minus(n)] = 1.0
+    assert eq + m == size
+
+    x = np.linalg.solve(a, rhs).reshape(n + 1, stride)
+    return x[:, 0], x[:, 1:m + 1], x[:, m + 1:]
+
+
+class TestBvpBackSubstitution:
+    @pytest.mark.parametrize(
+        "order, chi, pr, flux, wall",
+        [(3, 1.0, 1.0, 1.0, 0.0), (3, 0.6, 2.0 / 3.0, 1.7, 0.3),
+         (4, 1.0, 1.0, 1.0, 0.0), (4, 0.8, 0.7, -1.3, 0.2)],
+    )
+    def test_matches_global_solve(self, order, chi, pr, flux, wall):
+        nodes = reference_nodes(order, 8)
+        scalar, v_plus, v_minus = global_solve(order, chi, pr, flux, wall, nodes)
+        assert np.max(np.abs(v_plus)) > 1e-3
+        assert np.max(np.abs(v_minus)) <= 1e-14
+        profile = bvp_profile(order, chi, KN, pr, flux, wall, nodes)
+        assert np.max(np.abs(profile - scalar)) <= 1e-12 * np.max(np.abs(scalar))
