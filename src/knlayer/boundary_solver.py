@@ -81,7 +81,7 @@ def accommodation_factor(chi):
     return b if b.ndim else float(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallBoundarySystem:
     """Chi-independent wall system of one order: T and the drive c, read-only.
 
@@ -188,7 +188,7 @@ def schur_complement(
     return a, h, q, n00, lead, scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallReduction:
     """Chi-independent factor of the wall solve.
 

@@ -333,12 +333,12 @@ def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[str, int]:
     """Run the oracle suites: the report, and exit 2 unless every check passed."""
-    # The oracles, and scipy with them, load only for this command.
+    # The oracles load only for this command.
     from . import verification
 
     try:
         results, suites, elapsed = verification.run_verification(cfg.level)
-    except verification.BvpConvergenceError as exc:
+    except (verification.BvpConvergenceError, verification.QuadratureConvergenceError) as exc:
         raise NumericalFailure(exc) from exc
     ok = all(r.passed for r in results)
     if cfg.fmt == "structured-json":

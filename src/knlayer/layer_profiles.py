@@ -106,7 +106,7 @@ def _finite_profile(evaluate):
     return checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemperatureLayerSolution:
     """Temperature profile of one half-space solve.
 
@@ -139,7 +139,7 @@ class TemperatureLayerSolution:
         return slope * y + self.intercept + _decay_sum(self, y, self.amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityLayerSolution:
     """Tangential velocity profile of the shear-driven half-space solve."""
 
@@ -190,7 +190,7 @@ def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerOperator:
     """Everything a solve of one order (and Pr) reads, independent of chi.
 
@@ -270,6 +270,14 @@ def _validate_drive(name: str, flux: float, wall_value: float) -> None:
         raise ValueError(f"wall value must be finite, got {wall_value}")
 
 
+def _check_parity(odd: bool, order: int) -> None:
+    """The temperature jump (``odd``) needs an odd order, Kramers slip an even
+    one; a solution or order of the other parity raises ``ValueError``."""
+    if order % 2 != odd:
+        problem, parity = ("temperature-jump", "odd") if odd else ("Kramers", "even")
+        raise ValueError(f"{problem} solutions need an {parity} order, got {order}")
+
+
 def _wall_solution(
     odd: bool, order: int, chi: float, kn: float, pr: float, flux: float, wall_value: float,
 ):
@@ -280,9 +288,7 @@ def _wall_solution(
     _validate_common(kn, pr)
     _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
     b = accommodation_factor(chi)  # a bad chi fails before a cold operator build
-    if order % 2 != odd:
-        problem, parity = ("temperature-jump", "odd") if odd else ("Kramers", "even")
-        raise ValueError(f"{problem} solutions need an {parity} order, got {order}")
+    _check_parity(odd, order)
     op = layer_operator(order, pr)
     value, v_plus = op.wall.solve(order, chi, b, flux, wall_value)
     if odd:
@@ -323,6 +329,7 @@ def jump_coefficient(sol: TemperatureLayerSolution) -> float:
     non-finite coefficient (chi near the subnormal range) raises
     ``ValueError``.
     """
+    _check_parity(True, sol.order)
     if sol.wall_temperature != 0.0:
         raise ValueError("jump coefficient requires the theta_wall = 0 normalization")
     return coefficient_curve(sol.order, sol.kn, sol.pr)(sol.chi)
@@ -331,12 +338,14 @@ def jump_coefficient(sol: TemperatureLayerSolution) -> float:
 @_finite_profile
 def temperature_defect(sol: TemperatureLayerSolution, y) -> np.ndarray | float:
     """Deviation from the far-field linear asymptote, flux-normalized."""
+    _check_parity(True, sol.order)
     return -2.0 * sol.kn / sol.pr * _decay_sum(sol, y, sol.defect_amplitudes)
 
 
 @_finite_profile
 def defect_slope(sol: TemperatureLayerSolution, y) -> np.ndarray | float:
     """Analytic d(defect)/dy."""
+    _check_parity(True, sol.order)
     return 2.0 / sol.pr * _decay_sum(sol, y, sol.defect_amplitudes / sol.decay_rates)
 
 
@@ -375,12 +384,13 @@ def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
     Read off the order's :func:`coefficient_curve` at the solution's chi, as
     in ``jump_coefficient``; a non-finite coefficient raises ``ValueError``.
     """
+    _check_parity(False, sol.order)
     if sol.wall_velocity != 0.0:
         raise ValueError("slip coefficient requires the u1_wall = 0 normalization")
     return coefficient_curve(sol.order, sol.kn, sol.pr)(sol.chi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientCurve:
     """Jump (odd order) or slip (even order) coefficient as a function of chi.
 

@@ -35,7 +35,7 @@ class RankDeficiencyError(RuntimeError):
     """A singular value collapsed below tolerance; the builder is at fault."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityEigen:
     """Positive branch of the parity spectrum plus the orthogonal blocks.
 

@@ -72,7 +72,7 @@ def _check_kramers_order(order: int, prandtl: float) -> int:
     return order // 2 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedSystem:
     """Reduced moment system in banded form.
 

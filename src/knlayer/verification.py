@@ -1,7 +1,7 @@
 """Independent numerical oracles and the ``verify`` suites built on them.
 
-Three one-directional checks live here: adaptive quadrature for the
-half-space integrals, a dense cyclic Jacobi eigensolver for the parity
+Three one-directional checks live here: a self-checked Gauss-Legendre rule
+for the half-space integrals, a dense cyclic Jacobi eigensolver for the parity
 spectra, and a first-order upwind two-point BVP solver for the reduced ODE
 systems on a truncated domain.  None of them reuse the closed forms they
 are meant to confirm.  The BVP oracle has one entry, ``bvp_profile``, keyed
@@ -15,19 +15,18 @@ operator K(chi) that the solver never forms.  The suites
 (``run_verification``) compare every solver layer against these oracles
 and references.
 
-It is the only knlayer module that imports scipy, for quadrature alone; the
-CLI imports it for ``verify`` alone, so no solve loads scipy.
+Like every knlayer module it needs numpy alone; the CLI imports it for
+``verify`` alone, so no solve loads the oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from . import special_functions
 from .boundary_solver import (
@@ -85,6 +84,11 @@ QUADRATURE_ORDER_LIMIT = 30
 # the order; past the turning point the weight decays like exp(-x^2/2) and
 # an 8-sigma margin pushes the discarded tail far below 1e-16 of the value.
 QUADRATURE_WINDOW_SIGMA = 12.0
+# Nodes of the Gauss-Legendre rule on that window.  A rule with 1.5 times as
+# many must agree with it to QUADRATURE_AGREEMENT at every pair: at orders
+# <= 30 the two differ by about 2e-14 (roundoff), while 60 nodes leave 6e-7.
+QUADRATURE_NODES = 200
+QUADRATURE_AGREEMENT = 1e-12
 
 BVP_TEMPERATURE_ORDER_LIMIT = 15
 BVP_KRAMERS_ORDER_LIMIT = 14
@@ -100,48 +104,62 @@ class BvpConvergenceError(RuntimeError):
     """The finite-difference solve did not reach the residual target."""
 
 
+class QuadratureConvergenceError(RuntimeError):
+    """Two Gauss-Legendre rules of the half-space oracle disagree."""
+
+
+# Gauss-Legendre nodes and weights on [-1, 1], built once per node count.
+_legendre_rule = functools.lru_cache(np.polynomial.legendre.leggauss)
+
+
+def _quadrature_block(top: int, theta: float) -> np.ndarray:
+    """S(a, b) / sqrt(a! b!) over a, b <= top by the ``QUADRATURE_NODES`` rule.
+
+    The orthonormal scaled Hermite polynomials are evaluated at the nodes of
+    the window [-W sqrt(theta), 0] by their three-term recursion, and the
+    flux-weighted products of every pair come out of one matrix product.  A
+    rule with half as many nodes again must agree to ``QUADRATURE_AGREEMENT``
+    at every pair, or :class:`QuadratureConvergenceError` is raised.
+    """
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
+    sqrt_theta = math.sqrt(theta)
+    half = 0.5 * max(QUADRATURE_WINDOW_SIGMA, 2.0 * math.sqrt(top + 1.0) + 8.0) * sqrt_theta
+    counts = (QUADRATURE_NODES, QUADRATURE_NODES * 3 // 2)
+    blocks = []
+    for nodes in counts:
+        x, w = _legendre_rule(nodes)
+        xi = half * (x - 1.0)
+        s = xi / sqrt_theta
+        vals = [np.ones(nodes), s]
+        for n in range(1, top):
+            vals.append((s * vals[n] - math.sqrt(n) * vals[n - 1]) / math.sqrt(n + 1))
+        vals = np.array(vals[:top + 1])
+        weight = (half * w) * (math.sqrt(2.0 * math.pi / theta) * xi) * (
+            np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi * theta))
+        blocks.append((vals * weight) @ vals.T)
+    gap = float(np.max(np.abs(blocks[1] - blocks[0])))
+    if not gap <= QUADRATURE_AGREEMENT:
+        raise QuadratureConvergenceError(
+            f"Gauss-Legendre rules of {counts[0]} and {counts[1]} nodes differ by {gap:.3e}"
+            f" at orders <= {top}")
+    return blocks[0]
+
+
 def quadrature_S_normalized(alpha: int, beta: int, theta: float = 1.0) -> float:
-    """S(alpha, beta) / sqrt(alpha! beta!) by adaptive quadrature.
+    """S(alpha, beta) / sqrt(alpha! beta!) by Gauss-Legendre quadrature.
 
     Integrates the flux-weighted product of orthonormal scaled Hermite
-    polynomials over the incoming half-line [-12 sqrt(theta), 0].  Working
-    with the orthonormal polynomials keeps the integrand O(1), so zeros of
-    the closed form come out at true absolute roundoff level.
+    polynomials over the incoming half-line truncated to
+    [-W sqrt(theta), 0].  Working with the orthonormal polynomials keeps
+    the integrand O(1), so zeros of the closed form come out at true
+    absolute roundoff level.
     """
     if not 0 <= alpha <= QUADRATURE_ORDER_LIMIT or not 0 <= beta <= QUADRATURE_ORDER_LIMIT:
         raise ValueError(
             f"quadrature oracle is validated for orders <= {QUADRATURE_ORDER_LIMIT}"
         )
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"theta must be finite and positive, got {theta}")
-    sqrt_theta = math.sqrt(theta)
-    top = max(alpha, beta)
-    window = max(QUADRATURE_WINDOW_SIGMA, 2.0 * math.sqrt(top + 1.0) + 8.0)
-
-    def integrand(xi: float) -> float:
-        s = xi / sqrt_theta
-        vals = np.empty(top + 1)
-        vals[0] = 1.0
-        if top >= 1:
-            vals[1] = s
-        for n in range(1, top):
-            vals[n + 1] = (s * vals[n] - math.sqrt(n) * vals[n - 1]) / math.sqrt(n + 1)
-        weight = math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi * theta)
-        return math.sqrt(2.0 * math.pi / theta) * xi * vals[alpha] * vals[beta] * weight
-
-    with warnings.catch_warnings():
-        # integrals that vanish identically sit at the roundoff floor, which
-        # QUADPACK reports as an unreachable relative tolerance
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        value, _ = scipy.integrate.quad(
-            integrand,
-            -window * sqrt_theta,
-            0.0,
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=300,
-        )
-    return value
+    return float(_quadrature_block(max(alpha, beta), theta)[alpha, beta])
 
 
 def quadrature_S(alpha: int, beta: int, theta: float = 1.0) -> float:
@@ -543,105 +561,78 @@ class CheckResult:
 
 def _check_half_space(level: str) -> list[CheckResult]:
     """The closed forms, and the table's even block the wall assemblies read,
-    against quadrature; every even-index pair is nonzero, so the table entries
-    join the relative check."""
+    against quadrature, block by block; every even-index pair is nonzero, so
+    the table entries join the relative check.  The exact symmetry and zero
+    pattern of the closed forms are checked over a wider block."""
     top = 12 if level == "quick" else QUADRATURE_ORDER_LIMIT
+    top_sym = 40 if level == "quick" else 80
+    exact = np.array([[special_functions.half_space_S_normalized(a, b) for b in range(top_sym + 1)]
+                      for a in range(top_sym + 1)])
+    closed = exact[:top + 1, :top + 1]
+    quad = _quadrature_block(top, 1.0)
+    zero = closed == 0.0
     table = HalfSpaceTable(top).s_normalized
-    worst_rel = 0.0
-    worst_zero = 0.0
-    for a in range(top + 1):
-        for b in range(a, top + 1):
-            closed_n = special_functions.half_space_S_normalized(a, b)
-            quad_n = quadrature_S_normalized(a, b, 1.0)
-            if closed_n == 0.0:
-                worst_zero = max(worst_zero, abs(quad_n))
-            else:
-                worst_rel = max(worst_rel, abs(quad_n - closed_n) / abs(closed_n))
-            if a % 2 == 0 and b % 2 == 0:
-                entries = table[[a // 2, b // 2], [b // 2, a // 2]]
-                worst_rel = max(worst_rel, float(np.max(np.abs(entries - quad_n))) / abs(closed_n))
-    results = [
+    worst_rel = max(
+        float(np.max(np.abs(quad - closed)[~zero] / np.abs(closed[~zero]))),
+        float(np.max(np.abs(table - quad[::2, ::2]) / np.abs(closed[::2, ::2]))),
+    )
+    worst_zero = float(np.max(np.abs(quad[zero])))
+    theta_top = 6 if level == "quick" else 10
+    ref = _quadrature_block(theta_top, 1.0)
+    worst_theta = max(
+        float(np.max(np.abs(_quadrature_block(theta_top, theta) - ref) / np.maximum(1.0, np.abs(ref))))
+        for theta in (0.5, 2.0)
+    )
+    sym = float(np.max(np.abs(exact - exact.T)))
+    a, b = np.indices(exact.shape)
+    pattern_ok = not exact[((a + b) % 2 == 1) & (np.abs(a - b) != 1)].any()
+    return [
         CheckResult("half-space closed form vs quadrature (relative)", worst_rel <= 1e-9, worst_rel, 1e-9),
         CheckResult("half-space zero pattern vs quadrature (absolute)", worst_zero <= 1e-12, worst_zero, 1e-12),
+        CheckResult("half-space theta independence", worst_theta <= 1e-9, worst_theta, 1e-9),
+        CheckResult("half-space exact symmetry", sym == 0.0, sym, 0.0),
+        CheckResult("half-space exact zero pattern", pattern_ok, 0.0 if pattern_ok else 1.0, 0.0),
     ]
-    theta_top = 6 if level == "quick" else 10
-    worst_theta = 0.0
-    for theta in (0.5, 2.0):
-        for a in range(theta_top + 1):
-            for b in range(a, theta_top + 1):
-                ref = quadrature_S_normalized(a, b, 1.0)
-                other = quadrature_S_normalized(a, b, theta)
-                worst_theta = max(worst_theta, abs(other - ref) / max(1.0, abs(ref)))
-    results.append(
-        CheckResult("half-space theta independence", worst_theta <= 1e-9, worst_theta, 1e-9)
-    )
-    sym = 0.0
-    pattern_ok = True
-    top_sym = 40 if level == "quick" else 80
-    for a in range(top_sym + 1):
-        for b in range(a, top_sym + 1):
-            x = special_functions.half_space_S_normalized(a, b)
-            y = special_functions.half_space_S_normalized(b, a)
-            sym = max(sym, abs(x - y))
-            if (a + b) % 2 == 1 and b - a != 1 and x != 0.0:
-                pattern_ok = False
-    results.append(CheckResult("half-space exact symmetry", sym == 0.0, sym, 0.0))
-    results.append(
-        CheckResult("half-space exact zero pattern", pattern_ok, 0.0 if pattern_ok else 1.0, 0.0)
-    )
-    return results
 
 
 def _system_entry_residual(system) -> float:
-    worst = 0.0
-    for j in range(1, system.m_even + 1):
-        for i in range(1, system.m_even + 1):
-            expected = oracle_entry(system, i, j)
-            got = system.coupling_entry(i, j)
-            worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
-    return worst
+    m = system.m_even
+    pairs = ((system.coupling_entry(i, j), oracle_entry(system, i, j))
+             for j in range(1, m + 1) for i in range(1, m + 1))
+    return max(abs(got - expected) / max(1.0, abs(expected)) for got, expected in pairs)
 
 
 def _check_systems(level: str) -> list[CheckResult]:
     t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 32, 2))
     k_orders = (4, 6) if level == "quick" else tuple(range(4, 31, 2))
-    worst = 0.0
-    for m in t_orders:
-        worst = max(worst, _system_entry_residual(build_temperature_system(m)))
-    for m in k_orders:
-        for pr in (1.0, 2.0 / 3.0):
-            worst = max(worst, _system_entry_residual(build_kramers_system(m, pr)))
+    systems = [build_temperature_system(m) for m in t_orders]
+    systems += [build_kramers_system(m, pr) for m in k_orders for pr in (1.0, 2.0 / 3.0)]
+    worst = max(_system_entry_residual(system) for system in systems)
     return [CheckResult("system entries vs inner-product oracle", worst <= 1e-12, worst, 1e-12)]
 
 
-def _spectral_residual(system) -> tuple[float, float]:
-    eigen = decompose(system)
-    dense = parity_dense(system)
-    w, _ = dense_symmetric_eig(dense)
+def _orders(level: str) -> tuple[int, ...]:
+    """The odd, then the even orders of the spectral and definiteness suites."""
+    if level == "quick":
+        return (3, 5, 7, 4, 6)
+    return (*range(3, 100, 2), *range(4, 99, 2))
+
+
+def _spectral_residual(order: int) -> tuple[float, float]:
+    system, eigen = _problem_parts(order, 2.0 / 3.0)
+    w, _ = dense_symmetric_eig(parity_dense(system))
     expected = np.sort(np.concatenate((-eigen.rates, eigen.rates)))
     scale = max(1.0, float(np.max(np.abs(w))))
     pairing = float(np.max(np.abs(np.sort(w) - expected))) / scale
     r = assemble_full_R(eigen)
     orth = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
-    half = float(
-        np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_even)))
-    )
+    e = eigen.even_vectors
+    half = float(np.max(np.abs(e.T @ e - 0.5 * np.eye(system.m_even))))
     return pairing, max(orth, half)
 
 
 def _check_spectral(level: str) -> list[CheckResult]:
-    t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 100, 2))
-    k_orders = (4, 6) if level == "quick" else tuple(range(4, 99, 2))
-    worst_pair = 0.0
-    worst_orth = 0.0
-    for m in t_orders:
-        pairing, orth = _spectral_residual(build_temperature_system(m))
-        worst_pair = max(worst_pair, pairing)
-        worst_orth = max(worst_orth, orth)
-    for m in k_orders:
-        pairing, orth = _spectral_residual(build_kramers_system(m, 2.0 / 3.0))
-        worst_pair = max(worst_pair, pairing)
-        worst_orth = max(worst_orth, orth)
+    worst_pair, worst_orth = map(max, zip(*(_spectral_residual(m) for m in _orders(level))))
     return [
         CheckResult("parity spectrum vs dense Jacobi oracle", worst_pair <= 1e-10, worst_pair, 1e-10),
         CheckResult("eigenvector orthogonality", worst_orth <= 1e-10, worst_orth, 1e-10),
@@ -679,22 +670,21 @@ def _wall_definite(
 
 
 def _check_definiteness(level: str) -> list[CheckResult]:
-    t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 100, 2))
-    k_orders = (4, 6) if level == "quick" else tuple(range(4, 99, 2))
+    orders = _orders(level)
+    sampled_orders = (orders[0], max(m for m in orders if m % 2))
     checks = []
-    # eigenvalue sign sampling backs up the factorizations on a few instances
     worst = -math.inf
-    for m in t_orders:
+    for m in orders:
         _, eigen = _problem_parts(m)
-        wbs = temperature_boundary_system(m)
-        checks.append(_wall_definite(assemble_temperature_Tb(m), wbs, eigen))
-        if m in (t_orders[0], t_orders[-1]):
+        if m % 2:
+            raw, wbs = assemble_temperature_Tb(m), temperature_boundary_system(m)
+        else:
+            raw, wbs = assemble_kramers_Sk(m), kramers_boundary_system(m, 1.0)
+        checks.append(_wall_definite(raw, wbs, eigen))
+        # eigenvalue sign sampling backs up the factorizations on a few instances
+        if m in sampled_orders:
             w, _ = dense_symmetric_eig(wall_operator(wbs, eigen, 0.5))
             worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
-    for m in k_orders:
-        _, eigen = _problem_parts(m)
-        wbs = kramers_boundary_system(m, 1.0)
-        checks.append(_wall_definite(assemble_kramers_Sk(m), wbs, eigen))
     sampled, certified, grams = zip(*checks)
     ok = all(sampled) and worst < 0.0
     gram = max(grams)
@@ -725,12 +715,8 @@ def _bvp_deviation(order: int, n_cells: int) -> tuple[float, float]:
 
 def _check_bvp(level: str) -> list[CheckResult]:
     cases = [(3, 4000), (4, 4000)] if level == "quick" else [(m, 20000) for m in (3, 7, 4, 8)]
-    worst_dev = 0.0
-    ratios = []
-    for order, cells in cases:
-        dev, ratio = _bvp_deviation(order, cells)
-        worst_dev = max(worst_dev, dev)
-        ratios.append(ratio)
+    devs, ratios = zip(*(_bvp_deviation(order, cells) for order, cells in cases))
+    worst_dev = max(devs)
     ratio_ok = all(1.5 <= r <= 2.5 for r in ratios)
     return [
         CheckResult("analytic profiles vs finite-difference oracle", worst_dev <= 1e-6, worst_dev, 1e-6),

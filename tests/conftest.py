@@ -26,9 +26,10 @@ class VerifyRun:
 def full_verification(tmp_path_factory):
     """The full oracle suites, run once per session and timed.
 
-    The dense Jacobi spectra and the half-space quadrature are the slowest
-    oracles; the budget test and the acceptance criteria that cover the same
-    cases read their residuals from this one run, each against its own bound.
+    The dense Jacobi spectra are the slowest oracle; the budget test and the
+    acceptance criteria that cover the same cases (the spectra, and the
+    half-space quadrature) read their residuals from this one run, each
+    against its own bound.
     """
     path = tmp_path_factory.mktemp("verify") / "full.json"
     start = time.perf_counter()

@@ -104,3 +104,25 @@ def test_removed_names_are_gone():
     for obj in (system, knlayer.decompose(system)):
         for name in DELETED_MEMBERS:
             assert not hasattr(obj, name), (type(obj).__name__, name)
+
+
+def test_records_compare_and_hash_by_identity():
+    # every record holds arrays, so a field-wise == would ask numpy for the
+    # truth value of an array; records compare and hash as objects instead
+    system = knlayer.build_temperature_system(9)
+    operator = knlayer.layer_profiles.layer_operator(9)
+    records = [
+        system,
+        knlayer.decompose(system),
+        knlayer.temperature_boundary_system(9),
+        operator.wall,
+        operator,
+        knlayer.coefficient_curve(9),
+        knlayer.temperature_solution(9, 0.5),
+        knlayer.velocity_solution(8, 0.5),
+    ]
+    assert len({type(r) for r in records}) == 8
+    again = knlayer.temperature_solution(9, 0.5)
+    assert all(r == r and hash(r) == hash(r) for r in records)
+    assert records[6] != again
+    assert len({*records, again}) == 9

@@ -560,7 +560,7 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
-    def test_solve_commands_never_load_scipy(self):
+    def test_solve_and_verify_commands_never_load_scipy(self):
         script = """
 import contextlib, io, json, sys
 import knlayer, knlayer.cli
@@ -572,7 +572,10 @@ for argv in (
     ["profile", "-M", "7", "--samples", "20"],
     ["profile", "-M", "8", "--samples", "20"],
     ["table1"],
+    ["verify", "--level", "quick"],
 ):
+    # no solve loads the oracles; verify, which does, runs last
+    assert "knlayer.verification" not in sys.modules, argv
     with contextlib.redirect_stdout(io.StringIO()):
         assert knlayer.cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
@@ -703,6 +706,23 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--level", "quick"])
         assert code == 2
         assert "FAIL wall operator negative definite for every chi" in out
+
+    @pytest.mark.parametrize("level, nodes", [("quick", 40), ("full", 60)])
+    def test_quadrature_self_check_is_numerical_failure(self, capsys, monkeypatch, level, nodes):
+        # too few nodes for the window: the rule and the one with 1.5 times as
+        # many disagree (40 nodes by 7e-10 at orders <= 12, 60 by 6e-7 at <= 30)
+        import knlayer.verification as verification
+
+        monkeypatch.setattr(verification, "QUADRATURE_NODES", nodes)
+        monkeypatch.setattr(
+            verification, "VERIFICATION_SUITES", (("half_space", verification._check_half_space),)
+        )
+        code, out, err = run(capsys, ["verify", "--level", level])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: Gauss-Legendre rules of ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_bvp_failure_is_numerical_failure(self, capsys, monkeypatch):
         import knlayer.verification as verification

@@ -232,6 +232,27 @@ class TestVelocitySolution:
         with pytest.raises(ValueError):
             temperature_solution(8, 1.0)
 
+    @pytest.mark.parametrize(
+        "derive, odd",
+        [
+            (temperature_defect, True),
+            (defect_slope, True),
+            (normalized_temperature, True),
+            (effective_conductivity, True),
+            (jump_coefficient, True),
+            (viscous_slip_coefficient, False),
+        ],
+    )
+    def test_wrong_parity_solution_rejected(self, derive, odd):
+        # each derived quantity reads the solution of one parity; the other
+        # gets the solvers' parity message
+        sol = velocity_solution(8, 0.5) if odd else temperature_solution(9, 0.5)
+        args = (sol,) if derive in (jump_coefficient, viscous_slip_coefficient) else (sol, 1.0)
+        message = "temperature-jump solutions need an odd order, got 8" if odd else (
+            "Kramers solutions need an even order, got 9")
+        with pytest.raises(ValueError, match=message):
+            derive(*args)
+
 
 class TestHalfSpaceDomain:
     @pytest.mark.parametrize("y", [-1e-300, -5.0, [0.0, 1.0, -0.5]])
