@@ -35,24 +35,28 @@ assembled once per order, and b(chi) enters only where :func:`solve_wall`
 or an oracle evaluates it.  The order fixes it (and Pr, for Kramers slip):
 :func:`temperature_boundary_system` and :func:`kramers_boundary_system`
 check that domain first, then build the smallest half-space table their
-assembly reads.  Assembly works entirely in normalized form, from the
-table's even-index block, so that orders in the thousands never touch a
-raw factorial.  The raw matrices, valid inside the
-double-precision window, and K(chi) itself are built in
-:mod:`knlayer.verification` as the reference for tests and the
-definiteness checks.
+assembly reads; :func:`wall_system` calls the one the order's parity names.
+Assembly works entirely in normalized form, from the table's even-index
+block, so that orders in the thousands never touch a raw factorial.  The
+raw matrices, valid inside the double-precision window, and K(chi) itself
+are built in :mod:`knlayer.verification` as the reference for tests and
+the definiteness checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .parity_spectral import ParityEigen
 from .special_functions import SQRT_2PI, HalfSpaceTable
-from .system_builder import _check_kramers_order, _check_temperature_order
+from .system_builder import (
+    _check_kramers_order,
+    _check_prandtl,
+    _check_temperature_order,
+    _record,
+)
 
 __all__ = [
     "WallBoundarySystem",
@@ -61,6 +65,7 @@ __all__ = [
     "accommodation_factor",
     "temperature_boundary_system",
     "kramers_boundary_system",
+    "wall_system",
     "schur_complement",
     "solve_wall",
 ]
@@ -81,7 +86,7 @@ def accommodation_factor(chi):
     return b if b.ndim else float(b)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class WallBoundarySystem:
     """Chi-independent wall system of one order: T and the drive c, read-only.
 
@@ -92,10 +97,6 @@ class WallBoundarySystem:
     order: int
     scaled_matrix: np.ndarray
     c_vec: np.ndarray
-
-    def __post_init__(self):
-        self.scaled_matrix.flags.writeable = False
-        self.c_vec.flags.writeable = False
 
 
 def temperature_boundary_system(order: int) -> WallBoundarySystem:
@@ -152,6 +153,16 @@ def kramers_boundary_system(order: int, prandtl: float) -> WallBoundarySystem:
     return WallBoundarySystem(order, t, c)
 
 
+def wall_system(order: int, pr: float = 1.0) -> WallBoundarySystem:
+    """The wall system of the order's problem: the temperature jump for an
+    odd order, which ignores ``pr``, Kramers slip for an even one.  Pr is
+    checked first, on either parity."""
+    _check_prandtl(pr)
+    if order % 2:
+        return temperature_boundary_system(order)
+    return kramers_boundary_system(order, pr)
+
+
 def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
     size = system.scaled_matrix.shape[0]
     if eigen.m_even != size - 1:
@@ -188,7 +199,7 @@ def schur_complement(
     return a, h, q, n00, lead, scale
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class WallReduction:
     """Chi-independent factor of the wall solve.
 
@@ -204,10 +215,6 @@ class WallReduction:
     lead: float
     w0: np.ndarray
     modes: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.inv_mu, self.g, self.w0, self.modes):
-            arr.flags.writeable = False
 
     @classmethod
     def from_schur(cls, a, h, q, n00, lead, scale) -> WallReduction:

@@ -24,6 +24,7 @@ import numpy as np
 from .boundary_solver import StructuralSolveError, accommodation_factor
 from .layer_profiles import (
     DEFAULT_KN,
+    _profile_extent,
     coefficient_curve,
     convergence_order,
     effective_conductivity,
@@ -35,7 +36,7 @@ from .layer_profiles import (
     viscous_slip_coefficient,
 )
 from .parity_spectral import RankDeficiencyError
-from .system_builder import _check_prandtl, build_kramers_system, build_temperature_system
+from .system_builder import reduced_system
 
 __all__ = ["main"]
 
@@ -218,14 +219,17 @@ def _check_samples(samples: int) -> None:
         raise UsageError(f"samples must lie in [2, {MAX_SAMPLES}]")
 
 
+def _spaced(cfg: argparse.Namespace, start: float, stop: float) -> np.ndarray:
+    """``cfg.samples`` points from start to stop in the requested spacing."""
+    space = np.geomspace if cfg.spacing == "geometric" else np.linspace
+    return space(start, stop, cfg.samples)
+
+
 def cmd_sweep_chi(cfg: argparse.Namespace) -> tuple[str, int]:
     _check_samples(cfg.samples)
     if not 0.0 < cfg.chi_min < cfg.chi_max <= 1.0:
         raise UsageError("need 0 < chi-min < chi-max <= 1")
-    if cfg.spacing == "geometric":
-        chis = np.geomspace(cfg.chi_min, cfg.chi_max, cfg.samples)
-    else:
-        chis = np.linspace(cfg.chi_min, cfg.chi_max, cfg.samples)
+    chis = _spaced(cfg, cfg.chi_min, cfg.chi_max)
     problem = _PROBLEMS[cfg.order % 2]
     coef = coefficient_curve(cfg.order, cfg.kn, cfg.pr)(chis)
     b_vals = accommodation_factor(chis)
@@ -256,18 +260,16 @@ def cmd_sweep_chi(cfg: argparse.Namespace) -> tuple[str, int]:
 
 
 def _profile_grid(cfg: argparse.Namespace, sol) -> np.ndarray:
-    y_max = cfg.y_max if cfg.y_max is not None else 60.0 * float(sol.decay_rates[0]) * sol.kn
+    y_max = cfg.y_max if cfg.y_max is not None else _profile_extent(sol)
     if not (math.isfinite(cfg.y_min) and math.isfinite(y_max)):
         raise UsageError(f"ymin ({cfg.y_min:g}) and ymax ({y_max:g}) must be finite")
     if cfg.y_min < 0.0:
         raise UsageError(f"ymin ({cfg.y_min:g}) must be >= 0: y is the distance from the wall")
     if y_max <= cfg.y_min:
         raise UsageError(f"ymax ({y_max:g}) must exceed ymin ({cfg.y_min:g})")
-    if cfg.spacing == "geometric":
-        if cfg.y_min <= 0.0:
-            raise UsageError("geometric spacing needs y-min > 0")
-        return np.geomspace(cfg.y_min, y_max, cfg.samples)
-    return np.linspace(cfg.y_min, y_max, cfg.samples)
+    if cfg.spacing == "geometric" and cfg.y_min <= 0.0:
+        raise UsageError("geometric spacing needs y-min > 0")
+    return _spaced(cfg, cfg.y_min, y_max)
 
 
 def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:
@@ -309,11 +311,7 @@ def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
-    _check_prandtl(cfg.pr)  # odd orders never read it
-    if cfg.order % 2 == 1:
-        system = build_temperature_system(cfg.order)
-    else:
-        system = build_kramers_system(cfg.order, cfg.pr)
+    system = reduced_system(cfg.order, cfg.pr)
     params = {
         "command": "dump-system",
         "kind": _PROBLEMS[cfg.order % 2].command,
@@ -327,8 +325,11 @@ def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
             if i <= system.m_even:
                 value = system.coupling_entry(i, j)
                 if value != 0.0:
-                    rows.append((i, j, value))
-    return _columnar(params, ["row", "col", "value"], rows), 0
+                    rows.append([i, j, value])
+    columns = ["row", "col", "value"]
+    if cfg.fmt == "structured-json":
+        return _structured({**params, "columns": columns, "rows": rows}), 0
+    return _columnar(params, columns, rows), 0
 
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[str, int]:

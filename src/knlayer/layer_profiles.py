@@ -34,19 +34,12 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_solver import (
-    WallReduction,
-    accommodation_factor,
-    kramers_boundary_system,
-    schur_complement,
-    temperature_boundary_system,
-)
+from .boundary_solver import WallReduction, accommodation_factor, schur_complement, wall_system
 from .parity_spectral import decompose
-from .system_builder import _check_prandtl, build_kramers_system, build_temperature_system
+from .system_builder import _check_prandtl, _record, reduced_system
 
 __all__ = [
     "CoefficientCurve",
@@ -106,7 +99,7 @@ def _finite_profile(evaluate):
     return checked
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class TemperatureLayerSolution:
     """Temperature profile of one half-space solve.
 
@@ -128,10 +121,6 @@ class TemperatureLayerSolution:
     amplitudes: np.ndarray
     defect_amplitudes: np.ndarray
 
-    def __post_init__(self):
-        for arr in (self.decay_rates, self.amplitudes, self.defect_amplitudes):
-            arr.flags.writeable = False
-
     @_finite_profile
     def temperature(self, y):
         """theta at distance y from the wall (vectorized)."""
@@ -139,7 +128,7 @@ class TemperatureLayerSolution:
         return slope * y + self.intercept + _decay_sum(self, y, self.amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class VelocityLayerSolution:
     """Tangential velocity profile of the shear-driven half-space solve."""
 
@@ -153,10 +142,6 @@ class VelocityLayerSolution:
     intercept: float
     decay_rates: np.ndarray
     amplitudes: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.decay_rates, self.amplitudes):
-            arr.flags.writeable = False
 
     @_finite_profile
     def velocity(self, y):
@@ -190,7 +175,7 @@ def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class LayerOperator:
     """Everything a solve of one order (and Pr) reads, independent of chi.
 
@@ -208,18 +193,15 @@ class LayerOperator:
     wall: WallReduction
     amplitude_row: np.ndarray
 
-    def __post_init__(self):
-        for arr in (self.rates, self.row, self.amplitude_row):
-            arr.flags.writeable = False
-
 
 def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
     """The cached operator of one order: the temperature jump for an odd
     order, Kramers slip for an even one, which alone reads ``pr``.  An odd
     order is keyed on the order alone, so ``(33)``, ``(33, 1.0)`` and
-    ``(33, 0.5)`` share one entry; ``cache_info`` and ``cache_clear`` are
-    the cache's.
+    ``(33, 0.5)`` share one entry, but Pr is checked on either parity;
+    ``cache_info`` and ``cache_clear`` are the cache's.
     """
+    _check_prandtl(pr)
     return _cached_operator(order, 1.0 if order % 2 else pr)
 
 
@@ -231,19 +213,16 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     T is assembled, and E and T before the wall eigh, which runs beside A
     alone, as the Gram eigh runs beside G.
     """
-    temperature = order % 2 == 1
-    system = build_temperature_system(order) if temperature else build_kramers_system(order, pr)
+    system = reduced_system(order, pr)
     eigen = decompose(system)
     rates, e = eigen.rates, eigen.even_vectors
     del eigen
-    if temperature:
+    if order % 2:
         row, row_scale = DEFECT_WEIGHTS[:min(3, rates.size)] @ e[:3, :], 0.8
-        wbs = temperature_boundary_system(order)
     else:
         row, row_scale = e[0, :].copy(), 2.0 / system.even_scale(1)
-        wbs = kramers_boundary_system(order, pr)
-    schur = schur_complement(wbs, rates, e)
-    del e, wbs
+    schur = schur_complement(wall_system(order, pr), rates, e)
+    del e
     wall = WallReduction.from_schur(*schur)
     return LayerOperator(rates, row, row_scale, wall, row_scale * (row @ wall.modes))
 
@@ -390,7 +369,7 @@ def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
     return coefficient_curve(sol.order, sol.kn, sol.pr)(sol.chi)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class CoefficientCurve:
     """Jump (odd order) or slip (even order) coefficient as a function of chi.
 
@@ -404,10 +383,6 @@ class CoefficientCurve:
     lead: float
     poles: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.poles, self.weights):
-            arr.flags.writeable = False
 
     @property
     def alpha(self) -> float:
@@ -506,9 +481,13 @@ def convergence_order(
     return float(orders) if np.ndim(orders) == 0 else orders
 
 
+def _profile_extent(sol) -> float:
+    """Sixty widths of the solution's widest layer: the default end of a profile."""
+    return 60.0 * float(sol.decay_rates[0]) * sol.kn
+
+
 def default_profile_grid(sol, count: int = 400) -> np.ndarray:
     """Geometric sample grid from 1e-3 out to sixty widths of the widest layer."""
     if count < 2:
         raise ValueError("count must be at least 2")
-    top = 60.0 * float(sol.decay_rates[0]) * sol.kn
-    return np.geomspace(1e-3, top, count)
+    return np.geomspace(1e-3, _profile_extent(sol), count)

@@ -20,11 +20,9 @@ densely, and no SVD runs.  A fixed sign convention pins the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .system_builder import ReducedSystem
+from .system_builder import ReducedSystem, _record
 
 __all__ = ["ParityEigen", "decompose", "RankDeficiencyError"]
 
@@ -35,7 +33,7 @@ class RankDeficiencyError(RuntimeError):
     """A singular value collapsed below tolerance; the builder is at fault."""
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class ParityEigen:
     """Positive branch of the parity spectrum plus the orthogonal blocks.
 
@@ -48,10 +46,6 @@ class ParityEigen:
     rates: np.ndarray
     even_vectors: np.ndarray
     odd_vectors: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.rates, self.even_vectors, self.odd_vectors):
-            arr.flags.writeable = False
 
     @property
     def m_even(self) -> int:

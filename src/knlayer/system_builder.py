@@ -15,7 +15,7 @@ never raw factorials.  The Hermite basis combinations behind each row and
 column, and the inner-product oracle that re-derives every entry from them,
 live in :mod:`knlayer.verification`, with the dense forms of the block.  The
 order's parity names the problem: an odd order is the temperature jump, an
-even one Kramers slip.
+even one Kramers slip, and :func:`reduced_system` builds the one it names.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "ReducedSystem",
     "build_temperature_system",
     "build_kramers_system",
+    "reduced_system",
 ]
 
 MAX_TEMPERATURE_ORDER = 4097
@@ -72,7 +73,21 @@ def _check_kramers_order(order: int, prandtl: float) -> int:
     return order // 2 - 1
 
 
-@dataclass(frozen=True, eq=False)
+def _freeze_arrays(record) -> None:
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+def _record(cls):
+    """The one way to declare a solver record: a frozen dataclass that
+    compares and hashes by identity (a field-wise == would ask numpy for the
+    truth value of an array) and makes every array it holds read-only."""
+    cls.__post_init__ = _freeze_arrays
+    return dataclass(frozen=True, eq=False)(cls)
+
+
+@_record
 class ReducedSystem:
     """Reduced moment system in banded form.
 
@@ -90,10 +105,6 @@ class ReducedSystem:
     diag_sub2: np.ndarray
     log_even_scale: np.ndarray
     prandtl: float | None = None
-
-    def __post_init__(self):
-        for arr in (self.diag_main, self.diag_sub1, self.diag_sub2, self.log_even_scale):
-            arr.flags.writeable = False
 
     def coupling_entry(self, i: int, j: int) -> float:
         """Entry (i, j) of the coupling block, 1-based as in the derivation."""
@@ -183,3 +194,13 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
         log_even_scale=log_a,
         prandtl=prandtl,
     )
+
+
+def reduced_system(order: int, pr: float = 1.0) -> ReducedSystem:
+    """The reduced system of the order's problem: the temperature jump for an
+    odd order, which ignores ``pr``, Kramers slip for an even one.  Pr is
+    checked first, on either parity."""
+    _check_prandtl(pr)
+    if order % 2:
+        return build_temperature_system(order)
+    return build_kramers_system(order, pr)

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special_functions
-from .boundary_solver import (
-    WallBoundarySystem,
-    _check_match,
-    accommodation_factor,
-    kramers_boundary_system,
-    temperature_boundary_system,
-)
+from .boundary_solver import WallBoundarySystem, _check_match, accommodation_factor, wall_system
 from .layer_profiles import (
     DEFAULT_KN,
     DEFECT_WEIGHTS,
@@ -52,6 +46,7 @@ from .system_builder import (
     _check_temperature_order,
     build_kramers_system,
     build_temperature_system,
+    reduced_system,
 )
 
 __all__ = [
@@ -393,10 +388,7 @@ def _problem_parts(order: int, pr: float = 1.0):
     is cached: the oracles build their own parts rather than read the
     solver's operator.
     """
-    if order % 2:
-        system = build_temperature_system(order)
-    else:
-        system = build_kramers_system(order, pr)
+    system = reduced_system(order, pr)
     return system, decompose(system)
 
 
@@ -445,12 +437,11 @@ def bvp_profile(
                          " 2 nodes that starts at 0")
     b = accommodation_factor(chi)
     system, eigen = _problem_parts(order, pr)
+    wbs = wall_system(order, pr)
     if odd:
-        wbs = temperature_boundary_system(order)
         carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, eigen.m_even)] @ eigen.even_vectors[:3, :])
         slope = -0.4 * pr * flux / kn
     else:
-        wbs = kramers_boundary_system(order, pr)
         carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
         slope = -flux / kn
 
@@ -676,10 +667,8 @@ def _check_definiteness(level: str) -> list[CheckResult]:
     worst = -math.inf
     for m in orders:
         _, eigen = _problem_parts(m)
-        if m % 2:
-            raw, wbs = assemble_temperature_Tb(m), temperature_boundary_system(m)
-        else:
-            raw, wbs = assemble_kramers_Sk(m), kramers_boundary_system(m, 1.0)
+        wbs = wall_system(m)
+        raw = assemble_temperature_Tb(m) if m % 2 else assemble_kramers_Sk(m)
         checks.append(_wall_definite(raw, wbs, eigen))
         # eigenvalue sign sampling backs up the factorizations on a few instances
         if m in sampled_orders:

@@ -1,6 +1,9 @@
 """The package's public names, and the solver-module names that must stay gone."""
 
+import dataclasses
 import importlib
+
+import numpy as np
 
 import knlayer
 from knlayer import verification
@@ -126,3 +129,9 @@ def test_records_compare_and_hash_by_identity():
     assert all(r == r and hash(r) == hash(r) for r in records)
     assert records[6] != again
     assert len({*records, again}) == 9
+    # and every array a record holds is read-only, whichever field holds it
+    for record in records:
+        arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert arrays, type(record).__name__
+        assert not any(a.flags.writeable for a in arrays), type(record).__name__

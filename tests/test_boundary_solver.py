@@ -18,6 +18,7 @@ from knlayer.boundary_solver import (
     kramers_boundary_system,
     solve_wall,
     temperature_boundary_system,
+    wall_system,
 )
 from knlayer import boundary_solver, cli, layer_profiles, verification
 from knlayer.cli import main
@@ -264,6 +265,49 @@ class TestWallDomain:
         assemble_temperature_Tb(9)
         assemble_kramers_Sk(8)
         assert sizes == [8, 6, 8, 6]
+
+
+class TestWallSystem:
+    """``wall_system`` calls the named wall builder of the order's parity."""
+
+    @pytest.mark.parametrize("order, pr", [(3, 1.0), (9, 0.5), (4, 1.0), (8, 0.7)])
+    def test_named_builder_by_parity(self, order, pr, monkeypatch):
+        named = (temperature_boundary_system, (order,)) if order % 2 else \
+            (kramers_boundary_system, (order, pr))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return named[0](*args)
+
+        # it looks the builder up in the module, as a tracer that rebinds it expects
+        monkeypatch.setattr(boundary_solver, named[0].__name__, counted)
+        got = wall_system(order, pr)
+        expected = named[0](*named[1])
+        assert calls == [named[1]]
+        assert got.order == order
+        assert got.scaled_matrix.tobytes() == expected.scaled_matrix.tobytes()
+        assert got.c_vec.tobytes() == expected.c_vec.tobytes()
+
+    @pytest.mark.parametrize(
+        "order, pr, named",
+        [
+            (1, 1.0, lambda: temperature_boundary_system(1)),
+            (4099, 1.0, lambda: temperature_boundary_system(4099)),
+            (2, 1.0, lambda: kramers_boundary_system(2, 1.0)),
+            (4098, 1.0, lambda: kramers_boundary_system(4098, 1.0)),
+            (8, math.nan, lambda: kramers_boundary_system(8, math.nan)),
+            (8, 0.0, lambda: kramers_boundary_system(8, 0.0)),
+            (9, math.nan, lambda: kramers_boundary_system(8, math.nan)),
+            (9, math.inf, lambda: kramers_boundary_system(8, math.inf)),
+        ],
+    )
+    def test_rejects_what_the_named_builders_reject(self, order, pr, named):
+        with pytest.raises(ValueError) as expected:
+            named()
+        with pytest.raises(ValueError) as got:
+            wall_system(order, pr)
+        assert str(got.value) == str(expected.value)
 
 
 class TestCVectors:

@@ -158,6 +158,23 @@ class TestSolveCommands:
         assert code == 0
         assert f"# kind = {kind}\n" in out
 
+    @pytest.mark.parametrize("order, kind", [(9, "temperature-jump"), (8, "kramers")])
+    def test_dump_system_structured_json(self, capsys, order, kind):
+        code, text, _ = run(capsys, ["dump-system", "-M", str(order)])
+        assert code == 0
+        code, out, _ = run(capsys, ["dump-system", "-M", str(order), "--format", "structured-json"])
+        assert code == 0
+        record = json.loads(out)
+        m_even = order - 2 if order % 2 else order // 2 - 1
+        assert {key: record[key] for key in ("command", "kind", "order", "m_even", "m_odd")} == {
+            "command": "dump-system", "kind": kind, "order": order, "m_even": m_even,
+            "m_odd": m_even,
+        }
+        assert record["columns"] == ["row", "col", "value"]
+        # the same entries, to the last bit, as the text dump
+        rows = [l.split() for l in text.splitlines() if not l.startswith("#")]
+        assert record["rows"] == [[int(r[0]), int(r[1]), float(r[2])] for r in rows]
+
     @pytest.mark.parametrize(
         "command, order, name",
         [("temperature-jump", 513, "jump_coefficient"), ("kramers", 10, "slip_coefficient")],
@@ -395,6 +412,7 @@ class TestParser:
 
 class TestTable2:
     def test_one_curve_per_order(self, capsys, monkeypatch):
+        import knlayer.boundary_solver as bs
         import knlayer.layer_profiles as lp
 
         lp.layer_operator.cache_clear()
@@ -407,8 +425,9 @@ class TestTable2:
 
             return counted
 
-        for name in ("decompose", "temperature_boundary_system"):
-            monkeypatch.setattr(lp, name, counting(name, getattr(lp, name)))
+        # wall_system looks the named wall builder up in boundary_solver
+        for module, name in ((lp, "decompose"), (bs, "temperature_boundary_system")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         code, out, _ = run(capsys, ["table2", "--format", "structured-json"])
         assert code == 0
         assert calls.count("decompose") == 3

@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 
 from knlayer.boundary_solver import kramers_boundary_system
-from knlayer.layer_profiles import coefficient_curve, temperature_solution, velocity_solution
+from knlayer.layer_profiles import (
+    coefficient_curve,
+    layer_operator,
+    temperature_solution,
+    velocity_solution,
+)
+from knlayer import system_builder
 from knlayer.system_builder import (
     MAX_KRAMERS_PRANDTL,
     build_kramers_system,
     build_temperature_system,
+    reduced_system,
 )
 from knlayer.verification import coupling_dense, inner_product_oracle, oracle_entry, parity_dense
 
@@ -180,10 +187,13 @@ class TestKramersSystem:
         with pytest.raises(ValueError):
             build_kramers_system(12, math.nan)
 
-    @pytest.mark.parametrize("prandtl", [1e-320, 5e-324, math.inf, MAX_KRAMERS_PRANDTL * 1.0000001])
+    @pytest.mark.parametrize(
+        "prandtl", [1e-320, 5e-324, math.inf, MAX_KRAMERS_PRANDTL * 1.0000001, math.nan, -1.0]
+    )
     def test_one_prandtl_domain(self, prandtl):
         # finite, normal and at most MAX_KRAMERS_PRANDTL, with one message,
-        # for the system, the wall and the solution alike
+        # for the system, the wall, the solution and the operator alike; an
+        # odd order drops Pr from the operator's key only after checking it
         message = "Prandtl number must be finite and positive, not subnormal and at most 1e"
         for call in (
             lambda: build_kramers_system(8, prandtl),
@@ -191,6 +201,8 @@ class TestKramersSystem:
             lambda: velocity_solution(8, 1.0, pr=prandtl),
             lambda: temperature_solution(9, 1.0, pr=prandtl),
             lambda: coefficient_curve(9, pr=prandtl),
+            lambda: layer_operator(8, prandtl),
+            lambda: layer_operator(9, prandtl),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -199,6 +211,52 @@ class TestKramersSystem:
         assert build_kramers_system(8, MAX_KRAMERS_PRANDTL).prandtl == MAX_KRAMERS_PRANDTL
         assert build_kramers_system(8, sys.float_info.min).prandtl == sys.float_info.min
         assert math.isfinite(coefficient_curve(9, pr=MAX_KRAMERS_PRANDTL)(1.0))
+
+
+SYSTEM_ARRAYS = ("diag_main", "diag_sub1", "diag_sub2", "log_even_scale")
+
+
+class TestReducedSystem:
+    """``reduced_system`` calls the named builder of the order's parity."""
+
+    @pytest.mark.parametrize("order, pr", [(3, 1.0), (9, 0.5), (4, 1.0), (8, 0.7)])
+    def test_named_builder_by_parity(self, order, pr, monkeypatch):
+        named = (build_temperature_system, (order,)) if order % 2 else \
+            (build_kramers_system, (order, pr))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return named[0](*args)
+
+        # it looks the builder up in the module, as a tracer that rebinds it expects
+        monkeypatch.setattr(system_builder, named[0].__name__, counted)
+        got = reduced_system(order, pr)
+        expected = named[0](*named[1])
+        assert calls == [named[1]]
+        assert (got.order, got.m_even, got.prandtl) == (order, expected.m_even, expected.prandtl)
+        for name in SYSTEM_ARRAYS:
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    @pytest.mark.parametrize(
+        "order, pr, named",
+        [
+            (1, 1.0, lambda: build_temperature_system(1)),
+            (4099, 1.0, lambda: build_temperature_system(4099)),
+            (4098, 1.0, lambda: build_kramers_system(4098, 1.0)),
+            (2, 1.0, lambda: build_kramers_system(2, 1.0)),
+            (8, math.nan, lambda: build_kramers_system(8, math.nan)),
+            (8, -1.0, lambda: build_kramers_system(8, -1.0)),
+            (9, math.nan, lambda: build_kramers_system(8, math.nan)),
+            (9, 1e300, lambda: build_kramers_system(8, 1e300)),
+        ],
+    )
+    def test_rejects_what_the_named_builders_reject(self, order, pr, named):
+        with pytest.raises(ValueError) as expected:
+            named()
+        with pytest.raises(ValueError) as got:
+            reduced_system(order, pr)
+        assert str(got.value) == str(expected.value)
 
 
 class TestParityDense:
