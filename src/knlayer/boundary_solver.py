@@ -38,9 +38,9 @@ check that domain first, then build the smallest half-space table their
 assembly reads; :func:`wall_system` calls the one the order's parity names.
 Assembly works entirely in normalized form, from the table's even-index
 block, so that orders in the thousands never touch a raw factorial.  The
-raw matrices, valid inside the double-precision window, and K(chi) itself
-are built in :mod:`knlayer.verification` as the reference for tests and
-the definiteness checks.
+raw and scaled reference matrices, valid inside the double-precision
+window, and K(chi) itself are built in :mod:`knlayer.verification` for
+the tests, the definiteness checks and the finite-difference oracle.
 """
 
 from __future__ import annotations

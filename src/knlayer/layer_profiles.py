@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 import warnings
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .boundary_solver import WallReduction, accommodation_factor, schur_complement, wall_system
 from .parity_spectral import decompose
-from .system_builder import _check_prandtl, _record, reduced_system
+from .system_builder import _check_integral_order, _check_prandtl, _record, reduced_system
 
 __all__ = [
     "CoefficientCurve",
@@ -198,10 +199,12 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
     """The cached operator of one order: the temperature jump for an odd
     order, Kramers slip for an even one, which alone reads ``pr``.  An odd
     order is keyed on the order alone, so ``(33)``, ``(33, 1.0)`` and
-    ``(33, 0.5)`` share one entry, but Pr is checked on either parity;
+    ``(33, 0.5)`` share one entry, but Pr is checked on either parity, and
+    the order is checked to be an integer before the cache is looked up;
     ``cache_info`` and ``cache_clear`` are the cache's.
     """
     _check_prandtl(pr)
+    _check_integral_order(order)
     return _cached_operator(order, 1.0 if order % 2 else pr)
 
 
@@ -468,8 +471,8 @@ def convergence_order(
     scalar chi a float.  A vanishing denominator is reported as a
     degenerate difference.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     z0, z1, z2 = (coefficient_curve(2**j + 1, kn, pr)(chi) for j in (k + 1, k + 2, k + 3))
     denom = np.subtract(z1, z0)
     degenerate = np.abs(denom) < 1e-14

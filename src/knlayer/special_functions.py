@@ -13,6 +13,7 @@ double-precision window for the raw reference matrices.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -113,8 +114,8 @@ class HalfSpaceTable:
         return upper
 
     def __init__(self, max_order: int):
-        if max_order < 0:
-            raise ValueError("max_order must be non-negative")
+        if not (isinstance(max_order, numbers.Integral) and max_order >= 0):
+            raise ValueError(f"max_order must be a non-negative integer, got {max_order!r}")
         self.max_order = max_order
         self._normalized = self._even_block(_z_even(max_order // 2 + 1))
         raw_top = min(max_order, RAW_ORDER_LIMIT)

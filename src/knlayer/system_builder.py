@@ -21,6 +21,7 @@ even one Kramers slip, and :func:`reduced_system` builds the one it names.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -43,9 +44,16 @@ MAX_KRAMERS_ORDER = 4096
 MAX_KRAMERS_PRANDTL = 1e12
 
 
+def _check_integral_order(order: int) -> None:
+    """A float order (9.0) would reach a numpy shape, or share 9's cache entry."""
+    if not isinstance(order, numbers.Integral):
+        raise ValueError(f"order must be an integer, got {order!r}")
+
+
 def _check_temperature_order(order: int) -> int:
     """m_even of an odd order in [3, MAX_TEMPERATURE_ORDER]; anything else
     raises ``ValueError``.  The system and wall builders share this domain."""
+    _check_integral_order(order)
     if order % 2 == 0:
         raise ValueError(f"temperature-jump systems need an odd order, got {order}")
     if not 3 <= order <= MAX_TEMPERATURE_ORDER:
@@ -65,6 +73,7 @@ def _check_prandtl(prandtl: float) -> None:
 def _check_kramers_order(order: int, prandtl: float) -> int:
     """m_even of an even order in [4, MAX_KRAMERS_ORDER] at a Prandtl number
     in the domain of ``_check_prandtl``; anything else raises ``ValueError``."""
+    _check_integral_order(order)
     if order % 2 == 1:
         raise ValueError(f"Kramers systems need an even order, got {order}")
     if not 4 <= order <= MAX_KRAMERS_ORDER:

@@ -1,19 +1,19 @@
-"""Independent numerical oracles and the ``verify`` suites built on them.
+"""Numerical oracles and the ``verify`` suites built on them.
 
 Three one-directional checks live here: a self-checked Gauss-Legendre rule
 for the half-space integrals, a dense cyclic Jacobi eigensolver for the parity
 spectra, and a first-order upwind two-point BVP solver for the reduced ODE
-systems on a truncated domain.  None of them reuse the closed forms they
-are meant to confirm.  The BVP oracle has one entry, ``bvp_profile``, keyed
-on the order's parity like the solver, on the grid ``bvp_nodes`` builds.
-The references they compare against are built here too: the Hermite inner
-products and basis combinations behind every coupling entry, the dense
-coupling block and parity matrix, the full parity eigenvector matrix, the
-raw boundary matrices behind :mod:`knlayer.boundary_solver`'s normalized
-wall builders (like those, they take the order alone), and the wall
-operator K(chi) that the solver never forms.  The suites
-(``run_verification``) compare every solver layer against these oracles
-and references.
+systems on a truncated domain.  The first two reuse nothing of the path
+they check.  The BVP oracle, ``bvp_profile`` on the grid ``bvp_nodes``
+builds, takes its wall matrix and carrier from the references below, but
+still shares two parts with the solver: the characteristic split and rates
+(``decompose``) and the drive c (``wall_system``).  The references are
+built here: the Hermite inner products and basis combinations behind every
+coupling entry and even norm, the dense coupling block and parity matrix,
+the full parity eigenvector matrix, one raw and one scaled wall matrix per
+order (``raw_wall_matrix`` and ``reference_wall_matrix``, keyed on the
+order's parity), and the wall operator K(chi) that the solver never forms.
+The suites (``run_verification``) compare every solver layer against them.
 
 Like every knlayer module it needs numpy alone; the CLI imports it for
 ``verify`` alone, so no solve loads the oracles.
@@ -32,7 +32,6 @@ from . import special_functions
 from .boundary_solver import WallBoundarySystem, _check_match, accommodation_factor, wall_system
 from .layer_profiles import (
     DEFAULT_KN,
-    DEFECT_WEIGHTS,
     _validate_common,
     _validate_drive,
     temperature_solution,
@@ -43,6 +42,7 @@ from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
 from .system_builder import (
     ReducedSystem,
     _check_kramers_order,
+    _check_prandtl,
     _check_temperature_order,
     build_kramers_system,
     build_temperature_system,
@@ -62,9 +62,8 @@ __all__ = [
     "parity_dense",
     "dense_symmetric_eig",
     "assemble_full_R",
-    "assemble_temperature_Tb",
-    "assemble_T",
-    "assemble_kramers_Sk",
+    "raw_wall_matrix",
+    "reference_wall_matrix",
     "wall_operator",
     "geometric_nodes",
     "split_nodes",
@@ -221,23 +220,30 @@ def kramers_odd_basis(j: int) -> list[tuple[float, tuple[int, int, int]]]:
     return [(1.0, (1, 2 * j + 1, 0))]
 
 
+# The (even, odd) basis combinations keyed on the order's parity.
+_BASES = {1: (temperature_even_basis, temperature_odd_basis),
+          0: (kramers_even_basis, kramers_odd_basis)}
+
+
 def _basis_norm(combo) -> float:
     """Norm of a Hermite combination from the orthogonality weights."""
     return math.sqrt(sum(c * c * _norm_sq(idx) for c, idx in combo))
 
 
+def _even_norm(order: int, pr: float, i: int) -> float:
+    """a_i, the norm of the order's i-th even basis combination (1-based); the
+    square of the Kramers a_1 alone carries the Prandtl factor 1 - (1 - Pr) / 5."""
+    a_sq = _basis_norm(_BASES[order % 2][0](i)) ** 2
+    if order % 2 == 0 and i == 1:
+        a_sq *= 1.0 - (1.0 - pr) / 5.0
+    return math.sqrt(a_sq)
+
+
 def oracle_entry(system: ReducedSystem, i: int, j: int) -> float:
     """Coupling entry (i, j), 1-based, re-derived from the basis combinations."""
-    temperature = system.order % 2 == 1
-    if temperature:
-        even, odd = temperature_even_basis, temperature_odd_basis
-    else:
-        even, odd = kramers_even_basis, kramers_odd_basis
+    even, odd = _BASES[system.order % 2]
     ip = sum(ce * co * inner_product_oracle(ie, io) for ce, ie in even(i) for co, io in odd(j))
-    a_sq = _basis_norm(even(i)) ** 2
-    if not temperature and i == 1:
-        a_sq *= 1.0 - (1.0 - system.prandtl) / 5.0
-    return ip / (math.sqrt(a_sq) * _basis_norm(odd(j)))
+    return ip / (_even_norm(system.order, system.prandtl, i) * _basis_norm(odd(j)))
 
 
 def coupling_dense(system: ReducedSystem) -> np.ndarray:
@@ -416,10 +422,10 @@ def bvp_profile(
     (1 + h_j / (rate kn)) v+_j = v+_{j-1}; the growing ones, upwinded from the
     far end where they are pinned to zero, vanish at every node.  What is left
     is triangular: the wall rows b T (s ; E v+) - (0 ; B O v+) = flux c +
-    b T[:, 0] wall_value, the implicit-Euler march of v+, and the scalar
-    equation, which telescopes the carrier moments.  A residual of any of
-    these equations above ``BVP_TOLERANCE`` of the largest right-hand side
-    raises :class:`BvpConvergenceError`.
+    b T[:, 0] wall_value (T = ``reference_wall_matrix``), the implicit-Euler
+    march of v+, and the scalar equation, which telescopes the carrier
+    moments.  A residual of any of these equations above ``BVP_TOLERANCE``
+    of the largest right-hand side raises :class:`BvpConvergenceError`.
     """
     odd = order % 2 == 1
     limit = BVP_TEMPERATURE_ORDER_LIMIT if odd else BVP_KRAMERS_ORDER_LIMIT
@@ -437,18 +443,17 @@ def bvp_profile(
                          " 2 nodes that starts at 0")
     b = accommodation_factor(chi)
     system, eigen = _problem_parts(order, pr)
-    wbs = wall_system(order, pr)
-    if odd:
-        carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, eigen.m_even)] @ eigen.even_vectors[:3, :])
-        slope = -0.4 * pr * flux / kn
-    else:
-        carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
-        slope = -flux / kn
+    # the carrier: the defect t0 + 6 t2 + g2 or the shear moment, over the even norms
+    factor, weights = (0.8, (1.0, 6.0, 1.0)) if odd else (1.0, (2.0,))
+    k = min(len(weights), eigen.m_even)
+    row = np.array([w / _even_norm(order, pr, i) for i, w in enumerate(weights[:k], 1)])
+    carrier = factor * (row @ eigen.even_vectors[:k, :])
+    slope = (-0.4 * pr if odd else -1.0) * flux / kn
 
-    b_t = b * wbs.scaled_matrix
+    b_t = b * reference_wall_matrix(order, pr)
     wall = np.column_stack((b_t[:, 0], b_t[:, 1:] @ eigen.even_vectors))
     wall[1:, 1:] -= coupling_dense(system) @ eigen.odd_vectors
-    wall_rhs = flux * wbs.c_vec + b_t[:, 0] * wall_value
+    wall_rhs = flux * wall_system(order, pr).c_vec + b_t[:, 0] * wall_value
     x = np.linalg.solve(wall, wall_rhs)
     v0 = x[1:]
     h = np.diff(y)
@@ -469,27 +474,27 @@ def bvp_profile(
 
 
 # ----------------------------------------------------------------------
-# raw boundary matrices, the reference for the normalized assemblers
+# raw and scaled wall matrices, the reference for the wall builders
 
-# Mixing of the leading temperature/density pair into the wall unknowns.
-P1 = np.array([[0.5, 1.0], [1.0, -1.0]])
+def raw_wall_matrix(order: int) -> np.ndarray:
+    """Raw boundary matrix R of the order's problem, (m_even + 1) square.
 
-
-def assemble_temperature_Tb(order: int) -> np.ndarray:
-    """Raw boundary matrix of the temperature problem, (m_e+1) square.
-
-    Odd rows/columns carry the pure-normal moment fluxes S(2k-2, 2l-2);
-    even ones the tangential-pair fluxes S(2k, 2l) with the density offset
-    eliminated.  Reads the raw even block of the table its wall system
-    reads, at halved indices, so it is only valid while the raw half-space
-    values fit in a double.
+    An odd order gives the temperature T^b: odd rows/columns carry the
+    pure-normal fluxes S(2k-2, 2l-2), even ones the tangential-pair fluxes
+    S(2k, 2l) with the density offset eliminated.  An even order gives the
+    Kramers S_k = S(2i, 2j), free of Pr.  Either reads the raw even block
+    of its wall system's table, so it is valid inside the raw window only.
     """
-    size = _check_temperature_order(order) + 1
-    if order - 1 > RAW_ORDER_LIMIT:  # the largest index read is S(order - 1, order - 1)
+    odd = order % 2 == 1
+    size = (_check_temperature_order(order) if odd else _check_kramers_order(order, 1.0)) + 1
+    top = order - 1 if odd else order - 2  # the largest index read is S(top, top)
+    if top > RAW_ORDER_LIMIT:
         raise ValueError("raw boundary matrix exceeds the double-precision window")
+    s = HalfSpaceTable(top).s_values
+    if not odd:
+        return s.copy()
     out = np.zeros((size, size))
     half = size // 2
-    s = HalfSpaceTable(order - 1).s_values
     for k in range(1, half + 1):
         for ell in range(1, half + 1):
             out[2 * k - 1, 2 * ell - 1] = s[k - 1, ell - 1]
@@ -497,26 +502,22 @@ def assemble_temperature_Tb(order: int) -> np.ndarray:
     return out
 
 
-def assemble_T(tb: np.ndarray, even_scales: np.ndarray) -> np.ndarray:
-    """Scaled boundary matrix diag(1, L1^-1) P (T^b) P diag(1, L1^-1)."""
-    size = tb.shape[0]
-    if even_scales.shape != (size - 1,):
-        raise ValueError("even_scales must have one entry per moment row")
-    p_full = np.eye(size)
-    p_full[:2, :2] = P1
-    d = np.ones(size)
-    d[1:] = 1.0 / even_scales
-    mixed = p_full @ tb @ p_full
-    return mixed * np.outer(d, d)
+def reference_wall_matrix(order: int, pr: float = 1.0) -> np.ndarray:
+    """Scaled boundary matrix diag(1, 1/a) P R P diag(1, 1/a) of the order's problem.
 
-
-def assemble_kramers_Sk(order: int) -> np.ndarray:
-    """Raw Kramers boundary matrix with entries S(2i-2, 2j-2); it does not
-    depend on the Prandtl number."""
-    _check_kramers_order(order, 1.0)
-    if order - 2 > RAW_ORDER_LIMIT:
-        raise ValueError("raw boundary matrix exceeds the double-precision window")
-    return HalfSpaceTable(order - 2).s_values.copy()
+    R is :func:`raw_wall_matrix`, P mixes the leading temperature/density
+    pair of an odd order (the identity for an even one) and a_i =
+    ``_even_norm(order, pr, i)``: no wall builder or reduced system enters.
+    Pr is checked on either parity, as ``wall_system`` checks it.
+    """
+    _check_prandtl(pr)
+    raw = raw_wall_matrix(order)
+    size = raw.shape[0]
+    p = np.eye(size)
+    if order % 2:
+        p[:2, :2] = ((0.5, 1.0), (1.0, -1.0))
+    d = np.array([1.0, *(1.0 / _even_norm(order, pr, i) for i in range(1, size))])
+    return (p @ raw @ p) * np.outer(d, d)
 
 
 def wall_operator(system: WallBoundarySystem, eigen: ParityEigen, chi: float) -> np.ndarray:
@@ -668,8 +669,7 @@ def _check_definiteness(level: str) -> list[CheckResult]:
     for m in orders:
         _, eigen = _problem_parts(m)
         wbs = wall_system(m)
-        raw = assemble_temperature_Tb(m) if m % 2 else assemble_kramers_Sk(m)
-        checks.append(_wall_definite(raw, wbs, eigen))
+        checks.append(_wall_definite(raw_wall_matrix(m), wbs, eigen))
         # eigenvalue sign sampling backs up the factorizations on a few instances
         if m in sampled_orders:
             w, _ = dense_symmetric_eig(wall_operator(wbs, eigen, 0.5))

@@ -29,9 +29,8 @@ from knlayer.special_functions import half_space_S_normalized
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     _bvp_deviation,
-    assemble_kramers_Sk,
-    assemble_temperature_Tb,
     dense_symmetric_eig,
+    raw_wall_matrix,
     wall_operator,
 )
 
@@ -165,7 +164,7 @@ def test_criterion_07_definiteness():
     for order in range(3, 100, 2):
         eigen = decompose(build_temperature_system(order))
         wbs = temperature_boundary_system(order)
-        np.linalg.cholesky(-assemble_temperature_Tb(order))
+        np.linalg.cholesky(-raw_wall_matrix(order))
         np.linalg.cholesky(-wbs.scaled_matrix)
         for chi in (0.1, 0.5, 1.0):
             np.linalg.cholesky(-wall_operator(wbs, eigen, chi))
@@ -177,7 +176,7 @@ def test_criterion_07_definiteness():
     for order in range(4, 99, 2):
         eigen = decompose(build_kramers_system(order, 1.0))
         wbs = kramers_boundary_system(order, 1.0)
-        np.linalg.cholesky(-assemble_kramers_Sk(order))
+        np.linalg.cholesky(-raw_wall_matrix(order))
         np.linalg.cholesky(-wbs.scaled_matrix)
         for chi in (0.1, 0.5, 1.0):
             np.linalg.cholesky(-wall_operator(wbs, eigen, chi))

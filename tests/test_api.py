@@ -46,8 +46,12 @@ DELETED = {
     ],
     # the order's parity names the problem
     "system_builder": ["SystemKind"],
-    # one finite-difference entry, bvp_profile, keyed on the order's parity
-    "verification": ["BvpConfig", "BvpProfile", "bvp_temperature", "bvp_kramers"],
+    # one finite-difference entry, bvp_profile, and one raw and one scaled
+    # wall reference per order, each keyed on the order's parity
+    "verification": [
+        "BvpConfig", "BvpProfile", "bvp_temperature", "bvp_kramers",
+        "assemble_temperature_Tb", "assemble_kramers_Sk", "assemble_T", "P1",
+    ],
     # folded into the two wall builders, which take the order alone
     "boundary_solver": [
         "assemble_temperature_T", "assemble_kramers_T", "temperature_c_vector",

@@ -26,10 +26,9 @@ from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
-    assemble_kramers_Sk,
-    assemble_T,
-    assemble_temperature_Tb,
     coupling_dense,
+    raw_wall_matrix,
+    reference_wall_matrix,
     wall_operator,
 )
 
@@ -114,19 +113,17 @@ class TestAccommodationFactor:
 
 class TestTemperatureAssembly:
     def test_order_three_raw_matrix(self):
-        tb = assemble_temperature_Tb(3)
+        tb = raw_wall_matrix(3)
         np.testing.assert_allclose(tb, [[-4.0, 0.0], [0.0, -1.0]], atol=1e-14)
 
     def test_order_three_mixed_block(self):
         # the P-recombined raw system carries the classic 2x2 pattern
-        tb = assemble_temperature_Tb(3)
+        tb = raw_wall_matrix(3)
         p1 = np.array([[0.5, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(p1 @ tb @ p1, [[-2.0, -1.0], [-1.0, -5.0]], atol=1e-14)
 
     def test_scaled_matrix_via_sandwich(self):
-        tb = assemble_temperature_Tb(3)
-        scales = np.array([math.sqrt(3.0)])
-        t = assemble_T(tb, scales)
+        t = reference_wall_matrix(3)
         expected = np.array(
             [[-2.0, -1.0 / math.sqrt(3.0)], [-1.0 / math.sqrt(3.0), -5.0 / 3.0]]
         )
@@ -134,19 +131,22 @@ class TestTemperatureAssembly:
         np.testing.assert_allclose(temperature_boundary_system(3).scaled_matrix, expected, atol=1e-14)
 
     # 151 is the last odd order whose raw matrix fits the raw window: it reads
-    # S up to index 150 = RAW_ORDER_LIMIT
-    @pytest.mark.parametrize("order", [5, 9, 21, 63, 99, 151])
-    def test_normalized_path_matches_raw_sandwich(self, order):
-        system = build_temperature_system(order)
-        tb = assemble_temperature_Tb(order)
-        scales = np.array([system.even_scale(i) for i in range(1, system.m_even + 1)])
-        direct = assemble_T(tb, scales)
-        safe = temperature_boundary_system(order).scaled_matrix
+    # S up to index 150 = RAW_ORDER_LIMIT; every even order 4 ... 150 at four Pr
+    @pytest.mark.parametrize(
+        "order, pr",
+        [pytest.param(m, 1.0, id=str(m)) for m in (5, 9, 21, 63, 99, 151)]
+        + [(m, pr) for m in range(4, 151, 2) for pr in (1.0, 2.0 / 3.0, 1e-3, 1e6)],
+    )
+    def test_normalized_path_matches_raw_sandwich(self, order, pr):
+        direct = reference_wall_matrix(order, pr)
+        safe = wall_system(order, pr).scaled_matrix
         np.testing.assert_allclose(safe, direct, rtol=1e-11, atol=1e-13)
 
     def test_raw_matrix_stops_past_the_window(self):
-        with pytest.raises(ValueError, match="double-precision window"):
-            assemble_temperature_Tb(153)
+        # an odd order reads S up to index order - 1, an even one up to order - 2
+        for order in (153, 154):
+            with pytest.raises(ValueError, match="double-precision window"):
+                raw_wall_matrix(order)
 
     def test_sliced_assembly_matches_loop(self, table1025):
         for order in [*range(3, 100, 2), 129, 513, 1025]:
@@ -156,14 +156,14 @@ class TestTemperatureAssembly:
 
     def test_symmetry(self):
         for order in (3, 7, 33, 99):
-            tb = assemble_temperature_Tb(order)
+            tb = raw_wall_matrix(order)
             np.testing.assert_array_equal(tb, tb.T)
             t = temperature_boundary_system(order).scaled_matrix
             np.testing.assert_allclose(t, t.T, atol=1e-15)
 
     def test_negative_definite_by_sampling(self):
         rng = np.random.default_rng(7)
-        tb = assemble_temperature_Tb(7)
+        tb = raw_wall_matrix(7)
         for _ in range(100):
             x = rng.standard_normal(tb.shape[0])
             assert x @ tb @ x < 0.0
@@ -172,13 +172,13 @@ class TestTemperatureAssembly:
         for order in range(3, 100, 2):
             t = temperature_boundary_system(order).scaled_matrix
             np.linalg.cholesky(-t)
-            tb = assemble_temperature_Tb(order)
+            tb = raw_wall_matrix(order)
             np.linalg.cholesky(-tb)
 
 
 class TestKramersAssembly:
     def test_leading_entry(self):
-        sk = assemble_kramers_Sk(4)
+        sk = raw_wall_matrix(4)
         assert sk[0, 0] == -1.0
         np.testing.assert_allclose(sk, [[-1.0, -1.0], [-1.0, -5.0]], atol=1e-14)
 
@@ -187,6 +187,7 @@ class TestKramersAssembly:
         a1 = math.sqrt(2.0 * (4.0 + pr) / 5.0)
         expected = np.array([[-1.0, -1.0 / a1], [-1.0 / a1, -5.0 / a1**2]])
         np.testing.assert_allclose(kramers_boundary_system(4, pr).scaled_matrix, expected, atol=1e-14)
+        np.testing.assert_allclose(reference_wall_matrix(4, pr), expected, atol=1e-14)
 
     def test_sliced_assembly_matches_fancy_index(self, table1025):
         for order in [*range(4, 99, 2), 128, 512, 1024]:
@@ -199,7 +200,7 @@ class TestKramersAssembly:
 
     def test_negative_definite(self):
         for order in range(4, 99, 2):
-            sk = assemble_kramers_Sk(order)
+            sk = raw_wall_matrix(order)
             np.testing.assert_array_equal(sk, sk.T)
             np.linalg.cholesky(-sk)
             np.linalg.cholesky(-kramers_boundary_system(order, 2.0 / 3.0).scaled_matrix)
@@ -225,8 +226,8 @@ class TestWallDomain:
             (temperature_boundary_system, (10**6 + 1,)),
             (temperature_boundary_system, (8,)),
             (temperature_boundary_system, (1,)),
-            (assemble_temperature_Tb, (4099,)),
-            (assemble_kramers_Sk, (4098,)),
+            (raw_wall_matrix, (4099,)),
+            (raw_wall_matrix, (4098,)),
         ],
     )
     def test_rejected_before_allocation(self, monkeypatch, build, args):
@@ -262,8 +263,8 @@ class TestWallDomain:
         monkeypatch.setattr(verification, "HalfSpaceTable", Recording)
         temperature_boundary_system(9)
         kramers_boundary_system(8, 1.0)
-        assemble_temperature_Tb(9)
-        assemble_kramers_Sk(8)
+        raw_wall_matrix(9)
+        raw_wall_matrix(8)
         assert sizes == [8, 6, 8, 6]
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knlayer import layer_profiles
-from knlayer.boundary_solver import accommodation_factor
+from knlayer.boundary_solver import accommodation_factor, wall_system
 from knlayer.layer_profiles import (
     LayerOperator,
     _BLOCK_ELEMENTS,
@@ -34,7 +34,11 @@ from knlayer.layer_profiles import (
     viscous_slip_coefficient,
 )
 from knlayer.special_functions import HalfSpaceTable
-from knlayer.system_builder import MAX_KRAMERS_PRANDTL
+from knlayer.system_builder import (
+    MAX_KRAMERS_PRANDTL,
+    build_kramers_system,
+    build_temperature_system,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -724,3 +728,47 @@ class TestLayerOperator:
                 assert callable(owner), (module_name, qualname)
         table = HalfSpaceTable(9)
         assert table.s_normalized.shape == (5, 5) and table.s_values.shape == (5, 5)
+
+
+class TestIntegralOrders:
+    """An order (and the k of the convergence ladder) is a whole number: a
+    float raises ``ValueError`` before it reaches a numpy shape or the
+    operator cache, where 9.0 and 9 are one key; numpy integers pass."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: build_temperature_system(9.0),
+            lambda: build_kramers_system(8.0, 1.0),
+            lambda: wall_system(9.0),
+            lambda: wall_system(8.0, 0.7),
+            lambda: coefficient_curve(9.0),
+            lambda: temperature_solution(9.0, 0.5),
+            lambda: velocity_solution(8.0, 0.5),
+            lambda: HalfSpaceTable(8.0),
+            lambda: convergence_order(0.5, 1.5),
+            lambda: convergence_order(0.5, 2.0),
+        ],
+    )
+    def test_non_integral_order_rejected(self, call):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+
+    def test_float_order_not_served_from_the_cache(self):
+        layer_operator(9)
+        before = layer_operator.cache_info()
+        with pytest.raises(ValueError, match="integer"):
+            temperature_solution(9.0, 0.5)
+        with pytest.raises(ValueError, match="integer"):
+            layer_operator(9.0)
+        assert layer_operator.cache_info() == before
+
+    def test_numpy_integers_pass(self):
+        sol = temperature_solution(np.int64(9), 0.5)
+        assert sol.wall_value == temperature_solution(9, 0.5).wall_value
+        assert velocity_solution(np.int32(8), 0.5).wall_value == velocity_solution(8, 0.5).wall_value
+        assert np.array_equal(
+            wall_system(np.int64(9)).scaled_matrix, wall_system(9).scaled_matrix
+        )
+        assert np.array_equal(HalfSpaceTable(np.int64(8)).s_normalized, HalfSpaceTable(8).s_normalized)
+        assert convergence_order(0.5, np.int64(1)) == convergence_order(0.5, 1)

@@ -5,12 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from knlayer import boundary_solver
 from knlayer.boundary_solver import (
+    WallBoundarySystem,
     accommodation_factor,
     kramers_boundary_system,
     temperature_boundary_system,
 )
-from knlayer.layer_profiles import DEFECT_WEIGHTS, temperature_solution, velocity_solution
+from knlayer.layer_profiles import (
+    DEFECT_WEIGHTS,
+    layer_operator,
+    temperature_solution,
+    velocity_solution,
+)
 from knlayer.parity_spectral import ParityEigen
 import knlayer.verification as verification
 from knlayer.verification import (
@@ -275,6 +282,31 @@ class TestBvpDomain:
         monkeypatch.setattr(verification, "_problem_parts", corrupted)
         with pytest.raises(BvpConvergenceError):
             bvp_profile(order, 1.0, KN, 1.0, 1.0, 0.0, nodes)
+
+
+@pytest.fixture
+def perturbed_wall_builders(monkeypatch):
+    """Both wall builders return T scaled by 1 + 1e-4, and the operator cache
+    is cleared on the way in and out, so the solver builds from them."""
+    def perturbed(build):
+        def wrapper(*args):
+            wbs = build(*args)
+            return WallBoundarySystem(wbs.order, wbs.scaled_matrix * (1.0 + 1e-4), wbs.c_vec)
+        return wrapper
+
+    for name in ("temperature_boundary_system", "kramers_boundary_system"):
+        monkeypatch.setattr(boundary_solver, name, perturbed(getattr(boundary_solver, name)))
+    layer_operator.cache_clear()
+    yield
+    layer_operator.cache_clear()
+
+
+def test_bvp_check_fails_on_a_perturbed_wall_matrix(perturbed_wall_builders):
+    # the oracle takes its wall rows from reference_wall_matrix, so a wall
+    # entry the solver gets wrong moves the analytic profile and not the oracle
+    deviation, convergence = verification._check_bvp("quick")
+    assert not deviation.passed, deviation.line()
+    assert not convergence.passed, convergence.line()
 
 
 def global_solve(order, chi, pr, flux, wall_value, nodes):
