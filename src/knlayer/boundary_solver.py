@@ -55,6 +55,7 @@ from .system_builder import (
     _check_kramers_order,
     _check_prandtl,
     _check_temperature_order,
+    _kramers_a1,
     _record,
 )
 
@@ -139,17 +140,16 @@ def kramers_boundary_system(order: int, prandtl: float) -> WallBoundarySystem:
 
     T = diag(1, L1k)^-1 S_k diag(1, L1k)^-1 with S_k = S(2i, 2j) up to index
     order - 2: in normalized form the scaling collapses to a single
-    Prandtl-dependent weight on the leading shear moment.  c is the
-    shear-stress inhomogeneity direction.
+    Prandtl-dependent weight on the leading shear moment.  c = (1, 2 / a1,
+    0, ...) is the shear-stress inhomogeneity direction.
     """
     size = _check_kramers_order(order, prandtl) + 1
     w = np.ones(size)
     w[1] = math.sqrt(5.0 / (4.0 + prandtl))
     t = HalfSpaceTable(order - 2).s_normalized * np.outer(w, w)
-    a1 = math.sqrt(2.0 * (4.0 + prandtl) / 5.0)
     c = np.zeros(size)
     c[0] = 1.0
-    c[1] = 2.0 / a1
+    c[1] = 2.0 / _kramers_a1(prandtl)
     return WallBoundarySystem(order, t, c)
 
 

@@ -319,13 +319,12 @@ def cmd_dump_system(cfg: argparse.Namespace) -> tuple[str, int]:
         "m_even": system.m_even,
         "m_odd": system.m_even,  # the block is square
     }
-    rows = []
-    for j in range(1, system.m_even + 1):
-        for i in (j, j + 1, j + 2):
-            if i <= system.m_even:
-                value = system.coupling_entry(i, j)
-                if value != 0.0:
-                    rows.append([i, j, value])
+    # the nonzero entries (row, col, value), 1-based, column by column down the band
+    diagonals = (system.diag_main, system.diag_sub1, system.diag_sub2)
+    rows = [[j + offset, j, float(diag[j - 1])]
+            for j in range(1, system.m_even + 1)
+            for offset, diag in enumerate(diagonals)
+            if j <= diag.size and diag[j - 1] != 0.0]
     columns = ["row", "col", "value"]
     if cfg.fmt == "structured-json":
         return _structured({**params, "columns": columns, "rows": rows}), 0

@@ -15,7 +15,7 @@ fraction in it:
 
     zeta(b) = alpha / b + sum_i beta_i / (b + 1 / mu_i),
 
-with alpha, the reduced eigenvalues mu and the residues beta fixed per
+with alpha, the reduced eigenvalues mu and the pole weights beta fixed per
 order (:func:`coefficient_curve`).  A chi sweep, Table 1, the convergence
 orders and the coefficient of a single solution all evaluate that curve, at
 O(m) per chi and with no solution object per sample, so every command
@@ -40,7 +40,7 @@ import numpy as np
 
 from .boundary_solver import WallReduction, accommodation_factor, schur_complement, wall_system
 from .parity_spectral import decompose
-from .system_builder import _check_integral_order, _check_prandtl, _record, reduced_system
+from .system_builder import _check_integral_order, _check_prandtl, _kramers_a1, _record, reduced_system
 
 __all__ = [
     "CoefficientCurve",
@@ -216,14 +216,13 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     T is assembled, and E and T before the wall eigh, which runs beside A
     alone, as the Gram eigh runs beside G.
     """
-    system = reduced_system(order, pr)
-    eigen = decompose(system)
+    eigen = decompose(reduced_system(order, pr))
     rates, e = eigen.rates, eigen.even_vectors
     del eigen
     if order % 2:
         row, row_scale = DEFECT_WEIGHTS[:min(3, rates.size)] @ e[:3, :], 0.8
     else:
-        row, row_scale = e[0, :].copy(), 2.0 / system.even_scale(1)
+        row, row_scale = e[0, :].copy(), 2.0 / _kramers_a1(pr)
     schur = schur_complement(wall_system(order, pr), rates, e)
     del e
     wall = WallReduction.from_schur(*schur)
@@ -265,21 +264,20 @@ def _wall_solution(
 ):
     """Both solution functions' body: the checks, the cached operator's wall
     solve, then the solution of the temperature jump (``odd``) or of Kramers
-    slip, whose order must have that parity.  Each amplitude product keeps
-    its own operand order, and so its digits."""
+    slip, whose order must have that parity.  One amplitude formula serves
+    both; only the temperature solution keeps the defect amplitudes."""
     _validate_common(kn, pr)
     _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
     b = accommodation_factor(chi)  # a bad chi fails before a cold operator build
     _check_parity(odd, order)
     op = layer_operator(order, pr)
     value, v_plus = op.wall.solve(order, chi, b, flux, wall_value)
+    strength = op.row * v_plus
+    amplitudes = -op.row_scale * strength
     if odd:
-        strength = op.row * v_plus
-        amplitudes = -op.row_scale * strength
         cls, fields = TemperatureLayerSolution, dict(
             heat_flux=flux, wall_temperature=wall_value, defect_amplitudes=strength / flux)
     else:
-        amplitudes = -op.row_scale * op.row * v_plus
         cls, fields = VelocityLayerSolution, dict(shear=flux, wall_velocity=wall_value)
     return cls(order=order, chi=chi, kn=kn, pr=pr, wall_value=value, decay_rates=op.rates,
                intercept=value - float(np.sum(amplitudes)), amplitudes=amplitudes, **fields)
@@ -376,9 +374,9 @@ def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
 class CoefficientCurve:
     """Jump (odd order) or slip (even order) coefficient as a function of chi.
 
-    zeta(b) = alpha / b + sum_i residues_i / (b - poles_i) with b = b(chi),
-    stored as alpha = scale * lead and residues = scale * weights so that the
-    Kn / Pr scaling is applied last.  Calling the curve costs O(m) per chi.
+    zeta(b) = alpha / b + scale * sum_i weights_i / (b - poles_i) with
+    b = b(chi) and alpha = scale * lead, so that the Kn / Pr scaling is
+    applied last.  Calling the curve costs O(m) per chi.
     """
 
     order: int
@@ -391,11 +389,6 @@ class CoefficientCurve:
     def alpha(self) -> float:
         """Residue at b = 0: the chi -> 0 limit of b(chi) * zeta."""
         return self.scale * self.lead
-
-    @property
-    def residues(self) -> np.ndarray:
-        """beta_i, the residue at each pole -1/mu_i."""
-        return self.scale * self.weights
 
     def __call__(self, chi):
         """The coefficient at each chi in (0, 1]; a float for a scalar chi.

@@ -49,6 +49,10 @@ def _z_even(count: int, normalized: bool = True) -> np.ndarray:
 def half_space_S_normalized(alpha: int, beta: int) -> float:
     """S(alpha, beta) / sqrt(alpha! beta!), finite for all supported orders.
 
+    Public because it is the paper's closed form for every index pair, odd
+    ones included; :class:`HalfSpaceTable` is its even-index block, built
+    vectorized for the wall assemblies, and the oracles check both.
+
     S(alpha, beta) = beta I(alpha, beta-1) + I(alpha, beta+1), where I(a, b)
     is the half-line Gaussian moment of He_a He_b.  The band |a-b| = 1
     collapses to sqrt(2 pi)/2 times a square root; other mixed-parity pairs
@@ -79,7 +83,7 @@ def half_space_S_normalized(alpha: int, beta: int) -> float:
 
 
 class HalfSpaceTable:
-    """Even-index blocks of S(alpha, beta) for even alpha, beta <= max_order.
+    """Even-index blocks of S(alpha, beta) for even alpha, beta <= top.
 
     The Maxwell wall conditions of the reduced parity systems couple only
     even moments, so every half-space integral a wall assembly reads is
@@ -113,12 +117,11 @@ class HalfSpaceTable:
         upper += np.tril(upper.T, -1)
         return upper
 
-    def __init__(self, max_order: int):
-        if not (isinstance(max_order, numbers.Integral) and max_order >= 0):
-            raise ValueError(f"max_order must be a non-negative integer, got {max_order!r}")
-        self.max_order = max_order
-        self._normalized = self._even_block(_z_even(max_order // 2 + 1))
-        raw_top = min(max_order, RAW_ORDER_LIMIT)
+    def __init__(self, top: int):
+        if not (isinstance(top, numbers.Integral) and top >= 0):
+            raise ValueError(f"the top index must be a non-negative integer, got {top!r}")
+        self._normalized = self._even_block(_z_even(top // 2 + 1))
+        raw_top = min(top, RAW_ORDER_LIMIT)
         self._raw = self._even_block(_z_even(raw_top // 2 + 1, normalized=False))
         self._normalized.flags.writeable = False
         self._raw.flags.writeable = False

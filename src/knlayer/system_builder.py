@@ -11,11 +11,15 @@ as even ones, m_even = M - 2 for odd M and M/2 - 1 for even M.  The thermal
 ...) and the odd ones as (t1 - q/5, t3, g3, t5, g5, ...); the shear
 (Kramers) variant uses the pure cross moments (f2, f4, ...) and
 (f3, f5, ...).  All entries are factorial ratios evaluated in closed form,
-never raw factorials.  The Hermite basis combinations behind each row and
-column, and the inner-product oracle that re-derives every entry from them,
-live in :mod:`knlayer.verification`, with the dense forms of the block.  The
-order's parity names the problem: an odd order is the temperature jump, an
-even one Kramers slip, and :func:`reduced_system` builds the one it names.
+never raw factorials, and a :class:`ReducedSystem` holds the block's three
+diagonals and nothing else.  Of the moment norms, only the Kramers a_1
+(:func:`_kramers_a1`) is read outside those entries: it scales the wall
+drive and the slip carrier.
+The Hermite basis combinations behind each row and column, the norms and
+the inner-product oracle that re-derive every entry from them, live in
+:mod:`knlayer.verification`, with the dense forms of the block.  The order's
+parity names the problem: an odd order is the temperature jump, an even one
+Kramers slip, and :func:`reduced_system` builds the one it names.
 """
 
 from __future__ import annotations
@@ -98,13 +102,14 @@ def _record(cls):
 
 @_record
 class ReducedSystem:
-    """Reduced moment system in banded form.
+    """Reduced moment system in banded form: its three diagonals.
 
     The coupling block is square, m_even x m_even, and lower triangular
     with bandwidth three; only the main diagonal and the first two
-    subdiagonals are stored, so construction stays O(M).
-    ``log_even_scale`` holds the logs of the even unknowns' diagonal
-    normalizations (the raw values overflow for orders in the thousands).
+    subdiagonals are stored, so construction stays O(M).  ``diag_sub1[j]``
+    and ``diag_sub2[j]`` sit in column j; ``diag_sub2`` is empty for Kramers
+    slip, whose block is bidiagonal.  The dense block is
+    :func:`knlayer.verification.coupling_dense`.
     """
 
     order: int
@@ -112,38 +117,15 @@ class ReducedSystem:
     diag_main: np.ndarray
     diag_sub1: np.ndarray
     diag_sub2: np.ndarray
-    log_even_scale: np.ndarray
     prandtl: float | None = None
-
-    def coupling_entry(self, i: int, j: int) -> float:
-        """Entry (i, j) of the coupling block, 1-based as in the derivation."""
-        if not (1 <= i <= self.m_even and 1 <= j <= self.m_even):
-            raise IndexError(f"entry ({i}, {j}) outside {self.m_even} x {self.m_even}")
-        d = i - j
-        if d == 0:
-            return float(self.diag_main[j - 1])
-        if d == 1 and j - 1 < self.diag_sub1.size:
-            return float(self.diag_sub1[j - 1])
-        if d == 2 and j - 1 < self.diag_sub2.size:
-            return float(self.diag_sub2[j - 1])
-        return 0.0
-
-    def even_scale(self, i: int) -> float:
-        """Diagonal normalization of the i-th even unknown (1-based)."""
-        return math.exp(float(self.log_even_scale[i - 1]))
 
 
 def build_temperature_system(order: int) -> ReducedSystem:
     """Reduced system of the temperature-jump problem for odd order >= 3."""
     m_even = _check_temperature_order(order)
 
-    # Even scales: a_1 = sqrt(3), a_{2k} = sqrt((2k+2)!), a_{2k+1} = sqrt((2k)!).
-    log_a = np.empty(m_even)
-    log_a[0] = 0.5 * math.log(3.0)
-    for k in range(1, (m_even + 1) // 2):
-        log_a[2 * k - 1] = 0.5 * math.lgamma(2 * k + 3)
-        log_a[2 * k] = 0.5 * math.lgamma(2 * k + 1)
-    # The odd scales b_1 = sqrt(15), b_{2k} = sqrt((2k+3)!) and
+    # The even scales a_1 = sqrt(3), a_{2k} = sqrt((2k+2)!), a_{2k+1} = sqrt((2k)!)
+    # and the odd ones b_1 = sqrt(15), b_{2k} = sqrt((2k+3)!) and
     # b_{2k+1} = sqrt((2k+1)!) enter only through the entries below.
     main = np.zeros(m_even)
     sub1 = np.zeros(m_even - 1)
@@ -175,18 +157,22 @@ def build_temperature_system(order: int) -> ReducedSystem:
         diag_main=main,
         diag_sub1=sub1,
         diag_sub2=sub2,
-        log_even_scale=log_a,
     )
+
+
+def _kramers_a1(prandtl: float) -> float:
+    """a_1 = sqrt(2 (4 + Pr) / 5), the norm of the leading Kramers even unknown.
+
+    The one formula for it: the wall drive c[1] and the slip carrier's scale
+    (the operator's ``row_scale``) are both 2 / a_1."""
+    return math.sqrt(2.0 * (4.0 + prandtl) / 5.0)
 
 
 def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
     """Reduced system of the Kramers (shear-driven slip) problem, even order >= 4."""
     m_even = _check_kramers_order(order, prandtl)
 
-    log_a = np.array([0.5 * math.lgamma(2 * i + 1) for i in range(1, m_even + 1)])
-    log_a[0] += 0.5 * math.log(1.0 - (1.0 - prandtl) / 5.0)
-
-    # Odd scales b_j = sqrt((2j+1)!).
+    # Even scales a_1 = _kramers_a1(Pr), a_j = sqrt((2j)!), odd ones b_j = sqrt((2j+1)!).
     main = np.zeros(m_even)
     main[0] = math.sqrt(15.0 / (4.0 + prandtl))          # 3!/(a1 b1), Pr-corrected a1
     for j in range(2, m_even + 1):
@@ -200,7 +186,6 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
         diag_main=main,
         diag_sub1=sub1,
         diag_sub2=sub2,
-        log_even_scale=log_a,
         prandtl=prandtl,
     )
 

@@ -113,6 +113,20 @@ def test_removed_names_are_gone():
             assert not hasattr(obj, name), (type(obj).__name__, name)
 
 
+def test_records_hold_what_a_solve_reads():
+    # the reduced system is its three diagonals; the members only tests and
+    # dump-system read went with the members nothing read
+    fields = [f.name for f in dataclasses.fields(knlayer.ReducedSystem)]
+    assert fields == ["order", "m_even", "diag_main", "diag_sub1", "diag_sub2", "prandtl"]
+    for record, names in (
+        (knlayer.build_kramers_system(8, 0.7), ["log_even_scale", "even_scale", "coupling_entry"]),
+        (knlayer.HalfSpaceTable(8), ["max_order"]),
+        (knlayer.coefficient_curve(9), ["residues"]),
+    ):
+        for name in names:
+            assert not hasattr(record, name), (type(record).__name__, name)
+
+
 def test_records_compare_and_hash_by_identity():
     # every record holds arrays, so a field-wise == would ask numpy for the
     # truth value of an array; records compare and hash as objects instead

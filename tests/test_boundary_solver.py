@@ -1,6 +1,7 @@
 """Wall boundary assembly and solve against the worked low-order case."""
 
 import dataclasses
+import decimal
 import functools
 import math
 import tracemalloc
@@ -31,6 +32,10 @@ from knlayer.verification import (
     reference_wall_matrix,
     wall_operator,
 )
+
+
+# Prandtl numbers log-uniform over [1e-3, 1e12], seeded.
+RANDOM_PRANDTLS = (10.0 ** np.random.default_rng(7).uniform(-3.0, 12.0, 12)).tolist()
 
 
 def reference_t0(chi):
@@ -330,6 +335,22 @@ class TestCVectors:
         a1 = math.sqrt(2.0 * (4.0 + pr) / 5.0)
         np.testing.assert_allclose(c[:2], [1.0, 2.0 / a1], rtol=1e-15)
         assert np.all(c[2:] == 0.0)
+
+    @pytest.mark.parametrize("pr", [1e-3, 2.0 / 3.0, 1.0, 1e12, *RANDOM_PRANDTLS])
+    def test_one_kramers_a1(self, pr):
+        # the slip carrier's scale and the wall drive are one formula, 2 / a1,
+        # bit for bit.  Its four roundings keep it within 2 ulp of the
+        # correctly rounded value; the basis-norm reference rounds eight
+        # times and lands up to 3 ulp from it (the worst over 2e5 log-uniform
+        # Pr), so the two agree to 3 ulp, not to the bit
+        row_scale = layer_profiles.layer_operator(8, pr).row_scale
+        c1 = kramers_boundary_system(8, pr).c_vec[1]
+        assert row_scale == c1
+        with decimal.localcontext(decimal.Context(prec=40)):
+            exact = float(2 / (2 * (4 + decimal.Decimal(pr)) / 5).sqrt())
+        assert abs(row_scale - exact) <= 2 * math.ulp(exact)
+        reference = 2.0 / verification._even_norm(8, pr, 1)
+        assert abs(row_scale - reference) <= 3 * math.ulp(reference)
 
 
 class TestWallOperator:

@@ -27,6 +27,8 @@ from knlayer.layer_profiles import (
 )
 from knlayer.parity_spectral import ParityEigen
 from knlayer.special_functions import HalfSpaceTable
+from knlayer.system_builder import reduced_system
+from knlayer.verification import coupling_dense
 
 
 def run(capsys, argv):
@@ -174,6 +176,19 @@ class TestSolveCommands:
         # the same entries, to the last bit, as the text dump
         rows = [l.split() for l in text.splitlines() if not l.startswith("#")]
         assert record["rows"] == [[int(r[0]), int(r[1]), float(r[2])] for r in rows]
+
+    @pytest.mark.parametrize("order", [3, 9, 4, 8])
+    def test_dump_system_rows_are_the_nonzero_band(self, capsys, order):
+        # column by column, each column's entries from the diagonal down,
+        # bit for bit the nonzero entries of the dense block
+        code, out, _ = run(capsys, ["dump-system", "-M", str(order), "--pr", "0.7",
+                                    "--format", "structured-json"])
+        assert code == 0
+        dense = coupling_dense(reduced_system(order, 0.7))
+        cols, rows = np.nonzero(dense.T)
+        expected = [[int(i) + 1, int(j) + 1, float(dense[i, j])] for i, j in zip(rows, cols)]
+        assert json.loads(out)["rows"] == expected
+        assert all(0 <= i - j <= 2 for i, j, _ in expected)
 
     @pytest.mark.parametrize(
         "command, order, name",
@@ -630,6 +645,8 @@ class TestVerifyCommand:
         for check in record["checks"]:
             assert set(check) == {"name", "passed", "residual", "tolerance", "detail"}
             assert check["passed"] is True
+            if "negative definite" in check["name"]:  # the Pr set of the even orders
+                assert check["detail"].endswith("; even orders at Pr 0.666667, 1"), check
         names = [suite["name"] for suite in record["suites"]]
         assert names == ["half_space", "systems", "spectral", "definiteness", "bvp"]
         seconds = [suite["seconds"] for suite in record["suites"]]
@@ -725,6 +742,37 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--level", "quick"])
         assert code == 2
         assert "FAIL wall operator negative definite for every chi" in out
+
+    def test_wall_indefinite_only_off_unit_prandtl_detected(self, capsys, monkeypatch):
+        # the last diagonal entry of the Kramers T flipped positive at every
+        # Pr but 1: only a definiteness check run off Pr = 1 can see it
+        from knlayer import boundary_solver
+        from knlayer.boundary_solver import WallBoundarySystem
+
+        true_builder = boundary_solver.kramers_boundary_system
+
+        def indefinite(order, prandtl):
+            system = true_builder(order, prandtl)
+            if prandtl == 1.0:
+                return system
+            t = system.scaled_matrix.copy()
+            t[-1, -1] = abs(t[-1, -1])
+            return WallBoundarySystem(order, t, system.c_vec)
+
+        monkeypatch.setattr(boundary_solver, "kramers_boundary_system", indefinite)
+        layer_operator.cache_clear()
+        try:
+            code, out, _ = run(capsys, ["verify", "--level", "quick"])
+        finally:
+            layer_operator.cache_clear()  # no operator built on the mutated wall survives
+        assert code == 2
+        assert "FAIL boundary operators negative definite" in out
+        assert "FAIL wall operator negative definite for every chi" in out
+
+    def test_full_definiteness_covers_the_prandtl_domain(self, full_verification):
+        details = {c["name"]: c["detail"] for c in full_verification.record["checks"]}
+        assert details["wall operator negative definite for every chi"].endswith(
+            "; even orders at Pr 0.001, 0.666667, 1, 1e+06, 1e+12")
 
     @pytest.mark.parametrize("level, nodes", [("quick", 40), ("full", 60)])
     def test_quadrature_self_check_is_numerical_failure(self, capsys, monkeypatch, level, nodes):

@@ -135,7 +135,6 @@ class TestRankGuard:
             diag_main=np.array([1.0, 0.0, 1.0]),
             diag_sub1=np.zeros(2),
             diag_sub2=np.zeros(1),
-            log_even_scale=np.zeros(3),
         )
         with pytest.raises(RankDeficiencyError):
             decompose(bad)

@@ -16,11 +16,18 @@ from knlayer.layer_profiles import (
 from knlayer import system_builder
 from knlayer.system_builder import (
     MAX_KRAMERS_PRANDTL,
+    _kramers_a1,
     build_kramers_system,
     build_temperature_system,
     reduced_system,
 )
-from knlayer.verification import coupling_dense, inner_product_oracle, oracle_entry, parity_dense
+from knlayer.verification import (
+    _even_norm,
+    coupling_dense,
+    inner_product_oracle,
+    oracle_entry,
+    parity_dense,
+)
 
 
 class TestInnerProductOracle:
@@ -67,8 +74,8 @@ class TestTemperatureSystem:
     def test_order_three_entries(self):
         system = build_temperature_system(3)
         assert system.m_even == 1
-        assert system.coupling_entry(1, 1) == pytest.approx(3.0 / math.sqrt(5.0), rel=1e-15)
-        assert system.even_scale(1) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert coupling_dense(system)[0, 0] == pytest.approx(3.0 / math.sqrt(5.0), rel=1e-15)
+        assert _even_norm(3, 1.0, 1) == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
     def test_order_five_entries_from_oracle(self):
         system = build_temperature_system(5)
@@ -77,23 +84,25 @@ class TestTemperatureSystem:
         )
         np.testing.assert_allclose(coupling_dense(system), expected, rtol=1e-13, atol=1e-14)
         # diagonal entries in closed form
-        assert system.coupling_entry(2, 2) == pytest.approx(math.sqrt(5.0), rel=1e-15)
-        assert system.coupling_entry(3, 3) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        dense = coupling_dense(system)
+        assert dense[1, 1] == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        assert dense[2, 2] == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
     def test_order_seven_band_entries(self):
-        system = build_temperature_system(7)
-        assert system.coupling_entry(4, 4) == pytest.approx(math.sqrt(7.0), rel=1e-15)
-        assert system.coupling_entry(5, 3) == pytest.approx(2.0, rel=1e-15)
-        assert system.coupling_entry(4, 2) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+        dense = coupling_dense(build_temperature_system(7))
+        assert dense[3, 3] == pytest.approx(math.sqrt(7.0), rel=1e-15)
+        assert dense[4, 2] == pytest.approx(2.0, rel=1e-15)
+        assert dense[3, 1] == pytest.approx(math.sqrt(6.0), rel=1e-15)
 
     @pytest.mark.parametrize("order", range(3, 32, 2))
     def test_all_entries_match_oracle(self, order):
         system = build_temperature_system(order)
+        dense = coupling_dense(system)
         worst = 0.0
         for j in range(1, system.m_even + 1):
             for i in range(1, system.m_even + 1):
                 expected = oracle_entry(system, i, j)
-                got = system.coupling_entry(i, j)
+                got = dense[i - 1, j - 1]
                 worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
         assert worst < 1e-12
 
@@ -145,27 +154,28 @@ class TestKramersSystem:
             assert coupling_dense(system).shape == (order // 2 - 1, order // 2 - 1)
 
     def test_leading_scale_bgk(self):
-        system = build_kramers_system(4, 1.0)
-        assert system.even_scale(1) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert _kramers_a1(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert _even_norm(4, 1.0, 1) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_leading_scale_prandtl(self):
-        system = build_kramers_system(4, 2.0 / 3.0)
-        assert system.even_scale(1) == pytest.approx(math.sqrt(28.0 / 15.0), rel=1e-15)
-        ratio = build_kramers_system(4, 1.0).even_scale(1) / system.even_scale(1)
-        assert ratio == pytest.approx(math.sqrt(5.0 / (4.0 + 2.0 / 3.0)), rel=1e-14)
+        a1 = _kramers_a1(2.0 / 3.0)
+        assert a1 == pytest.approx(math.sqrt(28.0 / 15.0), rel=1e-15)
+        assert _even_norm(4, 2.0 / 3.0, 1) == pytest.approx(math.sqrt(28.0 / 15.0), rel=1e-15)
+        assert _kramers_a1(1.0) / a1 == pytest.approx(math.sqrt(5.0 / (4.0 + 2.0 / 3.0)), rel=1e-14)
 
     def test_leading_entry(self):
         system = build_kramers_system(6, 1.0)
-        assert system.coupling_entry(1, 1) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert coupling_dense(system)[0, 0] == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
     @pytest.mark.parametrize("order", range(4, 31, 2))
     @pytest.mark.parametrize("prandtl", [1.0, 2.0 / 3.0])
     def test_all_entries_match_oracle(self, order, prandtl):
         system = build_kramers_system(order, prandtl)
+        dense = coupling_dense(system)
         for j in range(1, system.m_even + 1):
             for i in range(1, system.m_even + 1):
                 expected = oracle_entry(system, i, j)
-                got = system.coupling_entry(i, j)
+                got = dense[i - 1, j - 1]
                 assert got == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
     def test_bidiagonal(self):
@@ -213,7 +223,7 @@ class TestKramersSystem:
         assert math.isfinite(coefficient_curve(9, pr=MAX_KRAMERS_PRANDTL)(1.0))
 
 
-SYSTEM_ARRAYS = ("diag_main", "diag_sub1", "diag_sub2", "log_even_scale")
+SYSTEM_ARRAYS = ("diag_main", "diag_sub1", "diag_sub2")
 
 
 class TestReducedSystem:

@@ -321,7 +321,7 @@ def global_solve(order, chi, pr, flux, wall_value, nodes):
         slope = -0.4 * pr * flux / KN
     else:
         wbs = kramers_boundary_system(order, pr)
-        carrier = (2.0 / system.even_scale(1)) * eigen.even_vectors[0, :]
+        carrier = (2.0 / verification._even_norm(order, pr, 1)) * eigen.even_vectors[0, :]
         slope = -flux / KN
     stride = 2 * m + 1
     size = stride * (n + 1)
