@@ -114,9 +114,9 @@ def temperature_boundary_system(order: int) -> WallBoundarySystem:
     size = _check_temperature_order(order) + 1
     half = size // 2
     sn = HalfSpaceTable(order - 1).s_normalized
-    n = np.zeros((size, size))
-    n[1::2, 1::2] = sn[:half, :half]
-    n[0::2, 0::2] = (
+    t = np.zeros((size, size))
+    t[1::2, 1::2] = sn[:half, :half]
+    t[0::2, 0::2] = (
         sn[1:half + 1, 1:half + 1] - np.outer(sn[1:half + 1, 0], sn[0, 1:half + 1]) / sn[0, 0]
     )
     w = np.array(
@@ -125,8 +125,8 @@ def temperature_boundary_system(order: int) -> WallBoundarySystem:
             [math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0)],
         ]
     )
-    t = n.copy()
-    t[:2, :] = w @ n[:2, :]
+    # the mixing touches rows and columns 0-1 alone, so it is done in place
+    t[:2, :] = w @ t[:2, :]
     t[:, :2] = t[:, :2] @ w.T
     lead = [1.0, 4.0 / (5.0 * math.sqrt(3.0)), 2.0 * math.sqrt(6.0) / 5.0, 2.0 * math.sqrt(2.0) / 5.0]
     c = np.zeros(size)

@@ -1,13 +1,14 @@
 """Numerical oracles and the ``verify`` suites built on them.
 
 Three one-directional checks live here: a self-checked Gauss-Legendre rule
-for the half-space integrals, a dense cyclic Jacobi eigensolver for the parity
-spectra, and a first-order upwind two-point BVP solver for the reduced ODE
-systems on a truncated domain.  The first two reuse nothing of the path
-they check.  The BVP oracle, ``bvp_profile`` on the grid ``bvp_nodes``
-builds, takes its wall matrix and carrier from the references below, but
-still shares two parts with the solver: the characteristic split and rates
-(``decompose``) and the drive c (``wall_system``).  The references are
+for the half-space integrals, a dense cyclic Jacobi eigenvalue solver
+(``dense_symmetric_eigvals``, eigenvalues only) for the parity spectra and
+the sampled wall spectra, and a first-order upwind two-point BVP solver for
+the reduced ODE systems on a truncated domain.  The first two reuse nothing
+of the path they check.  The BVP oracle, ``bvp_profile`` on the grid
+``bvp_nodes`` builds, takes its wall matrix and carrier from the references
+below, but still shares two parts with the solver: the characteristic split
+and rates (``decompose``) and the drive c (``wall_system``).  The references are
 built here: the Hermite inner products and basis combinations behind every
 coupling entry and even norm, the dense coupling block and parity matrix,
 the full parity eigenvector matrix, one raw and one scaled wall matrix per
@@ -60,7 +61,7 @@ __all__ = [
     "oracle_entry",
     "coupling_dense",
     "parity_dense",
-    "dense_symmetric_eig",
+    "dense_symmetric_eigvals",
     "assemble_full_R",
     "raw_wall_matrix",
     "reference_wall_matrix",
@@ -83,6 +84,9 @@ QUADRATURE_WINDOW_SIGMA = 12.0
 # <= 30 the two differ by about 2e-14 (roundoff), while 60 nodes leave 6e-7.
 QUADRATURE_NODES = 200
 QUADRATURE_AGREEMENT = 1e-12
+# Cyclic sweeps the dense Jacobi oracle makes at most; the parity and wall
+# matrices of orders 98 and 99 converge in 7 or 8.
+JACOBI_SWEEPS = 100
 
 BVP_TEMPERATURE_ORDER_LIMIT = 15
 BVP_KRAMERS_ORDER_LIMIT = 14
@@ -283,14 +287,13 @@ def _disjoint_pair_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def dense_symmetric_eig(matrix: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Classical cyclic Jacobi eigendecomposition of a dense symmetric matrix.
+def dense_symmetric_eigvals(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a dense symmetric matrix by cyclic Jacobi.
 
-    Returns eigenvalues ascending with matching orthonormal eigenvector
-    columns.  Rotations are applied in fixed rounds of disjoint index pairs
-    (rotations in disjoint planes commute, so the batched result equals the
-    sequential one).  Deliberately independent of the structured path and
-    of LAPACK.
+    Rotations are applied in fixed rounds of disjoint index pairs (rotations
+    in disjoint planes commute, so the batched result equals the sequential
+    one), at most ``JACOBI_SWEEPS`` sweeps; no eigenvector block is formed.
+    Deliberately independent of the structured path and of LAPACK.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -302,17 +305,14 @@ def dense_symmetric_eig(matrix: np.ndarray, max_sweeps: int = 100) -> tuple[np.n
     if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, amax):
         raise ValueError("matrix is not symmetric within 1e-12")
     a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :].copy(), v
     if amax == 0.0:
-        return np.zeros(n), v
+        return np.zeros(n)
     # scale to unit magnitude so huge-entry inputs cannot overflow the norms
     a = a / amax
     norm = math.sqrt(float(np.sum(a * a)))
     skip = 1e-15 * norm
     rounds = _disjoint_pair_rounds(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_SWEEPS):
         off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0))
         if off < 1e-13 * norm:
             break
@@ -342,13 +342,7 @@ def dense_symmetric_eig(matrix: np.ndarray, max_sweeps: int = 100) -> tuple[np.n
             a[q_sel, :] = s[:, None] * rp + c[:, None] * rq
             a[p_sel, q_sel] = 0.0
             a[q_sel, p_sel] = 0.0
-            vp = v[:, p_sel]
-            vq = v[:, q_sel]
-            v[:, p_sel] = c * vp - s * vq
-            v[:, q_sel] = s * vp + c * vq
-    w = np.diag(a).copy() * amax
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.sort(np.diag(a) * amax)
 
 
 def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
@@ -613,10 +607,10 @@ def _orders(level: str) -> tuple[int, ...]:
 
 def _spectral_residual(order: int) -> tuple[float, float]:
     system, eigen = _problem_parts(order, 2.0 / 3.0)
-    w, _ = dense_symmetric_eig(parity_dense(system))
+    w = dense_symmetric_eigvals(parity_dense(system))
     expected = np.sort(np.concatenate((-eigen.rates, eigen.rates)))
     scale = max(1.0, float(np.max(np.abs(w))))
-    pairing = float(np.max(np.abs(np.sort(w) - expected))) / scale
+    pairing = float(np.max(np.abs(w - expected))) / scale
     r = assemble_full_R(eigen)
     orth = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
     e = eigen.even_vectors
@@ -640,21 +634,19 @@ def _negative_definite(matrix) -> bool:
     return True
 
 
-def _wall_definite(
-    raw: np.ndarray, wbs: WallBoundarySystem, eigen: ParityEigen
-) -> tuple[bool, bool, float]:
-    """(sampled, certified, gram) for the wall operators of one order.
+def _wall_definite(wbs: WallBoundarySystem, eigen: ParityEigen) -> tuple[bool, bool, float]:
+    """(sampled, certified, gram) for the wall operators of one order and Pr.
 
-    ``sampled``: the raw matrix, T (factored once) and K(chi) at each checked
-    chi are all negative definite.  ``certified``: -K(chi) = b N + D with
-    N = -T positive definite and D = diag(0, 2 E L E^T) positive
-    semidefinite (every rate positive), so K(chi) is negative definite for
-    every b(chi) > 0, that is for every chi in (0, 1].  ``gram`` is
+    ``sampled``: T (factored once) and K(chi) at each checked chi are all
+    negative definite.  ``certified``: -K(chi) = b N + D with N = -T
+    positive definite and D = diag(0, 2 E L E^T) positive semidefinite
+    (every rate positive), so K(chi) is negative definite for every
+    b(chi) > 0, that is for every chi in (0, 1].  ``gram`` is
     ||E^T E - I/2||_2, which confirms that E is the eigenvector block the
     form assumes.
     """
     t_definite = _negative_definite(wbs.scaled_matrix)
-    sampled = _negative_definite(raw) and t_definite and all(
+    sampled = t_definite and all(
         _negative_definite(wall_operator(wbs, eigen, chi)) for chi in (0.1, 0.5, 1.0)
     )
     e = eigen.even_vectors
@@ -666,26 +658,30 @@ def _check_definiteness(level: str) -> list[CheckResult]:
     orders = _orders(level)
     # every even order at each Pr: the physical values, and at ``full`` both ends of the domain
     prandtls = (2.0 / 3.0, 1.0) if level == "quick" else (1e-3, 2.0 / 3.0, 1.0, 1e6, 1e12)
-    sampled_orders = (orders[0], max(m for m in orders if m % 2))
+    # the spectra of K(0.5) are sampled at the first and top odd orders and,
+    # at every Pr, the top even order (the last one)
+    sampled_orders = (orders[0], max(m for m in orders if m % 2), orders[-1])
     checks = []
     worst = -math.inf
     for m in orders:
-        raw = raw_wall_matrix(m)
+        raw_definite = _negative_definite(raw_wall_matrix(m))  # R is free of Pr
         for pr in (1.0,) if m % 2 else prandtls:  # an odd order ignores Pr
             _, eigen = _problem_parts(m, pr)
             wbs = wall_system(m, pr)
-            checks.append(_wall_definite(raw, wbs, eigen))
+            sampled, certified, gram = _wall_definite(wbs, eigen)
+            checks.append((raw_definite and sampled, certified, gram))
             # eigenvalue sign sampling backs up the factorizations on a few instances
             if m in sampled_orders:
-                w, _ = dense_symmetric_eig(wall_operator(wbs, eigen, 0.5))
+                w = dense_symmetric_eigvals(wall_operator(wbs, eigen, 0.5))
                 worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
     sampled, certified, grams = zip(*checks)
     ok = all(sampled) and worst < 0.0
     gram = max(grams)
     at_pr = "even orders at Pr " + ", ".join(f"{pr:g}" for pr in prandtls)
+    at_orders = ", ".join(map(str, sampled_orders))
     return [
         CheckResult("boundary operators negative definite", ok, worst, 0.0,
-                    detail=f"factorization plus sampled spectra; {at_pr}"),
+                    detail=f"factorization plus sampled spectra at orders {at_orders}; {at_pr}"),
         CheckResult("wall operator negative definite for every chi", all(certified) and gram <= 1e-10,
                     gram, 1e-10,
                     detail=f"-T positive definite, rates positive, ||E^T E - I/2||_2; {at_pr}"),

@@ -26,10 +26,11 @@ class VerifyRun:
 def full_verification(tmp_path_factory):
     """The full oracle suites, run once per session and timed.
 
-    The dense Jacobi spectra are the slowest oracle; the budget test and the
-    acceptance criteria that cover the same cases (the spectra, and the
-    half-space quadrature) read their residuals from this one run, each
-    against its own bound.
+    The dense Jacobi spectra are the slowest oracle (about 9 of the run's
+    10 s on 2 vCPU, eigenvalues only); the budget test and the acceptance
+    criteria that cover the same cases (the spectra, and the half-space
+    quadrature) read their residuals from this one run, each against its
+    own bound.
     """
     path = tmp_path_factory.mktemp("verify") / "full.json"
     start = time.perf_counter()

@@ -51,6 +51,7 @@ DELETED = {
     "verification": [
         "BvpConfig", "BvpProfile", "bvp_temperature", "bvp_kramers",
         "assemble_temperature_Tb", "assemble_kramers_Sk", "assemble_T", "P1",
+        "dense_symmetric_eig",
     ],
     # folded into the two wall builders, which take the order alone
     "boundary_solver": [

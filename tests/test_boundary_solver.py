@@ -159,6 +159,18 @@ class TestTemperatureAssembly:
                 temperature_boundary_system(order).scaled_matrix, looped_temperature_T(order, table1025)
             ), order
 
+    def test_mixing_is_in_place(self):
+        # the 2x2 mixing of rows and columns 0-1 works on the assembled matrix
+        # itself; a mixed copy of it put the peak at 2.25 (m + 1)^2 doubles
+        order = 1025
+        tracemalloc.start()
+        try:
+            temperature_boundary_system(order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * 8 * (order + 1) ** 2, peak
+
     def test_symmetry(self):
         for order in (3, 7, 33, 99):
             tb = raw_wall_matrix(order)

@@ -11,6 +11,7 @@ from knlayer.boundary_solver import (
     accommodation_factor,
     kramers_boundary_system,
     temperature_boundary_system,
+    wall_system,
 )
 from knlayer.layer_profiles import (
     DEFECT_WEIGHTS,
@@ -18,17 +19,20 @@ from knlayer.layer_profiles import (
     temperature_solution,
     velocity_solution,
 )
-from knlayer.parity_spectral import ParityEigen
+from knlayer.parity_spectral import ParityEigen, decompose
+from knlayer.system_builder import reduced_system
 import knlayer.verification as verification
 from knlayer.verification import (
     BvpConvergenceError,
     bvp_nodes,
     bvp_profile,
-    dense_symmetric_eig,
+    dense_symmetric_eigvals,
     geometric_nodes,
+    parity_dense,
     quadrature_S,
     quadrature_S_normalized,
     split_nodes,
+    wall_operator,
 )
 
 KN = math.sqrt(2.0) / 2.0
@@ -64,30 +68,79 @@ class TestQuadrature:
 class TestDenseJacobi:
     def test_two_by_two_pair(self):
         m = 3.0 / math.sqrt(5.0)
-        w, v = dense_symmetric_eig(np.array([[0.0, m], [m, 0.0]]))
+        w = dense_symmetric_eigvals(np.array([[0.0, m], [m, 0.0]]))
         np.testing.assert_allclose(w, [-m, m], rtol=1e-14)
-        np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-14)
 
     def test_identity(self):
-        w, v = dense_symmetric_eig(np.eye(5))
-        np.testing.assert_allclose(w, np.ones(5))
-        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-14)
+        np.testing.assert_allclose(dense_symmetric_eigvals(np.eye(5)), np.ones(5))
 
-    def test_random_symmetric_reconstruction(self):
+    def test_random_symmetric_against_lapack(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((10, 10))
         a = 0.5 * (a + a.T)
-        w, v = dense_symmetric_eig(a)
+        w = dense_symmetric_eigvals(a)
         scale = np.max(np.abs(a))
-        assert np.max(np.abs(a @ v - v * w)) < 1e-10 * scale
-        assert np.max(np.abs(v.T @ v - np.eye(10))) < 1e-12
         assert np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) < 1e-12 * scale
+        # the rotations keep the trace and the Frobenius norm
+        assert abs(np.sum(w) - np.trace(a)) < 1e-12 * scale
+        assert abs(math.sqrt(np.sum(w * w)) - np.linalg.norm(a)) < 1e-12 * np.linalg.norm(a)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            dense_symmetric_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(ValueError):
-            dense_symmetric_eig(np.zeros((2, 3)))
+    @pytest.mark.parametrize("order", [3, 9, 33, 32])
+    def test_parity_matrix_against_lapack(self, order):
+        dense = parity_dense(reduced_system(order, 0.7))
+        expected = np.linalg.eigvalsh(dense)
+        w = dense_symmetric_eigvals(dense)
+        assert np.max(np.abs(w - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("order", [9, 8])
+    def test_wall_operator_against_lapack(self, order):
+        system = reduced_system(order, 0.7)
+        k = wall_operator(wall_system(order, 0.7), decompose(system), 0.5)
+        expected = np.linalg.eigvalsh(k)
+        w = dense_symmetric_eigvals(k)
+        assert np.max(np.abs(w - expected)) < 1e-12 * np.max(np.abs(expected))
+        assert w[-1] < 0.0
+
+    def test_one_by_one_and_zero(self):
+        assert np.array_equal(dense_symmetric_eigvals(np.array([[-2.5]])), [-2.5])
+        assert np.array_equal(dense_symmetric_eigvals(np.zeros((3, 3))), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.0, 1.0], [0.5, 0.0]], "not symmetric"),
+            (np.zeros((2, 3)), "square"),
+            (np.zeros(3), "square"),
+            ([[math.nan, 0.0], [0.0, 1.0]], "non-finite"),
+            ([[1.0, math.inf], [math.inf, 1.0]], "non-finite"),
+        ],
+    )
+    def test_rejects_invalid_input(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            dense_symmetric_eigvals(np.array(matrix))
+
+
+class TestDefinitenessSampling:
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_top_even_order_sampled_at_every_prandtl(self, monkeypatch, level):
+        received = []
+        true_eigvals = verification.dense_symmetric_eigvals
+
+        def recording(matrix):
+            received.append(np.array(matrix))
+            return true_eigvals(matrix)
+
+        monkeypatch.setattr(verification, "dense_symmetric_eigvals", recording)
+        checks = verification._check_definiteness(level)
+        assert all(check.passed for check in checks)
+        top_even = 6 if level == "quick" else 98
+        prandtls = (2.0 / 3.0, 1.0) if level == "quick" else (1e-3, 2.0 / 3.0, 1.0, 1e6, 1e12)
+        for pr in prandtls:
+            k = wall_operator(wall_system(top_even, pr), decompose(reduced_system(top_even, pr)), 0.5)
+            assert any(np.array_equal(k, matrix) for matrix in received), pr
+        assert len(received) == 2 + len(prandtls)
+        assert f"sampled spectra at orders 3, {top_even + 1}, {top_even};" in checks[0].detail
 
 
 class TestGrids:
