@@ -18,7 +18,6 @@ from .layer_profiles import (
     CoefficientCurve,
     TemperatureLayerSolution,
     VelocityLayerSolution,
-    chi_zero_limit,
     coefficient_curve,
     convergence_order,
     default_profile_grid,
@@ -47,7 +46,6 @@ __all__ = [
     "accommodation_factor",
     "build_kramers_system",
     "build_temperature_system",
-    "chi_zero_limit",
     "coefficient_curve",
     "convergence_order",
     "decompose",

@@ -57,7 +57,6 @@ __all__ = [
     "viscous_slip_coefficient",
     "coefficient_curve",
     "layer_operator",
-    "chi_zero_limit",
     "convergence_order",
     "default_profile_grid",
 ]
@@ -439,15 +438,6 @@ def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> Co
     )
 
 
-def chi_zero_limit() -> float:
-    """Analytic limit of (chi / (2 - chi)) * zeta as chi -> 0.
-
-    Holds for the reference normalization Kn = sqrt(2)/2, Pr = 1: the wall
-    system degenerates to -2 b theta(0) = q, giving 5 sqrt(pi) / 8.
-    """
-    return 0.625 * math.sqrt(math.pi)
-
-
 def convergence_order(
     chi,
     k: int,
@@ -484,6 +474,6 @@ def _profile_extent(sol) -> float:
 
 def default_profile_grid(sol, count: int = 400) -> np.ndarray:
     """Geometric sample grid from 1e-3 out to sixty widths of the widest layer."""
-    if count < 2:
-        raise ValueError("count must be at least 2")
+    if not (isinstance(count, numbers.Integral) and count >= 2):
+        raise ValueError(f"count must be an integer of at least 2, got {count!r}")
     return np.geomspace(1e-3, _profile_extent(sol), count)

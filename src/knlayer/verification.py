@@ -1,19 +1,21 @@
 """Numerical oracles and the ``verify`` suites built on them.
 
-Three one-directional checks live here: a self-checked Gauss-Legendre rule
-for the half-space integrals, a dense cyclic Jacobi eigenvalue solver
-(``dense_symmetric_eigvals``, eigenvalues only) for the parity spectra and
-the sampled wall spectra, and a first-order upwind two-point BVP solver for
-the reduced ODE systems on a truncated domain.  The first two reuse nothing
-of the path they check.  The BVP oracle, ``bvp_profile`` on the grid
-``bvp_nodes`` builds, takes its wall matrix and carrier from the references
-below, but still shares two parts with the solver: the characteristic split
-and rates (``decompose``) and the drive c (``wall_system``).  The references are
-built here: the Hermite inner products and basis combinations behind every
-coupling entry and even norm, the dense coupling block and parity matrix,
-the full parity eigenvector matrix, one raw and one scaled wall matrix per
-order (``raw_wall_matrix`` and ``reference_wall_matrix``, keyed on the
-order's parity), and the wall operator K(chi) that the solver never forms.
+Three one-directional checks live here, each with one entry: a
+self-checked Gauss-Legendre rule for the half-space integrals
+(``quadrature_block``, every scaled pair up to one order at once), a dense
+cyclic Jacobi eigenvalue solver (``dense_symmetric_eigvals``, eigenvalues
+only) for the parity spectra and the sampled wall spectra, and a first-order
+upwind two-point BVP solver for the reduced ODE systems on a truncated
+domain.  The first two reuse nothing of the path they check.  The BVP
+oracle, ``bvp_profile`` on the one grid ``bvp_nodes`` builds, takes its
+wall matrix and carrier from the references below, but still shares two
+parts with the solver: the characteristic split and rates (``decompose``)
+and the drive c (``wall_system``).  The references are built here: the
+Hermite inner products and basis combinations behind every coupling entry
+and even norm, the dense coupling block and parity matrix, the full parity
+eigenvector matrix, one raw and one scaled wall matrix per order
+(``raw_wall_matrix`` and ``reference_wall_matrix``, keyed on the order's
+parity), and the wall operator K(chi) that the solver never forms.
 The suites (``run_verification``) compare every solver layer against them.
 
 Like every knlayer module it needs numpy alone; the CLI imports it for
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -53,10 +56,10 @@ from .system_builder import (
 __all__ = [
     "QUADRATURE_ORDER_LIMIT",
     "BvpConvergenceError",
+    "QuadratureConvergenceError",
     "CheckResult",
     "VERIFICATION_SUITES",
-    "quadrature_S",
-    "quadrature_S_normalized",
+    "quadrature_block",
     "inner_product_oracle",
     "oracle_entry",
     "coupling_dense",
@@ -66,7 +69,6 @@ __all__ = [
     "raw_wall_matrix",
     "reference_wall_matrix",
     "wall_operator",
-    "geometric_nodes",
     "split_nodes",
     "bvp_nodes",
     "bvp_profile",
@@ -110,15 +112,21 @@ class QuadratureConvergenceError(RuntimeError):
 _legendre_rule = functools.lru_cache(np.polynomial.legendre.leggauss)
 
 
-def _quadrature_block(top: int, theta: float) -> np.ndarray:
+def quadrature_block(top: int, theta: float) -> np.ndarray:
     """S(a, b) / sqrt(a! b!) over a, b <= top by the ``QUADRATURE_NODES`` rule.
 
-    The orthonormal scaled Hermite polynomials are evaluated at the nodes of
-    the window [-W sqrt(theta), 0] by their three-term recursion, and the
-    flux-weighted products of every pair come out of one matrix product.  A
-    rule with half as many nodes again must agree to ``QUADRATURE_AGREEMENT``
-    at every pair, or :class:`QuadratureConvergenceError` is raised.
+    ``top`` is an integer in [0, ``QUADRATURE_ORDER_LIMIT``] and ``theta``
+    finite and positive.  The orthonormal scaled Hermite polynomials are
+    evaluated at the nodes of the window [-W sqrt(theta), 0] by their
+    three-term recursion, which keeps the integrand O(1), so zeros of the
+    closed form come out at absolute roundoff level; the flux-weighted
+    products of every pair come out of one matrix product.  A rule with half
+    as many nodes again must agree to ``QUADRATURE_AGREEMENT`` at every pair,
+    or :class:`QuadratureConvergenceError` is raised.  Raw S(a, b) is the
+    entry times sqrt(a! b!).
     """
+    if not (isinstance(top, numbers.Integral) and 0 <= top <= QUADRATURE_ORDER_LIMIT):
+        raise ValueError(f"quadrature oracle is validated for orders <= {QUADRATURE_ORDER_LIMIT}")
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
     sqrt_theta = math.sqrt(theta)
@@ -142,28 +150,6 @@ def _quadrature_block(top: int, theta: float) -> np.ndarray:
             f"Gauss-Legendre rules of {counts[0]} and {counts[1]} nodes differ by {gap:.3e}"
             f" at orders <= {top}")
     return blocks[0]
-
-
-def quadrature_S_normalized(alpha: int, beta: int, theta: float = 1.0) -> float:
-    """S(alpha, beta) / sqrt(alpha! beta!) by Gauss-Legendre quadrature.
-
-    Integrates the flux-weighted product of orthonormal scaled Hermite
-    polynomials over the incoming half-line truncated to
-    [-W sqrt(theta), 0].  Working with the orthonormal polynomials keeps
-    the integrand O(1), so zeros of the closed form come out at true
-    absolute roundoff level.
-    """
-    if not 0 <= alpha <= QUADRATURE_ORDER_LIMIT or not 0 <= beta <= QUADRATURE_ORDER_LIMIT:
-        raise ValueError(
-            f"quadrature oracle is validated for orders <= {QUADRATURE_ORDER_LIMIT}"
-        )
-    return float(_quadrature_block(max(alpha, beta), theta)[alpha, beta])
-
-
-def quadrature_S(alpha: int, beta: int, theta: float = 1.0) -> float:
-    """Raw S(alpha, beta) by quadrature; factorial scaling applied afterwards."""
-    scale = math.sqrt(math.factorial(alpha) * math.factorial(beta))
-    return quadrature_S_normalized(alpha, beta, theta) * scale
 
 
 # ----------------------------------------------------------------------
@@ -352,24 +338,20 @@ def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
     )
 
 
-def geometric_nodes(y_max: float, n_cells: int, stretch: float) -> np.ndarray:
-    """Nodes 0 = y_0 < ... < y_n = y_max with geometrically growing cells;
-    a whole number of at least two cells, with ``y_max`` and ``stretch``
-    finite and positive."""
-    if not (isinstance(n_cells, (int, np.integer)) and n_cells >= 2):
+def bvp_nodes(widest_layer: float, n_cells: int) -> np.ndarray:
+    """The oracle's grid: nodes 0 = y_0 < ... < y_n spanning ``BVP_DOMAIN_WIDTHS``
+    widths of the widest layer, in ``n_cells`` geometric cells, the last
+    ``BVP_STRETCH`` times the first; ``widest_layer`` finite and positive,
+    ``n_cells`` an integer of at least 2."""
+    if not (isinstance(n_cells, numbers.Integral) and n_cells >= 2):
         raise ValueError(f"a geometric grid needs a whole number of cells >= 2, got {n_cells}")
-    if not all(math.isfinite(v) and v > 0.0 for v in (y_max, stretch)):
-        raise ValueError(f"y_max and stretch must be finite and positive, got {y_max}, {stretch}")
-    ratio = stretch ** (1.0 / (n_cells - 1))
+    y_max = BVP_DOMAIN_WIDTHS * widest_layer
+    if not (math.isfinite(y_max) and y_max > 0.0):
+        raise ValueError(f"widest_layer must be finite and positive, got {widest_layer}")
+    ratio = BVP_STRETCH ** (1.0 / (n_cells - 1))
     steps = ratio ** np.arange(n_cells)
     nodes = np.concatenate(([0.0], np.cumsum(steps)))
     return nodes * (y_max / nodes[-1])
-
-
-def bvp_nodes(widest_layer: float, n_cells: int) -> np.ndarray:
-    """The oracle's grid: ``BVP_DOMAIN_WIDTHS`` widths of the widest layer,
-    in ``n_cells`` geometric cells, the last ``BVP_STRETCH`` times the first."""
-    return geometric_nodes(BVP_DOMAIN_WIDTHS * widest_layer, n_cells, BVP_STRETCH)
 
 
 def split_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -555,7 +537,7 @@ def _check_half_space(level: str) -> list[CheckResult]:
     exact = np.array([[special_functions.half_space_S_normalized(a, b) for b in range(top_sym + 1)]
                       for a in range(top_sym + 1)])
     closed = exact[:top + 1, :top + 1]
-    quad = _quadrature_block(top, 1.0)
+    quad = quadrature_block(top, 1.0)
     zero = closed == 0.0
     table = HalfSpaceTable(top).s_normalized
     worst_rel = max(
@@ -564,9 +546,9 @@ def _check_half_space(level: str) -> list[CheckResult]:
     )
     worst_zero = float(np.max(np.abs(quad[zero])))
     theta_top = 6 if level == "quick" else 10
-    ref = _quadrature_block(theta_top, 1.0)
+    ref = quadrature_block(theta_top, 1.0)
     worst_theta = max(
-        float(np.max(np.abs(_quadrature_block(theta_top, theta) - ref) / np.maximum(1.0, np.abs(ref))))
+        float(np.max(np.abs(quadrature_block(theta_top, theta) - ref) / np.maximum(1.0, np.abs(ref))))
         for theta in (0.5, 2.0)
     )
     sym = float(np.max(np.abs(exact - exact.T)))

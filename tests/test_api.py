@@ -19,7 +19,6 @@ PUBLIC = [
     "accommodation_factor",
     "build_kramers_system",
     "build_temperature_system",
-    "chi_zero_limit",
     "coefficient_curve",
     "convergence_order",
     "decompose",
@@ -37,6 +36,29 @@ PUBLIC = [
     "viscous_slip_coefficient",
 ]
 
+# The oracle module's public names: one entry per reference.
+VERIFICATION_PUBLIC = [
+    "BvpConvergenceError",
+    "CheckResult",
+    "QUADRATURE_ORDER_LIMIT",
+    "QuadratureConvergenceError",
+    "VERIFICATION_SUITES",
+    "assemble_full_R",
+    "bvp_nodes",
+    "bvp_profile",
+    "coupling_dense",
+    "dense_symmetric_eigvals",
+    "inner_product_oracle",
+    "oracle_entry",
+    "parity_dense",
+    "quadrature_block",
+    "raw_wall_matrix",
+    "reference_wall_matrix",
+    "run_verification",
+    "split_nodes",
+    "wall_operator",
+]
+
 # Names no solve reads, deleted from the solver modules.
 DELETED = {
     "special_functions": [
@@ -46,13 +68,17 @@ DELETED = {
     ],
     # the order's parity names the problem
     "system_builder": ["SystemKind"],
-    # one finite-difference entry, bvp_profile, and one raw and one scaled
-    # wall reference per order, each keyed on the order's parity
+    # one finite-difference entry, bvp_profile, on one grid builder, bvp_nodes;
+    # one quadrature entry, quadrature_block; and one raw and one scaled wall
+    # reference per order, each keyed on the order's parity
     "verification": [
         "BvpConfig", "BvpProfile", "bvp_temperature", "bvp_kramers",
         "assemble_temperature_Tb", "assemble_kramers_Sk", "assemble_T", "P1",
-        "dense_symmetric_eig",
+        "dense_symmetric_eig", "quadrature_S", "quadrature_S_normalized",
+        "_quadrature_block", "geometric_nodes",
     ],
+    # only tests read the chi -> 0 limit, and compute it themselves
+    "layer_profiles": ["chi_zero_limit"],
     # folded into the two wall builders, which take the order alone
     "boundary_solver": [
         "assemble_temperature_T", "assemble_kramers_T", "temperature_c_vector",
@@ -90,6 +116,10 @@ def test_public_api_is_pinned():
     assert sorted(knlayer.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(knlayer, name), name
+
+
+def test_verification_api_is_pinned():
+    assert sorted(verification.__all__) == VERIFICATION_PUBLIC
 
 
 def test_module_all_resolves():

@@ -19,7 +19,6 @@ from knlayer.boundary_solver import accommodation_factor, wall_system
 from knlayer.layer_profiles import (
     LayerOperator,
     _BLOCK_ELEMENTS,
-    chi_zero_limit,
     coefficient_curve,
     convergence_order,
     default_profile_grid,
@@ -316,20 +315,21 @@ class TestEigenFreeCrossCheck:
 
 
 class TestChiZeroLimit:
-    def test_analytic_value(self):
-        assert chi_zero_limit() == pytest.approx(5.0 * math.sqrt(math.pi) / 8.0, rel=1e-15)
+    """(chi / (2 - chi)) zeta -> 5 sqrt(pi) / 8 at Kn = sqrt(2)/2, Pr = 1: the
+    wall system degenerates to -2 b theta(0) = q."""
+
+    LIMIT = 5.0 * math.sqrt(math.pi) / 8.0
 
     def test_numerical_approach(self):
         chi = 1e-4
         z = jump_coefficient(temperature_solution(13, chi))
-        assert chi / (2.0 - chi) * z == pytest.approx(chi_zero_limit(), rel=0.01)
+        assert chi / (2.0 - chi) * z == pytest.approx(self.LIMIT, rel=0.01)
 
     def test_monotone_approach(self):
-        lim = chi_zero_limit()
         gaps = []
         for chi in (1e-2, 1e-3, 1e-4):
             z = jump_coefficient(temperature_solution(13, chi))
-            gaps.append(abs(chi / (2.0 - chi) * z - lim))
+            gaps.append(abs(chi / (2.0 - chi) * z - self.LIMIT))
         assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -491,8 +491,14 @@ class TestGrid:
         assert grid[0] == pytest.approx(1e-3)
         assert grid[-1] == pytest.approx(60.0 * sol.decay_rates[0] * sol.kn)
         assert np.all(np.diff(grid) > 0.0)
+        # a numpy integer count passes the integer check
+        np.testing.assert_array_equal(default_profile_grid(sol, np.int64(400)), grid)
 
     def test_invalid_inputs(self):
+        sol = temperature_solution(7, 1.0)
+        for count in (1, 400.0, 2.5):
+            with pytest.raises(ValueError, match="count"):
+                default_profile_grid(sol, count)
         with pytest.raises(ValueError):
             temperature_solution(7, 1.0, kn=0.0)
         with pytest.raises(ValueError):

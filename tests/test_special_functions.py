@@ -15,7 +15,7 @@ from knlayer.special_functions import (
     _z_even,
     half_space_S_normalized,
 )
-from knlayer.verification import quadrature_S, quadrature_S_normalized
+from knlayer.verification import quadrature_block
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -137,8 +137,10 @@ class TestHalfSpaceS:
         assert half_space_S_normalized(4, 1) == 0.0
 
     def test_quadrature_cross_check_small(self):
+        quad = quadrature_block(6, 1.0)
         for a, b in [(2, 0), (3, 3), (1, 3), (5, 2), (6, 6)]:
-            assert scaled(a, b) == pytest.approx(quadrature_S(a, b), rel=1e-9)
+            raw = quad[a, b] * math.sqrt(math.factorial(a) * math.factorial(b))
+            assert scaled(a, b) == pytest.approx(raw, rel=1e-9)
 
     def test_matches_exact_integer_oracle(self):
         for a in range(31):
@@ -294,12 +296,13 @@ class TestHalfSpaceTable:
 
 class TestQuadratureAgreement:
     def test_full_window_against_quadrature(self):
+        quad = quadrature_block(30, 1.0)
         worst_rel = 0.0
         worst_zero = 0.0
         for a in range(0, 31, 3):
             for b in range(a, 31, 2):
                 closed_n = half_space_S_normalized(a, b)
-                quad_n = quadrature_S_normalized(a, b, 1.0)
+                quad_n = quad[a, b]
                 if closed_n == 0.0:
                     worst_zero = max(worst_zero, abs(quad_n))
                 else:
@@ -308,9 +311,8 @@ class TestQuadratureAgreement:
         assert worst_zero < 1e-12
 
     def test_theta_independence_of_quadrature(self):
+        ref = quadrature_block(7, 1.0)
         for theta in (0.5, 2.0):
+            quad = quadrature_block(7, theta)
             for a, b in [(0, 0), (1, 1), (2, 4), (5, 5), (7, 3)]:
-                ref = quadrature_S_normalized(a, b, 1.0)
-                assert quadrature_S_normalized(a, b, theta) == pytest.approx(
-                    ref, rel=1e-9, abs=1e-12
-                )
+                assert quad[a, b] == pytest.approx(ref[a, b], rel=1e-9, abs=1e-12)

@@ -27,10 +27,8 @@ from knlayer.verification import (
     bvp_nodes,
     bvp_profile,
     dense_symmetric_eigvals,
-    geometric_nodes,
     parity_dense,
-    quadrature_S,
-    quadrature_S_normalized,
+    quadrature_block,
     split_nodes,
     wall_operator,
 )
@@ -41,28 +39,30 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class TestQuadrature:
     def test_anchor_values(self):
-        assert quadrature_S(0, 0, 1.0) == pytest.approx(-1.0, abs=1e-10)
-        assert quadrature_S(0, 1, 1.0) == pytest.approx(SQRT_2PI / 2.0, abs=1e-10)
+        quad = quadrature_block(1, 1.0)
+        assert quad[0, 0] == pytest.approx(-1.0, abs=1e-10)
+        assert quad[0, 1] == pytest.approx(SQRT_2PI / 2.0, abs=1e-10)
 
     def test_theta_independence(self):
-        assert quadrature_S(0, 0, 2.0) == pytest.approx(-1.0, abs=1e-9)
-        assert quadrature_S(3, 5, 0.5) == pytest.approx(quadrature_S(3, 5, 1.0), rel=1e-9)
+        assert quadrature_block(0, 2.0)[0, 0] == pytest.approx(-1.0, abs=1e-9)
+        assert quadrature_block(5, 0.5)[3, 5] == pytest.approx(quadrature_block(5, 1.0)[3, 5], rel=1e-9)
 
-    def test_rejects_out_of_window(self):
-        with pytest.raises(ValueError):
-            quadrature_S(31, 0, 1.0)
-        with pytest.raises(ValueError):
-            quadrature_S_normalized(0, 0, -1.0)
+    def test_block_covers_every_pair_to_top(self):
+        assert quadrature_block(verification.QUADRATURE_ORDER_LIMIT, 1.0).shape == (31, 31)
 
-    @pytest.mark.parametrize("theta", [0.0, math.nan, math.inf])
+    def test_accepts_integer_tops_at_the_window_ends(self):
+        assert quadrature_block(0, 1.0).shape == (1, 1)
+        np.testing.assert_array_equal(quadrature_block(np.int64(5), 1.0), quadrature_block(5, 1.0))
+
+    @pytest.mark.parametrize("top", [31, -1, 2.5])
+    def test_rejects_top_outside_window(self, top):
+        with pytest.raises(ValueError, match="validated for orders <= 30"):
+            quadrature_block(top, 1.0)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_theta_outside_domain(self, theta):
-        with pytest.raises(ValueError, match="theta"):
-            quadrature_S_normalized(2, 2, theta)
-
-    def test_normalized_scaling(self):
-        got = quadrature_S(4, 6, 1.0)
-        scale = math.sqrt(math.factorial(4) * math.factorial(6))
-        assert got == pytest.approx(quadrature_S_normalized(4, 6, 1.0) * scale, rel=1e-13)
+        with pytest.raises(ValueError, match="theta must be finite and positive"):
+            quadrature_block(2, theta)
 
 
 class TestDenseJacobi:
@@ -144,34 +144,35 @@ class TestDefinitenessSampling:
 
 
 class TestGrids:
-    def test_geometric_nodes(self):
-        nodes = geometric_nodes(10.0, 2000, 50.0)
+    def test_bvp_nodes_span_the_domain(self):
+        nodes = bvp_nodes(0.5, 2000)
         assert nodes[0] == 0.0
-        assert nodes[-1] == pytest.approx(10.0, rel=1e-14)
+        assert nodes[-1] == pytest.approx(verification.BVP_DOMAIN_WIDTHS * 0.5, rel=1e-14)
         h = np.diff(nodes)
-        assert h[-1] / h[0] == pytest.approx(50.0, rel=1e-10)
+        assert h[-1] / h[0] == pytest.approx(verification.BVP_STRETCH, rel=1e-10)
         assert np.all(h > 0.0)
 
+    def test_bvp_nodes_smallest_grid_and_numpy_cells(self):
+        nodes = bvp_nodes(0.5, 2)
+        assert nodes.size == 3
+        h = np.diff(nodes)
+        assert h[-1] / h[0] == pytest.approx(verification.BVP_STRETCH, rel=1e-14)
+        np.testing.assert_array_equal(bvp_nodes(0.5, np.int64(2000)), bvp_nodes(0.5, 2000))
+
     def test_split_nodes_nest(self):
-        nodes = geometric_nodes(5.0, 1000, 10.0)
+        nodes = bvp_nodes(0.125, 1000)
         fine = split_nodes(nodes)
         np.testing.assert_array_equal(fine[::2], nodes)
         assert fine.size == 2 * nodes.size - 1
 
     @pytest.mark.parametrize(
-        "y_max, n_cells, stretch",
-        [(5.0, 0, 10.0), (5.0, 1, 10.0), (5.0, 2.5, 10.0), (0.0, 10, 10.0), (-5.0, 10, 10.0),
-         (math.nan, 10, 10.0), (math.inf, 10, 10.0), (5.0, 10, 0.0), (5.0, 10, math.nan),
-         (5.0, 10, math.inf)],
+        "widest, n_cells, match",
+        [(0.5, 0, "cells"), (0.5, 1, "cells"), (0.5, 2.5, "cells"), (0.0, 10, "widest_layer"),
+         (-1.0, 10, "widest_layer"), (math.nan, 10, "widest_layer"), (math.inf, 10, "widest_layer")],
     )
-    def test_geometric_nodes_rejects_outside_domain(self, y_max, n_cells, stretch):
-        with pytest.raises(ValueError):
-            geometric_nodes(y_max, n_cells, stretch)
-
-    def test_bvp_nodes_span_the_domain(self):
-        nodes = bvp_nodes(0.5, 2000)
-        np.testing.assert_array_equal(nodes, geometric_nodes(20.0, 2000, 50.0))
-        assert nodes[-1] == pytest.approx(verification.BVP_DOMAIN_WIDTHS * 0.5, rel=1e-14)
+    def test_bvp_nodes_reject_outside_domain(self, widest, n_cells, match):
+        with pytest.raises(ValueError, match=match):
+            bvp_nodes(widest, n_cells)
 
 
 def widest_layer(sol):
