@@ -219,17 +219,27 @@ def _check_samples(samples: int) -> None:
         raise UsageError(f"samples must lie in [2, {MAX_SAMPLES}]")
 
 
-def _spaced(cfg: argparse.Namespace, start: float, stop: float) -> np.ndarray:
-    """``cfg.samples`` points from start to stop in the requested spacing."""
+def _spaced(cfg: argparse.Namespace, name: str, start: float, stop: float) -> np.ndarray:
+    """``cfg.samples`` points from start to stop in the requested spacing.
+
+    A range too narrow for that many distinct doubles would repeat points,
+    so a grid that is not strictly increasing is a usage error.
+    """
     space = np.geomspace if cfg.spacing == "geometric" else np.linspace
-    return space(start, stop, cfg.samples)
+    grid = space(start, stop, cfg.samples)
+    if not (np.diff(grid) > 0.0).all():
+        raise UsageError(
+            f"{name} range [{start!r}, {stop!r}] is too narrow for --samples {cfg.samples}: "
+            f"{cfg.spacing} spacing repeats points"
+        )
+    return grid
 
 
 def cmd_sweep_chi(cfg: argparse.Namespace) -> tuple[str, int]:
     _check_samples(cfg.samples)
     if not 0.0 < cfg.chi_min < cfg.chi_max <= 1.0:
         raise UsageError("need 0 < chi-min < chi-max <= 1")
-    chis = _spaced(cfg, cfg.chi_min, cfg.chi_max)
+    chis = _spaced(cfg, "chi", cfg.chi_min, cfg.chi_max)
     problem = _PROBLEMS[cfg.order % 2]
     coef = coefficient_curve(cfg.order, cfg.kn, cfg.pr)(chis)
     b_vals = accommodation_factor(chis)
@@ -269,7 +279,7 @@ def _profile_grid(cfg: argparse.Namespace, sol) -> np.ndarray:
         raise UsageError(f"ymax ({y_max:g}) must exceed ymin ({cfg.y_min:g})")
     if cfg.spacing == "geometric" and cfg.y_min <= 0.0:
         raise UsageError("geometric spacing needs y-min > 0")
-    return _spaced(cfg, cfg.y_min, y_max)
+    return _spaced(cfg, "y", cfg.y_min, y_max)
 
 
 def cmd_profile(cfg: argparse.Namespace) -> tuple[str, int]:

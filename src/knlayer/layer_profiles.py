@@ -22,10 +22,10 @@ O(m) per chi and with no solution object per sample, so every command
 prints the same value for the same inputs; profiles, defects and amplitudes
 keep the per-chi solution, one O(M^2) product per chi.  The order's parity
 names the problem: an odd order is the temperature jump, an even one
-Kramers slip.  As chi -> 0,
-(chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.  Profile evaluators work in
-blocks of samples and raise ``ValueError`` on a y < 0 (outside the
-half-space) and on a non-finite value.
+Kramers slip, and both solutions share one record base and one far-field
+profile.  As chi -> 0, (chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.
+Profile evaluators work in blocks of samples and raise ``ValueError`` on a
+y < 0 (outside the half-space) and on a non-finite value.
 """
 
 from __future__ import annotations
@@ -100,52 +100,56 @@ def _finite_profile(evaluate):
 
 
 @_record
-class TemperatureLayerSolution:
-    """Temperature profile of one half-space solve.
-
-    theta(y) = -(2 Pr q / 5 Kn) y + intercept + sum_i amplitudes_i
-    exp(-y / (Kn rates_i)); ``defect_amplitudes`` are the flux-normalized
-    exponential weights of the temperature defect, independent of Kn and of
-    the driving flux.
+class _LayerSolution:
+    """What both half-space solutions hold, and their far-field profile
+    slope * y + intercept + sum_i amplitudes_i exp(-y / (Kn decay_rates_i)),
+    with ``wall_value`` the solved wall unknown at y = 0.  Each solution adds
+    its named drive fields, and its own named profile method gives the slope.
     """
 
     order: int
     chi: float
     kn: float
     pr: float
-    heat_flux: float
-    wall_temperature: float
     wall_value: float
     intercept: float
     decay_rates: np.ndarray
     amplitudes: np.ndarray
+
+    def _far_field(self, slope: float, y: np.ndarray) -> np.ndarray:
+        return slope * y + self.intercept + _decay_sum(self, y, self.amplitudes)
+
+
+@_record
+class TemperatureLayerSolution(_LayerSolution):
+    """Temperature profile of one half-space solve (odd order).
+
+    theta(y) has the slope -(2 Pr q / 5 Kn); ``defect_amplitudes`` are the
+    flux-normalized exponential weights of the temperature defect,
+    independent of Kn and of the driving flux.
+    """
+
+    heat_flux: float
+    wall_temperature: float
     defect_amplitudes: np.ndarray
 
     @_finite_profile
     def temperature(self, y):
         """theta at distance y from the wall (vectorized)."""
-        slope = -0.4 * self.pr * self.heat_flux / self.kn
-        return slope * y + self.intercept + _decay_sum(self, y, self.amplitudes)
+        return self._far_field(-0.4 * self.pr * self.heat_flux / self.kn, y)
 
 
 @_record
-class VelocityLayerSolution:
-    """Tangential velocity profile of the shear-driven half-space solve."""
+class VelocityLayerSolution(_LayerSolution):
+    """Tangential velocity profile of the shear-driven half-space solve
+    (even order), with the slope -sigma / Kn."""
 
-    order: int
-    chi: float
-    kn: float
-    pr: float
     shear: float
     wall_velocity: float
-    wall_value: float
-    intercept: float
-    decay_rates: np.ndarray
-    amplitudes: np.ndarray
 
     @_finite_profile
     def velocity(self, y):
-        return -self.shear / self.kn * y + self.intercept + _decay_sum(self, y, self.amplitudes)
+        return self._far_field(-self.shear / self.kn, y)
 
 
 def _blocked_matvec(x: np.ndarray, weights: np.ndarray, block_matrix) -> np.ndarray:
@@ -177,7 +181,8 @@ def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @_record
 class LayerOperator:
-    """Everything a solve of one order (and Pr) reads, independent of chi.
+    """Everything a solve of one order (and Pr) reads, independent of chi;
+    its build reads the normalized half-space block alone, never the raw one.
 
     ``row`` is the defect combination DEFECT_WEIGHTS @ E[:3] (temperature)
     or E[0] (Kramers); ``row_scale`` * ``row`` maps the mode weights to the
@@ -210,7 +215,7 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
 @functools.lru_cache(maxsize=8)
 def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
-    wall system (its builder makes the half-space table T reads), Schur
+    wall system (its builder makes the normalized table block T reads), Schur
     complement, wall eigh.  O goes before the table is built, the table once
     T is assembled, and E and T before the wall eigh, which runs beside A
     alone, as the Gram eigh runs beside G.
@@ -273,13 +278,10 @@ def _wall_solution(
     value, v_plus = op.wall.solve(order, chi, b, flux, wall_value)
     strength = op.row * v_plus
     amplitudes = -op.row_scale * strength
+    shared = (order, chi, kn, pr, value, value - float(np.sum(amplitudes)), op.rates, amplitudes)
     if odd:
-        cls, fields = TemperatureLayerSolution, dict(
-            heat_flux=flux, wall_temperature=wall_value, defect_amplitudes=strength / flux)
-    else:
-        cls, fields = VelocityLayerSolution, dict(shear=flux, wall_velocity=wall_value)
-    return cls(order=order, chi=chi, kn=kn, pr=pr, wall_value=value, decay_rates=op.rates,
-               intercept=value - float(np.sum(amplitudes)), amplitudes=amplitudes, **fields)
+        return TemperatureLayerSolution(*shared, flux, wall_value, strength / flux)
+    return VelocityLayerSolution(*shared, flux, wall_value)
 
 
 def temperature_solution(
@@ -298,20 +300,24 @@ def velocity_solution(
     return _wall_solution(False, order, chi, kn, pr, sigma12, u1_wall)
 
 
-def jump_coefficient(sol: TemperatureLayerSolution) -> float:
-    """Temperature jump coefficient zeta = -(5 Kn / (2 Pr)) * (intercept / q).
-
-    Defined for the zero-wall-temperature normalization only; solutions with
-    a wall offset are rejected rather than silently re-normalized.  The value
-    is the order's :func:`coefficient_curve` at the solution's chi, the one
-    formula every command prints, so it does not depend on the flux q; a
-    non-finite coefficient (chi near the subnormal range) raises
-    ``ValueError``.
-    """
-    _check_parity(True, sol.order)
-    if sol.wall_temperature != 0.0:
-        raise ValueError("jump coefficient requires the theta_wall = 0 normalization")
+def _coefficient(odd: bool, sol: _LayerSolution) -> float:
+    """Both coefficient functions' body: the order's :func:`coefficient_curve`
+    at the solution's chi, the one formula every command prints, so the flux
+    does not enter.  The order's parity and a zero wall state are checked
+    first; a non-finite coefficient (chi near the subnormal range) raises."""
+    _check_parity(odd, sol.order)
+    name, wall, option = ("jump", sol.wall_temperature, "theta_wall") if odd else (
+        "slip", sol.wall_velocity, "u1_wall")
+    if wall != 0.0:
+        raise ValueError(f"{name} coefficient requires the {option} = 0 normalization")
     return coefficient_curve(sol.order, sol.kn, sol.pr)(sol.chi)
+
+
+def jump_coefficient(sol: TemperatureLayerSolution) -> float:
+    """Temperature jump coefficient zeta = -(5 Kn / (2 Pr)) * (intercept / q),
+    for the theta_wall = 0 normalization only: a solution with a wall offset
+    is rejected rather than silently re-normalized."""
+    return _coefficient(True, sol)
 
 
 @_finite_profile
@@ -358,15 +364,9 @@ def effective_conductivity(sol: TemperatureLayerSolution, y) -> np.ndarray | flo
 
 
 def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
-    """Slip-velocity intercept per unit shear, -Kn * (intercept / sigma).
-
-    Read off the order's :func:`coefficient_curve` at the solution's chi, as
-    in ``jump_coefficient``; a non-finite coefficient raises ``ValueError``.
-    """
-    _check_parity(False, sol.order)
-    if sol.wall_velocity != 0.0:
-        raise ValueError("slip coefficient requires the u1_wall = 0 normalization")
-    return coefficient_curve(sol.order, sol.kn, sol.pr)(sol.chi)
+    """Slip-velocity intercept per unit shear, -Kn * (intercept / sigma), for
+    the u1_wall = 0 normalization only, as in ``jump_coefficient``."""
+    return _coefficient(False, sol)
 
 
 @_record
@@ -438,12 +438,7 @@ def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> Co
     )
 
 
-def convergence_order(
-    chi,
-    k: int,
-    kn: float = DEFAULT_KN,
-    pr: float = 1.0,
-) -> np.ndarray | float:
+def convergence_order(chi, k: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> np.ndarray | float:
     """Observed order of the jump coefficient on the doubling ladder M = 2^j + 1.
 
     beta_k = -log2((z_{j+2} - z_{j+1}) / (z_{j+1} - z_j)) evaluated at

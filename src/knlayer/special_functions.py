@@ -4,10 +4,10 @@ Every value here is exact closed-form arithmetic on the even values z_2k of
 the Hermite polynomials at the origin (odd z vanish); the quadrature
 counterparts live in :mod:`knlayer.verification`.  The scalar form
 ``half_space_S_normalized`` covers every index pair in normalized form, so
-no raw factorial is formed at any order.  ``HalfSpaceTable`` stores only
-the even-index block S(2i, 2j) that the wall assemblies read, built in one
-vectorized closed form per block, plus the raw even block inside the
-double-precision window for the raw reference matrices.
+no raw factorial is formed at any order.  ``HalfSpaceTable`` builds only
+the normalized even-index block S(2i, 2j) that the wall assemblies read, in
+one vectorized closed form; the raw even block of the raw reference
+matrices, inside the double-precision window, is built on its first read.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ class HalfSpaceTable:
     even moments, so every half-space integral a wall assembly reads is
     S(2i, 2j).  ``s_normalized[i, j]`` holds S(2i, 2j) / sqrt((2i)! (2j)!)
     for the full range; ``s_values[i, j]`` the raw S(2i, 2j) inside the
-    double-precision window (2i, 2j <= RAW_ORDER_LIMIT).  Odd-index pairs
-    are left to :func:`half_space_S_normalized`.  Immutable after
-    construction, so safe to share across threads.
+    double-precision window (2i, 2j <= RAW_ORDER_LIMIT), which only the raw
+    references read, so it is built on first read and then kept.  Odd-index
+    pairs are left to :func:`half_space_S_normalized`.  Both blocks are
+    read-only, so a table is safe to share across threads.
     """
 
     @staticmethod
@@ -120,11 +121,9 @@ class HalfSpaceTable:
     def __init__(self, top: int):
         if not (isinstance(top, numbers.Integral) and top >= 0):
             raise ValueError(f"the top index must be a non-negative integer, got {top!r}")
+        self._raw_top, self._raw = min(top, RAW_ORDER_LIMIT), None
         self._normalized = self._even_block(_z_even(top // 2 + 1))
-        raw_top = min(top, RAW_ORDER_LIMIT)
-        self._raw = self._even_block(_z_even(raw_top // 2 + 1, normalized=False))
         self._normalized.flags.writeable = False
-        self._raw.flags.writeable = False
 
     @property
     def s_normalized(self) -> np.ndarray:
@@ -134,4 +133,8 @@ class HalfSpaceTable:
     @property
     def s_values(self) -> np.ndarray:
         """Raw S(2i, 2j) at [i, j], restricted to the double-precision window."""
+        if self._raw is None:
+            raw = self._even_block(_z_even(self._raw_top // 2 + 1, normalized=False))
+            raw.flags.writeable = False
+            self._raw = raw
         return self._raw

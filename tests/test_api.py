@@ -1,7 +1,12 @@
 """The package's public names, and the solver-module names that must stay gone."""
 
+import contextlib
 import dataclasses
+import hashlib
 import importlib
+import io
+import pathlib
+import re
 
 import numpy as np
 
@@ -149,6 +154,16 @@ def test_records_hold_what_a_solve_reads():
     # dump-system read went with the members nothing read
     fields = [f.name for f in dataclasses.fields(knlayer.ReducedSystem)]
     assert fields == ["order", "m_even", "diag_main", "diag_sub1", "diag_sub2", "prandtl"]
+    # both solutions declare their eight shared fields once, then their drive
+    shared = ["order", "chi", "kn", "pr", "wall_value", "intercept", "decay_rates", "amplitudes"]
+    for record, drive in (
+        (knlayer.TemperatureLayerSolution, ["heat_flux", "wall_temperature", "defect_amplitudes"]),
+        (knlayer.VelocityLayerSolution, ["shear", "wall_velocity"]),
+    ):
+        assert [f.name for f in dataclasses.fields(record)] == shared + drive, record.__name__
+    # each keeps its own named profile method, which a tracer wraps per class
+    assert "temperature" in vars(knlayer.TemperatureLayerSolution)
+    assert "velocity" in vars(knlayer.VelocityLayerSolution)
     for record, names in (
         (knlayer.build_kramers_system(8, 0.7), ["log_even_scale", "even_scale", "coupling_entry"]),
         (knlayer.HalfSpaceTable(8), ["max_order"]),
@@ -184,3 +199,26 @@ def test_records_compare_and_hash_by_identity():
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert arrays, type(record).__name__
         assert not any(a.flags.writeable for a in arrays), type(record).__name__
+
+
+def test_raw_block_is_built_once_and_kept():
+    table = knlayer.HalfSpaceTable(knlayer.special_functions.RAW_ORDER_LIMIT)
+    first, second = table.s_values, table.s_values
+    assert first is second
+    assert not first.flags.writeable
+    # the bits of the block as the table built it eagerly
+    assert hashlib.sha256(first.tobytes()).hexdigest() == (
+        "13284212f5309943dc6f6ea46d59c384d36d4b81e330cf0edd58c692feaa02e4"
+    )
+
+
+def test_readme_quick_start_runs():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    jump = out.getvalue().splitlines()[0]
+    assert jump == repr(knlayer.coefficient_curve(13)(1.0))
+    assert jump.startswith("1.2965")

@@ -577,6 +577,28 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: samples must lie in [2, {MAX_SAMPLES}]\n"
 
+    @pytest.mark.parametrize("fmt", ["columnar-text", "structured-json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-chi", "-M", "13", "--chi-min", "0.9999999999999996", "--chi-max", "1",
+              "--samples", "6", "--spacing", "linear"],
+             "chi range [0.9999999999999996, 1.0] is too narrow for --samples 6"),
+            (["profile", "-M", "13", "--ymin", "5", "--ymax", "5.000000000000001",
+              "--samples", "4", "--spacing", "linear"],
+             "y range [5.0, 5.000000000000001] is too narrow for --samples 4"),
+        ],
+    )
+    def test_repeated_sample_points_are_usage_error(self, capsys, argv, message, fmt):
+        # the range holds fewer distinct doubles than --samples at this spacing
+        code, out, err = run(capsys, [*argv, "--format", fmt])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}: linear spacing repeats points\n"
+        # the two ends alone are distinct, and the command runs
+        code, out, _ = run(capsys, [*argv[:-3], "2", *argv[-2:], "--format", fmt])
+        assert code == 0 and out
+
 
 class TestImportBoundary:
     @staticmethod

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knlayer import special_functions
+from knlayer.layer_profiles import layer_operator
 from knlayer.special_functions import (
     RAW_ORDER_LIMIT,
     HalfSpaceTable,
@@ -282,6 +284,27 @@ class TestHalfSpaceTable:
         assert table.s_normalized.shape == (201, 201)
         assert table.s_values.shape == (RAW_ORDER_LIMIT // 2 + 1, RAW_ORDER_LIMIT // 2 + 1)
         assert np.all(np.isfinite(table.s_values))
+
+    def test_wall_builds_never_build_the_raw_block(self, monkeypatch):
+        # only the raw references read s_values, so a cold operator build,
+        # whose wall assembly builds a table, never runs the raw z chain
+        raw_builds = []
+
+        def counted(count, normalized=True):
+            raw_builds.append(not normalized)
+            return _z_even(count, normalized)
+
+        monkeypatch.setattr(special_functions, "_z_even", counted)
+        per_build = []
+        for args in ((513,), (512, 0.7)):
+            layer_operator.cache_clear()
+            try:
+                layer_operator(*args)
+            finally:
+                layer_operator.cache_clear()
+            per_build.append(sum(raw_builds))
+            raw_builds.clear()
+        assert per_build == [0, 0]
 
     def test_construction_memory_bounded(self):
         tracemalloc.start()
