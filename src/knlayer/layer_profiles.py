@@ -216,9 +216,9 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
 def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
     wall system (its builder makes the normalized table block T reads), Schur
-    complement, wall eigh.  O goes before the table is built, the table once
-    T is assembled, and E and T before the wall eigh, which runs beside A
-    alone, as the Gram eigh runs beside G.
+    complement, wall eigh.  The table goes once T is assembled, and E and T
+    before the wall eigh, which runs beside A alone, as the Gram eigh runs
+    beside G.
     """
     eigen = decompose(reduced_system(order, pr))
     rates, e = eigen.rates, eigen.even_vectors
@@ -446,18 +446,17 @@ def convergence_order(chi, k: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> n
     three orders actually solved are 2^(k+1) + 1, 2^(k+2) + 1 and
     2^(k+3) + 1.  Each order's coefficient curve is built once and
     evaluated at every chi; an array of chi gives an array of orders, a
-    scalar chi a float.  A vanishing denominator is reported as a
-    degenerate difference.
+    scalar chi a float.  A denominator below 1e-14 of the coefficients
+    (which scale with Kn) is reported as a degenerate difference.
     """
     if not (isinstance(k, numbers.Integral) and k >= 1):
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     z0, z1, z2 = (coefficient_curve(2**j + 1, kn, pr)(chi) for j in (k + 1, k + 2, k + 3))
     denom = np.subtract(z1, z0)
-    degenerate = np.abs(denom) < 1e-14
+    degenerate = np.abs(denom) <= 1e-14 * np.maximum(np.abs(z0), np.abs(z1))
     if np.any(degenerate):
-        raise ArithmeticError(
-            f"degenerate difference in convergence order at chi={np.asarray(chi)[degenerate]}, k={k}"
-        )
+        at = chi if np.ndim(chi) == 0 else np.asarray(chi)[degenerate]
+        raise ArithmeticError(f"degenerate difference in convergence order at chi={at}, k={k}")
     orders = -np.log2((z2 - z1) / denom)
     return float(orders) if np.ndim(orders) == 0 else orders
 

@@ -14,8 +14,10 @@ norms, s_i = |B^T u_i|, which keep relative accuracy where sqrt(lambda_i)
 loses the small rates to the normwise error of lambda_i.  The vectors of
 close small rates come out of ``eigh`` mixed at the accuracy of G; one
 first-order correction from the residual W^T W brings them to the accuracy
-of B, and with them the orthogonality of V = W / s.  Nothing forms B
-densely, and no SVD runs.  A fixed sign convention pins the output.
+of B.  Nothing forms B densely, and no SVD runs.  A fixed sign convention
+pins the output.  Only the rates and the even block are returned: a solve
+reads nothing else, and the odd block B^T E / rates, which only the oracles
+read, is built in :mod:`knlayer.verification`.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ class RankDeficiencyError(RuntimeError):
 
 @_record
 class ParityEigen:
-    """Positive branch of the parity spectrum plus the orthogonal blocks.
+    """Positive branch of the parity spectrum and its even eigenvector block.
 
     ``rates`` are the positive eigenvalues, descending; equal rates keep the
-    descending order of the Gram eigenvalues.  The assembled eigenvector
-    matrix is [[E, E], [O, -O]] with E = even_vectors and O = odd_vectors,
-    both m_even x m_even; E^T E = I/2, O^T O = I/2 and B O = E diag(rates).
+    descending order of the Gram eigenvalues.  E = even_vectors is
+    m_even x m_even with E^T E = I/2 and B B^T E = E diag(rates)^2; the
+    assembled eigenvector matrix is [[E, E], [O, -O]] with the odd block
+    O = B^T E / rates.
     """
 
     rates: np.ndarray
     even_vectors: np.ndarray
-    odd_vectors: np.ndarray
 
     @property
     def m_even(self) -> int:
@@ -90,9 +92,11 @@ def decompose(system: ReducedSystem) -> ParityEigen:
     U comes from ``eigh`` of the banded Gram matrix B B^T and one
     first-order correction, the rates are |B^T u_i| sorted descending (a
     stable sort: equal rates keep the descending order of the Gram
-    eigenvalues), and V = B^T U / rates.  Sign convention: each column of
-    the odd block has its largest-magnitude entry positive, ties broken by
-    the lowest row index.  This pins the output bit-for-bit.
+    eigenvalues), and E = U / sqrt(2).  Sign convention: each column of
+    the odd block B^T E / rates has its largest-magnitude entry positive,
+    ties broken by the lowest row index; the rule is applied to the columns
+    of W = B^T U, which have the same signs.  This pins the output
+    bit-for-bit.
     """
     _, u = np.linalg.eigh(_gram(system))
     u = u[:, ::-1]
@@ -102,7 +106,7 @@ def decompose(system: ReducedSystem) -> ParityEigen:
     # vectors of close small rates.  Off its diagonal, U^T G U = W^T W holds
     # that mixing, computed to the accuracy of B; the first-order step
     # u_j += sum_i u_i (W^T W)_ij / (lam_j - lam_i) removes it, leaves tied
-    # rates alone, and so also makes V = W / s orthogonal.
+    # rates alone, and so also makes the columns of W orthogonal.
     x = w.T @ w
     del w
     lam = sigma * sigma
@@ -116,17 +120,14 @@ def decompose(system: ReducedSystem) -> ParityEigen:
     sigma = _column_norms(w)
     perm = np.argsort(-sigma, kind="stable")
     sigma, u = sigma[perm], u[:, perm]
-    v = w[:, perm]
-    del w
     if not sigma[-1] > RANK_TOL * sigma[0]:
         raise RankDeficiencyError(
             f"coupling block of order {system.order} is numerically rank deficient "
             f"(smallest singular value {sigma[-1]:.3e})"
         )
-    v /= sigma
-    cols = np.arange(v.shape[1])
-    signs = np.where(v[np.argmax(np.abs(v), axis=0), cols] < 0.0, -1.0, 1.0)
+    cols = np.arange(w.shape[1])
+    signs = np.where(w[np.argmax(np.abs(w), axis=0), cols] < 0.0, -1.0, 1.0)[perm]
+    del w
     signs /= np.sqrt(2.0)
     u *= signs
-    v *= signs
-    return ParityEigen(rates=sigma, even_vectors=u, odd_vectors=v)
+    return ParityEigen(rates=sigma, even_vectors=u)

@@ -7,7 +7,8 @@ counterparts live in :mod:`knlayer.verification`.  The scalar form
 no raw factorial is formed at any order.  ``HalfSpaceTable`` builds only
 the normalized even-index block S(2i, 2j) that the wall assemblies read, in
 one vectorized closed form; the raw even block of the raw reference
-matrices, inside the double-precision window, is built on its first read.
+matrices, inside the double-precision window, is built on its first read
+by the same closed form (``_raw_block``).
 """
 
 from __future__ import annotations
@@ -134,7 +135,13 @@ class HalfSpaceTable:
     def s_values(self) -> np.ndarray:
         """Raw S(2i, 2j) at [i, j], restricted to the double-precision window."""
         if self._raw is None:
-            raw = self._even_block(_z_even(self._raw_top // 2 + 1, normalized=False))
+            raw = _raw_block(self._raw_top)
             raw.flags.writeable = False
             self._raw = raw
         return self._raw
+
+
+def _raw_block(top: int) -> np.ndarray:
+    """Raw S(2i, 2j) over 2i, 2j <= top <= RAW_ORDER_LIMIT: the one raw builder,
+    which ``s_values`` keeps and the raw references call with no table built."""
+    return HalfSpaceTable._even_block(_z_even(top // 2 + 1, normalized=False))

@@ -8,14 +8,15 @@ only) for the parity spectra and the sampled wall spectra, and a first-order
 upwind two-point BVP solver for the reduced ODE systems on a truncated
 domain.  The first two reuse nothing of the path they check.  The BVP
 oracle, ``bvp_profile`` on the one grid ``bvp_nodes`` builds, takes its
-wall matrix and carrier from the references below, but still shares two
-parts with the solver: the characteristic split and rates (``decompose``)
-and the drive c (``wall_system``).  The references are built here: the
-Hermite inner products and basis combinations behind every coupling entry
-and even norm, the dense coupling block and parity matrix, the full parity
-eigenvector matrix, one raw and one scaled wall matrix per order
-(``raw_wall_matrix`` and ``reference_wall_matrix``, keyed on the order's
-parity), and the wall operator K(chi) that the solver never forms.
+wall matrix and carrier from the references below, and its odd block
+from the dense coupling block (``odd_block``), but still shares two parts
+with the solver: the rates and even block (``decompose``) and the drive c
+(``wall_system``).  The references are built here: the Hermite inner
+products and basis combinations behind every coupling entry and even norm,
+the dense coupling block and parity matrix, the odd eigenvector block and
+the full parity eigenvector matrix, one raw and one scaled wall matrix per
+order (``raw_wall_matrix`` and ``reference_wall_matrix``, keyed on the
+order's parity), and the wall operator K(chi) that the solver never forms.
 The suites (``run_verification``) compare every solver layer against them.
 
 Like every knlayer module it needs numpy alone; the CLI imports it for
@@ -65,6 +66,7 @@ __all__ = [
     "coupling_dense",
     "parity_dense",
     "dense_symmetric_eigvals",
+    "odd_block",
     "assemble_full_R",
     "raw_wall_matrix",
     "reference_wall_matrix",
@@ -331,11 +333,19 @@ def dense_symmetric_eigvals(matrix: np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a) * amax)
 
 
-def assemble_full_R(eigen: ParityEigen) -> np.ndarray:
-    """Full orthogonal eigenvector matrix [[E, E], [O, -O]]."""
-    return np.block(
-        [[eigen.even_vectors, eigen.even_vectors], [eigen.odd_vectors, -eigen.odd_vectors]]
-    )
+def odd_block(system: ReducedSystem, eigen: ParityEigen) -> np.ndarray:
+    """The odd eigenvector block O = B^T E / rates, from the dense coupling block.
+
+    ``decompose`` returns the rates and E alone, since no solve reads O; its
+    sign rule makes the largest-magnitude entry of every column of O positive.
+    """
+    return coupling_dense(system).T @ eigen.even_vectors / eigen.rates
+
+
+def assemble_full_R(system: ReducedSystem, eigen: ParityEigen) -> np.ndarray:
+    """Full orthogonal eigenvector matrix [[E, E], [O, -O]], O = :func:`odd_block`."""
+    e, o = eigen.even_vectors, odd_block(system, eigen)
+    return np.block([[e, e], [o, -o]])
 
 
 def bvp_nodes(widest_layer: float, n_cells: int) -> np.ndarray:
@@ -428,7 +438,7 @@ def bvp_profile(
 
     b_t = b * reference_wall_matrix(order, pr)
     wall = np.column_stack((b_t[:, 0], b_t[:, 1:] @ eigen.even_vectors))
-    wall[1:, 1:] -= coupling_dense(system) @ eigen.odd_vectors
+    wall[1:, 1:] -= coupling_dense(system) @ odd_block(system, eigen)
     wall_rhs = flux * wall_system(order, pr).c_vec + b_t[:, 0] * wall_value
     x = np.linalg.solve(wall, wall_rhs)
     v0 = x[1:]
@@ -458,17 +468,17 @@ def raw_wall_matrix(order: int) -> np.ndarray:
     An odd order gives the temperature T^b: odd rows/columns carry the
     pure-normal fluxes S(2k-2, 2l-2), even ones the tangential-pair fluxes
     S(2k, 2l) with the density offset eliminated.  An even order gives the
-    Kramers S_k = S(2i, 2j), free of Pr.  Either reads the raw even block
-    of its wall system's table, so it is valid inside the raw window only.
+    Kramers S_k = S(2i, 2j), free of Pr.  Either builds the raw even block
+    alone, with no table, so it is valid inside the raw window only.
     """
     odd = order % 2 == 1
     size = (_check_temperature_order(order) if odd else _check_kramers_order(order, 1.0)) + 1
     top = order - 1 if odd else order - 2  # the largest index read is S(top, top)
     if top > RAW_ORDER_LIMIT:
         raise ValueError("raw boundary matrix exceeds the double-precision window")
-    s = HalfSpaceTable(top).s_values
+    s = special_functions._raw_block(top)
     if not odd:
-        return s.copy()
+        return s
     out = np.zeros((size, size))
     half = size // 2
     for k in range(1, half + 1):
@@ -593,7 +603,7 @@ def _spectral_residual(order: int) -> tuple[float, float]:
     expected = np.sort(np.concatenate((-eigen.rates, eigen.rates)))
     scale = max(1.0, float(np.max(np.abs(w))))
     pairing = float(np.max(np.abs(w - expected))) / scale
-    r = assemble_full_R(eigen)
+    r = assemble_full_R(system, eigen)
     orth = float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
     e = eigen.even_vectors
     half = float(np.max(np.abs(e.T @ e - 0.5 * np.eye(system.m_even))))

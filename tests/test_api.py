@@ -54,6 +54,7 @@ VERIFICATION_PUBLIC = [
     "coupling_dense",
     "dense_symmetric_eigvals",
     "inner_product_oracle",
+    "odd_block",
     "oracle_entry",
     "parity_dense",
     "quadrature_block",
@@ -94,9 +95,8 @@ DELETED = {
 }
 
 # Parity-block members that went with the odd block size, which always equals
-# m_even; the problem kind, which the order's parity names; and the dense
-# forms of the coupling block, which only the oracles read.
-DELETED_MEMBERS = ["m_odd", "odd_scale", "log_odd_scale", "kind", "coupling_dense", "parity_dense"]
+# m_even, and the problem kind, which the order's parity names.
+DELETED_MEMBERS = ["m_odd", "odd_scale", "log_odd_scale", "kind"]
 
 # Oracle helpers that live in knlayer.verification now.
 MOVED = {
@@ -108,8 +108,10 @@ MOVED = {
     "boundary_solver": ["wall_operator"],
 }
 
-# Members of the reduced system that are functions of knlayer.verification now.
-MOVED_MEMBERS = ["coupling_dense", "parity_dense"]
+# Members only the oracles read, now functions of knlayer.verification: the
+# dense forms of the coupling block, and the odd eigenvector block of decompose.
+MOVED_MEMBERS = {"coupling_dense": "coupling_dense", "parity_dense": "parity_dense",
+                 "odd_vectors": "odd_block"}
 
 SOLVER_MODULES = (
     "special_functions", "system_builder", "parity_spectral", "boundary_solver",
@@ -140,12 +142,12 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(mod, name), (module, name)
             assert not hasattr(knlayer, name), name
-    for names in (*MOVED.values(), MOVED_MEMBERS):
+    for names in (*MOVED.values(), MOVED_MEMBERS.values()):
         for name in names:
             assert hasattr(verification, name), name
     system = knlayer.build_temperature_system(5)
     for obj in (system, knlayer.decompose(system)):
-        for name in DELETED_MEMBERS:
+        for name in (*DELETED_MEMBERS, *MOVED_MEMBERS):
             assert not hasattr(obj, name), (type(obj).__name__, name)
 
 
@@ -154,6 +156,8 @@ def test_records_hold_what_a_solve_reads():
     # dump-system read went with the members nothing read
     fields = [f.name for f in dataclasses.fields(knlayer.ReducedSystem)]
     assert fields == ["order", "m_even", "diag_main", "diag_sub1", "diag_sub2", "prandtl"]
+    # a solve reads the rates and the even block; the odd block is the oracles'
+    assert [f.name for f in dataclasses.fields(knlayer.ParityEigen)] == ["rates", "even_vectors"]
     # both solutions declare their eight shared fields once, then their drive
     shared = ["order", "chi", "kn", "pr", "wall_value", "intercept", "decay_rates", "amplitudes"]
     for record, drive in (

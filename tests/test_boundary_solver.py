@@ -21,13 +21,14 @@ from knlayer.boundary_solver import (
     temperature_boundary_system,
     wall_system,
 )
-from knlayer import boundary_solver, cli, layer_profiles, verification
+from knlayer import boundary_solver, cli, layer_profiles, special_functions, verification
 from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     coupling_dense,
+    odd_block,
     raw_wall_matrix,
     reference_wall_matrix,
     wall_operator,
@@ -248,11 +249,11 @@ class TestWallDomain:
         ],
     )
     def test_rejected_before_allocation(self, monkeypatch, build, args):
-        def no_table(max_order):
-            raise AssertionError(f"a table of order {max_order} was built")
+        def no_block(top):
+            raise AssertionError(f"a half-space block of order {top} was built")
 
-        monkeypatch.setattr(boundary_solver, "HalfSpaceTable", no_table)
-        monkeypatch.setattr(verification, "HalfSpaceTable", no_table)
+        monkeypatch.setattr(boundary_solver, "HalfSpaceTable", no_block)
+        monkeypatch.setattr(special_functions, "_raw_block", no_block)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):
@@ -268,7 +269,8 @@ class TestWallDomain:
         assert np.isfinite(wbs.scaled_matrix).all() and np.isfinite(wbs.c_vec).all()
 
     def test_table_sized_by_order(self, monkeypatch):
-        # each builder builds the smallest table its assembly reads
+        # each builder builds the smallest table its assembly reads; the raw
+        # references build no table (test_special_functions.py)
         sizes = []
 
         class Recording(HalfSpaceTable):
@@ -277,12 +279,9 @@ class TestWallDomain:
                 super().__init__(max_order)
 
         monkeypatch.setattr(boundary_solver, "HalfSpaceTable", Recording)
-        monkeypatch.setattr(verification, "HalfSpaceTable", Recording)
         temperature_boundary_system(9)
         kramers_boundary_system(8, 1.0)
-        raw_wall_matrix(9)
-        raw_wall_matrix(8)
-        assert sizes == [8, 6, 8, 6]
+        assert sizes == [8, 6]
 
 
 class TestWallSystem:
@@ -432,7 +431,7 @@ class TestSolveWall:
         wbs = temperature_boundary_system(order)
         theta0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         w_even = eigen.even_vectors @ v_plus
-        w_odd = eigen.odd_vectors @ v_plus
+        w_odd = odd_block(system, eigen) @ v_plus
         lhs = 1.0 * wbs.c_vec.copy()
         lhs[1:] += coupling_dense(system) @ w_odd
         rhs = accommodation_factor(chi) * (wbs.scaled_matrix @ np.concatenate(([theta0], w_even)))
@@ -479,7 +478,7 @@ class TestSolveWall:
         wbs = kramers_boundary_system(order, pr)
         u1_0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         w_even = eigen.even_vectors @ v_plus
-        w_odd = eigen.odd_vectors @ v_plus
+        w_odd = odd_block(system, eigen) @ v_plus
         lhs = wbs.c_vec.copy()
         lhs[1:] += coupling_dense(system) @ w_odd
         rhs = accommodation_factor(chi) * (wbs.scaled_matrix @ np.concatenate(([u1_0], w_even)))
@@ -579,11 +578,7 @@ class TestPencilSolve:
     def test_structural_error_on_negative_pencil(self):
         eigen = temperature_eigen(7)
         wbs = temperature_boundary_system(7)
-        negated = ParityEigen(
-            rates=-100.0 * eigen.rates,
-            even_vectors=eigen.even_vectors.copy(),
-            odd_vectors=eigen.odd_vectors.copy(),
-        )
+        negated = ParityEigen(rates=-100.0 * eigen.rates, even_vectors=eigen.even_vectors.copy())
         with pytest.raises(StructuralSolveError):
             solve_wall(wbs, negated, 0.5, 1.0, 0.0)
 

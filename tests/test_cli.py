@@ -753,7 +753,7 @@ class TestVerifyCommand:
             rates = eigen.rates.copy()
             rates[-1] *= rate_sign
             even = eigen.even_vectors * vector_scale
-            return system, ParityEigen(rates, even, eigen.odd_vectors)
+            return system, ParityEigen(rates, even)
 
         # the BVP oracle reads the same parts and cannot converge on a negated rate
         # (test_verification.py::TestBvpDomain::test_negated_rate_does_not_converge)

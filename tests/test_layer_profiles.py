@@ -353,13 +353,26 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             convergence_order(1.0, 0)
 
+    @pytest.mark.parametrize("kn", [1e-12, 1e-300])
+    def test_tiny_kn_is_not_degenerate(self, kn):
+        # the coefficients scale with Kn and the orders do not, so the
+        # degeneracy test is relative; the bound is test_kn_invariance's,
+        # since the ladder differences amplify the last bit of Kn * curve
+        chis = np.array([0.1, 0.5, 1.0])
+        np.testing.assert_allclose(convergence_order(chis, 6, kn=kn), convergence_order(chis, 6),
+                                   rtol=0.0, atol=1e-10)
+        assert convergence_order(0.5, 6, kn=kn) == pytest.approx(convergence_order(0.5, 6), abs=1e-10)
+
     def test_degenerate_differences_reported(self, monkeypatch):
         import knlayer.layer_profiles as lp
 
         frozen = coefficient_curve(3)
         monkeypatch.setattr(lp, "coefficient_curve", lambda *a, **k: frozen)
-        with pytest.raises(ArithmeticError, match="degenerate"):
+        # a scalar chi is named as a scalar, an array of chi by its degenerate entries
+        with pytest.raises(ArithmeticError, match=r"degenerate difference .* at chi=1\.0, k=2$"):
             convergence_order(1.0, 2)
+        with pytest.raises(ArithmeticError, match=r"at chi=\[0\.5 1\. \], k=2$"):
+            convergence_order(np.array([0.5, 1.0]), 2)
 
 
 def intercept_coefficient(sol):

@@ -10,24 +10,28 @@ from knlayer import cli, layer_profiles
 from knlayer.layer_profiles import temperature_defect, temperature_solution
 from knlayer.parity_spectral import ParityEigen, RankDeficiencyError, decompose
 from knlayer.system_builder import ReducedSystem, build_kramers_system, build_temperature_system
-from knlayer.verification import assemble_full_R, coupling_dense, dense_symmetric_eigvals, parity_dense
+from knlayer.verification import (
+    assemble_full_R,
+    coupling_dense,
+    dense_symmetric_eigvals,
+    odd_block,
+    parity_dense,
+)
 
 
 def all_invariants(system, eigen, tol=1e-10):
     b = coupling_dense(system)
-    r = assemble_full_R(eigen)
+    o = odd_block(system, eigen)
+    r = assemble_full_R(system, eigen)
     n = r.shape[0]
+    half = 0.5 * np.eye(system.m_even)
     assert np.max(np.abs(r.T @ r - np.eye(n))) < tol
-    assert np.max(np.abs(b @ eigen.odd_vectors - eigen.even_vectors * eigen.rates)) < tol * max(
+    assert np.max(np.abs(b @ o - eigen.even_vectors * eigen.rates)) < tol * max(
         1.0, eigen.rates[0]
     )
-    assert np.max(np.abs(b.T @ eigen.even_vectors - eigen.odd_vectors * eigen.rates)) < tol * max(
-        1.0, eigen.rates[0]
-    )
-    assert (
-        np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - 0.5 * np.eye(system.m_even)))
-        < tol
-    )
+    # B^T E = O diag(rates) holds by the construction of O; its orthogonality does not
+    assert np.max(np.abs(o.T @ o - half)) < tol
+    assert np.max(np.abs(eigen.even_vectors.T @ eigen.even_vectors - half)) < tol
     assert np.all(np.diff(eigen.rates) <= 0.0)
     assert eigen.rates[-1] > 0.0
 
@@ -38,8 +42,8 @@ class TestOrderThree:
         assert eigen.rates[0] == pytest.approx(3.0 / math.sqrt(5.0), rel=1e-14)
 
     def test_full_matrix_matches_reference_up_to_column_signs(self):
-        eigen = decompose(build_temperature_system(3))
-        r = assemble_full_R(eigen)
+        system = build_temperature_system(3)
+        r = assemble_full_R(system, decompose(system))
         ref = np.array([[-1.0, -1.0], [-1.0, 1.0]]) * (math.sqrt(2.0) / 2.0)
         for col in range(2):
             match = np.allclose(r[:, col], ref[:, col], atol=1e-14) or np.allclose(
@@ -48,8 +52,8 @@ class TestOrderThree:
             assert match
 
     def test_sign_convention(self):
-        eigen = decompose(build_temperature_system(3))
-        assert eigen.odd_vectors[0, 0] > 0.0
+        system = build_temperature_system(3)
+        assert odd_block(system, decompose(system))[0, 0] > 0.0
 
 
 class TestInvariants:
@@ -88,7 +92,7 @@ class TestDenseOracleAgreement:
     def test_full_R_diagonalizes_order_seven(self):
         system = build_temperature_system(7)
         eigen = decompose(system)
-        r = assemble_full_R(eigen)
+        r = assemble_full_R(system, eigen)
         lam = np.concatenate((eigen.rates, -eigen.rates))
         dense = parity_dense(system)
         resid = np.max(np.abs(r.T @ dense @ r - np.diag(lam)))
@@ -104,11 +108,7 @@ class TestDownstreamInvariance:
 
         def flipped(system):
             eigen = decompose(system)
-            return ParityEigen(
-                rates=eigen.rates.copy(),
-                even_vectors=eigen.even_vectors * signs,
-                odd_vectors=eigen.odd_vectors * signs,
-            )
+            return ParityEigen(rates=eigen.rates.copy(), even_vectors=eigen.even_vectors * signs)
 
         monkeypatch.setattr(layer_profiles, "decompose", flipped)
         layer_profiles.layer_operator.cache_clear()
@@ -147,7 +147,6 @@ class TestDeterminism:
         b = decompose(system)
         np.testing.assert_array_equal(a.rates, b.rates)
         np.testing.assert_array_equal(a.even_vectors, b.even_vectors)
-        np.testing.assert_array_equal(a.odd_vectors, b.odd_vectors)
 
 
 def exact_coupling(order, pr=None):
@@ -235,7 +234,7 @@ class TestCloseRates:
         m = system.m_even
         _, z = np.linalg.eigh(parity_dense(system))
         ref = z[:, m:][:, ::-1]  # positive branch, descending
-        got = np.vstack((eigen.even_vectors, eigen.odd_vectors))
+        got = np.vstack((eigen.even_vectors, odd_block(system, eigen)))
         aligned = ref * np.sign(np.sum(ref * got, axis=0))
         assert np.max(np.abs(got - aligned)) < 1e-12
 
@@ -249,17 +248,22 @@ def banded_times(system, x):
 
 
 class TestTopOrders:
-    @pytest.mark.parametrize("order", [2049, 4097])
+    """E from decompose and O = B^T E / rates from the oracle's dense B, at
+    the smallest and largest orders of either parity."""
+
+    @pytest.mark.parametrize("order", [9, 8, 2049, 2048, 4097])
     def test_invariants(self, order):
-        system = build_temperature_system(order)
+        system = system_of(order, None if order % 2 else 2.0 / 3.0)
         eigen = decompose(system)
-        e, o, rates = eigen.even_vectors, eigen.odd_vectors, eigen.rates
+        e, o, rates = eigen.even_vectors, odd_block(system, eigen), eigen.rates
         assert np.all(np.diff(rates) < 0.0)
         assert rates[-1] > 0.0
         half = 0.5 * np.eye(system.m_even)
         assert np.max(np.abs(e.T @ e - half)) < 1e-10
-        assert np.max(np.abs(o.T @ o - half)) < 1e-10
-        assert np.max(np.abs(banded_times(system, o) - e * rates)) < 1e-10 * rates[0]
+        assert np.max(np.abs(o.T @ o - half)) < 1e-12
+        # |B|_2 is the largest rate
+        assert np.max(np.abs(banded_times(system, o) - e * rates)) < 1e-12 * rates[0]
+        # decompose's sign rule: every column's largest-magnitude entry is positive
         big = np.argmax(np.abs(o), axis=0)
         assert np.all(o[big, np.arange(system.m_even)] > 0.0)
 

@@ -17,7 +17,7 @@ from knlayer.special_functions import (
     _z_even,
     half_space_S_normalized,
 )
-from knlayer.verification import quadrature_block
+from knlayer.verification import quadrature_block, raw_wall_matrix
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -305,6 +305,23 @@ class TestHalfSpaceTable:
             per_build.append(sum(raw_builds))
             raw_builds.clear()
         assert per_build == [0, 0]
+
+    def test_raw_references_never_build_the_normalized_block(self, monkeypatch):
+        # the raw wall matrices build the raw block alone, sized by the order,
+        # from the one raw builder, and get the bits the table keeps
+        chains = []
+
+        def counted(count, normalized=True):
+            chains.append((count, normalized))
+            return _z_even(count, normalized)
+
+        monkeypatch.setattr(special_functions, "_z_even", counted)
+        for order, top in ((9, 8), (8, 6), (RAW_ORDER_LIMIT + 1, RAW_ORDER_LIMIT)):
+            raw_wall_matrix(order)
+            assert chains == [(top // 2 + 1, False)], order
+            chains.clear()
+        assert np.array_equal(raw_wall_matrix(RAW_ORDER_LIMIT + 2),
+                              HalfSpaceTable(RAW_ORDER_LIMIT).s_values)
 
     def test_construction_memory_bounded(self):
         tracemalloc.start()

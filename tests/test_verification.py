@@ -330,7 +330,7 @@ class TestBvpDomain:
             system, eigen = true_parts(order, pr)
             rates = eigen.rates.copy()
             rates[-1] *= -1.0
-            return system, ParityEigen(rates, eigen.even_vectors, eigen.odd_vectors)
+            return system, ParityEigen(rates, eigen.even_vectors)
 
         nodes = reference_nodes(order, 1000)
         monkeypatch.setattr(verification, "_problem_parts", corrupted)
@@ -388,7 +388,7 @@ def global_solve(order, chi, pr, flux, wall_value, nodes):
     bt = accommodation_factor(chi) * wbs.scaled_matrix
     even = bt[:, 1:] @ eigen.even_vectors
     flow = np.zeros_like(even)
-    flow[1:] = verification.coupling_dense(system) @ eigen.odd_vectors
+    flow[1:] = verification.coupling_dense(system) @ verification.odd_block(system, eigen)
     rows = np.arange(m + 1)
     a[rows, 0] = bt[:, 0]
     a[np.ix_(rows, plus(0))] = even - flow
