@@ -11,7 +11,6 @@ from .boundary_solver import (
     StructuralSolveError,
     accommodation_factor,
     kramers_boundary_system,
-    solve_wall,
     temperature_boundary_system,
 )
 from .layer_profiles import (
@@ -30,7 +29,7 @@ from .layer_profiles import (
     viscous_slip_coefficient,
 )
 from .parity_spectral import ParityEigen, decompose
-from .special_functions import HalfSpaceTable, half_space_S_normalized
+from .special_functions import HalfSpaceTable
 from .system_builder import ReducedSystem, build_kramers_system, build_temperature_system
 
 __version__ = "0.1.0"
@@ -51,11 +50,9 @@ __all__ = [
     "decompose",
     "default_profile_grid",
     "effective_conductivity",
-    "half_space_S_normalized",
     "jump_coefficient",
     "kramers_boundary_system",
     "normalized_temperature",
-    "solve_wall",
     "temperature_boundary_system",
     "temperature_defect",
     "temperature_solution",

@@ -87,6 +87,20 @@ def accommodation_factor(chi):
     return b if b.ndim else float(b)
 
 
+def _one_chi(chi) -> tuple[float, float]:
+    """(chi, b(chi)) of one real accommodation coefficient, chi as a float.
+
+    A wall solve reads one chi, so anything else (a sequence, an array that
+    is not 0-d, a value that is not real) raises ``ValueError`` naming chi;
+    every solve runs this before it builds anything.
+    """
+    value = np.asarray(chi)
+    if value.ndim or value.dtype.kind not in "iuf":
+        raise ValueError(f"chi must be one real number, got {chi!r}")
+    chi = float(value)
+    return chi, accommodation_factor(chi)
+
+
 @_record
 class WallBoundarySystem:
     """Chi-independent wall system of one order: T and the drive c, read-only.
@@ -256,13 +270,14 @@ def solve_wall(
     ``flux`` is the prescribed normal heat flux (temperature problem) or
     shear stress (Kramers); ``wall_value`` the corresponding wall state.
     Returns (wall unknown at y = 0, positive-branch mode amplitudes).
-    A chi outside (0, 1] raises ``ValueError`` before any reduction.
+    A chi that is not one real number in (0, 1] raises ``ValueError``
+    before any reduction.
     A non-positive pivot -T[0, 0], decay rate or reduced eigenvalue is a
     structural failure, and a result that is not finite (a subnormal chi
     overflows 1 / b(chi)) raises ``ValueError``.  Every call reduces the
     system afresh; repeated chi of one order go through ``LayerOperator``.
     """
-    b = accommodation_factor(chi)
+    chi, b = _one_chi(chi)
     _check_match(system, eigen)
     reduction = WallReduction.from_schur(*schur_complement(system, eigen.rates, eigen.even_vectors))
     return reduction.solve(system.order, chi, b, flux, wall_value)

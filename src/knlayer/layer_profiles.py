@@ -30,6 +30,7 @@ y < 0 (outside the half-space) and on a non-finite value.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import numbers
@@ -38,7 +39,7 @@ import warnings
 
 import numpy as np
 
-from .boundary_solver import WallReduction, accommodation_factor, schur_complement, wall_system
+from .boundary_solver import WallReduction, _one_chi, accommodation_factor, schur_complement, wall_system
 from .parity_spectral import decompose
 from .system_builder import _check_integral_order, _check_prandtl, _kramers_a1, _record, reduced_system
 
@@ -272,7 +273,7 @@ def _wall_solution(
     both; only the temperature solution keeps the defect amplitudes."""
     _validate_common(kn, pr)
     _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
-    b = accommodation_factor(chi)  # a bad chi fails before a cold operator build
+    chi, b = _one_chi(chi)  # a bad chi fails before a cold operator build
     _check_parity(odd, order)
     op = layer_operator(order, pr)
     value, v_plus = op.wall.solve(order, chi, b, flux, wall_value)
@@ -375,7 +376,9 @@ class CoefficientCurve:
 
     zeta(b) = alpha / b + scale * sum_i weights_i / (b - poles_i) with
     b = b(chi) and alpha = scale * lead, so that the Kn / Pr scaling is
-    applied last.  Calling the curve costs O(m) per chi.
+    applied last; with ``scale`` 1 it is the partial fraction f that
+    :func:`convergence_order` differences.  Calling the curve costs O(m)
+    per chi.
     """
 
     order: int
@@ -438,20 +441,24 @@ def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> Co
     )
 
 
-def convergence_order(chi, k: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> np.ndarray | float:
+def convergence_order(chi, k: int) -> np.ndarray | float:
     """Observed order of the jump coefficient on the doubling ladder M = 2^j + 1.
 
     beta_k = -log2((z_{j+2} - z_{j+1}) / (z_{j+1} - z_j)) evaluated at
     j = k + 1, so the index k matches the published convergence table; the
     three orders actually solved are 2^(k+1) + 1, 2^(k+2) + 1 and
-    2^(k+3) + 1.  Each order's coefficient curve is built once and
-    evaluated at every chi; an array of chi gives an array of orders, a
-    scalar chi a float.  A denominator below 1e-14 of the coefficients
-    (which scale with Kn) is reported as a degenerate difference.
+    2^(k+3) + 1.  zeta = (5 Kn / 2 Pr) f(b) and the scale cancels from the
+    ratio, so z is the unscaled partial fraction f of each order's
+    coefficient curve (the same curve with ``scale`` 1), built once and
+    evaluated at every chi; no Kn or Pr enters.  An array of chi gives an
+    array of orders, a scalar chi a float.  A denominator below 1e-14 of
+    the values it differences is reported as a degenerate difference.
     """
     if not (isinstance(k, numbers.Integral) and k >= 1):
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    z0, z1, z2 = (coefficient_curve(2**j + 1, kn, pr)(chi) for j in (k + 1, k + 2, k + 3))
+    z0, z1, z2 = (
+        dataclasses.replace(coefficient_curve(2**j + 1), scale=1.0)(chi) for j in (k + 1, k + 2, k + 3)
+    )
     denom = np.subtract(z1, z0)
     degenerate = np.abs(denom) <= 1e-14 * np.maximum(np.abs(z0), np.abs(z1))
     if np.any(degenerate):
@@ -467,7 +474,16 @@ def _profile_extent(sol) -> float:
 
 
 def default_profile_grid(sol, count: int = 400) -> np.ndarray:
-    """Geometric sample grid from 1e-3 out to sixty widths of the widest layer."""
+    """Strictly increasing geometric sample grid from 1e-3 out to sixty widths
+    of the widest layer.  That extent scales with Kn, so a Kn for which it is
+    not finite or not above 1e-3 raises ``ValueError``; pass an explicit grid
+    to the profile evaluators instead."""
     if not (isinstance(count, numbers.Integral) and count >= 2):
         raise ValueError(f"count must be an integer of at least 2, got {count!r}")
-    return np.geomspace(1e-3, _profile_extent(sol), count)
+    extent = _profile_extent(sol)
+    if not (math.isfinite(extent) and extent > 1e-3):
+        raise ValueError(
+            f"sixty widths of the widest layer ({extent:g} at kn={sol.kn:g}) must be finite"
+            " and above 1e-3 for the default profile grid"
+        )
+    return np.geomspace(1e-3, extent, count)

@@ -1,14 +1,14 @@
-"""Closed-form half-space integrals of Hermite polynomial pairs, normalized.
+"""The wall table: closed-form half-space integrals of even Hermite pairs, normalized.
 
 Every value here is exact closed-form arithmetic on the even values z_2k of
-the Hermite polynomials at the origin (odd z vanish); the quadrature
-counterparts live in :mod:`knlayer.verification`.  The scalar form
-``half_space_S_normalized`` covers every index pair in normalized form, so
-no raw factorial is formed at any order.  ``HalfSpaceTable`` builds only
-the normalized even-index block S(2i, 2j) that the wall assemblies read, in
-one vectorized closed form; the raw even block of the raw reference
-matrices, inside the double-precision window, is built on its first read
-by the same closed form (``_raw_block``).
+the Hermite polynomials at the origin (odd z vanish), so no raw factorial
+is formed at any order.  ``HalfSpaceTable`` builds only the normalized
+even-index block S(2i, 2j) that the wall assemblies read, in one vectorized
+closed form; the raw even block of the raw reference matrices, inside the
+double-precision window, is built on its first read by the same closed form
+(``_raw_block``).  The scalar closed form of every index pair, odd ones
+included, and the quadrature counterparts live in
+:mod:`knlayer.verification`, whose oracles are their only readers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "SQRT_2PI",
     "HalfSpaceTable",
-    "half_space_S_normalized",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -47,42 +46,6 @@ def _z_even(count: int, normalized: bool = True) -> np.ndarray:
     return np.cumprod(steps)
 
 
-def half_space_S_normalized(alpha: int, beta: int) -> float:
-    """S(alpha, beta) / sqrt(alpha! beta!), finite for all supported orders.
-
-    Public because it is the paper's closed form for every index pair, odd
-    ones included; :class:`HalfSpaceTable` is its even-index block, built
-    vectorized for the wall assemblies, and the oracles check both.
-
-    S(alpha, beta) = beta I(alpha, beta-1) + I(alpha, beta+1), where I(a, b)
-    is the half-line Gaussian moment of He_a He_b.  The band |a-b| = 1
-    collapses to sqrt(2 pi)/2 times a square root; other mixed-parity pairs
-    vanish with the odd z; an even pair is a rational multiple of
-    z_alpha z_beta, and for odd-odd pairs the z_{alpha+1} cross terms
-    survive instead (those pairs never enter a wall assembly but are part of
-    the contract).  Arguments are symmetrized first so S(a, b) == S(b, a)
-    bit for bit.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError("indices must be non-negative")
-    if alpha > beta:
-        alpha, beta = beta, alpha
-    if beta - alpha == 1:
-        return SQRT_2PI / 2.0 * math.sqrt(beta)
-    if (alpha + beta) % 2 == 1:
-        return 0.0
-    z = _z_even(beta // 2 + 2).tolist()  # through index beta + 1
-    if alpha % 2 == 1:
-        return (
-            math.sqrt(beta * (alpha + 1.0)) * z[(alpha + 1) // 2] * z[(beta - 1) // 2]
-            / (alpha - beta + 1)
-            + math.sqrt((alpha + 1.0) * (beta + 1.0)) * z[(alpha + 1) // 2] * z[(beta + 1) // 2]
-            / (alpha - beta - 1)
-        )
-    coef = (alpha + beta + 1) / float((alpha - beta) ** 2 - 1)
-    return coef * z[alpha // 2] * z[beta // 2]
-
-
 class HalfSpaceTable:
     """Even-index blocks of S(alpha, beta) for even alpha, beta <= top.
 
@@ -92,8 +55,8 @@ class HalfSpaceTable:
     for the full range; ``s_values[i, j]`` the raw S(2i, 2j) inside the
     double-precision window (2i, 2j <= RAW_ORDER_LIMIT), which only the raw
     references read, so it is built on first read and then kept.  Odd-index
-    pairs are left to :func:`half_space_S_normalized`.  Both blocks are
-    read-only, so a table is safe to share across threads.
+    pairs are left to :func:`knlayer.verification.half_space_S_normalized`.
+    Both blocks are read-only, so a table is safe to share across threads.
     """
 
     @staticmethod

@@ -11,9 +11,10 @@ oracle, ``bvp_profile`` on the one grid ``bvp_nodes`` builds, takes its
 wall matrix and carrier from the references below, and its odd block
 from the dense coupling block (``odd_block``), but still shares two parts
 with the solver: the rates and even block (``decompose``) and the drive c
-(``wall_system``).  The references are built here: the Hermite inner
-products and basis combinations behind every coupling entry and even norm,
-the dense coupling block and parity matrix, the odd eigenvector block and
+(``wall_system``).  The references are built here: the scalar half-space
+closed form of every index pair (``half_space_S_normalized``), the Hermite
+inner products and basis combinations behind every coupling entry and even
+norm, the dense coupling block and parity matrix, the odd eigenvector block and
 the full parity eigenvector matrix, one raw and one scaled wall matrix per
 order (``raw_wall_matrix`` and ``reference_wall_matrix``, keyed on the
 order's parity), and the wall operator K(chi) that the solver never forms.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special_functions
-from .boundary_solver import WallBoundarySystem, _check_match, accommodation_factor, wall_system
+from .boundary_solver import WallBoundarySystem, _check_match, _one_chi, wall_system
 from .layer_profiles import (
     DEFAULT_KN,
     _validate_common,
@@ -43,7 +44,7 @@ from .layer_profiles import (
     velocity_solution,
 )
 from .parity_spectral import ParityEigen, decompose
-from .special_functions import RAW_ORDER_LIMIT, HalfSpaceTable
+from .special_functions import RAW_ORDER_LIMIT, SQRT_2PI, HalfSpaceTable, _z_even
 from .system_builder import (
     ReducedSystem,
     _check_kramers_order,
@@ -60,6 +61,7 @@ __all__ = [
     "QuadratureConvergenceError",
     "CheckResult",
     "VERIFICATION_SUITES",
+    "half_space_S_normalized",
     "quadrature_block",
     "inner_product_oracle",
     "oracle_entry",
@@ -108,6 +110,43 @@ class BvpConvergenceError(RuntimeError):
 
 class QuadratureConvergenceError(RuntimeError):
     """Two Gauss-Legendre rules of the half-space oracle disagree."""
+
+
+def half_space_S_normalized(alpha: int, beta: int) -> float:
+    """S(alpha, beta) / sqrt(alpha! beta!), finite for all supported orders.
+
+    The paper's closed form for every index pair, odd ones included; no
+    solve reads it.  :class:`HalfSpaceTable` is its even-index block, built
+    vectorized for the wall assemblies, and the half-space suite checks both
+    against :func:`quadrature_block`.
+
+    S(alpha, beta) = beta I(alpha, beta-1) + I(alpha, beta+1), where I(a, b)
+    is the half-line Gaussian moment of He_a He_b.  The band |a-b| = 1
+    collapses to sqrt(2 pi)/2 times a square root; other mixed-parity pairs
+    vanish with the odd z; an even pair is a rational multiple of
+    z_alpha z_beta, and for odd-odd pairs the z_{alpha+1} cross terms
+    survive instead (those pairs never enter a wall assembly but are part of
+    the contract).  Arguments are symmetrized first so S(a, b) == S(b, a)
+    bit for bit.
+    """
+    if alpha < 0 or beta < 0:
+        raise ValueError("indices must be non-negative")
+    if alpha > beta:
+        alpha, beta = beta, alpha
+    if beta - alpha == 1:
+        return SQRT_2PI / 2.0 * math.sqrt(beta)
+    if (alpha + beta) % 2 == 1:
+        return 0.0
+    z = _z_even(beta // 2 + 2).tolist()  # through index beta + 1
+    if alpha % 2 == 1:
+        return (
+            math.sqrt(beta * (alpha + 1.0)) * z[(alpha + 1) // 2] * z[(beta - 1) // 2]
+            / (alpha - beta + 1)
+            + math.sqrt((alpha + 1.0) * (beta + 1.0)) * z[(alpha + 1) // 2] * z[(beta + 1) // 2]
+            / (alpha - beta - 1)
+        )
+    coef = (alpha + beta + 1) / float((alpha - beta) ** 2 - 1)
+    return coef * z[alpha // 2] * z[beta // 2]
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], built once per node count.
@@ -427,7 +466,7 @@ def bvp_profile(
             and (np.diff(y) > 0.0).all()):
         raise ValueError("nodes must be a finite, strictly increasing 1-d grid of at least"
                          " 2 nodes that starts at 0")
-    b = accommodation_factor(chi)
+    b = _one_chi(chi)[1]
     system, eigen = _problem_parts(order, pr)
     # the carrier: the defect t0 + 6 t2 + g2 or the shear moment, over the even norms
     factor, weights = (0.8, (1.0, 6.0, 1.0)) if odd else (1.0, (2.0,))
@@ -511,7 +550,7 @@ def wall_operator(system: WallBoundarySystem, eigen: ParityEigen, chi: float) ->
 
     The solver never forms it; the definiteness checks and tests do.
     """
-    b = accommodation_factor(chi)
+    b = _one_chi(chi)[1]
     _check_match(system, eigen)
     e = eigen.even_vectors
     k = b * system.scaled_matrix
@@ -544,7 +583,7 @@ def _check_half_space(level: str) -> list[CheckResult]:
     pattern of the closed forms are checked over a wider block."""
     top = 12 if level == "quick" else QUADRATURE_ORDER_LIMIT
     top_sym = 40 if level == "quick" else 80
-    exact = np.array([[special_functions.half_space_S_normalized(a, b) for b in range(top_sym + 1)]
+    exact = np.array([[half_space_S_normalized(a, b) for b in range(top_sym + 1)]
                       for a in range(top_sym + 1)])
     closed = exact[:top + 1, :top + 1]
     quad = quadrature_block(top, 1.0)

@@ -24,11 +24,11 @@ from knlayer.layer_profiles import (
     velocity_solution,
 )
 from knlayer.parity_spectral import decompose
-from knlayer.special_functions import half_space_S_normalized
 from knlayer.system_builder import build_kramers_system, build_temperature_system
 from knlayer.verification import (
     _bvp_deviation,
     dense_symmetric_eigvals,
+    half_space_S_normalized,
     raw_wall_matrix,
     wall_operator,
 )

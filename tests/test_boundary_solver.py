@@ -597,6 +597,19 @@ class TestPencilSolve:
         with pytest.raises(StructuralSolveError):
             solve_wall(spoiled, eigen, 0.5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("chi", [[0.5], [0.5, 0.6], np.array([0.5]), 0.5 + 0.0j])
+    def test_chi_must_be_one_real_number(self, chi):
+        wbs = temperature_boundary_system(7)
+        with pytest.raises(ValueError, match="chi must be one real number"):
+            solve_wall(wbs, temperature_eigen(7), chi, 1.0, 0.0)
+
+    def test_zero_d_chi_is_one_number(self):
+        wbs, eigen = temperature_boundary_system(7), temperature_eigen(7)
+        u0, v_plus = solve_wall(wbs, eigen, np.array(0.5), 1.0, 0.0)
+        ref_u0, ref_v = solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
+        assert u0 == ref_u0
+        np.testing.assert_array_equal(v_plus, ref_v)
+
     def test_mismatched_eigen_rejected(self):
         wbs = temperature_boundary_system(7)
         with pytest.raises(ValueError):

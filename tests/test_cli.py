@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import knlayer
-import knlayer.special_functions
+import knlayer.verification
 from knlayer import cli
 from knlayer.cli import MAX_SAMPLES, UsageError, main
 from knlayer.layer_profiles import (
+    convergence_order,
     jump_coefficient,
     layer_operator,
     temperature_defect,
@@ -449,6 +450,17 @@ class TestTable2:
         assert calls.count("temperature_boundary_system") == 3
         assert len(json.loads(out)["rows"][0]["orders"]) == 7
 
+    def test_structured_rows_are_the_library_orders(self, capsys):
+        # JSON keeps every bit of a float, so the rows are the library's values
+        code, out, _ = run(capsys, ["table2", "--kmax", "7", "--format", "structured-json"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["chis"] == list(cli.TABLE1_CHIS)
+        assert [row["k"] for row in record["rows"]] == [6, 7]
+        for row in record["rows"]:
+            expected = convergence_order(np.array(cli.TABLE1_CHIS), row["k"]).tolist()
+            assert row["orders"] == expected, row["k"]
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
@@ -685,16 +697,14 @@ class TestVerifyCommand:
         assert elapsed < 65.0, f"full verification took {elapsed:.1f} s"
 
     def test_fault_injection_detected(self, capsys, monkeypatch):
-        true_fn = knlayer.special_functions.half_space_S_normalized
+        true_fn = knlayer.verification.half_space_S_normalized
 
         def corrupted(alpha, beta):
             if (alpha, beta) == (2, 4) or (alpha, beta) == (4, 2):
                 return true_fn(alpha, beta) + 1e-5
             return true_fn(alpha, beta)
 
-        monkeypatch.setattr(
-            knlayer.special_functions, "half_space_S_normalized", corrupted
-        )
+        monkeypatch.setattr(knlayer.verification, "half_space_S_normalized", corrupted)
         code, out, _ = run(capsys, ["verify", "--level", "quick"])
         assert code == 2
         assert "FAIL" in out
@@ -724,14 +734,14 @@ class TestVerifyCommand:
         # S(31, 40) lies past the quadrature range, so only the exact zero
         # pattern sees it; it is corrupted symmetrically, so the symmetry
         # check cannot.
-        true_fn = knlayer.special_functions.half_space_S_normalized
+        true_fn = knlayer.verification.half_space_S_normalized
 
         def corrupted(alpha, beta):
             if {alpha, beta} == {31, 40}:
                 return 1e-3
             return true_fn(alpha, beta)
 
-        monkeypatch.setattr(knlayer.special_functions, "half_space_S_normalized", corrupted)
+        monkeypatch.setattr(knlayer.verification, "half_space_S_normalized", corrupted)
         code, out, _ = run(capsys, ["verify", "--level", "quick"])
         assert code == 2
         assert "FAIL half-space exact zero pattern" in out

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import importlib
 import importlib.util
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -334,10 +335,28 @@ class TestChiZeroLimit:
 
 
 class TestConvergenceOrder:
-    def test_kn_invariance(self):
-        a = convergence_order(0.5, 4, kn=KN)
-        b = convergence_order(0.5, 4, kn=1.0)
-        assert a == pytest.approx(b, abs=1e-10)
+    def test_takes_chi_and_k_alone(self):
+        # zeta = (5 Kn / 2 Pr) f(b), and the scale cancels from beta exactly
+        assert list(inspect.signature(convergence_order).parameters) == ["chi", "k"]
+
+    @pytest.mark.parametrize("k", [1, 4, 6])
+    def test_orders_are_the_unscaled_curve_ratio(self, k):
+        chis = np.array([0.1, 0.5, 1.0])
+        f0, f1, f2 = (
+            dataclasses.replace(coefficient_curve(2**j + 1), scale=1.0)(chis)
+            for j in (k + 1, k + 2, k + 3)
+        )
+        expected = -np.log2((f2 - f1) / (f1 - f0))
+        np.testing.assert_array_equal(convergence_order(chis, k), expected)
+
+    def test_unscaled_curve_is_free_of_kn_and_pr(self):
+        # the ratio's inputs are the same bits at every Kn and Pr, so beta is
+        ref = coefficient_curve(33)
+        for kn, pr in ((1e-12, 1.0), (1.0, 0.7), (1e300, 1e-3)):
+            curve = coefficient_curve(33, kn, pr)
+            assert curve.lead == ref.lead
+            np.testing.assert_array_equal(curve.poles, ref.poles)
+            np.testing.assert_array_equal(curve.weights, ref.weights)
 
     def test_array_of_chi_matches_scalar_calls(self):
         chis = np.array([0.1, 0.5, 1.0])
@@ -353,15 +372,22 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             convergence_order(1.0, 0)
 
-    @pytest.mark.parametrize("kn", [1e-12, 1e-300])
-    def test_tiny_kn_is_not_degenerate(self, kn):
-        # the coefficients scale with Kn and the orders do not, so the
-        # degeneracy test is relative; the bound is test_kn_invariance's,
-        # since the ladder differences amplify the last bit of Kn * curve
+    def test_degeneracy_test_is_relative(self, monkeypatch):
+        # curves scaled by a power of two give the same orders bit for bit,
+        # although their differences lie far below any absolute threshold
+        import knlayer.layer_profiles as lp
+
         chis = np.array([0.1, 0.5, 1.0])
-        np.testing.assert_allclose(convergence_order(chis, 6, kn=kn), convergence_order(chis, 6),
-                                   rtol=0.0, atol=1e-10)
-        assert convergence_order(0.5, 6, kn=kn) == pytest.approx(convergence_order(0.5, 6), abs=1e-10)
+        expected = convergence_order(chis, 4)
+
+        def tiny(order):
+            curve = coefficient_curve(order)
+            return dataclasses.replace(
+                curve, lead=curve.lead * 2.0**-900, weights=curve.weights * 2.0**-900
+            )
+
+        monkeypatch.setattr(lp, "coefficient_curve", tiny)
+        np.testing.assert_array_equal(convergence_order(chis, 4), expected)
 
     def test_degenerate_differences_reported(self, monkeypatch):
         import knlayer.layer_profiles as lp
@@ -496,7 +522,54 @@ class TestParameterSweeps:
                 assert math.isfinite(slip) and slip > 0.0
 
 
+class TestOneChi:
+    """A solve reads one chi: anything else raises ValueError naming chi
+    before any operator build, and a 0-d array is stored as a float."""
+
+    @pytest.mark.parametrize(
+        "chi",
+        [[0.5, 0.6], [0.5], (0.5,), np.array([0.5]), np.array([[0.5]]), 0.5 + 0.0j, True, "0.5"],
+    )
+    @pytest.mark.parametrize("order", [3, 4, 1025])
+    def test_rejected_before_any_build(self, order, chi):
+        solve = temperature_solution if order % 2 else velocity_solution
+        before = layer_operator.cache_info()
+        with pytest.raises(ValueError, match="chi must be one real number"):
+            solve(order, chi)
+        assert layer_operator.cache_info() == before
+
+    @pytest.mark.parametrize("order", [9, 8])
+    @pytest.mark.parametrize("chi", [np.array(0.5), np.float32(0.5), 1])
+    def test_one_number_is_stored_as_float(self, order, chi):
+        solve = temperature_solution if order % 2 else velocity_solution
+        sol, ref = solve(order, chi), solve(order, float(chi))
+        assert type(sol.chi) is float and sol.chi == float(chi)
+        assert sol.wall_value == ref.wall_value
+        np.testing.assert_array_equal(sol.amplitudes, ref.amplitudes)
+
+
 class TestGrid:
+    @pytest.mark.parametrize("solve", [temperature_solution, velocity_solution])
+    def test_default_kn_grid_increases_from_1e_3(self, solve):
+        sol = solve(13 if solve is temperature_solution else 12, 1.0)
+        grid = default_profile_grid(sol)
+        assert grid[0] == 1e-3
+        assert grid[-1] == pytest.approx(60.0 * sol.decay_rates[0] * KN, rel=1e-14)
+        assert np.all(np.diff(grid) > 0.0)
+
+    @pytest.mark.parametrize(
+        "solve, kn",
+        [(velocity_solution, 2e-6), (temperature_solution, 1e308)],
+    )
+    def test_extent_outside_the_grid_contract_raises(self, solve, kn):
+        # sixty widths at or below the 1e-3 start would make the grid
+        # decrease, and an infinite extent would fill it with inf
+        sol = solve(13 if solve is temperature_solution else 12, 1.0, kn=kn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sixty widths"):
+                default_profile_grid(sol)
+
     def test_default_grid_shape(self):
         sol = temperature_solution(7, 1.0)
         grid = default_profile_grid(sol)

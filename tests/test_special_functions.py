@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 
 from knlayer import special_functions
 from knlayer.layer_profiles import layer_operator
-from knlayer.special_functions import (
-    RAW_ORDER_LIMIT,
-    HalfSpaceTable,
-    _z_even,
-    half_space_S_normalized,
-)
-from knlayer.verification import quadrature_block, raw_wall_matrix
+from knlayer.special_functions import RAW_ORDER_LIMIT, HalfSpaceTable, _z_even
+from knlayer.verification import half_space_S_normalized, quadrature_block, raw_wall_matrix
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

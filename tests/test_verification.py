@@ -322,6 +322,25 @@ class TestBvpDomain:
         with pytest.raises(ValueError):
             bvp_profile(order, 1.0, kn, pr, flux, wall, reference_nodes(order, 100))
 
+    @pytest.mark.parametrize("chi", [[0.5, 0.6], [0.5], np.array([0.5]), 0.5 + 0.0j])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_rejects_chi_that_is_not_one_real_number(self, monkeypatch, order, chi):
+        # a row of chi would scale the wall matrix's columns by different b;
+        # it is rejected before the oracle builds its parts
+        built = []
+        monkeypatch.setattr(verification, "_problem_parts", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="chi must be one real number"):
+            bvp_profile(order, chi, 0.7, 1.0, 1.0, 0.0, bvp_nodes(1.0, 50))
+        assert not built
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_zero_d_chi_is_one_number(self, order):
+        nodes = bvp_nodes(1.0, 50)
+        np.testing.assert_array_equal(
+            bvp_profile(order, np.array(0.5), KN, 1.0, 1.0, 0.0, nodes),
+            bvp_profile(order, 0.5, KN, 1.0, 1.0, 0.0, nodes),
+        )
+
     @pytest.mark.parametrize("order", [3, 4, 7, 8])
     def test_negated_rate_does_not_converge(self, monkeypatch, order):
         true_parts = verification._problem_parts
