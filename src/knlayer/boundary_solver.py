@@ -56,6 +56,7 @@ from .system_builder import (
     _check_prandtl,
     _check_temperature_order,
     _kramers_a1,
+    _one_real,
     _record,
 )
 
@@ -88,16 +89,9 @@ def accommodation_factor(chi):
 
 
 def _one_chi(chi) -> tuple[float, float]:
-    """(chi, b(chi)) of one real accommodation coefficient, chi as a float.
-
-    A wall solve reads one chi, so anything else (a sequence, an array that
-    is not 0-d, a value that is not real) raises ``ValueError`` naming chi;
-    every solve runs this before it builds anything.
-    """
-    value = np.asarray(chi)
-    if value.ndim or value.dtype.kind not in "iuf":
-        raise ValueError(f"chi must be one real number, got {chi!r}")
-    chi = float(value)
+    """(chi, b(chi)) of one real accommodation coefficient, chi as a float; a
+    wall solve reads one chi, and every solve runs this before it builds anything."""
+    chi = _one_real(chi, "chi")
     return chi, accommodation_factor(chi)
 
 
@@ -179,10 +173,10 @@ def wall_system(order: int, pr: float = 1.0) -> WallBoundarySystem:
 
 def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
     size = system.scaled_matrix.shape[0]
-    if eigen.m_even != size - 1:
+    if eigen.rates.size != size - 1:
         raise ValueError(
             "eigendecomposition does not match the boundary system "
-            f"(matrix size {size}, parity block {eigen.m_even})"
+            f"(matrix size {size}, parity block {eigen.rates.size})"
         )
 
 

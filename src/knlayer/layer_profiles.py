@@ -16,10 +16,11 @@ fraction in it:
     zeta(b) = alpha / b + sum_i beta_i / (b + 1 / mu_i),
 
 with alpha, the reduced eigenvalues mu and the pole weights beta fixed per
-order (:func:`coefficient_curve`).  A chi sweep, Table 1, the convergence
-orders and the coefficient of a single solution all evaluate that curve, at
-O(m) per chi and with no solution object per sample, so every command
-prints the same value for the same inputs; profiles, defects and amplitudes
+order; the operator builds the curve once, unscaled, and
+:func:`coefficient_curve` sets its Kn / Pr scale.  A chi sweep, Table 1, the
+convergence orders and the coefficient of a single solution all evaluate
+that curve, at O(m) per chi and with no solution object per sample, so every
+command prints the same value for the same inputs; profiles, defects and amplitudes
 keep the per-chi solution, one O(M^2) product per chi.  The order's parity
 names the problem: an odd order is the temperature jump, an even one
 Kramers slip, and both solutions share one record base and one far-field
@@ -41,7 +42,8 @@ import numpy as np
 
 from .boundary_solver import WallReduction, _one_chi, accommodation_factor, schur_complement, wall_system
 from .parity_spectral import decompose
-from .system_builder import _check_integral_order, _check_prandtl, _kramers_a1, _record, reduced_system
+from .system_builder import (MAX_TEMPERATURE_ORDER, _check_integral_order, _check_prandtl, _kramers_a1,
+                             _one_real, _record, reduced_system)
 
 __all__ = [
     "CoefficientCurve",
@@ -181,6 +183,54 @@ def _decay_sum(sol, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 @_record
+class CoefficientCurve:
+    """Jump (odd order) or slip (even order) coefficient as a function of chi.
+
+    zeta(b) = alpha / b + scale * sum_i weights_i / (b - poles_i) with
+    b = b(chi) and alpha = scale * lead, so that the Kn / Pr scaling is
+    applied last.  Each order's ``LayerOperator`` holds the unscaled curve
+    (``scale`` 1), the partial fraction f that :func:`convergence_order`
+    differences; :func:`coefficient_curve` sets the scale.  Calling the
+    curve costs O(m) per chi.
+    """
+
+    order: int
+    scale: float
+    lead: float
+    poles: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def alpha(self) -> float:
+        """Residue at b = 0: the chi -> 0 limit of b(chi) * zeta."""
+        return self.scale * self.lead
+
+    def __call__(self, chi):
+        """The coefficient at each chi in (0, 1]; a float for a scalar chi.
+
+        A non-finite value (a subnormal chi overflows 1 / b(chi)) raises
+        ``ValueError``.
+        """
+        chis = np.asarray(chi, dtype=float)
+        b = np.ravel(accommodation_factor(chis))
+
+        def fractions(block):
+            f = block[:, None] - self.poles
+            return np.reciprocal(f, out=f)
+
+        with np.errstate(all="ignore"):
+            out = self.scale * (self.lead / b + _blocked_matvec(b, self.weights, fractions))
+        finite = np.isfinite(out)
+        if not finite.all():
+            name = "jump" if self.order % 2 else "slip"
+            raise ValueError(
+                f"{name} coefficient for order {self.order}, "
+                f"chi={np.ravel(chis)[~finite][0]} is not finite"
+            )
+        return float(out[0]) if chis.ndim == 0 else out.reshape(chis.shape)
+
+
+@_record
 class LayerOperator:
     """Everything a solve of one order (and Pr) reads, independent of chi;
     its build reads the normalized half-space block alone, never the raw one.
@@ -188,16 +238,16 @@ class LayerOperator:
     ``row`` is the defect combination DEFECT_WEIGHTS @ E[:3] (temperature)
     or E[0] (Kramers); ``row_scale`` * ``row`` maps the mode weights to the
     profile's exponential amplitudes (0.8 for temperature, 2 / a1 for the
-    slip).  ``wall`` is the reduced wall eigenproblem, and ``amplitude_row``
-    = ``row_scale`` * ``row`` @ ``wall.modes`` maps its unknowns s to the
-    summed amplitudes, formed once per build for the coefficient curve.
+    slip).  ``wall`` is the reduced wall eigenproblem, and ``curve`` the
+    order's coefficient as an unscaled partial fraction (``scale`` 1), built
+    once with the operator.
     """
 
     rates: np.ndarray
     row: np.ndarray
     row_scale: float
     wall: WallReduction
-    amplitude_row: np.ndarray
+    curve: CoefficientCurve
 
 
 def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
@@ -208,7 +258,7 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
     the order is checked to be an integer before the cache is looked up;
     ``cache_info`` and ``cache_clear`` are the cache's.
     """
-    _check_prandtl(pr)
+    pr = _check_prandtl(pr)
     _check_integral_order(order)
     return _cached_operator(order, 1.0 if order % 2 else pr)
 
@@ -217,9 +267,11 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
 def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
     wall system (its builder makes the normalized table block T reads), Schur
-    complement, wall eigh.  The table goes once T is assembled, and E and T
-    before the wall eigh, which runs beside A alone, as the Gram eigh runs
-    beside G.
+    complement, wall eigh, coefficient curve.  The table goes once T is
+    assembled, and E and T before the wall eigh, which runs beside A alone,
+    as the Gram eigh runs beside G.  The wall value is linear in
+    s = g / (1/mu + b), so the unscaled coefficient is lead / b +
+    sum_i beta_i / (b + 1/mu_i), beta = (row_scale row @ modes - w0) * g.
     """
     eigen = decompose(reduced_system(order, pr))
     rates, e = eigen.rates, eigen.even_vectors
@@ -231,29 +283,30 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     schur = schur_complement(wall_system(order, pr), rates, e)
     del e
     wall = WallReduction.from_schur(*schur)
-    return LayerOperator(rates, row, row_scale, wall, row_scale * (row @ wall.modes))
+    weights = (row_scale * (row @ wall.modes) - wall.w0) * wall.g
+    curve = CoefficientCurve(order, 1.0, wall.lead, -wall.inv_mu, weights)
+    return LayerOperator(rates, row, row_scale, wall, curve)
 
 
 layer_operator.cache_info = _cached_operator.cache_info
 layer_operator.cache_clear = _cached_operator.cache_clear
 
 
-def _validate_common(kn: float, pr: float) -> None:
-    """Kn must be finite, positive and normal: NaN would otherwise pass every
-    sign test, and a subnormal Kn keeps too few digits for the coefficients it
-    scales.  Pr has the system builders' one domain, for both parities."""
-    if not (math.isfinite(kn) and kn >= sys.float_info.min):
-        raise ValueError(f"Knudsen number must be finite and positive, and not subnormal, got {kn}")
-    _check_prandtl(pr)
+def _validate_common(kn: float, pr: float) -> tuple[float, float]:
+    """(Kn, Pr) as floats.  Kn must be finite, positive and normal: NaN would
+    otherwise pass every sign test, and a subnormal Kn keeps too few digits
+    for the coefficients it scales.  Pr has the system builders' one domain."""
+    kn = _one_real(kn, "Knudsen number", lambda x: sys.float_info.min <= x < math.inf,
+                   "finite and positive, and not subnormal")
+    return kn, _check_prandtl(pr)
 
 
-def _validate_drive(name: str, flux: float, wall_value: float) -> None:
-    """A zero flux drives no layer, and a subnormal one keeps too few digits
-    for the flux-normalized coefficients; both raise ``ValueError``."""
-    if not (math.isfinite(flux) and abs(flux) >= sys.float_info.min):
-        raise ValueError(f"the prescribed {name} must be finite, nonzero and normal, got {flux}")
-    if not math.isfinite(wall_value):
-        raise ValueError(f"wall value must be finite, got {wall_value}")
+def _validate_drive(name: str, flux: float, wall_value: float) -> tuple[float, float]:
+    """(flux, wall value) as floats.  A zero flux drives no layer, and a
+    subnormal one keeps too few digits for the flux-normalized coefficients."""
+    flux = _one_real(flux, f"the prescribed {name}", lambda x: sys.float_info.min <= abs(x) < math.inf,
+                     "finite, nonzero and normal")
+    return flux, _one_real(wall_value, "wall value", math.isfinite, "finite")
 
 
 def _check_parity(odd: bool, order: int) -> None:
@@ -271,8 +324,8 @@ def _wall_solution(
     solve, then the solution of the temperature jump (``odd``) or of Kramers
     slip, whose order must have that parity.  One amplitude formula serves
     both; only the temperature solution keeps the defect amplitudes."""
-    _validate_common(kn, pr)
-    _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
+    kn, pr = _validate_common(kn, pr)
+    flux, wall_value = _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
     chi, b = _one_chi(chi)  # a bad chi fails before a cold operator build
     _check_parity(odd, order)
     op = layer_operator(order, pr)
@@ -370,75 +423,16 @@ def viscous_slip_coefficient(sol: VelocityLayerSolution) -> float:
     return _coefficient(False, sol)
 
 
-@_record
-class CoefficientCurve:
-    """Jump (odd order) or slip (even order) coefficient as a function of chi.
-
-    zeta(b) = alpha / b + scale * sum_i weights_i / (b - poles_i) with
-    b = b(chi) and alpha = scale * lead, so that the Kn / Pr scaling is
-    applied last; with ``scale`` 1 it is the partial fraction f that
-    :func:`convergence_order` differences.  Calling the curve costs O(m)
-    per chi.
-    """
-
-    order: int
-    scale: float
-    lead: float
-    poles: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def alpha(self) -> float:
-        """Residue at b = 0: the chi -> 0 limit of b(chi) * zeta."""
-        return self.scale * self.lead
-
-    def __call__(self, chi):
-        """The coefficient at each chi in (0, 1]; a float for a scalar chi.
-
-        A non-finite value (a subnormal chi overflows 1 / b(chi)) raises
-        ``ValueError``.
-        """
-        chis = np.asarray(chi, dtype=float)
-        b = np.ravel(accommodation_factor(chis))
-
-        def fractions(block):
-            f = block[:, None] - self.poles
-            return np.reciprocal(f, out=f)
-
-        with np.errstate(all="ignore"):
-            out = self.scale * (self.lead / b + _blocked_matvec(b, self.weights, fractions))
-        finite = np.isfinite(out)
-        if not finite.all():
-            name = "jump" if self.order % 2 else "slip"
-            raise ValueError(
-                f"{name} coefficient for order {self.order}, "
-                f"chi={np.ravel(chis)[~finite][0]} is not finite"
-            )
-        return float(out[0]) if chis.ndim == 0 else out.reshape(chis.shape)
-
-
 def coefficient_curve(order: int, kn: float = DEFAULT_KN, pr: float = 1.0) -> CoefficientCurve:
-    """The partial fraction of the jump (odd order) or slip (even order) coefficient.
-
-    With the cached operator's wall reduction (s = g / (1/mu + b), wall
-    value linear in s) the coefficient of every chi is
-    alpha / b + sum_i beta_i / (b + 1/mu_i), beta = scale * (row - w0) * g,
-    where row, the operator's ``amplitude_row``, maps s to the summed mode
-    amplitudes: 0.8 DEFECT_WEIGHTS @ E[:3] @ modes with scale 2.5 Kn / Pr for
-    the temperature jump, (2 / a1) E[0] @ modes with scale Kn for the slip.  It
-    reads the same operator as the per-chi solutions, and their
-    ``jump_coefficient`` and ``viscous_slip_coefficient`` evaluate it.
+    """The partial fraction of the jump (odd order) or slip (even order) coefficient:
+    the cached operator's ``curve`` with its scale set, 2.5 Kn / Pr for the
+    temperature jump and Kn for the slip, sharing the operator's poles and
+    weights, so no call rebuilds them.  ``jump_coefficient`` and
+    ``viscous_slip_coefficient`` evaluate it.
     """
-    _validate_common(kn, pr)
-    op = layer_operator(order, pr)
-    wall = op.wall
-    return CoefficientCurve(
-        order=order,
-        scale=2.5 * kn / pr if order % 2 else kn,
-        lead=wall.lead,
-        poles=-wall.inv_mu,
-        weights=(op.amplitude_row - wall.w0) * wall.g,
-    )
+    kn, pr = _validate_common(kn, pr)
+    curve = layer_operator(order, pr).curve
+    return dataclasses.replace(curve, scale=2.5 * kn / pr if order % 2 else kn)
 
 
 def convergence_order(chi, k: int) -> np.ndarray | float:
@@ -447,18 +441,18 @@ def convergence_order(chi, k: int) -> np.ndarray | float:
     beta_k = -log2((z_{j+2} - z_{j+1}) / (z_{j+1} - z_j)) evaluated at
     j = k + 1, so the index k matches the published convergence table; the
     three orders actually solved are 2^(k+1) + 1, 2^(k+2) + 1 and
-    2^(k+3) + 1.  zeta = (5 Kn / 2 Pr) f(b) and the scale cancels from the
-    ratio, so z is the unscaled partial fraction f of each order's
-    coefficient curve (the same curve with ``scale`` 1), built once and
+    2^(k+3) + 1, at most the largest order: a k outside [1, 9] raises
+    ``ValueError`` before any build.
+    zeta = (5 Kn / 2 Pr) f(b) and the scale cancels from the ratio, so z is
+    the unscaled partial fraction f, each order operator's ``curve``,
     evaluated at every chi; no Kn or Pr enters.  An array of chi gives an
     array of orders, a scalar chi a float.  A denominator below 1e-14 of
     the values it differences is reported as a degenerate difference.
     """
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    z0, z1, z2 = (
-        dataclasses.replace(coefficient_curve(2**j + 1), scale=1.0)(chi) for j in (k + 1, k + 2, k + 3)
-    )
+    top = (MAX_TEMPERATURE_ORDER - 1).bit_length() - 4  # 2^(top + 3) + 1 is the largest order
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= top):
+        raise ValueError(f"k must be an integer in [1, {top}], got {k!r}")
+    z0, z1, z2 = (layer_operator(2**j + 1).curve(chi) for j in (k + 1, k + 2, k + 3))
     denom = np.subtract(z1, z0)
     degenerate = np.abs(denom) <= 1e-14 * np.maximum(np.abs(z0), np.abs(z1))
     if np.any(degenerate):

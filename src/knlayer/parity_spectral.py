@@ -49,10 +49,6 @@ class ParityEigen:
     rates: np.ndarray
     even_vectors: np.ndarray
 
-    @property
-    def m_even(self) -> int:
-        return self.even_vectors.shape[0]
-
 
 def _gram(system: ReducedSystem) -> np.ndarray:
     """G = B B^T as a dense symmetric array, filled band by band in O(M)."""

@@ -54,6 +54,20 @@ def _check_integral_order(order: int) -> None:
         raise ValueError(f"order must be an integer, got {order!r}")
 
 
+def _one_real(value, name: str, inside=None, domain: str = "") -> float:
+    """``value`` as a float when it is one real number, for which ``inside``
+    holds if given.  A sequence, an array that is not 0-d, a bool, complex or
+    string value, or a number outside the domain raises ``ValueError`` naming
+    the parameter, so a record never stores (and freezes) a caller's array."""
+    array = np.asarray(value)
+    if array.ndim or array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be one real number, got {value!r}")
+    number = float(array)
+    if inside is not None and not inside(number):
+        raise ValueError(f"{name} must be {domain}, got {value}")
+    return number
+
+
 def _check_temperature_order(order: int) -> int:
     """m_even of an odd order in [3, MAX_TEMPERATURE_ORDER]; anything else
     raises ``ValueError``.  The system and wall builders share this domain."""
@@ -65,13 +79,14 @@ def _check_temperature_order(order: int) -> int:
     return order - 2
 
 
-def _check_prandtl(prandtl: float) -> None:
-    """The one Prandtl domain of both parities: finite, normal (a subnormal
-    Pr keeps too few digits for the coefficients it scales) and at most
-    MAX_KRAMERS_PRANDTL; anything else, NaN included, raises ``ValueError``."""
-    if not sys.float_info.min <= prandtl <= MAX_KRAMERS_PRANDTL:
-        raise ValueError(f"Prandtl number must be finite and positive, not subnormal and at "
-                         f"most {MAX_KRAMERS_PRANDTL:g}, got {prandtl}")
+def _check_prandtl(prandtl: float) -> float:
+    """Pr as a float in the one Prandtl domain of both parities: finite, normal
+    (a subnormal Pr keeps too few digits for the coefficients it scales) and
+    at most MAX_KRAMERS_PRANDTL; anything else, NaN included, raises
+    ``ValueError``."""
+    return _one_real(prandtl, "Prandtl number",
+                     lambda pr: sys.float_info.min <= pr <= MAX_KRAMERS_PRANDTL,
+                     f"finite and positive, not subnormal and at most {MAX_KRAMERS_PRANDTL:g}")
 
 
 def _check_kramers_order(order: int, prandtl: float) -> int:
@@ -102,14 +117,15 @@ def _record(cls):
 
 @_record
 class ReducedSystem:
-    """Reduced moment system in banded form: its three diagonals.
+    """Reduced moment system in banded form: the order, m_even and three diagonals.
 
     The coupling block is square, m_even x m_even, and lower triangular
     with bandwidth three; only the main diagonal and the first two
     subdiagonals are stored, so construction stays O(M).  ``diag_sub1[j]``
     and ``diag_sub2[j]`` sit in column j; ``diag_sub2`` is empty for Kramers
     slip, whose block is bidiagonal.  The dense block is
-    :func:`knlayer.verification.coupling_dense`.
+    :func:`knlayer.verification.coupling_dense`.  The Kramers Pr enters the
+    entries alone: :func:`knlayer.verification.oracle_entry` takes it from its caller.
     """
 
     order: int
@@ -117,7 +133,6 @@ class ReducedSystem:
     diag_main: np.ndarray
     diag_sub1: np.ndarray
     diag_sub2: np.ndarray
-    prandtl: float | None = None
 
 
 def build_temperature_system(order: int) -> ReducedSystem:
@@ -186,7 +201,6 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
         diag_main=main,
         diag_sub1=sub1,
         diag_sub2=sub2,
-        prandtl=prandtl,
     )
 
 

@@ -270,11 +270,12 @@ def _even_norm(order: int, pr: float, i: int) -> float:
     return math.sqrt(a_sq)
 
 
-def oracle_entry(system: ReducedSystem, i: int, j: int) -> float:
-    """Coupling entry (i, j), 1-based, re-derived from the basis combinations."""
-    even, odd = _BASES[system.order % 2]
+def oracle_entry(order: int, pr: float, i: int, j: int) -> float:
+    """Coupling entry (i, j), 1-based, of the order's problem at the caller's
+    Pr (an odd order ignores it), re-derived from the basis combinations."""
+    even, odd = _BASES[order % 2]
     ip = sum(ce * co * inner_product_oracle(ie, io) for ce, ie in even(i) for co, io in odd(j))
-    return ip / (_even_norm(system.order, system.prandtl, i) * _basis_norm(odd(j)))
+    return ip / (_even_norm(order, pr, i) * _basis_norm(odd(j)))
 
 
 def coupling_dense(system: ReducedSystem) -> np.ndarray:
@@ -459,8 +460,8 @@ def bvp_profile(
             f"the finite-difference oracle supports odd orders in [3, {BVP_TEMPERATURE_ORDER_LIMIT}]"
             f" and even orders in [4, {BVP_KRAMERS_ORDER_LIMIT}], got {order}"
         )
-    _validate_common(kn, pr)
-    _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
+    kn, pr = _validate_common(kn, pr)
+    flux, wall_value = _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
     y = np.asarray(nodes, dtype=float)
     if not (y.ndim == 1 and y.size >= 2 and y[0] == 0.0 and np.isfinite(y).all()
             and (np.diff(y) > 0.0).all()):
@@ -470,7 +471,7 @@ def bvp_profile(
     system, eigen = _problem_parts(order, pr)
     # the carrier: the defect t0 + 6 t2 + g2 or the shear moment, over the even norms
     factor, weights = (0.8, (1.0, 6.0, 1.0)) if odd else (1.0, (2.0,))
-    k = min(len(weights), eigen.m_even)
+    k = min(len(weights), eigen.rates.size)
     row = np.array([w / _even_norm(order, pr, i) for i, w in enumerate(weights[:k], 1)])
     carrier = factor * (row @ eigen.even_vectors[:k, :])
     slope = (-0.4 * pr if odd else -1.0) * flux / kn
@@ -612,10 +613,10 @@ def _check_half_space(level: str) -> list[CheckResult]:
     ]
 
 
-def _system_entry_residual(system) -> float:
-    """Worst gap between the dense block and the inner-product oracle."""
+def _system_entry_residual(system: ReducedSystem, pr: float) -> float:
+    """Worst gap between the dense block and the inner-product oracle at Pr."""
     index = range(1, system.m_even + 1)
-    expected = np.array([[oracle_entry(system, i, j) for j in index] for i in index])
+    expected = np.array([[oracle_entry(system.order, pr, i, j) for j in index] for i in index])
     gap = np.abs(coupling_dense(system) - expected) / np.maximum(1.0, np.abs(expected))
     return float(np.max(gap))
 
@@ -623,9 +624,9 @@ def _system_entry_residual(system) -> float:
 def _check_systems(level: str) -> list[CheckResult]:
     t_orders = (3, 5, 7) if level == "quick" else tuple(range(3, 32, 2))
     k_orders = (4, 6) if level == "quick" else tuple(range(4, 31, 2))
-    systems = [build_temperature_system(m) for m in t_orders]
-    systems += [build_kramers_system(m, pr) for m in k_orders for pr in (1.0, 2.0 / 3.0)]
-    worst = max(_system_entry_residual(system) for system in systems)
+    cases = [(build_temperature_system(m), 1.0) for m in t_orders]
+    cases += [(build_kramers_system(m, pr), pr) for m in k_orders for pr in (1.0, 2.0 / 3.0)]
+    worst = max(_system_entry_residual(system, pr) for system, pr in cases)
     return [CheckResult("system entries vs inner-product oracle", worst <= 1e-12, worst, 1e-12)]
 
 

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
 import pathlib
 import re
@@ -166,11 +167,20 @@ def test_removed_names_are_gone():
 
 def test_records_hold_what_a_solve_reads():
     # the reduced system is its three diagonals; the members only tests and
-    # dump-system read went with the members nothing read
+    # dump-system read went with the members nothing read, and Pr, which only
+    # the entry oracle read, is the oracle caller's
     fields = [f.name for f in dataclasses.fields(knlayer.ReducedSystem)]
-    assert fields == ["order", "m_even", "diag_main", "diag_sub1", "diag_sub2", "prandtl"]
+    assert fields == ["order", "m_even", "diag_main", "diag_sub1", "diag_sub2"]
     # a solve reads the rates and the even block; the odd block is the oracles'
     assert [f.name for f in dataclasses.fields(knlayer.ParityEigen)] == ["rates", "even_vectors"]
+    assert not hasattr(knlayer.ParityEigen, "m_even")
+    # the operator holds the unscaled coefficient curve, built once per order
+    operator = knlayer.layer_profiles.layer_operator(9)
+    fields = [f.name for f in dataclasses.fields(operator)]
+    assert fields == ["rates", "row", "row_scale", "wall", "curve"]
+    assert not hasattr(operator, "amplitude_row")
+    # the entry oracle reads Pr from its caller, not from the system it checks
+    assert list(inspect.signature(verification.oracle_entry).parameters) == ["order", "pr", "i", "j"]
     # both solutions declare their eight shared fields once, then their drive
     shared = ["order", "chi", "kn", "pr", "wall_value", "intercept", "decay_rates", "amplitudes"]
     for record, drive in (

@@ -468,7 +468,7 @@ class TestSolveWall:
         wbs = kramers_boundary_system(order, pr)
         u0, v_plus = solve_wall(wbs, eigen, 0.8, 1.0, 0.0)
         assert math.isfinite(u0)
-        assert v_plus.shape == (eigen.m_even,)
+        assert v_plus.shape == (eigen.rates.size,)
 
     @pytest.mark.parametrize("order", [4, 6, 8])
     def test_kramers_wall_condition_residual(self, order):

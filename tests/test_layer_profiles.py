@@ -342,12 +342,33 @@ class TestConvergenceOrder:
     @pytest.mark.parametrize("k", [1, 4, 6])
     def test_orders_are_the_unscaled_curve_ratio(self, k):
         chis = np.array([0.1, 0.5, 1.0])
-        f0, f1, f2 = (
-            dataclasses.replace(coefficient_curve(2**j + 1), scale=1.0)(chis)
-            for j in (k + 1, k + 2, k + 3)
-        )
+        f0, f1, f2 = (layer_operator(2**j + 1).curve(chis) for j in (k + 1, k + 2, k + 3))
         expected = -np.log2((f2 - f1) / (f1 - f0))
         np.testing.assert_array_equal(convergence_order(chis, k), expected)
+
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_top_rung_checked_before_any_build(self, k):
+        # k = 10 once built orders 2049 and 4097 cold before order 8193 raised
+        before = layer_operator.cache_info()
+        with pytest.raises(ValueError, match=r"k must be an integer in \[1, 9\]"):
+            convergence_order(0.5, k)
+        assert layer_operator.cache_info() == before
+
+    def test_largest_k_reaches_the_largest_order(self, monkeypatch):
+        # a recording stub serves the ladder 9, 17, 33 (k = 2) in place of
+        # 1025, 2049, 4097, so no top order is built
+        asked = []
+        stand_in = {1025: 9, 2049: 17, 4097: 33}
+
+        def recording(order, *args):
+            asked.append(order)
+            return layer_operator(stand_in[order], *args)
+
+        monkeypatch.setattr(layer_profiles, "layer_operator", recording)
+        beta = convergence_order(0.5, 9)
+        assert asked == [1025, 2049, 4097]
+        monkeypatch.undo()
+        assert beta == convergence_order(0.5, 2)
 
     def test_unscaled_curve_is_free_of_kn_and_pr(self):
         # the ratio's inputs are the same bits at every Kn and Pr, so beta is
@@ -381,19 +402,20 @@ class TestConvergenceOrder:
         expected = convergence_order(chis, 4)
 
         def tiny(order):
-            curve = coefficient_curve(order)
-            return dataclasses.replace(
-                curve, lead=curve.lead * 2.0**-900, weights=curve.weights * 2.0**-900
+            op = layer_operator(order)
+            curve = dataclasses.replace(
+                op.curve, lead=op.curve.lead * 2.0**-900, weights=op.curve.weights * 2.0**-900
             )
+            return dataclasses.replace(op, curve=curve)
 
-        monkeypatch.setattr(lp, "coefficient_curve", tiny)
+        monkeypatch.setattr(lp, "layer_operator", tiny)
         np.testing.assert_array_equal(convergence_order(chis, 4), expected)
 
     def test_degenerate_differences_reported(self, monkeypatch):
         import knlayer.layer_profiles as lp
 
-        frozen = coefficient_curve(3)
-        monkeypatch.setattr(lp, "coefficient_curve", lambda *a, **k: frozen)
+        frozen = layer_operator(3)
+        monkeypatch.setattr(lp, "layer_operator", lambda *a, **k: frozen)
         # a scalar chi is named as a scalar, an array of chi by its degenerate entries
         with pytest.raises(ArithmeticError, match=r"degenerate difference .* at chi=1\.0, k=2$"):
             convergence_order(1.0, 2)
@@ -546,6 +568,54 @@ class TestOneChi:
         assert type(sol.chi) is float and sol.chi == float(chi)
         assert sol.wall_value == ref.wall_value
         np.testing.assert_array_equal(sol.amplitudes, ref.amplitudes)
+
+
+class TestOneRealNumber:
+    """Kn, Pr, the flux and the wall value are one real number each, as chi
+    is: anything else raises ValueError naming the parameter before any
+    operator build, and a number is stored as a float, never as the caller's
+    array (which a record would freeze)."""
+
+    NAMES = {"kn": "Knudsen number", "pr": "Prandtl number", "flux": "the prescribed",
+             "wall": "wall value"}
+
+    @staticmethod
+    def solve(order, **values):
+        options = {"flux": "q2" if order % 2 else "sigma12",
+                   "wall": "theta_wall" if order % 2 else "u1_wall"}
+        solve = temperature_solution if order % 2 else velocity_solution
+        return solve(order, 0.5, **{options.get(k, k): v for k, v in values.items()})
+
+    @pytest.mark.parametrize(
+        "value", [np.array([0.7, 0.8]), np.array([0.7]), [1.0], 1 + 0j, "0.7", True, np.bool_(True)]
+    )
+    @pytest.mark.parametrize("name", ["kn", "pr", "flux", "wall"])
+    @pytest.mark.parametrize("order", [3, 4, 1025])
+    def test_rejected_before_any_build(self, order, name, value):
+        before = layer_operator.cache_info()
+        with pytest.raises(ValueError, match=f"{self.NAMES[name]}.* must be one real number"):
+            self.solve(order, **{name: value})
+        if name in ("kn", "pr"):
+            with pytest.raises(ValueError, match=f"{self.NAMES[name]} must be one real number"):
+                coefficient_curve(order, **{name: value})
+        assert layer_operator.cache_info() == before
+
+    @pytest.mark.parametrize("order", [9, 8])
+    @pytest.mark.parametrize("name", ["kn", "pr", "flux", "wall"])
+    def test_one_number_is_stored_as_float(self, order, name):
+        value = np.array(0.7)
+        sol, ref = self.solve(order, **{name: value}), self.solve(order, **{name: 0.7})
+        assert value.flags.writeable
+        fields = {"kn": ("kn", "kn"), "pr": ("pr", "pr"), "flux": ("shear", "heat_flux"),
+                  "wall": ("wall_velocity", "wall_temperature")}
+        stored = getattr(sol, fields[name][order % 2])
+        assert type(stored) is float and stored == 0.7
+        assert sol.wall_value == ref.wall_value
+        np.testing.assert_array_equal(sol.amplitudes, ref.amplitudes)
+
+    def test_operator_key_is_a_float(self):
+        assert layer_operator(8, np.array(0.7)) is layer_operator(8, 0.7)
+        assert coefficient_curve(13, pr=np.float32(0.5)).scale == 2.5 * KN / float(np.float32(0.5))
 
 
 class TestGrid:
@@ -728,9 +798,11 @@ class TestBlockedEvaluation:
 
 
 def operator_arrays(op):
-    """Every array the operator holds, its wall reduction's included."""
-    fields = {f.name: getattr(op, f.name) for f in dataclasses.fields(op)}
-    fields.update({f.name: getattr(op.wall, f.name) for f in dataclasses.fields(op.wall)})
+    """Every array the operator holds, its wall reduction's and its curve's
+    included, keyed by part and field."""
+    fields = {}
+    for part, record in (("op", op), ("wall", op.wall), ("curve", op.curve)):
+        fields.update({(part, f.name): getattr(record, f.name) for f in dataclasses.fields(record)})
     return {name: v for name, v in fields.items() if isinstance(v, np.ndarray)}
 
 
@@ -771,9 +843,10 @@ class TestLayerOperator:
         assert isinstance(op, LayerOperator)
         arrays = operator_arrays(op)
         m_even = op.rates.size
-        assert [name for name, a in arrays.items() if a.ndim > 1] == ["modes"]
-        assert arrays["modes"].shape == (m_even, m_even)
-        assert all(a.shape == (m_even,) for name, a in arrays.items() if name != "modes")
+        assert [name for name, a in arrays.items() if a.ndim > 1] == [("wall", "modes")]
+        assert arrays["wall", "modes"].shape == (m_even, m_even)
+        assert all(a.shape == (m_even,) for a in arrays.values() if a.ndim == 1)
+        assert {("curve", "poles"), ("curve", "weights")} <= arrays.keys()
         assert not any(a.flags.writeable for a in arrays.values())
 
     def test_odd_order_keyed_on_order_alone(self):
@@ -787,18 +860,34 @@ class TestLayerOperator:
         assert (info.misses, info.hits) == (3, 4)
 
     @pytest.mark.parametrize("order, pr", [(33, 1.0), (32, 0.7)])
-    def test_curve_reads_amplitude_row(self, order, pr, monkeypatch):
+    def test_curve_is_the_wall_partial_fraction(self, order, pr, monkeypatch):
         op = layer_operator(order, pr)
-        assert np.array_equal(op.amplitude_row, op.row_scale * (op.row @ op.wall.modes))
+        wall, curve = op.wall, op.curve
+        assert (curve.order, curve.scale, curve.lead) == (order, 1.0, wall.lead)
+        assert np.array_equal(curve.poles, -wall.inv_mu)
+        weights = (op.row_scale * (op.row @ wall.modes) - wall.w0) * wall.g
+        assert np.array_equal(curve.weights, weights)
         expected = coefficient_curve(order, pr=pr)
-        # the curve is formed in O(m) from the operator's vectors: it never
-        # reads the mode matrix
-        blind_wall = dataclasses.replace(op.wall, modes=np.full_like(op.wall.modes, np.nan))
+        # the scaled curve reads the operator's curve alone, never the wall
+        # reduction it was built from
+        blind_wall = dataclasses.replace(
+            wall, **{f.name: np.full_like(getattr(wall, f.name), np.nan)
+                     for f in dataclasses.fields(wall) if f.name != "lead"})
         blind = dataclasses.replace(op, wall=blind_wall)
         monkeypatch.setattr(layer_profiles, "layer_operator", lambda *args: blind)
         got = coefficient_curve(order, pr=pr)
         assert np.array_equal(got.weights, expected.weights)
         assert got(0.5) == expected(0.5)
+
+    @pytest.mark.parametrize("order, pr", [(33, 1.0), (32, 0.7)])
+    def test_scaled_curve_shares_the_operator_arrays(self, order, pr):
+        op = layer_operator(order, pr)
+        chis = np.array([1e-3, 0.1, 0.5, 1.0])
+        for kn in (KN, 0.3):
+            scaled = coefficient_curve(order, kn, pr)
+            assert scaled.weights is op.curve.weights and scaled.poles is op.curve.poles
+            assert scaled.scale == (2.5 * kn / pr if order % 2 else kn)
+            np.testing.assert_array_equal(dataclasses.replace(scaled, scale=1.0)(chis), op.curve(chis))
 
     def test_operator_shared_by_solutions_and_curve(self):
         layer_operator.cache_clear()

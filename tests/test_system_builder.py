@@ -13,7 +13,7 @@ from knlayer.layer_profiles import (
     temperature_solution,
     velocity_solution,
 )
-from knlayer import system_builder
+from knlayer import system_builder, verification
 from knlayer.system_builder import (
     MAX_KRAMERS_PRANDTL,
     _kramers_a1,
@@ -80,7 +80,7 @@ class TestTemperatureSystem:
     def test_order_five_entries_from_oracle(self):
         system = build_temperature_system(5)
         expected = np.array(
-            [[oracle_entry(system, i, j) for j in range(1, 4)] for i in range(1, 4)]
+            [[oracle_entry(5, 1.0, i, j) for j in range(1, 4)] for i in range(1, 4)]
         )
         np.testing.assert_allclose(coupling_dense(system), expected, rtol=1e-13, atol=1e-14)
         # diagonal entries in closed form
@@ -101,7 +101,7 @@ class TestTemperatureSystem:
         worst = 0.0
         for j in range(1, system.m_even + 1):
             for i in range(1, system.m_even + 1):
-                expected = oracle_entry(system, i, j)
+                expected = oracle_entry(order, 1.0, i, j)
                 got = dense[i - 1, j - 1]
                 worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
         assert worst < 1e-12
@@ -174,9 +174,19 @@ class TestKramersSystem:
         dense = coupling_dense(system)
         for j in range(1, system.m_even + 1):
             for i in range(1, system.m_even + 1):
-                expected = oracle_entry(system, i, j)
+                expected = oracle_entry(order, prandtl, i, j)
                 got = dense[i - 1, j - 1]
                 assert got == pytest.approx(expected, rel=1e-13, abs=1e-14)
+
+    def test_oracle_reads_the_callers_prandtl(self):
+        # the system keeps no Pr: the oracle re-derives each entry at the Pr
+        # it is given, so a system built at another Pr leaves a residual
+        system = build_kramers_system(8, 0.7)
+        leading = coupling_dense(system)[0, 0]
+        assert oracle_entry(8, 0.7, 1, 1) == pytest.approx(leading, rel=1e-15)
+        assert abs(oracle_entry(8, 1.0, 1, 1) - leading) > 1e-2
+        assert verification._system_entry_residual(system, 0.7) <= 1e-13
+        assert verification._system_entry_residual(system, 1.0) > 1e-2
 
     def test_bidiagonal(self):
         dense = coupling_dense(build_kramers_system(20, 0.7))
@@ -218,8 +228,9 @@ class TestKramersSystem:
                 call()
 
     def test_prandtl_bound_is_inside(self):
-        assert build_kramers_system(8, MAX_KRAMERS_PRANDTL).prandtl == MAX_KRAMERS_PRANDTL
-        assert build_kramers_system(8, sys.float_info.min).prandtl == sys.float_info.min
+        for pr in (MAX_KRAMERS_PRANDTL, sys.float_info.min):
+            leading = math.sqrt(15.0 / (4.0 + pr))
+            assert build_kramers_system(8, pr).diag_main[0] == leading
         assert math.isfinite(coefficient_curve(9, pr=MAX_KRAMERS_PRANDTL)(1.0))
 
 
@@ -244,7 +255,7 @@ class TestReducedSystem:
         got = reduced_system(order, pr)
         expected = named[0](*named[1])
         assert calls == [named[1]]
-        assert (got.order, got.m_even, got.prandtl) == (order, expected.m_even, expected.prandtl)
+        assert (got.order, got.m_even) == (order, expected.m_even)
         for name in SYSTEM_ARRAYS:
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 

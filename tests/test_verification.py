@@ -387,7 +387,7 @@ def global_solve(order, chi, pr, flux, wall_value, nodes):
     all assembled into one dense system: the wall rows, both upwinded
     branches, the far-end pin of the growing branch and the scalar rows."""
     system, eigen = verification._problem_parts(order, pr)
-    m, n = eigen.m_even, nodes.size - 1
+    m, n = eigen.rates.size, nodes.size - 1
     if order % 2:
         wbs = temperature_boundary_system(order)
         carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, m)] @ eigen.even_vectors[:3, :])
