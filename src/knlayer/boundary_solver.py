@@ -16,19 +16,25 @@ n00 = -T[0, 0] leaves
     (b A + I) u1 = -flux h,   A = F^T N11 F - q q^T / n00,
                               h = F^T c[1:] - q c[0] / n00,
 
-whose only chi dependence is the scalar b.  One symmetric eigendecomposition
-A = Z diag(mu) Z^T per order (numpy's LAPACK eigh, of size m_even) then
-gives every chi as u1 = -flux Z (Z^T h / (b mu + 1)): one O(M^2)
-matrix-vector product, with no factorization (Golub & Van Loan, Matrix
-Computations, section 8.7).  N is positive definite and the rates are
-positive exactly when n00 > 0, min(L) > 0 and min(mu) > 0, so those three
-signs are the structural checks.
+whose only chi dependence is the scalar b.  A is sqrt(pi/2) I plus a part
+of low numerical rank, so the Krylov space of h stops growing after a few
+dozen steps (k = 46, 31, 69, 77 at M = 129, 512, 1025, 2049).  Lanczos on A
+from h, with full reorthogonalization, gives the Ritz pairs A Z = Z diag(mu)
+on that space, Z of size m_even x k, and (b A + I)^-1 h lies in it for every
+b, so every chi is u1 = -flux Z (Z^T h / (b mu + 1)): one O(m_even k)
+matrix-vector product, with no factorization per chi (Golub & Van Loan,
+Matrix Computations, sections 8.7 and 10.1).  N is positive definite and
+the rates are positive exactly when n00 > 0, min(L) > 0 and A is positive
+definite, so those three are the structural checks; A is checked by a
+Cholesky factorization, over the whole spectrum, since an eigenvalue whose
+eigenvector is orthogonal to the Krylov space is not among the Ritz values.
 
 The reduction has two steps, so a caller can drop the dense blocks between
 them: :func:`schur_complement` forms A, h and q from T, c and E, and
-:meth:`WallReduction.from_schur` diagonalizes A.  :func:`solve_wall` runs
-both on every call; the per-order ``LayerOperator`` of
-:mod:`knlayer.layer_profiles` runs them once and keeps only the reduction.
+:meth:`WallReduction.from_schur` checks A and reduces it on the Krylov
+space of h.  :func:`solve_wall` runs both on every call; the per-order
+``LayerOperator`` of :mod:`knlayer.layer_profiles` runs them once and keeps
+only the reduction.
 
 A :class:`WallBoundarySystem` holds T and c of one order and no chi: it is
 assembled once per order, and b(chi) enters only where :func:`solve_wall`
@@ -46,6 +52,7 @@ the tests, the definiteness checks and the finite-difference oracle.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -93,6 +100,17 @@ def _one_chi(chi) -> tuple[float, float]:
     wall solve reads one chi, and every solve runs this before it builds anything."""
     chi = _one_real(chi, "chi")
     return chi, accommodation_factor(chi)
+
+
+def _validate_drive(odd: bool, flux: float, wall_value: float) -> tuple[float, float]:
+    """(flux, wall value) as floats, the flux named by the problem: the heat
+    flux of the temperature jump (``odd``), the shear stress of Kramers slip.
+    A zero flux drives no layer, and a subnormal one keeps too few digits
+    for the flux-normalized coefficients."""
+    name = "heat flux" if odd else "shear stress"
+    flux = _one_real(flux, f"the prescribed {name}", lambda x: sys.float_info.min <= abs(x) < math.inf,
+                     "finite, nonzero and normal")
+    return flux, _one_real(wall_value, "wall value", math.isfinite, "finite")
 
 
 @_record
@@ -207,13 +225,56 @@ def schur_complement(
     return a, h, q, n00, lead, scale
 
 
+# Lanczos stops once the next off-diagonal falls to this many rounding units
+# of ||T_k||: once the Krylov space of h is exhausted the off-diagonal
+# plateaus at 1-2e-15 with ||A|| ~ 1.5, 3 to 6 units, and 32 leaves a margin.
+_KRYLOV_STOP_UNITS = 32.0
+
+
+def _krylov_ritz(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, Q Y): the Ritz pairs of A on the Krylov space of h.
+
+    Lanczos from h / ||h||, each new vector orthogonalized against every
+    earlier one by two classical Gram-Schmidt passes, stops when the next
+    off-diagonal is at most ``_KRYLOV_STOP_UNITS`` eps ||T_k|| (or the space
+    is all of R^m); T_k = Y diag(theta) Y^T.  (I + b A)^-1 h lies in that
+    space for every b, so the pairs give the wall solve at every chi
+    (Golub & Van Loan, Matrix Computations, section 10.1).
+    """
+    m = h.size
+    basis = np.empty((min(m, 64), m))  # rows are the Lanczos vectors; doubled when full
+    basis[0] = h / math.sqrt(h @ h)
+    alphas, betas = [], []
+    size = 0.0  # ||T_k||_inf, by rows as they complete
+    k = 0
+    while True:
+        w = a @ basis[k]
+        done = basis[:k + 1]
+        coefficients = done @ w
+        alphas.append(float(coefficients[k]))  # q_k . A q_k
+        w -= coefficients @ done
+        w -= (done @ w) @ done
+        beta = math.sqrt(w @ w)
+        size = max(size, abs(alphas[-1]) + (betas[-1] if betas else 0.0) + beta)
+        k += 1
+        if k == m or beta <= _KRYLOV_STOP_UNITS * np.finfo(float).eps * size:
+            break
+        betas.append(beta)
+        if k == basis.shape[0]:
+            basis = np.concatenate((basis, np.empty((min(k, m - k), m))))
+        np.divide(w, beta, out=basis[k])
+    theta, y = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    return theta, basis[:k].T @ y
+
+
 @_record
 class WallReduction:
     """Chi-independent factor of the wall solve.
 
-    With A = Z diag(mu) Z^T, the solution of K(chi) u = flux c has
-    s = Z^T h / (b(chi) mu + 1) = g / (inv_mu + b(chi)) with g = Z^T h / mu
-    and inv_mu = 1 / mu, and
+    With the Ritz pairs A Z = Z diag(mu) of A on the Krylov space of h (Z
+    has k orthonormal columns and Z Z^T h = h), the solution of
+    K(chi) u = flux c has s = Z^T h / (b(chi) mu + 1) = g / (inv_mu + b(chi))
+    with g = Z^T h / mu and inv_mu = 1 / mu, and
     u[0] = -flux (lead / b(chi) - w0 . s),  2 E^T u[1:] = -flux modes @ s,
     where lead = c0 / n00, w0 = Z^T q / n00 and modes = sqrt(2) L^-1/2 Z.
     """
@@ -226,13 +287,17 @@ class WallReduction:
 
     @classmethod
     def from_schur(cls, a, h, q, n00, lead, scale) -> WallReduction:
-        """Second step: eigh(A); a non-positive eigenvalue is a structural error."""
-        mu, z = np.linalg.eigh(a)
-        if not mu[0] > 0.0:
+        """Second step: a Cholesky factorization of A, whose failure (a
+        non-positive eigenvalue anywhere in the spectrum) is a structural
+        error, then the Ritz pairs of A on the Krylov space of h."""
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
             raise StructuralSolveError(
                 f"scaled wall matrix of size {a.shape[0] + 1} is not negative definite "
-                f"(smallest reduced eigenvalue {mu[0]:.3e})"
-            )
+                "(the reduced matrix has no Cholesky factor)"
+            ) from None
+        mu, z = _krylov_ritz(a, h)
         return cls(
             inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00,
             modes=z * scale[:, None],
@@ -243,7 +308,7 @@ class WallReduction:
     ) -> tuple[float, np.ndarray]:
         """(wall unknown at y = 0, positive-branch mode amplitudes) at b = b(chi).
 
-        One O(M^2) matrix-vector product; a result that is not finite raises
+        One O(m_even k) matrix-vector product; a result that is not finite raises
         ``ValueError``.
         """
         # b(chi) underflows to zero below chi ~ 1e-323; numpy turns lead / 0 into inf.
@@ -264,14 +329,16 @@ def solve_wall(
     ``flux`` is the prescribed normal heat flux (temperature problem) or
     shear stress (Kramers); ``wall_value`` the corresponding wall state.
     Returns (wall unknown at y = 0, positive-branch mode amplitudes).
-    A chi that is not one real number in (0, 1] raises ``ValueError``
-    before any reduction.
-    A non-positive pivot -T[0, 0], decay rate or reduced eigenvalue is a
-    structural failure, and a result that is not finite (a subnormal chi
-    overflows 1 / b(chi)) raises ``ValueError``.  Every call reduces the
+    A chi that is not one real number in (0, 1], a flux that is not one
+    finite, nonzero, normal real number or a wall value that is not one
+    finite real number raises ``ValueError`` before any reduction.
+    A non-positive pivot -T[0, 0] or decay rate, or a reduced matrix A that
+    is not positive definite, is a structural failure, and a result that is
+    not finite (a subnormal chi overflows 1 / b(chi)) raises ``ValueError``.  Every call reduces the
     system afresh; repeated chi of one order go through ``LayerOperator``.
     """
     chi, b = _one_chi(chi)
+    flux, wall_value = _validate_drive(system.order % 2 == 1, flux, wall_value)
     _check_match(system, eigen)
     reduction = WallReduction.from_schur(*schur_complement(system, eigen.rates, eigen.even_vectors))
     return reduction.solve(system.order, chi, b, flux, wall_value)

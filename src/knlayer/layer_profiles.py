@@ -8,23 +8,24 @@ from that representation.
 
 Everything chi-independent about one order lives in one immutable
 :class:`LayerOperator`, cached per order (and Pr, for an even order), built
-in one pass and keeping only what a solve reads: one m_even x m_even array
-(the mode matrix) and a few vectors.  Only b(chi) depends on the
-accommodation coefficient, and the operator makes the coefficient a partial
-fraction in it:
+in one pass and keeping only what a solve reads: one m_even x k array (the
+mode matrix, k the dimension of the wall drive's Krylov space, a few dozen)
+and a few vectors.  Only b(chi) depends on the accommodation coefficient,
+and the operator makes the coefficient a partial fraction in it:
 
     zeta(b) = alpha / b + sum_i beta_i / (b + 1 / mu_i),
 
-with alpha, the reduced eigenvalues mu and the pole weights beta fixed per
-order; the operator builds the curve once, unscaled, and
-:func:`coefficient_curve` sets its Kn / Pr scale.  A chi sweep, Table 1, the
-convergence orders and the coefficient of a single solution all evaluate
-that curve, at O(m) per chi and with no solution object per sample, so every
-command prints the same value for the same inputs; profiles, defects and amplitudes
-keep the per-chi solution, one O(M^2) product per chi.  The order's parity
-names the problem: an odd order is the temperature jump, an even one
-Kramers slip, and both solutions share one record base and one far-field
-profile.  As chi -> 0, (chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.
+with alpha, the k Ritz values mu of the reduced wall matrix and the pole
+weights beta fixed per order; the operator builds the curve once,
+unscaled, and :func:`coefficient_curve` sets its Kn / Pr scale.  A chi
+sweep, Table 1, the convergence orders and the coefficient of a single
+solution all evaluate that curve, at O(k) per chi and with no solution
+object per sample, so every command prints the same value for the same
+inputs; profiles, defects and amplitudes keep the per-chi solution, one
+O(m_even k) product per chi.  The order's parity names the problem: an odd
+order is the temperature jump, an even one Kramers slip, and both
+solutions share one record base and one far-field profile.  As chi -> 0,
+(chi / (2 - chi)) zeta -> sqrt(2 pi) alpha / 2.
 Profile evaluators work in blocks of samples and raise ``ValueError`` on a
 y < 0 (outside the half-space) and on a non-finite value.
 """
@@ -40,7 +41,8 @@ import warnings
 
 import numpy as np
 
-from .boundary_solver import WallReduction, _one_chi, accommodation_factor, schur_complement, wall_system
+from .boundary_solver import (WallReduction, _one_chi, _validate_drive, accommodation_factor, schur_complement,
+                              wall_system)
 from .parity_spectral import decompose
 from .system_builder import (MAX_TEMPERATURE_ORDER, _check_integral_order, _check_prandtl, _kramers_a1,
                              _one_real, _record, reduced_system)
@@ -191,7 +193,7 @@ class CoefficientCurve:
     applied last.  Each order's ``LayerOperator`` holds the unscaled curve
     (``scale`` 1), the partial fraction f that :func:`convergence_order`
     differences; :func:`coefficient_curve` sets the scale.  Calling the
-    curve costs O(m) per chi.
+    curve costs O(k) per chi, k the number of poles.
     """
 
     order: int
@@ -238,9 +240,9 @@ class LayerOperator:
     ``row`` is the defect combination DEFECT_WEIGHTS @ E[:3] (temperature)
     or E[0] (Kramers); ``row_scale`` * ``row`` maps the mode weights to the
     profile's exponential amplitudes (0.8 for temperature, 2 / a1 for the
-    slip).  ``wall`` is the reduced wall eigenproblem, and ``curve`` the
-    order's coefficient as an unscaled partial fraction (``scale`` 1), built
-    once with the operator.
+    slip).  ``wall`` is the wall reduction on the drive's Krylov space, and
+    ``curve`` the order's coefficient as an unscaled partial fraction
+    (``scale`` 1), built once with the operator.
     """
 
     rates: np.ndarray
@@ -267,10 +269,11 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
 def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
     wall system (its builder makes the normalized table block T reads), Schur
-    complement, wall eigh, coefficient curve.  The table goes once T is
-    assembled, and E and T before the wall eigh, which runs beside A alone,
-    as the Gram eigh runs beside G.  The wall value is linear in
-    s = g / (1/mu + b), so the unscaled coefficient is lead / b +
+    complement, the wall reduction (a Cholesky check of A, then Lanczos on A
+    from h and one tridiagonal eigh of size k), coefficient curve.  The table
+    goes once T is assembled, and E and T before the wall reduction, which
+    runs beside A alone, as the Gram eigh runs beside G.  The wall value is
+    linear in s = g / (1/mu + b), so the unscaled coefficient is lead / b +
     sum_i beta_i / (b + 1/mu_i), beta = (row_scale row @ modes - w0) * g.
     """
     eigen = decompose(reduced_system(order, pr))
@@ -301,14 +304,6 @@ def _validate_common(kn: float, pr: float) -> tuple[float, float]:
     return kn, _check_prandtl(pr)
 
 
-def _validate_drive(name: str, flux: float, wall_value: float) -> tuple[float, float]:
-    """(flux, wall value) as floats.  A zero flux drives no layer, and a
-    subnormal one keeps too few digits for the flux-normalized coefficients."""
-    flux = _one_real(flux, f"the prescribed {name}", lambda x: sys.float_info.min <= abs(x) < math.inf,
-                     "finite, nonzero and normal")
-    return flux, _one_real(wall_value, "wall value", math.isfinite, "finite")
-
-
 def _check_parity(odd: bool, order: int) -> None:
     """The temperature jump (``odd``) needs an odd order, Kramers slip an even
     one; a solution or order of the other parity raises ``ValueError``."""
@@ -325,7 +320,7 @@ def _wall_solution(
     slip, whose order must have that parity.  One amplitude formula serves
     both; only the temperature solution keeps the defect amplitudes."""
     kn, pr = _validate_common(kn, pr)
-    flux, wall_value = _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
+    flux, wall_value = _validate_drive(odd, flux, wall_value)
     chi, b = _one_chi(chi)  # a bad chi fails before a cold operator build
     _check_parity(odd, order)
     op = layer_operator(order, pr)

@@ -17,7 +17,8 @@ inner products and basis combinations behind every coupling entry and even
 norm, the dense coupling block and parity matrix, the odd eigenvector block and
 the full parity eigenvector matrix, one raw and one scaled wall matrix per
 order (``raw_wall_matrix`` and ``reference_wall_matrix``, keyed on the
-order's parity), and the wall operator K(chi) that the solver never forms.
+order's parity), and the wall operator K(chi) that the solver never forms;
+a direct LU solve of K(chi) checks the layer operator's wall reduction.
 The suites (``run_verification``) compare every solver layer against them.
 
 Like every knlayer module it needs numpy alone; the CLI imports it for
@@ -35,11 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special_functions
-from .boundary_solver import WallBoundarySystem, _check_match, _one_chi, wall_system
+from .boundary_solver import (StructuralSolveError, WallBoundarySystem, _check_match, _one_chi, _validate_drive,
+                              wall_system)
 from .layer_profiles import (
     DEFAULT_KN,
     _validate_common,
-    _validate_drive,
+    layer_operator,
     temperature_solution,
     velocity_solution,
 )
@@ -90,6 +92,10 @@ QUADRATURE_WINDOW_SIGMA = 12.0
 # <= 30 the two differ by about 2e-14 (roundoff), while 60 nodes leave 6e-7.
 QUADRATURE_NODES = 200
 QUADRATURE_AGREEMENT = 1e-12
+# Relative gap allowed between the operator's wall value and coefficient and
+# a direct LU solve of K(chi): the worst measured over the full suite is
+# 1.5e-15, and one Ritz weight scaled by 1 + 1e-10 moves it above 1e-11.
+WALL_SOLVE_AGREEMENT = 1e-13
 # Cyclic sweeps the dense Jacobi oracle makes at most; the parity and wall
 # matrices of orders 98 and 99 converge in 7 or 8.
 JACOBI_SWEEPS = 100
@@ -424,6 +430,16 @@ def _problem_parts(order: int, pr: float = 1.0):
     return system, decompose(system)
 
 
+def _carrier(order: int, pr: float, eigen: ParityEigen) -> np.ndarray:
+    """Weights taking the mode amplitudes v to the profile's exponential sum:
+    the defect t0 + 6 t2 + g2 (odd order) or the shear moment, over the
+    even norms re-derived from the Hermite bases."""
+    factor, weights = (0.8, (1.0, 6.0, 1.0)) if order % 2 else (1.0, (2.0,))
+    k = min(len(weights), eigen.rates.size)
+    row = np.array([w / _even_norm(order, pr, i) for i, w in enumerate(weights[:k], 1)])
+    return factor * (row @ eigen.even_vectors[:k, :])
+
+
 def bvp_profile(
     order: int,
     chi: float,
@@ -461,7 +477,7 @@ def bvp_profile(
             f" and even orders in [4, {BVP_KRAMERS_ORDER_LIMIT}], got {order}"
         )
     kn, pr = _validate_common(kn, pr)
-    flux, wall_value = _validate_drive("heat flux" if odd else "shear stress", flux, wall_value)
+    flux, wall_value = _validate_drive(odd, flux, wall_value)
     y = np.asarray(nodes, dtype=float)
     if not (y.ndim == 1 and y.size >= 2 and y[0] == 0.0 and np.isfinite(y).all()
             and (np.diff(y) > 0.0).all()):
@@ -469,11 +485,7 @@ def bvp_profile(
                          " 2 nodes that starts at 0")
     b = _one_chi(chi)[1]
     system, eigen = _problem_parts(order, pr)
-    # the carrier: the defect t0 + 6 t2 + g2 or the shear moment, over the even norms
-    factor, weights = (0.8, (1.0, 6.0, 1.0)) if odd else (1.0, (2.0,))
-    k = min(len(weights), eigen.rates.size)
-    row = np.array([w / _even_norm(order, pr, i) for i, w in enumerate(weights[:k], 1)])
-    carrier = factor * (row @ eigen.even_vectors[:k, :])
+    carrier = _carrier(order, pr, eigen)
     slope = (-0.4 * pr if odd else -1.0) * flux / kn
 
     b_t = b * reference_wall_matrix(order, pr)
@@ -686,6 +698,29 @@ def _wall_definite(wbs: WallBoundarySystem, eigen: ParityEigen) -> tuple[bool, b
     return sampled, t_definite and bool(eigen.rates.min() > 0.0), gram
 
 
+def _wall_solve_gap(wbs: WallBoundarySystem, eigen: ParityEigen, pr: float) -> float:
+    """Worst relative gap, at chi = 0.1, 0.5 and 1, between the cached
+    operator's wall value and unscaled coefficient and those of a direct LU
+    solve of K(chi) u = c (flux 1, wall value 0), which reads neither the
+    wall reduction nor the operator's carrier row.  An operator that fails
+    to build gives inf."""
+    order = wbs.order
+    try:
+        op = layer_operator(order, pr)
+    except StructuralSolveError:
+        return math.inf
+    carrier = _carrier(order, pr, eigen)
+    worst = 0.0
+    for chi in (0.1, 0.5, 1.0):
+        u = np.linalg.solve(wall_operator(wbs, eigen, chi), wbs.c_vec)
+        # the mode amplitudes are 2 E^T u[1:], and the coefficient -(u[0] + carrier @ amplitudes)
+        coefficient = -(u[0] + carrier @ (2.0 * eigen.even_vectors.T @ u[1:]))
+        wall_value, _ = op.wall.solve(order, chi, _one_chi(chi)[1], 1.0, 0.0)
+        worst = max(worst, abs(wall_value - u[0]) / abs(u[0]),
+                    abs(op.curve(chi) - coefficient) / abs(coefficient))
+    return worst
+
+
 def _check_definiteness(level: str) -> list[CheckResult]:
     orders = _orders(level)
     # every even order at each Pr: the physical values, and at ``full`` both ends of the domain
@@ -701,14 +736,14 @@ def _check_definiteness(level: str) -> list[CheckResult]:
             _, eigen = _problem_parts(m, pr)
             wbs = wall_system(m, pr)
             sampled, certified, gram = _wall_definite(wbs, eigen)
-            checks.append((raw_definite and sampled, certified, gram))
+            checks.append((raw_definite and sampled, certified, gram, _wall_solve_gap(wbs, eigen, pr)))
             # eigenvalue sign sampling backs up the factorizations on a few instances
             if m in sampled_orders:
                 w = dense_symmetric_eigvals(wall_operator(wbs, eigen, 0.5))
                 worst = max(worst, float(w[-1]) / max(1.0, float(np.max(np.abs(w)))))
-    sampled, certified, grams = zip(*checks)
+    sampled, certified, grams, gaps = zip(*checks)
     ok = all(sampled) and worst < 0.0
-    gram = max(grams)
+    gram, gap = max(grams), max(gaps)
     at_pr = "even orders at Pr " + ", ".join(f"{pr:g}" for pr in prandtls)
     at_orders = ", ".join(map(str, sampled_orders))
     return [
@@ -717,6 +752,8 @@ def _check_definiteness(level: str) -> list[CheckResult]:
         CheckResult("wall operator negative definite for every chi", all(certified) and gram <= 1e-10,
                     gram, 1e-10,
                     detail=f"-T positive definite, rates positive, ||E^T E - I/2||_2; {at_pr}"),
+        CheckResult("wall reduction vs direct solve of K(chi)", gap <= WALL_SOLVE_AGREEMENT, gap,
+                    WALL_SOLVE_AGREEMENT, detail=f"wall value and coefficient at chi 0.1, 0.5, 1; {at_pr}"),
     ]
 
 

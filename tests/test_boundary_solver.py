@@ -534,8 +534,9 @@ class TestPencilSolve:
         assert u0_scaled == pytest.approx(ref_u0, rel=1e-12)
         assert u0_scaled != pytest.approx(u0, rel=1e-6)
 
-    def test_sweep_runs_one_symmetric_eigh(self, capsys, monkeypatch):
-        # One wall eigh per sweep, after the Gram eigh of decompose.
+    def test_sweep_runs_one_gram_and_one_tridiagonal_eigh(self, capsys, monkeypatch):
+        # The Gram eigh of decompose, of size m_even, then the eigh of the
+        # Lanczos tridiagonal T_k, of size k < m_even; no dense wall eigh.
         layer_profiles.layer_operator.cache_clear()
         calls = []
         true_eigh = np.linalg.eigh
@@ -545,15 +546,19 @@ class TestPencilSolve:
             return true_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        assert main(["sweep-chi", "-M", "33", "--samples", "50"]) == 0
+        assert main(["sweep-chi", "-M", "65", "--samples", "50"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 50
-        assert [a.shape for a in calls] == [(31, 31), (31, 31)]
-        b = coupling_dense(build_temperature_system(33))
+        k = layer_profiles.layer_operator(65).wall.inv_mu.size
+        assert k < 63
+        assert [a.shape for a in calls] == [(63, 63), (k, k)]
+        b = coupling_dense(build_temperature_system(65))
         np.testing.assert_allclose(calls[0], b @ b.T, rtol=0.0, atol=1e-13)
-        assert np.count_nonzero(np.triu(calls[1], 3)) > 0  # the wall matrix is dense
+        t = calls[1]
+        assert not np.triu(t, 2).any() and np.all(np.diag(t, 1) > 0.0)  # tridiagonal
+        np.testing.assert_array_equal(t, t.T)
 
-    @pytest.mark.parametrize("order, size", [(33, 31), (32, 15)])
+    @pytest.mark.parametrize("order, size", [(65, 63), (64, 31)])
     def test_sweep_makes_no_per_chi_solve(self, capsys, monkeypatch, order, size):
         layer_profiles.layer_operator.cache_clear()
         calls = []
@@ -573,7 +578,9 @@ class TestPencilSolve:
         assert main(["sweep-chi", "-M", str(order), "--samples", "50"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 50
-        assert calls == [("eigh", (size, size)), ("eigh", (size, size))]
+        k = layer_profiles.layer_operator(order).wall.inv_mu.size
+        assert k < size
+        assert calls == [("eigh", (size, size)), ("eigh", (k, k))]
 
     def test_structural_error_on_negative_pencil(self):
         eigen = temperature_eigen(7)
@@ -614,3 +621,134 @@ class TestPencilSolve:
         wbs = temperature_boundary_system(7)
         with pytest.raises(ValueError):
             solve_wall(wbs, temperature_eigen(9), 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "order, flux, wall_value, match",
+        [
+            (9, 0.0, 0.0, "heat flux must be finite, nonzero and normal"),
+            (9, 5e-324, 0.0, "heat flux must be finite, nonzero and normal"),
+            (9, math.inf, 0.0, "heat flux must be finite, nonzero and normal"),
+            (9, True, 0.0, "heat flux must be one real number"),
+            (9, np.array([1.0, 2.0]), 0.0, "heat flux must be one real number"),
+            (9, 1.0, [0.5], "wall value must be one real number"),
+            (9, 1.0, math.nan, "wall value must be finite"),
+            (8, 0.0, 0.0, "shear stress must be finite, nonzero and normal"),
+            (8, 1.0 + 0.0j, 0.0, "shear stress must be one real number"),
+        ],
+    )
+    def test_drive_checked_before_any_reduction(self, monkeypatch, order, flux, wall_value, match):
+        def no_reduction(*args):
+            raise AssertionError("the wall system was reduced before the drive was checked")
+
+        monkeypatch.setattr(boundary_solver, "schur_complement", no_reduction)
+        wbs = wall_system(order, 0.7)
+        eigen = temperature_eigen(order) if order % 2 else kramers_eigen(order, 0.7)
+        with pytest.raises(ValueError, match=match):
+            solve_wall(wbs, eigen, 0.5, flux, wall_value)
+
+    def test_drive_read_as_floats(self):
+        wbs, eigen = temperature_boundary_system(9), temperature_eigen(9)
+        u0, v_plus = solve_wall(wbs, eigen, 0.5, np.array(2), np.float32(0.5))
+        ref_u0, ref_v = solve_wall(wbs, eigen, 0.5, 2.0, 0.5)
+        assert type(u0) is float and u0 == ref_u0
+        np.testing.assert_array_equal(v_plus, ref_v)
+
+
+def dense_reduction(a, h, q, n00, lead, scale):
+    """The wall reduction from a dense eigh of A, A = Z diag(mu) Z^T over all
+    of R^m_even: the reference for the Krylov reduction, kept here only."""
+    mu, z = np.linalg.eigh(a)
+    assert mu[0] > 0.0
+    return boundary_solver.WallReduction(
+        inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00, modes=z * scale[:, None],
+    )
+
+
+def reduction_curve(order, pr, reduction, even_vectors):
+    """(unscaled coefficient curve, carrier row) of one reduction, by the
+    layer operator's formula."""
+    if order % 2:
+        row = 0.8 * (layer_profiles.DEFECT_WEIGHTS[:min(3, even_vectors.shape[1])] @ even_vectors[:3, :])
+    else:
+        row = 2.0 / verification._even_norm(order, pr, 1) * even_vectors[0, :]
+    weights = (row @ reduction.modes - reduction.w0) * reduction.g
+    curve = layer_profiles.CoefficientCurve(order, 1.0, reduction.lead, -reduction.inv_mu, weights)
+    return curve, row
+
+
+class TestKrylovReduction:
+    """The wall reduction on the Krylov space of the drive h against the dense
+    eigh of the reduced wall matrix A that it replaced."""
+
+    CHIS = np.linspace(0.0025, 1.0, 400)
+
+    @pytest.mark.parametrize("pr", [None, 1e-3, 2.0 / 3.0, 1.0, 1e6, 1e12])
+    def test_matches_dense_eigh_reduction(self, pr):
+        # every odd order 3-257 (pr None) or every even order 4-256 at one Pr:
+        # 128 + 5 x 127 = 763 systems over the six cases
+        worst_curve = worst_amplitude = worst_wall = 0.0
+        orders = range(3, 258, 2) if pr is None else range(4, 257, 2)
+        for order in orders:
+            system = build_temperature_system(order) if pr is None else build_kramers_system(order, pr)
+            eigen = decompose(system)
+            schur = boundary_solver.schur_complement(wall_system(order, pr or 1.0), eigen.rates,
+                                                     eigen.even_vectors)
+            krylov, dense = boundary_solver.WallReduction.from_schur(*schur), dense_reduction(*schur)
+            assert krylov.modes.shape[1] == krylov.inv_mu.size <= eigen.rates.size
+            curve, row = reduction_curve(order, pr, krylov, eigen.even_vectors)
+            ref_curve, _ = reduction_curve(order, pr, dense, eigen.even_vectors)
+            ref = ref_curve(self.CHIS)
+            worst_curve = max(worst_curve, float(np.max(np.abs(curve(self.CHIS) - ref) / np.abs(ref))))
+            for chi in (1e-3, 0.1, 0.5, 1.0):
+                b = accommodation_factor(chi)
+                u0, v_plus = krylov.solve(order, chi, b, 1.0, 0.0)
+                ref_u0, ref_v = dense.solve(order, chi, b, 1.0, 0.0)
+                worst_wall = max(worst_wall, abs(u0 - ref_u0) / abs(ref_u0))
+                for got, expected in ((v_plus, ref_v), (row * v_plus, row * ref_v)):
+                    gap = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+                    worst_amplitude = max(worst_amplitude, float(gap))
+        # measured worst: curve 7.5e-16, amplitudes 9.3e-14 (order 250, Pr 1e12), wall value 1.1e-15
+        assert worst_curve <= 1e-14
+        assert worst_amplitude <= 1e-12
+        assert worst_wall <= 1e-14
+
+    @pytest.mark.parametrize("order, bound", [(129, 60), (512, 40), (1025, 90), (2049, 100)])
+    def test_krylov_dimension(self, order, bound):
+        # measured k = 46, 31, 69 and 77 against m_even = 127, 255, 1023 and 2047
+        pr = 1.0 if order % 2 else 0.7
+        system = build_temperature_system(order) if order % 2 else build_kramers_system(order, pr)
+        eigen = decompose(system)
+        schur = boundary_solver.schur_complement(wall_system(order, pr), eigen.rates, eigen.even_vectors)
+        reduction = boundary_solver.WallReduction.from_schur(*schur)
+        k = reduction.inv_mu.size
+        assert k <= bound
+        assert reduction.modes.shape == (system.m_even, k)
+        assert np.all(reduction.inv_mu > 0.0)
+
+    def test_negative_eigenvalue_outside_the_krylov_space_raises(self):
+        # A' = A - 3 v v^T with v a unit vector orthogonal to the Krylov space
+        # of h acts on that space as A does; the Cholesky check of A' fails
+        # whether or not rounding lets Lanczos find the negative eigenvalue
+        eigen = temperature_eigen(65)
+        a, h, *rest = boundary_solver.schur_complement(
+            temperature_boundary_system(65), eigen.rates, eigen.even_vectors)
+        _, z = boundary_solver._krylov_ritz(a, h)
+        v = np.eye(a.shape[0])[:, -1]
+        for _ in range(2):
+            v -= z @ (z.T @ v)
+        v /= np.linalg.norm(v)
+        assert np.max(np.abs(z.T @ v)) < 1e-15
+        spoiled = a - 3.0 * np.outer(v, v)
+        assert np.linalg.eigvalsh(spoiled)[0] < 0.0
+        with pytest.raises(StructuralSolveError, match="not negative definite"):
+            boundary_solver.WallReduction.from_schur(spoiled, h, *rest)
+
+    def test_negative_eigenvalue_of_a_diagonal_matrix_raises(self):
+        # h has no component on the one negative eigenvector, so in exact
+        # zeros Lanczos never sees it: only the Cholesky check does
+        a = np.diag([2.0, 3.0, 4.0, -1.0])
+        h = np.array([1.0, 1.0, 1.0, 0.0])
+        theta, _ = boundary_solver._krylov_ritz(a, h)
+        np.testing.assert_allclose(theta, [2.0, 3.0, 4.0], rtol=1e-14)
+        with pytest.raises(StructuralSolveError):
+            boundary_solver.WallReduction.from_schur(a, h, np.ones(4), 1.0, 1.0, np.ones(4))

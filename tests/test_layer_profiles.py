@@ -837,16 +837,22 @@ class TestLayerOperator:
         assert current < 1.5 * square, f"retained {current / square:.2f} m_even^2"
         assert op.rates.shape == (m_even,)
 
-    @pytest.mark.parametrize("order, pr", [(33, 1.0), (32, 0.7)])
-    def test_holds_one_square_array(self, order, pr):
+    @pytest.mark.parametrize("order, pr", [(65, 1.0), (64, 0.7)])
+    def test_holds_one_mode_matrix(self, order, pr):
+        # the mode matrix has one column per Ritz pair on the Krylov space of
+        # the wall drive, fewer than m_even; every other array is a vector
         op = layer_operator(order, pr)
         assert isinstance(op, LayerOperator)
         arrays = operator_arrays(op)
-        m_even = op.rates.size
+        m_even, k = op.rates.size, op.wall.inv_mu.size
+        assert k < m_even
         assert [name for name, a in arrays.items() if a.ndim > 1] == [("wall", "modes")]
-        assert arrays["wall", "modes"].shape == (m_even, m_even)
-        assert all(a.shape == (m_even,) for a in arrays.values() if a.ndim == 1)
-        assert {("curve", "poles"), ("curve", "weights")} <= arrays.keys()
+        assert arrays["wall", "modes"].shape == (m_even, k)
+        vectors = {name: a.shape for name, a in arrays.items() if a.ndim == 1}
+        assert vectors == {
+            ("op", "rates"): (m_even,), ("op", "row"): (m_even,), ("wall", "inv_mu"): (k,),
+            ("wall", "g"): (k,), ("wall", "w0"): (k,), ("curve", "poles"): (k,), ("curve", "weights"): (k,),
+        }
         assert not any(a.flags.writeable for a in arrays.values())
 
     def test_odd_order_keyed_on_order_alone(self):

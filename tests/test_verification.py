@@ -1,5 +1,6 @@
 """The oracles themselves: quadrature, dense Jacobi, and the BVP solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -447,3 +448,49 @@ class TestBvpBackSubstitution:
         assert np.max(np.abs(v_minus)) <= 1e-14
         profile = bvp_profile(order, chi, KN, pr, flux, wall, nodes)
         assert np.max(np.abs(profile - scalar)) <= 1e-12 * np.max(np.abs(scalar))
+
+
+def wall_solve_check(level):
+    """The definiteness suite's check of the operator against a direct LU
+    solve of K(chi), which reads neither a dense eigh nor Lanczos."""
+    checks = {check.name: check for check in verification._check_definiteness(level)}
+    return checks["wall reduction vs direct solve of K(chi)"]
+
+
+class TestWallSolveCheck:
+    def test_quick_passes(self):
+        check = wall_solve_check("quick")
+        assert check.passed, check.line()
+        assert check.detail == "wall value and coefficient at chi 0.1, 0.5, 1; even orders at Pr 0.666667, 1"
+
+    def test_full_run_holds_the_check(self, full_verification):
+        residual = full_verification.residual("wall reduction vs direct solve of K(chi)")
+        assert 0.0 < residual <= verification.WALL_SOLVE_AGREEMENT
+
+    @pytest.mark.parametrize("field", ["g", "inv_mu"])
+    def test_one_ritz_pair_off_by_1e_10_fails(self, monkeypatch, field):
+        true_reduce = boundary_solver.WallReduction.from_schur.__func__
+
+        def off(cls, *schur):
+            reduction = true_reduce(cls, *schur)
+            values = getattr(reduction, field).copy()
+            values[0] *= 1.0 + 1e-10
+            return dataclasses.replace(reduction, **{field: values})
+
+        monkeypatch.setattr(boundary_solver.WallReduction, "from_schur", classmethod(off))
+        layer_operator.cache_clear()
+        try:
+            check = wall_solve_check("quick")
+        finally:
+            layer_operator.cache_clear()  # no operator built on the mutated reduction survives
+        assert not check.passed
+        assert check.residual > 1e-12
+
+    def test_operator_that_cannot_be_built_fails(self, monkeypatch):
+        def unbuildable(order, pr=1.0):
+            raise boundary_solver.StructuralSolveError("reduced wall matrix not definite")
+
+        monkeypatch.setattr(verification, "layer_operator", unbuildable)
+        check = wall_solve_check("quick")
+        assert not check.passed
+        assert check.residual == math.inf
