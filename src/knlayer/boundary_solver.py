@@ -169,11 +169,15 @@ def kramers_boundary_system(order: int, prandtl: float) -> WallBoundarySystem:
     Prandtl-dependent weight on the leading shear moment.  c = (1, 2 / a1,
     0, ...) is the shear-stress inhomogeneity direction.
     """
-    size = _check_kramers_order(order, prandtl) + 1
-    w = np.ones(size)
-    w[1] = math.sqrt(5.0 / (4.0 + prandtl))
-    t = HalfSpaceTable(order - 2).s_normalized * np.outer(w, w)
-    c = np.zeros(size)
+    _check_kramers_order(order, prandtl)
+    sn = HalfSpaceTable(order - 2).s_normalized
+    w1 = math.sqrt(5.0 / (4.0 + prandtl))
+    # T = sn w w^T with w = (1, w1, 1, ...), scaled in place on row and column 1
+    t = sn.copy()
+    t[1, :] *= w1
+    t[:, 1] *= w1
+    t[1, 1] = sn[1, 1] * (w1 * w1)
+    c = np.zeros(t.shape[0])
     c[0] = 1.0
     c[1] = 2.0 / _kramers_a1(prandtl)
     return WallBoundarySystem(order, t, c)
@@ -198,13 +202,27 @@ def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
         )
 
 
+# Rows of A that schur_complement forms per product.  A whole E^T T11 is
+# one more m_even^2 block beside E, T and A, which the heap that decompose
+# leaves cannot hold: at M = 2049 it grows the peak RSS 2.4 MiB past
+# decompose's.  Blocks of 512 rows fit, and BLAS runs them as fast.
+_SCHUR_ROWS = 512
+
+
 def schur_complement(
     system: WallBoundarySystem, rates: np.ndarray, even_vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, np.ndarray]:
     """First step of the reduction: (A, h, q, n00, lead, sqrt(2) L^-1/2).
 
-    F = E sqrt(2) L^-1/2 lives only inside this call.  A non-positive pivot
-    -T[0, 0] or decay rate raises ``StructuralSolveError``.
+    With C = sqrt(2) L^-1/2, F = E C is never formed: q = -C (E^T T[1:, 0]),
+    h = C (E^T c[1:]) - lead q and A = -C (E^T T11 E) C - q q^T / n00, each
+    block of ``_SCHUR_ROWS`` rows of A formed in place from those rows of
+    E^T T11.  Beside the caller's E and T this call holds A and one block
+    of E^T T11, then of q q^T: at most 2 m_even^2 doubles, where one block
+    is all of A (M <= 514 for the temperature jump, M <= 1026 for Kramers
+    slip), so the wall step stays within the 4 of
+    :func:`~knlayer.parity_spectral.decompose`'s own arrays.  A non-positive
+    pivot -T[0, 0] or decay rate raises ``StructuralSolveError``.
     """
     t = system.scaled_matrix
     n00 = -float(t[0, 0])
@@ -214,14 +232,21 @@ def schur_complement(
             f"{rates.min():.3e}; both must be positive"
         )
     scale = math.sqrt(2.0) * (1.0 / np.sqrt(rates))
-    f = even_vectors * scale
-    q = -(f.T @ t[1:, 0])
-    a = f.T @ t[1:, 1:]
-    a = a @ f
-    np.negative(a, out=a)
-    a -= np.outer(q / n00, q)
+    e = even_vectors
+    q = e.T @ t[1:, 0]
+    q *= -scale
+    a = np.empty((q.size, q.size))
+    for start in range(0, q.size, _SCHUR_ROWS):
+        rows = slice(start, start + _SCHUR_ROWS)
+        block = a[rows]
+        np.matmul(e[:, rows].T @ t[1:, 1:], e, out=block)
+        block *= -scale[rows, None]
+        block *= scale
+        block -= np.outer(q[rows] / n00, q)
     lead = float(system.c_vec[0]) / n00
-    h = f.T @ system.c_vec[1:] - lead * q
+    h = e.T @ system.c_vec[1:]
+    h *= scale
+    h -= lead * q
     return a, h, q, n00, lead, scale
 
 

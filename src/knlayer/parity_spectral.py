@@ -95,7 +95,7 @@ def decompose(system: ReducedSystem) -> ParityEigen:
     bit-for-bit.
     """
     _, u = np.linalg.eigh(_gram(system))
-    u = u[:, ::-1]
+    u = np.ascontiguousarray(u[:, ::-1])  # descending, read three times below
     w = _times_bt(system, u)
     sigma = _column_norms(w)
     # eigh resolves U only to the accuracy of G, eps |B|^2, which mixes the

@@ -207,14 +207,17 @@ class TestKramersAssembly:
         np.testing.assert_allclose(kramers_boundary_system(4, pr).scaled_matrix, expected, atol=1e-14)
         np.testing.assert_allclose(reference_wall_matrix(4, pr), expected, atol=1e-14)
 
-    def test_sliced_assembly_matches_fancy_index(self, table1025):
+    @pytest.mark.parametrize("pr", [1e-3, 2.0 / 3.0, 0.7, 1.0, 1e12])
+    def test_sliced_assembly_matches_fancy_index(self, table1025, pr):
+        # T is the table block scaled in place on row and column 1: the same
+        # bits as the block times the outer product of the weights
         for order in [*range(4, 99, 2), 128, 512, 1024]:
             size = order // 2
             idx = np.arange(size)  # S(2i, 2j) sits at [i, j] of the even block
             w = np.ones(size)
-            w[1] = math.sqrt(5.0 / (4.0 + 2.0 / 3.0))
+            w[1] = math.sqrt(5.0 / (4.0 + pr))
             expected = table1025.s_normalized[np.ix_(idx, idx)] * np.outer(w, w)
-            assert np.array_equal(kramers_boundary_system(order, 2.0 / 3.0).scaled_matrix, expected), order
+            assert np.array_equal(kramers_boundary_system(order, pr).scaled_matrix, expected), order
 
     def test_negative_definite(self):
         for order in range(4, 99, 2):
@@ -674,6 +677,40 @@ def reduction_curve(order, pr, reduction, even_vectors):
     weights = (row @ reduction.modes - reduction.w0) * reduction.g
     curve = layer_profiles.CoefficientCurve(order, 1.0, reduction.lead, -reduction.inv_mu, weights)
     return curve, row
+
+
+class TestSchurComplement:
+    @pytest.mark.parametrize("order, pr, rows", [(33, 1.0, 7), (34, 0.7, 5), (1025, 1.0, 512)])
+    def test_row_blocks_match_the_scaled_copy_formula(self, order, pr, rows, monkeypatch):
+        # A, h and q from row blocks (the last one short) against the dense
+        # formula with F = E sqrt(2) L^-1/2 formed whole
+        monkeypatch.setattr(boundary_solver, "_SCHUR_ROWS", rows)
+        eigen = decompose(build_temperature_system(order) if order % 2 else build_kramers_system(order, pr))
+        system = wall_system(order, pr)
+        a, h, q, n00, lead, scale = boundary_solver.schur_complement(system, eigen.rates, eigen.even_vectors)
+        assert a.shape[0] % rows
+        t, c = system.scaled_matrix, system.c_vec
+        f = eigen.even_vectors * scale
+        ref_q = -(f.T @ t[1:, 0])
+        ref_a = -(f.T @ t[1:, 1:] @ f) - np.outer(ref_q, ref_q) / n00
+        ref_h = f.T @ c[1:] - lead * ref_q
+        for got, ref in ((a, ref_a), (q, ref_q), (h, ref_h)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7)])
+    def test_peak_below_two_and_a_quarter_blocks(self, order, pr):
+        # beside the caller's E and T: A and one block of rows of E^T T11,
+        # then of q q^T; a scaled copy of E put it at 3.0
+        eigen = decompose(build_temperature_system(order) if order % 2 else build_kramers_system(order, pr))
+        system = wall_system(order, pr)
+        square = 8.0 * eigen.rates.size ** 2
+        tracemalloc.start()
+        try:
+            boundary_solver.schur_complement(system, eigen.rates, eigen.even_vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * square, f"peak {peak / square:.2f} m_even^2"
 
 
 class TestKrylovReduction:

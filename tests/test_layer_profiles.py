@@ -33,11 +33,13 @@ from knlayer.layer_profiles import (
     velocity_solution,
     viscous_slip_coefficient,
 )
+from knlayer.parity_spectral import decompose
 from knlayer.special_functions import HalfSpaceTable
 from knlayer.system_builder import (
     MAX_KRAMERS_PRANDTL,
     build_kramers_system,
     build_temperature_system,
+    reduced_system,
 )
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -836,6 +838,27 @@ class TestLayerOperator:
             assert at < 1.5 * square, f"{at / square:.2f} m_even^2 at the {name} eigh"
         assert current < 1.5 * square, f"retained {current / square:.2f} m_even^2"
         assert op.rates.shape == (m_even,)
+
+    @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7)])
+    def test_cold_build_stays_inside_decompose_peak(self, order, pr):
+        # every stage after decompose (the wall system, the Schur complement,
+        # the Cholesky check and Lanczos) peaks below decompose's own arrays;
+        # a scaled copy of E in the Schur complement put the build 1.0 above
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        system = reduced_system(order, pr)
+        square = 8.0 * system.m_even ** 2
+        at_decompose = traced_peak(lambda: decompose(system))
+        layer_operator.cache_clear()
+        at_build = traced_peak(lambda: layer_operator(order, pr))
+        assert at_build < at_decompose + 0.1 * square, (
+            f"build {at_build / square:.2f}, decompose {at_decompose / square:.2f} m_even^2")
 
     @pytest.mark.parametrize("order, pr", [(65, 1.0), (64, 0.7)])
     def test_holds_one_mode_matrix(self, order, pr):

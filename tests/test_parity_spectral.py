@@ -9,7 +9,12 @@ import pytest
 from knlayer import cli, layer_profiles
 from knlayer.layer_profiles import temperature_defect, temperature_solution
 from knlayer.parity_spectral import ParityEigen, RankDeficiencyError, decompose
-from knlayer.system_builder import ReducedSystem, build_kramers_system, build_temperature_system
+from knlayer.system_builder import (
+    ReducedSystem,
+    build_kramers_system,
+    build_temperature_system,
+    reduced_system,
+)
 from knlayer.verification import (
     assemble_full_R,
     coupling_dense,
@@ -147,6 +152,29 @@ class TestDeterminism:
         b = decompose(system)
         np.testing.assert_array_equal(a.rates, b.rates)
         np.testing.assert_array_equal(a.even_vectors, b.even_vectors)
+
+    def test_contiguous_reversal_keeps_every_bit(self, monkeypatch):
+        # decompose copies the descending U into contiguous memory once; run
+        # again on the negative-stride view it copies, it gives the same bits
+        true_copy = np.ascontiguousarray
+        views = []
+
+        def keep_reversed_view(a, *args, **kwargs):
+            if a.ndim == 2 and a.strides[1] < 0:
+                views.append(a.shape)
+                return a
+            return true_copy(a, *args, **kwargs)
+
+        cases = [(order, 0.7) for order in range(3, 200)] + [(512, 0.7), (513, 1.0), (1024, 1e12), (1025, 1.0)]
+        for order, pr in cases:
+            system = reduced_system(order, pr)
+            contiguous = decompose(system)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "ascontiguousarray", keep_reversed_view)
+                on_view = decompose(system)
+            assert np.array_equal(on_view.rates, contiguous.rates), order
+            assert np.array_equal(on_view.even_vectors, contiguous.even_vectors), order
+        assert len(views) == len(cases)
 
 
 def exact_coupling(order, pr=None):
