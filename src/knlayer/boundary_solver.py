@@ -202,10 +202,14 @@ def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
         )
 
 
-# Rows of A that schur_complement forms per product.  A whole E^T T11 is
-# one more m_even^2 block beside E, T and A, which the heap that decompose
-# leaves cannot hold: at M = 2049 it grows the peak RSS 2.4 MiB past
-# decompose's.  Blocks of 512 rows fit, and BLAS runs them as fast.
+# Most rows of A that schur_complement forms per product; up to that, a
+# block is a quarter of A's rows.  With 512-row blocks every m_even <= 512
+# formed A in one block, a product temporary as large as A that the heap
+# decompose leaves could not hold: the stages after decompose grew VmHWM
+# by 1.05 MiB at M = 1024 (Pr 0.7), where quarter blocks grow it by none.
+# Smaller blocks cost BLAS time: the step takes 81 / 84 / 89 / 105 ms with
+# 512 / 256 / 128 / 64-row blocks at M = 1025, and 587 / 631 / 666 / 800 ms
+# at M = 2049, which keeps 512.
 _SCHUR_ROWS = 512
 
 
@@ -216,11 +220,11 @@ def schur_complement(
 
     With C = sqrt(2) L^-1/2, F = E C is never formed: q = -C (E^T T[1:, 0]),
     h = C (E^T c[1:]) - lead q and A = -C (E^T T11 E) C - q q^T / n00, each
-    block of ``_SCHUR_ROWS`` rows of A formed in place from those rows of
-    E^T T11.  Beside the caller's E and T this call holds A and one block
-    of E^T T11, then of q q^T: at most 2 m_even^2 doubles, where one block
-    is all of A (M <= 514 for the temperature jump, M <= 1026 for Kramers
-    slip), so the wall step stays within the 4 of
+    block of rows of A formed in place from those rows of E^T T11.  A block
+    has ceil(m_even / 4) rows, at most ``_SCHUR_ROWS``, so beside the
+    caller's E and T this call holds A and one block of E^T T11, then of
+    q q^T: at most (1.25 m_even + 1) m_even doubles at every order, and the
+    wall step stays within the 4 of
     :func:`~knlayer.parity_spectral.decompose`'s own arrays.  A non-positive
     pivot -T[0, 0] or decay rate raises ``StructuralSolveError``.
     """
@@ -236,8 +240,9 @@ def schur_complement(
     q = e.T @ t[1:, 0]
     q *= -scale
     a = np.empty((q.size, q.size))
-    for start in range(0, q.size, _SCHUR_ROWS):
-        rows = slice(start, start + _SCHUR_ROWS)
+    step = min(-(-q.size // 4), _SCHUR_ROWS)  # rows per block
+    for start in range(0, q.size, step):
+        rows = slice(start, start + step)
         block = a[rows]
         np.matmul(e[:, rows].T @ t[1:, 1:], e, out=block)
         block *= -scale[rows, None]

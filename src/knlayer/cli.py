@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -480,6 +481,21 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return _full_parser().parse_args(argv)
 
 
+def _check_output(output: str | None) -> None:
+    """Reject an ``--output`` that is a directory, or whose directory is
+    missing or not writable, before any build; ``_emit`` reports the rest."""
+    if output is None:
+        return
+    folder = os.path.dirname(os.path.abspath(output))
+    if os.path.isdir(output):
+        reason = "it is a directory"
+    elif not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        reason = f"{folder!r} is not a writable directory"
+    else:
+        return
+    raise UsageError(f"cannot write output file {output!r}: {reason}")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -494,6 +510,7 @@ def _emit(text: str, output: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _parse(sys.argv[1:] if argv is None else argv)
+        _check_output(cfg.output)
         text, code = COMMANDS[cfg.command][2](cfg)
         _emit(text, cfg.output)
         return code

@@ -274,12 +274,14 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     goes once T is assembled, and E and T before the wall reduction, which
     runs beside A alone, as the Gram eigh runs beside G.  In m_even^2
     doubles of traced arrays, decompose peaks at 4.0; the wall system holds
-    E beside the table's two blocks (at most 3.2); the Schur complement E,
-    T, A and one block of rows of E^T T11 (at most 4.0); the Cholesky check
-    A and its factor (2.0).  So the build peaks within 0.1 of decompose
-    (T has one more row and column than E), and the peak RSS of a cold
-    top-order build is set by the Gram eigh: G, LAPACK's copy of it, its
-    2 m_even^2 workspace and the vectors.  The wall value is linear in
+    E beside the table and T (3.0, the table formed in blocks of rows); the
+    Schur complement E, T, A and a quarter of A's rows of E^T T11 (3.3);
+    the Cholesky check A and its factor (2.0, and LAPACK's untraced copy of
+    A); Lanczos A and its basis.  So each stage after decompose fits under
+    decompose's arrays: from M = 513 on, a cold build's VmHWM does not grow
+    past decompose's (at M = 512 it grows 0.3 MiB), and the peak RSS of a
+    cold top-order build is set by the Gram eigh: G, LAPACK's copy of it,
+    its 2 m_even^2 workspace and the vectors.  The wall value is linear in
     s = g / (1/mu + b), so the unscaled coefficient is lead / b +
     sum_i beta_i / (b + 1/mu_i), beta = (row_scale row @ modes - w0) * g.
     """

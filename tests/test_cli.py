@@ -15,7 +15,7 @@ import pytest
 
 import knlayer
 import knlayer.verification
-from knlayer import cli
+from knlayer import cli, layer_profiles
 from knlayer.cli import MAX_SAMPLES, UsageError, main
 from knlayer.layer_profiles import (
     convergence_order,
@@ -482,6 +482,20 @@ class TestExitCodes:
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"
         assert run(capsys, ["table1", "--output", str(target)])[0] == 1
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", ".", "file/out.txt"])
+    def test_unwritable_output_rejected_before_any_build(self, capsys, tmp_path, monkeypatch, target):
+        # a missing directory, a directory as the target and a file as the
+        # directory: each would fail only at the write, after a cold solve
+        # of about 25 s at this order
+        def build(*args):
+            raise AssertionError("an operator was built for an output that cannot be written")
+
+        monkeypatch.setattr(layer_profiles, "_cached_operator", build)
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, ["temperature-jump", "-M", "4097", "--output", str(tmp_path / target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write output file")
 
     def test_bad_kmax(self, capsys):
         assert run(capsys, ["table2", "--kmax", "9"])[0] == 1

@@ -6,6 +6,9 @@ import importlib
 import importlib.util
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -799,6 +802,15 @@ class TestBlockedEvaluation:
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def vm_hwm_readable() -> bool:
+    """Whether this system reports the high-water RSS as VmHWM (Linux)."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
+
+
 def operator_arrays(op):
     """Every array the operator holds, its wall reduction's and its curve's
     included, keyed by part and field."""
@@ -859,6 +871,39 @@ class TestLayerOperator:
         at_build = traced_peak(lambda: layer_operator(order, pr))
         assert at_build < at_decompose + 0.1 * square, (
             f"build {at_build / square:.2f}, decompose {at_decompose / square:.2f} m_even^2")
+
+    @pytest.mark.skipif(not vm_hwm_readable(), reason="needs VmHWM in /proc/self/status")
+    def test_cold_build_grows_no_rss_after_decompose(self):
+        # in a fresh interpreter, the high-water RSS right after decompose and
+        # after the whole build of M = 1024, Pr 0.7 (m_even = 511): a product
+        # block of all of A in the Schur step grew it by 1.05 MiB, 0.53 m_even^2
+        script = """
+from knlayer import layer_profiles
+
+def hwm():
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+marks = []
+true_decompose = layer_profiles.decompose
+
+def decompose(system):
+    eigen = true_decompose(system)
+    marks.append(hwm())
+    return eigen
+
+layer_profiles.decompose = decompose
+op = layer_profiles.layer_operator(1024, 0.7)
+print(op.rates.size, marks[0], hwm())
+"""
+        src = str(Path(layer_profiles.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        m_even, at_decompose, at_build = map(int, proc.stdout.split())
+        growth = 1024.0 * (at_build - at_decompose)
+        assert growth <= 0.25 * 8.0 * m_even ** 2, f"VmHWM grew {growth / 2**10:.0f} KiB after decompose"
 
     @pytest.mark.parametrize("order, pr", [(65, 1.0), (64, 0.7)])
     def test_holds_one_mode_matrix(self, order, pr):
