@@ -41,7 +41,7 @@ import warnings
 
 import numpy as np
 
-from .boundary_solver import (WallReduction, _one_chi, _validate_drive, accommodation_factor, schur_complement,
+from .boundary_solver import (WallReduction, _one_chi, _validate_drive, _wall_lanczos, accommodation_factor,
                               wall_system)
 from .parity_spectral import decompose
 from .system_builder import (MAX_TEMPERATURE_ORDER, _check_integral_order, _check_prandtl, _kramers_a1,
@@ -268,20 +268,21 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
 @functools.lru_cache(maxsize=8)
 def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
-    wall system (its builder makes the normalized table block T reads), Schur
-    complement, the wall reduction (a Cholesky check of A, then Lanczos on A
-    from h and one tridiagonal eigh of size k), coefficient curve.  The table
-    goes once T is assembled, and E and T before the wall reduction, which
-    runs beside A alone, as the Gram eigh runs beside G.  In m_even^2
-    doubles of traced arrays, decompose peaks at 4.0; the wall system holds
-    E beside the table and T (3.0, the table formed in blocks of rows); the
-    Schur complement E, T, A and a quarter of A's rows of E^T T11 (3.3);
-    the Cholesky check A and its factor (2.0, and LAPACK's untraced copy of
-    A); Lanczos A and its basis.  So each stage after decompose fits under
-    decompose's arrays: from M = 513 on, a cold build's VmHWM does not grow
-    past decompose's (at M = 512 it grows 0.3 MiB), and the peak RSS of a
-    cold top-order build is set by the Gram eigh: G, LAPACK's copy of it,
-    its 2 m_even^2 workspace and the vectors.  The wall value is linear in
+    wall system (its builder makes the normalized table block T reads),
+    Lanczos on the reduced wall matrix A from h, applied matrix-free from E
+    and T, then the wall reduction (a Cholesky check of N = -T and one
+    tridiagonal eigh of size k), coefficient curve.  The table goes once T
+    is assembled, E after Lanczos, and T once N is formed, so the check
+    factors N with no other square array alive, as the Gram eigh runs beside
+    G alone.  In m_even^2 doubles of traced arrays, decompose peaks at 4.0;
+    the wall system holds E beside the table and T (3.0, the table formed in
+    blocks of rows); Lanczos E, T and its k x m_even basis; the check N and
+    its factor (2.0, and LAPACK's untraced copy of N); the tridiagonal eigh
+    N and the basis.  So each stage after decompose fits under decompose's
+    arrays: from M = 513 on, a cold build's VmHWM does not grow past
+    decompose's (at M = 512 it grows 0.3 MiB), and the peak RSS of a cold
+    top-order build is set by the Gram eigh: G, LAPACK's copy of it, its
+    2 m_even^2 workspace and the vectors.  The wall value is linear in
     s = g / (1/mu + b), so the unscaled coefficient is lead / b +
     sum_i beta_i / (b + 1/mu_i), beta = (row_scale row @ modes - w0) * g.
     """
@@ -292,9 +293,12 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
         row, row_scale = DEFECT_WEIGHTS[:min(3, rates.size)] @ e[:3, :], 0.8
     else:
         row, row_scale = e[0, :].copy(), 2.0 / _kramers_a1(pr)
-    schur = schur_complement(wall_system(order, pr), rates, e)
+    system = wall_system(order, pr)
+    lanczos = _wall_lanczos(system, rates, e)
     del e
-    wall = WallReduction.from_schur(*schur)
+    n = -system.scaled_matrix
+    del system
+    wall = WallReduction.from_lanczos(n, *lanczos)
     weights = (row_scale * (row @ wall.modes) - wall.w0) * wall.g
     curve = CoefficientCurve(order, 1.0, wall.lead, -wall.inv_mu, weights)
     return LayerOperator(rates, row, row_scale, wall, curve)

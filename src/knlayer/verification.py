@@ -687,7 +687,11 @@ def _wall_definite(wbs: WallBoundarySystem, eigen: ParityEigen) -> tuple[bool, b
     (every rate positive), so K(chi) is negative definite for every
     b(chi) > 0, that is for every chi in (0, 1].  ``gram`` is
     ||E^T E - I/2||_2, which confirms that E is the eigenvector block the
-    form assumes.
+    form assumes.  The factorization of -T is the wall step's own
+    structural check (:meth:`~knlayer.boundary_solver.WallReduction.from_lanczos`),
+    so it is no independent evidence here; that comes from the raw matrix's
+    factorization beside it, the sampled spectra of K(chi) and the direct
+    LU solve of :func:`_wall_solve_gap`.
     """
     t_definite = _negative_definite(wbs.scaled_matrix)
     sampled = t_definite and all(

@@ -594,8 +594,9 @@ class TestPencilSolve:
 
     @pytest.mark.parametrize("flipped", ["pivot", "block"])
     def test_structural_error_on_indefinite_scaled_matrix(self, flipped):
-        # Each flip leaves the rates positive; only one of the pivot and the
-        # reduced block changes sign, so each guard is needed on its own.
+        # Each flip leaves the rates positive and makes -T indefinite, so the
+        # one factorization of -T covers both; the pivot flip already fails
+        # the pivot guard, before Lanczos divides by it.
         eigen = temperature_eigen(7)
         wbs = temperature_boundary_system(7)
         indefinite = wbs.scaled_matrix.copy()
@@ -643,7 +644,7 @@ class TestPencilSolve:
         def no_reduction(*args):
             raise AssertionError("the wall system was reduced before the drive was checked")
 
-        monkeypatch.setattr(boundary_solver, "schur_complement", no_reduction)
+        monkeypatch.setattr(boundary_solver, "_wall_lanczos", no_reduction)
         wbs = wall_system(order, 0.7)
         eigen = temperature_eigen(order) if order % 2 else kramers_eigen(order, 0.7)
         with pytest.raises(ValueError, match=match):
@@ -657,11 +658,26 @@ class TestPencilSolve:
         np.testing.assert_array_equal(v_plus, ref_v)
 
 
-def dense_reduction(a, h, q, n00, lead, scale):
-    """The wall reduction from a dense eigh of A, A = Z diag(mu) Z^T over all
-    of R^m_even: the reference for the Krylov reduction, kept here only."""
-    mu, z = np.linalg.eigh(a)
+def krylov_reduction(system, eigen):
+    """The wall reduction by the solver's two steps."""
+    lanczos = boundary_solver._wall_lanczos(system, eigen.rates, eigen.even_vectors)
+    return boundary_solver.WallReduction.from_lanczos(-system.scaled_matrix, *lanczos)
+
+
+def dense_reduction(system, eigen):
+    """The wall reduction from a dense eigh of A formed whole,
+    A = -F^T T11 F - q q^T / n00 = Z diag(mu) Z^T over all of R^m_even with
+    F = E sqrt(2) L^-1/2: the reference for the matrix-free Krylov
+    reduction, kept here only."""
+    t, c = system.scaled_matrix, system.c_vec
+    n00 = -t[0, 0]
+    scale = math.sqrt(2.0) / np.sqrt(eigen.rates)
+    f = eigen.even_vectors * scale
+    q = -(f.T @ t[1:, 0])
+    lead = c[0] / n00
+    mu, z = np.linalg.eigh(-(f.T @ t[1:, 1:] @ f) - np.outer(q, q) / n00)
     assert mu[0] > 0.0
+    h = f.T @ c[1:] - lead * q
     return boundary_solver.WallReduction(
         inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00, modes=z * scale[:, None],
     )
@@ -679,65 +695,6 @@ def reduction_curve(order, pr, reduction, even_vectors):
     return curve, row
 
 
-class TestSchurComplement:
-    @pytest.mark.parametrize("order, pr, rows, step", [
-        (33, 1.0, 7, 7), (34, 0.7, 3, 3), (35, 1.0, 512, 9), (1025, 1.0, 512, 256),
-    ])
-    def test_row_blocks_match_the_scaled_copy_formula(self, order, pr, rows, step, monkeypatch):
-        # A, h and q from row blocks of `step` rows, capped by `rows` or a
-        # quarter of m_even, the last one short, against the dense formula
-        # with F = E sqrt(2) L^-1/2 formed whole
-        monkeypatch.setattr(boundary_solver, "_SCHUR_ROWS", rows)
-        eigen = decompose(build_temperature_system(order) if order % 2 else build_kramers_system(order, pr))
-        system = wall_system(order, pr)
-        a, h, q, n00, lead, scale = boundary_solver.schur_complement(system, eigen.rates, eigen.even_vectors)
-        assert step == min(-(-a.shape[0] // 4), rows) and a.shape[0] % step
-        t, c = system.scaled_matrix, system.c_vec
-        f = eigen.even_vectors * scale
-        ref_q = -(f.T @ t[1:, 0])
-        ref_a = -(f.T @ t[1:, 1:] @ f) - np.outer(ref_q, ref_q) / n00
-        ref_h = f.T @ c[1:] - lead * ref_q
-        for got, ref in ((a, ref_a), (q, ref_q), (h, ref_h)):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("order, blocks", [
-        (13, [3, 3, 3, 2]), (512, [64, 64, 64, 63]), (1025, [256, 256, 256, 255]),
-        (2049, [512, 512, 512, 511]),
-    ])
-    def test_blocks_are_a_quarter_of_the_rows_up_to_512(self, order, blocks, monkeypatch):
-        # the rows of each E^T T11 E product; the block sizes do not depend
-        # on E, so a scaled identity stands in for the decomposition
-        system = wall_system(order, 0.7)
-        m_even = system.scaled_matrix.shape[0] - 1
-        seen = []
-        true_matmul = np.matmul
-
-        def matmul(*args, out=None):
-            seen.append(out.shape[0])
-            return true_matmul(*args, out=out)
-
-        monkeypatch.setattr(np, "matmul", matmul)
-        boundary_solver.schur_complement(system, np.ones(m_even), np.eye(m_even) / math.sqrt(2.0))
-        assert seen == blocks
-
-    @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
-    def test_peak_below_a_and_a_quarter_block(self, order, pr):
-        # beside the caller's E and T: A and one block of a quarter of its
-        # rows of E^T T11, then of q q^T, 1.25 m_even^2, and numpy's two
-        # 64 KiB buffers for the broadcast operands of np.outer.  A block of
-        # all of A (m_even <= 512) put it at 2.1-2.3, one of half of A at 1.5
-        eigen = decompose(build_temperature_system(order) if order % 2 else build_kramers_system(order, pr))
-        system = wall_system(order, pr)
-        square = 8.0 * eigen.rates.size ** 2
-        tracemalloc.start()
-        try:
-            boundary_solver.schur_complement(system, eigen.rates, eigen.even_vectors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3 * square + 2 * 65536, f"peak {peak / square:.2f} m_even^2"
-
-
 class TestKrylovReduction:
     """The wall reduction on the Krylov space of the drive h against the dense
     eigh of the reduced wall matrix A that it replaced."""
@@ -753,9 +710,8 @@ class TestKrylovReduction:
         for order in orders:
             system = build_temperature_system(order) if pr is None else build_kramers_system(order, pr)
             eigen = decompose(system)
-            schur = boundary_solver.schur_complement(wall_system(order, pr or 1.0), eigen.rates,
-                                                     eigen.even_vectors)
-            krylov, dense = boundary_solver.WallReduction.from_schur(*schur), dense_reduction(*schur)
+            wbs = wall_system(order, pr or 1.0)
+            krylov, dense = krylov_reduction(wbs, eigen), dense_reduction(wbs, eigen)
             assert krylov.modes.shape[1] == krylov.inv_mu.size <= eigen.rates.size
             curve, row = reduction_curve(order, pr, krylov, eigen.even_vectors)
             ref_curve, _ = reduction_curve(order, pr, dense, eigen.even_vectors)
@@ -769,7 +725,7 @@ class TestKrylovReduction:
                 for got, expected in ((v_plus, ref_v), (row * v_plus, row * ref_v)):
                     gap = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
                     worst_amplitude = max(worst_amplitude, float(gap))
-        # measured worst: curve 7.5e-16, amplitudes 9.3e-14 (order 250, Pr 1e12), wall value 1.1e-15
+        # measured worst: curve 7.2e-16, amplitudes 8.3e-14 (order 236, Pr 1e12), wall value 1.8e-15
         assert worst_curve <= 1e-14
         assert worst_amplitude <= 1e-12
         assert worst_wall <= 1e-14
@@ -780,37 +736,59 @@ class TestKrylovReduction:
         pr = 1.0 if order % 2 else 0.7
         system = build_temperature_system(order) if order % 2 else build_kramers_system(order, pr)
         eigen = decompose(system)
-        schur = boundary_solver.schur_complement(wall_system(order, pr), eigen.rates, eigen.even_vectors)
-        reduction = boundary_solver.WallReduction.from_schur(*schur)
+        reduction = krylov_reduction(wall_system(order, pr), eigen)
         k = reduction.inv_mu.size
         assert k <= bound
         assert reduction.modes.shape == (system.m_even, k)
         assert np.all(reduction.inv_mu > 0.0)
 
     def test_negative_eigenvalue_outside_the_krylov_space_raises(self):
-        # A' = A - 3 v v^T with v a unit vector orthogonal to the Krylov space
-        # of h acts on that space as A does; the Cholesky check of A' fails
-        # whether or not rounding lets Lanczos find the negative eigenvalue
-        eigen = temperature_eigen(65)
-        a, h, *rest = boundary_solver.schur_complement(
-            temperature_boundary_system(65), eigen.rates, eigen.even_vectors)
-        _, z = boundary_solver._krylov_ritz(a, h)
-        v = np.eye(a.shape[0])[:, -1]
+        # T' = T + 3 u u^T on T11 with u = 2 E L^1/2 v / sqrt(2) turns A into
+        # A' = A - 3 v v^T; v is a unit vector orthogonal to the Krylov space
+        # of h, so A' acts on that space as A does; -T' is indefinite, and its
+        # Cholesky check fails whether or not rounding lets Lanczos find the
+        # negative eigenvalue (at this order it does, from a 1e-16 component)
+        wbs, eigen = temperature_boundary_system(65), temperature_eigen(65)
+        _, basis, *_, scale = boundary_solver._wall_lanczos(wbs, eigen.rates, eigen.even_vectors)
+        v = np.eye(basis.shape[1])[:, -1]
         for _ in range(2):
-            v -= z @ (z.T @ v)
+            v -= basis.T @ (basis @ v)
         v /= np.linalg.norm(v)
-        assert np.max(np.abs(z.T @ v)) < 1e-15
-        spoiled = a - 3.0 * np.outer(v, v)
-        assert np.linalg.eigvalsh(spoiled)[0] < 0.0
+        assert np.max(np.abs(basis @ v)) < 1e-15
+        u = 2.0 * eigen.even_vectors @ (v / scale)
+        t = wbs.scaled_matrix.copy()
+        t[1:, 1:] += 3.0 * np.outer(u, u)
+        spoiled = WallBoundarySystem(wbs.order, t, wbs.c_vec)
+        assert np.linalg.eigvalsh(-t)[0] < 0.0
         with pytest.raises(StructuralSolveError, match="not negative definite"):
-            boundary_solver.WallReduction.from_schur(spoiled, h, *rest)
+            solve_wall(spoiled, eigen, 0.5, 1.0, 0.0)
 
     def test_negative_eigenvalue_of_a_diagonal_matrix_raises(self):
-        # h has no component on the one negative eigenvector, so in exact
-        # zeros Lanczos never sees it: only the Cholesky check does
-        a = np.diag([2.0, 3.0, 4.0, -1.0])
-        h = np.array([1.0, 1.0, 1.0, 0.0])
-        theta, _ = boundary_solver._krylov_ritz(a, h)
-        np.testing.assert_allclose(theta, [2.0, 3.0, 4.0], rtol=1e-14)
-        with pytest.raises(StructuralSolveError):
-            boundary_solver.WallReduction.from_schur(a, h, np.ones(4), 1.0, 1.0, np.ones(4))
+        # with E = I / sqrt(2), unit rates and T[1:, 0] = 0, A = -T11 =
+        # diag(2, 3, 4, -1) and h = c[1:] has no component on the one negative
+        # eigenvector, so in exact zeros Lanczos never sees it: only the
+        # check of -T does
+        wbs = WallBoundarySystem(10, -np.diag([1.0, 2.0, 3.0, 4.0, -1.0]), np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+        eigen = ParityEigen(rates=np.ones(4), even_vectors=np.eye(4) / math.sqrt(2.0))
+        tridiagonal, *_ = boundary_solver._wall_lanczos(wbs, eigen.rates, eigen.even_vectors)
+        np.testing.assert_allclose(np.linalg.eigvalsh(tridiagonal), [2.0, 3.0, 4.0], rtol=1e-14)
+        with pytest.raises(StructuralSolveError, match="not negative definite"):
+            solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 1e12)])
+    def test_indefinite_pair_past_index_99_fails_build_and_solve(self, order, pr, monkeypatch):
+        # T[i, j] = T[j, i] = 1.01 sqrt(T[i, i] T[j, j]) makes the 2 x 2 block
+        # of -T on rows i, j indefinite; verify reads no entry that far out,
+        # so the -T check of the wall step is what must catch it
+        wbs = wall_system(order, pr)
+        t = wbs.scaled_matrix.copy()
+        i = t.shape[0] // 2
+        t[i, i + 1] = t[i + 1, i] = 1.01 * math.sqrt(t[i, i] * t[i + 1, i + 1])
+        spoiled = WallBoundarySystem(order, t, wbs.c_vec)
+        monkeypatch.setattr(layer_profiles, "wall_system", lambda *args: spoiled)
+        layer_profiles.layer_operator.cache_clear()
+        with pytest.raises(StructuralSolveError, match="not negative definite"):
+            layer_profiles.layer_operator(order, pr)
+        eigen = decompose(build_temperature_system(order) if order % 2 else build_kramers_system(order, pr))
+        with pytest.raises(StructuralSolveError, match="not negative definite"):
+            solve_wall(spoiled, eigen, 0.5, 1.0, 0.0)

@@ -843,8 +843,9 @@ class TestLayerOperator:
         # Five caches kept E, O, T and the table beside the reduced eigh and
         # peaked at 7.3 (order 513) and 8.3 (order 512) m_even^2 blocks.
         assert peak < 6.5 * square, f"peak {peak / square:.2f} m_even^2"
-        # Only the Gram matrix is alive when decompose's eigh starts, only A
-        # when the wall eigh starts, and only the modes after it.
+        # Only the Gram matrix is alive when decompose's eigh starts, only N =
+        # -T and the Lanczos basis when the wall eigh starts (with T still
+        # alive there, 2.3 at order 512), and only the modes after it.
         assert len(at_eigh) == 2
         for name, at in zip(("Gram", "wall"), at_eigh):
             assert at < 1.5 * square, f"{at / square:.2f} m_even^2 at the {name} eigh"
@@ -853,9 +854,9 @@ class TestLayerOperator:
 
     @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7)])
     def test_cold_build_stays_inside_decompose_peak(self, order, pr):
-        # every stage after decompose (the wall system, the Schur complement,
-        # the Cholesky check and Lanczos) peaks below decompose's own arrays;
-        # a scaled copy of E in the Schur complement put the build 1.0 above
+        # every stage after decompose (the wall system, Lanczos and the
+        # Cholesky check of -T) peaks below decompose's own arrays; factoring
+        # -T while E and T were alive put the build 0.14 above at M = 1024
         def traced_peak(run):
             tracemalloc.start()
             try:
@@ -875,8 +876,9 @@ class TestLayerOperator:
     @pytest.mark.skipif(not vm_hwm_readable(), reason="needs VmHWM in /proc/self/status")
     def test_cold_build_grows_no_rss_after_decompose(self):
         # in a fresh interpreter, the high-water RSS right after decompose and
-        # after the whole build of M = 1024, Pr 0.7 (m_even = 511): a product
-        # block of all of A in the Schur step grew it by 1.05 MiB, 0.53 m_even^2
+        # after the whole build of M = 1024, Pr 0.7 (m_even = 511): factoring
+        # -T while T was alive grew it by 1.25 MiB, 0.63 m_even^2, and while E
+        # and T were alive by 3.2 MiB
         script = """
 from knlayer import layer_profiles
 

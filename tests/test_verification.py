@@ -469,15 +469,15 @@ class TestWallSolveCheck:
 
     @pytest.mark.parametrize("field", ["g", "inv_mu"])
     def test_one_ritz_pair_off_by_1e_10_fails(self, monkeypatch, field):
-        true_reduce = boundary_solver.WallReduction.from_schur.__func__
+        true_reduce = boundary_solver.WallReduction.from_lanczos.__func__
 
-        def off(cls, *schur):
-            reduction = true_reduce(cls, *schur)
+        def off(cls, *lanczos):
+            reduction = true_reduce(cls, *lanczos)
             values = getattr(reduction, field).copy()
             values[0] *= 1.0 + 1e-10
             return dataclasses.replace(reduction, **{field: values})
 
-        monkeypatch.setattr(boundary_solver.WallReduction, "from_schur", classmethod(off))
+        monkeypatch.setattr(boundary_solver.WallReduction, "from_lanczos", classmethod(off))
         layer_operator.cache_clear()
         try:
             check = wall_solve_check("quick")
