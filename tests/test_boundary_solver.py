@@ -664,20 +664,27 @@ def krylov_reduction(system, eigen):
     return boundary_solver.WallReduction.from_lanczos(-system.scaled_matrix, *lanczos)
 
 
-def dense_reduction(system, eigen):
-    """The wall reduction from a dense eigh of A formed whole,
-    A = -F^T T11 F - q q^T / n00 = Z diag(mu) Z^T over all of R^m_even with
-    F = E sqrt(2) L^-1/2: the reference for the matrix-free Krylov
-    reduction, kept here only."""
+def formed_wall_matrix(system, eigen):
+    """(A, h, q, n00, lead, scale) with A = -F^T T11 F - q q^T / n00 formed
+    whole, F = E sqrt(2) L^-1/2: the reference for the matrix-free Lanczos
+    products, kept here only."""
     t, c = system.scaled_matrix, system.c_vec
     n00 = -t[0, 0]
     scale = math.sqrt(2.0) / np.sqrt(eigen.rates)
     f = eigen.even_vectors * scale
     q = -(f.T @ t[1:, 0])
     lead = c[0] / n00
-    mu, z = np.linalg.eigh(-(f.T @ t[1:, 1:] @ f) - np.outer(q, q) / n00)
-    assert mu[0] > 0.0
     h = f.T @ c[1:] - lead * q
+    return -(f.T @ t[1:, 1:] @ f) - np.outer(q, q) / n00, h, q, n00, lead, scale
+
+
+def dense_reduction(system, eigen):
+    """The wall reduction from a dense eigh of the formed A = Z diag(mu) Z^T
+    over all of R^m_even: the reference for the matrix-free Krylov
+    reduction."""
+    a, h, q, n00, lead, scale = formed_wall_matrix(system, eigen)
+    mu, z = np.linalg.eigh(a)
+    assert mu[0] > 0.0
     return boundary_solver.WallReduction(
         inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00, modes=z * scale[:, None],
     )
@@ -693,6 +700,90 @@ def reduction_curve(order, pr, reduction, even_vectors):
     weights = (row @ reduction.modes - reduction.w0) * reduction.g
     curve = layer_profiles.CoefficientCurve(order, 1.0, reduction.lead, -reduction.inv_mu, weights)
     return curve, row
+
+
+def spoiled_pair(system):
+    """The system with T[i, i+1] = T[i+1, i] = 1.01 sqrt(T[i, i] T[i+1, i+1])
+    at i = size / 2, which makes the 2 x 2 block of -T on rows i, i+1
+    indefinite."""
+    t = system.scaled_matrix.copy()
+    i = t.shape[0] // 2
+    t[i, i + 1] = t[i + 1, i] = 1.01 * math.sqrt(t[i, i] * t[i + 1, i + 1])
+    return WallBoundarySystem(system.order, t, system.c_vec)
+
+
+def order_eigen(order, pr):
+    return temperature_eigen(order) if order % 2 else kramers_eigen(order, pr)
+
+
+class TestMatrixFreeWallStep:
+    """The two steps of the wall reduction against A formed whole: Lanczos
+    reads A only through products, and the structural check factors -T."""
+
+    @pytest.mark.parametrize("order, pr", [(33, 1.0), (34, 0.7), (35, 1.0), (1025, 1.0)])
+    def test_lanczos_matches_the_formed_formula(self, order, pr):
+        # h and q against the dense formula, the basis orthonormal, and
+        # T_k = Q A Q^T with the formed A; measured worst 1.4e-14 (h, 1025)
+        system, eigen = wall_system(order, pr), order_eigen(order, pr)
+        tridiagonal, basis, h, q, n00, lead, scale = boundary_solver._wall_lanczos(
+            system, eigen.rates, eigen.even_vectors)
+        ref_a, ref_h, ref_q, ref_n00, ref_lead, ref_scale = formed_wall_matrix(system, eigen)
+        assert (n00, lead) == (ref_n00, ref_lead)
+        np.testing.assert_allclose(scale, ref_scale, rtol=1e-15)
+        for got, ref in ((q, ref_q), (h, ref_h), (tridiagonal, basis @ ref_a @ basis.T)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))) <= 1e-14
+
+    @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
+    def test_lanczos_allocates_no_square_array(self, order, pr):
+        # beside the caller's E and T: the Lanczos basis, 64 rows or the
+        # doubling past k, and vectors; measured 0.15-0.32 m_even^2, the most
+        # at m_even = 255 where 64 rows are a quarter.  A formed A alone is 1
+        system, eigen = wall_system(order, pr), order_eigen(order, pr)
+        square = 8.0 * eigen.rates.size ** 2
+        tracemalloc.start()
+        try:
+            boundary_solver._wall_lanczos(system, eigen.rates, eigen.even_vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * square, f"peak {peak / square:.2f} m_even^2"
+
+    @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
+    def test_check_holds_only_the_factor_of_n(self, order, pr):
+        # beside N: its Cholesky factor and k-sized arrays; measured 1.000-1.002
+        # (m_even + 1)^2.  A copy of N or of T next to the factor would be 2
+        system, eigen = wall_system(order, pr), order_eigen(order, pr)
+        lanczos = boundary_solver._wall_lanczos(system, eigen.rates, eigen.even_vectors)
+        n = -system.scaled_matrix
+        square = 8.0 * n.shape[0] ** 2
+        tracemalloc.start()
+        try:
+            boundary_solver.WallReduction.from_lanczos(n, *lanczos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * square, f"peak {peak / square:.3f} (m_even + 1)^2"
+
+    @pytest.mark.parametrize("order, pr", [(13, 1.0), (34, 0.7), (129, 1.0), (256, 1e12)])
+    def test_check_of_minus_t_agrees_with_the_formed_a(self, order, pr):
+        # A is congruent to the Schur complement of N = -T at its pivot, so
+        # with a positive pivot and rates the Cholesky factorization of -T
+        # succeeds exactly when one of the formed A does: on the intact
+        # system both do, and with an indefinite pair of T both fail, as
+        # does the wall step
+        eigen = order_eigen(order, pr)
+        for system, definite in ((wall_system(order, pr), True), (spoiled_pair(wall_system(order, pr)), False)):
+            for matrix in (-system.scaled_matrix, formed_wall_matrix(system, eigen)[0]):
+                try:
+                    np.linalg.cholesky(matrix)
+                    factored = True
+                except np.linalg.LinAlgError:
+                    factored = False
+                assert factored == definite
+            if not definite:
+                with pytest.raises(StructuralSolveError, match="not negative definite"):
+                    krylov_reduction(system, eigen)
 
 
 class TestKrylovReduction:
@@ -777,14 +868,9 @@ class TestKrylovReduction:
 
     @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 1e12)])
     def test_indefinite_pair_past_index_99_fails_build_and_solve(self, order, pr, monkeypatch):
-        # T[i, j] = T[j, i] = 1.01 sqrt(T[i, i] T[j, j]) makes the 2 x 2 block
-        # of -T on rows i, j indefinite; verify reads no entry that far out,
-        # so the -T check of the wall step is what must catch it
-        wbs = wall_system(order, pr)
-        t = wbs.scaled_matrix.copy()
-        i = t.shape[0] // 2
-        t[i, i + 1] = t[i + 1, i] = 1.01 * math.sqrt(t[i, i] * t[i + 1, i + 1])
-        spoiled = WallBoundarySystem(order, t, wbs.c_vec)
+        # the indefinite pair sits at i = size / 2; verify reads no entry that
+        # far out, so the -T check of the wall step is what must catch it
+        spoiled = spoiled_pair(wall_system(order, pr))
         monkeypatch.setattr(layer_profiles, "wall_system", lambda *args: spoiled)
         layer_profiles.layer_operator.cache_clear()
         with pytest.raises(StructuralSolveError, match="not negative definite"):
