@@ -32,12 +32,13 @@ Cholesky factor, and those three are the structural checks.  The
 factorization covers the whole spectrum, where an eigenvalue of A whose
 eigenvector is orthogonal to the Krylov space is not among the Ritz values.
 
-The reduction has two steps, so a caller can drop the dense blocks between
-them: :func:`_wall_lanczos` checks the pivot and the rates and runs Lanczos
-from T, c and E, and :meth:`WallReduction.from_lanczos` factors N and takes
-the Ritz pairs.  :func:`solve_wall` runs both on every call; the per-order
-``LayerOperator`` of :mod:`knlayer.layer_profiles` runs them once, releases
-E and then T between them, and keeps only the reduction.
+The wall step is two calls, so a caller can drop the dense blocks between
+them: :func:`_wall_reduction` checks the pivot and the rates, runs Lanczos
+from T, c and E and returns the Ritz pairs as a :class:`WallReduction`, and
+:func:`_check_negative_definite` factors N = -T.  :func:`solve_wall` runs
+both on every call; the per-order ``LayerOperator`` of
+:mod:`knlayer.layer_profiles` runs them once, releases E after the
+reduction and T before the check, and keeps only the reduction.
 
 A :class:`WallBoundarySystem` holds T and c of one order and no chi: it is
 assembled once per order, and b(chi) enters only where :func:`solve_wall`
@@ -210,22 +211,22 @@ def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
 _KRYLOV_STOP_UNITS = 32.0
 
 
-def _wall_lanczos(
-    system: WallBoundarySystem, rates: np.ndarray, even_vectors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float, np.ndarray]:
-    """First step of the reduction: Lanczos on A from h, with A never formed.
+def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors: np.ndarray) -> WallReduction:
+    """The wall reduction: Lanczos on A from h, with A never formed, then the
+    Ritz pairs.  It does not check N = -T; :func:`_check_negative_definite` does.
 
     With C = sqrt(2) L^-1/2, q = -C (E^T T[1:, 0]), h = C (E^T c[1:]) - lead q
     and lead = c0 / n00; each step applies A x = -C E^T (T11 (E (C x))) -
     q (q^T x) / n00, three matrix-vector products, so beside the caller's E
-    and T this holds vectors and the Lanczos basis alone.  Lanczos starts
+    and T this holds vectors, the Lanczos basis and Z alone.  Lanczos starts
     from h / ||h||, orthogonalizes each new vector against every earlier one
     by two classical Gram-Schmidt passes, and stops when the next
     off-diagonal is at most ``_KRYLOV_STOP_UNITS`` eps ||T_k|| (or the space
-    is all of R^m_even).  Returns (T_k, Q, h, q, n00, lead, C): the k x k
-    tridiagonal T_k and the k Lanczos vectors as the rows of Q.  A
-    non-positive pivot n00 = -T[0, 0] or decay rate raises
-    ``StructuralSolveError`` before any arithmetic.
+    is all of R^m_even).  One eigh of the k x k tridiagonal T_k = Y diag(mu)
+    Y^T gives Z = Q^T Y, Q the Lanczos vectors as rows; the basis goes before
+    Z is scaled in place into the modes.  A non-positive pivot
+    n00 = -T[0, 0] or decay rate raises ``StructuralSolveError`` before any
+    arithmetic.
     """
     t = system.scaled_matrix
     n00 = -float(t[0, 0])
@@ -267,8 +268,12 @@ def _wall_lanczos(
         if k == basis.shape[0]:
             basis = np.concatenate((basis, np.empty((min(k, m - k), m))))
         np.divide(w, beta, out=basis[k])
-    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    return tridiagonal, basis[:k], h, q, n00, lead, scale
+    mu, y = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    z = basis[:k].T @ y
+    del basis, done, x  # the views keep the basis alive
+    g, w0 = (z.T @ h) / mu, (z.T @ q) / n00
+    z *= scale[:, None]
+    return WallReduction(inv_mu=1.0 / mu, g=g, lead=lead, w0=w0, modes=z)
 
 
 @_record
@@ -289,30 +294,6 @@ class WallReduction:
     w0: np.ndarray
     modes: np.ndarray
 
-    @classmethod
-    def from_lanczos(cls, n, tridiagonal, basis, h, q, n00, lead, scale) -> WallReduction:
-        """Second step: a Cholesky factorization of N = -T, whose failure is a
-        structural error, then the Ritz pairs from one eigh of the first
-        step's T_k = Y diag(mu) Y^T, Z = Q^T Y.  A is congruent to N / n00,
-        the Schur complement of N at its pivot, under F = sqrt(2) E L^-1/2,
-        which is nonsingular when the first step's checks hold, so A is
-        positive definite exactly when N is.  The factorization covers the
-        whole spectrum, where a negative eigenvalue of A whose eigenvector
-        is orthogonal to the Krylov space is not among the Ritz values."""
-        try:
-            np.linalg.cholesky(n)
-        except np.linalg.LinAlgError:
-            raise StructuralSolveError(
-                f"scaled wall matrix of size {n.shape[0]} is not negative definite "
-                "(-T has no Cholesky factor)"
-            ) from None
-        mu, y = np.linalg.eigh(tridiagonal)
-        z = basis.T @ y
-        return cls(
-            inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00,
-            modes=z * scale[:, None],
-        )
-
     def solve(
         self, order: int, chi: float, b: float, flux: float, wall_value: float
     ) -> tuple[float, np.ndarray]:
@@ -331,6 +312,20 @@ class WallReduction:
         return u0, v_plus0
 
 
+def _check_negative_definite(n: np.ndarray) -> None:
+    """The structural check: a Cholesky factorization of N = -T, whose failure
+    raises ``StructuralSolveError``.  Given the reduction's checks it holds
+    exactly when A is positive definite, over A's whole spectrum, not only
+    the Ritz values Lanczos meets."""
+    try:
+        np.linalg.cholesky(n)
+    except np.linalg.LinAlgError:
+        raise StructuralSolveError(
+            f"scaled wall matrix of size {n.shape[0]} is not negative definite "
+            "(-T has no Cholesky factor)"
+        ) from None
+
+
 def solve_wall(
     system: WallBoundarySystem, eigen: ParityEigen, chi: float, flux: float, wall_value: float
 ) -> tuple[float, np.ndarray]:
@@ -343,13 +338,14 @@ def solve_wall(
     finite, nonzero, normal real number or a wall value that is not one
     finite real number raises ``ValueError`` before any reduction.
     A non-positive pivot -T[0, 0] or decay rate, or an N = -T that is not
-    positive definite, is a structural failure, and a result that is
-    not finite (a subnormal chi overflows 1 / b(chi)) raises ``ValueError``.  Every call reduces the
-    system afresh; repeated chi of one order go through ``LayerOperator``.
+    positive definite, is a structural failure, and a result that is not
+    finite (a subnormal chi overflows 1 / b(chi)) raises ``ValueError``.
+    Every call reduces the system afresh; repeated chi of one order go
+    through ``LayerOperator``.
     """
     chi, b = _one_chi(chi)
     flux, wall_value = _validate_drive(system.order % 2 == 1, flux, wall_value)
     _check_match(system, eigen)
-    lanczos = _wall_lanczos(system, eigen.rates, eigen.even_vectors)
-    reduction = WallReduction.from_lanczos(-system.scaled_matrix, *lanczos)
+    reduction = _wall_reduction(system, eigen.rates, eigen.even_vectors)
+    _check_negative_definite(-system.scaled_matrix)
     return reduction.solve(system.order, chi, b, flux, wall_value)

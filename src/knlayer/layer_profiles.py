@@ -35,16 +35,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import sys
 import warnings
 
 import numpy as np
 
-from .boundary_solver import (WallReduction, _one_chi, _validate_drive, _wall_lanczos, accommodation_factor,
-                              wall_system)
+from .boundary_solver import (WallReduction, _check_negative_definite, _one_chi, _validate_drive,
+                              _wall_reduction, accommodation_factor, wall_system)
 from .parity_spectral import decompose
-from .system_builder import (MAX_TEMPERATURE_ORDER, _check_integral_order, _check_prandtl, _kramers_a1,
+from .system_builder import (MAX_TEMPERATURE_ORDER, _check_integer, _check_prandtl, _kramers_a1,
                              _one_real, _record, reduced_system)
 
 __all__ = [
@@ -261,30 +260,30 @@ def layer_operator(order: int, pr: float = 1.0) -> LayerOperator:
     ``cache_info`` and ``cache_clear`` are the cache's.
     """
     pr = _check_prandtl(pr)
-    _check_integral_order(order)
+    _check_integer(order, "order")
     return _cached_operator(order, 1.0 if order % 2 else pr)
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
-    wall system (its builder makes the normalized table block T reads),
-    Lanczos on the reduced wall matrix A from h, applied matrix-free from E
-    and T, then the wall reduction (a Cholesky check of N = -T and one
-    tridiagonal eigh of size k), coefficient curve.  The table goes once T
-    is assembled, E after Lanczos, and T once N is formed, so the check
+    wall system (its builder makes the normalized table block T reads), the
+    wall reduction (Lanczos on the reduced wall matrix A from h, applied
+    matrix-free from E and T, then one tridiagonal eigh of size k), the
+    Cholesky check of N = -T, coefficient curve.  The table goes once T is
+    assembled, E after the reduction, and T once N is formed, so the check
     factors N with no other square array alive, as the Gram eigh runs beside
     G alone.  In m_even^2 doubles of traced arrays, decompose peaks at 4.0;
     the wall system holds E beside the table and T (3.0, the table formed in
-    blocks of rows); Lanczos E, T and its k x m_even basis; the check N and
-    its factor (2.0, and LAPACK's untraced copy of N); the tridiagonal eigh
-    N and the basis.  So each stage after decompose fits under decompose's
-    arrays: from M = 513 on, a cold build's VmHWM does not grow past
-    decompose's (at M = 512 it grows 0.3 MiB), and the peak RSS of a cold
-    top-order build is set by the Gram eigh: G, LAPACK's copy of it, its
-    2 m_even^2 workspace and the vectors.  The wall value is linear in
-    s = g / (1/mu + b), so the unscaled coefficient is lead / b +
-    sum_i beta_i / (b + 1/mu_i), beta = (row_scale row @ modes - w0) * g.
+    blocks of rows); the reduction E, T, its k x m_even basis and Z; the
+    check N and its factor (2.0, and LAPACK's untraced copy of N).  So each
+    stage after decompose fits under decompose's arrays: from M = 513 on, a
+    cold build's VmHWM does not grow past decompose's (at M = 512 it grows
+    0.3 MiB), and the peak RSS of a cold top-order build is set by the Gram
+    eigh: G, LAPACK's copy of it, its 2 m_even^2 workspace and the vectors.
+    The wall value is linear in s = g / (1/mu + b), so the unscaled
+    coefficient is lead / b + sum_i beta_i / (b + 1/mu_i),
+    beta = (row_scale row @ modes - w0) * g.
     """
     eigen = decompose(reduced_system(order, pr))
     rates, e = eigen.rates, eigen.even_vectors
@@ -294,11 +293,11 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     else:
         row, row_scale = e[0, :].copy(), 2.0 / _kramers_a1(pr)
     system = wall_system(order, pr)
-    lanczos = _wall_lanczos(system, rates, e)
+    wall = _wall_reduction(system, rates, e)
     del e
     n = -system.scaled_matrix
     del system
-    wall = WallReduction.from_lanczos(n, *lanczos)
+    _check_negative_definite(n)
     weights = (row_scale * (row @ wall.modes) - wall.w0) * wall.g
     curve = CoefficientCurve(order, 1.0, wall.lead, -wall.inv_mu, weights)
     return LayerOperator(rates, row, row_scale, wall, curve)
@@ -319,7 +318,9 @@ def _validate_common(kn: float, pr: float) -> tuple[float, float]:
 
 def _check_parity(odd: bool, order: int) -> None:
     """The temperature jump (``odd``) needs an odd order, Kramers slip an even
-    one; a solution or order of the other parity raises ``ValueError``."""
+    one; an order that is not an integer, or a solution or order of the other
+    parity, raises ``ValueError``."""
+    _check_integer(order, "order")
     if order % 2 != odd:
         problem, parity = ("temperature-jump", "odd") if odd else ("Kramers", "even")
         raise ValueError(f"{problem} solutions need an {parity} order, got {order}")
@@ -458,8 +459,7 @@ def convergence_order(chi, k: int) -> np.ndarray | float:
     the values it differences is reported as a degenerate difference.
     """
     top = (MAX_TEMPERATURE_ORDER - 1).bit_length() - 4  # 2^(top + 3) + 1 is the largest order
-    if not (isinstance(k, numbers.Integral) and 1 <= k <= top):
-        raise ValueError(f"k must be an integer in [1, {top}], got {k!r}")
+    _check_integer(k, "k", lambda k: 1 <= k <= top, f"an integer in [1, {top}]")
     z0, z1, z2 = (layer_operator(2**j + 1).curve(chi) for j in (k + 1, k + 2, k + 3))
     denom = np.subtract(z1, z0)
     degenerate = np.abs(denom) <= 1e-14 * np.maximum(np.abs(z0), np.abs(z1))
@@ -480,8 +480,7 @@ def default_profile_grid(sol, count: int = 400) -> np.ndarray:
     of the widest layer.  That extent scales with Kn, so a Kn for which it is
     not finite or not above 1e-3 raises ``ValueError``; pass an explicit grid
     to the profile evaluators instead."""
-    if not (isinstance(count, numbers.Integral) and count >= 2):
-        raise ValueError(f"count must be an integer of at least 2, got {count!r}")
+    _check_integer(count, "count", lambda n: n >= 2, "an integer of at least 2")
     extent = _profile_extent(sol)
     if not (math.isfinite(extent) and extent > 1e-3):
         raise ValueError(

@@ -14,9 +14,10 @@ included, and the quadrature counterparts live in
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
+
+from .system_builder import _check_integer
 
 __all__ = [
     "SQRT_2PI",
@@ -92,8 +93,7 @@ class HalfSpaceTable:
         return block
 
     def __init__(self, top: int):
-        if not (isinstance(top, numbers.Integral) and top >= 0):
-            raise ValueError(f"the top index must be a non-negative integer, got {top!r}")
+        _check_integer(top, "the top index", lambda t: t >= 0, "a non-negative integer")
         self._raw_top, self._raw = min(top, RAW_ORDER_LIMIT), None
         self._normalized = self._even_block(_z_even(top // 2 + 1))
         self._normalized.flags.writeable = False

@@ -48,10 +48,14 @@ MAX_KRAMERS_ORDER = 4096
 MAX_KRAMERS_PRANDTL = 1e12
 
 
-def _check_integral_order(order: int) -> None:
-    """A float order (9.0) would reach a numpy shape, or share 9's cache entry."""
-    if not isinstance(order, numbers.Integral):
-        raise ValueError(f"order must be an integer, got {order!r}")
+def _check_integer(value, name: str, inside=None, domain: str = "an integer") -> None:
+    """``ValueError`` naming the parameter and its domain unless ``value`` is an
+    integer for which ``inside`` holds, if given.  A bool is no integer here
+    (True would pass for 1), and a float order (9.0) would reach a numpy
+    shape, or share 9's cache entry."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and (inside is None or inside(value))):
+        raise ValueError(f"{name} must be {domain}, got {value!r}")
 
 
 def _one_real(value, name: str, inside=None, domain: str = "") -> float:
@@ -71,7 +75,7 @@ def _one_real(value, name: str, inside=None, domain: str = "") -> float:
 def _check_temperature_order(order: int) -> int:
     """m_even of an odd order in [3, MAX_TEMPERATURE_ORDER]; anything else
     raises ``ValueError``.  The system and wall builders share this domain."""
-    _check_integral_order(order)
+    _check_integer(order, "order")
     if order % 2 == 0:
         raise ValueError(f"temperature-jump systems need an odd order, got {order}")
     if not 3 <= order <= MAX_TEMPERATURE_ORDER:
@@ -92,7 +96,7 @@ def _check_prandtl(prandtl: float) -> float:
 def _check_kramers_order(order: int, prandtl: float) -> int:
     """m_even of an even order in [4, MAX_KRAMERS_ORDER] at a Prandtl number
     in the domain of ``_check_prandtl``; anything else raises ``ValueError``."""
-    _check_integral_order(order)
+    _check_integer(order, "order")
     if order % 2 == 1:
         raise ValueError(f"Kramers systems need an even order, got {order}")
     if not 4 <= order <= MAX_KRAMERS_ORDER:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -49,6 +48,7 @@ from .parity_spectral import ParityEigen, decompose
 from .special_functions import RAW_ORDER_LIMIT, SQRT_2PI, HalfSpaceTable, _z_even
 from .system_builder import (
     ReducedSystem,
+    _check_integer,
     _check_kramers_order,
     _check_prandtl,
     _check_temperature_order,
@@ -172,8 +172,9 @@ def quadrature_block(top: int, theta: float) -> np.ndarray:
     or :class:`QuadratureConvergenceError` is raised.  Raw S(a, b) is the
     entry times sqrt(a! b!).
     """
-    if not (isinstance(top, numbers.Integral) and 0 <= top <= QUADRATURE_ORDER_LIMIT):
-        raise ValueError(f"quadrature oracle is validated for orders <= {QUADRATURE_ORDER_LIMIT}")
+    limit = QUADRATURE_ORDER_LIMIT
+    _check_integer(top, "top", lambda t: 0 <= t <= limit,
+                   f"an integer in [0, {limit}] (validated for orders <= {limit})")
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
     sqrt_theta = math.sqrt(theta)
@@ -399,8 +400,7 @@ def bvp_nodes(widest_layer: float, n_cells: int) -> np.ndarray:
     widths of the widest layer, in ``n_cells`` geometric cells, the last
     ``BVP_STRETCH`` times the first; ``widest_layer`` finite and positive,
     ``n_cells`` an integer of at least 2."""
-    if not (isinstance(n_cells, numbers.Integral) and n_cells >= 2):
-        raise ValueError(f"a geometric grid needs a whole number of cells >= 2, got {n_cells}")
+    _check_integer(n_cells, "n_cells", lambda n: n >= 2, "an integer of at least 2")
     y_max = BVP_DOMAIN_WIDTHS * widest_layer
     if not (math.isfinite(y_max) and y_max > 0.0):
         raise ValueError(f"widest_layer must be finite and positive, got {widest_layer}")
@@ -688,7 +688,7 @@ def _wall_definite(wbs: WallBoundarySystem, eigen: ParityEigen) -> tuple[bool, b
     b(chi) > 0, that is for every chi in (0, 1].  ``gram`` is
     ||E^T E - I/2||_2, which confirms that E is the eigenvector block the
     form assumes.  The factorization of -T is the wall step's own
-    structural check (:meth:`~knlayer.boundary_solver.WallReduction.from_lanczos`),
+    structural check (:func:`~knlayer.boundary_solver._check_negative_definite`),
     so it is no independent evidence here; that comes from the raw matrix's
     factorization beside it, the sampled spectra of K(chi) and the direct
     LU solve of :func:`_wall_solve_gap`.

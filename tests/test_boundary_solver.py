@@ -25,7 +25,7 @@ from knlayer import boundary_solver, cli, layer_profiles, special_functions, ver
 from knlayer.cli import main
 from knlayer.parity_spectral import ParityEigen, decompose
 from knlayer.special_functions import SQRT_2PI, HalfSpaceTable
-from knlayer.system_builder import build_kramers_system, build_temperature_system
+from knlayer.system_builder import build_kramers_system, build_temperature_system, reduced_system
 from knlayer.verification import (
     coupling_dense,
     odd_block,
@@ -644,7 +644,8 @@ class TestPencilSolve:
         def no_reduction(*args):
             raise AssertionError("the wall system was reduced before the drive was checked")
 
-        monkeypatch.setattr(boundary_solver, "_wall_lanczos", no_reduction)
+        monkeypatch.setattr(boundary_solver, "_wall_reduction", no_reduction)
+        monkeypatch.setattr(boundary_solver, "_check_negative_definite", no_reduction)
         wbs = wall_system(order, 0.7)
         eigen = temperature_eigen(order) if order % 2 else kramers_eigen(order, 0.7)
         with pytest.raises(ValueError, match=match):
@@ -659,9 +660,10 @@ class TestPencilSolve:
 
 
 def krylov_reduction(system, eigen):
-    """The wall reduction by the solver's two steps."""
-    lanczos = boundary_solver._wall_lanczos(system, eigen.rates, eigen.even_vectors)
-    return boundary_solver.WallReduction.from_lanczos(-system.scaled_matrix, *lanczos)
+    """The wall reduction after the -T check, by the solver's two calls."""
+    reduction = boundary_solver._wall_reduction(system, eigen.rates, eigen.even_vectors)
+    boundary_solver._check_negative_definite(-system.scaled_matrix)
+    return reduction
 
 
 def formed_wall_matrix(system, eigen):
@@ -717,33 +719,47 @@ def order_eigen(order, pr):
 
 
 class TestMatrixFreeWallStep:
-    """The two steps of the wall reduction against A formed whole: Lanczos
-    reads A only through products, and the structural check factors -T."""
+    """The wall step's two calls against A formed whole: the reduction reads A
+    only through products, and the structural check factors -T."""
 
     @pytest.mark.parametrize("order, pr", [(33, 1.0), (34, 0.7), (35, 1.0), (1025, 1.0)])
-    def test_lanczos_matches_the_formed_formula(self, order, pr):
-        # h and q against the dense formula, the basis orthonormal, and
-        # T_k = Q A Q^T with the formed A; measured worst 1.4e-14 (h, 1025)
+    def test_reduction_holds_ritz_pairs_of_the_formed_matrix(self, order, pr):
+        # with Z = modes L^1/2 / sqrt(2) and mu = 1 / inv_mu, against the
+        # formed A, h and q: Z^T Z = I, Z^T A Z = diag(mu), Z (g mu) = h and
+        # n00 w0 = Z^T q; measured worst 2.3e-15, 3.7e-15, 8.6e-15 (h, 1025)
+        # and 5.9e-16
         system, eigen = wall_system(order, pr), order_eigen(order, pr)
-        tridiagonal, basis, h, q, n00, lead, scale = boundary_solver._wall_lanczos(
-            system, eigen.rates, eigen.even_vectors)
-        ref_a, ref_h, ref_q, ref_n00, ref_lead, ref_scale = formed_wall_matrix(system, eigen)
-        assert (n00, lead) == (ref_n00, ref_lead)
-        np.testing.assert_allclose(scale, ref_scale, rtol=1e-15)
-        for got, ref in ((q, ref_q), (h, ref_h), (tridiagonal, basis @ ref_a @ basis.T)):
+        reduction = boundary_solver._wall_reduction(system, eigen.rates, eigen.even_vectors)
+        a, h, q, n00, lead, scale = formed_wall_matrix(system, eigen)
+        assert reduction.lead == lead
+        z, mu = reduction.modes / scale[:, None], 1.0 / reduction.inv_mu
+        assert np.max(np.abs(z.T @ z - np.eye(mu.size))) <= 1e-14
+        pairs = ((z.T @ a @ z, np.diag(mu)), (z @ (reduction.g * mu), h), (n00 * reduction.w0, z.T @ q))
+        for got, ref in pairs:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))) <= 1e-14
+
+    @pytest.mark.parametrize("order, pr", [(33, 1.0), (32, 0.7), (1025, 1.0)])
+    def test_operator_holds_the_reduction_of_its_order(self, order, pr):
+        # the layer operator and solve_wall run one call on one E and T, so
+        # every field of the cached reduction has the same bits
+        eigen = decompose(reduced_system(order, pr))
+        ref = boundary_solver._wall_reduction(wall_system(order, pr), eigen.rates, eigen.even_vectors)
+        wall = layer_profiles.layer_operator(order, pr).wall
+        for field in dataclasses.fields(ref):
+            got, expected = np.asarray(getattr(wall, field.name)), np.asarray(getattr(ref, field.name))
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), field.name
 
     @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
-    def test_lanczos_allocates_no_square_array(self, order, pr):
+    def test_reduction_allocates_no_square_array(self, order, pr):
         # beside the caller's E and T: the Lanczos basis, 64 rows or the
-        # doubling past k, and vectors; measured 0.15-0.32 m_even^2, the most
-        # at m_even = 255 where 64 rows are a quarter.  A formed A alone is 1
+        # doubling past k, Z of k columns and vectors; measured 0.21-0.42
+        # m_even^2, the most at m_even = 255 where 64 rows are a quarter.  A
+        # formed A alone is 1
         system, eigen = wall_system(order, pr), order_eigen(order, pr)
         square = 8.0 * eigen.rates.size ** 2
         tracemalloc.start()
         try:
-            boundary_solver._wall_lanczos(system, eigen.rates, eigen.even_vectors)
+            boundary_solver._wall_reduction(system, eigen.rates, eigen.even_vectors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -751,15 +767,13 @@ class TestMatrixFreeWallStep:
 
     @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
     def test_check_holds_only_the_factor_of_n(self, order, pr):
-        # beside N: its Cholesky factor and k-sized arrays; measured 1.000-1.002
-        # (m_even + 1)^2.  A copy of N or of T next to the factor would be 2
-        system, eigen = wall_system(order, pr), order_eigen(order, pr)
-        lanczos = boundary_solver._wall_lanczos(system, eigen.rates, eigen.even_vectors)
-        n = -system.scaled_matrix
+        # beside N: its Cholesky factor; measured 1.000-1.002 (m_even + 1)^2.
+        # A copy of N or of T next to the factor would be 2
+        n = -wall_system(order, pr).scaled_matrix
         square = 8.0 * n.shape[0] ** 2
         tracemalloc.start()
         try:
-            boundary_solver.WallReduction.from_lanczos(n, *lanczos)
+            boundary_solver._check_negative_definite(n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -840,12 +854,13 @@ class TestKrylovReduction:
         # Cholesky check fails whether or not rounding lets Lanczos find the
         # negative eigenvalue (at this order it does, from a 1e-16 component)
         wbs, eigen = temperature_boundary_system(65), temperature_eigen(65)
-        _, basis, *_, scale = boundary_solver._wall_lanczos(wbs, eigen.rates, eigen.even_vectors)
-        v = np.eye(basis.shape[1])[:, -1]
+        scale = math.sqrt(2.0) / np.sqrt(eigen.rates)
+        z = boundary_solver._wall_reduction(wbs, eigen.rates, eigen.even_vectors).modes / scale[:, None]
+        v = np.eye(z.shape[0])[:, -1]
         for _ in range(2):
-            v -= basis.T @ (basis @ v)
+            v -= z @ (z.T @ v)
         v /= np.linalg.norm(v)
-        assert np.max(np.abs(basis @ v)) < 1e-15
+        assert np.max(np.abs(z.T @ v)) < 1e-15
         u = 2.0 * eigen.even_vectors @ (v / scale)
         t = wbs.scaled_matrix.copy()
         t[1:, 1:] += 3.0 * np.outer(u, u)
@@ -861,8 +876,8 @@ class TestKrylovReduction:
         # check of -T does
         wbs = WallBoundarySystem(10, -np.diag([1.0, 2.0, 3.0, 4.0, -1.0]), np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
         eigen = ParityEigen(rates=np.ones(4), even_vectors=np.eye(4) / math.sqrt(2.0))
-        tridiagonal, *_ = boundary_solver._wall_lanczos(wbs, eigen.rates, eigen.even_vectors)
-        np.testing.assert_allclose(np.linalg.eigvalsh(tridiagonal), [2.0, 3.0, 4.0], rtol=1e-14)
+        reduction = boundary_solver._wall_reduction(wbs, eigen.rates, eigen.even_vectors)
+        np.testing.assert_allclose(1.0 / reduction.inv_mu, [2.0, 3.0, 4.0], rtol=1e-14)
         with pytest.raises(StructuralSolveError, match="not negative definite"):
             solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
 

@@ -824,14 +824,16 @@ class TestLayerOperator:
     @pytest.mark.parametrize("order", [513, 512])
     def test_cold_build_memory_bounded(self, order, monkeypatch):
         m_even = order - 2 if order % 2 else (order - 1) // 2
-        at_eigh = []
-        true_eigh = np.linalg.eigh
+        at_call = []
 
-        def eigh(a, *args, **kwargs):
-            at_eigh.append(tracemalloc.get_traced_memory()[0])
-            return true_eigh(a, *args, **kwargs)
+        def sampled(name, true_call):
+            def call(a, *args, **kwargs):
+                at_call.append((name, tracemalloc.get_traced_memory()[0]))
+                return true_call(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigh", sampled("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "cholesky", sampled("cholesky", np.linalg.cholesky))
         layer_operator.cache_clear()
         tracemalloc.start()
         try:
@@ -843,12 +845,15 @@ class TestLayerOperator:
         # Five caches kept E, O, T and the table beside the reduced eigh and
         # peaked at 7.3 (order 513) and 8.3 (order 512) m_even^2 blocks.
         assert peak < 6.5 * square, f"peak {peak / square:.2f} m_even^2"
-        # Only the Gram matrix is alive when decompose's eigh starts, only N =
-        # -T and the Lanczos basis when the wall eigh starts (with T still
-        # alive there, 2.3 at order 512), and only the modes after it.
-        assert len(at_eigh) == 2
-        for name, at in zip(("Gram", "wall"), at_eigh):
-            assert at < 1.5 * square, f"{at / square:.2f} m_even^2 at the {name} eigh"
+        # Only the Gram matrix is alive when decompose's eigh starts, and only
+        # N = -T and the reduction when the check factors N (measured 1.13 at
+        # order 513 and 1.15 at 512).  The wall's tridiagonal eigh runs inside
+        # the reduction, beside the caller's E and T and the Lanczos basis
+        # (2.16 and 2.31).  Only the modes are retained.
+        assert [name for name, _ in at_call] == ["eigh", "eigh", "cholesky"]
+        (_, gram), (_, wall), (_, check) = at_call
+        for name, at, bound in (("Gram eigh", gram, 1.5), ("wall eigh", wall, 2.5), ("check", check, 1.5)):
+            assert at < bound * square, f"{at / square:.2f} m_even^2 at the {name}"
         assert current < 1.5 * square, f"retained {current / square:.2f} m_even^2"
         assert op.rates.shape == (m_even,)
 
@@ -989,8 +994,8 @@ print(op.rates.size, marks[0], hwm())
 
 class TestIntegralOrders:
     """An order (and the k of the convergence ladder) is a whole number: a
-    float raises ``ValueError`` before it reaches a numpy shape or the
-    operator cache, where 9.0 and 9 are one key; numpy integers pass."""
+    float or a bool raises ``ValueError`` before it reaches a numpy shape or
+    the operator cache, where 9.0 and 9 are one key; numpy integers pass."""
 
     @pytest.mark.parametrize(
         "call",
@@ -1005,11 +1010,35 @@ class TestIntegralOrders:
             lambda: HalfSpaceTable(8.0),
             lambda: convergence_order(0.5, 1.5),
             lambda: convergence_order(0.5, 2.0),
+            # a bool is an Integral, so k = True once gave k = 1's order and
+            # HalfSpaceTable(True) built a table
+            lambda: convergence_order(0.5, True),
+            lambda: HalfSpaceTable(True),
+            lambda: HalfSpaceTable(False),
+            lambda: build_temperature_system(True),
+            lambda: layer_operator(True),
+            lambda: temperature_solution(True, 0.5),
         ],
     )
     def test_non_integral_order_rejected(self, call):
         with pytest.raises(ValueError, match="integer"):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: temperature_solution("13", 1.0),
+            lambda: velocity_solution(None, 1.0),
+            lambda: temperature_solution(13.5, 1.0),
+        ],
+    )
+    def test_order_checked_for_an_integer_before_its_parity(self, call):
+        # '13' % 2 and None % 2 once raised TypeError, and 13.5 was called an
+        # order of the wrong parity
+        before = layer_operator.cache_info()
+        with pytest.raises(ValueError, match="order must be an integer, got"):
+            call()
+        assert layer_operator.cache_info() == before
 
     def test_float_order_not_served_from_the_cache(self):
         layer_operator(9)
