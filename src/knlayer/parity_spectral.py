@@ -8,16 +8,17 @@ size m_even serves both parities and no null space arises.
 B is lower triangular with bandwidth three, so the Gram matrix G = B B^T is
 banded too: tridiagonal for Kramers (B bidiagonal), pentadiagonal for the
 temperature jump.  Its bands are formed from the three diagonals of B in
-O(M), and one symmetric LAPACK ``eigh`` of G gives the left singular
-vectors U.  W = B^T U, again band arithmetic, gives the rates as column
-norms, s_i = |B^T u_i|, which keep relative accuracy where sqrt(lambda_i)
-loses the small rates to the normwise error of lambda_i.  The vectors of
-close small rates come out of ``eigh`` mixed at the accuracy of G; one
-first-order correction from the residual W^T W brings them to the accuracy
-of B.  Nothing forms B densely, and no SVD runs.  A fixed sign convention
-pins the output.  Only the rates and the even block are returned: a solve
-reads nothing else, and the odd block B^T E / rates, which only the oracles
-read, is built in :mod:`knlayer.verification`.
+O(M), negated, and one symmetric LAPACK ``eigh`` of -G gives the left
+singular vectors U already in the descending order of G.  W = B^T U, again
+band arithmetic, gives the rates as column norms, s_i = |B^T u_i|, which
+keep relative accuracy where sqrt(lambda_i) loses the small rates to the
+normwise error of lambda_i.  The vectors of close small rates come out of
+``eigh`` mixed at the accuracy of G; one first-order correction from the
+residual W^T W, whose diagonal holds lambda_i = |w_i|^2, brings them to the
+accuracy of B.  Nothing forms B densely, and no SVD runs.  A fixed sign
+convention pins the output.  Only the rates and the even block are
+returned: a solve reads nothing else, and the odd block B^T E / rates,
+which only the oracles read, is built in :mod:`knlayer.verification`.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class ParityEigen:
     even_vectors: np.ndarray
 
 
-def _gram(system: ReducedSystem) -> np.ndarray:
-    """G = B B^T as a dense symmetric array, filled band by band in O(M)."""
+def _neg_gram(system: ReducedSystem) -> np.ndarray:
+    """-G = -B B^T as a dense symmetric array, filled band by band in O(M)."""
     d0, d1, d2 = system.diag_main, system.diag_sub1, system.diag_sub2
     m = system.m_even
     diag = d0 * d0  # G[i, i] = B[i, i]^2 + B[i, i-1]^2 + B[i, i-2]^2
@@ -64,7 +65,7 @@ def _gram(system: ReducedSystem) -> np.ndarray:
     g = np.zeros((m, m))
     for k, band in ((0, diag), (1, off1), (2, off2)):
         i = np.arange(band.size)
-        g[i + k, i] = g[i, i + k] = band
+        g[i + k, i] = g[i, i + k] = -band
     return g
 
 
@@ -85,28 +86,27 @@ def _column_norms(w: np.ndarray) -> np.ndarray:
 def decompose(system: ReducedSystem) -> ParityEigen:
     """Structured eigendecomposition of a reduced system.
 
-    U comes from ``eigh`` of the banded Gram matrix B B^T and one
-    first-order correction, the rates are |B^T u_i| sorted descending (a
-    stable sort: equal rates keep the descending order of the Gram
-    eigenvalues), and E = U / sqrt(2).  Sign convention: each column of
-    the odd block B^T E / rates has its largest-magnitude entry positive,
-    ties broken by the lowest row index; the rule is applied to the columns
-    of W = B^T U, which have the same signs.  This pins the output
-    bit-for-bit.
+    U comes from ``eigh`` of the negated banded Gram matrix -B B^T, whose
+    ascending order is the descending order of B B^T, and one first-order
+    correction; the rates are |B^T u_i| of the corrected U sorted descending
+    (a stable sort: equal rates keep the descending order of the Gram
+    eigenvalues), and E = U / sqrt(2).  Sign convention: each column of the
+    odd block B^T E / rates has its largest-magnitude entry positive, ties
+    broken by the lowest row index; the rule is applied to the columns of
+    W = B^T U, which have the same signs.  This pins the output bit-for-bit.
     """
-    _, u = np.linalg.eigh(_gram(system))
-    u = np.ascontiguousarray(u[:, ::-1])  # descending, read three times below
+    _, u = np.linalg.eigh(_neg_gram(system))  # descending in G
     w = _times_bt(system, u)
-    sigma = _column_norms(w)
     # eigh resolves U only to the accuracy of G, eps |B|^2, which mixes the
     # vectors of close small rates.  Off its diagonal, U^T G U = W^T W holds
     # that mixing, computed to the accuracy of B; the first-order step
     # u_j += sum_i u_i (W^T W)_ij / (lam_j - lam_i) removes it, leaves tied
-    # rates alone, and so also makes the columns of W orthogonal.
+    # rates alone, and so also makes the columns of W orthogonal.  Its
+    # diagonal holds lam_i = |w_i|^2.
     x = w.T @ w
     del w
-    lam = sigma * sigma
-    gap = np.subtract.outer(-lam, -lam)  # lam_j - lam_i
+    neg_lam = -x.diagonal()  # a copy, so dividing x leaves it
+    gap = np.subtract.outer(neg_lam, neg_lam)  # lam_j - lam_i
     gap[gap == 0.0] = np.inf
     x /= gap
     del gap

@@ -32,9 +32,10 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 RAW_ORDER_LIMIT = 150
 
 # Rows of the even block formed per step.  A whole table of denominators
-# beside the block, then a triangle copy of it, held two blocks, and that
-# second block put the peak RSS of the benchmark's sweeps (M = 129 and 512)
-# 0.2-0.4 MB higher.
+# beside the block held two blocks, and that second block put the peak RSS
+# of the benchmark's sweeps (M = 129 and 512) 0.2-0.4 MB higher.  The rows'
+# denominator buffer then takes their z_a z_b, so nothing else is allocated
+# and no triangle is copied or mirrored.
 _TABLE_ROWS = 64
 
 
@@ -72,9 +73,10 @@ class HalfSpaceTable:
 
         Even indices never sit on the band |a - b| = 1, so one closed form
         covers the block.  It is formed ``_TABLE_ROWS`` rows at a time, so
-        the only temporary beside it is those rows' denominators, and the
-        upper triangle is mirrored onto the lower in place, for exact
-        symmetry.
+        the only temporary beside it is those rows' denominators, whose
+        buffer then holds the outer product z_a z_b.  Entries (a, b) and
+        (b, a) are the same IEEE operations on the same operands, so the
+        block is exactly symmetric as formed.
         """
         a = 2.0 * np.arange(z_even.size)
         block = np.empty((a.size, a.size))
@@ -86,10 +88,7 @@ class HalfSpaceTable:
             den *= den
             den -= 1.0
             part /= den
-            part *= z_even[rows, None]
-            part *= z_even
-        for i in range(1, a.size):
-            block[i, :i] = block[:i, i]
+            part *= np.multiply.outer(z_even[rows], z_even, out=den)
         return block
 
     def __init__(self, top: int):

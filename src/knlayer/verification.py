@@ -152,7 +152,7 @@ def half_space_S_normalized(alpha: int, beta: int) -> float:
             / (alpha - beta - 1)
         )
     coef = (alpha + beta + 1) / float((alpha - beta) ** 2 - 1)
-    return coef * z[alpha // 2] * z[beta // 2]
+    return coef * (z[alpha // 2] * z[beta // 2])
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], built once per node count.

@@ -235,7 +235,7 @@ def test_raw_block_is_built_once_and_kept():
     assert not first.flags.writeable
     # the bits of the block as the table built it eagerly
     assert hashlib.sha256(first.tobytes()).hexdigest() == (
-        "13284212f5309943dc6f6ea46d59c384d36d4b81e330cf0edd58c692feaa02e4"
+        "20c8ee9fe2304334672fd7237df7fdbad7a80e54d93057f74fd6a2ebcae0bda4"
     )
 
 

@@ -538,8 +538,9 @@ class TestPencilSolve:
         assert u0_scaled != pytest.approx(u0, rel=1e-6)
 
     def test_sweep_runs_one_gram_and_one_tridiagonal_eigh(self, capsys, monkeypatch):
-        # The Gram eigh of decompose, of size m_even, then the eigh of the
-        # Lanczos tridiagonal T_k, of size k < m_even; no dense wall eigh.
+        # The eigh of decompose's negated Gram matrix, of size m_even, then
+        # the eigh of the Lanczos tridiagonal T_k, of size k < m_even; no
+        # dense wall eigh.
         layer_profiles.layer_operator.cache_clear()
         calls = []
         true_eigh = np.linalg.eigh
@@ -556,7 +557,7 @@ class TestPencilSolve:
         assert k < 63
         assert [a.shape for a in calls] == [(63, 63), (k, k)]
         b = coupling_dense(build_temperature_system(65))
-        np.testing.assert_allclose(calls[0], b @ b.T, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(calls[0], -(b @ b.T), rtol=0.0, atol=1e-13)
         t = calls[1]
         assert not np.triu(t, 2).any() and np.all(np.diag(t, 1) > 0.0)  # tridiagonal
         np.testing.assert_array_equal(t, t.T)

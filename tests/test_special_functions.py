@@ -205,7 +205,7 @@ def full_reference_tables(max_order):
         zbm = z[np.maximum(ai - 1, 0)][None, :]
         den = (a - b) ** 2 - 1.0
         den[den == 0.0] = 1.0
-        table = (a + b + 1.0) / den * za * zb
+        table = (a + b + 1.0) / den * (za * zb)
         den1 = a - b + 1.0
         den1[den1 == 0.0] = 1.0
         den2 = a - b - 1.0
@@ -251,6 +251,20 @@ class TestHalfSpaceTable:
         table = HalfSpaceTable(max_order)
         assert np.array_equal(table.s_normalized, normalized[::2, ::2])
         assert np.array_equal(table.s_values, raw[::2, ::2])
+
+    @pytest.mark.parametrize("top, normalized", [(8, True), (128, True), (510, True), (4096, True), (150, False)])
+    def test_block_is_the_closed_form_bit_for_bit(self, top, normalized):
+        # one product z_a z_b per entry: (a, b) and (b, a) round the same
+        # operands the same way, so the block is symmetric as formed
+        z = _z_even(top // 2 + 1, normalized)
+        a = 2.0 * np.arange(z.size)
+        coef = (a[:, None] + a[None, :] + 1.0) / ((a[:, None] - a[None, :]) ** 2 - 1.0)
+        expected = coef * (z[:, None] * z[None, :])
+        del coef
+        table = HalfSpaceTable(top)
+        block = table.s_normalized if normalized else table.s_values
+        assert np.array_equal(block, expected)
+        assert np.array_equal(block, block.T)
 
     def test_exact_symmetry_and_anchor(self):
         table = HalfSpaceTable(40)
