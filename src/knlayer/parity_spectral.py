@@ -105,8 +105,8 @@ def decompose(system: ReducedSystem) -> ParityEigen:
     # diagonal holds lam_i = |w_i|^2.
     x = w.T @ w
     del w
-    neg_lam = -x.diagonal()  # a copy, so dividing x leaves it
-    gap = np.subtract.outer(neg_lam, neg_lam)  # lam_j - lam_i
+    lam = x.diagonal()
+    gap = lam - lam[:, None]  # lam_j - lam_i
     gap[gap == 0.0] = np.inf
     x /= gap
     del gap
