@@ -32,6 +32,15 @@ Cholesky factor, and those three are the structural checks.  The
 factorization covers the whole spectrum, where an eigenvalue of A whose
 eigenvector is orthogonal to the Krylov space is not among the Ritz values.
 
+Both drives have c0 = 1, so lead = c0 / n00 = 1 / n00, and the profile
+reads the drive back through the carrier E^T c[1:]; the unscaled
+coefficient is then the quadratic form
+
+    c^T (-K)^-1 c = lead / b + h^T (b A + I)^-1 h
+                  = lead / b + sum_i (Z^T h)_i^2 / (b mu_i + 1),
+
+the Gauss quadrature of the reduction, whose weights are non-negative.
+
 The wall step is two calls, so a caller can drop the dense blocks between
 them: :func:`_wall_reduction` checks the pivot and the rates, runs Lanczos
 from T, c and E and returns the Ritz pairs as a :class:`WallReduction`, and
@@ -63,6 +72,7 @@ import numpy as np
 from .parity_spectral import ParityEigen
 from .special_functions import SQRT_2PI, HalfSpaceTable
 from .system_builder import (
+    _check_integer,
     _check_kramers_order,
     _check_prandtl,
     _check_temperature_order,
@@ -89,8 +99,13 @@ class StructuralSolveError(RuntimeError):
 
 def accommodation_factor(chi):
     """b(chi) = 2 chi / ((2 - chi) sqrt(2 pi)) for chi in (0, 1], elementwise on
-    arrays and sequences; a float for a scalar chi."""
+    arrays and sequences; a float for a scalar chi.  A chi that is not of
+    integer or float kind (a bool, complex, string or None) raises
+    ``ValueError`` before any arithmetic."""
     chis = np.asarray(chi)
+    if chis.dtype.kind not in "iuf":
+        raise ValueError(f"accommodation coefficient must be real, got {chi!r}")
+    chis = chis.astype(float, copy=False)
     inside = (chis > 0.0) & (chis <= 1.0)
     if not inside.all():
         raise ValueError(f"accommodation coefficient must lie in (0, 1], got {chis[~inside].flat[0]}")
@@ -189,8 +204,9 @@ def kramers_boundary_system(order: int, prandtl: float) -> WallBoundarySystem:
 def wall_system(order: int, pr: float = 1.0) -> WallBoundarySystem:
     """The wall system of the order's problem: the temperature jump for an
     odd order, which ignores ``pr``, Kramers slip for an even one.  Pr is
-    checked first, on either parity."""
+    checked first, on either parity, then that the order is an integer."""
     _check_prandtl(pr)
+    _check_integer(order, "order")
     if order % 2:
         return temperature_boundary_system(order)
     return kramers_boundary_system(order, pr)

@@ -16,12 +16,15 @@ and the operator makes the coefficient a partial fraction in it:
     zeta(b) = alpha / b + sum_i beta_i / (b + 1 / mu_i),
 
 with alpha, the k Ritz values mu of the reduced wall matrix and the pole
-weights beta fixed per order; the operator builds the curve once,
-unscaled, and :func:`coefficient_curve` sets its Kn / Pr scale.  A chi
-sweep, Table 1, the convergence orders and the coefficient of a single
-solution all evaluate that curve, at O(k) per chi and with no solution
-object per sample, so every command prints the same value for the same
-inputs; profiles, defects and amplitudes keep the per-chi solution, one
+weights beta fixed per order.  The profile carries the wall drive: its
+exponential amplitudes are -(E^T c[1:]) times the mode amplitudes, so the
+coefficient is the quadratic form c^T (-K)^-1 c and beta are the
+reduction's Gauss weights mu g^2, none negative.  The operator builds the
+curve once, unscaled, and :func:`coefficient_curve` sets its Kn / Pr
+scale.  A chi sweep, Table 1, the convergence orders and the coefficient
+of a single solution all evaluate that curve, at O(k) per chi and with no
+solution object per sample, so every command prints the same value for the
+same inputs; profiles, defects and amplitudes keep the per-chi solution, one
 O(m_even k) product per chi.  The order's parity names the problem: an odd
 order is the temperature jump, an even one Kramers slip, and both
 solutions share one record base and one far-field profile.  As chi -> 0,
@@ -43,8 +46,8 @@ import numpy as np
 from .boundary_solver import (WallReduction, _check_negative_definite, _one_chi, _validate_drive,
                               _wall_reduction, accommodation_factor, wall_system)
 from .parity_spectral import decompose
-from .system_builder import (MAX_TEMPERATURE_ORDER, _check_integer, _check_prandtl, _kramers_a1,
-                             _one_real, _record, reduced_system)
+from .system_builder import (MAX_TEMPERATURE_ORDER, _check_integer, _check_prandtl, _one_real,
+                             _record, reduced_system)
 
 __all__ = [
     "CoefficientCurve",
@@ -67,10 +70,6 @@ __all__ = [
 
 # Reference Knudsen number of the published tables.
 DEFAULT_KN = math.sqrt(2.0) / 2.0
-
-# Weights turning the three leading scaled even modes into the defect
-# combination t0 + 6 t2 + g2 (only the first survives at order 3).
-DEFECT_WEIGHTS = np.array([math.sqrt(3.0) / 3.0, math.sqrt(6.0) / 2.0, math.sqrt(2.0) / 2.0])
 
 # Float64 entries of one block of a coefficient-curve or profile evaluation
 # (chi or y samples times modes; a block takes at least 16 rows), so that its
@@ -212,7 +211,7 @@ class CoefficientCurve:
         A non-finite value (a subnormal chi overflows 1 / b(chi)) raises
         ``ValueError``.
         """
-        chis = np.asarray(chi, dtype=float)
+        chis = np.asarray(chi)
         b = np.ravel(accommodation_factor(chis))
 
         def fractions(block):
@@ -236,17 +235,17 @@ class LayerOperator:
     """Everything a solve of one order (and Pr) reads, independent of chi;
     its build reads the normalized half-space block alone, never the raw one.
 
-    ``row`` is the defect combination DEFECT_WEIGHTS @ E[:3] (temperature)
-    or E[0] (Kramers); ``row_scale`` * ``row`` maps the mode weights to the
-    profile's exponential amplitudes (0.8 for temperature, 2 / a1 for the
-    slip).  ``wall`` is the wall reduction on the drive's Krylov space, and
-    ``curve`` the order's coefficient as an unscaled partial fraction
+    ``carrier`` is the wall drive on the modes, E^T c[1:]: the profile's
+    exponential amplitudes are -carrier * v for the positive-branch mode
+    amplitudes v (for the temperature jump, 0.8 times the defect
+    combination t0 + 6 t2 + g2; for the slip, 2 / a1 times the shear
+    moment).  ``wall`` is the wall reduction on the drive's Krylov space,
+    and ``curve`` the order's coefficient as an unscaled partial fraction
     (``scale`` 1), built once with the operator.
     """
 
     rates: np.ndarray
-    row: np.ndarray
-    row_scale: float
+    carrier: np.ndarray
     wall: WallReduction
     curve: CoefficientCurve
 
@@ -281,26 +280,27 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     cold build's VmHWM does not grow past decompose's (at M = 512 it grows
     0.3 MiB), and the peak RSS of a cold top-order build is set by the Gram
     eigh: G, LAPACK's copy of it, its 2 m_even^2 workspace and the vectors.
-    The wall value is linear in s = g / (1/mu + b), so the unscaled
-    coefficient is lead / b + sum_i beta_i / (b + 1/mu_i),
-    beta = (row_scale row @ modes - w0) * g.
+    The carrier E^T c[1:] is the drive on the modes, the product the
+    reduction scales into its h.  Both drives have c0 = 1 and the profile
+    reads the drive back through the carrier, so the unscaled coefficient is
+    the quadratic form c^T (-K)^-1 c = lead / b + sum_i (Z^T h)_i^2 /
+    (b mu_i + 1), the Gauss quadrature of the reduction (Golub & Meurant,
+    Matrices, Moments and Quadrature with Applications, 2010).  With Z^T h = mu g, the weight of
+    the pole b = -1 / mu_i is mu_i g_i^2, non-negative by construction.
     """
     eigen = decompose(reduced_system(order, pr))
     rates, e = eigen.rates, eigen.even_vectors
     del eigen
-    if order % 2:
-        row, row_scale = DEFECT_WEIGHTS[:min(3, rates.size)] @ e[:3, :], 0.8
-    else:
-        row, row_scale = e[0, :].copy(), 2.0 / _kramers_a1(pr)
     system = wall_system(order, pr)
+    carrier = e.T @ system.c_vec[1:]
     wall = _wall_reduction(system, rates, e)
     del e
     n = -system.scaled_matrix
     del system
     _check_negative_definite(n)
-    weights = (row_scale * (row @ wall.modes) - wall.w0) * wall.g
+    weights = wall.g * wall.g / wall.inv_mu
     curve = CoefficientCurve(order, 1.0, wall.lead, -wall.inv_mu, weights)
-    return LayerOperator(rates, row, row_scale, wall, curve)
+    return LayerOperator(rates, carrier, wall, curve)
 
 
 layer_operator.cache_info = _cached_operator.cache_info
@@ -339,11 +339,10 @@ def _wall_solution(
     _check_parity(odd, order)
     op = layer_operator(order, pr)
     value, v_plus = op.wall.solve(order, chi, b, flux, wall_value)
-    strength = op.row * v_plus
-    amplitudes = -op.row_scale * strength
+    amplitudes = -op.carrier * v_plus
     shared = (order, chi, kn, pr, value, value - float(np.sum(amplitudes)), op.rates, amplitudes)
     if odd:
-        return TemperatureLayerSolution(*shared, flux, wall_value, strength / flux)
+        return TemperatureLayerSolution(*shared, flux, wall_value, -amplitudes / (0.8 * flux))
     return VelocityLayerSolution(*shared, flux, wall_value)
 
 

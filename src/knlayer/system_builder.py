@@ -14,7 +14,7 @@ as even ones, m_even = M - 2 for odd M and M/2 - 1 for even M.  The thermal
 never raw factorials, and a :class:`ReducedSystem` holds the block's three
 diagonals and nothing else.  Of the moment norms, only the Kramers a_1
 (:func:`_kramers_a1`) is read outside those entries: it scales the wall
-drive and the slip carrier.
+drive, and through it the slip carrier.
 The Hermite basis combinations behind each row and column, the norms and
 the inner-product oracle that re-derive every entry from them, live in
 :mod:`knlayer.verification`, with the dense forms of the block.  The order's
@@ -145,10 +145,17 @@ def build_temperature_system(order: int) -> ReducedSystem:
 
     # The even scales a_1 = sqrt(3), a_{2k} = sqrt((2k+2)!), a_{2k+1} = sqrt((2k)!)
     # and the odd ones b_1 = sqrt(15), b_{2k} = sqrt((2k+3)!) and
-    # b_{2k+1} = sqrt((2k+1)!) enter only through the entries below.
-    main = np.zeros(m_even)
+    # b_{2k+1} = sqrt((2k+1)!) enter only through the entries below.  In the
+    # 1-based column j the main diagonal is (2k+3)!/(a_2k b_2k) = sqrt(j + 3)
+    # for j = 2k and (2k+1)!/(a_{2k+1} b_{2k+1}) = sqrt(j) for j = 2k + 1; the
+    # second subdiagonal, in row i = j + 2, is (2k+2)!/(a_2k b_{2k-2})
+    # = sqrt(j + 4) for i = 2k and (2k)!/(a_{2k+1} b_{2k-1}) = sqrt(j + 1)
+    # for i = 2k + 1.
+    j = np.arange(1, m_even + 1)
+    main = np.sqrt(np.where(j % 2, j, j + 3))
     sub1 = np.zeros(m_even - 1)
-    sub2 = np.zeros(max(m_even - 2, 0))
+    j = j[:max(m_even - 2, 0)]
+    sub2 = np.sqrt(np.where(j % 2, j + 1, j + 4))
 
     # First column couples to the special recombined test functions.
     main[0] = 9.0 / math.sqrt(45.0)            # 9 / (a1 b1)
@@ -156,19 +163,6 @@ def build_temperature_system(order: int) -> ReducedSystem:
         sub1[0] = 24.0 / math.sqrt(24.0 * 15.0)  # 24 / (a2 b1)
     if m_even >= 3:
         sub2[0] = -6.0 / math.sqrt(2.0 * 15.0)   # -6 / (a3 b1)
-    for j in range(2, m_even + 1):
-        k = j // 2
-        if j % 2 == 0:
-            main[j - 1] = math.sqrt(2 * k + 3)           # (2k+3)!/(a_2k b_2k)
-        else:
-            main[j - 1] = math.sqrt(2 * k + 1)           # (2k+1)!/(a_{2k+1} b_{2k+1})
-    for j in range(2, m_even - 1):
-        i = j + 2
-        k = i // 2
-        if i % 2 == 0:
-            sub2[j - 1] = math.sqrt(2 * k + 2)           # (2k+2)!/(a_2k b_{2k-2})
-        else:
-            sub2[j - 1] = math.sqrt(2 * k)               # (2k)!/(a_{2k+1} b_{2k-1})
 
     return ReducedSystem(
         order=order,
@@ -182,8 +176,9 @@ def build_temperature_system(order: int) -> ReducedSystem:
 def _kramers_a1(prandtl: float) -> float:
     """a_1 = sqrt(2 (4 + Pr) / 5), the norm of the leading Kramers even unknown.
 
-    The one formula for it: the wall drive c[1] and the slip carrier's scale
-    (the operator's ``row_scale``) are both 2 / a_1."""
+    Its one reader is :func:`knlayer.boundary_solver.kramers_boundary_system`,
+    whose wall drive has c[1] = 2 / a_1; the slip carrier E^T c[1:] takes its
+    scale from that drive."""
     return math.sqrt(2.0 * (4.0 + prandtl) / 5.0)
 
 
@@ -192,11 +187,10 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
     m_even = _check_kramers_order(order, prandtl)
 
     # Even scales a_1 = _kramers_a1(Pr), a_j = sqrt((2j)!), odd ones b_j = sqrt((2j+1)!).
-    main = np.zeros(m_even)
+    j = np.arange(1, m_even + 1)
+    main = np.sqrt(2 * j + 1)                             # (2j+1)!/(a_j b_j)
     main[0] = math.sqrt(15.0 / (4.0 + prandtl))          # 3!/(a1 b1), Pr-corrected a1
-    for j in range(2, m_even + 1):
-        main[j - 1] = math.sqrt(2 * j + 1)               # (2j+1)!/(a_j b_j)
-    sub1 = np.array([math.sqrt(2.0 * j + 2.0) for j in range(1, m_even)])
+    sub1 = np.sqrt(2 * j[:-1] + 2)                       # (2j+2)!/(a_{j+1} b_j)
     sub2 = np.zeros(0)
 
     return ReducedSystem(
@@ -211,8 +205,9 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
 def reduced_system(order: int, pr: float = 1.0) -> ReducedSystem:
     """The reduced system of the order's problem: the temperature jump for an
     odd order, which ignores ``pr``, Kramers slip for an even one.  Pr is
-    checked first, on either parity."""
+    checked first, on either parity, then that the order is an integer."""
     _check_prandtl(pr)
+    _check_integer(order, "order")
     if order % 2:
         return build_temperature_system(order)
     return build_kramers_system(order, pr)

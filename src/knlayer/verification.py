@@ -433,7 +433,9 @@ def _problem_parts(order: int, pr: float = 1.0):
 def _carrier(order: int, pr: float, eigen: ParityEigen) -> np.ndarray:
     """Weights taking the mode amplitudes v to the profile's exponential sum:
     the defect t0 + 6 t2 + g2 (odd order) or the shear moment, over the
-    even norms re-derived from the Hermite bases."""
+    even norms re-derived from the Hermite bases.  The solver takes its
+    carrier from the wall drive, E^T c[1:]; this one reads neither c nor
+    a wall builder, so it checks that identity independently."""
     factor, weights = (0.8, (1.0, 6.0, 1.0)) if order % 2 else (1.0, (2.0,))
     k = min(len(weights), eigen.rates.size)
     row = np.array([w / _even_norm(order, pr, i) for i, w in enumerate(weights[:k], 1)])
@@ -706,8 +708,10 @@ def _wall_solve_gap(wbs: WallBoundarySystem, eigen: ParityEigen, pr: float) -> f
     """Worst relative gap, at chi = 0.1, 0.5 and 1, between the cached
     operator's wall value and unscaled coefficient and those of a direct LU
     solve of K(chi) u = c (flux 1, wall value 0), which reads neither the
-    wall reduction nor the operator's carrier row.  An operator that fails
-    to build gives inf."""
+    wall reduction nor the operator's carrier.  Its Hermite-norm carrier
+    checks the identity the operator's curve rests on: the carrier is the
+    drive E^T c[1:], so the coefficient is c^T (-K)^-1 c and the curve's
+    pole weights are mu g^2.  An operator that fails to build gives inf."""
     order = wbs.order
     try:
         op = layer_operator(order, pr)

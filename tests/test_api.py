@@ -177,8 +177,10 @@ def test_records_hold_what_a_solve_reads():
     # the operator holds the unscaled coefficient curve, built once per order
     operator = knlayer.layer_profiles.layer_operator(9)
     fields = [f.name for f in dataclasses.fields(operator)]
-    assert fields == ["rates", "row", "row_scale", "wall", "curve"]
-    assert not hasattr(operator, "amplitude_row")
+    # its carrier is the wall drive on the modes, E^T c[1:]
+    assert fields == ["rates", "carrier", "wall", "curve"]
+    for name in ("amplitude_row", "row", "row_scale"):
+        assert not hasattr(operator, name), name
     # the entry oracle reads Pr from its caller, not from the system it checks
     assert list(inspect.signature(verification.oracle_entry).parameters) == ["order", "pr", "i", "j"]
     # both solutions declare their eight shared fields once, then their drive

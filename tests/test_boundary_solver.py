@@ -5,6 +5,7 @@ import decimal
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,23 @@ class TestAccommodationFactor:
             accommodation_factor(-0.1)
         with pytest.raises(ValueError):
             accommodation_factor([0.5, 1.5])
+
+    @pytest.mark.parametrize("chi", [True, 1 + 0j, np.array([0.5 + 0j]), "0.5", None])
+    def test_chi_of_the_wrong_kind_rejected(self, chi):
+        # True once gave b(1), a complex chi b(1) with a ComplexWarning or a
+        # complex b, '0.5' numpy's UFuncTypeError and None a TypeError; the
+        # curve converted chi to float first, so it took True for chi = 1
+        for entry in (accommodation_factor, layer_profiles.coefficient_curve(13)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="accommodation coefficient must be real"):
+                    entry(chi)
+
+    def test_integer_and_float32_chi_read_as_float(self):
+        curve = layer_profiles.coefficient_curve(13)
+        for chi, same in ((1, 1.0), (np.int64(1), 1.0), (np.float32(0.5), 0.5), ([1, 0.5], [1.0, 0.5])):
+            assert np.array_equal(accommodation_factor(chi), accommodation_factor(same))
+            assert np.array_equal(curve(chi), curve(same))
 
     def test_sequence_matches_array(self):
         chis = [0.1, 0.5, 1.0]
@@ -320,6 +338,11 @@ class TestWallSystem:
             (8, 0.0, lambda: kramers_boundary_system(8, 0.0)),
             (9, math.nan, lambda: kramers_boundary_system(8, math.nan)),
             (9, math.inf, lambda: kramers_boundary_system(8, math.inf)),
+            # '13' % 2 and None % 2 once raised TypeError from the parity
+            # test; 13.0 keeps the message the builder gave it
+            ("13", 1.0, lambda: temperature_boundary_system("13")),
+            (None, 1.0, lambda: kramers_boundary_system(None, 1.0)),
+            (13.0, 1.0, lambda: temperature_boundary_system(13.0)),
         ],
     )
     def test_rejects_what_the_named_builders_reject(self, order, pr, named):
@@ -352,19 +375,19 @@ class TestCVectors:
 
     @pytest.mark.parametrize("pr", [1e-3, 2.0 / 3.0, 1.0, 1e12, *RANDOM_PRANDTLS])
     def test_one_kramers_a1(self, pr):
-        # the slip carrier's scale and the wall drive are one formula, 2 / a1,
-        # bit for bit.  Its four roundings keep it within 2 ulp of the
+        # the slip carrier is the wall drive on the modes, E[0] c[1], bit for
+        # bit.  The four roundings of c[1] = 2 / a1 keep it within 2 ulp of the
         # correctly rounded value; the basis-norm reference rounds eight
         # times and lands up to 3 ulp from it (the worst over 2e5 log-uniform
         # Pr), so the two agree to 3 ulp, not to the bit
-        row_scale = layer_profiles.layer_operator(8, pr).row_scale
+        op = layer_profiles.layer_operator(8, pr)
         c1 = kramers_boundary_system(8, pr).c_vec[1]
-        assert row_scale == c1
+        assert op.carrier.tobytes() == (kramers_eigen(8, pr).even_vectors[0, :] * c1).tobytes()
         with decimal.localcontext(decimal.Context(prec=40)):
             exact = float(2 / (2 * (4 + decimal.Decimal(pr)) / 5).sqrt())
-        assert abs(row_scale - exact) <= 2 * math.ulp(exact)
+        assert abs(c1 - exact) <= 2 * math.ulp(exact)
         reference = 2.0 / verification._even_norm(8, pr, 1)
-        assert abs(row_scale - reference) <= 3 * math.ulp(reference)
+        assert abs(c1 - reference) <= 3 * math.ulp(reference)
 
 
 class TestWallOperator:
@@ -693,16 +716,13 @@ def dense_reduction(system, eigen):
     )
 
 
-def reduction_curve(order, pr, reduction, even_vectors):
-    """(unscaled coefficient curve, carrier row) of one reduction, by the
-    layer operator's formula."""
-    if order % 2:
-        row = 0.8 * (layer_profiles.DEFECT_WEIGHTS[:min(3, even_vectors.shape[1])] @ even_vectors[:3, :])
-    else:
-        row = 2.0 / verification._even_norm(order, pr, 1) * even_vectors[0, :]
-    weights = (row @ reduction.modes - reduction.w0) * reduction.g
+def reduction_curve(order, pr, reduction, eigen):
+    """(unscaled coefficient curve, carrier) of one reduction: the curve by
+    the layer operator's formula, its pole weights mu g^2, and the carrier
+    from the Hermite-norm oracle."""
+    weights = reduction.g * reduction.g / reduction.inv_mu
     curve = layer_profiles.CoefficientCurve(order, 1.0, reduction.lead, -reduction.inv_mu, weights)
-    return curve, row
+    return curve, verification._carrier(order, pr or 1.0, eigen)
 
 
 def spoiled_pair(system):
@@ -819,8 +839,8 @@ class TestKrylovReduction:
             wbs = wall_system(order, pr or 1.0)
             krylov, dense = krylov_reduction(wbs, eigen), dense_reduction(wbs, eigen)
             assert krylov.modes.shape[1] == krylov.inv_mu.size <= eigen.rates.size
-            curve, row = reduction_curve(order, pr, krylov, eigen.even_vectors)
-            ref_curve, _ = reduction_curve(order, pr, dense, eigen.even_vectors)
+            curve, carrier = reduction_curve(order, pr, krylov, eigen)
+            ref_curve, _ = reduction_curve(order, pr, dense, eigen)
             ref = ref_curve(self.CHIS)
             worst_curve = max(worst_curve, float(np.max(np.abs(curve(self.CHIS) - ref) / np.abs(ref))))
             for chi in (1e-3, 0.1, 0.5, 1.0):
@@ -828,10 +848,10 @@ class TestKrylovReduction:
                 u0, v_plus = krylov.solve(order, chi, b, 1.0, 0.0)
                 ref_u0, ref_v = dense.solve(order, chi, b, 1.0, 0.0)
                 worst_wall = max(worst_wall, abs(u0 - ref_u0) / abs(ref_u0))
-                for got, expected in ((v_plus, ref_v), (row * v_plus, row * ref_v)):
+                for got, expected in ((v_plus, ref_v), (carrier * v_plus, carrier * ref_v)):
                     gap = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
                     worst_amplitude = max(worst_amplitude, float(gap))
-        # measured worst: curve 7.2e-16, amplitudes 8.3e-14 (order 236, Pr 1e12), wall value 1.8e-15
+        # measured worst: curve 8.8e-16, amplitudes 9.5e-14 (Pr 1e12), wall value 1.6e-15
         assert worst_curve <= 1e-14
         assert worst_amplitude <= 1e-12
         assert worst_wall <= 1e-14

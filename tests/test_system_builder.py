@@ -237,8 +237,41 @@ class TestKramersSystem:
 SYSTEM_ARRAYS = ("diag_main", "diag_sub1", "diag_sub2")
 
 
+def loop_diagonals(order, pr):
+    """(main, first, second subdiagonal) of the order's system, entry by entry
+    with ``math.sqrt``: the reference for the builders' vectorized square
+    roots.  ``pr`` None is the temperature jump."""
+    if pr is None:
+        m = order - 2
+        main, sub1, sub2 = np.zeros(m), np.zeros(m - 1), np.zeros(max(m - 2, 0))
+        main[0] = 9.0 / math.sqrt(45.0)
+        if m >= 2:
+            sub1[0] = 24.0 / math.sqrt(24.0 * 15.0)
+        if m >= 3:
+            sub2[0] = -6.0 / math.sqrt(2.0 * 15.0)
+        for j in range(2, m + 1):
+            k = j // 2
+            main[j - 1] = math.sqrt(2 * k + 3) if j % 2 == 0 else math.sqrt(2 * k + 1)
+        for j in range(2, m - 1):
+            k = (j + 2) // 2
+            sub2[j - 1] = math.sqrt(2 * k + 2) if j % 2 == 0 else math.sqrt(2 * k)
+        return main, sub1, sub2
+    m = order // 2 - 1
+    main = np.array([math.sqrt(15.0 / (4.0 + pr))] + [math.sqrt(2 * j + 1) for j in range(2, m + 1)])
+    return main, np.array([math.sqrt(2.0 * j + 2.0) for j in range(1, m)]), np.zeros(0)
+
+
 class TestReducedSystem:
     """``reduced_system`` calls the named builder of the order's parity."""
+
+    @pytest.mark.parametrize("pr", [None, 1e-3, 2.0 / 3.0, 1.0, 1e12])
+    def test_diagonals_match_the_entrywise_loop(self, pr):
+        # every diagonal in closed form, one vectorized square root each
+        orders = [*range(3, 400, 2), 4097] if pr is None else [*range(4, 399, 2), 4096]
+        for order in orders:
+            got = reduced_system(order, pr or 1.0)
+            for name, expected in zip(SYSTEM_ARRAYS, loop_diagonals(order, pr)):
+                assert getattr(got, name).tobytes() == expected.tobytes(), (order, name)
 
     @pytest.mark.parametrize("order, pr", [(3, 1.0), (9, 0.5), (4, 1.0), (8, 0.7)])
     def test_named_builder_by_parity(self, order, pr, monkeypatch):
@@ -270,6 +303,11 @@ class TestReducedSystem:
             (8, -1.0, lambda: build_kramers_system(8, -1.0)),
             (9, math.nan, lambda: build_kramers_system(8, math.nan)),
             (9, 1e300, lambda: build_kramers_system(8, 1e300)),
+            # '13' % 2 and None % 2 once raised TypeError from the parity
+            # test; 13.0 keeps the message the builder gave it
+            ("13", 1.0, lambda: build_temperature_system("13")),
+            (None, 1.0, lambda: build_kramers_system(None, 1.0)),
+            (13.0, 1.0, lambda: build_temperature_system(13.0)),
         ],
     )
     def test_rejects_what_the_named_builders_reject(self, order, pr, named):

@@ -15,7 +15,6 @@ from knlayer.boundary_solver import (
     wall_system,
 )
 from knlayer.layer_profiles import (
-    DEFECT_WEIGHTS,
     layer_operator,
     temperature_solution,
     velocity_solution,
@@ -389,13 +388,12 @@ def global_solve(order, chi, pr, flux, wall_value, nodes):
     branches, the far-end pin of the growing branch and the scalar rows."""
     system, eigen = verification._problem_parts(order, pr)
     m, n = eigen.rates.size, nodes.size - 1
+    carrier = verification._carrier(order, pr, eigen)
     if order % 2:
         wbs = temperature_boundary_system(order)
-        carrier = 0.8 * (DEFECT_WEIGHTS[:min(3, m)] @ eigen.even_vectors[:3, :])
         slope = -0.4 * pr * flux / KN
     else:
         wbs = kramers_boundary_system(order, pr)
-        carrier = (2.0 / verification._even_norm(order, pr, 1)) * eigen.even_vectors[0, :]
         slope = -flux / KN
     stride = 2 * m + 1
     size = stride * (n + 1)
