@@ -881,16 +881,14 @@ class TestLayerOperator:
     @pytest.mark.skipif(not vm_hwm_readable(), reason="needs VmHWM in /proc/self/status")
     def test_cold_build_grows_no_rss_after_decompose(self):
         # in a fresh interpreter, the high-water RSS right after decompose and
-        # after the whole build of M = 1024, Pr 0.7 (m_even = 511): factoring
-        # -T while T was alive grew it by 1.25 MiB, 0.63 m_even^2, and while E
-        # and T were alive by 3.2 MiB.  The child serves every array above
-        # 128 KiB from its own mapping, so the reading follows the arrays
-        # alive, not where glibc last trimmed its heap: with the default
-        # threshold a build that only dropped a scalar field read 584-648 KiB,
-        # as the heap trimmed at the end of the wall system faulted back in.
-        # Under this setting the build reads 0 KiB and one that keeps E and T
-        # alive through the check 908-912 KiB; one that keeps T alone alive
-        # also reads 0 KiB, and the traced bound at the check catches it
+        # after the whole build of M = 1024, Pr 0.7 (m_even = 511).  The child
+        # serves every array above 128 KiB from its own mapping, so the
+        # reading follows the arrays alive, not where glibc last trimmed its
+        # heap: with the default threshold this build read 520-580 KiB as the
+        # child of pytest and 68-72 KiB as a plain script.  Under this setting
+        # it reads 0 KiB, and a build that keeps E and T alive through the
+        # check 908-912 KiB; one that keeps T alone alive also reads 0 KiB,
+        # and the traced bound at the check catches it
         script = """
 from knlayer import layer_profiles
 
