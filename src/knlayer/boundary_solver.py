@@ -231,7 +231,8 @@ def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors:
     """The wall reduction: Lanczos on A from h, with A never formed, then the
     Ritz pairs.  It does not check N = -T; :func:`_check_negative_definite` does.
 
-    With C = sqrt(2) L^-1/2, q = -C (E^T T[1:, 0]), h = C (E^T c[1:]) - lead q
+    With C = sqrt(2) L^-1/2, q = -C (E^T T[1:, 0]), h = C carrier - lead q,
+    the carrier E^T c[1:] (the drive on the modes, kept for the amplitudes)
     and lead = c0 / n00; each step applies A x = -C E^T (T11 (E (C x))) -
     q (q^T x) / n00, three matrix-vector products, so beside the caller's E
     and T this holds vectors, the Lanczos basis and Z alone.  Lanczos starts
@@ -256,8 +257,8 @@ def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors:
     q = e.T @ t[1:, 0]
     q *= -scale
     lead = float(system.c_vec[0]) / n00
-    h = e.T @ system.c_vec[1:]
-    h *= scale
+    carrier = e.T @ system.c_vec[1:]
+    h = scale * carrier
     h -= lead * q
     m = h.size
     basis = np.empty((min(m, 64), m))  # rows are the Lanczos vectors; doubled when full
@@ -289,7 +290,7 @@ def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors:
     del basis, done, x  # the views keep the basis alive
     g, w0 = (z.T @ h) / mu, (z.T @ q) / n00
     z *= scale[:, None]
-    return WallReduction(inv_mu=1.0 / mu, g=g, lead=lead, w0=w0, modes=z)
+    return WallReduction(inv_mu=1.0 / mu, g=g, lead=lead, w0=w0, modes=z, carrier=carrier)
 
 
 @_record
@@ -302,6 +303,10 @@ class WallReduction:
     with g = Z^T h / mu and inv_mu = 1 / mu, and
     u[0] = -flux (lead / b(chi) - w0 . s),  2 E^T u[1:] = -flux modes @ s,
     where lead = c0 / n00, w0 = Z^T q / n00 and modes = sqrt(2) L^-1/2 Z.
+    The profile's amplitudes are -carrier * (2 E^T u[1:]), with ``carrier`` =
+    E^T c[1:] the drive on the modes: for the temperature jump 0.8 times the
+    defect combination t0 + 6 t2 + g2, for the slip 2 / a1 times the shear
+    moment.
     """
 
     inv_mu: np.ndarray
@@ -309,11 +314,12 @@ class WallReduction:
     lead: float
     w0: np.ndarray
     modes: np.ndarray
+    carrier: np.ndarray
 
     def solve(
         self, order: int, chi: float, b: float, flux: float, wall_value: float
     ) -> tuple[float, np.ndarray]:
-        """(wall unknown at y = 0, positive-branch mode amplitudes) at b = b(chi).
+        """(wall unknown at y = 0, the profile's exponential amplitudes) at b = b(chi).
 
         One O(m_even k) matrix-vector product; a result that is not finite raises
         ``ValueError``.
@@ -321,11 +327,11 @@ class WallReduction:
         # b(chi) underflows to zero below chi ~ 1e-323; numpy turns lead / 0 into inf.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s = self.g / (self.inv_mu + b)
-            v_plus0 = -flux * (self.modes @ s)
+            amplitudes = -self.carrier * (-flux * (self.modes @ s))
             u0 = float(-flux * (np.divide(self.lead, b) - float(self.w0 @ s)) + wall_value)
-        if not (math.isfinite(u0) and np.isfinite(v_plus0).all()):
+        if not (math.isfinite(u0) and np.isfinite(amplitudes).all()):
             raise ValueError(f"wall solve for order {order}, chi={chi} is not finite")
-        return u0, v_plus0
+        return u0, amplitudes
 
 
 def _check_negative_definite(n: np.ndarray) -> None:
@@ -345,11 +351,12 @@ def _check_negative_definite(n: np.ndarray) -> None:
 def solve_wall(
     system: WallBoundarySystem, eigen: ParityEigen, chi: float, flux: float, wall_value: float
 ) -> tuple[float, np.ndarray]:
-    """Solve the wall system for the jump value and the decaying mode weights.
+    """Solve the wall system for the jump value and the profile's amplitudes.
 
     ``flux`` is the prescribed normal heat flux (temperature problem) or
     shear stress (Kramers); ``wall_value`` the corresponding wall state.
-    Returns (wall unknown at y = 0, positive-branch mode amplitudes).
+    Returns (wall unknown at y = 0, the exponential amplitudes a solution
+    stores, -(E^T c[1:]) times the positive-branch mode weights).
     A chi that is not one real number in (0, 1], a flux that is not one
     finite, nonzero, normal real number or a wall value that is not one
     finite real number raises ``ValueError`` before any reduction.

@@ -16,6 +16,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -59,6 +60,10 @@ class NumericalFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # argparse's pattern reads --flux -1e-3 as an option
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
 
@@ -482,12 +487,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _check_output(output: str | None) -> None:
-    """Reject an ``--output`` that is a directory, or whose directory is
-    missing or not writable, before any build; ``_emit`` reports the rest."""
+    """Reject an ``--output`` that is empty or a directory, or whose directory
+    (up to its last separator) is missing or not writable, before any build."""
     if output is None:
         return
-    folder = os.path.dirname(os.path.abspath(output))
-    if os.path.isdir(output):
+    folder = os.path.dirname(output) or os.curdir
+    if not output:
+        reason = "it is empty"
+    elif os.path.isdir(output):
         reason = "it is a directory"
     elif not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         reason = f"{folder!r} is not a writable directory"

@@ -235,17 +235,13 @@ class LayerOperator:
     """Everything a solve of one order (and Pr) reads, independent of chi;
     its build reads the normalized half-space block alone, never the raw one.
 
-    ``carrier`` is the wall drive on the modes, E^T c[1:]: the profile's
-    exponential amplitudes are -carrier * v for the positive-branch mode
-    amplitudes v (for the temperature jump, 0.8 times the defect
-    combination t0 + 6 t2 + g2; for the slip, 2 / a1 times the shear
-    moment).  ``wall`` is the wall reduction on the drive's Krylov space,
-    and ``curve`` the order's coefficient as an unscaled partial fraction
-    (``scale`` 1), built once with the operator.
+    ``wall`` is the wall reduction on the drive's Krylov space, whose solve
+    returns the profile's exponential amplitudes, and ``curve`` the order's
+    coefficient as an unscaled partial fraction (``scale`` 1), built once
+    with the operator.
     """
 
     rates: np.ndarray
-    carrier: np.ndarray
     wall: WallReduction
     curve: CoefficientCurve
 
@@ -280,9 +276,9 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     cold build's VmHWM does not grow past decompose's (at M = 512 it grows
     0.3 MiB), and the peak RSS of a cold top-order build is set by the Gram
     eigh: G, LAPACK's copy of it, its 2 m_even^2 workspace and the vectors.
-    The carrier E^T c[1:] is the drive on the modes, the product the
-    reduction scales into its h.  Both drives have c0 = 1 and the profile
-    reads the drive back through the carrier, so the unscaled coefficient is
+    The reduction keeps the carrier E^T c[1:], the drive on the modes that
+    it scales into its h.  Both drives have c0 = 1 and the profile reads the
+    drive back through the carrier, so the unscaled coefficient is
     the quadratic form c^T (-K)^-1 c = lead / b + sum_i (Z^T h)_i^2 /
     (b mu_i + 1), the Gauss quadrature of the reduction (Golub & Meurant,
     Matrices, Moments and Quadrature with Applications, 2010).  With Z^T h = mu g, the weight of
@@ -292,7 +288,6 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     rates, e = eigen.rates, eigen.even_vectors
     del eigen
     system = wall_system(order, pr)
-    carrier = e.T @ system.c_vec[1:]
     wall = _wall_reduction(system, rates, e)
     del e
     n = -system.scaled_matrix
@@ -300,7 +295,7 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     _check_negative_definite(n)
     weights = wall.g * wall.g / wall.inv_mu
     curve = CoefficientCurve(order, 1.0, wall.lead, -wall.inv_mu, weights)
-    return LayerOperator(rates, carrier, wall, curve)
+    return LayerOperator(rates, wall, curve)
 
 
 layer_operator.cache_info = _cached_operator.cache_info
@@ -331,15 +326,14 @@ def _wall_solution(
 ):
     """Both solution functions' body: the checks, the cached operator's wall
     solve, then the solution of the temperature jump (``odd``) or of Kramers
-    slip, whose order must have that parity.  One amplitude formula serves
+    slip, whose order must have that parity.  The solve's amplitudes serve
     both; only the temperature solution keeps the defect amplitudes."""
     kn, pr = _validate_common(kn, pr)
     flux, wall_value = _validate_drive(odd, flux, wall_value)
     chi, b = _one_chi(chi)  # a bad chi fails before a cold operator build
     _check_parity(odd, order)
     op = layer_operator(order, pr)
-    value, v_plus = op.wall.solve(order, chi, b, flux, wall_value)
-    amplitudes = -op.carrier * v_plus
+    value, amplitudes = op.wall.solve(order, chi, b, flux, wall_value)
     shared = (order, chi, kn, pr, value, value - float(np.sum(amplitudes)), op.rates, amplitudes)
     if odd:
         return TemperatureLayerSolution(*shared, flux, wall_value, -amplitudes / (0.8 * flux))

@@ -164,13 +164,7 @@ def build_temperature_system(order: int) -> ReducedSystem:
     if m_even >= 3:
         sub2[0] = -6.0 / math.sqrt(2.0 * 15.0)   # -6 / (a3 b1)
 
-    return ReducedSystem(
-        order=order,
-        m_even=m_even,
-        diag_main=main,
-        diag_sub1=sub1,
-        diag_sub2=sub2,
-    )
+    return ReducedSystem(order, m_even, main, sub1, sub2)
 
 
 def _kramers_a1(prandtl: float) -> float:
@@ -191,15 +185,7 @@ def build_kramers_system(order: int, prandtl: float) -> ReducedSystem:
     main = np.sqrt(2 * j + 1)                             # (2j+1)!/(a_j b_j)
     main[0] = math.sqrt(15.0 / (4.0 + prandtl))          # 3!/(a1 b1), Pr-corrected a1
     sub1 = np.sqrt(2 * j[:-1] + 2)                       # (2j+2)!/(a_{j+1} b_j)
-    sub2 = np.zeros(0)
-
-    return ReducedSystem(
-        order=order,
-        m_even=m_even,
-        diag_main=main,
-        diag_sub1=sub1,
-        diag_sub2=sub2,
-    )
+    return ReducedSystem(order, m_even, main, sub1, np.zeros(0))
 
 
 def reduced_system(order: int, pr: float = 1.0) -> ReducedSystem:

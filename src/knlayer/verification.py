@@ -708,7 +708,7 @@ def _wall_solve_gap(wbs: WallBoundarySystem, eigen: ParityEigen, pr: float) -> f
     """Worst relative gap, at chi = 0.1, 0.5 and 1, between the cached
     operator's wall value and unscaled coefficient and those of a direct LU
     solve of K(chi) u = c (flux 1, wall value 0), which reads neither the
-    wall reduction nor the operator's carrier.  Its Hermite-norm carrier
+    wall reduction nor its carrier.  Its Hermite-norm carrier
     checks the identity the operator's curve rests on: the carrier is the
     drive E^T c[1:], so the coefficient is c^T (-K)^-1 c and the curve's
     pole weights are mu g^2.  An operator that fails to build gives inf."""

@@ -177,9 +177,10 @@ def test_records_hold_what_a_solve_reads():
     # the operator holds the unscaled coefficient curve, built once per order
     operator = knlayer.layer_profiles.layer_operator(9)
     fields = [f.name for f in dataclasses.fields(operator)]
-    # its carrier is the wall drive on the modes, E^T c[1:]
-    assert fields == ["rates", "carrier", "wall", "curve"]
-    for name in ("amplitude_row", "row", "row_scale"):
+    # the carrier, the wall drive on the modes E^T c[1:], is the wall reduction's
+    assert fields == ["rates", "wall", "curve"]
+    assert [f.name for f in dataclasses.fields(operator.wall)][-1] == "carrier"
+    for name in ("amplitude_row", "row", "row_scale", "carrier"):
         assert not hasattr(operator, name), name
     # the entry oracle reads Pr from its caller, not from the system it checks
     assert list(inspect.signature(verification.oracle_entry).parameters) == ["order", "pr", "i", "j"]

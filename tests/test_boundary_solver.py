@@ -375,14 +375,15 @@ class TestCVectors:
 
     @pytest.mark.parametrize("pr", [1e-3, 2.0 / 3.0, 1.0, 1e12, *RANDOM_PRANDTLS])
     def test_one_kramers_a1(self, pr):
-        # the slip carrier is the wall drive on the modes, E[0] c[1], bit for
-        # bit.  The four roundings of c[1] = 2 / a1 keep it within 2 ulp of the
-        # correctly rounded value; the basis-norm reference rounds eight
-        # times and lands up to 3 ulp from it (the worst over 2e5 log-uniform
-        # Pr), so the two agree to 3 ulp, not to the bit
+        # the slip carrier, which the wall reduction keeps, is the wall drive
+        # on the modes, E[0] c[1], bit for bit.  The four roundings of
+        # c[1] = 2 / a1 keep it within 2 ulp of the correctly rounded value;
+        # the basis-norm reference rounds eight times and lands up to 3 ulp
+        # from it (the worst over 2e5 log-uniform Pr), so the two agree to
+        # 3 ulp, not to the bit
         op = layer_profiles.layer_operator(8, pr)
         c1 = kramers_boundary_system(8, pr).c_vec[1]
-        assert op.carrier.tobytes() == (kramers_eigen(8, pr).even_vectors[0, :] * c1).tobytes()
+        assert op.wall.carrier.tobytes() == (kramers_eigen(8, pr).even_vectors[0, :] * c1).tobytes()
         with decimal.localcontext(decimal.Context(prec=40)):
             exact = float(2 / (2 * (4 + decimal.Decimal(pr)) / 5).sqrt())
         assert abs(c1 - exact) <= 2 * math.ulp(exact)
@@ -412,15 +413,17 @@ class TestSolveWall:
         system = build_temperature_system(3)
         eigen = decompose(system)
         wbs = temperature_boundary_system(3)
-        theta0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
+        theta0, amplitudes = solve_wall(wbs, eigen, chi, 1.0, 0.0)
         t0 = reference_t0(chi)
         b = accommodation_factor(chi)
         # first wall row: -2 b theta(0) - b t0(0) = 1
         expected_theta0 = -(1.0 + b * t0) / (2.0 * b)
         assert theta0 == pytest.approx(expected_theta0, rel=1e-13)
-        # the single decaying amplitude carries w_even(0) = sqrt(3) t0(0)
-        w_even0 = float(eigen.even_vectors[0, 0] * v_plus[0])
-        assert w_even0 == pytest.approx(math.sqrt(3.0) * t0, rel=1e-13)
+        # the single decaying mode carries w_even(0) = E[0, 0] v = sqrt(3) t0(0),
+        # and its amplitude is -carrier v
+        carrier = verification._carrier(3, 1.0, eigen)
+        expected = -carrier[0] * math.sqrt(3.0) * t0 / eigen.even_vectors[0, 0]
+        assert float(amplitudes[0]) == pytest.approx(expected, rel=1e-13)
 
     def test_flux_homogeneity(self):
         eigen = decompose(build_temperature_system(7))
@@ -455,7 +458,8 @@ class TestSolveWall:
         system = build_temperature_system(order)
         eigen = decompose(system)
         wbs = temperature_boundary_system(order)
-        theta0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
+        theta0, amplitudes = solve_wall(wbs, eigen, chi, 1.0, 0.0)
+        v_plus = -amplitudes / verification._carrier(order, 1.0, eigen)  # no carrier entry is small here
         w_even = eigen.even_vectors @ v_plus
         w_odd = odd_block(system, eigen) @ v_plus
         lhs = 1.0 * wbs.c_vec.copy()
@@ -492,9 +496,9 @@ class TestSolveWall:
         order, pr = 8, 2.0 / 3.0
         eigen = decompose(build_kramers_system(order, pr))
         wbs = kramers_boundary_system(order, pr)
-        u0, v_plus = solve_wall(wbs, eigen, 0.8, 1.0, 0.0)
+        u0, amplitudes = solve_wall(wbs, eigen, 0.8, 1.0, 0.0)
         assert math.isfinite(u0)
-        assert v_plus.shape == (eigen.rates.size,)
+        assert amplitudes.shape == (eigen.rates.size,)
 
     @pytest.mark.parametrize("order", [4, 6, 8])
     def test_kramers_wall_condition_residual(self, order):
@@ -502,7 +506,8 @@ class TestSolveWall:
         system = build_kramers_system(order, pr)
         eigen = decompose(system)
         wbs = kramers_boundary_system(order, pr)
-        u1_0, v_plus = solve_wall(wbs, eigen, chi, 1.0, 0.0)
+        u1_0, amplitudes = solve_wall(wbs, eigen, chi, 1.0, 0.0)
+        v_plus = -amplitudes / verification._carrier(order, pr, eigen)  # no carrier entry is small here
         w_even = eigen.even_vectors @ v_plus
         w_odd = odd_block(system, eigen) @ v_plus
         lhs = wbs.c_vec.copy()
@@ -517,21 +522,29 @@ class TestPencilSolve:
     CHIS = (1e-3, 0.1, 0.5, 1.0)
 
     @classmethod
-    def assert_matches_cholesky(cls, wbs, eigen):
+    def assert_matches_cholesky(cls, wbs, eigen, pr):
+        # the amplitudes against -carrier (2 E^T u[1:]) of the Cholesky solve u,
+        # the carrier from the Hermite-norm oracle; measured worst 2.0e-14
+        # (Pr 1 and 2/3), 8.0e-15 (Pr 1e6) and 3.7e-14 (Pr 1e12) of the
+        # largest amplitude.  An LU solve of K(chi) as the reference moves
+        # these to 1.7e-12 at Pr 1e6 and 3.9e-9 at Pr 1e12: the error of LU
+        # on the badly scaled K, where Cholesky's does not depend on the scaling
+        carrier = verification._carrier(wbs.order, pr, eigen)
         for chi in cls.CHIS:
-            u0, v_plus = solve_wall(wbs, eigen, chi, 1.3, 0.2)
+            u0, amplitudes = solve_wall(wbs, eigen, chi, 1.3, 0.2)
             ref_u0, ref_v = cholesky_wall_solve(wbs, eigen, chi, 1.3, 0.2)
+            expected = -carrier * ref_v
             assert u0 == pytest.approx(ref_u0, rel=1e-12)
-            assert np.linalg.norm(v_plus - ref_v) <= 1e-11 * np.linalg.norm(ref_v)
+            assert np.max(np.abs(amplitudes - expected)) <= 4e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("order", [3, 5, 7, 9, 13, 33, 99, 129, 513])
     def test_temperature_matches_cholesky(self, order):
-        self.assert_matches_cholesky(temperature_boundary_system(order), temperature_eigen(order))
+        self.assert_matches_cholesky(temperature_boundary_system(order), temperature_eigen(order), 1.0)
 
+    @pytest.mark.parametrize("pr", [2.0 / 3.0, 1e6, 1e12])
     @pytest.mark.parametrize("order", [4, 6, 8, 48, 98, 128, 512])
-    def test_kramers_matches_cholesky(self, order):
-        pr = 2.0 / 3.0
-        self.assert_matches_cholesky(kramers_boundary_system(order, pr), kramers_eigen(order, pr))
+    def test_kramers_matches_cholesky(self, order, pr):
+        self.assert_matches_cholesky(kramers_boundary_system(order, pr), kramers_eigen(order, pr), pr)
 
     def test_chis_share_one_operator(self):
         assert not temperature_boundary_system(9).scaled_matrix.flags.writeable
@@ -549,11 +562,12 @@ class TestPencilSolve:
     def test_pencil_not_shared_across_systems(self):
         eigen = temperature_eigen(7)
         wbs = temperature_boundary_system(7)
-        u0, v_plus = solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
+        u0, amplitudes = solve_wall(wbs, eigen, 0.5, 1.0, 0.0)
         doubled = wbs.__class__(order=wbs.order, scaled_matrix=wbs.scaled_matrix, c_vec=2.0 * wbs.c_vec)
-        u0_doubled, v_doubled = solve_wall(doubled, eigen, 0.5, 1.0, 0.0)
+        u0_doubled, a_doubled = solve_wall(doubled, eigen, 0.5, 1.0, 0.0)
         assert u0_doubled == pytest.approx(2.0 * u0, rel=1e-13)
-        np.testing.assert_allclose(v_doubled, 2.0 * v_plus, rtol=1e-12)
+        # the doubled drive doubles the mode weights and the carrier both
+        np.testing.assert_allclose(a_doubled, 4.0 * amplitudes, rtol=1e-12)
         copied = wbs.__class__(order=wbs.order, scaled_matrix=1.5 * wbs.scaled_matrix, c_vec=wbs.c_vec)
         u0_scaled, v_scaled = solve_wall(copied, eigen, 0.5, 1.0, 0.0)
         ref_u0, ref_v = cholesky_wall_solve(copied, eigen, 0.5, 1.0, 0.0)
@@ -704,25 +718,24 @@ def formed_wall_matrix(system, eigen):
     return -(f.T @ t[1:, 1:] @ f) - np.outer(q, q) / n00, h, q, n00, lead, scale
 
 
-def dense_reduction(system, eigen):
+def dense_reduction(system, eigen, carrier):
     """The wall reduction from a dense eigh of the formed A = Z diag(mu) Z^T
-    over all of R^m_even: the reference for the matrix-free Krylov
-    reduction."""
+    over all of R^m_even, with the given carrier: the reference for the
+    matrix-free Krylov reduction."""
     a, h, q, n00, lead, scale = formed_wall_matrix(system, eigen)
     mu, z = np.linalg.eigh(a)
     assert mu[0] > 0.0
     return boundary_solver.WallReduction(
         inv_mu=1.0 / mu, g=(z.T @ h) / mu, lead=lead, w0=(z.T @ q) / n00, modes=z * scale[:, None],
+        carrier=carrier,
     )
 
 
-def reduction_curve(order, pr, reduction, eigen):
-    """(unscaled coefficient curve, carrier) of one reduction: the curve by
-    the layer operator's formula, its pole weights mu g^2, and the carrier
-    from the Hermite-norm oracle."""
+def reduction_curve(order, reduction):
+    """The unscaled coefficient curve of one reduction, by the layer
+    operator's formula: its pole weights are mu g^2."""
     weights = reduction.g * reduction.g / reduction.inv_mu
-    curve = layer_profiles.CoefficientCurve(order, 1.0, reduction.lead, -reduction.inv_mu, weights)
-    return curve, verification._carrier(order, pr or 1.0, eigen)
+    return layer_profiles.CoefficientCurve(order, 1.0, reduction.lead, -reduction.inv_mu, weights)
 
 
 def spoiled_pair(system):
@@ -769,6 +782,10 @@ class TestMatrixFreeWallStep:
         for field in dataclasses.fields(ref):
             got, expected = np.asarray(getattr(wall, field.name)), np.asarray(getattr(ref, field.name))
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), field.name
+        # so solve_wall returns the amplitudes a solution stores, bit for bit
+        solution = layer_profiles.temperature_solution if order % 2 else layer_profiles.velocity_solution
+        _, amplitudes = solve_wall(wall_system(order, pr), eigen, 0.5, 1.0, 0.0)
+        assert amplitudes.tobytes() == solution(order, 0.5, pr=pr).amplitudes.tobytes()
 
     @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
     def test_reduction_allocates_no_square_array(self, order, pr):
@@ -837,20 +854,19 @@ class TestKrylovReduction:
             system = build_temperature_system(order) if pr is None else build_kramers_system(order, pr)
             eigen = decompose(system)
             wbs = wall_system(order, pr or 1.0)
-            krylov, dense = krylov_reduction(wbs, eigen), dense_reduction(wbs, eigen)
+            # the reference carrier comes from the Hermite-norm oracle
+            krylov = krylov_reduction(wbs, eigen)
+            dense = dense_reduction(wbs, eigen, verification._carrier(order, pr or 1.0, eigen))
             assert krylov.modes.shape[1] == krylov.inv_mu.size <= eigen.rates.size
-            curve, carrier = reduction_curve(order, pr, krylov, eigen)
-            ref_curve, _ = reduction_curve(order, pr, dense, eigen)
-            ref = ref_curve(self.CHIS)
+            curve, ref = reduction_curve(order, krylov), reduction_curve(order, dense)(self.CHIS)
             worst_curve = max(worst_curve, float(np.max(np.abs(curve(self.CHIS) - ref) / np.abs(ref))))
             for chi in (1e-3, 0.1, 0.5, 1.0):
                 b = accommodation_factor(chi)
-                u0, v_plus = krylov.solve(order, chi, b, 1.0, 0.0)
-                ref_u0, ref_v = dense.solve(order, chi, b, 1.0, 0.0)
+                u0, amplitudes = krylov.solve(order, chi, b, 1.0, 0.0)
+                ref_u0, expected = dense.solve(order, chi, b, 1.0, 0.0)
                 worst_wall = max(worst_wall, abs(u0 - ref_u0) / abs(ref_u0))
-                for got, expected in ((v_plus, ref_v), (carrier * v_plus, carrier * ref_v)):
-                    gap = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
-                    worst_amplitude = max(worst_amplitude, float(gap))
+                gap = np.max(np.abs(amplitudes - expected)) / np.max(np.abs(expected))
+                worst_amplitude = max(worst_amplitude, float(gap))
         # measured worst: curve 8.8e-16, amplitudes 9.5e-14 (Pr 1e12), wall value 1.6e-15
         assert worst_curve <= 1e-14
         assert worst_amplitude <= 1e-12

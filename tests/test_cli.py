@@ -428,6 +428,30 @@ class TestParser:
         assert len([line for line in out.splitlines() if not line.startswith("#")]) == 3
 
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-.5e3"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [(["temperature-jump", "-M", "7"], "--flux"), (["temperature-jump", "-M", "7"], "--wall-temp"),
+         (["kramers", "-M", "8"], "--flux"), (["kramers", "-M", "8"], "--wall-velocity"),
+         (["profile", "-M", "7", "--samples", "5"], "--flux"),
+         (["profile", "-M", "8", "--samples", "5"], "--flux")],
+    )
+    def test_negative_exponent_value_is_a_number(self, capsys, command, option, value):
+        # argparse's own negative-number pattern has no exponent, so it read
+        # -1e-3 as an option and left the flux without an argument
+        code, out, err = run(capsys, [*command, option, value])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, [*command, f"{option}={value}"])
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--kn", "Knudsen number must be finite and positive, and not subnormal, got -0.001"),
+         ("--chi", "accommodation coefficient must lie in (0, 1], got -0.001")],
+    )
+    def test_negative_exponent_value_meets_the_domain_check(self, capsys, option, message):
+        assert run(capsys, ["temperature-jump", "-M", "7", option, "-1e-3"]) == (1, "", f"error: {message}\n")
+
+
 class TestTable2:
     def test_one_curve_per_order(self, capsys, monkeypatch):
         import knlayer.boundary_solver as bs
@@ -498,6 +522,21 @@ class TestExitCodes:
         code, out, err = run(capsys, ["temperature-jump", "-M", "4097", "--output", str(tmp_path / target)])
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot write output file")
+
+    @pytest.mark.parametrize("target", ["", "nosuchfile/", "file/"])
+    def test_empty_or_separator_ended_output_rejected_before_any_build(self, capsys, tmp_path, monkeypatch,
+                                                                       target):
+        # '' once named the parent of the working directory as its folder, and
+        # a path that ends in a separator names no file: each failed only at
+        # the write, after the operator was built
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        before = layer_operator.cache_info()
+        code, out, err = run(capsys, ["sweep-chi", "-M", "13", "--output", target])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write output file {target!r}: ")
+        assert layer_operator.cache_info() == before
+        assert os.listdir(tmp_path) == ["file"]
 
     def test_bad_kmax(self, capsys):
         assert run(capsys, ["table2", "--kmax", "9"])[0] == 1

@@ -456,10 +456,11 @@ class TestCoefficientCurve:
         [*range(3, 16, 2), 129, 513, 1025, *range(4, 17, 2), 128, 512, 1024],
     )
     def test_matches_per_chi_path(self, order):
+        # measured worst 3.3e-16 over these orders, both Pr and the four chi
         for pr in (2.0 / 3.0, 1.0):
             got = coefficient_curve(order, pr=pr)(np.array(self.CHIS))
             ref = [per_chi_coefficient(order, chi, pr=pr) for chi in self.CHIS]
-            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got, ref, rtol=3e-15, atol=0.0)
 
     def test_scalar_and_array_calls(self):
         curve = coefficient_curve(9)
@@ -931,8 +932,8 @@ print(op.rates.size, marks[0], hwm())
         assert arrays["wall", "modes"].shape == (m_even, k)
         vectors = {name: a.shape for name, a in arrays.items() if a.ndim == 1}
         assert vectors == {
-            ("op", "rates"): (m_even,), ("op", "carrier"): (m_even,), ("wall", "inv_mu"): (k,),
-            ("wall", "g"): (k,), ("wall", "w0"): (k,), ("curve", "poles"): (k,), ("curve", "weights"): (k,),
+            ("op", "rates"): (m_even,), ("wall", "inv_mu"): (k,), ("wall", "g"): (k,), ("wall", "w0"): (k,),
+            ("wall", "carrier"): (m_even,), ("curve", "poles"): (k,), ("curve", "weights"): (k,),
         }
         assert not any(a.flags.writeable for a in arrays.values())
 
@@ -948,7 +949,7 @@ print(op.rates.size, marks[0], hwm())
 
     @pytest.mark.parametrize("pr", [None, 1e-3, 2.0 / 3.0, 1.0, 1e6, 1e12])
     def test_carrier_is_the_drive_and_weights_are_gauss_weights(self, pr):
-        # both drives have c0 = 1 and the operator's carrier E^T c[1:]
+        # both drives have c0 = 1 and the wall reduction's carrier E^T c[1:]
         # matches the Hermite-norm oracle's, so the coefficient is the
         # quadratic form c^T (-K)^-1 c: a positive lead and pole weights
         # mu g^2 >= 0 make it strictly decreasing in chi
@@ -958,7 +959,7 @@ print(op.rates.size, marks[0], hwm())
             op = layer_operator(order, pr)
             assert wall_system(order, pr).c_vec[0] == 1.0
             oracle = verification._carrier(order, pr, decompose(reduced_system(order, pr)))
-            gap = np.max(np.abs(op.carrier - oracle))
+            gap = np.max(np.abs(op.wall.carrier - oracle))
             assert gap <= 1e-15 * np.max(np.abs(oracle)), (order, gap)
             assert op.curve.lead > 0.0 and np.all(op.curve.weights >= 0.0), order
             assert np.all(np.diff(op.curve(chis)) < 0.0), order
