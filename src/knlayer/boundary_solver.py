@@ -17,29 +17,34 @@ n00 = -T[0, 0] leaves
                               h = F^T c[1:] - q c[0] / n00,
 
 whose only chi dependence is the scalar b.  A is sqrt(pi/2) I plus a part
-of low numerical rank, so the Krylov space of h stops growing after a few
-dozen steps (k = 46, 31, 69, 77 at M = 129, 512, 1025, 2049).  Lanczos on A
-from h, with full reorthogonalization, gives the Ritz pairs A Z = Z diag(mu)
-on that space, Z of size m_even x k, and (b A + I)^-1 h lies in it for every
-b, so every chi is u1 = -flux Z (Z^T h / (b mu + 1)): one O(m_even k)
-matrix-vector product, with no factorization per chi (Golub & Van Loan,
-Matrix Computations, sections 8.7 and 10.1).  Lanczos reads A only through
-products A x = F^T N11 F x - q (q^T x) / n00, so A is never formed.  A is
-congruent to N / n00, the Schur complement of N at its pivot, under F, which
-is nonsingular when every rate is positive; so N is positive definite and
-the rates are positive exactly when n00 > 0, min(L) > 0 and N = -T has a
-Cholesky factor, and those three are the structural checks.  The
-factorization covers the whole spectrum, where an eigenvalue of A whose
-eigenvector is orthogonal to the Krylov space is not among the Ritz values.
+of low numerical rank, and kappa(b A + I) <= 2 for every b <= b(1), so the
+Galerkin solution on the Krylov space of h converges within a few steps.
+Lanczos on A from h, with full reorthogonalization, stops at the first k
+whose Galerkin solution of (b(1) A + I) u = h, at chi = 1, the hardest chi,
+has a residual of at most eps ||h||: k = 10, 9, 11, 12 at M = 129, 512,
+1025, 2049, and at most ``_LANCZOS_STEPS`` = 24 by the conjugate-gradient
+bound.  Its Ritz pairs Z^T A Z = diag(mu), Z of size m_even x k, give every
+chi as the Galerkin solution u1 = -flux Z (Z^T h / (b mu + 1)): one
+O(m_even k) matrix-vector product, with no factorization per chi (Golub &
+Van Loan, Matrix Computations, sections 8.7, 10.1 and 10.2-10.3).  Lanczos
+reads A only through products A x = F^T N11 F x - q (q^T x) / n00, so A is
+never formed.  A is congruent to N / n00, the Schur complement of N at its
+pivot, under F, which is nonsingular when every rate is positive; so N is
+positive definite and the rates are positive exactly when n00 > 0,
+min(L) > 0 and N = -T has a Cholesky factor, and those three are the
+structural checks.  The factorization covers the whole spectrum, where an
+eigenvalue of A whose eigenvector is orthogonal to the Krylov space is not
+among the Ritz values.
 
 Both drives have c0 = 1, so lead = c0 / n00 = 1 / n00, and the profile
 reads the drive back through the carrier E^T c[1:]; the unscaled
 coefficient is then the quadratic form
 
     c^T (-K)^-1 c = lead / b + h^T (b A + I)^-1 h
-                  = lead / b + sum_i (Z^T h)_i^2 / (b mu_i + 1),
+                 ~= lead / b + sum_i (Z^T h)_i^2 / (b mu_i + 1),
 
-the Gauss quadrature of the reduction, whose weights are non-negative.
+the k-point Gauss quadrature of the reduction, whose weights are
+non-negative; its error is of the order of the squared residual.
 
 The wall step is two calls, so a caller can drop the dense blocks between
 them: :func:`_wall_reduction` checks the pivot and the rates, runs Lanczos
@@ -221,10 +226,20 @@ def _check_match(system: WallBoundarySystem, eigen: ParityEigen) -> None:
         )
 
 
-# Lanczos stops once the next off-diagonal falls to this many rounding units
-# of ||T_k||: once the Krylov space of h is exhausted the off-diagonal
-# plateaus at 1-2e-15 with ||A|| ~ 1.5, 3 to 6 units, and 32 leaves a margin.
-_KRYLOV_STOP_UNITS = 32.0
+# The most Lanczos steps of the wall reduction.  At b1 = b(1), the largest b,
+# kappa(I + b1 A) = (1 + b1 mu_max) / (1 + b1 mu_min) <= 2: measured at most
+# 1.45 for Pr <= 1, and approaching 2 as Pr grows, where mu_min -> 0 and
+# mu_max -> sqrt(pi / 2) = 1 / b1 (M = 4-4097, Pr 1e-3 to 1e12).  The
+# conjugate-gradient bound then gives the Galerkin residual
+# ||r_k|| <= 2 sqrt(kappa) rho^k ||h|| with rho = (sqrt(kappa) - 1) /
+# (sqrt(kappa) + 1) <= 0.172, at most eps ||h|| from k = 22; 24 leaves two
+# steps, a factor 34, of margin.  The clustered spectrum of A converges
+# sooner, in 8-12 steps.
+_LANCZOS_STEPS = 24
+
+# b(1) = 2 / sqrt(2 pi), the accommodation factor at chi = 1, where the wall
+# solve converges slowest.
+_B1 = 2.0 / SQRT_2PI
 
 
 def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors: np.ndarray) -> WallReduction:
@@ -235,15 +250,26 @@ def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors:
     the carrier E^T c[1:] (the drive on the modes, kept for the amplitudes)
     and lead = c0 / n00; each step applies A x = -C E^T (T11 (E (C x))) -
     q (q^T x) / n00, three matrix-vector products, so beside the caller's E
-    and T this holds vectors, the Lanczos basis and Z alone.  Lanczos starts
-    from h / ||h||, orthogonalizes each new vector against every earlier one
-    by two classical Gram-Schmidt passes, and stops when the next
-    off-diagonal is at most ``_KRYLOV_STOP_UNITS`` eps ||T_k|| (or the space
-    is all of R^m_even).  One eigh of the k x k tridiagonal T_k = Y diag(mu)
-    Y^T gives Z = Q^T Y, Q the Lanczos vectors as rows; the basis goes before
-    Z is scaled in place into the modes.  A non-positive pivot
-    n00 = -T[0, 0] or decay rate raises ``StructuralSolveError`` before any
-    arithmetic.
+    and T this holds vectors, the Lanczos basis of at most
+    ``_LANCZOS_STEPS`` rows and Z alone.  Lanczos starts from h / ||h|| and
+    orthogonalizes each new vector against every earlier one by two
+    classical Gram-Schmidt passes.  It stops when the k-step Galerkin
+    solution of (I + b1 A) u = h at b1 = b(1), the hardest chi, has a
+    residual of at most eps ||h||, which an exhausted Krylov space (a zero
+    off-diagonal) meets at once, or when the basis spans R^m_even.  That
+    residual needs no solve: the LDL^T factorization of I + b1 T_k, T_k the
+    Lanczos tridiagonal, has the pivots
+    d_k = 1 + b1 alpha_k - (b1 beta_k-1)^2 / d_k-1, and
+    ||r_k|| = b1 beta_k |y_k[-1]| = ||r_k-1|| b1 beta_k / d_k from
+    ||r_0|| = ||h||.  At every smaller b, kappa(I + b A) and with it the
+    conjugate-gradient bound on the residual are smaller (Golub & Van Loan,
+    Matrix Computations, sections 10.2-10.3).  One eigh of the k x k
+    tridiagonal T_k = Y diag(mu) Y^T gives Z = Q^T Y, Q the Lanczos vectors
+    as rows; the basis goes before Z is scaled in place into the modes.  A
+    non-positive pivot n00 = -T[0, 0] or decay rate raises
+    ``StructuralSolveError`` before any arithmetic; so, during Lanczos, does
+    a pivot d_k <= 0 (A is not positive on the Krylov space) or a residual
+    still above eps ||h|| after ``_LANCZOS_STEPS`` steps.
     """
     t = system.scaled_matrix
     n00 = -float(t[0, 0])
@@ -261,10 +287,11 @@ def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors:
     h = scale * carrier
     h -= lead * q
     m = h.size
-    basis = np.empty((min(m, 64), m))  # rows are the Lanczos vectors; doubled when full
-    basis[0] = h / math.sqrt(h @ h)
+    norm = math.sqrt(h @ h)
+    basis = np.empty((min(m, _LANCZOS_STEPS), m))  # rows are the Lanczos vectors
+    basis[0] = h / norm
     alphas, betas = [], []
-    size = 0.0  # ||T_k||_inf, by rows as they complete
+    residual, pivot, coupling = norm, 1.0, 0.0  # ||r_k||, d_k and b1 beta_k
     k = 0
     while True:
         x = basis[k]
@@ -277,13 +304,23 @@ def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors:
         w -= coefficients @ done
         w -= (done @ w) @ done
         beta = math.sqrt(w @ w)
-        size = max(size, abs(alphas[-1]) + (betas[-1] if betas else 0.0) + beta)
+        pivot = 1.0 + _B1 * alphas[-1] - coupling * coupling / pivot
         k += 1
-        if k == m or beta <= _KRYLOV_STOP_UNITS * np.finfo(float).eps * size:
+        if not pivot > 0.0:
+            raise StructuralSolveError(
+                f"scaled wall matrix of size {t.shape[0]} is not negative definite "
+                f"(the wall reduction met the pivot {pivot:.3e} of I + b(1) T_{k})"
+            )
+        coupling = _B1 * beta
+        residual *= coupling / pivot
+        if residual <= sys.float_info.epsilon * norm or k == m:
             break
-        betas.append(beta)
         if k == basis.shape[0]:
-            basis = np.concatenate((basis, np.empty((min(k, m - k), m))))
+            raise StructuralSolveError(
+                f"wall reduction of size {t.shape[0]} left the residual {residual / norm:.3e} ||h|| "
+                f"after {k} Lanczos steps: A is too ill-conditioned"
+            )
+        betas.append(beta)
         np.divide(w, beta, out=basis[k])
     mu, y = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
     z = basis[:k].T @ y
@@ -297,9 +334,9 @@ def _wall_reduction(system: WallBoundarySystem, rates: np.ndarray, even_vectors:
 class WallReduction:
     """Chi-independent factor of the wall solve.
 
-    With the Ritz pairs A Z = Z diag(mu) of A on the Krylov space of h (Z
-    has k orthonormal columns and Z Z^T h = h), the solution of
-    K(chi) u = flux c has s = Z^T h / (b(chi) mu + 1) = g / (inv_mu + b(chi))
+    With the Ritz pairs Z^T A Z = diag(mu) of A on the k-step Krylov space
+    of h (Z has k orthonormal columns and Z Z^T h = h), the Galerkin solution
+    of K(chi) u = flux c has s = Z^T h / (b(chi) mu + 1) = g / (inv_mu + b(chi))
     with g = Z^T h / mu and inv_mu = 1 / mu, and
     u[0] = -flux (lead / b(chi) - w0 . s),  2 E^T u[1:] = -flux modes @ s,
     where lead = c0 / n00, w0 = Z^T q / n00 and modes = sqrt(2) L^-1/2 Z.

@@ -60,9 +60,10 @@ class NumericalFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):  # argparse's pattern reads --flux -1e-3 as an option
+    def __init__(self, *args, **kwargs):  # argparse's pattern reads --flux -1e-3 or -inf as an option
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)

@@ -9,7 +9,7 @@ from that representation.
 Everything chi-independent about one order lives in one immutable
 :class:`LayerOperator`, cached per order (and Pr, for an even order), built
 in one pass and keeping only what a solve reads: one m_even x k array (the
-mode matrix, k the dimension of the wall drive's Krylov space, a few dozen)
+mode matrix, k the Lanczos steps of the wall reduction, 8-12, at most 24)
 and a few vectors.  Only b(chi) depends on the accommodation coefficient,
 and the operator makes the coefficient a partial fraction in it:
 
@@ -264,13 +264,14 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     """One pass: system, decompose (one eigh of the banded Gram matrix B B^T),
     wall system (its builder makes the normalized table block T reads), the
     wall reduction (Lanczos on the reduced wall matrix A from h, applied
-    matrix-free from E and T, then one tridiagonal eigh of size k), the
+    matrix-free from E and T until the Galerkin residual of the chi = 1
+    solve is at most eps ||h||, then one tridiagonal eigh of size k), the
     Cholesky check of N = -T, coefficient curve.  The table goes once T is
     assembled, E after the reduction, and T once N is formed, so the check
     factors N with no other square array alive, as the Gram eigh runs beside
     G alone.  In m_even^2 doubles of traced arrays, decompose peaks at 4.0;
     the wall system holds E beside the table and T (3.0, the table formed in
-    blocks of rows); the reduction E, T, its k x m_even basis and Z; the
+    blocks of rows); the reduction E, T, its basis of at most 24 x m_even and Z; the
     check N and its factor (2.0, and LAPACK's untraced copy of N).  So each
     stage after decompose fits under decompose's arrays: from M = 513 on, a
     cold build's VmHWM does not grow past decompose's (at M = 512 it grows
@@ -279,8 +280,8 @@ def _cached_operator(order: int, pr: float) -> LayerOperator:
     The reduction keeps the carrier E^T c[1:], the drive on the modes that
     it scales into its h.  Both drives have c0 = 1 and the profile reads the
     drive back through the carrier, so the unscaled coefficient is
-    the quadratic form c^T (-K)^-1 c = lead / b + sum_i (Z^T h)_i^2 /
-    (b mu_i + 1), the Gauss quadrature of the reduction (Golub & Meurant,
+    the quadratic form c^T (-K)^-1 c ~= lead / b + sum_i (Z^T h)_i^2 /
+    (b mu_i + 1), the k-point Gauss quadrature of the reduction (Golub & Meurant,
     Matrices, Moments and Quadrature with Applications, 2010).  With Z^T h = mu g, the weight of
     the pole b = -1 / mu_i is mu_i g_i^2, non-negative by construction.
     """

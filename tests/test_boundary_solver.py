@@ -697,6 +697,37 @@ class TestPencilSolve:
         np.testing.assert_array_equal(v_plus, ref_v)
 
 
+EPS = np.finfo(float).eps
+
+
+def galerkin_residuals(a, h, steps):
+    """(recurrence, formed) per Lanczos step j = 1 .. steps on the formed A
+    from h, both over ||h||: the solver's LDL^T recurrence for the Galerkin
+    residual of (I + b(1) A) u = h, ||r_j|| = ||r_j-1|| b(1) beta_j / d_j,
+    and ||h - (I + b(1) A) Q_j y_j|| with y_j solved from the tridiagonal."""
+    b1 = accommodation_factor(1.0)
+    norm = math.sqrt(h @ h)
+    basis, alphas, betas, out = [h / norm], [], [], []
+    recurrence, pivot, coupling = 1.0, 1.0, 0.0
+    for j in range(1, steps + 1):
+        q = np.array(basis)
+        w = a @ basis[-1]
+        alphas.append(float(basis[-1] @ w))
+        for _ in range(2):
+            w = w - q.T @ (q @ w)
+        beta = math.sqrt(w @ w)
+        pivot = 1.0 + b1 * alphas[-1] - coupling * coupling / pivot
+        coupling = b1 * beta
+        recurrence *= coupling / pivot
+        tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        y = np.linalg.solve(np.eye(j) + b1 * tridiagonal, np.eye(j)[0] * norm)
+        formed = np.linalg.norm(h - (q.T @ y + b1 * (a @ (q.T @ y))))
+        out.append((recurrence, formed / norm))
+        betas.append(beta)
+        basis.append(w / beta)
+    return out
+
+
 def krylov_reduction(system, eigen):
     """The wall reduction after the -T check, by the solver's two calls."""
     reduction = boundary_solver._wall_reduction(system, eigen.rates, eigen.even_vectors)
@@ -760,8 +791,8 @@ class TestMatrixFreeWallStep:
     def test_reduction_holds_ritz_pairs_of_the_formed_matrix(self, order, pr):
         # with Z = modes L^1/2 / sqrt(2) and mu = 1 / inv_mu, against the
         # formed A, h and q: Z^T Z = I, Z^T A Z = diag(mu), Z (g mu) = h and
-        # n00 w0 = Z^T q; measured worst 2.3e-15, 3.7e-15, 8.6e-15 (h, 1025)
-        # and 5.9e-16
+        # n00 w0 = Z^T q; measured worst 1.8e-15, 4.0e-15 (1025), 9.9e-15 (h,
+        # 1025) and 7.2e-16
         system, eigen = wall_system(order, pr), order_eigen(order, pr)
         reduction = boundary_solver._wall_reduction(system, eigen.rates, eigen.even_vectors)
         a, h, q, n00, lead, scale = formed_wall_matrix(system, eigen)
@@ -789,10 +820,10 @@ class TestMatrixFreeWallStep:
 
     @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
     def test_reduction_allocates_no_square_array(self, order, pr):
-        # beside the caller's E and T: the Lanczos basis, 64 rows or the
-        # doubling past k, Z of k columns and vectors; measured 0.21-0.42
-        # m_even^2, the most at m_even = 255 where 64 rows are a quarter.  A
-        # formed A alone is 1
+        # beside the caller's E and T: the Lanczos basis of at most
+        # _LANCZOS_STEPS = 24 rows, Z of k columns and vectors; measured
+        # 0.040-0.155 m_even^2, the most at m_even = 255 where 24 rows are
+        # 0.094.  A formed A alone is 1
         system, eigen = wall_system(order, pr), order_eigen(order, pr)
         square = 8.0 * eigen.rates.size ** 2
         tracemalloc.start()
@@ -801,7 +832,7 @@ class TestMatrixFreeWallStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * square, f"peak {peak / square:.2f} m_even^2"
+        assert peak < 0.2 * square, f"peak {peak / square:.3f} m_even^2"
 
     @pytest.mark.parametrize("order, pr", [(1025, 1.0), (1024, 0.7), (513, 1.0), (512, 0.7)])
     def test_check_holds_only_the_factor_of_n(self, order, pr):
@@ -867,29 +898,89 @@ class TestKrylovReduction:
                 worst_wall = max(worst_wall, abs(u0 - ref_u0) / abs(ref_u0))
                 gap = np.max(np.abs(amplitudes - expected)) / np.max(np.abs(expected))
                 worst_amplitude = max(worst_amplitude, float(gap))
-        # measured worst: curve 8.8e-16, amplitudes 9.5e-14 (Pr 1e12), wall value 1.6e-15
+        # measured worst: curve 6.1e-16, amplitudes 7.1e-14 (Pr 1e12), wall value 1.3e-15
         assert worst_curve <= 1e-14
         assert worst_amplitude <= 1e-12
         assert worst_wall <= 1e-14
 
-    @pytest.mark.parametrize("order, bound", [(129, 60), (512, 40), (1025, 90), (2049, 100)])
-    def test_krylov_dimension(self, order, bound):
-        # measured k = 46, 31, 69 and 77 against m_even = 127, 255, 1023 and 2047
+    @pytest.mark.parametrize("order", [129, 512, 1025, 2049])
+    def test_krylov_dimension(self, order):
+        # Lanczos stops at the first k whose Galerkin residual at b(1) is at
+        # most eps ||h||, well inside _LANCZOS_STEPS: measured k = 10, 9, 11
+        # and 12 against m_even = 127, 255, 1023 and 2047, where the
+        # exhausted Krylov space took 46, 31, 69 and 77 steps
         pr = 1.0 if order % 2 else 0.7
         system = build_temperature_system(order) if order % 2 else build_kramers_system(order, pr)
         eigen = decompose(system)
-        reduction = krylov_reduction(wall_system(order, pr), eigen)
+        wbs = wall_system(order, pr)
+        reduction = krylov_reduction(wbs, eigen)
         k = reduction.inv_mu.size
-        assert k <= bound
+        assert k <= boundary_solver._LANCZOS_STEPS
         assert reduction.modes.shape == (system.m_even, k)
         assert np.all(reduction.inv_mu > 0.0)
+        a, h, *_ = formed_wall_matrix(wbs, eigen)
+        steps = galerkin_residuals(a, h, k)
+        assert steps[-1][0] <= EPS
+        assert all(recurrence > EPS for recurrence, _ in steps[:-1])
+
+    @pytest.mark.parametrize("order, pr", [(13, 1.0), (34, 1e12), (129, 1.0), (256, 1e12)])
+    def test_recurrence_residual_is_the_galerkin_residual(self, order, pr):
+        # at every step up to two past the stop, the LDL^T recurrence
+        # b(1) beta_k |y_k[-1]| against ||h - (I + b(1) A) Q_k y_k|| with the
+        # formed A: they agree to 1.7 eps ||h|| (measured); below eps the
+        # formed residual is rounding alone, 1-4e-16 ||h||
+        system, eigen = wall_system(order, pr), order_eigen(order, pr)
+        a, h, *_ = formed_wall_matrix(system, eigen)
+        k = boundary_solver._wall_reduction(system, eigen.rates, eigen.even_vectors).inv_mu.size
+        steps = galerkin_residuals(a, h, k + 2)
+        for recurrence, formed in steps:
+            assert abs(recurrence - formed) <= 4.0 * EPS
+        assert steps[-1][1] <= 4.0 * EPS
+
+    @pytest.mark.parametrize("order, pr", [(129, 1.0), (1024, 1e12)])
+    def test_two_cold_builds_agree_bit_for_bit(self, order, pr):
+        # the stop depends on the problem, not on where rounding noise
+        # plateaus, so two cold builds take the same k and the same bits
+        builds = []
+        for _ in range(2):
+            layer_profiles.layer_operator.cache_clear()
+            builds.append(layer_profiles.layer_operator(order, pr).wall)
+        layer_profiles.layer_operator.cache_clear()
+        first, second = builds
+        assert first is not second
+        for field in dataclasses.fields(first):
+            got, expected = np.asarray(getattr(second, field.name)), np.asarray(getattr(first, field.name))
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), field.name
+
+    def test_indefinite_on_the_krylov_space_raises(self):
+        # with E = I / sqrt(2), unit rates and T[1:, 0] = 0, A = -T11 =
+        # diag(2, 3, -4) and h = c[1:] meets all three eigenvectors; 1 - 4 b(1)
+        # < 0, so a pivot of the LDL^T of I + b(1) T_k turns negative and the
+        # reduction raises before the check of -T
+        wbs = WallBoundarySystem(10, -np.diag([1.0, 2.0, 3.0, -4.0]), np.array([1.0, 1.0, 1.0, 1.0]))
+        eigen = ParityEigen(rates=np.ones(3), even_vectors=np.eye(3) / math.sqrt(2.0))
+        with pytest.raises(StructuralSolveError, match="the wall reduction met the pivot"):
+            boundary_solver._wall_reduction(wbs, eigen.rates, eigen.even_vectors)
+
+    def test_too_ill_conditioned_for_the_step_bound_raises(self):
+        # A = diag(geomspace(1, 1e4, 60)) is positive definite, but
+        # kappa(I + b(1) A) ~ 4e3 leaves the Galerkin residual far above
+        # eps ||h|| after _LANCZOS_STEPS steps
+        spectrum = np.geomspace(1.0, 1e4, 60)
+        wbs = WallBoundarySystem(10, -np.diag(np.concatenate(([1.0], spectrum))), np.ones(61))
+        eigen = ParityEigen(rates=np.ones(60), even_vectors=np.eye(60) / math.sqrt(2.0))
+        with pytest.raises(StructuralSolveError, match="too ill-conditioned"):
+            boundary_solver._wall_reduction(wbs, eigen.rates, eigen.even_vectors)
 
     def test_negative_eigenvalue_outside_the_krylov_space_raises(self):
         # T' = T + 3 u u^T on T11 with u = 2 E L^1/2 v / sqrt(2) turns A into
-        # A' = A - 3 v v^T; v is a unit vector orthogonal to the Krylov space
-        # of h, so A' acts on that space as A does; -T' is indefinite, and its
-        # Cholesky check fails whether or not rounding lets Lanczos find the
-        # negative eigenvalue (at this order it does, from a 1e-16 component)
+        # A' = A - 3 v v^T; v is a unit vector orthogonal to the k Lanczos
+        # vectors of h, so A' acts on them as A does; -T' is indefinite, and
+        # the wall step fails whether or not rounding lets Lanczos find the
+        # negative eigenvalue.  At this order it does: the rounding of the
+        # large rank-one term leaves a 1e-16 component on v, which holds the
+        # residual above eps ||h|| at step k, and the next pivot is negative.
+        # Either failure names -T as not negative definite
         wbs, eigen = temperature_boundary_system(65), temperature_eigen(65)
         scale = math.sqrt(2.0) / np.sqrt(eigen.rates)
         z = boundary_solver._wall_reduction(wbs, eigen.rates, eigen.even_vectors).modes / scale[:, None]

@@ -443,6 +443,23 @@ class TestParser:
         assert (code, err) == (0, "")
         assert (code, out, err) == run(capsys, [*command, f"{option}={value}"])
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [(["temperature-jump", "-M", "7"], option) for option in ("--flux", "--wall-temp", "--chi", "--kn", "--pr")]
+        + [(["kramers", "-M", "8"], "--wall-velocity"),
+           (["sweep-chi", "-M", "5", "--samples", "3"], "--chi-min"),
+           (["sweep-chi", "-M", "5", "--samples", "3"], "--chi-max"),
+           (["profile", "-M", "7", "--samples", "5"], "--ymin"),
+           (["profile", "-M", "7", "--samples", "5"], "--ymax")],
+    )
+    def test_negative_non_finite_value_meets_the_domain_check(self, capsys, command, option, value):
+        # float() reads these spellings in any case; argparse's own pattern
+        # read them as an option and left the option without an argument
+        code, out, err = run(capsys, [*command, option, value])
+        assert (code, out) == (1, "") and err.startswith("error: ") and "expected one argument" not in err
+        assert (code, out, err) == run(capsys, [*command, f"{option}={value}"])
+
     @pytest.mark.parametrize(
         "option, message",
         [("--kn", "Knudsen number must be finite and positive, and not subnormal, got -0.001"),

@@ -847,10 +847,10 @@ class TestLayerOperator:
         # peaked at 7.3 (order 513) and 8.3 (order 512) m_even^2 blocks.
         assert peak < 6.5 * square, f"peak {peak / square:.2f} m_even^2"
         # Only the Gram matrix is alive when decompose's eigh starts, and only
-        # N = -T and the reduction when the check factors N (measured 1.13 at
-        # order 513 and 1.15 at 512).  The wall's tridiagonal eigh runs inside
+        # N = -T and the reduction when the check factors N (measured 1.03 at
+        # order 513 and 1.06 at 512).  The wall's tridiagonal eigh runs inside
         # the reduction, beside the caller's E and T and the Lanczos basis
-        # (2.16 and 2.31).  Only the modes are retained.
+        # (2.07 and 2.14).  Only the modes are retained.
         assert [name for name, _ in at_call] == ["eigh", "eigh", "cholesky"]
         (_, gram), (_, wall), (_, check) = at_call
         for name, at, bound in (("Gram eigh", gram, 1.5), ("wall eigh", wall, 2.5), ("check", check, 1.5)):

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from knlayer import cli, layer_profiles
+from knlayer import boundary_solver, cli, layer_profiles
 from knlayer.layer_profiles import temperature_defect, temperature_solution
 from knlayer.parity_spectral import ParityEigen, RankDeficiencyError, decompose
 from knlayer.system_builder import (
@@ -253,7 +253,8 @@ def banded_times(system, x):
 
 class TestTopOrders:
     """E from decompose and O = B^T E / rates from the oracle's dense B, at
-    the smallest and largest orders of either parity."""
+    the smallest and largest orders of either parity, and the wall reduction
+    on that E."""
 
     @pytest.mark.parametrize("order", [9, 8, 2049, 2048, 4097])
     def test_invariants(self, order):
@@ -270,6 +271,11 @@ class TestTopOrders:
         # decompose's sign rule: every column's largest-magnitude entry is positive
         big = np.argmax(np.abs(o), axis=0)
         assert np.all(o[big, np.arange(system.m_even)] > 0.0)
+        # Lanczos converges inside its step bound at every order: measured
+        # k = 12 at 4097, where the exhausted Krylov space took 83-85 steps
+        wall = boundary_solver.wall_system(order, 2.0 / 3.0)
+        k = boundary_solver._wall_reduction(wall, rates, e).inv_mu.size
+        assert k <= min(system.m_even, boundary_solver._LANCZOS_STEPS)
 
 
 class TestNoDenseSvd:

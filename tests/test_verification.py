@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from knlayer import boundary_solver, layer_profiles
 from knlayer.boundary_solver import (
@@ -449,8 +451,9 @@ class TestBvpBackSubstitution:
 
 
 def wall_solve_check(level):
-    """The definiteness suite's check of the operator against a direct LU
-    solve of K(chi), which reads neither a dense eigh nor Lanczos."""
+    """The definiteness suite's check of the operator against a direct
+    equilibrated solve of K(chi), which reads neither a dense eigh nor
+    Lanczos."""
     checks = {check.name: check for check in verification._check_definiteness(level)}
     return checks["wall reduction vs direct solve of K(chi)"]
 
@@ -459,7 +462,8 @@ class TestWallSolveCheck:
     def test_quick_passes(self):
         check = wall_solve_check("quick")
         assert check.passed, check.line()
-        assert check.detail == "wall value and coefficient at chi 0.1, 0.5, 1; even orders at Pr 0.666667, 1"
+        assert re.fullmatch(r"wall value and coefficient at chi 0.1, 0.5, 1; amplitudes \S+ \(tol 1.0e-12\); "
+                            r"even orders at Pr 0.666667, 1", check.detail), check.detail
 
     def test_full_run_holds_the_check(self, full_verification):
         residual = full_verification.residual("wall reduction vs direct solve of K(chi)")
@@ -483,6 +487,39 @@ class TestWallSolveCheck:
             layer_operator.cache_clear()  # no operator built on the mutated reduction survives
         assert not check.passed
         assert check.residual > 1e-12
+
+    def test_amplitudes_off_by_1e_10_fail(self, monkeypatch):
+        # the modes reach only the amplitudes, not the wall value or the
+        # coefficient, so the amplitude gap alone fails the check
+        true_reduce = layer_profiles._wall_reduction
+
+        def off(*args):
+            reduction = true_reduce(*args)
+            modes = reduction.modes.copy()
+            modes[:, 0] *= 1.0 + 1e-10
+            return dataclasses.replace(reduction, modes=modes)
+
+        monkeypatch.setattr(layer_profiles, "_wall_reduction", off)
+        layer_operator.cache_clear()
+        try:
+            check = wall_solve_check("quick")
+        finally:
+            layer_operator.cache_clear()
+        assert not check.passed
+        assert check.residual <= verification.WALL_SOLVE_AGREEMENT
+
+    def test_direct_solve_matches_cholesky(self):
+        # the equilibrated LU solve against scipy's Cholesky solve where
+        # plain LU loses 2e-10 of the largest amplitude (order 98, Pr 1e12)
+        order, pr = 98, 1e12
+        _, eigen = verification._problem_parts(order, pr)
+        wbs = wall_system(order, pr)
+        for chi in (0.1, 0.5, 1.0):
+            k = verification.wall_operator(wbs, eigen, chi)
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-k), -wbs.c_vec)
+            u = verification._direct_wall_solve(wbs, eigen, chi)
+            amplitudes, expected = eigen.even_vectors.T @ u[1:], eigen.even_vectors.T @ ref[1:]
+            assert np.max(np.abs(amplitudes - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_operator_that_cannot_be_built_fails(self, monkeypatch):
         def unbuildable(order, pr=1.0):
