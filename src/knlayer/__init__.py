@@ -5,14 +5,16 @@ solves their Maxwell-wall boundary conditions, and evaluates the resulting
 temperature-jump and velocity-slip layer profiles analytically.  The
 :mod:`knlayer.verification` module carries independent numerical oracles
 (quadrature, dense eigensolver, finite-difference BVP) for every step.
+
+The package exports the solve API alone.  Each pipeline stage is reached
+through its own module: :func:`knlayer.system_builder.reduced_system`,
+:func:`knlayer.parity_spectral.decompose`,
+:class:`knlayer.special_functions.HalfSpaceTable`,
+:func:`knlayer.boundary_solver.wall_system` and
+:func:`knlayer.layer_profiles.layer_operator`.
 """
 
-from .boundary_solver import (
-    StructuralSolveError,
-    accommodation_factor,
-    kramers_boundary_system,
-    temperature_boundary_system,
-)
+from .boundary_solver import StructuralSolveError, accommodation_factor
 from .layer_profiles import (
     CoefficientCurve,
     TemperatureLayerSolution,
@@ -28,32 +30,21 @@ from .layer_profiles import (
     velocity_solution,
     viscous_slip_coefficient,
 )
-from .parity_spectral import ParityEigen, decompose
-from .special_functions import HalfSpaceTable
-from .system_builder import ReducedSystem, build_kramers_system, build_temperature_system
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientCurve",
-    "HalfSpaceTable",
-    "ParityEigen",
-    "ReducedSystem",
     "StructuralSolveError",
     "TemperatureLayerSolution",
     "VelocityLayerSolution",
     "accommodation_factor",
-    "build_kramers_system",
-    "build_temperature_system",
     "coefficient_curve",
     "convergence_order",
-    "decompose",
     "default_profile_grid",
     "effective_conductivity",
     "jump_coefficient",
-    "kramers_boundary_system",
     "normalized_temperature",
-    "temperature_boundary_system",
     "temperature_defect",
     "temperature_solution",
     "velocity_solution",

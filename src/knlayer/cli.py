@@ -488,8 +488,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _check_output(output: str | None) -> None:
-    """Reject an ``--output`` that is empty or a directory, or whose directory
-    (up to its last separator) is missing or not writable, before any build."""
+    """Reject an ``--output`` that is empty, a directory or an existing file
+    that is not writable, or a new file whose directory (up to its last
+    separator) is missing or not writable, before any build."""
     if output is None:
         return
     folder = os.path.dirname(output) or os.curdir
@@ -497,6 +498,10 @@ def _check_output(output: str | None) -> None:
         reason = "it is empty"
     elif os.path.isdir(output):
         reason = "it is a directory"
+    elif os.path.exists(output):
+        if os.access(output, os.W_OK):
+            return
+        reason = "it is not writable"
     elif not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         reason = f"{folder!r} is not a writable directory"
     else:

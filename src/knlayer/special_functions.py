@@ -5,7 +5,7 @@ the Hermite polynomials at the origin (odd z vanish), so no raw factorial
 is formed at any order.  ``HalfSpaceTable`` builds only the normalized
 even-index block S(2i, 2j) that the wall assemblies read, in one vectorized
 closed form; the raw even block of the raw reference matrices, inside the
-double-precision window, is built on its first read by the same closed form
+double-precision window, is built on each read by the same closed form
 (``_raw_block``).  The scalar closed form of every index pair, odd ones
 included, and the quadrature counterparts live in
 :mod:`knlayer.verification`, whose oracles are their only readers.
@@ -62,7 +62,7 @@ class HalfSpaceTable:
     S(2i, 2j).  ``s_normalized[i, j]`` holds S(2i, 2j) / sqrt((2i)! (2j)!)
     for the full range; ``s_values[i, j]`` the raw S(2i, 2j) inside the
     double-precision window (2i, 2j <= RAW_ORDER_LIMIT), which only the raw
-    references read, so it is built on first read and then kept.  Odd-index
+    references read, so it is built on each read and never kept.  Odd-index
     pairs are left to :func:`knlayer.verification.half_space_S_normalized`.
     Both blocks are read-only, so a table is safe to share across threads.
     """
@@ -93,7 +93,7 @@ class HalfSpaceTable:
 
     def __init__(self, top: int):
         _check_integer(top, "the top index", lambda t: t >= 0, "a non-negative integer")
-        self._raw_top, self._raw = min(top, RAW_ORDER_LIMIT), None
+        self._raw_top = min(top, RAW_ORDER_LIMIT)
         self._normalized = self._even_block(_z_even(top // 2 + 1))
         self._normalized.flags.writeable = False
 
@@ -105,14 +105,12 @@ class HalfSpaceTable:
     @property
     def s_values(self) -> np.ndarray:
         """Raw S(2i, 2j) at [i, j], restricted to the double-precision window."""
-        if self._raw is None:
-            raw = _raw_block(self._raw_top)
-            raw.flags.writeable = False
-            self._raw = raw
-        return self._raw
+        raw = _raw_block(self._raw_top)
+        raw.flags.writeable = False
+        return raw
 
 
 def _raw_block(top: int) -> np.ndarray:
     """Raw S(2i, 2j) over 2i, 2j <= top <= RAW_ORDER_LIMIT: the one raw builder,
-    which ``s_values`` keeps and the raw references call with no table built."""
+    which ``s_values`` calls and the raw references call with no table built."""
     return HalfSpaceTable._even_block(_z_even(top // 2 + 1, normalized=False))

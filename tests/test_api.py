@@ -13,27 +13,23 @@ import numpy as np
 
 import knlayer
 from knlayer import verification
+from knlayer.boundary_solver import temperature_boundary_system
+from knlayer.parity_spectral import ParityEigen, decompose
+from knlayer.special_functions import HalfSpaceTable
+from knlayer.system_builder import ReducedSystem, build_kramers_system, build_temperature_system
 
 PUBLIC = [
     "CoefficientCurve",
-    "HalfSpaceTable",
-    "ParityEigen",
-    "ReducedSystem",
     "StructuralSolveError",
     "TemperatureLayerSolution",
     "VelocityLayerSolution",
     "accommodation_factor",
-    "build_kramers_system",
-    "build_temperature_system",
     "coefficient_curve",
     "convergence_order",
-    "decompose",
     "default_profile_grid",
     "effective_conductivity",
     "jump_coefficient",
-    "kramers_boundary_system",
     "normalized_temperature",
-    "temperature_boundary_system",
     "temperature_defect",
     "temperature_solution",
     "velocity_solution",
@@ -122,8 +118,15 @@ SOLVER_MODULES = (
 
 
 # Names that stay in their solver module but leave the package namespace:
-# only tests and the benchmark tracer call the one-shot wall solve.
-UNEXPORTED = {"boundary_solver": ["solve_wall"]}
+# only tests and the benchmark tracer call the one-shot wall solve, and each
+# pipeline building block is reached through its own module, beside that
+# module's parity-keyed entry point.
+UNEXPORTED = {
+    "system_builder": ["ReducedSystem", "build_temperature_system", "build_kramers_system"],
+    "parity_spectral": ["ParityEigen", "decompose"],
+    "special_functions": ["HalfSpaceTable"],
+    "boundary_solver": ["solve_wall", "temperature_boundary_system", "kramers_boundary_system"],
+}
 
 
 def test_public_api_is_pinned():
@@ -159,8 +162,8 @@ def test_removed_names_are_gone():
     for names in (*MOVED.values(), MOVED_MEMBERS.values()):
         for name in names:
             assert hasattr(verification, name), name
-    system = knlayer.build_temperature_system(5)
-    for obj in (system, knlayer.decompose(system)):
+    system = build_temperature_system(5)
+    for obj in (system, decompose(system)):
         for name in (*DELETED_MEMBERS, *MOVED_MEMBERS):
             assert not hasattr(obj, name), (type(obj).__name__, name)
 
@@ -169,11 +172,11 @@ def test_records_hold_what_a_solve_reads():
     # the reduced system is its three diagonals; the members only tests and
     # dump-system read went with the members nothing read, and Pr, which only
     # the entry oracle read, is the oracle caller's
-    fields = [f.name for f in dataclasses.fields(knlayer.ReducedSystem)]
+    fields = [f.name for f in dataclasses.fields(ReducedSystem)]
     assert fields == ["order", "m_even", "diag_main", "diag_sub1", "diag_sub2"]
     # a solve reads the rates and the even block; the odd block is the oracles'
-    assert [f.name for f in dataclasses.fields(knlayer.ParityEigen)] == ["rates", "even_vectors"]
-    assert not hasattr(knlayer.ParityEigen, "m_even")
+    assert [f.name for f in dataclasses.fields(ParityEigen)] == ["rates", "even_vectors"]
+    assert not hasattr(ParityEigen, "m_even")
     # the operator holds the unscaled coefficient curve, built once per order
     operator = knlayer.layer_profiles.layer_operator(9)
     fields = [f.name for f in dataclasses.fields(operator)]
@@ -195,8 +198,8 @@ def test_records_hold_what_a_solve_reads():
     assert "temperature" in vars(knlayer.TemperatureLayerSolution)
     assert "velocity" in vars(knlayer.VelocityLayerSolution)
     for record, names in (
-        (knlayer.build_kramers_system(8, 0.7), ["log_even_scale", "even_scale", "coupling_entry"]),
-        (knlayer.HalfSpaceTable(8), ["max_order"]),
+        (build_kramers_system(8, 0.7), ["log_even_scale", "even_scale", "coupling_entry"]),
+        (HalfSpaceTable(8), ["max_order"]),
         (knlayer.coefficient_curve(9), ["residues"]),
     ):
         for name in names:
@@ -206,12 +209,12 @@ def test_records_hold_what_a_solve_reads():
 def test_records_compare_and_hash_by_identity():
     # every record holds arrays, so a field-wise == would ask numpy for the
     # truth value of an array; records compare and hash as objects instead
-    system = knlayer.build_temperature_system(9)
+    system = build_temperature_system(9)
     operator = knlayer.layer_profiles.layer_operator(9)
     records = [
         system,
-        knlayer.decompose(system),
-        knlayer.temperature_boundary_system(9),
+        decompose(system),
+        temperature_boundary_system(9),
         operator.wall,
         operator,
         knlayer.coefficient_curve(9),
@@ -231,10 +234,12 @@ def test_records_compare_and_hash_by_identity():
         assert not any(a.flags.writeable for a in arrays), type(record).__name__
 
 
-def test_raw_block_is_built_once_and_kept():
-    table = knlayer.HalfSpaceTable(knlayer.special_functions.RAW_ORDER_LIMIT)
+def test_raw_block_is_built_on_each_read():
+    # only the raw references and the benchmark tracer read the raw block, so
+    # a table keeps none: each read builds it, read-only, with the same bits
+    table = HalfSpaceTable(knlayer.special_functions.RAW_ORDER_LIMIT)
     first, second = table.s_values, table.s_values
-    assert first is second
+    assert first is not second and np.array_equal(first, second)
     assert not first.flags.writeable
     # the bits of the block as the table built it eagerly
     assert hashlib.sha256(first.tobytes()).hexdigest() == (

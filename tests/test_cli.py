@@ -555,6 +555,39 @@ class TestExitCodes:
         assert layer_operator.cache_info() == before
         assert os.listdir(tmp_path) == ["file"]
 
+    @pytest.mark.parametrize("device", [True, False])
+    def test_writable_file_in_read_only_folder_accepted(self, capsys, tmp_path, monkeypatch, device):
+        # an existing file is judged by its own access, not by its folder's: a
+        # user who may not write /dev still writes /dev/null.  The access
+        # check is patched to deny the folder, since root passes every check
+        target = "/dev/null" if device else str(tmp_path / "out.txt")
+        if not device:
+            open(target, "w").close()
+        folder, access = os.path.dirname(target), os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != folder and access(path, mode))
+        expected = run(capsys, ["sweep-chi", "-M", "13", "--samples", "3"])[1]
+        assert run(capsys, ["sweep-chi", "-M", "13", "--samples", "3", "--output", target]) == (0, "", "")
+        if not device:
+            with open(target, encoding="utf-8") as handle:
+                assert handle.read() == expected
+
+    def test_read_only_file_rejected_before_any_build(self, capsys, tmp_path, monkeypatch):
+        # a read-only file in a writable folder once passed the check, so the
+        # write failed only after the build, about 20 s cold at M = 4097
+        target = str(tmp_path / "ro.out")
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write("kept")
+        os.chmod(target, 0o444)
+        access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != target and access(path, mode))
+        before = layer_operator.cache_info()
+        code, out, err = run(capsys, ["sweep-chi", "-M", "13", "--output", target])
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write output file {target!r}: it is not writable\n"
+        assert layer_operator.cache_info() == before
+        with open(target, encoding="utf-8") as handle:
+            assert handle.read() == "kept"
+
     def test_bad_kmax(self, capsys):
         assert run(capsys, ["table2", "--kmax", "9"])[0] == 1
 
